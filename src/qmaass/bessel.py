@@ -16,6 +16,7 @@ better across both regimes.
 from __future__ import annotations
 
 import math
+import threading
 from functools import lru_cache
 
 import mpmath
@@ -23,6 +24,8 @@ import mpmath
 from .series import QSeriesError
 
 _ASYMPTOTIC_SWITCH = 18.0
+_CTX = mpmath.MPContext()
+_CTX_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=65536)
@@ -42,23 +45,26 @@ def _k0_ascending(x: float) -> float:
     K0(x) = -(log(x/2) + euler_gamma) I0(x) + sum_{m>=1} z^m/(m!)^2 H_m
     with z = x^2/4 and H_m the m-th harmonic number.  Both pieces grow
     like e^x while the result decays like e^-x, hence the extra digits.
+    A private mpmath context under a lock keeps threads and the global
+    precision apart.
     """
-    with mpmath.workdps(25 + int(math.ceil(x))):
-        z = mpmath.mpf(x) ** 2 / 4
-        term = mpmath.mpf(1)
-        i0 = mpmath.mpf(1)
-        corr = mpmath.mpf(0)
-        harmonic = mpmath.mpf(0)
+    with _CTX_LOCK:
+        _CTX.dps = 25 + int(math.ceil(x))
+        z = _CTX.mpf(x) ** 2 / 4
+        term = _CTX.mpf(1)
+        i0 = _CTX.mpf(1)
+        corr = _CTX.mpf(0)
+        harmonic = _CTX.mpf(0)
         m = 0
         while True:
             m += 1
             term *= z / (m * m)
-            harmonic += mpmath.mpf(1) / m
+            harmonic += _CTX.mpf(1) / m
             i0 += term
             corr += term * harmonic
-            if term < mpmath.mpf(10) ** (-mpmath.mp.dps) * i0:
+            if term < _CTX.mpf(10) ** (-_CTX.dps) * i0:
                 break
-        value = -(mpmath.log(mpmath.mpf(x) / 2) + mpmath.euler) * i0 + corr
+        value = -(_CTX.log(_CTX.mpf(x) / 2) + _CTX.euler) * i0 + corr
         return float(value)
 
 

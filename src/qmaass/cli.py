@@ -216,6 +216,9 @@ class RunConfig:
                 return None
             return mapper(value) if mapper else value
 
+        cut = getattr(ns, "lattice_cut", None)
+        if cut is not None and cut < 1:
+            raise UsageError(f"--lattice-cut must be a positive integer, got {cut}")
         return cls(
             command=ns.command,
             target=ns.target,
@@ -412,7 +415,7 @@ def _checks_theta_embedding(cfg: RunConfig):
 
 def _checks_completion(cfg: RunConfig):
     tau = cfg.tau if cfg.tau is not None else 1j
-    cut = cfg.lattice_cut or 10
+    cut = cfg.lattice_cut if cfg.lattice_cut is not None else 10
     tol = cfg.tol if cfg.tol is not None else 1e-8
 
     def family_defect(j, k, ell):
@@ -661,7 +664,7 @@ def _eval_waveform(cfg: RunConfig, writer: LineWriter) -> int:
         )
         return 0
     params = _theta_params_from(cfg)
-    cut = cfg.lattice_cut or 12
+    cut = cfg.lattice_cut if cfg.lattice_cut is not None else 12
     value, tail = waveform_numeric(params, tau, cut)
     writer.emit(
         {

@@ -27,7 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .agpolys import ag_polynomial, ag_polynomial_sweep
+from .agpolys import _int_slots, ag_polynomial, ag_polynomial_sweep
+from .bailey import _require_finite
 from .cyclotomic import CycNumber, root_of_unity_value
 from .reports import CheckReport, report_from_condition
 from .series import (
@@ -64,16 +65,6 @@ def _validate_family(j: int, k: int, ell: int) -> None:
         raise QSeriesError(f"k must be a positive integer, got {k!r}")
     if not (isinstance(ell, int) and 1 <= ell <= k):
         raise QSeriesError(f"ell must satisfy 1 <= ell <= k, got {ell!r}")
-
-
-def _require_finite(trunc):
-    if trunc is INF:
-        raise QSeriesError("this expansion needs a finite truncation")
-    return trunc if isinstance(trunc, Fraction) else Fraction(trunc)
-
-
-def _int_slots(trunc) -> int:
-    return max(0, math.ceil(trunc))
 
 
 def _int_mul(x: QSeries, y: QSeries) -> QSeries:

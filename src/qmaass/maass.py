@@ -31,7 +31,7 @@ import numpy as np
 from .agpolys import ag_polynomial
 from .bessel import k0_bessel
 from .cyclotomic import CycNumber, root_of_unity_value
-from .families import negative_part_series
+from .families import _validate_family, negative_part_series
 from .reports import CheckReport, _exact_str, report_from_condition
 from .series import QSeriesError
 from .theta import (
@@ -50,7 +50,6 @@ __all__ = [
     "cohen_transform_residual",
     "eval_waveform",
     "family_coeff_table",
-    "k0_bessel",
     "quantum_value",
     "radial_limit_check",
     "second_differences",
@@ -282,8 +281,7 @@ def quantum_value(j: int, k: int, ell: int, x) -> QuantumSample:
     field.  Families with power d = 2 are evaluated at e(x)^d = e(d x),
     matching the variable of their theta embedding.
     """
-    if j not in (1, 2, 3, 4):
-        raise QSeriesError("family index must be 1, 2, 3 or 4")
+    _validate_family(j, k, ell)
     xq = Fraction(x)
     w = (FAMILY_POWERS[j] * xq) % 1
     N, num = w.denominator, w.numerator
@@ -338,39 +336,13 @@ def quantum_value(j: int, k: int, ell: int, x) -> QuantumSample:
     return QuantumSample(x=xq, value=total)
 
 
-def radial_limit_check(
-    j: int,
-    k: int,
-    ell: int,
-    x,
-    t_grid=None,
-    tol: float = 1e-4,
-) -> CheckReport:
-    """Radial limit of a family along q = e(x) exp(-t) versus its exact value.
+def _richardson(samples: list[complex], rho: float) -> tuple[complex, float]:
+    """Richardson extrapolation to t = 0 of samples on a geometric t-grid.
 
-    Samples the cancellation-free lattice evaluator on a decreasing
-    ``t_grid`` (default: geometric, ratio one half, eight points from
-    1/8), Richardson-extrapolates to t = 0, and compares with the exact
-    root-of-unity value.  The last extrapolation step is reported as an
-    instability estimate.
+    Assumes a smooth expansion in t; with grid ratio ``rho`` the update
+    constant at level m is rho^-m.  Needs at least two samples; returns
+    the estimate and the size of the last step, an instability estimate.
     """
-    xq = Fraction(x)
-    if t_grid is None:
-        t_grid = [0.125 * 0.5**i for i in range(8)]
-    t_grid = list(t_grid)
-    if not all(
-        a > b > 0 for a, b in zip(t_grid, t_grid[1:])
-    ) or not t_grid or not t_grid[0] > 0:
-        raise QSeriesError("the radial grid must be positive and decreasing")
-    power = FAMILY_POWERS[j]
-    w = (power * xq) % 1
-    samples = [
-        family_lattice_numeric(j, k, ell, w, power * t) for t in t_grid
-    ]
-    # Richardson extrapolation assuming a smooth expansion in t; with a
-    # geometric grid of ratio rho the update constant at level m is
-    # rho^-m.
-    rho = t_grid[1] / t_grid[0]
     rows = [samples]
     for m in range(1, len(samples)):
         factor = rho ** (-m)
@@ -381,8 +353,39 @@ def radial_limit_check(
                 for i in range(len(prev) - 1)
             ]
         )
-    estimate = rows[-1][0]
-    stability = abs(rows[-1][0] - rows[-2][0]) if len(rows) >= 2 else 0.0
+    return rows[-1][0], abs(rows[-1][0] - rows[-2][0])
+
+
+def radial_limit_check(
+    j: int,
+    k: int,
+    ell: int,
+    x,
+    t_grid=None,
+    tol: float = 1e-4,
+) -> CheckReport:
+    """Radial limit of a family along q = e(x) exp(-t) versus its exact value.
+
+    Evaluates the cancellation-free lattice evaluator once for the whole
+    decreasing geometric ``t_grid`` (default: ratio one half, eight
+    points from 1/8; at least two points), Richardson-extrapolates to
+    t = 0, and compares with the exact root-of-unity value.  The last
+    extrapolation step is reported as an instability estimate.
+    """
+    xq = Fraction(x)
+    if t_grid is None:
+        t_grid = [0.125 * 0.5**i for i in range(8)]
+    t_grid = list(t_grid)
+    if len(t_grid) < 2 or not t_grid[0] > 0 or not all(
+        a > b > 0 for a, b in zip(t_grid, t_grid[1:])
+    ):
+        raise QSeriesError(
+            "the radial grid must have at least two positive, decreasing points"
+        )
+    power = FAMILY_POWERS[j]
+    w = (power * xq) % 1
+    samples = family_lattice_numeric(j, k, ell, w, [power * t for t in t_grid])
+    estimate, stability = _richardson(samples, t_grid[1] / t_grid[0])
     target = quantum_value(j, k, ell, xq).complex_value
     error = abs(estimate - target)
     return report_from_condition(
@@ -435,18 +438,7 @@ def _positive_part_radial(
     for t in t_grid:
         decay = np.exp(-2.0 * math.pi * t / table.scale * idx)
         samples.append(complex(np.sum(vals * phases * decay)))
-    rho = t_grid[1] / t_grid[0]
-    rows = [samples]
-    for m in range(1, len(samples)):
-        factor = rho ** (-m)
-        prev = rows[-1]
-        rows.append(
-            [
-                (factor * prev[i + 1] - prev[i]) / (factor - 1.0)
-                for i in range(len(prev) - 1)
-            ]
-        )
-    return rows[-1][0]
+    return _richardson(samples, t_grid[1] / t_grid[0])[0]
 
 
 def cocycle_samples(

@@ -35,9 +35,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bailey import quadratic_shift
+import numpy as np
+
 from .cyclotomic import CycNumber
-from .families import family_series
+from .families import _validate_family, family_series
 from .reports import CheckReport, _exact_str, report_from_comparison
 from .series import INF, QSeries, QSeriesError
 
@@ -115,14 +116,6 @@ class QuadForm:
         return (
             math.sqrt(2.0 / (M + 1)) * math.sinh(t),
             math.sqrt(2.0 / (M - 1)) * math.cosh(t),
-        )
-
-    def curve_normal(self, t: float) -> tuple[float, float]:
-        """The norm +1 companion (sqrt(2/(M+1)) cosh t, sqrt(2/(M-1)) sinh t)."""
-        M = self.M
-        return (
-            math.sqrt(2.0 / (M + 1)) * math.cosh(t),
-            math.sqrt(2.0 / (M - 1)) * math.sinh(t),
         )
 
     def boundary_pairing(self, r, which: int) -> Fraction:
@@ -226,13 +219,6 @@ class FamilyThetaData:
         out["scale"] = _exact_str(self.scale)
         out["power"] = self.power
         return out
-
-
-def _validate_family(j, k, ell) -> None:
-    if j not in (1, 2, 3, 4):
-        raise QSeriesError("family index must be 1, 2, 3 or 4")
-    if not (isinstance(k, int) and isinstance(ell, int) and 1 <= ell <= k):
-        raise QSeriesError("family parameters need integers 1 <= ell <= k")
 
 
 def family_params(j: int, k: int, ell: int) -> FamilyThetaData:
@@ -369,33 +355,30 @@ def indefinite_theta_series(params, trunc) -> QSeries:
 # -------------------------------------------------------- family lattice sums
 
 
-def _family_shell_terms(j: int, k: int, ell: int, n: int):
-    """Exact lattice terms of family j at outer index n: (exponent, coeff)."""
+def _family_shell(j: int, k: int, ell: int, n: int):
+    """Lattice terms of family j at outer index n as integer arrays.
+
+    Returns (exponents, numerators, denom), the terms numerators / denom *
+    q^exponents; int64 while every intermediate fits, Python ints beyond.
+    """
+    wide = (4 * k + 4) * (n + 1) ** 2 >= 1 << 62
     if j in (1, 2):
-        base = (k + 1) * n * n + k * n
-        if j == 1:
-            base += n * (n + 1) // 2
-        for nu in range(-n, n + 1):
-            sign = -1 if (n + nu) % 2 else 1
-            e = base - quadratic_shift(k, ell, nu)
-            if j == 2:
-                yield (e, Fraction(sign, 2))
-                yield (e + 2 * n + 1, Fraction(-sign, 2))
-            else:
-                yield (e, sign)
-                yield (e + 2 * n + 1, -sign)
+        nu = np.arange(-n, n + 1, dtype=np.int64)
+        base = (k + 1) * n * n + k * n + (n * (n + 1) // 2 if j == 1 else 0)
     else:
-        base = (k + 1) * n * n
-        if j == 3:
-            base += n * (n - 1) // 2
-        for nu in range(-n, n):
-            sign = -1 if (n + nu) % 2 else 1
-            e = base - quadratic_shift(k, ell, nu)
-            if j == 3:
-                yield (e, -sign)
-                yield (e + n, -sign)
-            else:
-                yield (e, -2 * sign)
+        nu = np.arange(-n, n, dtype=np.int64)
+        base = (k + 1) * n * n + (n * (n - 1) // 2 if j == 3 else 0)
+    if wide:
+        nu = nu.astype(object)
+    sign = 1 - 2 * ((n + nu) % 2)
+    # base - quadratic_shift(k, ell, nu), elementwise
+    e = base - ((2 * k + 1) * nu * nu + (2 * k - 2 * ell + 1) * nu) // 2
+    if j in (1, 2):
+        exps = np.concatenate((e, e + (2 * n + 1)))
+        return exps, np.concatenate((sign, -sign)), 2 if j == 2 else 1
+    if j == 3:
+        return np.concatenate((e, e + n)), np.concatenate((-sign, -sign)), 1
+    return e, -2 * sign, 1
 
 
 def _family_shell_min_exponent(j: int, k: int, ell: int, n: int) -> Fraction:
@@ -415,43 +398,60 @@ def family_lattice_series(j: int, k: int, ell: int, trunc) -> QSeries:
     if trunc is INF:
         raise QSeriesError("the lattice expansion needs a finite truncation order")
     t = Fraction(trunc)
-    acc: dict[int, object] = {}
+    acc: dict[int, int] = {}
+    denom = 1
     n = 0 if j in (1, 2) else 1
     while _family_shell_min_exponent(j, k, ell, n) < t:
-        for e, c in _family_shell_terms(j, k, ell, n):
+        exps, nums, denom = _family_shell(j, k, ell, n)
+        for e, c in zip(exps.tolist(), nums.tolist()):
             if e < t:
                 acc[e] = acc.get(e, 0) + c
         n += 1
-    return QSeries.from_terms(acc.items(), t)
+    return QSeries.from_terms(((e, Fraction(c, denom)) for e, c in acc.items()), t)
 
 
-def family_lattice_numeric(
-    j: int, k: int, ell: int, x, t: float, eps: float = 1e-15
-) -> complex:
+def _unit_phases(x: Fraction, exps) -> np.ndarray:
+    """e(x e) for integer exponents e: with x = p/q the angle is 2 pi ((p e)
+    mod q) / q, reduced exactly, in Python ints when q^2 overflows int64."""
+    p, q = x.numerator, x.denominator
+    if exps.dtype == object or q * q >= 1 << 63:
+        exps = exps.astype(object)
+    residues = (exps % q) * (p % q) % q
+    angles = 2.0 * math.pi * np.asarray(residues / q, dtype=float)
+    return np.cos(angles) + 1j * np.sin(angles)
+
+
+def family_lattice_numeric(j: int, k: int, ell: int, x, t, eps: float = 1e-15):
     """Numeric family value at q = e(x) exp(-t) via the lattice expansion.
 
-    ``x`` is an exact rational phase in full turns and ``t > 0`` the
-    radial distance to the unit circle.  Every lattice term has modulus
+    ``x`` is an exact rational phase in full turns and ``t`` the radial
+    distance to the unit circle: a positive float (one complex value) or
+    a grid of them (a list of values).  Every lattice term has modulus
     exp(-t * exponent) <= 1, so this route is free of the catastrophic
     cancellation the defining hypergeometric sums suffer near the
-    circle.  Shells stop once their minimum exponent pushes all their
-    terms below ``eps``.
+    circle.  Each shell is built once, with exactly reduced phases, and
+    summed for every grid point until its minimum exponent pushes all
+    its terms below ``eps`` there.
     """
     _validate_family(j, k, ell)
-    if not t > 0:
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if ts.ndim != 1 or not ts.size or not np.all(ts > 0):
         raise QSeriesError("the radial distance must be positive")
     xq = Fraction(x)
-    total = 0.0 + 0.0j
+    totals = np.zeros(ts.size, dtype=complex)
     n = 0 if j in (1, 2) else 1
     cutoff = -math.log(eps)
     while True:
-        floor_e = _family_shell_min_exponent(j, k, ell, n)
-        if float(floor_e) * t > cutoff:
+        live = float(_family_shell_min_exponent(j, k, ell, n)) * ts <= cutoff
+        if not live.any():
             break
-        for e, c in _family_shell_terms(j, k, ell, n):
-            total += float(c) * unit_phase((xq * e) % 1) * math.exp(-t * e)
+        exps, nums, denom = _family_shell(j, k, ell, n)
+        weights = np.asarray(nums, dtype=float) / denom * _unit_phases(xq, exps)
+        decay = np.exp(-np.outer(ts[live], np.asarray(exps, dtype=float)))
+        totals[live] += decay @ weights
         n += 1
-    return total
+    values = [complex(z) for z in totals]
+    return values[0] if np.ndim(t) == 0 else values
 
 
 def verify_family_lattice(j: int, k: int, ell: int, trunc) -> CheckReport:
@@ -588,10 +588,14 @@ def validate_family_params(j: int, k: int, ell: int) -> CheckReport:
 
 def _lattice_points(params: ThetaParams, cut: int):
     """All (r1, r2) = a + (n, nu) with max(|n|, |nu|) <= cut, with shell index."""
+    if cut < 1:
+        raise QSeriesError("the lattice cutoff must be a positive integer")
     a1, a2 = params.a
-    for n in range(-cut, cut + 1):
-        for nu in range(-cut, cut + 1):
-            yield max(abs(n), abs(nu)), a1 + n, a2 + nu
+    return (
+        (max(abs(n), abs(nu)), a1 + n, a2 + nu)
+        for n in range(-cut, cut + 1)
+        for nu in range(-cut, cut + 1)
+    )
 
 
 def _cone_weights(M: int, r1: Fraction, r2: Fraction) -> tuple[float, float]:

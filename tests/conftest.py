@@ -19,7 +19,9 @@ def record_acceptance(number: int, line: str) -> None:
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     attempted = set()
-    for reports in terminalreporter.stats.values():
+    for key, reports in terminalreporter.stats.items():
+        if key == "deselected":
+            continue
         for report in reports:
             match = _CRITERION_ID.search(getattr(report, "nodeid", "") or "")
             if match:

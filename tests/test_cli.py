@@ -322,6 +322,23 @@ class TestEval:
         assert abs(obj["value_re"]) + abs(obj["value_im"]) > 0.0
         assert obj["tail_bound"] < 1e-12
 
+    @pytest.mark.parametrize("cut", ["0", "-2"])
+    def test_waveform_rejects_nonpositive_lattice_cut(self, capsys, cut):
+        code, lines, err = _run(
+            capsys, "eval", "waveform", "--j", "1", "--k", "1", "--l", "1",
+            "--lattice-cut", cut,
+        )
+        assert code == 2
+        assert lines == []
+        assert "--lattice-cut must be a positive integer" in err
+
+    @pytest.mark.parametrize("cut", ["0", "-1"])
+    def test_completion_rejects_nonpositive_lattice_cut(self, capsys, cut):
+        code, lines, err = _run(capsys, "verify", "completion", "--lattice-cut", cut)
+        assert code == 2
+        assert lines == []
+        assert "--lattice-cut must be a positive integer" in err
+
     def test_radial_pass_and_fail_codes(self, capsys):
         code, lines, _ = _run(
             capsys, "eval", "radial", "--j", "1", "--k", "1", "--l", "1",

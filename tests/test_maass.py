@@ -2,8 +2,12 @@
 
 import cmath
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -78,6 +82,54 @@ class TestBessel:
             k0_bessel(0.0)
         with pytest.raises(QSeriesError):
             k0_bessel(-1.0)
+
+    def test_threads_keep_precision(self):
+        # Two threads evaluate K0 on fresh arguments in the ascending-series
+        # regime while a third works in mpmath at its own precision, with
+        # frequent thread switches.  mpmath is the oracle, computed up front;
+        # no thread may disturb another, and the global precision must come
+        # back unchanged.
+        rng = random.Random(11)
+        xs = [rng.uniform(8.0, 17.5) for _ in range(200)]
+        with mpmath.workdps(30):
+            refs = [float(mpmath.besselk(0, x)) for x in xs]
+        dps = mpmath.mp.dps
+        values = {}
+        done = threading.Event()
+
+        def bessel_side(part):
+            for i in part:
+                values[i] = k0_bessel(xs[i])
+
+        def other_side():
+            while not done.is_set():
+                with mpmath.workdps(15):
+                    mpmath.mpf(1) / 3
+
+        workers = [
+            threading.Thread(target=bessel_side, args=(range(r, len(xs), 2),))
+            for r in (0, 1)
+        ]
+        other = threading.Thread(target=other_side)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in workers + [other]:
+                th.start()
+            for th in workers:
+                th.join(timeout=120)
+        finally:
+            done.set()
+            other.join(timeout=120)
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in workers + [other])
+        assert mpmath.mp.dps == dps
+        assert len(values) == len(xs)
+        bad = [
+            x for i, (x, ref) in enumerate(zip(xs, refs))
+            if not abs(values[i] - ref) <= 1e-12 * abs(ref)
+        ]
+        assert not bad
 
 
 # ----------------------------------------------------------- coefficient table
@@ -434,6 +486,8 @@ class TestRadialLimits:
             radial_limit_check(1, 1, 1, 0, t_grid=[0.1, 0.2])
         with pytest.raises(QSeriesError):
             radial_limit_check(1, 1, 1, 0, t_grid=[0.1, -0.05])
+        with pytest.raises(QSeriesError):
+            radial_limit_check(1, 1, 1, 0, t_grid=[0.1])
 
 
 # ------------------------------------------------------------ cocycle layer

@@ -8,12 +8,14 @@ numeric waveform / completion-defect layer including the modular
 transformation spot checks.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
 import pytest
 
 from qmaass import QSeries, QSeriesError
+from qmaass.bailey import quadratic_shift
 from qmaass.cyclotomic import CycNumber
 from qmaass.families import family_series, sigma_star_series
 from qmaass.theta import (
@@ -288,6 +290,48 @@ class TestIndefiniteThetaSeries:
 # -------------------------------------------------------------- lattice sums
 
 
+# Phases whose denominators square past int64; the second is far from a
+# power of two, so a wrapped int64 product would change the phase.
+HUGE_PHASES = (F(2**40 + 1, 2**41 + 3), F(2**61 + 1, 3**39 + 2))
+
+
+def _shell_reference(j, k, ell, n):
+    """Lattice terms of family j at outer index n, one (exponent, coeff) at a time."""
+    terms = []
+    if j in (1, 2):
+        base = (k + 1) * n * n + k * n + (n * (n + 1) // 2 if j == 1 else 0)
+        for nu in range(-n, n + 1):
+            e = base - quadratic_shift(k, ell, nu)
+            c = (-1) ** (n + nu) * (F(1, 2) if j == 2 else 1)
+            terms += [(e, c), (e + 2 * n + 1, -c)]
+    else:
+        base = (k + 1) * n * n + (n * (n - 1) // 2 if j == 3 else 0)
+        for nu in range(-n, n):
+            e = base - quadratic_shift(k, ell, nu)
+            sign = (-1) ** (n + nu)
+            terms += [(e, -sign), (e + n, -sign)] if j == 3 else [(e, -2 * sign)]
+    return terms
+
+
+def _numeric_reference(j, k, ell, x, t):
+    """Term-by-term sum of the lattice expansion at q = e(x) exp(-t).
+
+    Shells are summed until every term of one is below exp(-45); phases
+    are reduced exactly in Python integers.
+    """
+    p, q = x.numerator, x.denominator
+    total = 0j
+    n = 0 if j in (1, 2) else 1
+    while True:
+        terms = _shell_reference(j, k, ell, n)
+        if min(e for e, _ in terms) * t > 45:
+            return total
+        for e, c in terms:
+            turns = (p * e) % q / q
+            total += float(c) * cmath.exp(2j * math.pi * turns - t * e)
+        n += 1
+
+
 class TestFamilyLattice:
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_matches_defining_sums(self, j):
@@ -322,6 +366,51 @@ class TestFamilyLattice:
     def test_numeric_route_rejects_bad_radius(self):
         with pytest.raises(QSeriesError):
             family_lattice_numeric(1, 1, 1, F(0), 0.0)
+        with pytest.raises(QSeriesError):
+            family_lattice_numeric(1, 1, 1, F(0), [0.5, -0.1])
+        with pytest.raises(QSeriesError):
+            family_lattice_numeric(1, 1, 1, F(0), [])
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k, ell", [(1, 1), (2, 1), (2, 2)])
+    def test_numeric_route_matches_termwise_reference(self, j, k, ell):
+        for x in (F(0), F(1, 3), F(2, 7)) + HUGE_PHASES:
+            for t in (0.5, 0.01):
+                ref = _numeric_reference(j, k, ell, x, t)
+                got = family_lattice_numeric(j, k, ell, x, t)
+                assert abs(got - ref) <= 1e-12 * (1 + abs(ref)), (x, t)
+
+    def test_grid_call_equals_pointwise_calls(self):
+        grid = [0.125 * 0.5**i for i in range(8)]
+        for j in (1, 2, 3, 4):
+            for x in (F(1, 5),) + HUGE_PHASES:
+                values = family_lattice_numeric(j, 2, 1, x, grid)
+                assert len(values) == len(grid)
+                for t, value in zip(grid, values):
+                    single = family_lattice_numeric(j, 2, 1, x, t)
+                    assert isinstance(single, complex)
+                    assert abs(value - single) <= 1e-13 * (1 + abs(single))
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_series_route_equals_defining_sums(self, j):
+        for k, ell in ((1, 1), (2, 1), (2, 2), (3, 2)):
+            assert family_lattice_series(j, k, ell, 80) == family_series(
+                j, k, ell, 80
+            ), (k, ell)
+
+    def test_series_route_stays_exact_for_huge_chain_length(self):
+        # Intermediates beyond int64 must not wrap.
+        k = 2**61
+        for j in (1, 2):
+            terms = [
+                (e, c)
+                for n in range(8)
+                for e, c in _shell_reference(j, k, 1, n)
+                if e < 13
+            ]
+            expected = QSeries.from_terms(terms, 13)
+            assert family_lattice_series(j, k, 1, 13) == expected
+            assert not expected.is_zero()
 
 
 class TestThetaEmbedding:
@@ -387,6 +476,14 @@ class TestWaveform:
         d = family_params(1, 1, 1)
         with pytest.raises(QSeriesError):
             waveform_numeric(d, 1 - 1j, 8)
+
+    @pytest.mark.parametrize("cut", [0, -2])
+    def test_rejects_nonpositive_lattice_cut(self, cut):
+        d = family_params(1, 1, 1)
+        with pytest.raises(QSeriesError):
+            waveform_numeric(d, 1j, cut)
+        with pytest.raises(QSeriesError):
+            completion_defect(d, 1j, cut)
 
 
 class TestCompletionDefect:
