@@ -36,9 +36,11 @@ import math
 import os
 import random
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .agpolys import ag_polynomial, verify_ag_relation
 from .bailey import (
@@ -216,9 +218,12 @@ class RunConfig:
                 return None
             return mapper(value) if mapper else value
 
-        cut = getattr(ns, "lattice_cut", None)
-        if cut is not None and cut < 1:
-            raise UsageError(f"--lattice-cut must be a positive integer, got {cut}")
+        for name in ("kmax", "nmax", "ncut", "lattice_cut"):
+            # expand hpoly --nmax 0 is a valid one-row table.
+            value = getattr(ns, name, None)
+            if ns.command != "expand" and value is not None and value < 1:
+                flag = "--" + name.replace("_", "-")
+                raise UsageError(f"{flag} must be a positive integer, got {value}")
         return cls(
             command=ns.command,
             target=ns.target,
@@ -381,36 +386,28 @@ def _checks_pair_relation(cfg: RunConfig):
     return checks
 
 
-def _checks_lattice_identity(cfg: RunConfig):
-    kmax = cfg.kmax or 3
-    order = cfg.order if cfg.order is not None else Fraction(60)
+def _family_grid(check, kmax: int, *args):
+    """One check per family and chain parameters 1 <= ell <= k <= kmax."""
     return [
-        lambda j=j, k=k, ell=ell: verify_family_lattice(j, k, ell, order)
+        partial(check, j, k, ell, *args)
         for j in FAMILY_RANGE
         for k in range(1, kmax + 1)
         for ell in range(1, k + 1)
     ]
+
+
+def _checks_lattice_identity(cfg: RunConfig):
+    order = cfg.order if cfg.order is not None else Fraction(60)
+    return _family_grid(verify_family_lattice, cfg.kmax or 3, order)
 
 
 def _checks_family_params(cfg: RunConfig):
-    kmax = cfg.kmax or 10
-    return [
-        lambda j=j, k=k, ell=ell: validate_family_params(j, k, ell)
-        for j in FAMILY_RANGE
-        for k in range(1, kmax + 1)
-        for ell in range(1, k + 1)
-    ]
+    return _family_grid(validate_family_params, cfg.kmax or 10)
 
 
 def _checks_theta_embedding(cfg: RunConfig):
-    kmax = cfg.kmax or 3
     order = cfg.order if cfg.order is not None else Fraction(60)
-    return [
-        lambda j=j, k=k, ell=ell: verify_theta_embedding(j, k, ell, order)
-        for j in FAMILY_RANGE
-        for k in range(1, kmax + 1)
-        for ell in range(1, k + 1)
-    ]
+    return _family_grid(verify_theta_embedding, cfg.kmax or 3, order)
 
 
 def _checks_completion(cfg: RunConfig):
@@ -464,8 +461,14 @@ def _checks_cohen_waveform(cfg: RunConfig):
             {"value_re": value.real, "value_im": value.imag, "tail_bound": tail},
         )
 
+    memo: dict[complex, tuple[complex, complex]] = {}
+    lock = threading.Lock()
+
     def residuals(tau, label):
-        inversion, shift = cohen_transform_residual(tau, ncut)
+        with lock:  # both reports of one tau share a single computation
+            if tau not in memo:
+                memo[tau] = cohen_transform_residual(tau, ncut)
+        inversion, shift = memo[tau]
         return [
             report_from_condition(
                 "cohen_inversion_residual",
@@ -524,6 +527,8 @@ def _run_verify(cfg: RunConfig, writer: LineWriter) -> int:
             checks.extend(_SUITE_BUILDERS[name](cfg))
     else:
         checks = _SUITE_BUILDERS[cfg.target](cfg)
+    if not checks:
+        raise UsageError(f"verify {cfg.target}: these parameters give no checks")
     failed = 0
     for report in _map_ordered(checks, cfg.threads):
         writer.emit(report.to_json_dict())

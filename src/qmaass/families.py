@@ -25,8 +25,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .agpolys import _int_slots, ag_polynomial, ag_polynomial_sweep
 from .bailey import _require_finite
 from .cyclotomic import CycNumber, root_of_unity_value
@@ -35,7 +33,6 @@ from .series import (
     INF,
     QSeries,
     QSeriesError,
-    dense_int_coeffs,
     gaussian_binomial,
     pochhammer,
     stabilized_sum,
@@ -65,42 +62,6 @@ def _validate_family(j: int, k: int, ell: int) -> None:
         raise QSeriesError(f"k must be a positive integer, got {k!r}")
     if not (isinstance(ell, int) and 1 <= ell <= k):
         raise QSeriesError(f"ell must satisfy 1 <= ell <= k, got {ell!r}")
-
-
-def _int_mul(x: QSeries, y: QSeries) -> QSeries:
-    """Product fast path: dense integer convolution when both operands are
-    plain integer polynomials; falls back to the exact sparse product."""
-    trunc = min(x.trunc, y.trunc)
-    if trunc is INF or x.is_zero() or y.is_zero():
-        return x * y
-    if x.denom != 1 or y.denom != 1:
-        return x * y
-    if (x.min_order() or 0) < 0 or (y.min_order() or 0) < 0:
-        return x * y
-    size = _int_slots(trunc)
-    if size <= 0:
-        return x * y
-    try:
-        a = dense_int_coeffs(x, size)
-        b = dense_int_coeffs(y, size)
-    except QSeriesError:
-        return x * y
-    ints = all(isinstance(c, int) for c in a) and all(isinstance(c, int) for c in b)
-    if not ints:
-        aa, bb = [], []
-        for row, out in ((a, aa), (b, bb)):
-            for c in row:
-                f = Fraction(c)
-                if f.denominator != 1:
-                    return x * y
-                out.append(f.numerator)
-        a, b = aa, bb
-    amax = max(abs(c) for c in a)
-    bmax = max(abs(c) for c in b)
-    if amax and bmax and amax * bmax * size >= 2**62:
-        return x * y
-    conv = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-    return QSeries.from_dense([int(v) for v in conv[:size]], trunc)
 
 
 # ------------------------------------------------------------- the 4 families
@@ -135,7 +96,7 @@ def family_series(j: int, k: int, ell: int, trunc) -> QSeries:
             e = n * (n + 1) // 2
             if e >= t:
                 break
-            term = _int_mul(pochhammer("q", n, t), h).shift(e)
+            term = (pochhammer("q", n, t) * h).shift(e)
             total = total + (term if n % 2 == 0 else -term)
         return total
 
@@ -145,7 +106,7 @@ def family_series(j: int, k: int, ell: int, trunc) -> QSeries:
         def term_at(i: int) -> QSeries:
             while len(cache) <= i:
                 n, h = next(sweep)
-                piece = _int_mul(pochhammer("q2", n, t), h)
+                piece = pochhammer("q2", n, t) * h
                 cache.append(piece if n % 2 == 0 else -piece)
             return cache[i]
 
@@ -161,7 +122,7 @@ def family_series(j: int, k: int, ell: int, trunc) -> QSeries:
             e = n * (n + 1) // 2
             if e >= t:
                 break
-            term = _int_mul(pochhammer("q", n - 1, t), h).shift(e)
+            term = (pochhammer("q", n - 1, t) * h).shift(e)
             total = total + (-term if n % 2 else term)
         return total
 
@@ -177,7 +138,7 @@ def family_series(j: int, k: int, ell: int, trunc) -> QSeries:
             u = QSeries.monomial(2, 0, t)  # n = 1 value
         else:
             u = u - u.shift(2 * (n - 1))  # multiply by (1 - q^(2(n-1)))
-        term = _int_mul(u, h).shift(n)
+        term = (u * h).shift(n)
         total = total + (-term if n % 2 else term)
     return total
 

@@ -356,6 +356,17 @@ def _richardson(samples: list[complex], rho: float) -> tuple[complex, float]:
     return rows[-1][0], abs(rows[-1][0] - rows[-2][0])
 
 
+def _radial_grid(t_grid, start: float) -> list[float]:
+    """``t_grid`` (default: eight points of ratio one half from ``start``),
+    checked to have the two or more positive, decreasing points it needs."""
+    t_grid = [start * 0.5**i for i in range(8)] if t_grid is None else list(t_grid)
+    if len(t_grid) < 2 or not all(a > b > 0 for a, b in zip(t_grid, t_grid[1:])):
+        raise QSeriesError(
+            "the radial grid must have at least two positive, decreasing points"
+        )
+    return t_grid
+
+
 def radial_limit_check(
     j: int,
     k: int,
@@ -373,15 +384,7 @@ def radial_limit_check(
     extrapolation step is reported as an instability estimate.
     """
     xq = Fraction(x)
-    if t_grid is None:
-        t_grid = [0.125 * 0.5**i for i in range(8)]
-    t_grid = list(t_grid)
-    if len(t_grid) < 2 or not t_grid[0] > 0 or not all(
-        a > b > 0 for a, b in zip(t_grid, t_grid[1:])
-    ):
-        raise QSeriesError(
-            "the radial grid must have at least two positive, decreasing points"
-        )
+    t_grid = _radial_grid(t_grid, 0.125)
     power = FAMILY_POWERS[j]
     w = (power * xq) % 1
     samples = family_lattice_numeric(j, k, ell, w, [power * t for t in t_grid])
@@ -474,8 +477,7 @@ def cocycle_samples(
         raise QSeriesError("the matrix must have positive determinant")
     mu = 1.0 + 0.0j if multiplier is None else complex(multiplier)
     mu_bar = mu.conjugate()
-    if t_grid is None:
-        t_grid = [0.5 * 0.5**i for i in range(8)]
+    t_grid = _radial_grid(t_grid, 0.5)
     out: list[complex] = []
     for x in xs:
         xq = Fraction(x)

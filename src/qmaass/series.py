@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 INF = math.inf
@@ -41,13 +42,9 @@ class StabilizationError(QSeriesError):
         self.first_unstable_exponent = first_unstable_exponent
 
 
-def _is_zero(c) -> bool:
-    return c == 0
-
-
 def _clean(c):
     """Normalize a coefficient: rationals with denominator 1 become ints."""
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
 
@@ -77,13 +74,14 @@ class QSeries:
                 raise QSeriesError("trunc must be rational or infinite")
         elif not isinstance(trunc, (int, Fraction)):
             raise QSeriesError("trunc must be rational or infinite")
-        bound = None if trunc is INF else trunc * denom
+        bound = None if trunc is INF else _strict_int_bound(trunc * denom)
         clean: dict[int, object] = {}
         for m, c in coeffs.items():
             if bound is not None and m >= bound:
                 continue
-            c = _clean(c)
-            if not _is_zero(c):
+            if type(c) is not int:
+                c = _clean(c)
+            if c != 0:
                 clean[m] = c
         self.denom = denom
         self.trunc = Fraction(trunc) if isinstance(trunc, int) else trunc
@@ -183,9 +181,6 @@ class QSeries:
     def __neg__(self) -> "QSeries":
         return QSeries({m: -c for m, c in self._coeffs.items()}, self.denom, self.trunc)
 
-    def _combined_trunc_add(self, other) -> Fraction:
-        return min(self.trunc, other.trunc)
-
     def __add__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -193,7 +188,7 @@ class QSeries:
         out = dict(self._rescaled(denom))
         for m, c in other._rescaled(denom).items():
             out[m] = out.get(m, 0) + c
-        return QSeries(out, denom, self._combined_trunc_add(other))
+        return QSeries(out, denom, min(self.trunc, other.trunc))
 
     def __sub__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
@@ -202,7 +197,7 @@ class QSeries:
 
     def scale(self, c) -> "QSeries":
         """Multiply every coefficient by a scalar ring element."""
-        if _is_zero(c):
+        if c == 0:
             return QSeries({}, 1, self.trunc)
         return QSeries({m: c * v for m, v in self._coeffs.items()}, self.denom, self.trunc)
 
@@ -233,18 +228,16 @@ class QSeries:
             xa, xb = xb, xa
         trunc = self._mul_trunc(other)
         bound = _strict_int_bound(None if trunc is INF else trunc * denom)
-        out: dict[int, object] = {}
+        out = _kronecker_product(xa, xb, bound)
+        if out is not None:
+            return QSeries(out, denom, trunc)
+        out = {}
         items_b = list(xb.items())
         for m1, c1 in xa.items():
             for m2, c2 in items_b:
                 m = m1 + m2
-                if bound is not None and m >= bound:
-                    continue
-                v = c1 * c2
-                if m in out:
-                    out[m] = out[m] + v
-                else:
-                    out[m] = v
+                if bound is None or m < bound:
+                    out[m] = out[m] + c1 * c2 if m in out else c1 * c2
         return QSeries(out, denom, trunc)
 
     __rmul__ = __mul__
@@ -293,24 +286,20 @@ class QSeries:
         size = _strict_int_bound(t_unit * denom)
         if size is None or size <= 0:
             return QSeries({}, 1, self.trunc - 2 * o)
-        unit = {m - m0: c for m, c in self._coeffs.items()}
         inv = [0] * size
         inv[0] = inv_c0
-        unit_items = [(m, c) for m, c in unit.items() if m != 0]
-        for m, c in unit_items:
-            if m < 0:
-                raise QSeriesError("internal: unit part has negative exponents")
+        unit_items = [(m - m0, c) for m, c in self._coeffs.items() if m != m0]
         for e in range(1, size):
             acc = 0
             for m, c in unit_items:
                 if m > e:
                     continue
                 v = inv[e - m]
-                if not _is_zero(v):
+                if v != 0:
                     acc = acc + c * v
-            if not _is_zero(acc):
+            if acc != 0:
                 inv[e] = -acc * inv_c0 if not isinstance(acc, (int, Fraction)) else _clean(-acc * inv_c0)
-        out = {e - m0: c for e, c in enumerate(inv) if not _is_zero(c)}
+        out = {e - m0: c for e, c in enumerate(inv) if c != 0}
         return QSeries(out, denom, self.trunc - 2 * o)
 
     def compose_power(self, c: _EXPONENT) -> "QSeries":
@@ -369,6 +358,60 @@ class QSeries:
         return f"QSeries({body}{tail})"
 
 
+# ------------------------------------------------------------ integer product
+
+
+def _kronecker_product(xa: dict, xb: dict, bound: int | None) -> dict | None:
+    """Product of two integer-coefficient term maps by Kronecker substitution.
+
+    Each operand is packed into one Python int, the coefficient of q^m as
+    its digit at B^(m - lowest exponent) with B = 256^width, so that one
+    big-int product (CPython's Karatsuba) does the whole convolution
+    (Harvey, J. Symb. Comput. 44, 2009).  Digits are written and read with
+    a bias of B/2, and B is wide enough (every product coefficient is below
+    B/4 in size) that no digit spills into the next.  Exponents at or above
+    ``bound`` are dropped.  Returns None, leaving the product to the
+    pairwise loop, when a coefficient is not a plain int or when the
+    product spans more digits than there are term pairs.
+    """
+    if not xa or not xb:
+        return {}
+    lo_a, lo_b = min(xa), min(xb)
+    hi_a, hi_b = max(xa), max(xb)
+    if bound is not None:  # terms that can only land at or above it stay out
+        hi_a, hi_b = min(hi_a, bound - 1 - lo_b), min(hi_b, bound - 1 - lo_a)
+        if hi_a < lo_a or hi_b < lo_b:
+            return {}
+    size = hi_a + hi_b - lo_a - lo_b + 1
+    types = {*map(type, xa.values()), *map(type, xb.values())}
+    if size > len(xa) * len(xb) or types != {int}:
+        return None
+    peak = max(map(abs, xa.values())) * max(map(abs, xb.values()))
+    width = ((peak * min(len(xa), len(xb))).bit_length() + 9) // 8
+    half = 1 << (8 * width - 1)
+
+    def biased(n: int) -> int:  # B/2 in each of n digits
+        return int.from_bytes(half.to_bytes(width, "little") * n, "little")
+
+    def packed(terms: dict, lo: int, hi: int) -> int:
+        digits = [half] * (hi - lo + 1)
+        for m, c in terms.items():
+            if m <= hi:
+                digits[m - lo] += c
+        raw = b"".join(map(int.to_bytes, digits, repeat(width), repeat("little")))
+        return int.from_bytes(raw, "little") - biased(len(digits))
+
+    product = packed(xa, lo_a, hi_a) * packed(xb, lo_b, hi_b) + biased(size)
+    raw = product.to_bytes(width * size, "little")
+    keep = size if bound is None else min(size, bound - lo_a - lo_b)
+    cells = [raw[i : i + width] for i in range(0, width * keep, width)]
+    return {
+        m: c - half
+        for m, c in enumerate(map(int.from_bytes, cells, repeat("little")), lo_a + lo_b)
+        if c != half
+    }
+
+
 # ---------------------------------------------------------------------- utils
 
 def dense_int_coeffs(series: QSeries, size: int) -> list:
@@ -406,9 +449,9 @@ def divide_one_minus_power(series: QSeries, s: int) -> QSeries:
             out[m] = c
     for e in range(s, size):
         prev = out[e - s]
-        if not _is_zero(prev):
+        if prev != 0:
             out[e] = out[e] + prev
-    return QSeries({e: c for e, c in enumerate(out) if not _is_zero(c)}, 1, x.trunc)
+    return QSeries({e: c for e, c in enumerate(out) if c != 0}, 1, x.trunc)
 
 
 # ----------------------------------------------------------------- pochhammer
@@ -447,23 +490,10 @@ def pochhammer(kind, n: int, trunc) -> QSeries:
         if spec[2] <= 0:
             raise QSeriesError("pochhammer step must be positive")
     t = Fraction(trunc) if isinstance(trunc, int) else trunc
-    key = (spec, n, t)
-    hit = _poch_cache.get(key)
-    if hit is not None:
-        return hit
     coeff, exponent, step = spec
-    # Build incrementally so all prefixes land in the cache.
-    base_key = (spec, 0, t)
-    acc = _poch_cache.get(base_key)
-    start = 0
-    if acc is None:
-        acc = QSeries.one(t)
-        _poch_cache[base_key] = acc
-    for i in range(n - 1, -1, -1):
-        prev = _poch_cache.get((spec, i, t))
-        if prev is not None:
-            acc, start = prev, i
-            break
+    # Extend the longest cached prefix, so that every prefix lands in the cache.
+    start = next((i for i in range(n, 0, -1) if (spec, i, t) in _poch_cache), 0)
+    acc = _poch_cache[(spec, start, t)] if start else QSeries.one(t)
     for i in range(start, n):
         factor_exp = exponent + step * i
         if t is not INF and factor_exp >= t:

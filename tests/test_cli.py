@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from qmaass import cli
 from qmaass.cli import (
     RunConfig,
     UsageError,
@@ -17,6 +18,7 @@ from qmaass.cli import (
     parse_tau,
     run,
 )
+from qmaass.maass import cohen_transform_residual
 from qmaass.theta import family_params
 
 
@@ -160,6 +162,49 @@ class TestVerify:
         checks = {o["check"] for o in _json_lines(lines)}
         assert len(checks) >= 8
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_cohen_suite_computes_each_residual_once(self, capsys, monkeypatch, threads):
+        calls = []
+
+        def counted(tau, ncut):
+            calls.append(tau)
+            return cohen_transform_residual(tau, ncut)
+
+        monkeypatch.setenv("QMAASS_THREADS", threads)
+        monkeypatch.setattr(cli, "cohen_transform_residual", counted)
+        code, lines, _ = _run(capsys, "verify", "cohen", "--ncut", "600")
+        assert code == 0
+        assert len(lines) == 5
+        assert sorted(calls, key=lambda tau: tau.real) == [1j, complex(1 / 3, 0.5)]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("verify", "ag", "--kmax", "0"), "--kmax"),
+            (("verify", "bailey", "--kmax", "-1"), "--kmax"),
+            (("verify", "duality", "--nmax", "0"), "--nmax"),
+            (("verify", "all", "--nmax", "0"), "--nmax"),
+            (("verify", "cohen", "--ncut", "0"), "--ncut"),
+            (("eval", "waveform", "--cohen", "--ncut", "0"), "--ncut"),
+            (
+                ("eval", "cocycle", "--cohen", "--gamma", "1,0,0,1", "--xs", "1/5",
+                 "--ncut", "-3"),
+                "--ncut",
+            ),
+        ],
+    )
+    def test_nonpositive_sizes_are_usage_errors(self, capsys, argv, flag):
+        code, lines, err = _run(capsys, *argv)
+        assert code == 2
+        assert lines == []
+        assert f"{flag} must be a positive integer" in err
+
+    def test_suite_without_checks_is_usage_error(self, capsys):
+        code, lines, err = _run(capsys, "verify", "ag", "--kmax", "1")
+        assert code == 2
+        assert lines == []
+        assert "no checks" in err
+
     def test_thread_count_does_not_change_output(self, capsys, monkeypatch):
         monkeypatch.setenv("QMAASS_THREADS", "1")
         _, serial, _ = _run(capsys, "verify", "bailey", "--kmax", "2", "--order", "25")
@@ -194,6 +239,11 @@ class TestExpand:
         assert lines[0] == "n,coefficients"
         assert len(lines) == 10
         assert all(line.split(",")[1] == "1" for line in lines[1:])
+
+    def test_hpoly_nmax_zero_is_one_row(self, capsys):
+        code, lines, _ = _run(capsys, "expand", "hpoly", "--k", "2", "--nmax", "0")
+        assert code == 0
+        assert lines == ["n,coefficients", "0,1"]
 
     def test_hpoly_longer_chain(self, capsys):
         code, lines, _ = _run(

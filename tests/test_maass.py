@@ -488,6 +488,8 @@ class TestRadialLimits:
             radial_limit_check(1, 1, 1, 0, t_grid=[0.1, -0.05])
         with pytest.raises(QSeriesError):
             radial_limit_check(1, 1, 1, 0, t_grid=[0.1])
+        with pytest.raises(QSeriesError):
+            radial_limit_check(1, 1, 1, 0, t_grid=[0.1, 0.2, 0.05])
 
 
 # ------------------------------------------------------------ cocycle layer
@@ -562,6 +564,12 @@ class TestCocycle:
     def test_rejects_insufficient_extent(self):
         with pytest.raises(QSeriesError):
             cocycle_samples(cohen_table(100), (0, -1, 2, 0), [Fraction(1, 5)])
+
+    @pytest.mark.parametrize("grid", [[0.1], [0.1, 0.2, 0.05], [0.1, -0.05]])
+    def test_rejects_bad_grid(self, grid):
+        table = cohen_table(2000)
+        with pytest.raises(QSeriesError, match="radial grid"):
+            cocycle_samples(table, (1, 0, 0, 1), [Fraction(1, 5)], t_grid=grid)
 
     def test_rejects_bad_matrix(self):
         table = cohen_table(27000)

@@ -7,17 +7,20 @@ by hand (pentagonal-number product, small Gaussian binomials).
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmaass.cyclotomic import CycNumber
 from qmaass.series import (
     INF,
     QSeries,
     QSeriesError,
     StabilizationError,
+    _kronecker_product,
     dense_int_coeffs,
     divide_one_minus_power,
     gaussian_binomial,
@@ -141,6 +144,113 @@ def test_truncated_product_is_honest(a, b, ta, tb):
 @given(poly_series(), st.integers(-6, 10))
 def test_shift_matches_monomial_multiplication(a, e):
     assert a.shift(e) == a * QSeries.monomial(1, e)
+
+
+# ------------------------------------------------------ product vs pairwise
+
+
+def oracle_product(a, b):
+    """Pairwise product of every stored term of a with every one of b.
+
+    The truncation is the one stated by the series model: with
+    x = A + O(q^tx) and y = B + O(q^ty) the product is exact below
+    tx + ty and, when the other factor has known terms, below
+    tx + min(order(y), 0) and ty + min(order(x), 0).
+    """
+    trunc = a.trunc + b.trunc
+    if not b.is_zero():
+        trunc = min(trunc, a.trunc + min(b.min_order(), 0))
+    if not a.is_zero():
+        trunc = min(trunc, b.trunc + min(a.min_order(), 0))
+    out = {}
+    for e1, c1 in a.terms():
+        for e2, c2 in b.terms():
+            e = e1 + e2
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return {e: c for e, c in out.items() if e < trunc and c != 0}, trunc
+
+
+@st.composite
+def int_laurent_series(draw, denom=None):
+    """Integer-coefficient series over a shared denominator 1..12.
+
+    Exponent numerators may start below zero; operands are dense (a
+    coefficient at nearly every exponent of a short span) or sparse (a few
+    terms over a wide span).  The truncation is infinite or rational, at
+    times below every term.
+    """
+    d = draw(st.integers(1, 12)) if denom is None else denom
+    lo = draw(st.integers(-40, 10))
+    big = draw(st.sampled_from([1, 10, 2**40, 2**200]))
+    coeff = st.integers(-big, big).filter(bool)
+    if draw(st.booleans()):
+        row = draw(st.lists(st.one_of(coeff, coeff, st.just(0)), min_size=1, max_size=40))
+        terms = {lo + i: c for i, c in enumerate(row)}
+    else:
+        terms = draw(
+            st.dictionaries(st.integers(lo, lo + 400), coeff, min_size=1, max_size=8)
+        )
+    cut = draw(st.one_of(st.none(), st.integers(lo - 2, lo + 60)))
+    trunc = INF if cut is None else Fraction(cut, d)
+    return QSeries(terms, d, trunc)
+
+
+def _assert_matches_oracle(a, b):
+    got = a * b
+    want, trunc = oracle_product(a, b)
+    assert got.trunc == trunc
+    assert dict(got.terms()) == want
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.booleans(), st.data())
+def test_integer_product_matches_pairwise_oracle(d, shared, data):
+    a = data.draw(int_laurent_series(d))
+    b = data.draw(int_laurent_series(d if shared else None))
+    got = _assert_matches_oracle(a, b)
+    assert all(type(c) is int for _, c in got.terms())
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_laurent_series(), int_laurent_series(), st.integers(1, 6))
+def test_rational_and_cyclotomic_operands_match_pairwise_oracle(a, b, n):
+    # A Fraction or a cyclotomic coefficient keeps the product off the
+    # integer kernel; it must still agree with the pairwise definition.
+    frac = a + QSeries.monomial(Fraction(1, n + 1), Fraction(n, 5), a.trunc)
+    _assert_matches_oracle(frac, b)
+    zeta = CycNumber.zeta(3 * n, 1)
+    cyc = b + QSeries.monomial(zeta, Fraction(1, n), b.trunc)
+    _assert_matches_oracle(a, cyc)
+
+
+@pytest.mark.parametrize("trunc", [INF, Fraction(-3), Fraction(7, 2), Fraction(40)])
+def test_product_with_operands_zero_below_truncation(trunc):
+    dense = QSeries({m: (-1) ** m * (m + 1) for m in range(-5, 30)}, 2, trunc)
+    hidden = QSeries({m: 3 for m in range(50, 60)}, 1, Fraction(10))  # all >= trunc
+    for a, b in ((dense, hidden), (hidden, dense), (hidden, hidden)):
+        assert _assert_matches_oracle(a, b).is_zero()
+
+
+def test_kernel_takes_only_plain_integer_coefficients():
+    dense = {m: (-1) ** m * (m + 1) for m in range(20)}
+    assert _kronecker_product(dense, dense, 30) is not None
+    assert _kronecker_product(dense | {3: Fraction(1, 2)}, dense, 30) is None
+    assert _kronecker_product(dense, dense | {4: CycNumber.zeta(5, 1)}, 30) is None
+    assert _kronecker_product(dense | {5: True}, dense, 30) is None
+
+
+def test_wide_span_product_is_exact_and_small():
+    x = QSeries.from_terms([(0, 1), (10**7, 1)])
+    tracemalloc.start()
+    try:
+        square = x * x
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert square == QSeries.from_terms([(0, 1), (10**7, 2), (2 * 10**7, 1)])
+    assert square.trunc is INF
+    assert peak < 100_000  # a packed 10^7-digit operand would take megabytes
 
 
 # ---------------------------------------------------------------- inversion
