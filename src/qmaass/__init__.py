@@ -35,6 +35,7 @@ from .maass import (
 from .reports import CheckReport
 from .series import (
     INF,
+    PrecisionError,
     QSeries,
     QSeriesError,
     StabilizationError,
@@ -61,6 +62,7 @@ __all__ = [
     "CycNumber",
     "FamilyThetaData",
     "MaassCoeffTable",
+    "PrecisionError",
     "QSeries",
     "QSeriesError",
     "QuantumSample",

@@ -54,6 +54,38 @@ def _int_slots(trunc) -> int:
     return max(0, math.ceil(t))
 
 
+def _chains(k: int, ell: int, b: int, trunc, top: int | None = None):
+    """Depth-first over the chains ``0 <= n_1 <= ... <= n_{k-1}`` (``<= top``).
+
+    Yields ``(n_{k-1}, g_{k-1}, partial)`` for each chain with q-weight
+    below ``trunc`` and every ``g_j >= 0``; ``partial`` is the chain's
+    power of q times every binomial except the final one, whose top side
+    depends on ``n``.
+    """
+
+    def walk(j: int, prev: int, acc: int, weight: int, partial: QSeries):
+        g = acc - b * j
+        if g < 0:
+            return
+        if j == k - 1:
+            yield prev, g, partial
+            return
+        for v in itertools.count(prev) if top is None else range(prev, top + 1):
+            w = v * v + (1 - b) * v
+            if weight + w >= trunc:
+                break
+            binom = gaussian_binomial(v - prev + g, v - prev, trunc)
+            yield from walk(
+                j + 1,
+                v,
+                acc + 2 * v + (1 if j + 1 < ell else 0),
+                weight + w,
+                partial * binom.shift(w),
+            )
+
+    return walk(0, 0, 0, 0, QSeries.one(trunc))
+
+
 def ag_polynomial(k: int, ell: int, b: int, n: int, trunc=INF) -> QSeries:
     """One chain polynomial, exact below ``trunc`` (default: the full polynomial).
 
@@ -67,38 +99,9 @@ def ag_polynomial(k: int, ell: int, b: int, n: int, trunc=INF) -> QSeries:
     ``k = 1`` the empty product makes every value 1.
     """
     _validate_chain_params(k, ell, b, n)
-    if k == 1:
-        return QSeries.one(trunc)
-    finite = trunc is not INF
     total = QSeries.zero(trunc)
-
-    def walk(j: int, prev: int, acc: int, weight: int, partial: QSeries) -> None:
-        nonlocal total
-        g = acc - b * j
-        if g < 0:
-            return
-        if j == k - 1:
-            bottom = n - prev
-            total = total + partial * gaussian_binomial(bottom + g, bottom, trunc)
-            return
-        for v in range(prev, n + 1):
-            w = v * v + (1 - b) * v
-            if finite and weight + w >= trunc:
-                break
-            binom = gaussian_binomial(v - prev + g, v - prev, trunc)
-            walk(
-                j + 1,
-                v,
-                acc + 2 * v + (1 if j + 1 < ell else 0),
-                weight + w,
-                partial * binom.shift(w),
-            )
-
-    for v in range(0, n + 1):
-        w = v * v + (1 - b) * v
-        if finite and w >= trunc:
-            break
-        walk(1, v, 2 * v + (1 if ell > 1 else 0), w, QSeries.monomial(1, w, trunc))
+    for last, g, partial in _chains(k, ell, b, trunc, n):
+        total = total + partial * gaussian_binomial(n - last + g, n - last, trunc)
     return total
 
 
@@ -124,37 +127,11 @@ def ag_polynomial_sweep(k: int, ell: int, b: int, trunc):
             yield n, constant
         return
 
-    # Static part of each chain: the values (n_1, ..., n_{k-1}) with total
-    # q-weight below trunc, all g_j >= 0, and the product of every binomial
-    # except the final one (whose top side moves with n).
-    records: list[tuple[int, int, list]] = []  # (n_{k-1}, final g, dense prefix)
-
-    def build(j: int, prev: int, acc: int, weight: int, partial: QSeries) -> None:
-        g = acc - b * j
-        if g < 0:
-            return
-        if j == k - 1:
-            records.append((prev, g, dense_int_coeffs(partial, size)))
-            return
-        for v in itertools.count(prev):
-            w = v * v + (1 - b) * v
-            if weight + w >= trunc:
-                break
-            binom = gaussian_binomial(v - prev + g, v - prev, trunc)
-            build(
-                j + 1,
-                v,
-                acc + 2 * v + (1 if j + 1 < ell else 0),
-                weight + w,
-                partial * binom.shift(w),
-            )
-
-    for v in itertools.count(0):
-        w = v * v + (1 - b) * v
-        if w >= trunc:
-            break
-        build(1, v, 2 * v + (1 if ell > 1 else 0), w, QSeries.monomial(1, w, trunc))
-
+    # Static part of each chain: (n_{k-1}, final g, dense prefix).
+    records = [
+        (last, g, dense_int_coeffs(partial, size))
+        for last, g, partial in _chains(k, ell, b, trunc)
+    ]
     records.sort(key=lambda rec: rec[0])
     stable = [0] * size
     active: list[list] = []  # [n_{k-1}, g, mutable dense coefficients]

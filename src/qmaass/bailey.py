@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .agpolys import ag_polynomial
-from .reports import CheckReport, _exact_str
+from .reports import CheckReport, _exact_str, report_from_comparison
 from .series import (
     INF,
     QSeries,
@@ -398,19 +398,4 @@ def verify_limiting_identity(
         one_minus_q = QSeries.one(t) - QSeries.monomial(1, 1, t)
         rhs = (one_minus_q * rhs).truncate(t).scale(Fraction(1, 2))
 
-    lhs = lhs.truncate(t)
-    bad = lhs.first_mismatch(rhs)
-    if bad is None:
-        return CheckReport(
-            check="bailey_limit_identity", params=params, status="pass", details={}
-        )
-    return CheckReport(
-        check="bailey_limit_identity",
-        params=params,
-        status="fail",
-        details={
-            "first_mismatch_exponent": _exact_str(bad),
-            "lhs_coeff": _exact_str(lhs.coeff(bad)),
-            "rhs_coeff": _exact_str(rhs.coeff(bad)),
-        },
-    )
+    return report_from_comparison("bailey_limit_identity", params, lhs.truncate(t), rhs)

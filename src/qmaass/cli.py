@@ -19,13 +19,13 @@ Exact parameters (orders, phases, lattice shifts) are parsed from
 pass through floating point.  Floats appear only in the upper-half
 plane point ``tau`` and in tolerances.
 
-Suites run their checks on a thread pool sized by the
-``QMAASS_THREADS`` environment variable; output is serialized in the
-fixed order the suite defines, independent of completion order.
+Suites run their checks one after another, in the fixed order the
+suite defines, and stream each report as soon as it is ready.
 
 Exit codes: 0 every check passed, 1 at least one check failed,
-2 usage error, 3 numeric-precision failure (an internal guard
-refused to certify a value).
+2 usage error, 3 numeric-precision failure (a
+:class:`~qmaass.series.PrecisionError`: an internal guard refused to
+certify a value).
 """
 
 from __future__ import annotations
@@ -33,11 +33,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
+import signal
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -73,7 +71,7 @@ from .maass import (
     radial_limit_check,
 )
 from .reports import _exact_str, report_from_comparison, report_from_condition
-from .series import QSeriesError, StabilizationError, dense_int_coeffs
+from .series import PrecisionError, QSeriesError, dense_int_coeffs
 from .theta import (
     ThetaParams,
     completion_defect,
@@ -164,19 +162,6 @@ def parse_matrix(text: str) -> tuple[int, int, int, int]:
         raise UsageError(f"expected integer matrix entries, got {text!r}") from exc
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("QMAASS_THREADS", "").strip()
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise UsageError("QMAASS_THREADS must be a positive integer") from exc
-    if count < 1:
-        raise UsageError("QMAASS_THREADS must be a positive integer")
-    return count
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated options for one invocation.
@@ -208,7 +193,6 @@ class RunConfig:
     tol: float | None = None
     out: str | None = None
     fmt: str = "csv"
-    threads: int = 1
 
     @classmethod
     def from_args(cls, ns: argparse.Namespace) -> "RunConfig":
@@ -218,16 +202,20 @@ class RunConfig:
                 return None
             return mapper(value) if mapper else value
 
+        # expand hpoly --nmax 0 is a valid one-row table.
+        least, kind = (0, "nonnegative") if ns.command == "expand" else (1, "positive")
         for name in ("kmax", "nmax", "ncut", "lattice_cut"):
-            # expand hpoly --nmax 0 is a valid one-row table.
             value = getattr(ns, name, None)
-            if ns.command != "expand" and value is not None and value < 1:
+            if value is not None and value < least:
                 flag = "--" + name.replace("_", "-")
-                raise UsageError(f"{flag} must be a positive integer, got {value}")
+                raise UsageError(f"{flag} must be a {kind} integer, got {value}")
+        order = opt("order", parse_rational)
+        if order is not None and order <= 0:
+            raise UsageError(f"--order must be positive, got {order}")
         return cls(
             command=ns.command,
             target=ns.target,
-            order=opt("order", parse_rational),
+            order=order,
             j=opt("j"),
             k=opt("k"),
             ell=opt("l"),
@@ -249,7 +237,6 @@ class RunConfig:
             out=opt("out"),
             fmt=getattr(ns, "format", None)
             or ("csv" if ns.command == "expand" else "json"),
-            threads=_thread_count(),
         )
 
     def require(self, name: str):
@@ -462,12 +449,10 @@ def _checks_cohen_waveform(cfg: RunConfig):
         )
 
     memo: dict[complex, tuple[complex, complex]] = {}
-    lock = threading.Lock()
 
     def residuals(tau, label):
-        with lock:  # both reports of one tau share a single computation
-            if tau not in memo:
-                memo[tau] = cohen_transform_residual(tau, ncut)
+        if tau not in memo:  # both reports of one tau share one computation
+            memo[tau] = cohen_transform_residual(tau, ncut)
         inversion, shift = memo[tau]
         return [
             report_from_condition(
@@ -529,23 +514,13 @@ def _run_verify(cfg: RunConfig, writer: LineWriter) -> int:
         checks = _SUITE_BUILDERS[cfg.target](cfg)
     if not checks:
         raise UsageError(f"verify {cfg.target}: these parameters give no checks")
-    failed = 0
-    for report in _map_ordered(checks, cfg.threads):
+    failed = False
+    for check in checks:
+        report = check()
         writer.emit(report.to_json_dict())
-        if not report.ok:
-            failed += 1
+        failed |= not report.ok
     writer.flush()
     return 1 if failed else 0
-
-
-def _map_ordered(checks, threads: int):
-    """Run the check callables, yielding results in list order."""
-    if threads <= 1 or len(checks) <= 1:
-        for check in checks:
-            yield check()
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(lambda check: check(), checks)
 
 
 # --------------------------------------------------------------------------
@@ -555,7 +530,7 @@ def _map_ordered(checks, threads: int):
 def _int_order(cfg: RunConfig, default: int) -> int:
     if cfg.order is None:
         return default
-    if cfg.order.denominator != 1 or cfg.order <= 0:
+    if cfg.order.denominator != 1:
         raise UsageError("--order must be a positive integer for this table")
     return int(cfg.order)
 
@@ -839,22 +814,19 @@ def run(argv=None) -> int:
         finally:
             if cfg.out:
                 stream.close()
-    except UsageError as exc:
-        print(f"qmaass: {exc}", file=sys.stderr)
-        return 2
-    except StabilizationError as exc:
+    except PrecisionError as exc:
         print(f"qmaass: numeric precision failure: {exc}", file=sys.stderr)
         return 3
-    except QSeriesError as exc:
-        message = str(exc)
-        if "insufficient" in message or "stabil" in message:
-            print(f"qmaass: numeric precision failure: {message}", file=sys.stderr)
-            return 3
-        print(f"qmaass: {message}", file=sys.stderr)
+    except (UsageError, QSeriesError) as exc:
+        print(f"qmaass: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
+    # A closed stdout (``qmaass verify all | head``) ends the process
+    # quietly, like any Unix filter, instead of raising BrokenPipeError.
+    if hasattr(signal, "SIGPIPE"):  # not on Windows
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(run())
 
 

@@ -33,7 +33,7 @@ from .bessel import k0_bessel
 from .cyclotomic import CycNumber, root_of_unity_value
 from .families import _validate_family, negative_part_series
 from .reports import CheckReport, _exact_str, report_from_condition
-from .series import QSeriesError
+from .series import PrecisionError, QSeriesError
 from .theta import (
     FAMILY_POWERS,
     family_lattice_numeric,
@@ -159,7 +159,7 @@ def eval_waveform(
     if not v > 0:
         raise QSeriesError("tau must lie in the upper half plane")
     if n_cut > table.extent():
-        raise QSeriesError(
+        raise PrecisionError(
             "insufficient table extent: "
             f"requested {n_cut}, table holds {table.extent()}"
         )
@@ -432,7 +432,7 @@ def _positive_part_radial(
         / max(1.0 - math.exp(-step), 1e-300)
     )
     if tail > tol:
-        raise QSeriesError(
+        raise PrecisionError(
             "insufficient table extent for the radial cocycle evaluation"
         )
     angles = 2.0 * math.pi * ((float(x) / table.scale) * idx)

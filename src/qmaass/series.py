@@ -30,7 +30,11 @@ class QSeriesError(ValueError):
     """Raised for invalid q-series operations."""
 
 
-class StabilizationError(QSeriesError):
+class PrecisionError(QSeriesError):
+    """Raised when a numeric or truncation guard refuses to certify a value."""
+
+
+class StabilizationError(PrecisionError):
     """Raised when an averaged partial-sum scheme fails to settle.
 
     ``first_unstable_exponent`` records the lowest exponent still changing
@@ -607,7 +611,7 @@ def stabilized_sum(
         if tail_order is not None:
             promised = Fraction(tail_order(n_idx))
             if o is not None and o < promised:
-                raise QSeriesError(
+                raise PrecisionError(
                     f"stabilized_sum: certified tail order {promised} violated at "
                     f"step {n_idx} (observed order {o})"
                 )

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from qmaass.cli import (
     run,
 )
 from qmaass.maass import cohen_transform_residual
+from qmaass.series import QSeriesError
 from qmaass.theta import family_params
 
 
@@ -75,11 +77,14 @@ class TestParsing:
         assert cfg.x == Fraction(1, 7)
         assert isinstance(cfg.x, Fraction)
 
-    def test_bad_thread_env(self, capsys, monkeypatch):
+    def test_thread_env_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.delenv("QMAASS_THREADS", raising=False)
+        unset = _run(capsys, "verify", "sigma", "--order", "10")
         monkeypatch.setenv("QMAASS_THREADS", "zero")
-        code, _, err = _run(capsys, "verify", "sigma", "--order", "10")
-        assert code == 2
-        assert "QMAASS_THREADS" in err
+        code, lines, err = _run(capsys, "verify", "sigma", "--order", "10")
+        assert code == 0
+        assert err == ""
+        assert (code, lines, err) == unset
 
 
 # ------------------------------------------------------------ verify
@@ -191,13 +196,26 @@ class TestVerify:
                  "--ncut", "-3"),
                 "--ncut",
             ),
+            (("verify", "thm1", "--order", "0"), "--order"),
+            (("verify", "prop32", "--order", "-3"), "--order"),
+            (("verify", "sigma", "--order", "0"), "--order"),
+            (("verify", "bailey", "--order", "0"), "--order"),
+            (("verify", "all", "--order=-1/2"), "--order"),
+            (("expand", "s-theta", "--j", "1", "--k", "1", "--l", "1", "--order", "0"),
+             "--order"),
+            (("expand", "hpoly", "--k", "2", "--nmax", "-1"), "--nmax"),
         ],
     )
     def test_nonpositive_sizes_are_usage_errors(self, capsys, argv, flag):
         code, lines, err = _run(capsys, *argv)
         assert code == 2
         assert lines == []
-        assert f"{flag} must be a positive integer" in err
+        if flag == "--order":  # a rational truncation, not a count
+            assert "--order must be positive" in err
+        elif argv[0] == "expand":  # expand hpoly --nmax 0 is a one-row table
+            assert f"{flag} must be a nonnegative integer" in err
+        else:
+            assert f"{flag} must be a positive integer" in err
 
     def test_suite_without_checks_is_usage_error(self, capsys):
         code, lines, err = _run(capsys, "verify", "ag", "--kmax", "1")
@@ -421,6 +439,18 @@ class TestEval:
         assert code == 3
         assert "precision" in err
 
+    def test_exit_code_does_not_depend_on_message_text(self, capsys, monkeypatch):
+        # Only a PrecisionError exits 3; any other QSeriesError is a usage
+        # error, whatever its message says.
+        def refuse(n_max):
+            raise QSeriesError("insufficient stabilization of the input")
+
+        monkeypatch.setattr(cli, "sigma_coefficients", refuse)
+        code, lines, err = _run(capsys, "expand", "sigma", "--order", "5")
+        assert code == 2
+        assert lines == []
+        assert "precision" not in err
+
     def test_cocycle_requires_cohen(self, capsys):
         code, _, err = _run(
             capsys, "eval", "cocycle", "--gamma", "0,-1,2,0", "--xs", "1/5"
@@ -441,3 +471,20 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert len(result.stdout.splitlines()) == 4
+
+
+def test_closed_stdout_ends_quietly():
+    # The table is larger than a pipe buffer, so the writer is still busy
+    # when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qmaass.cli", "expand", "sigma", "--order", "20000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    with proc.stdout, proc.stderr:
+        assert proc.stdout.readline() == b"n,coefficient\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read()
+    assert err == b""
+    assert code == -signal.SIGPIPE

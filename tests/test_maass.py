@@ -34,7 +34,7 @@ from qmaass.maass import (
     second_differences,
     table_csv_lines,
 )
-from qmaass.series import QSeriesError
+from qmaass.series import PrecisionError, QSeriesError
 from qmaass.theta import family_params
 
 
@@ -170,6 +170,11 @@ class TestCoeffTable:
         assert table.extent() == 97
         assert table.max_abs_coeff() == 2.0
         assert table.positive_items()[0] == (1, 1)
+
+    def test_cut_past_extent_is_precision_error(self):
+        table = cohen_table(100)
+        with pytest.raises(PrecisionError, match="insufficient table extent"):
+            eval_waveform(table, 1j, table.extent() + 1)
 
     def test_validation(self):
         with pytest.raises(QSeriesError):
@@ -562,7 +567,7 @@ class TestCocycle:
             cocycle_samples(table, (0, -1, 2, 0), [Fraction(0)])
 
     def test_rejects_insufficient_extent(self):
-        with pytest.raises(QSeriesError):
+        with pytest.raises(PrecisionError):
             cocycle_samples(cohen_table(100), (0, -1, 2, 0), [Fraction(1, 5)])
 
     @pytest.mark.parametrize("grid", [[0.1], [0.1, 0.2, 0.05], [0.1, -0.05]])

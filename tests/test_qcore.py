@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from qmaass.cyclotomic import CycNumber
 from qmaass.series import (
     INF,
+    PrecisionError,
     QSeries,
     QSeriesError,
     StabilizationError,
@@ -458,12 +459,13 @@ def test_stabilized_sum_divergent_raises():
     with pytest.raises(StabilizationError) as err:
         stabilized_sum(lambda i: QSeries.one(8), trunc=8, n_bound=30)
     assert err.value.first_unstable_exponent == 0
+    assert isinstance(err.value, PrecisionError)
 
 
 def test_stabilized_sum_bad_certificate_is_hard_error():
     # geometric terms: the first averaged increment has order 1, far below
     # the promised bound, so the engine must refuse the bogus certificate
-    with pytest.raises(QSeriesError):
+    with pytest.raises(PrecisionError, match="certified tail order"):
         stabilized_sum(
             lambda i: QSeries.monomial(1, i, 8),
             trunc=8,
