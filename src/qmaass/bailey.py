@@ -9,7 +9,10 @@ This module provides the defining-relation verifier, the two explicit
 pairs built from the chain polynomials of :mod:`qmaass.agpolys`, random
 finite-support pairs for property testing, and truncation-level
 verification of the four limit identities obtained by summing a pair
-against classical weight sequences.
+against classical weight sequences.  Those weights live in one table,
+:data:`LIMIT_WEIGHTS`; the four series families of
+:mod:`qmaass.families` are the left sides of the four identities on the
+chain pairs, and both they and their root-of-unity values read it.
 """
 
 from __future__ import annotations
@@ -276,24 +279,53 @@ def _triangle(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def _sum_weighted_terms(term_at, weight_min, trunc, n_cap: int = 4000) -> QSeries:
-    """Plain sum of term_at(i), cut off where the decaying weight closes it.
+def _linear(n: int) -> int:
+    return n
 
-    ``weight_min(i)`` is a provable lower bound for the order contributed by
+
+#: The four limit identities, keyed by ``(relative, kind)``.  An entry
+#: ``(s, first, power)`` makes the left side the sum over n >= first of
+#:
+#:     (-1)^n q^power(n) (q^s; q^s)_(n - first) beta_n,
+#:
+#: and the right side the same sum with alpha_n in place of
+#: (q^s; q^s)_(n - first) beta_n, divided termwise by (1 - q^(s n)) for
+#: relative 1 and multiplied by (1 - q) for relative q (and halved for
+#: ``even``).  ``power`` None means no decaying weight: such a sum is
+#: taken by even/odd averaging of its partial sums.
+LIMIT_WEIGHTS = {
+    ("one", "gauss"): (1, 1, _triangle),
+    ("one", "even"): (2, 1, _linear),
+    ("q", "gauss"): (1, 0, _triangle),
+    ("q", "even"): (2, 0, None),
+}
+
+
+def weighted_term(relative: str, kind: str, n: int, beta: QSeries, trunc) -> QSeries:
+    """The n-th left-side term (-1)^n q^power(n) (q^s;q^s)_(n-first) beta,
+    truncated below trunc, of the limit identity ``(relative, kind)``."""
+    s, first, power = LIMIT_WEIGHTS[relative, kind]
+    term = pochhammer((1, s, s), n - first, trunc) * beta
+    if power is not None:
+        term = term.shift(power(n))
+    term = term.truncate(trunc)
+    return -term if n % 2 else term
+
+
+def _sum_weighted_terms(term_at, first: int, power, trunc) -> QSeries:
+    """Plain sum of term_at(n) for n >= first, cut off where q^power(n) closes it.
+
+    ``power(n)`` is a provable lower bound for the order contributed by
     the weight sequence alone; summation stops once it reaches trunc.  Two
     probe terms past the cutoff guard against sequences that violate the
     nonnegative-order assumption the cutoff relies on.
     """
     total = QSeries.zero(trunc)
-    i = 0
-    while weight_min(i) < trunc:
-        total = total + term_at(i)
-        i += 1
-        if i > n_cap:
-            raise QSeriesError(
-                "limit-identity sum did not close below the truncation order"
-            )
-    for probe in (i, i + 1):
+    n = first
+    while power(n) < trunc:
+        total = total + term_at(n)
+        n += 1
+    for probe in (n, n + 1):
         lo = term_at(probe).min_order()
         if lo is not None and lo < trunc:
             raise QSeriesError(
@@ -311,10 +343,11 @@ def verify_limiting_identity(
 ) -> CheckReport:
     """Verify one of the four limit identities on a pair, below trunc.
 
-    The identity is selected by ``(relative, kind)``: ``gauss`` weights carry
-    the triangular power q^{n(n+1)/2}; ``even`` weights use (q^2;q^2)
-    Pochhammers.  ``relative`` must match the pair's own relative parameter.
-    The ``even`` identity for relative q has no decaying weight on either
+    The identity is selected by ``(relative, kind)``, and its weights are
+    read from :data:`LIMIT_WEIGHTS`: ``gauss`` weights carry the triangular
+    power q^{n(n+1)/2}; ``even`` weights use (q^2;q^2) Pochhammers.
+    ``relative`` must match the pair's own relative parameter.  The
+    ``even`` identity for relative q has no decaying weight on either
     side, so both sides are summed with stabilized averaging.
     """
     if relative not in RELATIVES:
@@ -333,69 +366,30 @@ def verify_limiting_identity(
         "label": pair.label,
         "trunc": _exact_str(t),
     }
+    s, first, power = LIMIT_WEIGHTS[relative, kind]
 
-    if relative == "one":
-        if kind == "gauss":
-            weight = lambda i: _triangle(i + 1)  # noqa: E731
+    def lhs_at(n: int) -> QSeries:
+        return weighted_term(relative, kind, n, pair.beta(n, t), t)
 
-            def lhs_at(i: int) -> QSeries:
-                n = i + 1
-                term = pochhammer("q", n - 1, t) * pair.beta(n, t)
-                term = term.shift(_triangle(n)).truncate(t)
-                return -term if n % 2 else term
+    def rhs_at(n: int) -> QSeries:
+        term = pair.alpha(n, t)
+        if power is not None:
+            term = term.shift(power(n))
+        term = term.truncate(t)
+        if relative == "one":
+            term = divide_one_minus_power(term, s * n)
+        return -term if n % 2 else term
 
-            def rhs_at(i: int) -> QSeries:
-                n = i + 1
-                term = pair.alpha(n, t).shift(_triangle(n)).truncate(t)
-                term = divide_one_minus_power(term, n)
-                return -term if n % 2 else term
-
-        else:
-            weight = lambda i: i + 1  # noqa: E731
-
-            def lhs_at(i: int) -> QSeries:
-                n = i + 1
-                term = pochhammer("q2", n - 1, t) * pair.beta(n, t)
-                term = term.shift(n).truncate(t)
-                return -term if n % 2 else term
-
-            def rhs_at(i: int) -> QSeries:
-                n = i + 1
-                term = pair.alpha(n, t).shift(n).truncate(t)
-                term = divide_one_minus_power(term, 2 * n)
-                return -term if n % 2 else term
-
-        lhs = _sum_weighted_terms(lhs_at, weight, t)
-        rhs = _sum_weighted_terms(rhs_at, weight, t)
-    elif kind == "gauss":
-
-        def lhs_at(n: int) -> QSeries:
-            term = pochhammer("q", n, t) * pair.beta(n, t)
-            term = term.shift(_triangle(n)).truncate(t)
-            return -term if n % 2 else term
-
-        def rhs_at(n: int) -> QSeries:
-            term = pair.alpha(n, t).shift(_triangle(n)).truncate(t)
-            return -term if n % 2 else term
-
-        lhs = _sum_weighted_terms(lhs_at, _triangle, t)
-        rhs = (QSeries.one(t) - QSeries.monomial(1, 1, t)) * _sum_weighted_terms(
-            rhs_at, _triangle, t
-        )
-        rhs = rhs.truncate(t)
-    else:
-
-        def lhs_at(n: int) -> QSeries:
-            term = pochhammer("q2", n, t) * pair.beta(n, t)
-            return -term.truncate(t) if n % 2 else term.truncate(t)
-
-        def rhs_at(n: int) -> QSeries:
-            term = pair.alpha(n, t).truncate(t)
-            return -term if n % 2 else term
-
+    if power is None:
         lhs = stabilized_sum(lhs_at, t, n_bound=n_bound)
         rhs = stabilized_sum(rhs_at, t, n_bound=n_bound)
+    else:
+        lhs = _sum_weighted_terms(lhs_at, first, power, t)
+        rhs = _sum_weighted_terms(rhs_at, first, power, t)
+    if relative == "q":
         one_minus_q = QSeries.one(t) - QSeries.monomial(1, 1, t)
-        rhs = (one_minus_q * rhs).truncate(t).scale(Fraction(1, 2))
+        rhs = (one_minus_q * rhs).truncate(t)
+        if kind == "even":
+            rhs = rhs.scale(Fraction(1, 2))
 
-    return report_from_comparison("bailey_limit_identity", params, lhs.truncate(t), rhs)
+    return report_from_comparison("bailey_limit_identity", params, lhs, rhs)

@@ -31,6 +31,7 @@ certify a value).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import random
@@ -146,6 +147,8 @@ def parse_tau(text: str) -> complex:
         value = complex(float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise UsageError(f"expected tau as 're,im', got {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise UsageError(f"tau must be finite, got {text!r}")
     if value.imag <= 0:
         raise UsageError("tau must lie in the upper half plane")
     return value
@@ -212,6 +215,9 @@ class RunConfig:
         order = opt("order", parse_rational)
         if order is not None and order <= 0:
             raise UsageError(f"--order must be positive, got {order}")
+        tol = opt("tol")
+        if tol is not None and not 0 < tol < math.inf:
+            raise UsageError(f"--tol must be positive and finite, got {tol}")
         return cls(
             command=ns.command,
             target=ns.target,
@@ -233,7 +239,7 @@ class RunConfig:
             gamma=opt("gamma", parse_matrix),
             cohen=bool(getattr(ns, "cohen", False)),
             conjugate_image=bool(getattr(ns, "conjugate_image", False)),
-            tol=opt("tol"),
+            tol=tol,
             out=opt("out"),
             fmt=getattr(ns, "format", None)
             or ("csv" if ns.command == "expand" else "json"),

@@ -3,9 +3,11 @@
 Everything here is exact: truncated integer-coefficient series, integer
 coefficient tables, and cyclotomic root-of-unity values.
 
-* :func:`family_series` builds the four families from their defining sums
-  over the chain polynomials — alternating Pochhammer-weighted sums, with
-  certified even/odd averaging for the conditionally convergent family 2.
+* :func:`family_series` builds the four families as the left sides of the
+  four Bailey limit identities on the chain polynomials (the weights of
+  :data:`qmaass.bailey.LIMIT_WEIGHTS`, picked by :data:`FAMILY_SUMS`),
+  with certified even/odd averaging for the conditionally convergent
+  family 2.
 * :func:`sigma_series` / :func:`sigma_star_series` give the two classical
   partial-theta companions in all their representations, plus fast integer
   coefficient tables for large ranges.
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .agpolys import _int_slots, ag_polynomial, ag_polynomial_sweep
-from .bailey import _require_finite
+from .bailey import LIMIT_WEIGHTS, _require_finite, weighted_term
 from .cyclotomic import CycNumber, root_of_unity_value
 from .reports import CheckReport, report_from_condition
 from .series import (
@@ -39,6 +41,7 @@ from .series import (
 )
 
 __all__ = [
+    "FAMILY_SUMS",
     "family_series",
     "kz_root_value",
     "negative_part_series",
@@ -67,11 +70,24 @@ def _validate_family(j: int, k: int, ell: int) -> None:
 # ------------------------------------------------------------- the 4 families
 
 
+#: Family j is ``scale`` times the left side of the limit identity
+#: ``(relative, kind)`` (see :data:`qmaass.bailey.LIMIT_WEIGHTS`) on the
+#: chain pair of that relative, whose beta_n are the chain polynomials
+#: with boundary bit b = ``first``.
+FAMILY_SUMS = {
+    1: ("q", "gauss", 1),
+    2: ("q", "even", 1),
+    3: ("one", "gauss", 1),
+    4: ("one", "even", 2),
+}
+
+
 def family_series(j: int, k: int, ell: int, trunc) -> QSeries:
     """Exact expansion of family ``j`` with parameters ``(k, ell)``.
 
-    Families 1 and 2 weight the ``b = 0`` chain polynomials, families 3 and
-    4 the ``b = 1`` ones:
+    Each family is a limit-identity left side on the chain polynomials
+    H_n (families 1 and 2 weight the ``b = 0`` ones, 3 and 4 the ``b = 1``
+    ones), as recorded in :data:`FAMILY_SUMS`:
 
     * ``j = 1``: sum over n >= 0 of (q)_n (-1)^n q^(n(n+1)/2) H_n,
     * ``j = 2``: sum over n >= 0 of (q^2;q^2)_n (-1)^n H_n, which converges
@@ -79,68 +95,36 @@ def family_series(j: int, k: int, ell: int, trunc) -> QSeries:
       under a certified tail bound (order >= 2N at step N) that is checked
       against every observed increment,
     * ``j = 3``: sum over n >= 1 of (q)_(n-1) (-1)^n q^(n(n+1)/2) H_n,
-    * ``j = 4``: sum over n >= 1 of (-1;q)_n (q)_(n-1) (-q)^n H_n, where the
-      double Pochhammer prefactor is updated by U_(n+1) = U_n (1 - q^(2n)).
+    * ``j = 4``: sum over n >= 1 of (-1;q)_n (q)_(n-1) (-q)^n H_n, which is
+      twice the (q^2;q^2)_(n-1) (-q)^n H_n sum, since
+      (-1;q)_n (q)_(n-1) = 2 (q^2;q^2)_(n-1).
     """
     _validate_family(j, k, ell)
     t = _require_finite(trunc)
     size = _int_slots(t)
     if size <= 0:
         return QSeries.zero(t)
-    b = 0 if j in (1, 2) else 1
-    sweep = ag_polynomial_sweep(k, ell, b, t)
-
-    if j == 1:
-        total = QSeries.zero(t)
-        for n, h in sweep:
-            e = n * (n + 1) // 2
-            if e >= t:
-                break
-            term = (pochhammer("q", n, t) * h).shift(e)
-            total = total + (term if n % 2 == 0 else -term)
-        return total
-
-    if j == 2:
-        cache: list[QSeries] = []
+    relative, kind, scale = FAMILY_SUMS[j]
+    _, first, power = LIMIT_WEIGHTS[relative, kind]
+    sweep = itertools.islice(ag_polynomial_sweep(k, ell, first, t), first, None)
+    if power is None:
+        terms = (weighted_term(relative, kind, n, h, t) for n, h in sweep)
+        seen: list[QSeries] = []
 
         def term_at(i: int) -> QSeries:
-            while len(cache) <= i:
-                n, h = next(sweep)
-                piece = pochhammer("q2", n, t) * h
-                cache.append(piece if n % 2 == 0 else -piece)
-            return cache[i]
+            seen.extend(itertools.islice(terms, i + 1 - len(seen)))
+            return seen[i]
 
-        return stabilized_sum(
+        total = stabilized_sum(
             term_at, t, n_bound=2 * size + 8, tail_order=lambda n: 2 * n
         )
-
-    if j == 3:
+    else:
         total = QSeries.zero(t)
         for n, h in sweep:
-            if n == 0:
-                continue
-            e = n * (n + 1) // 2
-            if e >= t:
+            if power(n) >= t:
                 break
-            term = (pochhammer("q", n - 1, t) * h).shift(e)
-            total = total + (-term if n % 2 else term)
-        return total
-
-    # j == 4
-    total = QSeries.zero(t)
-    u = None  # (-1;q)_n (q)_(n-1), built by the one-factor recurrence
-    for n, h in sweep:
-        if n == 0:
-            continue
-        if n >= t:
-            break
-        if u is None:
-            u = QSeries.monomial(2, 0, t)  # n = 1 value
-        else:
-            u = u - u.shift(2 * (n - 1))  # multiply by (1 - q^(2(n-1)))
-        term = (u * h).shift(n)
-        total = total + (-term if n % 2 else term)
-    return total
+            total = total + weighted_term(relative, kind, n, h, t)
+    return total.scale(scale)
 
 
 # ------------------------------------------------------- classical companions

@@ -22,6 +22,7 @@ This module provides:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,9 +30,10 @@ from fractions import Fraction
 import numpy as np
 
 from .agpolys import ag_polynomial
+from .bailey import LIMIT_WEIGHTS
 from .bessel import k0_bessel
 from .cyclotomic import CycNumber, root_of_unity_value
-from .families import _validate_family, negative_part_series
+from .families import FAMILY_SUMS, _validate_family, negative_part_series
 from .reports import CheckReport, _exact_str, report_from_condition
 from .series import PrecisionError, QSeriesError
 from .theta import (
@@ -267,72 +269,35 @@ class QuantumSample:
         }
 
 
-def _zeta_power(N: int, num: int, exponent: int) -> CycNumber:
-    """(zeta_N^num)^exponent as an exact cyclotomic number."""
-    return CycNumber.zeta(N, (num * exponent) % N)
-
-
 def quantum_value(j: int, k: int, ell: int, x) -> QuantumSample:
     """Exact family value at the root of unity e(d x), d the family power.
 
-    The hypergeometric prefactor of every term contains a finite
-    q-Pochhammer that vanishes once its length reaches the order of the
-    root, so the sum terminates; the result is exact in a cyclotomic
-    field.  Families with power d = 2 are evaluated at e(x)^d = e(d x),
-    matching the variable of their theta embedding.
+    The family's limit-identity sum (:data:`~qmaass.families.FAMILY_SUMS`)
+    is summed with q = e(d x): its finite q-Pochhammer prefactor vanishes
+    once its length reaches the order of the root, so the sum terminates;
+    the result is exact in a cyclotomic field.  Families with power d = 2
+    are evaluated at e(x)^d = e(d x), matching the variable of their theta
+    embedding.
     """
     _validate_family(j, k, ell)
     xq = Fraction(x)
     w = (FAMILY_POWERS[j] * xq) % 1
     N, num = w.denominator, w.numerator
+    relative, kind, scale = FAMILY_SUMS[j]
+    s, first, power = LIMIT_WEIGHTS[relative, kind]
     one = CycNumber.from_rational(N, 1)
-    q = CycNumber.zeta(N, num % N)
-    b = 0 if j in (1, 2) else 1
-
-    def chain_value(n: int) -> CycNumber:
-        return root_of_unity_value(ag_polynomial(k, ell, b, n), N, power=num % N)
-
+    prefix = CycNumber.from_rational(N, scale)  # scale * (q^s; q^s)_(n - first)
     total = CycNumber.from_rational(N, 0)
-    prefix = one
-    cap = 2 * N + 4
-    if j in (1, 2):
-        n = 0
-        while n <= cap:
-            if n > 0:
-                step = 1 if j == 1 else 2
-                prefix = prefix * (one - _zeta_power(N, num, step * n))
-                if prefix.is_zero():
-                    break
-            term = prefix * chain_value(n)
-            if n % 2:
-                term = term * CycNumber.from_rational(N, -1)
-            if j == 1:
-                term = term * _zeta_power(N, num, n * (n + 1) // 2)
-            total = total + term
-            n += 1
-        else:
-            raise QSeriesError("quantum evaluation failed to terminate")
-    else:
-        n = 1
-        aux = one  # (-1; q)_n for the fourth family
-        while n <= cap:
-            if n > 1:
-                prefix = prefix * (one - _zeta_power(N, num, n - 1))
-                if prefix.is_zero():
-                    break
-            if j == 4:
-                aux = aux * (one + _zeta_power(N, num, n - 1))
-            term = prefix * chain_value(n)
-            if n % 2:
-                term = term * CycNumber.from_rational(N, -1)
-            if j == 3:
-                term = term * _zeta_power(N, num, n * (n + 1) // 2)
-            else:
-                term = term * aux * _zeta_power(N, num, n)
-            total = total + term
-            n += 1
-        else:
-            raise QSeriesError("quantum evaluation failed to terminate")
+    for n in itertools.count(first):
+        if n > first:
+            prefix = prefix * (one - CycNumber.zeta(N, num * s * (n - first) % N))
+            if prefix.is_zero():
+                break
+        chain = ag_polynomial(k, ell, first, n)
+        term = prefix * root_of_unity_value(chain, N, power=num)
+        if power is not None:
+            term = term * CycNumber.zeta(N, num * power(n) % N)
+        total = total + (-term if n % 2 else term)
     return QuantumSample(x=xq, value=total)
 
 
@@ -383,6 +348,7 @@ def radial_limit_check(
     t = 0, and compares with the exact root-of-unity value.  The last
     extrapolation step is reported as an instability estimate.
     """
+    _validate_family(j, k, ell)
     xq = Fraction(x)
     t_grid = _radial_grid(t_grid, 0.125)
     power = FAMILY_POWERS[j]

@@ -1,6 +1,7 @@
 """Bailey pairs: defining relation, explicit pairs, limit identities."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -178,20 +179,55 @@ def test_synthetic_relative_one_support_excludes_zero():
         assert pair.beta(0, 10).is_zero()
 
 
-def test_gauss_identity_left_side_is_family_one():
-    # The triangular-weight sum over beta_n of the relative-q chain pair is
-    # exactly the first series family.
-    k, ell = 2, 1
+@pytest.mark.parametrize("k, ell", [(1, 1), (2, 1), (3, 2)])
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_limit_identity_left_side_is_family(j, k, ell):
+    # Family j is a multiple of one limit-identity left side on a chain
+    # pair; the four weighted sums are written out here independently.
     trunc = 25
-    pair = pair_relative_q(k, ell)
-    total = QSeries.zero(trunc)
-    n = 0
-    while n * (n + 1) // 2 < trunc:
-        term = pochhammer("q", n, trunc) * pair.beta(n, trunc)
-        term = term.shift(n * (n + 1) // 2).truncate(trunc)
-        total = total + (-term if n % 2 else term)
-        n += 1
-    assert total == family_series(1, k, ell, trunc)
+    sign = lambda n: -1 if n % 2 else 1  # noqa: E731
+    triangle = lambda n: n * (n + 1) // 2  # noqa: E731
+    if j in (1, 2):
+        beta = pair_relative_q(k, ell).beta
+    else:
+        beta = pair_relative_one(k, ell).beta
+
+    def term(n: int) -> QSeries:
+        if j == 1:  # (q)_n (-1)^n q^(n(n+1)/2) beta_n
+            out = (pochhammer("q", n, trunc) * beta(n, trunc)).shift(triangle(n))
+        elif j == 2:  # (q^2;q^2)_n (-1)^n beta_n
+            out = pochhammer("q2", n, trunc) * beta(n, trunc)
+        elif j == 3:  # (q)_(n-1) (-1)^n q^(n(n+1)/2) beta_n
+            out = pochhammer("q", n - 1, trunc) * beta(n, trunc)
+            out = out.shift(triangle(n))
+        else:  # 2 (q^2;q^2)_(n-1) (-1)^n q^n beta_n
+            out = (pochhammer("q2", n - 1, trunc) * beta(n, trunc)).shift(n)
+            out = out.scale(2)
+        return out.truncate(trunc).scale(sign(n))
+
+    if j == 2:
+        # No decaying weight: average the partial sums S_(2N) and S_(2N+1)
+        # until every coefficient below trunc has settled.
+        partial = QSeries.zero(trunc)
+        averages = []
+        for n in range(120):
+            partial = partial + term(n)
+            if n % 2:
+                averages.append(
+                    (previous + partial).scale(Fraction(1, 2)).truncate(trunc)
+                )
+            previous = partial
+        assert averages[-1] == averages[-2] == averages[-3]
+        total = averages[-1]
+    else:
+        first = 0 if j == 1 else 1
+        weight = triangle if j in (1, 3) else (lambda n: n)
+        total = QSeries.zero(trunc)
+        n = first
+        while weight(n) < trunc:
+            total = total + term(n)
+            n += 1
+    assert total == family_series(j, k, ell, trunc)
 
 
 def test_definition_right_side_unit():

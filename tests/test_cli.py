@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import signal
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmaass import cli
 from qmaass.cli import (
@@ -63,6 +67,9 @@ class TestParsing:
             parse_tau("0.5,-1.0")
         with pytest.raises(UsageError):
             parse_tau("nonsense")
+        for text in ("0,inf", "nan,1", "inf,1", "0,-inf"):
+            with pytest.raises(UsageError, match="finite"):
+                parse_tau(text)
 
     def test_matrix(self):
         assert parse_matrix("0,-1,2,0") == (0, -1, 2, 0)
@@ -167,6 +174,8 @@ class TestVerify:
         checks = {o["check"] for o in _json_lines(lines)}
         assert len(checks) >= 8
 
+    # A leftover QMAASS_THREADS setting is ignored: the suite stays serial and
+    # still computes each residual exactly once.
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_cohen_suite_computes_each_residual_once(self, capsys, monkeypatch, threads):
         calls = []
@@ -223,12 +232,32 @@ class TestVerify:
         assert lines == []
         assert "no checks" in err
 
-    def test_thread_count_does_not_change_output(self, capsys, monkeypatch):
-        monkeypatch.setenv("QMAASS_THREADS", "1")
-        _, serial, _ = _run(capsys, "verify", "bailey", "--kmax", "2", "--order", "25")
-        monkeypatch.setenv("QMAASS_THREADS", "4")
-        _, pooled, _ = _run(capsys, "verify", "bailey", "--kmax", "2", "--order", "25")
-        assert serial == pooled
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("eval", "radial", "--j", "5", "--k", "1", "--l", "1", "--x", "1/3"),
+             "family index must be in 1..4"),
+            (("eval", "radial", "--j", "0", "--k", "1", "--l", "1", "--x", "1/3"),
+             "family index must be in 1..4"),
+            (("eval", "radial", "--j", "-1", "--k", "1", "--l", "1", "--x", "1/3"),
+             "family index must be in 1..4"),
+            (("eval", "waveform", "--cohen", "--tau", "0,inf"), "tau must be finite"),
+            (("eval", "waveform", "--cohen", "--tau", "nan,1"), "tau must be finite"),
+            (("verify", "completion", "--tau", "inf,1"), "tau must be finite"),
+            (("verify", "completion", "--tol", "nan"), "--tol must be positive"),
+            (("verify", "completion", "--tol", "0"), "--tol must be positive"),
+            (("eval", "radial", "--j", "1", "--k", "1", "--l", "1", "--x", "1/3",
+              "--tol", "-1"), "--tol must be positive"),
+            (("eval", "radial", "--j", "1", "--k", "1", "--l", "1", "--x", "1/3",
+              "--tol", "inf"), "--tol must be positive"),
+        ],
+    )
+    def test_invalid_values_are_usage_errors(self, capsys, argv, message):
+        code, lines, err = _run(capsys, *argv)
+        assert code == 2
+        assert lines == []
+        assert message in err
+        assert "Traceback" not in err
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -457,6 +486,34 @@ class TestEval:
         )
         assert code == 2
         assert "--cohen" in err
+
+
+# ------------------------------------------------------------ argument space
+
+_FAMILY_COMMANDS = {
+    "radial": ("eval", "radial", "--x", "1/3"),
+    "quantum": ("eval", "quantum", "--x", "2/5"),
+    "f": ("expand", "f", "--order", "8"),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_FAMILY_COMMANDS)),
+    j=st.integers(-2, 6),
+    k=st.integers(-2, 6),
+    ell=st.integers(-2, 6),
+)
+def test_family_arguments_exit_2_exactly_when_invalid(command, j, k, ell):
+    argv = [*_FAMILY_COMMANDS[command], f"--j={j}", f"--k={k}", f"--l={ell}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)  # must return an exit code, never raise
+    valid = 1 <= j <= 4 and 1 <= ell <= k
+    assert (code == 2) == (not valid), (argv, code, err.getvalue())
+    if not valid:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("qmaass: ")
 
 
 # ------------------------------------------------------------ entry point

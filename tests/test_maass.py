@@ -486,6 +486,13 @@ class TestRadialLimits:
         assert "instability" in report.details
         assert report.details["instability"] >= 0.0
 
+    @pytest.mark.parametrize(
+        "j, k, ell", [(5, 1, 1), (0, 1, 1), (-1, 1, 1), (1, 0, 1), (1, 1, 2)]
+    )
+    def test_rejects_invalid_family(self, j, k, ell):
+        with pytest.raises(QSeriesError):
+            radial_limit_check(j, k, ell, Fraction(1, 3))
+
     def test_rejects_bad_grid(self):
         with pytest.raises(QSeriesError):
             radial_limit_check(1, 1, 1, 0, t_grid=[0.1, 0.2])
