@@ -70,15 +70,26 @@ def _power_row(L: int, k: int) -> tuple:
         row = [0] * d
         row[k] = 1
         return tuple(row)
+    return _reduced_powers(L)[k - d]
+
+
+@functools.lru_cache(maxsize=None)
+def _reduced_powers(L: int) -> tuple:
+    """zeta_L^k in the power basis for d <= k < L, d = phi(L), each row
+    one shift of the row before it."""
     phi = cyclotomic_polynomial(L)
-    prev = _power_row(L, k - 1)
-    shifted = [0] + list(prev[: d - 1])
-    top = prev[d - 1]
-    if top:
-        # zeta^d = -(phi_0 + phi_1 zeta + ... + phi_{d-1} zeta^{d-1})
-        for j in range(d):
-            shifted[j] -= top * phi[j]
-    return tuple(shifted)
+    d = len(phi) - 1
+    row = [0] * (d - 1) + [1]
+    rows = []
+    for _ in range(d, L):
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            # zeta^d = -(phi_0 + phi_1 zeta + ... + phi_{d-1} zeta^{d-1})
+            for j in range(d):
+                row[j] -= top * phi[j]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 class CycNumber:

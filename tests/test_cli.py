@@ -530,6 +530,22 @@ def test_console_script_entry_point():
     assert len(result.stdout.splitlines()) == 4
 
 
+def test_completion_suite_does_not_import_scipy():
+    script = (
+        "import sys\n"
+        "from qmaass.cli import run\n"
+        "code = run(['verify', 'completion'])\n"
+        "print('scipy' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0
+    assert len(result.stdout.splitlines()) == 3
+    assert result.stderr == "False\n"
+
+
 def test_closed_stdout_ends_quietly():
     # The table is larger than a pipe buffer, so the writer is still busy
     # when the reader goes away.

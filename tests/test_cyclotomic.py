@@ -8,6 +8,7 @@ import pytest
 
 from qmaass.cyclotomic import (
     CycNumber,
+    _power_row,
     cyclotomic_polynomial,
     e_rational,
     root_of_unity_value,
@@ -83,6 +84,37 @@ def test_e_rational():
     assert e_rational(Fraction(5, 3)) == CycNumber.zeta(3, 2)
     assert e_rational(2) == 1
     assert e_rational(Fraction(1, 2)) == -1
+
+
+def _monomial_remainder(L: int, k: int) -> tuple:
+    """x^k mod Phi_L by long division of x^k itself."""
+    phi = cyclotomic_polynomial(L)
+    d = len(phi) - 1
+    terms = [(j, c) for j, c in enumerate(phi) if c]
+    rem = [0] * max(k + 1, d)
+    rem[k] = 1
+    for i in range(k, d - 1, -1):
+        c = rem[i]
+        if c:
+            for j, p in terms:
+                rem[i - d + j] -= c * p
+    return tuple(rem[:d])
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 12, 30, 97, 105, 360, 1155, 1024, 2048])
+def test_power_rows_are_monomial_remainders(L):
+    d = totient(L)
+    powers = {0, d - 1, d, d + 1, (d + L) // 2, L - 1, L, L + d, 3 * L + 5}
+    for k in sorted(powers):
+        assert _power_row(L, k) == _monomial_remainder(L, k), (L, k)
+
+
+def test_roots_of_unity_of_large_order():
+    # The power row of zeta^2047 lies 1023 reduction steps above the
+    # field degree; building the rows must not recurse once per step.
+    z = e_rational(Fraction(2047, 2048))
+    assert z * e_rational(Fraction(1, 2048)) == 1
+    assert abs(z.to_complex() - cmath.exp(-2j * cmath.pi / 2048)) < 1e-12
 
 
 def test_root_of_unity_value_polynomial():

@@ -12,7 +12,10 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from qmaass import QSeries, QSeriesError
 from qmaass.bailey import quadratic_shift
@@ -22,6 +25,9 @@ from qmaass.theta import (
     FamilyThetaData,
     QuadForm,
     ThetaParams,
+    _lattice_points,
+    _ray_integrals,
+    _ray_sign,
     completed_waveform_numeric,
     completion_defect,
     equivalence_check,
@@ -492,6 +498,9 @@ class TestCompletionDefect:
         d = family_params(j, 1, 1)
         assert abs(completion_defect(d, 1j, lattice_cut=10)) < 1e-8
 
+    def test_every_point_skipped_far_up_the_axis(self):
+        assert completion_defect(family_params(1, 1, 1), 1000j) == 0
+
     def test_does_not_vanish_generically(self):
         bad = ThetaParams(
             M=4, a=(F(1, 5), F(1, 7)), b=(F(1, 3), F(1, 11))
@@ -520,3 +529,138 @@ class TestCompletionDefect:
         )
         assert res["shift_residual"] < 1e-6
         assert res["inversion_residual"] < 1e-6
+
+
+def _quad_ray_integral(u_plus, u_minus, t, sign):
+    """The boundary weight by adaptive quadrature of exp(-pi G(x)^2)."""
+
+    def integrand(x):
+        if abs(x) > 700.0:
+            return 0.0
+        g = u_plus * math.sinh(x) - u_minus * math.cosh(x)
+        return math.exp(-math.pi * min(g * g, 1e300))
+
+    if sign > 0:
+        return quad(integrand, t, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    return -quad(integrand, -math.inf, t, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+
+
+def _ray_cases():
+    """(u_plus, u_minus, t, sign) on both branches of G, both ray
+    directions, rays starting at the turning point x0 of G^2, and points
+    whose weight e^(2 pi |Q| v) reaches about 1e10."""
+    rng = np.random.default_rng(20121)
+    cases = []
+    for branch in ("sinh", "cosh"):
+        for r_sq in np.geomspace(1e-3, 14.6, 24):
+            x0, t = rng.uniform(-2.0, 2.0, 2)
+            big, small = math.sqrt(r_sq) * math.cosh(x0), math.sqrt(r_sq) * math.sinh(x0)
+            flip = rng.choice((-1.0, 1.0))
+            u_plus, u_minus = (big, small) if branch == "sinh" else (small, big)
+            cases.append((float(flip * u_plus), float(flip * u_minus), float(t)))
+    rays = [(up, um, t, _ray_sign(up, um, t)) for up, um, t in cases]
+    # u_minus = 0 (resp. u_plus = 0) puts x0 at 0 exactly: the ray starts
+    # at the turning point, where the sign test gives 0, so pass it.
+    for up, um in ((1.3, 0.0), (0.0, 1.3), (0.0, -3.8), (0.05, 0.0)):
+        rays += [(up, um, 0.0, 1), (up, um, 0.0, -1)]
+    return rays
+
+
+def test_ray_integrals_match_adaptive_quadrature():
+    rays = _ray_cases()
+    up, um, t, sign = (np.array(col, dtype=float) for col in zip(*rays))
+    assert np.all(sign != 0)
+    assert np.any(np.abs(up) > np.abs(um)) and np.any(np.abs(up) < np.abs(um))
+    got = _ray_integrals(up, um, t, sign)
+    for (u_plus, u_minus, t0, s), value in zip(rays, got):
+        ref = _quad_ray_integral(u_plus, u_minus, t0, s)
+        # The q^Q modulus the integral is multiplied by in the defect:
+        # e^(-2 pi Q v), with 4 v Q = u_plus^2 - u_minus^2.
+        weight = math.exp(-math.pi * (u_plus**2 - u_minus**2) / 2)
+        assert abs(value - ref) * weight <= 1e-12 * max(1.0, abs(ref) * weight), (
+            u_plus, u_minus, t0, s, value, ref,
+        )
+    assert max(math.exp(math.pi * (b * b - a * a) / 2) for a, b, _, _ in rays) > 1e9
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-4, 1.0, 30.0, 1e4, 1e8])
+def test_ray_integrals_from_the_turning_point(c):
+    # From x0 = 0 the integral of exp(-c sinh^2 y) is e^(c/2) K0(c/2) / 2,
+    # and exp(-c cosh^2 y) carries a further e^-c.
+    half = mpmath.mpf(c) / 2
+    ref = float(mpmath.exp(half) * mpmath.besselk(0, half) / 2)
+    root = math.sqrt(c / math.pi)
+    sinh_branch, cosh_branch = _ray_integrals(
+        np.array([root, 0.0]), np.array([0.0, root]), 0.0, 1
+    )
+    assert abs(sinh_branch - ref) <= 1e-13 * ref
+    assert abs(cosh_branch - math.exp(-c) * ref) <= 1e-13 * math.exp(-c) * ref
+
+
+def _exact_sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _defect_by_ray_signs(params, tau, exact, lattice_cut=10):
+    """completion_defect with the ray directions decided in rationals
+    (``exact``) or by the library's float test.
+
+    The float test takes the sign of g_here * g_slope.  That product is
+    the product of the boundary and normal pairings below up to a
+    positive factor, and it is exactly zero at some lattice points;
+    there the float rounding picks the direction.
+    """
+    form = QuadForm(params.M)
+    M = params.M
+    u, v = tau.real, tau.imag
+    root_v = math.sqrt(v)
+    t1, t2 = form.reference_parameter(1), form.reference_parameter(2)
+    rays, terms = [], []
+    for _, r1, r2 in _lattice_points(params, lattice_cut):
+        qv = form.value((r1, r2))
+        combined = (M * M - 1) * min((r1 + r2) ** 2, (r1 - r2) ** 2) + 2 * qv
+        if math.pi * v * float(combined) > 100.0:
+            continue
+        u_plus = math.sqrt(2.0 * (M + 1)) * float(r1) * root_v
+        u_minus = math.sqrt(2.0 * (M - 1)) * float(r2) * root_v
+        exact_signs = (
+            _exact_sign(-(r1 + r2)) * _exact_sign((M + 1) * r1 + (M - 1) * r2),
+            _exact_sign(r1 - r2) * _exact_sign((M + 1) * r1 - (M - 1) * r2),
+        )
+        float_signs = (_ray_sign(u_plus, u_minus, t1), _ray_sign(u_plus, u_minus, t2))
+        # Away from the exact zeros the float test is the exact one.
+        assert all(f == e or e == 0 for f, e in zip(float_signs, exact_signs))
+        rays.append((u_plus, u_minus) + (exact_signs if exact else float_signs))
+        phase = unit_phase(float(qv) * u + float(form.bilinear((r1, r2), params.b)))
+        terms.append(math.exp(-2.0 * math.pi * float(qv) * v) * phase)
+    up, um, s1, s2 = np.array(rays).T
+    alpha = _ray_integrals(up, um, np.array([[t1], [t2]]), np.array([s1, s2]))
+    return root_v * complex((alpha[0] - alpha[1]) @ np.array(terms))
+
+
+class TestExactRaySigns:
+    """The family 1 and 3 defects come from float ray signs at exact zeros.
+
+    With the ray directions decided exactly, every family's completion
+    defect vanishes to rounding, while the off-family control does not.
+    """
+
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j])
+    @pytest.mark.parametrize("k, ell", [(1, 1), (2, 1), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_family_defect_vanishes(self, j, k, ell, tau):
+        params = family_params(j, k, ell).params
+        assert abs(_defect_by_ray_signs(params, tau, exact=True)) < 1e-13
+
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j])
+    def test_control_defect_stays(self, tau):
+        bad = ThetaParams(M=4, a=(F(1, 5), F(1, 7)), b=(F(1, 3), F(1, 11)))
+        assert abs(_defect_by_ray_signs(bad, tau, exact=True)) > 1e-3
+
+    def test_float_signs_leave_a_defect(self):
+        # Family 3 at (1, 1): the same sum with the float signs, which
+        # differ from the exact ones only at exact zeros.
+        params = family_params(3, 1, 1).params
+        defect = _defect_by_ray_signs(params, 1j, exact=False)
+        assert abs(defect) > 1.0
+        assert abs(defect - completion_defect(params, 1j)) < 1e-12
