@@ -11,11 +11,12 @@ partitions with bounded part sizes and bounded adjacent-frequency sums; the
 coefficient.  ``ag`` names the Andrews-Gordon family of partition identities
 this construction generalizes.
 
-Two evaluators are provided: :func:`ag_polynomial` computes one polynomial
-exactly (depth-first over chains), and :func:`ag_polynomial_sweep` streams
+Three evaluators are provided: :func:`ag_polynomial` computes one polynomial
+exactly (depth-first over chains), :func:`ag_polynomial_sweep` streams
 the whole sequence ``n = 0, 1, 2, ...`` below a fixed truncation in
 amortized linear time per step, which is what the series-family code needs
-at large truncation orders.
+at large truncation orders, and :func:`ag_polynomials_at_root` gives the
+values at a root of unity of every n up to a bound from one walk.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cyclotomic import binomials_at_root, cyclic_add, cyclic_mul
 from .reports import CheckReport, report_from_comparison
 from .series import INF, QSeries, QSeriesError, dense_int_coeffs, gaussian_binomial
 
@@ -33,6 +35,7 @@ __all__ = [
     "ag_generating",
     "ag_polynomial",
     "ag_polynomial_sweep",
+    "ag_polynomials_at_root",
     "verify_ag_relation",
 ]
 
@@ -54,16 +57,29 @@ def _int_slots(trunc) -> int:
     return max(0, math.ceil(t))
 
 
-def _chains(k: int, ell: int, b: int, trunc, top: int | None = None):
+def _chains(k: int, ell: int, b: int, trunc, top: int | None = None, order=None):
     """Depth-first over the chains ``0 <= n_1 <= ... <= n_{k-1}`` (``<= top``).
 
     Yields ``(n_{k-1}, g_{k-1}, partial)`` for each chain with q-weight
     below ``trunc`` and every ``g_j >= 0``; ``partial`` is the chain's
     power of q times every binomial except the final one, whose top side
-    depends on ``n``.
+    depends on ``n``.  With an ``order`` N (``trunc`` infinite, ``top``
+    given) ``partial`` is its value at a primitive N-th root of unity, a
+    map in Z[x]/(x^N - 1) (:func:`qmaass.cyclotomic.cyclic_mul`).
     """
+    if order is None:
+        one = QSeries.one(trunc)
 
-    def walk(j: int, prev: int, acc: int, weight: int, partial: QSeries):
+        def times(partial, top_side: int, bottom: int, w: int):
+            return partial * gaussian_binomial(top_side, bottom, trunc).shift(w)
+    else:
+        one, binomial = {0: 1}, binomials_at_root(order)
+
+        def times(partial, top_side: int, bottom: int, w: int):
+            factor = cyclic_add({}, binomial(top_side, bottom), order, shift=w)
+            return cyclic_mul(partial, factor, order)
+
+    def walk(j: int, prev: int, acc: int, weight: int, partial):
         g = acc - b * j
         if g < 0:
             return
@@ -74,16 +90,15 @@ def _chains(k: int, ell: int, b: int, trunc, top: int | None = None):
             w = v * v + (1 - b) * v
             if weight + w >= trunc:
                 break
-            binom = gaussian_binomial(v - prev + g, v - prev, trunc)
             yield from walk(
                 j + 1,
                 v,
                 acc + 2 * v + (1 if j + 1 < ell else 0),
                 weight + w,
-                partial * binom.shift(w),
+                times(partial, v - prev + g, v - prev, w),
             )
 
-    return walk(0, 0, 0, 0, QSeries.one(trunc))
+    return walk(0, 0, 0, 0, one)
 
 
 def ag_polynomial(k: int, ell: int, b: int, n: int, trunc=INF) -> QSeries:
@@ -103,6 +118,23 @@ def ag_polynomial(k: int, ell: int, b: int, n: int, trunc=INF) -> QSeries:
     for last, g, partial in _chains(k, ell, b, trunc, n):
         total = total + partial * gaussian_binomial(n - last + g, n - last, trunc)
     return total
+
+
+def ag_polynomials_at_root(k: int, ell: int, b: int, n_max: int, N: int) -> list[dict]:
+    """The chain polynomials for n = 0..n_max at a primitive N-th root of
+    unity, as maps in Z[x]/(x^N - 1) (reduce one with
+    :meth:`~qmaass.cyclotomic.CycNumber.from_powers`).
+
+    One walk over the chains with ``n_{k-1} <= n_max`` serves every n.
+    """
+    _validate_chain_params(k, ell, b, n_max)
+    binomial = binomials_at_root(N)
+    out: list[dict] = [{} for _ in range(n_max + 1)]
+    for last, g, partial in _chains(k, ell, b, INF, n_max, N):
+        for n in range(last, n_max + 1):
+            term = cyclic_mul(partial, binomial(n - last + g, n - last), N)
+            out[n] = cyclic_add(out[n], term, N)
+    return out
 
 
 def ag_polynomial_sweep(k: int, ell: int, b: int, trunc):

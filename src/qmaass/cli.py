@@ -35,6 +35,7 @@ import cmath
 import json
 import math
 import random
+import re
 import signal
 import sys
 from dataclasses import dataclass
@@ -52,6 +53,7 @@ from .bailey import (
     verify_limiting_identity,
     verify_pair,
 )
+from .cyclotomic import check_root_order
 from .families import (
     SIGMA_REPS,
     SIGMA_STAR_REPS,
@@ -490,6 +492,7 @@ def _checks_cohen_waveform(cfg: RunConfig):
 def _checks_root_duality(cfg: RunConfig):
     kmax = cfg.kmax or 3
     nmax = cfg.nmax or 12
+    check_root_order(nmax)
     return [
         lambda k=k, ell=ell, big_n=big_n: verify_kz_duality(k, ell, big_n)
         for k in range(1, kmax + 1)
@@ -804,9 +807,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """``--tau -0.2,0.9`` as ``--tau=-0.2,0.9``: argparse takes a value
+    that starts with "-" for an option unless it is a plain number."""
+    out: list[str] = []
+    for token in argv:
+        if out and re.fullmatch(r"--\w[\w-]*", out[-1]) and re.match(r"-\.?\d", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = RunConfig.from_args(ns)
         stream = open(cfg.out, "w", encoding="utf-8") if cfg.out else sys.stdout

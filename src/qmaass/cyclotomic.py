@@ -9,6 +9,10 @@ Phi_L = (x^L - 1) / prod of Phi_d over proper divisors d of L.
 Arithmetic between numbers of different orders embeds both into the
 compositum Q(zeta_lcm) first, which keeps mixed expressions (roots of unity
 with heterogeneous denominators) canonical.
+
+Long sums of products at one root of unity are done first in the group
+ring Z[x]/(x^N - 1) (integer maps {exponent mod N: coefficient}, see
+:func:`cyclic_mul`) and reduced mod Phi_N once at the end.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .series import INF, QSeries, QSeriesError, _clean
+from .series import QSeries, QSeriesError, _clean, _kronecker_product
 
 
 @functools.lru_cache(maxsize=None)
@@ -100,20 +104,14 @@ class CycNumber:
     def __init__(self, order: int, vec):
         d = _phi_degree(order)
         v = list(vec)
-        if len(v) > d:
-            folded = [0] * d
-            for k, c in enumerate(v):
-                if c == 0:
-                    continue
-                row = _power_row(order, k)
-                for j, r in enumerate(row):
+        v += [0] * (d - len(v))
+        for k, c in enumerate(v[d:], d):  # fold zeta^k, k >= d, into the basis
+            if c:
+                for j, r in enumerate(_power_row(order, k)):
                     if r:
-                        folded[j] += c * r
-            v = folded
-        elif len(v) < d:
-            v = v + [0] * (d - len(v))
+                        v[j] += c * r
         self.order = order
-        self.vec = tuple(_clean(c) for c in v)
+        self.vec = tuple(_clean(c) for c in v[:d])
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -127,15 +125,9 @@ class CycNumber:
     @classmethod
     def from_powers(cls, order: int, powers: dict[int, object]) -> "CycNumber":
         """Build sum of c * zeta_order^k from a power->coefficient map."""
-        d = _phi_degree(order)
-        vec = [0] * d
+        vec = [0] * order
         for k, c in powers.items():
-            if c == 0:
-                continue
-            row = _power_row(order, k)
-            for j, r in enumerate(row):
-                if r:
-                    vec[j] += c * r
+            vec[k % order] += c
         return cls(order, vec)
 
     # ---------------------------------------------------------------- embed
@@ -196,16 +188,7 @@ class CycNumber:
             for j, y in enumerate(bv):
                 if y != 0:
                     conv[i + j] += x * y
-        vec = list(conv[:d])
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c == 0:
-                continue
-            row = _power_row(a.order, k)
-            for j, r in enumerate(row):
-                if r:
-                    vec[j] += c * r
-        return CycNumber(a.order, vec)
+        return CycNumber(a.order, conv)
 
     __rmul__ = __mul__
 
@@ -222,23 +205,22 @@ class CycNumber:
         return out
 
     def inverse(self) -> "CycNumber":
-        """Field inverse via the extended Euclidean algorithm in Q[x]."""
+        """Field inverse: the product of the other Galois conjugates
+        (zeta -> zeta^p, p a unit mod the order) over the norm, a rational.
+        The product is taken in Z[x]/(x^L - 1) (:func:`cyclic_mul`)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = [Fraction(c) for c in self.vec]
-        # extended gcd of a and phi
-        r0, r1 = phi, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _poly_deg(r1) > 0:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-            if not r1:
-                raise ZeroDivisionError("element is a zero divisor (not a unit)")
-        c = r1[0]
-        inv = [x / c for x in s1]
-        return CycNumber(self.order, inv)
+        L = self.order
+        den = math.lcm(*(c.denominator for c in self.vec))
+        a = {i: int(c * den) for i, c in enumerate(self.vec) if c}
+        others = {0: 1}
+        for p in range(2, L):
+            if math.gcd(p, L) == 1:
+                others = cyclic_mul(others, {i * p % L: c for i, c in a.items()}, L)
+        norm = CycNumber.from_powers(L, cyclic_mul(a, others, L)).rational_value()
+        return CycNumber.from_powers(
+            L, {e: Fraction(c * den, norm) for e, c in others.items()}
+        )
 
     # ------------------------------------------------------------------ tests
     def is_zero(self) -> bool:
@@ -283,49 +265,6 @@ class CycNumber:
         return f"CycNumber(order={self.order}, vec={self.vec})"
 
 
-# --------------------------------------------------- small Q[x] helpers
-
-def _trim(p):
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return list(p)
-
-
-def _poly_deg(p) -> int:
-    return len(_trim(p)) - 1
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y != 0:
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _poly_divmod(a, b):
-    a = _trim(a)
-    b = _trim(b)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while _poly_deg(r) >= _poly_deg(b) and r:
-        shift = len(r) - len(b)
-        c = r[-1] / b[-1]
-        q[shift] = c
-        for j, bc in enumerate(b):
-            r[shift + j] -= c * bc
-        r = _trim(r)
-    return _trim(q), r
-
-
 # -------------------------------------------------------------- root helpers
 
 def e_rational(w) -> CycNumber:
@@ -359,3 +298,71 @@ def root_of_unity_value(series: QSeries, N: int, power: int = 1) -> CycNumber:
     if cyc_parts is not None:
         out = out + cyc_parts
     return out
+
+
+# ------------------------------------------- the group ring Z[x]/(x^N - 1)
+#
+# An element is an integer map {exponent mod N: coefficient}.  Sums of
+# products at a primitive N-th root of unity are taken here and reduced
+# mod Phi_N once, by CycNumber.from_powers; that is exact, since Phi_N
+# divides x^N - 1.
+
+#: Largest root order the root-of-unity values accept.  Chains of length
+#: k >= 2 tabulate up to N^2/2 Gaussian binomials of N terms each.
+MAX_ROOT_ORDER = 128
+
+
+def check_root_order(N) -> None:
+    """Reject an order that is not a positive integer or exceeds the bound."""
+    if not (isinstance(N, int) and N >= 1):
+        raise QSeriesError(f"N must be a positive integer, got {N!r}")
+    if N > MAX_ROOT_ORDER:
+        raise QSeriesError(
+            f"root of unity of order {N} exceeds the order bound {MAX_ROOT_ORDER}"
+        )
+
+
+def cyclic_add(a: dict, b: dict, N: int, sign: int = 1, shift: int = 0) -> dict:
+    """a + sign * x^shift * b in Z[x]/(x^N - 1); b's exponents may be any ints."""
+    out = dict(a)
+    for e, c in b.items():
+        e = (e + shift) % N
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def cyclic_mul(a: dict, b: dict, N: int) -> dict:
+    """Product in Z[x]/(x^N - 1): one Kronecker product, folded mod N."""
+    prod = _kronecker_product(a, b, None)
+    if prod is None:  # sparse operands
+        prod = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                prod[m1 + m2] = prod.get(m1 + m2, 0) + c1 * c2
+    return cyclic_add({}, prod, N)
+
+
+def binomials_at_root(N: int):
+    """[top choose bottom] at a primitive N-th root of unity, as a function
+    returning group-ring maps.
+
+    By the q-Lucas theorem (Desarmenien, Europ. J. Combin. 3, 1982) it is
+    C(top // N, bottom // N) [top % N choose bottom % N], and tops below N
+    come from the division-free q-Pascal rule [m, i] = [m-1, i-1] +
+    x^i [m-1, i], memoized for as long as the returned function lives.
+    """
+
+    @functools.lru_cache(maxsize=None)
+    def small(m: int, i: int) -> dict:
+        if i in (0, m):
+            return {0: 1}
+        return cyclic_add(small(m - 1, i - 1), small(m - 1, i), N, shift=i)
+
+    def binomial(top: int, bottom: int) -> dict:
+        (t1, t0), (b1, b0) = divmod(top, N), divmod(bottom, N)
+        if not 0 <= bottom <= top or b0 > t0:
+            return {}
+        c = math.comb(t1, b1)
+        return small(t0, b0) if c == 1 else cyclic_add({}, small(t0, b0), N, c)
+
+    return binomial

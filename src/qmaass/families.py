@@ -25,20 +25,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 
-from .agpolys import _int_slots, ag_polynomial, ag_polynomial_sweep
+from .agpolys import _int_slots, ag_polynomial, ag_polynomial_sweep, ag_polynomials_at_root
 from .bailey import LIMIT_WEIGHTS, _require_finite, weighted_term
-from .cyclotomic import CycNumber, root_of_unity_value
+from .cyclotomic import CycNumber, binomials_at_root, check_root_order, cyclic_add, cyclic_mul
 from .reports import CheckReport, report_from_condition
-from .series import (
-    INF,
-    QSeries,
-    QSeriesError,
-    gaussian_binomial,
-    pochhammer,
-    stabilized_sum,
-)
+from .series import QSeries, QSeriesError, pochhammer, stabilized_sum
 
 __all__ = [
     "FAMILY_SUMS",
@@ -352,21 +344,6 @@ def negative_part_series(
 # ----------------------------------------------- root-of-unity finite sums
 
 
-@lru_cache(maxsize=None)
-def _chain_poly_exact(k: int, ell: int, b: int, n: int) -> QSeries:
-    return ag_polynomial(k, ell, b, n)
-
-
-@lru_cache(maxsize=None)
-def _binomial_at_root(top: int, bottom: int, N: int, power: int) -> CycNumber:
-    return root_of_unity_value(gaussian_binomial(top, bottom), N, power)
-
-
-@lru_cache(maxsize=None)
-def _pochhammer_at_root(n: int, N: int, power: int) -> CycNumber:
-    return root_of_unity_value(pochhammer("q", n, INF), N, power)
-
-
 def kz_root_value(k: int, ell: int, N: int) -> CycNumber:
     """Exact value at the primitive N-th root of unity of the finite sum
 
@@ -375,33 +352,33 @@ def kz_root_value(k: int, ell: int, N: int) -> CycNumber:
             * prod_(j=1..k-1) binom(n_(j+1) + [j == ell-1], n_j).
 
     The Pochhammer factor kills n_k >= N and the binomials force
-    n_j <= n_(j+1) + 1, so the sum is finite.
+    n_j <= n_(j+1) + 1, so the sum is finite.  It is summed level by
+    level in Z[x]/(x^N - 1): ``inner[m]`` is the sum over n_1..n_j with
+    n_(j+1) = m, and N bounds every n_j (one bump at most).
     """
     _validate_family(1, k, ell)
-    if not (isinstance(N, int) and N >= 1):
-        raise QSeriesError(f"N must be a positive integer, got {N!r}")
-    total = CycNumber.from_rational(N, 0)
-
-    def descend(j: int, upper: int, values: list) -> None:
-        """Choose n_j for j = k-1 down to 1; values collects n_k..n_(j+1)."""
-        nonlocal total
-        if j == 0:
-            chain = list(reversed(values))  # n_1, ..., n_k
-            n_k = chain[-1]
-            exponent = k + sum(v * v for v in chain[:-1]) + sum(chain[ell - 1 : k - 1])
-            value = _pochhammer_at_root(n_k, N, 1) * CycNumber.zeta(N, exponent % N)
-            for idx in range(k - 1):
-                top = chain[idx + 1] + (1 if idx + 1 == ell - 1 else 0)
-                value = value * _binomial_at_root(top, chain[idx], N, 1)
-            total = total + value
-            return
+    check_root_order(N)
+    binomial = binomials_at_root(N)
+    inner = [{0: 1}] * (N + 1)
+    for j in range(1, k):
         bump = 1 if j == ell - 1 else 0
-        for v in range(0, upper + bump + 1):
-            descend(j - 1, v, values + [v])
-
-    for n_k in range(0, N):
-        descend(k - 1, n_k, [n_k])
-    return total
+        weighted = [
+            cyclic_add({}, t, N, shift=v * v + (v if j >= ell else 0))
+            for v, t in enumerate(inner)
+        ]
+        sums = []
+        for m in range(len(inner) - bump):
+            row: dict = {}
+            for v in range(m + bump + 1):
+                row = cyclic_add(row, cyclic_mul(binomial(m + bump, v), weighted[v], N), N)
+            sums.append(row)
+        inner = sums
+    total: dict = {}
+    poch = {0: 1}  # (q)_(n_k)
+    for n_k in range(N):
+        total = cyclic_add(total, cyclic_mul(poch, inner[n_k], N), N, shift=k)
+        poch = cyclic_add(poch, poch, N, -1, n_k + 1)
+    return CycNumber.from_powers(N, total)
 
 
 def u_root_value(k: int, ell: int, N: int) -> CycNumber:
@@ -410,21 +387,19 @@ def u_root_value(k: int, ell: int, N: int) -> CycNumber:
         q^(-k) * sum over n >= 1 of q^n (q)_(n-1)^2 H_n(k, ell; b=1),
 
     which terminates because (q)_(n-1) vanishes at roots of unity for
-    n - 1 >= N.
+    n - 1 >= N.  It is summed in Z[x]/(x^N - 1) at x = q and mapped to
+    q = zeta_N^(-1) at the end.
     """
     _validate_family(1, k, ell)
-    if not (isinstance(N, int) and N >= 1):
-        raise QSeriesError(f"N must be a positive integer, got {N!r}")
-    power = (N - 1) % N  # q = zeta^-1
-    total = CycNumber.from_rational(N, 0)
+    check_root_order(N)
+    chains = ag_polynomials_at_root(k, ell, 1, N, N)
+    total: dict = {}
+    poch = {0: 1}  # (q)_(n-1)
     for n in range(1, N + 1):
-        poch = _pochhammer_at_root(n - 1, N, power)
-        if poch.is_zero():
-            continue
-        h = root_of_unity_value(_chain_poly_exact(k, ell, 1, n), N, power)
-        qn = CycNumber.zeta(N, (power * n) % N)
-        total = total + poch * poch * h * qn
-    return CycNumber.zeta(N, k % N) * total  # q^(-k) = zeta^k
+        term = cyclic_mul(cyclic_mul(poch, poch, N), chains[n], N)
+        total = cyclic_add(total, term, N, shift=n - k)
+        poch = cyclic_add(poch, poch, N, -1, n)
+    return CycNumber.from_powers(N, {-e: c for e, c in total.items()})
 
 
 def verify_kz_duality(k: int, ell: int, N: int) -> CheckReport:
@@ -454,7 +429,7 @@ def u_laurent_table(k: int, ell: int, trunc) -> dict:
     for n in itertools.count(1):
         if n >= t:
             break
-        term: dict[int, QSeries] = {0: _chain_poly_exact(k, ell, 0, n).shift(n).truncate(t)}
+        term: dict[int, QSeries] = {0: ag_polynomial(k, ell, 0, n).shift(n).truncate(t)}
         factors = [(1, i) for i in range(n)] + [(-1, i + 1) for i in range(n)]
         for xstep, qexp in factors:
             new: dict[int, QSeries] = dict(term)

@@ -22,22 +22,22 @@ This module provides:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .agpolys import ag_polynomial
+from .agpolys import ag_polynomials_at_root
 from .bailey import LIMIT_WEIGHTS
 from .bessel import k0_bessel
-from .cyclotomic import CycNumber, root_of_unity_value
+from .cyclotomic import CycNumber, check_root_order, cyclic_add, cyclic_mul
 from .families import FAMILY_SUMS, _validate_family, negative_part_series
 from .reports import CheckReport, _exact_str, report_from_condition
 from .series import PrecisionError, QSeriesError
 from .theta import (
     FAMILY_POWERS,
+    _bounded,
     family_lattice_numeric,
     family_params,
     indefinite_theta_series,
@@ -155,7 +155,8 @@ def eval_waveform(
 
     The tail bound uses the exponential decay of K0 together with the
     largest coefficient magnitude seen in the table (standing in for the
-    polynomial-growth bound).
+    polynomial-growth bound).  A tail bound that is not below |value|
+    raises :class:`PrecisionError`.
     """
     u, v = tau.real, tau.imag
     if not v > 0:
@@ -176,7 +177,7 @@ def eval_waveform(
         total += float(c) * weight * unit_phase(n * u / table.scale)
     head = k0_bessel(step * (n_cut + 1))
     tail = 2.0 * table.max_abs_coeff() * head / max(1.0 - math.exp(-step), 1e-300)
-    return math.sqrt(v) * total, math.sqrt(v) * tail
+    return _bounded(math.sqrt(v) * total, math.sqrt(v) * tail)
 
 
 def cohen_transform_residual(tau: complex, n_cut: int) -> tuple[complex, complex]:
@@ -283,22 +284,23 @@ def quantum_value(j: int, k: int, ell: int, x) -> QuantumSample:
     xq = Fraction(x)
     w = (FAMILY_POWERS[j] * xq) % 1
     N, num = w.denominator, w.numerator
+    check_root_order(N)
     relative, kind, scale = FAMILY_SUMS[j]
     s, first, power = LIMIT_WEIGHTS[relative, kind]
-    one = CycNumber.from_rational(N, 1)
-    prefix = CycNumber.from_rational(N, scale)  # scale * (q^s; q^s)_(n - first)
-    total = CycNumber.from_rational(N, 0)
-    for n in itertools.count(first):
+    # Summed in Z[x]/(x^N - 1) at x = q, mapped to q = e(w) at the end.
+    # (q^s; q^s)_i vanishes there from the first i with N | num*s*i on.
+    length = N // math.gcd(N, num * s)
+    chains = ag_polynomials_at_root(k, ell, first, first + length - 1, N)
+    prefix = {0: scale}  # scale * (q^s; q^s)_(n - first)
+    total: dict = {}
+    for n in range(first, first + length):
         if n > first:
-            prefix = prefix * (one - CycNumber.zeta(N, num * s * (n - first) % N))
-            if prefix.is_zero():
-                break
-        chain = ag_polynomial(k, ell, first, n)
-        term = prefix * root_of_unity_value(chain, N, power=num)
-        if power is not None:
-            term = term * CycNumber.zeta(N, num * power(n) % N)
-        total = total + (-term if n % 2 else term)
-    return QuantumSample(x=xq, value=total)
+            prefix = cyclic_add(prefix, prefix, N, -1, s * (n - first))
+        term = cyclic_mul(prefix, chains[n], N)
+        shift = 0 if power is None else power(n)
+        total = cyclic_add(total, term, N, -1 if n % 2 else 1, shift)
+    value = CycNumber.from_powers(N, {e * num: c for e, c in total.items()})
+    return QuantumSample(x=xq, value=value)
 
 
 def _richardson(samples: list[complex], rho: float) -> tuple[complex, float]:

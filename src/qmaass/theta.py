@@ -41,7 +41,7 @@ import numpy as np
 from .cyclotomic import CycNumber
 from .families import _validate_family, family_series
 from .reports import CheckReport, _exact_str, report_from_comparison
-from .series import INF, QSeries, QSeriesError
+from .series import INF, PrecisionError, QSeries, QSeriesError
 
 FAMILY_SCALES = {1: Fraction(1), 2: Fraction(2), 3: Fraction(-1), 4: Fraction(-1)}
 FAMILY_POWERS = {1: 1, 2: 2, 3: 1, 4: 2}
@@ -613,6 +613,15 @@ def _cone_weights(M: int, r1: Fraction, r2: Fraction) -> tuple[float, float]:
     return rho, rho_perp
 
 
+def _bounded(value: complex, tail: float) -> tuple[complex, float]:
+    """``(value, tail)``, refused when a nonzero tail bound reaches |value|."""
+    if tail and tail >= abs(value):
+        raise PrecisionError(
+            f"the tail bound {tail:.3g} is not below the value's size {abs(value):.3g}"
+        )
+    return value, tail
+
+
 def waveform_numeric(
     params, tau: complex, lattice_cut: int = 12
 ) -> tuple[complex, float]:
@@ -621,7 +630,8 @@ def waveform_numeric(
     Sums over both cones with exact region selection and K0 weights.
     Returns (value, tail_bound); the tail bound is twice the outermost
     shell's absolute contribution, justified by the Gaussian decay of
-    the shells.
+    the shells.  A tail bound that is not below |value| raises
+    :class:`PrecisionError`.
     """
     from .bessel import k0_bessel
 
@@ -651,7 +661,7 @@ def waveform_numeric(
         if shell == lattice_cut:
             outer_abs += abs(term)
     root_v = math.sqrt(v)
-    return root_v * total, 2.0 * root_v * outer_abs
+    return _bounded(root_v * total, 2.0 * root_v * outer_abs)
 
 
 def theta_partial_numeric(params, tau: complex, lattice_cut: int) -> complex:

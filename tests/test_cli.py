@@ -23,6 +23,7 @@ from qmaass.cli import (
     parse_tau,
     run,
 )
+from qmaass.cyclotomic import MAX_ROOT_ORDER
 from qmaass.maass import cohen_transform_residual
 from qmaass.series import QSeriesError
 from qmaass.theta import family_params
@@ -250,6 +251,10 @@ class TestVerify:
               "--tol", "-1"), "--tol must be positive"),
             (("eval", "radial", "--j", "1", "--k", "1", "--l", "1", "--x", "1/3",
               "--tol", "inf"), "--tol must be positive"),
+            (("eval", "quantum", "--j", "1", "--k", "1", "--l", "1", "--x", "1/100000"),
+             f"order bound {MAX_ROOT_ORDER}"),
+            (("verify", "duality", "--nmax", str(MAX_ROOT_ORDER + 1)),
+             f"order bound {MAX_ROOT_ORDER}"),
         ],
     )
     def test_invalid_values_are_usage_errors(self, capsys, argv, message):
@@ -459,6 +464,39 @@ class TestEval:
         objs = _json_lines(lines)
         assert [o["x"] for o in objs] == ["1/5", "1/4", "1/3"]
         assert all("value_re" in o and "value_im" in o for o in objs)
+
+    @pytest.mark.parametrize(
+        "head, options",
+        [
+            (("eval", "waveform", "--cohen", "--ncut", "800"), {"--tau": "-0.2,0.9"}),
+            (
+                ("eval", "waveform", "--M", "4", "--tau", "i"),
+                {"--a": "-1/5,1/7", "--b": "-1/3,1/11"},
+            ),
+            (("eval", "quantum", "--j", "1", "--k", "1", "--l", "1"), {"--x": "-1/3"}),
+            (("eval", "cocycle", "--cohen"), {"--gamma": "-1,0,0,-1", "--xs": "-1/5,1/4"}),
+        ],
+    )
+    def test_values_starting_with_a_dash(self, capsys, head, options):
+        spaced = [*head, *(token for pair in options.items() for token in pair)]
+        joined = [*head, *(f"{flag}={value}" for flag, value in options.items())]
+        code, lines, err = _run(capsys, *spaced)
+        assert code == 0, err
+        assert (code, lines) == _run(capsys, *joined)[:2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "waveform", "--cohen", "--tau", "0,1e-9", "--ncut", "50"),
+            ("eval", "waveform", "--M", "4", "--a", "1/5,1/7", "--b", "1/3,1/11",
+             "--tau", "0,1e-4", "--lattice-cut", "2"),
+        ],
+    )
+    def test_tail_bound_above_the_value_is_precision_failure(self, capsys, argv):
+        code, lines, err = _run(capsys, *argv)
+        assert code == 3
+        assert lines == []
+        assert "tail bound" in err
 
     def test_cocycle_insufficient_extent_is_precision_failure(self, capsys):
         code, _, err = _run(

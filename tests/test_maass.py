@@ -261,9 +261,22 @@ class TestEvalWaveform:
             coeffs[n] = coeffs.get(n, 0) + c
         table = MaassCoeffTable(scale=7, coeffs=coeffs)
         cut = table.extent()
-        left, _ = eval_waveform(table, -u + 1j * v, cut)
+        try:
+            left, _ = eval_waveform(table, -u + 1j * v, cut)
+        except PrecisionError:
+            # The tail bound reached |f|, which conjugation leaves alone.
+            with pytest.raises(PrecisionError):
+                eval_waveform(table, u + 1j * v, cut)
+            return
         right, _ = eval_waveform(table, u + 1j * v, cut)
         assert abs(left - right.conjugate()) < 1e-12
+
+    def test_tail_bound_above_the_value_is_refused(self):
+        table = cohen_table(50)
+        with pytest.raises(PrecisionError, match="tail bound"):
+            eval_waveform(table, 1e-9j, table.extent())
+        value, tail = eval_waveform(table, 1j, table.extent())
+        assert 0 < tail < abs(value)
 
 
 # ---------------------------------------------------- transformation residuals

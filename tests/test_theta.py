@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qmaass import QSeries, QSeriesError
+from qmaass import PrecisionError, QSeries, QSeriesError
 from qmaass.bailey import quadratic_shift
 from qmaass.cyclotomic import CycNumber
 from qmaass.families import family_series, sigma_star_series
@@ -482,6 +482,13 @@ class TestWaveform:
         d = family_params(1, 1, 1)
         with pytest.raises(QSeriesError):
             waveform_numeric(d, 1 - 1j, 8)
+
+    def test_tail_bound_above_the_value_is_refused(self):
+        params = ThetaParams(M=4, a=(F(1, 5), F(1, 7)), b=(F(1, 3), F(1, 11)))
+        with pytest.raises(PrecisionError, match="tail bound"):
+            waveform_numeric(params, 1e-4j, 2)
+        value, tail = waveform_numeric(params, 1j, 2)
+        assert 0 < tail < abs(value)
 
     @pytest.mark.parametrize("cut", [0, -2])
     def test_rejects_nonpositive_lattice_cut(self, cut):
