@@ -1,31 +1,33 @@
-"""Modified Bessel function of the second kind, order zero.
+"""Modified Bessel function of the second kind, order zero, in floats.
 
 Two regimes:
 
-* for arguments below 18 the ascending series is summed in arbitrary
-  precision (the two pieces cancel to roughly 0.87 * x digits, so the
-  working precision grows linearly with the argument);
-* for arguments of 18 and above the asymptotic expansion converges to
-  machine precision before its terms start growing, so plain floats
-  suffice.
+* below x = 2 the ascending series
+  K0(x) = -(log(x/2) + euler_gamma) I0(x) + sum_{m>=1} z^m/(m!)^2 H_m,
+  with z = x^2/4 and H_m the m-th harmonic number; there z < 1, the
+  terms fall at least like 1/(m!)^2, and the two pieces cancel by at
+  most one digit;
+* from x = 2 up, Steed's continued fraction CF2 (Thompson and Barnett,
+  J. Comput. Phys. 64, 1986; the nu = 0 case of ``bessik`` in Numerical
+  Recipes), which gives K0(x) = sqrt(pi/(2x)) e^-x / s with s the sum
+  the recurrence builds; it needs fewer terms the larger x is.
 
-Values are cached; the evaluator targets a relative error of 1e-12 or
-better across both regimes.
+Values are cached.  The relative error is below 1e-12 on all of
+(0, 700]; the tests hold it to 1e-13 against 30-digit references on
+log-uniform points in [1e-8, 700] and on both sides of x = 2.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from functools import lru_cache
-
-import mpmath
 
 from .series import QSeriesError
 
-_ASYMPTOTIC_SWITCH = 18.0
-_CTX = mpmath.MPContext()
-_CTX_LOCK = threading.Lock()
+_CF2_SWITCH = 2.0
+_EULER_GAMMA = 0.5772156649015329
+_EPS = 1e-17
+_MAX_TERMS = 10000
 
 
 @lru_cache(maxsize=65536)
@@ -34,57 +36,50 @@ def k0_bessel(x: float) -> float:
     x = float(x)
     if not x > 0:
         raise QSeriesError("the Bessel argument must be positive")
-    if x >= _ASYMPTOTIC_SWITCH:
-        return _k0_asymptotic(x)
-    return _k0_ascending(x)
+    if x < _CF2_SWITCH:
+        return _k0_ascending(x)
+    return _k0_steed(x)
 
 
 def _k0_ascending(x: float) -> float:
-    """Ascending series in raised precision.
+    """The ascending series, summed until a term no longer moves I0."""
+    z = 0.25 * x * x
+    term = i0 = 1.0
+    corr = harmonic = 0.0
+    m = 0
+    while term > _EPS * i0:
+        m += 1
+        term *= z / (m * m)
+        harmonic += 1.0 / m
+        i0 += term
+        corr += term * harmonic
+    return corr - (math.log(0.5 * x) + _EULER_GAMMA) * i0
 
-    K0(x) = -(log(x/2) + euler_gamma) I0(x) + sum_{m>=1} z^m/(m!)^2 H_m
-    with z = x^2/4 and H_m the m-th harmonic number.  Both pieces grow
-    like e^x while the result decays like e^-x, hence the extra digits.
-    A private mpmath context under a lock keeps threads and the global
-    precision apart.
+
+def _k0_steed(x: float) -> float:
+    """CF2 by Steed's algorithm, for x >= 2.
+
+    The increments delh of the continued fraction for K1/K0 drive the
+    sum s; the fraction itself is not needed for K0.  The loop stops
+    when a term no longer moves s.
     """
-    with _CTX_LOCK:
-        _CTX.dps = 25 + int(math.ceil(x))
-        z = _CTX.mpf(x) ** 2 / 4
-        term = _CTX.mpf(1)
-        i0 = _CTX.mpf(1)
-        corr = _CTX.mpf(0)
-        harmonic = _CTX.mpf(0)
-        m = 0
-        while True:
-            m += 1
-            term *= z / (m * m)
-            harmonic += _CTX.mpf(1) / m
-            i0 += term
-            corr += term * harmonic
-            if term < _CTX.mpf(10) ** (-_CTX.dps) * i0:
-                break
-        value = -(_CTX.log(_CTX.mpf(x) / 2) + _CTX.euler) * i0 + corr
-        return float(value)
-
-
-def _k0_asymptotic(x: float) -> float:
-    """Asymptotic expansion sqrt(pi/(2x)) e^-x sum_n (-1)^n u_n / x^n.
-
-    The term ratio is -(2n-1)^2/(8nx); summation stops at machine
-    precision or as soon as the terms stop shrinking.
-    """
-    total = 1.0
-    term = 1.0
-    n = 0
-    while True:
-        n += 1
-        ratio = -((2 * n - 1) ** 2) / (8.0 * n * x)
-        nxt = term * ratio
-        if abs(nxt) >= abs(term) or abs(nxt) < 1e-17 * abs(total):
-            if abs(nxt) < abs(term):
-                total += nxt
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    delh = d
+    q1, q2 = 0.0, 1.0
+    q = c = 0.25
+    a = -0.25
+    s = 1.0 + q * delh
+    for i in range(2, _MAX_TERMS):
+        a -= 2 * (i - 1)
+        c = -a * c / i
+        q1, q2 = q2, (q1 - b * q2) / a
+        q += c * q2
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        delh *= b * d - 1.0
+        dels = q * delh
+        s += dels
+        if abs(dels) < _EPS * s:
             break
-        term = nxt
-        total += term
-    return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * total
+    return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s

@@ -272,29 +272,48 @@ def _sqrt_ceil(t: Fraction) -> int:
     return n
 
 
-def _phase_maker(params: ThetaParams):
-    """Return (order, phase) with phase(n, nu) the twist coefficient.
+def _denominators(params: ThetaParams) -> tuple[int, int]:
+    """D and E with a = (A1, A2) / D and b = (B1, B2) / E."""
+    (a1, a2), (b1, b2) = params.a, params.b
+    return (
+        math.lcm(a1.denominator, a2.denominator),
+        math.lcm(b1.denominator, b2.denominator),
+    )
+
+
+def _lattice_walk(params: ThetaParams, cut: int):
+    """The points a + (n, nu) with max(|n|, |nu|) <= cut, in integers.
+
+    Yields (n, nu, x, y, q, t), with D and E from :func:`_denominators`:
+    the point is (x, y) / D, its form value Q is q / (2 D^2) and its
+    pairing B(r, b) is t / (D E).  Int/int division is correctly
+    rounded, so q / (2 D^2) is the float of the exact value.
+    """
+    if cut < 1:
+        raise QSeriesError("the lattice cutoff must be a positive integer")
+    M = params.M
+    D, E = _denominators(params)
+    A1, A2 = (c.numerator * (D // c.denominator) for c in params.a)
+    B1, B2 = (c.numerator * (E // c.denominator) for c in params.b)
+    for n in range(-cut, cut + 1):
+        x = A1 + n * D
+        qx, tx = (M + 1) * x * x, (M + 1) * x * B1
+        for nu in range(-cut, cut + 1):
+            y = A2 + nu * D
+            yield n, nu, x, y, qx - (M - 1) * y * y, tx - (M - 1) * y * B2
+
+
+def _twist_residues(params: ThetaParams) -> tuple[int, int, int]:
+    """(order, c1, c2): the twist coefficient at (n, nu) is zeta_order^r,
+    r = (c1 n - c2 nu) mod order.
 
     The twist is e(beta1 n - beta2 nu) with beta1 = (M+1) b1 and
-    beta2 = (M-1) b2.  When every phase is +-1, plain integers are
-    returned; otherwise coefficients live in a cyclotomic field.
+    beta2 = (M-1) b2, and c_i = beta_i * order.
     """
     beta1 = (params.M + 1) * params.b[0]
     beta2 = (params.M - 1) * params.b[1]
     order = math.lcm(beta1.denominator, beta2.denominator)
-    if order <= 2:
-
-        def phase(n: int, nu: int):
-            w = beta1 * n - beta2 * nu
-            return -1 if w.denominator == 2 else 1
-
-        return order, phase
-
-    def phase(n: int, nu: int):
-        w = (beta1 * n - beta2 * nu) % 1
-        return CycNumber.zeta(order, int(w * order))
-
-    return order, phase
+    return order, int(beta1 * order), int(beta2 * order)
 
 
 def indefinite_theta_series(params, trunc) -> QSeries:
@@ -312,45 +331,45 @@ def indefinite_theta_series(params, trunc) -> QSeries:
     t = Fraction(trunc)
     if t <= 0:
         return QSeries.zero(t)
-    form = QuadForm(params.M)
     a1, a2 = params.a
     fl_plus = math.floor(a1 + a2)
     fl_minus = math.floor(a1 - a2)
-    _, phase = _phase_maker(params)
-
-    def in_region(n: int, nu: int) -> bool:
+    order, c1, c2 = _twist_residues(params)
+    D, _ = _denominators(params)
+    den = 2 * D * D
+    # An integer numerator q is below t * den exactly when it is below
+    # the ceiling.
+    limit = math.ceil(t * den)
+    reach = _sqrt_ceil(t) + 1 + max(math.ceil(abs(a1)), math.ceil(abs(a2)))
+    edge = reach + 1
+    # exponent numerator -> {twist residue: number of points}
+    acc: dict[int, dict[int, int]] = {}
+    for n, nu, _, _, q, _ in _lattice_walk(params, edge):
         upper = n + nu >= -fl_plus and n - nu >= -fl_minus
         lower = n + nu < -fl_plus and n - nu < -fl_minus
-        return upper or lower
-
-    def exponent(n: int, nu: int) -> Fraction:
-        return form.value((a1 + n, a2 + nu))
-
-    reach = _sqrt_ceil(t) + 1 + max(math.ceil(abs(a1)), math.ceil(abs(a2)))
-    acc: dict[Fraction, object] = {}
-    for n in range(-reach, reach + 1):
-        for nu in range(-reach, reach + 1):
-            if not in_region(n, nu):
-                continue
-            e = exponent(n, nu)
-            if e <= 0:
-                raise QSeriesError(
-                    f"in-region lattice point ({n}, {nu}) has non-positive exponent"
-                )
-            if e >= t:
-                continue
-            acc[e] = acc[e] + phase(n, nu) if e in acc else phase(n, nu)
-    edge = reach + 1
-    for n in range(-edge, edge + 1):
-        for nu in range(-edge, edge + 1):
-            if max(abs(n), abs(nu)) != edge:
-                continue
-            if in_region(n, nu) and exponent(n, nu) < t:
+        if not (upper or lower):
+            continue
+        if abs(n) == edge or abs(nu) == edge:
+            if q < limit:
                 raise QSeriesError(
                     "enumeration box closed too early: term below trunc at "
                     f"({n}, {nu})"
                 )
-    return QSeries.from_terms(acc.items(), t)
+            continue
+        if q <= 0:
+            raise QSeriesError(
+                f"in-region lattice point ({n}, {nu}) has non-positive exponent"
+            )
+        if q < limit:
+            counts = acc.setdefault(q, {})
+            r = (c1 * n - c2 * nu) % order
+            counts[r] = counts.get(r, 0) + 1
+    if order <= 2:
+        coeffs = {q: c.get(0, 0) - c.get(1, 0) for q, c in acc.items()}
+    else:
+        coeffs = {q: CycNumber.from_powers(order, c) for q, c in acc.items()}
+    g = math.gcd(den, *coeffs)
+    return QSeries({q // g: c for q, c in coeffs.items()}, den // g, t)
 
 
 # -------------------------------------------------------- family lattice sums
@@ -587,28 +606,16 @@ def validate_family_params(j: int, k: int, ell: int) -> CheckReport:
 # ------------------------------------------------------------- numeric layer
 
 
-def _lattice_points(params: ThetaParams, cut: int):
-    """All (r1, r2) = a + (n, nu) with max(|n|, |nu|) <= cut, with shell index."""
-    if cut < 1:
-        raise QSeriesError("the lattice cutoff must be a positive integer")
-    a1, a2 = params.a
-    return (
-        (max(abs(n), abs(nu)), a1 + n, a2 + nu)
-        for n in range(-cut, cut + 1)
-        for nu in range(-cut, cut + 1)
-    )
-
-
-def _cone_weights(M: int, r1: Fraction, r2: Fraction) -> tuple[float, float]:
-    """Exact-sign weights of the two cones at a lattice point.
+def _cone_weights(M: int, x: int, y: int) -> tuple[float, float]:
+    """Exact-sign weights of the two cones at the lattice point (x, y) / D.
 
     The first weight is 1 inside the cone r1^2 > r2^2 (1/2 on its
     boundary); the second is 1 inside (M+1)^2 r1^2 < (M-1)^2 r2^2 (1/2
     on its boundary).  The gap between the cones carries weight zero.
     """
-    main = r1 * r1 - r2 * r2
+    main = x * x - y * y
     rho = 1.0 if main > 0 else (0.5 if main == 0 else 0.0)
-    normal = ((M + 1) * r1) ** 2 - ((M - 1) * r2) ** 2
+    normal = ((M + 1) * x) ** 2 - ((M - 1) * y) ** 2
     rho_perp = 1.0 if normal < 0 else (0.5 if normal == 0 else 0.0)
     return rho, rho_perp
 
@@ -639,77 +646,29 @@ def waveform_numeric(
     u, v = tau.real, tau.imag
     if not v > 0:
         raise QSeriesError("tau must lie in the upper half plane")
-    form = QuadForm(params.M)
+    M = params.M
+    D, E = _denominators(params)
+    q_den, t_den = 2 * D * D, D * E
     total = 0.0 + 0.0j
     outer_abs = 0.0
-    for shell, r1, r2 in _lattice_points(params, lattice_cut):
-        qv = form.value((r1, r2))
-        if qv == 0:
+    for n, nu, x, y, q, t in _lattice_walk(params, lattice_cut):
+        if q == 0:
             raise QSeriesError("the form vanishes at a lattice point")
-        rho, rho_perp = _cone_weights(params.M, r1, r2)
+        rho, rho_perp = _cone_weights(M, x, y)
+        qv = q / q_den
         weight = 0.0
-        if rho and qv > 0:
-            weight += rho * k0_bessel(2.0 * math.pi * float(qv) * v)
-        if rho_perp and qv < 0:
-            weight += rho_perp * k0_bessel(-2.0 * math.pi * float(qv) * v)
+        if rho and q > 0:
+            weight += rho * k0_bessel(2.0 * math.pi * qv * v)
+        if rho_perp and q < 0:
+            weight += rho_perp * k0_bessel(-2.0 * math.pi * qv * v)
         if weight == 0.0:
             continue
-        term = weight * unit_phase(
-            float(qv) * u + float(form.bilinear((r1, r2), params.b))
-        )
+        term = weight * unit_phase(qv * u + t / t_den)
         total += term
-        if shell == lattice_cut:
+        if max(abs(n), abs(nu)) == lattice_cut:
             outer_abs += abs(term)
     root_v = math.sqrt(v)
     return _bounded(root_v * total, 2.0 * root_v * outer_abs)
-
-
-def theta_partial_numeric(params, tau: complex, lattice_cut: int) -> complex:
-    """Partial numeric value of the exact theta series, cut by lattice box."""
-    params = _as_theta_params(params)
-    u, v = tau.real, tau.imag
-    form = QuadForm(params.M)
-    a1, a2 = params.a
-    fl_plus = math.floor(a1 + a2)
-    fl_minus = math.floor(a1 - a2)
-    _, phase = _phase_maker(params)
-    total = 0.0 + 0.0j
-    for n in range(-lattice_cut, lattice_cut + 1):
-        for nu in range(-lattice_cut, lattice_cut + 1):
-            upper = n + nu >= -fl_plus and n - nu >= -fl_minus
-            lower = n + nu < -fl_plus and n - nu < -fl_minus
-            if not (upper or lower):
-                continue
-            c = phase(n, nu)
-            cval = c.to_complex() if isinstance(c, CycNumber) else float(c)
-            e = float(form.value((a1 + n, a2 + nu)))
-            total += cval * unit_phase(e * u) * math.exp(-2.0 * math.pi * e * v)
-    return total
-
-
-def positive_cone_numeric(params, tau: complex, lattice_cut: int) -> complex:
-    """Partial numeric sum of e(B(r, b)) q^Q(r) over the cone r1^2 > r2^2.
-
-    Summed over the same lattice box as :func:`theta_partial_numeric`,
-    this equals e(B(a, b)) times that partial theta value: the cone
-    coincides with the union of the two regions, and the twist phase of
-    each point splits off a constant e(B(a, b)).
-    """
-    params = _as_theta_params(params)
-    u, v = tau.real, tau.imag
-    form = QuadForm(params.M)
-    total = 0.0 + 0.0j
-    for _, r1, r2 in _lattice_points(params, lattice_cut):
-        rho, _ = _cone_weights(params.M, r1, r2)
-        if rho == 0.0:
-            continue
-        e = float(form.value((r1, r2)))
-        total += (
-            rho
-            * unit_phase(e * u + float(form.bilinear((r1, r2), params.b)))
-            * math.exp(-2.0 * math.pi * e * v)
-        )
-    return total
 
 
 # Gauss-Legendre nodes per panel and panels per ray integral; the rule
@@ -792,32 +751,35 @@ def completion_defect(params, tau: complex, lattice_cut: int = 10) -> complex:
         raise QSeriesError("tau must lie in the upper half plane")
     form = QuadForm(params.M)
     M = params.M
+    D, E = _denominators(params)
+    q_den, t_den, r_den = 2 * D * D, D * E, D * D
     root_v = math.sqrt(v)
+    root_plus, root_minus = math.sqrt(2.0 * (M + 1)), math.sqrt(2.0 * (M - 1))
     t1 = form.reference_parameter(1)
     t2 = form.reference_parameter(2)
     rays = []
     terms = []
-    for _, r1, r2 in _lattice_points(params, lattice_cut):
-        qv = form.value((r1, r2))
-        if qv == 0:
+    for _, _, x, y, q, t in _lattice_walk(params, lattice_cut):
+        if q == 0:
             raise QSeriesError("the form vanishes at a lattice point")
         # Each ray integral is bounded by a Gaussian whose exponent is
         # pi v B(r, c_i)^2 with B(r, c_i)^2 = (M^2-1)(r1 -+ r2)^2; with
         # the q^Q modulus the per-point exponent is at least
         # pi v ((M^2-1) min (r1 +- r2)^2 + 2 Q(r)), a positive definite
         # expression.
-        combined = (M * M - 1) * min((r1 + r2) ** 2, (r1 - r2) ** 2) + 2 * qv
-        if math.pi * v * float(combined) > 100.0:
+        combined = (M * M - 1) * min((x + y) ** 2, (x - y) ** 2) + q
+        if math.pi * v * (combined / r_den) > 100.0:
             continue
-        u_plus = math.sqrt(2.0 * (M + 1)) * float(r1) * root_v
-        u_minus = math.sqrt(2.0 * (M - 1)) * float(r2) * root_v
+        u_plus = root_plus * (x / D) * root_v
+        u_minus = root_minus * (y / D) * root_v
         sign1 = _ray_sign(u_plus, u_minus, t1)
         sign2 = _ray_sign(u_plus, u_minus, t2)
         if sign1 == 0 and sign2 == 0:
             continue
-        phase = unit_phase(float(qv) * u + float(form.bilinear((r1, r2), params.b)))
+        qv = q / q_den
+        phase = unit_phase(qv * u + t / t_den)
         rays.append((u_plus, u_minus, sign1, sign2))
-        terms.append(math.exp(-2.0 * math.pi * float(qv) * v) * phase)
+        terms.append(math.exp(-2.0 * math.pi * qv * v) * phase)
     if not rays:
         return 0j
     u_plus, u_minus, sign1, sign2 = np.array(rays).T

@@ -584,6 +584,23 @@ def test_completion_suite_does_not_import_scipy():
     assert result.stderr == "False\n"
 
 
+def test_library_and_numeric_suites_do_not_import_mpmath():
+    script = (
+        "import sys\n"
+        "import qmaass\n"
+        "from qmaass.cli import run\n"
+        "codes = [run(['verify', 'completion']), run(['verify', 'cohen'])]\n"
+        "print('mpmath' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(max(codes))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0
+    assert len(result.stdout.splitlines()) == 8  # 3 completion + 5 cohen lines
+    assert result.stderr == "False\n"
+
+
 def test_closed_stdout_ends_quietly():
     # The table is larger than a pipe buffer, so the writer is still busy
     # when the reader goes away.

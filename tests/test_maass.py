@@ -43,12 +43,31 @@ from qmaass.theta import family_params
 
 class TestBessel:
     def test_matches_reference_on_grid(self):
-        # Cross-regime grid including both sides of the series/asymptotic
-        # crossover; scipy is the independent oracle.
-        xs = list(np.geomspace(0.01, 60.0, 40)) + [17.9, 18.0, 18.1]
+        # Cross-regime grid including both sides of the series/continued
+        # fraction switch; scipy is the independent oracle.
+        xs = list(np.geomspace(0.01, 60.0, 40)) + [1.9, 2.0, 2.1]
         for x in xs:
             ref = scipy.special.k0(x)
             assert abs(k0_bessel(float(x)) - ref) <= 1e-12 * abs(ref)
+
+    def test_matches_thirty_digits_log_uniformly(self):
+        # 2,000 log-uniform points in [1e-8, 700] plus the neighbours of
+        # the switch at x = 2.  The documented bound is 1e-12; the float
+        # regimes hold 1e-13.
+        rng = np.random.default_rng(8)
+        xs = list(np.exp(rng.uniform(math.log(1e-8), math.log(700.0), 2000)))
+        xs += [1e-8, 700.0]
+        for step in (1, 2, 1e6):
+            xs += [2.0 - step * 2.0**-52, 2.0 + step * 2.0**-51]
+        xs.append(2.0)
+        with mpmath.workdps(30):
+            refs = [float(mpmath.besselk(0, x)) for x in xs]
+        bad = [
+            (x, ref)
+            for x, ref in zip(xs, refs)
+            if not abs(k0_bessel(float(x)) - ref) <= 1e-13 * ref
+        ]
+        assert not bad
 
     def test_frozen_value_at_one(self):
         assert abs(k0_bessel(1.0) - 0.42102443824070834) < 5e-16
