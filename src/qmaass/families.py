@@ -16,8 +16,7 @@ coefficient tables, and cyclotomic root-of-unity values.
   diagnostics structure, never silently dropped.
 * :func:`kz_root_value`, :func:`u_root_value`, :func:`verify_kz_duality`
   evaluate the Kontsevich-Zagier-type finite sums at roots of unity and
-  check the duality between them; :func:`u_laurent_table` keeps the
-  two-variable deformation symbolic in its second variable.
+  check the duality between them.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .agpolys import _int_slots, ag_polynomial, ag_polynomial_sweep, ag_polynomials_at_root
+from .agpolys import _int_slots, ag_polynomial_sweep, ag_polynomials_at_root
 from .bailey import LIMIT_WEIGHTS, _require_finite, weighted_term
 from .cyclotomic import CycNumber, binomials_at_root, check_root_order, cyclic_add, cyclic_mul
 from .reports import CheckReport, report_from_condition
@@ -41,7 +40,6 @@ __all__ = [
     "sigma_series",
     "sigma_star_coefficients",
     "sigma_star_series",
-    "u_laurent_table",
     "u_root_value",
     "verify_kz_duality",
 ]
@@ -412,32 +410,3 @@ def verify_kz_duality(k: int, ell: int, N: int) -> CheckReport:
         lhs == rhs,
         {"lhs": lhs.to_json_dict(), "rhs": rhs.to_json_dict()},
     )
-
-
-def u_laurent_table(k: int, ell: int, trunc) -> dict:
-    """Two-variable deformation kept symbolic in its second variable ``x``:
-
-        sum over n >= 0 of q^n (-x;q)_n (-q/x;q)_n H_n(k, ell; b=0)
-
-    returned as a map (power of x) -> exact q-series.  The specialization
-    x = -1 collapses every n >= 1 term (the factor (1 - 1) appears), so the
-    table preserves the full data instead of evaluating there.
-    """
-    _validate_family(1, k, ell)
-    t = _require_finite(trunc)
-    table: dict[int, QSeries] = {0: QSeries.one(t)}
-    for n in itertools.count(1):
-        if n >= t:
-            break
-        term: dict[int, QSeries] = {0: ag_polynomial(k, ell, 0, n).shift(n).truncate(t)}
-        factors = [(1, i) for i in range(n)] + [(-1, i + 1) for i in range(n)]
-        for xstep, qexp in factors:
-            new: dict[int, QSeries] = dict(term)
-            for p, s in term.items():
-                key = p + xstep
-                extra = s.shift(qexp).truncate(t)
-                new[key] = new[key] + extra if key in new else extra
-            term = new
-        for p, s in term.items():
-            table[p] = table[p] + s if p in table else s
-    return {p: s.truncate(t) for p, s in table.items() if not s.is_zero()}

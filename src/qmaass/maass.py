@@ -54,7 +54,6 @@ __all__ = [
     "family_coeff_table",
     "quantum_value",
     "radial_limit_check",
-    "second_differences",
     "table_csv_lines",
 ]
 
@@ -462,10 +461,3 @@ def cocycle_samples(
         out.append(here - mu_bar * math.sqrt(det) / float(denom) * there)
     return out
 
-
-def second_differences(values: list[complex]) -> list[complex]:
-    """Plain second finite differences of a sample list (diagnostic only)."""
-    return [
-        values[i + 2] - 2 * values[i + 1] + values[i]
-        for i in range(len(values) - 2)
-    ]

@@ -11,6 +11,11 @@ series; equality compares the canonical (gcd-reduced) form.
 
 ``trunc`` may be ``math.inf`` for series that are exact polynomials (needed
 when a polynomial must be reversed coefficient-by-coefficient).
+
+Truncation bookkeeping is integer arithmetic: a finite ``trunc`` is held as
+a ``Fraction``, but every operation works with the integer bound
+ceil(trunc * denom) on exponent numerators and the integer lowest exponent,
+and builds a new ``Fraction`` only for a truncation that actually moves.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 INF = math.inf
+_HALF = Fraction(1, 2)
 
 _EXPONENT = int | Fraction
 
@@ -53,15 +59,29 @@ def _clean(c):
     return c
 
 
-def _strict_int_bound(t):
-    """Smallest integer b such that  m < t  <=>  m < b  for integers m."""
-    if t == INF:
-        return None
+def _rational(e) -> int | Fraction:
+    """An exponent as an int or a Fraction, converting anything else."""
+    if type(e) is int or type(e) is Fraction:
+        return e
+    return Fraction(e)
+
+
+def _int_bound(t, denom: int) -> int | None:
+    """Smallest integer b with  m/denom < t  <=>  m < b  for integers m.
+
+    ``t`` is an int, a Fraction or a float; None stands for t = +inf.
+    """
     if isinstance(t, float):
+        if t == INF:
+            return None
         t = Fraction(t)
-    if t.denominator == 1:
-        return t.numerator
-    return math.ceil(t)
+    return -(-t.numerator * denom // t.denominator)
+
+
+def _cross_trunc(t, known: "QSeries"):
+    """Order t + min(ord known, 0) of  known * O(q^t)  for a nonempty series."""
+    lo = min(known._coeffs)
+    return t if lo >= 0 else t + Fraction(lo, known.denom)
 
 
 class QSeries:
@@ -70,15 +90,16 @@ class QSeries:
     def __init__(self, coeffs: dict[int, object], denom: int = 1, trunc=INF):
         if denom <= 0:
             raise QSeriesError("denominator must be positive")
-        if isinstance(trunc, float):
+        if isinstance(trunc, (int, Fraction)):
+            # exponent numerators m are kept iff m < bound = ceil(trunc * denom)
+            bound = -(-trunc.numerator * denom // trunc.denominator)
+            if isinstance(trunc, int):
+                trunc = Fraction(trunc)
+        elif isinstance(trunc, float) and trunc == INF:
             # canonicalize +inf produced by arithmetic back to the singleton
-            if math.isinf(trunc) and trunc > 0:
-                trunc = INF
-            else:
-                raise QSeriesError("trunc must be rational or infinite")
-        elif not isinstance(trunc, (int, Fraction)):
+            bound, trunc = None, INF
+        else:
             raise QSeriesError("trunc must be rational or infinite")
-        bound = None if trunc is INF else _strict_int_bound(trunc * denom)
         clean: dict[int, object] = {}
         for m, c in coeffs.items():
             if bound is not None and m >= bound:
@@ -88,7 +109,7 @@ class QSeries:
             if c != 0:
                 clean[m] = c
         self.denom = denom
-        self.trunc = Fraction(trunc) if isinstance(trunc, int) else trunc
+        self.trunc = trunc
         self._coeffs = clean
 
     # ------------------------------------------------------------------ build
@@ -102,13 +123,13 @@ class QSeries:
 
     @classmethod
     def monomial(cls, coeff, exponent: _EXPONENT, trunc=INF) -> "QSeries":
-        e = Fraction(exponent)
+        e = _rational(exponent)
         return cls({e.numerator: coeff}, e.denominator, trunc)
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[_EXPONENT, object]], trunc=INF) -> "QSeries":
         """Build from (exponent, coefficient) pairs; repeated exponents add."""
-        exps = [(Fraction(e), c) for e, c in terms]
+        exps = [(_rational(e), c) for e, c in terms]
         denom = math.lcm(*(e.denominator for e, _ in exps)) if exps else 1
         coeffs: dict[int, object] = {}
         for e, c in exps:
@@ -128,7 +149,7 @@ class QSeries:
             yield Fraction(m, self.denom), self._coeffs[m]
 
     def coeff(self, exponent: _EXPONENT):
-        e = Fraction(exponent)
+        e = _rational(exponent)
         if self.denom % e.denominator != 0:
             return 0
         return self._coeffs.get(e.numerator * (self.denom // e.denominator), 0)
@@ -211,14 +232,15 @@ class QSeries:
         # so the product is exact below the smallest of tx+ty and the two
         # known-part cross orders; a cross term exists only when that known
         # part is nonempty, and its order is capped at 0 to stay conservative.
-        candidates = [self.trunc + other.trunc]
-        ox = self.min_order()
-        oy = other.min_order()
-        if oy is not None:
-            candidates.append(self.trunc + min(oy, 0))
-        if ox is not None:
-            candidates.append(other.trunc + min(ox, 0))
-        return min(candidates)
+        # A nonempty b has ord b < ty, so tx + min(ord b, 0) < tx + ty: the
+        # last order decides only when both known parts are empty.
+        if not self._coeffs:
+            if not other._coeffs:
+                return self.trunc + other.trunc
+            return _cross_trunc(self.trunc, other)
+        if not other._coeffs:
+            return _cross_trunc(other.trunc, self)
+        return min(_cross_trunc(self.trunc, other), _cross_trunc(other.trunc, self))
 
     def __mul__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
@@ -231,7 +253,7 @@ class QSeries:
         if len(xa) > len(xb):
             xa, xb = xb, xa
         trunc = self._mul_trunc(other)
-        bound = _strict_int_bound(None if trunc is INF else trunc * denom)
+        bound = _int_bound(trunc, denom)
         out = _kronecker_product(xa, xb, bound)
         if out is not None:
             return QSeries(out, denom, trunc)
@@ -248,16 +270,16 @@ class QSeries:
 
     def shift(self, exponent: _EXPONENT) -> "QSeries":
         """Multiply by the exact monomial q^exponent (truncation shifts too)."""
-        e = Fraction(exponent)
+        e = _rational(exponent)
         denom = math.lcm(self.denom, e.denominator)
         off = e.numerator * (denom // e.denominator)
         coeffs = {m + off: c for m, c in self._rescaled(denom).items()}
-        trunc = self.trunc if self.trunc is INF else self.trunc + e
-        return QSeries(coeffs, denom, trunc)
+        return QSeries(coeffs, denom, self.trunc + e if off else self.trunc)
 
     def truncate(self, trunc) -> "QSeries":
-        t = min(self.trunc, Fraction(trunc) if isinstance(trunc, int) else trunc)
-        return QSeries(self._coeffs, self.denom, t)
+        if not trunc < self.trunc:
+            return self
+        return QSeries(self._coeffs, self.denom, trunc)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse as a (Laurent) series.
@@ -281,15 +303,14 @@ class QSeries:
             except AttributeError:  # pragma: no cover - exotic rings
                 raise QSeriesError("leading coefficient is not invertible")
         denom = self.denom
-        o = Fraction(m0, denom)
         if self.trunc is INF:
             # An exact polynomial still inverts to an honest infinite series;
             # pick a generous default window beyond the polynomial degree.
             raise QSeriesError("inverse of an untruncated series needs a finite trunc")
-        t_unit = self.trunc - o
-        size = _strict_int_bound(t_unit * denom)
-        if size is None or size <= 0:
-            return QSeries({}, 1, self.trunc - 2 * o)
+        trunc = self.trunc - Fraction(2 * m0, denom) if m0 else self.trunc
+        size = _int_bound(self.trunc, denom) - m0
+        if size <= 0:
+            return QSeries({}, 1, trunc)
         inv = [0] * size
         inv[0] = inv_c0
         unit_items = [(m - m0, c) for m, c in self._coeffs.items() if m != m0]
@@ -304,11 +325,11 @@ class QSeries:
             if acc != 0:
                 inv[e] = -acc * inv_c0 if not isinstance(acc, (int, Fraction)) else _clean(-acc * inv_c0)
         out = {e - m0: c for e, c in enumerate(inv) if c != 0}
-        return QSeries(out, denom, self.trunc - 2 * o)
+        return QSeries(out, denom, trunc)
 
     def compose_power(self, c: _EXPONENT) -> "QSeries":
         """Substitute q -> q^c for a positive rational c (exponents scale by c)."""
-        c = Fraction(c)
+        c = _rational(c)
         if c <= 0:
             raise QSeriesError("compose_power requires a positive rational power")
         denom = self.denom * c.denominator
@@ -333,11 +354,11 @@ class QSeries:
         """Lowest exponent below min(truncs, up_to) where coefficients differ."""
         window = min(self.trunc, other.trunc)
         if up_to is not None:
-            window = min(window, Fraction(up_to) if isinstance(up_to, int) else up_to)
+            window = min(window, up_to)
         denom = math.lcm(self.denom, other.denom)
         xa = self._rescaled(denom)
         xb = other._rescaled(denom)
-        bound = _strict_int_bound(None if window is INF else window * denom)
+        bound = _int_bound(window, denom)
         bad = None
         for m in set(xa) | set(xb):
             if bound is not None and m >= bound:
@@ -441,11 +462,10 @@ def divide_one_minus_power(series: QSeries, s: int) -> QSeries:
         raise QSeriesError("division helper requires integer exponents")
     if x.trunc is INF:
         raise QSeriesError("division by (1 - q^s) needs a finite trunc")
-    size = _strict_int_bound(x.trunc)
-    if size is None or size <= 0:
+    size = _int_bound(x.trunc, 1)
+    if size <= 0:
         return QSeries({}, 1, x.trunc)
-    lo = x.min_order()
-    if lo is not None and lo < 0:
+    if x._coeffs and min(x._coeffs) < 0:
         raise QSeriesError("division helper requires nonnegative order")
     out = [0] * size
     for m, c in x._coeffs.items():
@@ -461,12 +481,12 @@ def divide_one_minus_power(series: QSeries, s: int) -> QSeries:
 # ----------------------------------------------------------------- pochhammer
 
 _POCH_NAMES = {
-    "q": (1, Fraction(1), 1),        # (q; q)_n
-    "q2": (1, Fraction(2), 2),       # (q^2; q^2)_n
-    "-q": (-1, Fraction(1), 1),      # (-q; q)_n
-    "-1": (-1, Fraction(0), 1),      # (-1; q)_n
-    "q;q2": (1, Fraction(1), 2),     # (q; q^2)_n
-    "q2;q": (1, Fraction(2), 1),     # (q^2; q)_n
+    "q": (1, 1, 1),        # (q; q)_n
+    "q2": (1, 2, 2),       # (q^2; q^2)_n
+    "-q": (-1, 1, 1),      # (-q; q)_n
+    "-1": (-1, 0, 1),      # (-1; q)_n
+    "q;q2": (1, 1, 2),     # (q; q^2)_n
+    "q2;q": (1, 2, 1),     # (q^2; q)_n
 }
 
 _poch_cache: dict[tuple, QSeries] = {}
@@ -490,7 +510,7 @@ def pochhammer(kind, n: int, trunc) -> QSeries:
             raise QSeriesError(f"unknown pochhammer kind {kind!r}")
     else:
         coeff, exponent, step = kind
-        spec = (coeff, Fraction(exponent), int(step))
+        spec = (coeff, _rational(exponent), int(step))
         if spec[2] <= 0:
             raise QSeriesError("pochhammer step must be positive")
     t = Fraction(trunc) if isinstance(trunc, int) else trunc
@@ -521,9 +541,8 @@ def gaussian_binomial(n: int, k: int, trunc=INF) -> QSeries:
     negative top entries).  Computed by multiplying the k numerator factors
     (1 - q^(n-k+i)) and dividing synthetically by each (1 - q^i).
     """
-    t = Fraction(trunc) if isinstance(trunc, int) else trunc
     if k < 0 or n < 0 or k > n:
-        return QSeries.zero(t)
+        return QSeries.zero(trunc)
     k = min(k, n - k)
     key = (n, k)
     coeffs = _gauss_cache.get(key)
@@ -543,7 +562,7 @@ def gaussian_binomial(n: int, k: int, trunc=INF) -> QSeries:
                 arr[e] += arr[e - i]
         coeffs = tuple(arr)
         _gauss_cache[key] = coeffs
-    return QSeries({e: c for e, c in enumerate(coeffs) if c}, 1, t)
+    return QSeries({e: c for e, c in enumerate(coeffs) if c}, 1, trunc)
 
 
 # ------------------------------------------------------------- stabilized sum
@@ -585,13 +604,18 @@ def stabilized_sum(
     def trimmed(i: int) -> QSeries:
         return term_at(i).truncate(t)
 
-    acc = trimmed(0) + trimmed(1).scale(Fraction(1, 2))
+    # Accumulate twice the averages, so that integer coefficients stay ints:
+    # 2 A_0 = 2 t_0 + t_1, and step n adds t_(2n-1) + 2 t_(2n) + t_(2n+1),
+    # twice the increment A_n - A_(n-1) and of the same order.  Every
+    # increment is truncated below t, so it reaches t only when it is zero.
+    acc = trimmed(0).scale(2) + trimmed(1)
     streak = 0
-    last_unstable: Fraction | None = None
+    unstable: QSeries | None = None
     n_idx = 1
     while True:
         hi = 2 * n_idx + 1
         if hi > limit:
+            last_unstable = None if unstable is None else unstable.min_order()
             if tail_order is not None:
                 raise StabilizationError(
                     "term budget exhausted before the certified tail bound cleared trunc",
@@ -600,33 +624,26 @@ def stabilized_sum(
             raise StabilizationError(
                 "no stabilization within the term budget", last_unstable
             )
-        half = Fraction(1, 2)
-        delta = (
-            trimmed(hi - 2).scale(half)
-            + trimmed(hi - 1)
-            + trimmed(hi).scale(half)
-        )
+        delta = trimmed(hi - 2) + trimmed(hi - 1).scale(2) + trimmed(hi)
         acc = acc + delta
-        o = delta.min_order()
         if tail_order is not None:
-            promised = Fraction(tail_order(n_idx))
-            if o is not None and o < promised:
+            promised = tail_order(n_idx)
+            if delta._coeffs and min(delta._coeffs) < _int_bound(promised, delta.denom):
                 raise PrecisionError(
-                    f"stabilized_sum: certified tail order {promised} violated at "
-                    f"step {n_idx} (observed order {o})"
+                    f"stabilized_sum: certified tail order {Fraction(promised)} violated at "
+                    f"step {n_idx} (observed order {delta.min_order()})"
                 )
-            if Fraction(tail_order(n_idx + 1)) >= t:
+            if tail_order(n_idx + 1) >= t:
+                break
+        elif delta.is_zero():
+            streak += 1
+            if streak >= settle:
                 break
         else:
-            if o is None or o >= t:
-                streak += 1
-                if streak >= settle:
-                    break
-            else:
-                streak = 0
-                last_unstable = o
+            streak = 0
+            unstable = delta
         n_idx += 1
-    return acc.truncate(t)
+    return acc.scale(_HALF).truncate(t)
 
 
 # -------------------------------------------------------------- serialization

@@ -14,7 +14,6 @@ from qmaass.families import (
     sigma_series,
     sigma_star_coefficients,
     sigma_star_series,
-    u_laurent_table,
     u_root_value,
     verify_kz_duality,
 )
@@ -254,28 +253,3 @@ def test_kz_duality_small_sweep():
                 report = verify_kz_duality(k, ell, N)
                 assert report.ok, (k, ell, N, report.to_json_dict())
 
-
-def test_u_laurent_table_shape():
-    table = u_laurent_table(1, 1, 10)
-    assert table[0].coeff(0) == 1
-    assert table[1].min_order() == 1
-
-
-def test_u_laurent_table_symmetry():
-    # The product is invariant under x -> q/x, so the coefficient of x^-p
-    # is q^p times the coefficient of x^p.
-    table = u_laurent_table(2, 1, 9)
-    zero = QSeries.zero(9)
-    for p in (1, 2, 3):
-        lhs = table.get(-p, zero)
-        rhs = table.get(p, zero).shift(p).truncate(9)
-        assert lhs.agrees(rhs), p
-
-
-def test_u_laurent_table_minus_one_collapse():
-    # Alternating-sign evaluation over x-powers collapses to 1.
-    table = u_laurent_table(2, 2, 12)
-    total = QSeries.zero(12)
-    for p, s in table.items():
-        total = total + (s if p % 2 == 0 else -s)
-    assert total == QSeries.one(12)

@@ -31,7 +31,6 @@ from qmaass.maass import (
     family_coeff_table,
     quantum_value,
     radial_limit_check,
-    second_differences,
     table_csv_lines,
 )
 from qmaass.series import PrecisionError, QSeriesError
@@ -552,6 +551,14 @@ def _fplus_exact(x):
 
 
 FRICKE_GRID = [1 / 32 * 0.5**i for i in range(8)]
+
+
+def second_differences(values: list[complex]) -> list[complex]:
+    """Plain second finite differences of a sample list."""
+    return [
+        values[i + 2] - 2 * values[i + 1] + values[i]
+        for i in range(len(values) - 2)
+    ]
 
 
 class TestCocycle:

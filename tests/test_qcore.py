@@ -6,7 +6,9 @@ expansion in an auxiliary variable) or frozen classical expansions checked
 by hand (pentagonal-number product, small Gaussian binomials).
 """
 
+import fractions
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -14,7 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmaass import series
+from qmaass.bailey import pair_relative_q, verify_limiting_identity
 from qmaass.cyclotomic import CycNumber
+from qmaass.families import family_series
 from qmaass.series import (
     INF,
     PrecisionError,
@@ -22,6 +27,7 @@ from qmaass.series import (
     QSeriesError,
     StabilizationError,
     _kronecker_product,
+    clear_caches,
     dense_int_coeffs,
     divide_one_minus_power,
     gaussian_binomial,
@@ -526,3 +532,257 @@ def test_first_mismatch_and_agrees():
     assert a.agrees(a)
     c = QSeries.from_dense([1, 2], trunc=2)
     assert a.first_mismatch(c) is None  # only compared below the common window
+
+
+# ------------------------------------------- truncation bookkeeping oracle
+#
+# A series as a triple (terms by Fraction exponent, denom, trunc), with every
+# exponent and truncation computed in Fractions by the formulas of the series
+# model.  The integer bookkeeping of QSeries must reproduce these triples.
+
+
+def ref(s):
+    return dict(s.terms()), s.denom, s.trunc
+
+
+def ref_build(terms, denom, trunc):
+    """Keep the nonzero terms below trunc, as the constructor does."""
+    return {e: c for e, c in terms.items() if c != 0 and e < trunc}, denom, trunc
+
+
+def ref_add(a, b):
+    out = dict(a[0])
+    for e, c in b[0].items():
+        out[e] = out.get(e, 0) + c
+    return ref_build(out, math.lcm(a[1], b[1]), min(a[2], b[2]))
+
+
+def ref_shift(a, e):
+    e = Fraction(e)
+    trunc = a[2] if a[2] is INF else a[2] + e
+    return ref_build(
+        {x + e: c for x, c in a[0].items()}, math.lcm(a[1], e.denominator), trunc
+    )
+
+
+def ref_truncate(a, t):
+    return ref_build(a[0], a[1], min(a[2], Fraction(t) if isinstance(t, int) else t))
+
+
+def ref_scale(a, c):
+    if c == 0:
+        return {}, 1, a[2]
+    return ref_build({e: c * v for e, v in a[0].items()}, a[1], a[2])
+
+
+def ref_inverse(a):
+    terms, denom, trunc = a
+    o = min(terms)
+    size = math.ceil((trunc - o) * denom)
+    if size <= 0:
+        return {}, 1, trunc - 2 * o
+    unit = [(int((e - o) * denom), c) for e, c in terms.items() if e != o]
+    inv = [Fraction(1) / terms[o]]
+    for k in range(1, size):
+        inv.append(-inv[0] * sum(c * inv[k - j] for j, c in unit if j <= k))
+    return ref_build(
+        {-o + Fraction(k, denom): c for k, c in enumerate(inv)}, denom, trunc - 2 * o
+    )
+
+
+def ref_stabilized_sum(seq, trunc, settle, tail_order, n_bound=600):
+    """The averaged partial sums (S_2N + S_2N+1)/2, halves taken per term."""
+    t = Fraction(trunc) if isinstance(trunc, int) else trunc
+    half = Fraction(1, 2)
+    limit = min(n_bound, len(seq) - 1)
+    if limit < 1:
+        raise StabilizationError("need at least two terms to average")
+
+    def term(i):
+        return ref_truncate(seq[i], t)
+
+    acc = ref_add(term(0), ref_scale(term(1), half))
+    streak, last_unstable, n = 0, None, 1
+    while True:
+        hi = 2 * n + 1
+        if hi > limit:
+            raise StabilizationError("budget", last_unstable)
+        delta = ref_add(
+            ref_add(ref_scale(term(hi - 2), half), term(hi - 1)),
+            ref_scale(term(hi), half),
+        )
+        acc = ref_add(acc, delta)
+        o = min(delta[0]) if delta[0] else None
+        if tail_order is not None:
+            promised = Fraction(tail_order(n))
+            if o is not None and o < promised:
+                raise PrecisionError(
+                    f"stabilized_sum: certified tail order {promised} violated at "
+                    f"step {n} (observed order {o})"
+                )
+            if Fraction(tail_order(n + 1)) >= t:
+                break
+        elif o is None or o >= t:
+            streak += 1
+            if streak >= settle:
+                break
+        else:
+            streak, last_unstable = 0, o
+        n += 1
+    return ref_truncate(acc, t)
+
+
+def assert_same(got, want):
+    terms, denom, trunc = want
+    assert dict(got.terms()) == terms
+    assert got.denom == denom
+    assert got.trunc == trunc
+    assert type(got.trunc) is Fraction or got.trunc is INF
+
+
+TRUNCS = st.one_of(
+    st.just(INF),
+    st.sampled_from([Fraction(23, 2), Fraction(61, 3)]),
+    st.builds(Fraction, st.integers(-30, 60), st.integers(1, 12)),
+    st.integers(-5, 40),  # stored as a Fraction
+)
+EXPONENTS = st.one_of(
+    st.integers(-10, 10), st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+)
+
+
+@st.composite
+def bookkeeping_series(draw, truncs=TRUNCS, numerators=st.integers(-24, 60)):
+    """Up to 8 terms over a denominator 1..12, often below exponent 0."""
+    coeff = st.one_of(
+        st.integers(-3, 3), st.sampled_from([Fraction(1, 2), Fraction(-2, 3)])
+    )
+    terms = draw(st.dictionaries(numerators, coeff, max_size=8))
+    return QSeries(terms, draw(st.integers(1, 12)), draw(truncs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bookkeeping_series(),
+    bookkeeping_series(),
+    TRUNCS,
+    EXPONENTS,
+    st.sampled_from([0, 1, -2, Fraction(1, 2), Fraction(-3, 4)]),
+)
+def test_bookkeeping_matches_fraction_formulas(a, b, cut, e, c):
+    ra, rb = ref(a), ref(b)
+    assert_same(a + b, ref_add(ra, rb))
+    assert_same(a - b, ref_add(ra, ref_scale(rb, -1)))
+    product, trunc = oracle_product(a, b)
+    assert_same(a * b, (product, math.lcm(a.denom, b.denom), trunc))
+    assert_same(a.shift(e), ref_shift(ra, e))
+    assert_same(a.truncate(cut), ref_truncate(ra, cut))
+    assert_same(a.scale(c), ref_scale(ra, c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bookkeeping_series(TRUNCS.filter(lambda t: t != INF)))
+def test_inverse_matches_fraction_formulas(a):
+    if a.is_zero():
+        with pytest.raises(QSeriesError):
+            a.inverse()
+    else:
+        assert_same(a.inverse(), ref_inverse(ref(a)))
+
+
+def _outcome(fn):
+    try:
+        return "sum", fn()
+    except StabilizationError as err:
+        return "unstable", err.first_unstable_exponent
+    except PrecisionError as err:
+        return "violated", str(err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        bookkeeping_series(numerators=st.integers(-6, 12)), min_size=12, max_size=24
+    ),
+    st.sampled_from([0, 1, 2, 3]),
+    st.one_of(
+        st.just(INF),
+        st.sampled_from([Fraction(23, 2), Fraction(61, 3)]),
+        st.builds(Fraction, st.integers(-6, 24), st.integers(1, 12)),
+        st.integers(-3, 8),
+    ),
+    st.integers(1, 3),
+    st.sampled_from([None, 1, 2]),
+)
+def test_stabilized_sum_matches_fraction_formulas(raw, step, trunc, settle, slope):
+    # Shifted by step * i, the terms leave every finite window, so the sum
+    # can settle; step 0 and an infinite trunc exercise the failures.
+    seq = [s.shift(step * i) for i, s in enumerate(raw)]
+    tail = None if slope is None else (lambda n: slope * n - 1)
+    got = _outcome(lambda: stabilized_sum(seq, trunc, settle=settle, tail_order=tail))
+    want = _outcome(
+        lambda: ref_stabilized_sum([ref(s) for s in seq], trunc, settle, tail)
+    )
+    assert got[0] == want[0]
+    if got[0] == "sum":
+        assert_same(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+
+
+def test_stabilized_sum_divergent_sequence_keeps_first_unstable_exponent():
+    # t_i = q^i + (-1)^i i^2 q^(7/3): the geometric part settles, but the
+    # averaged increment of the second part is -q^(7/3) at every step.
+    seq = [
+        QSeries.from_terms([(i, 1), (Fraction(7, 3), (-1) ** i * i * i)], 10)
+        for i in range(31)
+    ]
+    with pytest.raises(StabilizationError) as err:
+        stabilized_sum(seq, 10)
+    assert err.value.first_unstable_exponent == Fraction(7, 3)
+    assert _outcome(lambda: ref_stabilized_sum([ref(s) for s in seq], 10, 4, None)) == (
+        "unstable",
+        Fraction(7, 3),
+    )
+
+
+# --------------------------------------------- Fraction construction guard
+
+
+def fractions_built_in(path, work) -> int:
+    """Fractions constructed while running ``work()`` whose nearest caller
+    outside the fractions module is code from the file ``path``."""
+    original = Fraction.__dict__["__new__"]
+    count = 0
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal count
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename == fractions.__file__:
+            frame = frame.f_back
+        count += frame.f_code.co_filename == path
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting_new)
+    try:
+        work()
+    finally:
+        Fraction.__new__ = original
+    return count
+
+
+def test_series_bookkeeping_builds_few_fractions():
+    # Exponents and truncations of these computations are integers or fixed
+    # Fractions; what series.py still builds is a shifted truncation or a
+    # halved coefficient.  Fraction truncation arithmetic in the
+    # constructor, the product truncation and the averaged sums built
+    # 12,142 here.
+    def work():
+        clear_caches()
+        for j in range(1, 5):
+            family_series(j, 1, 1, 120)
+        report = verify_limiting_identity(pair_relative_q(1, 1), "q", "even", 40)
+        assert report.ok
+
+    built = fractions_built_in(series.__file__, work)
+    assert 0 < built <= 600
