@@ -175,14 +175,17 @@ class TestVerify:
         checks = {o["check"] for o in _json_lines(lines)}
         assert len(checks) >= 8
 
-    # The suite computes each of its two residuals exactly once.
-    def test_cohen_suite_computes_each_residual_once(self, capsys, monkeypatch):
+    # A leftover QMAASS_THREADS setting is ignored: the suite stays serial and
+    # still computes each residual exactly once.
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_cohen_suite_computes_each_residual_once(self, capsys, monkeypatch, threads):
         calls = []
 
         def counted(tau, ncut):
             calls.append(tau)
             return cohen_transform_residual(tau, ncut)
 
+        monkeypatch.setenv("QMAASS_THREADS", threads)
         monkeypatch.setattr(cli, "cohen_transform_residual", counted)
         code, lines, _ = _run(capsys, "verify", "cohen", "--ncut", "600")
         assert code == 0
