@@ -212,6 +212,7 @@ def unit_pair(relative: str) -> BaileyPair:
         raise QSeriesError(f"relative must be one of {RELATIVES}")
     second = _SECOND_FACTOR[relative]
 
+    @lru_cache(maxsize=None)
     def alpha(n: int, trunc) -> QSeries:
         if n == 0:
             return QSeries.one(trunc)
@@ -255,6 +256,7 @@ def synthetic_pair(
             value = rng.randint(-coeff_bound, coeff_bound)
         support[i] = value
 
+    @lru_cache(maxsize=None)
     def alpha(n: int, trunc) -> QSeries:
         return QSeries.monomial(support.get(n, 0), 0, trunc)
 

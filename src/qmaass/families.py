@@ -99,14 +99,8 @@ def family_series(j: int, k: int, ell: int, trunc) -> QSeries:
     sweep = itertools.islice(ag_polynomial_sweep(k, ell, first, t), first, None)
     if power is None:
         terms = (weighted_term(relative, kind, n, h, t) for n, h in sweep)
-        seen: list[QSeries] = []
-
-        def term_at(i: int) -> QSeries:
-            seen.extend(itertools.islice(terms, i + 1 - len(seen)))
-            return seen[i]
-
         total = stabilized_sum(
-            term_at, t, n_bound=2 * size + 8, tail_order=lambda n: 2 * n
+            terms, t, n_bound=2 * size + 8, tail_order=lambda n: 2 * n
         )
     else:
         total = QSeries.zero(t)

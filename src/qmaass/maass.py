@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .agpolys import ag_polynomials_at_root
 from .bailey import LIMIT_WEIGHTS
 from .bessel import k0_bessel
@@ -385,6 +383,7 @@ def _positive_part_radial(
     and Richardson-extrapolates to t = 0.  Raises when the table is too
     short for the tail to be negligible at the smallest grid point.
     """
+    import numpy as np
     items = table.positive_items()
     if not items:
         return 0.0 + 0.0j

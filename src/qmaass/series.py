@@ -23,11 +23,16 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import count, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 INF = math.inf
 _HALF = Fraction(1, 2)
+
+# The packed integer product costs about one digit operation per exponent
+# of its span, the pairwise loop one multiplication per term pair; packing
+# wins only from about this many term pairs per digit of the span.
+_PACK_MIN_PAIRS_PER_DIGIT = 3
 
 _EXPONENT = int | Fraction
 
@@ -112,6 +117,16 @@ class QSeries:
         self.trunc = trunc
         self._coeffs = clean
 
+    @classmethod
+    def _from_clean(cls, coeffs: dict[int, object], denom: int, trunc) -> "QSeries":
+        """Wrap a map that already holds only nonzero, clean coefficients
+        below ``trunc`` (a Fraction, or +inf from truncation arithmetic)."""
+        s = object.__new__(cls)
+        s.denom = denom
+        s.trunc = INF if type(trunc) is float else trunc
+        s._coeffs = coeffs
+        return s
+
     # ------------------------------------------------------------------ build
     @classmethod
     def zero(cls, trunc=INF, denom: int = 1) -> "QSeries":
@@ -184,7 +199,7 @@ class QSeries:
         g = math.gcd(self.denom, *self._coeffs.keys())
         if g == 1:
             return self
-        return QSeries(
+        return QSeries._from_clean(
             {m // g: c for m, c in self._coeffs.items()}, self.denom // g, self.trunc
         )
 
@@ -204,7 +219,9 @@ class QSeries:
     __hash__ = None
 
     def __neg__(self) -> "QSeries":
-        return QSeries({m: -c for m, c in self._coeffs.items()}, self.denom, self.trunc)
+        return QSeries._from_clean(
+            {m: -c for m, c in self._coeffs.items()}, self.denom, self.trunc
+        )
 
     def __add__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
@@ -256,7 +273,7 @@ class QSeries:
         bound = _int_bound(trunc, denom)
         out = _kronecker_product(xa, xb, bound)
         if out is not None:
-            return QSeries(out, denom, trunc)
+            return QSeries._from_clean(out, denom, trunc)
         out = {}
         items_b = list(xb.items())
         for m1, c1 in xa.items():
@@ -274,7 +291,7 @@ class QSeries:
         denom = math.lcm(self.denom, e.denominator)
         off = e.numerator * (denom // e.denominator)
         coeffs = {m + off: c for m, c in self._rescaled(denom).items()}
-        return QSeries(coeffs, denom, self.trunc + e if off else self.trunc)
+        return QSeries._from_clean(coeffs, denom, self.trunc + e if off else self.trunc)
 
     def truncate(self, trunc) -> "QSeries":
         if not trunc < self.trunc:
@@ -397,7 +414,8 @@ def _kronecker_product(xa: dict, xb: dict, bound: int | None) -> dict | None:
     B/4 in size) that no digit spills into the next.  Exponents at or above
     ``bound`` are dropped.  Returns None, leaving the product to the
     pairwise loop, when a coefficient is not a plain int or when the
-    product spans more digits than there are term pairs.
+    operands make fewer than ``_PACK_MIN_PAIRS_PER_DIGIT`` term pairs per
+    digit of the product's span.
     """
     if not xa or not xb:
         return {}
@@ -408,8 +426,9 @@ def _kronecker_product(xa: dict, xb: dict, bound: int | None) -> dict | None:
         if hi_a < lo_a or hi_b < lo_b:
             return {}
     size = hi_a + hi_b - lo_a - lo_b + 1
-    types = {*map(type, xa.values()), *map(type, xb.values())}
-    if size > len(xa) * len(xb) or types != {int}:
+    if len(xa) * len(xb) < _PACK_MIN_PAIRS_PER_DIGIT * size:
+        return None
+    if {*map(type, xa.values()), *map(type, xb.values())} != {int}:
         return None
     peak = max(map(abs, xa.values())) * max(map(abs, xb.values()))
     width = ((peak * min(len(xa), len(xb))).bit_length() + 9) // 8
@@ -576,6 +595,10 @@ def stabilized_sum(
 ) -> QSeries:
     """Averaged partial sums (S_{2N} + S_{2N+1})/2 of a term sequence.
 
+    ``terms`` is a callable i -> t_i or an iterable of terms; either way
+    each term is taken once, in increasing order of i, and at most
+    ``n_bound + 1`` of them are taken.
+
     For alternating sequences whose raw partial sums oscillate forever in
     low-order coefficients, the even/odd average settles; this returns its
     common value once every coefficient below ``trunc`` has stopped moving.
@@ -592,29 +615,23 @@ def stabilized_sum(
     """
     t = Fraction(trunc) if isinstance(trunc, int) else trunc
     if callable(terms):
-        term_at = terms
-        limit = n_bound
-    else:
-        seq = list(terms)
-        term_at = lambda i: seq[i]  # noqa: E731
-        limit = min(n_bound, len(seq) - 1)
-    if limit < 1:
-        raise StabilizationError("need at least two terms to average")
-
-    def trimmed(i: int) -> QSeries:
-        return term_at(i).truncate(t)
+        terms = map(terms, count())
+    trimmed = (s.truncate(t) for s in islice(terms, n_bound + 1))
 
     # Accumulate twice the averages, so that integer coefficients stay ints:
     # 2 A_0 = 2 t_0 + t_1, and step n adds t_(2n-1) + 2 t_(2n) + t_(2n+1),
     # twice the increment A_n - A_(n-1) and of the same order.  Every
     # increment is truncated below t, so it reaches t only when it is zero.
-    acc = trimmed(0).scale(2) + trimmed(1)
+    first, odd = next(trimmed, None), next(trimmed, None)
+    if odd is None:
+        raise StabilizationError("need at least two terms to average")
+    acc = first.scale(2) + odd
     streak = 0
     unstable: QSeries | None = None
     n_idx = 1
     while True:
-        hi = 2 * n_idx + 1
-        if hi > limit:
+        even, next_odd = next(trimmed, None), next(trimmed, None)
+        if next_odd is None:
             last_unstable = None if unstable is None else unstable.min_order()
             if tail_order is not None:
                 raise StabilizationError(
@@ -624,7 +641,8 @@ def stabilized_sum(
             raise StabilizationError(
                 "no stabilization within the term budget", last_unstable
             )
-        delta = trimmed(hi - 2) + trimmed(hi - 1).scale(2) + trimmed(hi)
+        delta = odd + even.scale(2) + next_odd
+        odd = next_odd
         acc = acc + delta
         if tail_order is not None:
             promised = tail_order(n_idx)

@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cyclotomic import CycNumber
 from .families import _validate_family, family_series
 from .reports import CheckReport, _exact_str, report_from_comparison
@@ -381,6 +379,7 @@ def _family_shell(j: int, k: int, ell: int, n: int):
     Returns (exponents, numerators, denom), the terms numerators / denom *
     q^exponents; int64 while every intermediate fits, Python ints beyond.
     """
+    import numpy as np
     wide = (4 * k + 4) * (n + 1) ** 2 >= 1 << 62
     if j in (1, 2):
         nu = np.arange(-n, n + 1, dtype=np.int64)
@@ -433,6 +432,7 @@ def family_lattice_series(j: int, k: int, ell: int, trunc) -> QSeries:
 def _unit_phases(x: Fraction, exps) -> np.ndarray:
     """e(x e) for integer exponents e: with x = p/q the angle is 2 pi ((p e)
     mod q) / q, reduced exactly, in Python ints when q^2 overflows int64."""
+    import numpy as np
     p, q = x.numerator, x.denominator
     if exps.dtype == object or q * q >= 1 << 63:
         exps = exps.astype(object)
@@ -453,6 +453,7 @@ def family_lattice_numeric(j: int, k: int, ell: int, x, t, eps: float = 1e-15):
     summed for every grid point until its minimum exponent pushes all
     its terms below ``eps`` there.
     """
+    import numpy as np
     _validate_family(j, k, ell)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if ts.ndim != 1 or not ts.size or not np.all(ts > 0):
@@ -687,6 +688,7 @@ def _ray_rule() -> tuple[np.ndarray, np.ndarray]:
     Built on first use: importing ``numpy.polynomial`` is not free, and
     only the completion defect needs it.
     """
+    import numpy as np
     x, w = np.polynomial.legendre.leggauss(_RAY_NODES)
     nodes = (np.arange(_RAY_PANELS)[:, None] + (x + 1.0) / 2.0) / _RAY_PANELS
     return nodes.ravel(), np.tile(w, _RAY_PANELS) / (2.0 * _RAY_PANELS)
@@ -721,6 +723,7 @@ def _ray_integrals(u_plus, u_minus, t, sign) -> np.ndarray:
     of exp(-c sinh^2 y) over y >= |t - x0|, taken by a fixed composite
     Gauss-Legendre rule up to where the integrand underflows.
     """
+    import numpy as np
     s = u_plus + u_minus
     d = u_plus - u_minus
     root_c = np.sqrt(math.pi * np.abs(s * d))
@@ -745,6 +748,7 @@ def completion_defect(params, tau: complex, lattice_cut: int = 10) -> complex:
     directions are chosen point by point; all ray integrals are then
     evaluated in one array pass.
     """
+    import numpy as np
     params = _as_theta_params(params)
     u, v = tau.real, tau.imag
     if not v > 0:

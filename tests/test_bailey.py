@@ -179,6 +179,27 @@ def test_synthetic_relative_one_support_excludes_zero():
         assert pair.beta(0, 10).is_zero()
 
 
+@pytest.mark.parametrize("relative", ["one", "q"])
+def test_built_in_alphas_are_memoized(relative, monkeypatch):
+    # The relation sums alpha_m for every m <= n, and beta_n sums it again:
+    # each (m, trunc) must build its series once, not once per n.
+    built = []
+    monomial = QSeries.monomial.__func__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return monomial(cls, *args, **kwargs)
+
+    monkeypatch.setattr(QSeries, "monomial", classmethod(counting))
+    pair = synthetic_pair(relative, random.Random(3))
+    for n in range(8):
+        definition_right_side(pair, n, 20)
+        pair.beta(n, 20)
+    assert len(built) == 8
+    unit = unit_pair(relative)
+    assert all(unit.alpha(m, 20) is unit.alpha(m, 20) for m in (0, 1))
+
+
 @pytest.mark.parametrize("k, ell", [(1, 1), (2, 1), (3, 2)])
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
 def test_limit_identity_left_side_is_family(j, k, ell):

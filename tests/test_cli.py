@@ -584,6 +584,24 @@ def test_completion_suite_does_not_import_scipy():
     assert result.stderr == "False\n"
 
 
+def test_exact_commands_do_not_import_numpy():
+    # numpy loads on the first numeric call, not with the package.
+    script = (
+        "import sys\n"
+        "import qmaass\n"
+        "from qmaass.cli import run\n"
+        "code = run(['verify', 'params', '--kmax', '1'])\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0
+    assert len(result.stdout.splitlines()) == 4
+    assert result.stderr == "False\n"
+
+
 def test_library_and_numeric_suites_do_not_import_mpmath():
     script = (
         "import sys\n"

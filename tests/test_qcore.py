@@ -182,20 +182,23 @@ def int_laurent_series(draw, denom=None):
     """Integer-coefficient series over a shared denominator 1..12.
 
     Exponent numerators may start below zero; operands are dense (a
-    coefficient at nearly every exponent of a short span) or sparse (a few
-    terms over a wide span).  The truncation is infinite or rational, at
-    times below every term.
+    coefficient at nearly every exponent of a short span), sparse (a few
+    terms over a wide span) or few (1 to 3 terms over a short span, the
+    operand that sends a product to the pairwise loop).  The truncation
+    is infinite or rational, at times below every term.
     """
     d = draw(st.integers(1, 12)) if denom is None else denom
     lo = draw(st.integers(-40, 10))
     big = draw(st.sampled_from([1, 10, 2**40, 2**200]))
     coeff = st.integers(-big, big).filter(bool)
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["dense", "sparse", "few"]))
+    if shape == "dense":
         row = draw(st.lists(st.one_of(coeff, coeff, st.just(0)), min_size=1, max_size=40))
         terms = {lo + i: c for i, c in enumerate(row)}
     else:
+        top, most = (400, 8) if shape == "sparse" else (40, 3)
         terms = draw(
-            st.dictionaries(st.integers(lo, lo + 400), coeff, min_size=1, max_size=8)
+            st.dictionaries(st.integers(lo, lo + top), coeff, min_size=1, max_size=most)
         )
     cut = draw(st.one_of(st.none(), st.integers(lo - 2, lo + 60)))
     trunc = INF if cut is None else Fraction(cut, d)
@@ -217,6 +220,18 @@ def test_integer_product_matches_pairwise_oracle(d, shared, data):
     b = data.draw(int_laurent_series(d if shared else None))
     got = _assert_matches_oracle(a, b)
     assert all(type(c) is int for _, c in got.terms())
+
+
+def test_packed_product_only_for_enough_term_pairs_per_digit():
+    def dense(n):
+        return {m: (-1) ** m * (m + 1) for m in range(n)}
+
+    for n in (1, 2, 40, 300):
+        assert _kronecker_product({7: 3}, dense(n), None) is None
+        assert _kronecker_product(dense(n), {-2: -1}, None) is None
+    assert _kronecker_product(dense(3), dense(40), None) is None
+    assert _kronecker_product(dense(8), dense(100), None) is not None
+    assert _kronecker_product(dense(20), dense(20), None) is not None
 
 
 @settings(max_examples=60, deadline=None)
@@ -680,6 +695,26 @@ def test_bookkeeping_matches_fraction_formulas(a, b, cut, e, c):
     assert_same(a.scale(c), ref_scale(ra, c))
 
 
+def assert_clean(s):
+    """The map of s is what the cleaning constructor would build from it."""
+    assert s._coeffs == QSeries(dict(s._coeffs), s.denom, s.trunc)._coeffs
+    assert type(s.trunc) is Fraction or s.trunc is INF
+
+
+@settings(max_examples=200, deadline=None)
+@given(bookkeeping_series(), bookkeeping_series(), EXPONENTS, st.integers(1, 12))
+def test_results_built_without_cleaning_are_clean(a, b, e, d):
+    # Products (pairwise and packed), negation and shifts wrap their
+    # maps without the cleaning pass of the constructor.
+    dense = QSeries({m: (1 - m % 2 * 2) * (m % 5) for m in range(-6, 34)}, d)
+    assert _kronecker_product(dense._coeffs, dense._coeffs, None) is not None
+    cut = dense.truncate(b.trunc)
+    products = (a * b, dense * dense, cut * dense, dense * a)
+    for s in (*products, -a, -cut, a.shift(e), cut.shift(e), dense.shift(e)):
+        assert_clean(s)
+        assert_clean(s.normalized())
+
+
 @settings(max_examples=150, deadline=None)
 @given(bookkeeping_series(TRUNCS.filter(lambda t: t != INF)))
 def test_inverse_matches_fraction_formulas(a):
@@ -728,6 +763,21 @@ def test_stabilized_sum_matches_fraction_formulas(raw, step, trunc, settle, slop
         assert_same(got[1], want[1])
     else:
         assert got[1] == want[1]
+
+
+@pytest.mark.parametrize(
+    "tail_order, trunc", [(None, 10), (lambda n: n, 10), (None, Fraction(61, 3))]
+)
+def test_stabilized_sum_takes_each_term_once_in_order(tail_order, trunc):
+    calls = []
+
+    def term_at(i):
+        calls.append(i)
+        return QSeries.from_terms([(i, (-1) ** i), (0, (-1) ** i)], 40)
+
+    stabilized_sum(term_at, trunc, tail_order=tail_order)
+    assert calls == list(range(len(calls)))
+    assert calls[-1] >= trunc
 
 
 def test_stabilized_sum_divergent_sequence_keeps_first_unstable_exponent():
