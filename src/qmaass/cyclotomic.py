@@ -267,13 +267,6 @@ class CycNumber:
 
 # -------------------------------------------------------------- root helpers
 
-def e_rational(w) -> CycNumber:
-    """Exact value of e(w) = exp(2*pi*i*w) for rational w."""
-    w = Fraction(w)
-    m = w.denominator
-    return CycNumber.zeta(m, w.numerator % m)
-
-
 def root_of_unity_value(series: QSeries, N: int, power: int = 1) -> CycNumber:
     """Exact evaluation of a q-series at q = zeta_N^power.
 

@@ -52,7 +52,6 @@ __all__ = [
     "family_coeff_table",
     "quantum_value",
     "radial_limit_check",
-    "table_csv_lines",
 ]
 
 
@@ -99,14 +98,6 @@ class MaassCoeffTable:
 
     def positive_items(self) -> list[tuple[int, object]]:
         return sorted((n, c) for n, c in self.coeffs.items() if n > 0)
-
-
-def table_csv_lines(table: MaassCoeffTable) -> list[str]:
-    """CSV rendering: a scale header comment, then (n, value) rows."""
-    lines = [f"# scale={table.scale}", "n,value"]
-    for n in sorted(table.coeffs):
-        lines.append(f"{n},{_exact_str(table.coeffs[n])}")
-    return lines
 
 
 # ------------------------------------------------------------- Cohen example
@@ -379,21 +370,18 @@ def _positive_part_radial(
 ) -> complex:
     """Radial limit of the positive-part series at a rational point.
 
-    Evaluates sum_{n>0} T(n) e(n (x + i t) / N) on the grid with numpy
-    and Richardson-extrapolates to t = 0.  Raises when the table is too
+    Evaluates sum_{n>0} T(n) e(n (x + i t) / N) on the grid and
+    Richardson-extrapolates to t = 0.  Raises when the table is too
     short for the tail to be negligible at the smallest grid point.
     """
-    import numpy as np
     items = table.positive_items()
     if not items:
         return 0.0 + 0.0j
-    idx = np.array([n for n, _ in items], dtype=float)
-    vals = np.array([float(c) for _, c in items], dtype=float)
-    n_top = idx[-1]
+    n_top = items[-1][0]
     t_min = t_grid[-1]
     step = 2.0 * math.pi * t_min / table.scale
     tail = (
-        float(np.max(np.abs(vals)))
+        max(abs(float(c)) for _, c in items)
         * math.exp(-step * (n_top + 1.0))
         / max(1.0 - math.exp(-step), 1e-300)
     )
@@ -401,12 +389,12 @@ def _positive_part_radial(
         raise PrecisionError(
             "insufficient table extent for the radial cocycle evaluation"
         )
-    angles = 2.0 * math.pi * ((float(x) / table.scale) * idx)
-    phases = np.cos(angles) + 1j * np.sin(angles)
+    turns = float(x) / table.scale
+    weighted = [(n, float(c) * unit_phase(turns * n)) for n, c in items]
     samples = []
     for t in t_grid:
-        decay = np.exp(-2.0 * math.pi * t / table.scale * idx)
-        samples.append(complex(np.sum(vals * phases * decay)))
+        rate = -2.0 * math.pi * t / table.scale
+        samples.append(sum(w * math.exp(rate * n) for n, w in weighted))
     return _richardson(samples, t_grid[1] / t_grid[0])[0]
 
 

@@ -20,7 +20,6 @@ and builds a new ``Fraction`` only for a truncation that actually moves.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from itertools import count, islice, repeat
@@ -185,9 +184,6 @@ class QSeries:
         if not self._coeffs:
             return None
         return Fraction(max(self._coeffs), self.denom)
-
-    def coefficients_are_rational(self) -> bool:
-        return all(isinstance(c, (int, Fraction)) for c in self._coeffs.values())
 
     # -------------------------------------------------------------- normalize
     def normalized(self) -> "QSeries":
@@ -662,74 +658,6 @@ def stabilized_sum(
             unstable = delta
         n_idx += 1
     return acc.scale(_HALF).truncate(t)
-
-
-# -------------------------------------------------------------- serialization
-
-def _rat_str(c) -> str:
-    f = Fraction(c)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _rat_parse(s: str):
-    if "/" in s:
-        p, q = s.split("/")
-        return _clean(Fraction(int(p), int(q)))
-    return int(s)
-
-
-def series_to_json_dict(series: QSeries) -> dict:
-    """JSON form with exact rational coefficient strings.
-
-    Only rational-coefficient series serialize; ``trunc`` = infinity is
-    encoded as null numerator/denominator.
-    """
-    if not series.coefficients_are_rational():
-        raise QSeriesError("JSON serialization requires rational coefficients")
-    s = series.normalized()
-    if s.trunc is INF:
-        tn, td = None, None
-    else:
-        tn, td = s.trunc.numerator, s.trunc.denominator
-    return {
-        "denom": s.denom,
-        "trunc_num": tn,
-        "trunc_den": td,
-        "terms": [[m, _rat_str(s._coeffs[m])] for m in sorted(s._coeffs)],
-    }
-
-
-def series_from_json_dict(data: dict) -> QSeries:
-    if data.get("trunc_num") is None:
-        trunc = INF
-    else:
-        trunc = Fraction(data["trunc_num"], data["trunc_den"])
-    return QSeries(
-        {int(m): _rat_parse(c) for m, c in data["terms"]}, int(data["denom"]), trunc
-    )
-
-
-def series_to_json(series: QSeries) -> str:
-    return json.dumps(series_to_json_dict(series))
-
-
-def series_from_json(text: str) -> QSeries:
-    return series_from_json_dict(json.loads(text))
-
-
-def series_to_csv_rows(series: QSeries) -> list[tuple[int, int, str]]:
-    """Rows (exponent_num, exponent_den, coefficient) with reduced exponents."""
-    if not series.coefficients_are_rational():
-        raise QSeriesError("CSV serialization requires rational coefficients")
-    rows = []
-    for e, c in series.terms():
-        rows.append((e.numerator, e.denominator, _rat_str(c)))
-    return rows
-
-
-def series_from_csv_rows(rows: Iterable[Sequence], trunc=INF) -> QSeries:
-    terms = [(Fraction(int(r[0]), int(r[1])), _rat_parse(r[2])) for r in rows]
-    return QSeries.from_terms(terms, trunc)
 
 
 def clear_caches() -> None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -374,30 +375,27 @@ def indefinite_theta_series(params, trunc) -> QSeries:
 
 
 def _family_shell(j: int, k: int, ell: int, n: int):
-    """Lattice terms of family j at outer index n as integer arrays.
+    """Lattice terms of family j at outer index n.
 
-    Returns (exponents, numerators, denom), the terms numerators / denom *
-    q^exponents; int64 while every intermediate fits, Python ints beyond.
+    Returns (exponents, numerators, denom) with two lists of Python ints:
+    the terms numerators / denom * q^exponents.
     """
-    import numpy as np
-    wide = (4 * k + 4) * (n + 1) ** 2 >= 1 << 62
     if j in (1, 2):
-        nu = np.arange(-n, n + 1, dtype=np.int64)
+        nus = range(-n, n + 1)
         base = (k + 1) * n * n + k * n + (n * (n + 1) // 2 if j == 1 else 0)
     else:
-        nu = np.arange(-n, n, dtype=np.int64)
+        nus = range(-n, n)
         base = (k + 1) * n * n + (n * (n - 1) // 2 if j == 3 else 0)
-    if wide:
-        nu = nu.astype(object)
-    sign = 1 - 2 * ((n + nu) % 2)
-    # base - quadratic_shift(k, ell, nu), elementwise
-    e = base - ((2 * k + 1) * nu * nu + (2 * k - 2 * ell + 1) * nu) // 2
+    # base - quadratic_shift(k, ell, nu), with sign (-1)^(n + nu)
+    square, linear = 2 * k + 1, 2 * k - 2 * ell + 1
+    e = [base - (square * nu * nu + linear * nu) // 2 for nu in nus]
+    sign = [1 - 2 * (i % 2) for i in range(len(e))]
+    neg = [-s for s in sign]
     if j in (1, 2):
-        exps = np.concatenate((e, e + (2 * n + 1)))
-        return exps, np.concatenate((sign, -sign)), 2 if j == 2 else 1
+        return e + [x + 2 * n + 1 for x in e], sign + neg, 2 if j == 2 else 1
     if j == 3:
-        return np.concatenate((e, e + n)), np.concatenate((-sign, -sign)), 1
-    return e, -2 * sign, 1
+        return e + [x + n for x in e], neg + neg, 1
+    return e, [2 * s for s in neg], 1
 
 
 def _family_shell_min_exponent(j: int, k: int, ell: int, n: int) -> Fraction:
@@ -422,23 +420,26 @@ def family_lattice_series(j: int, k: int, ell: int, trunc) -> QSeries:
     n = 0 if j in (1, 2) else 1
     while _family_shell_min_exponent(j, k, ell, n) < t:
         exps, nums, denom = _family_shell(j, k, ell, n)
-        for e, c in zip(exps.tolist(), nums.tolist()):
+        for e, c in zip(exps, nums):
             if e < t:
                 acc[e] = acc.get(e, 0) + c
         n += 1
     return QSeries.from_terms(((e, Fraction(c, denom)) for e, c in acc.items()), t)
 
 
-def _unit_phases(x: Fraction, exps) -> np.ndarray:
-    """e(x e) for integer exponents e: with x = p/q the angle is 2 pi ((p e)
-    mod q) / q, reduced exactly, in Python ints when q^2 overflows int64."""
-    import numpy as np
-    p, q = x.numerator, x.denominator
-    if exps.dtype == object or q * q >= 1 << 63:
-        exps = exps.astype(object)
-    residues = (exps % q) * (p % q) % q
-    angles = 2.0 * math.pi * np.asarray(residues / q, dtype=float)
-    return np.cos(angles) + 1j * np.sin(angles)
+@functools.lru_cache(maxsize=16)
+def _lattice_coefficients(j: int, k: int, ell: int, top: int):
+    """Dense integer numerators of the lattice expansion below q^top, and
+    their common denominator: the same terms as family_lattice_series."""
+    coeffs = [0] * top
+    n = 0 if j in (1, 2) else 1
+    while _family_shell_min_exponent(j, k, ell, n) < top:
+        exps, nums, denom = _family_shell(j, k, ell, n)
+        for e, c in zip(exps, nums):
+            if e < top:
+                coeffs[e] += c
+        n += 1
+    return tuple(coeffs), 2 if j == 2 else 1
 
 
 def family_lattice_numeric(j: int, k: int, ell: int, x, t, eps: float = 1e-15):
@@ -449,30 +450,31 @@ def family_lattice_numeric(j: int, k: int, ell: int, x, t, eps: float = 1e-15):
     a grid of them (a list of values).  Every lattice term has modulus
     exp(-t * exponent) <= 1, so this route is free of the catastrophic
     cancellation the defining hypergeometric sums suffer near the
-    circle.  Each shell is built once, with exactly reduced phases, and
-    summed for every grid point until its minimum exponent pushes all
-    its terms below ``eps`` there.
+    circle.  At each t the terms with exp(-t * exponent) >= ``eps`` are
+    summed from one integer coefficient table, shared by the grid.  With
+    x = p/q the exponents r0 + q m of one residue class share the phase
+    e(p r0 / q), reduced exactly, and their decay factors exp(-t q m).
     """
-    import numpy as np
     _validate_family(j, k, ell)
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if ts.ndim != 1 or not ts.size or not np.all(ts > 0):
-        raise QSeriesError("the radial distance must be positive")
+    scalar = not isinstance(t, (list, tuple))
+    ts = [float(t)] if scalar else [float(s) for s in t]
+    if not ts or not all(0 < s < math.inf for s in ts):
+        raise QSeriesError("the radial distance must be positive and finite")
     xq = Fraction(x)
-    totals = np.zeros(ts.size, dtype=complex)
-    n = 0 if j in (1, 2) else 1
+    p, q = xq.numerator, xq.denominator
     cutoff = -math.log(eps)
-    while True:
-        live = float(_family_shell_min_exponent(j, k, ell, n)) * ts <= cutoff
-        if not live.any():
-            break
-        exps, nums, denom = _family_shell(j, k, ell, n)
-        weights = np.asarray(nums, dtype=float) / denom * _unit_phases(xq, exps)
-        decay = np.exp(-np.outer(ts[live], np.asarray(exps, dtype=float)))
-        totals[live] += decay @ weights
-        n += 1
-    values = [complex(z) for z in totals]
-    return values[0] if np.ndim(t) == 0 else values
+    limits = [math.floor(cutoff / s) + 1 for s in ts]
+    coeffs, denom = _lattice_coefficients(j, k, ell, max(limits))
+    phases = [unit_phase(p * r0 % q / q) for r0 in range(min(q, max(limits)))]
+    values = []
+    for s, lim in zip(ts, limits):
+        decay = [math.exp(-s * q * m) for m in range(-(-lim // q))]
+        total = 0j
+        for r0 in range(min(q, lim)):
+            head = math.exp(-s * r0) * phases[r0]
+            total += sum(map(operator.mul, coeffs[r0:lim:q], decay)) * head
+        values.append(total / denom)
+    return values[0] if scalar else values
 
 
 def verify_family_lattice(j: int, k: int, ell: int, trunc) -> CheckReport:
@@ -681,17 +683,42 @@ _RAY_PANELS = 4
 _UNDERFLOW_EXPONENT = 745.0
 
 
-@functools.cache
-def _ray_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights on [0, 1].
+def _gauss_legendre(n: int) -> tuple[list[float], list[float]]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule
+    on [-1, 1], by Newton's method on the three-term Legendre recurrence
+    from the asymptotic first guesses cos(pi (i + 3/4) / (n + 1/2))."""
 
-    Built on first use: importing ``numpy.polynomial`` is not free, and
-    only the completion defect needs it.
-    """
-    import numpy as np
-    x, w = np.polynomial.legendre.leggauss(_RAY_NODES)
-    nodes = (np.arange(_RAY_PANELS)[:, None] + (x + 1.0) / 2.0) / _RAY_PANELS
-    return nodes.ravel(), np.tile(w, _RAY_PANELS) / (2.0 * _RAY_PANELS)
+    def legendre(x):
+        # P_n(x) and P_n'(x)
+        p_prev, p = 1.0, x
+        for m in range(2, n + 1):
+            p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+    nodes, weights = [0.0] * n, [0.0] * n
+    for i in range((n + 1) // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p, slope = legendre(x)
+            step = p / slope
+            x -= step
+            if abs(step) < 1e-15:
+                break
+        _, slope = legendre(x)
+        nodes[i], nodes[n - 1 - i] = -x, x
+        weights[i] = weights[n - 1 - i] = 2.0 / ((1.0 - x * x) * slope * slope)
+    return nodes, weights
+
+
+@functools.cache
+def _ray_rule() -> tuple[tuple[float, float], ...]:
+    """Composite Gauss-Legendre (node, weight) pairs on [0, 1]."""
+    x, w = _gauss_legendre(_RAY_NODES)
+    return tuple(
+        ((panel + (xi + 1.0) / 2.0) / _RAY_PANELS, wi / (2.0 * _RAY_PANELS))
+        for panel in range(_RAY_PANELS)
+        for xi, wi in zip(x, w)
+    )
 
 
 def _ray_sign(u_plus: float, u_minus: float, t: float) -> int:
@@ -708,32 +735,36 @@ def _ray_sign(u_plus: float, u_minus: float, t: float) -> int:
     return (product > 0) - (product < 0)
 
 
-def _ray_integrals(u_plus, u_minus, t, sign) -> np.ndarray:
-    """Boundary weights: signed integrals of exp(-pi G(x)^2) along rays.
+def _ray_integral(u_plus: float, u_minus: float, t: float, sign: int) -> float:
+    """Boundary weight: the signed integral of exp(-pi G(x)^2) along a ray.
 
     G(x) = u_plus sinh x - u_minus cosh x; the ray starts at ``t`` and
     runs toward +inf for ``sign`` +1, toward -inf (with an overall minus)
-    for -1, and the weight is zero for 0.  The arguments broadcast
-    against each other.
+    for -1, and the weight is zero for 0.
 
     With R^2 = |u_plus^2 - u_minus^2| and c = pi R^2, G is +-R sinh(x - x0)
     when |u_plus| > |u_minus| and +-R cosh(x - x0) otherwise, where
     e^(2 x0) = |(u_plus + u_minus) / (u_plus - u_minus)|.  The ray runs
     away from x0, so its integral is (1, resp. e^-c) times the integral
     of exp(-c sinh^2 y) over y >= |t - x0|, taken by a fixed composite
-    Gauss-Legendre rule up to where the integrand underflows.
+    Gauss-Legendre rule up to where the integrand underflows (zero for a
+    ray that starts beyond that point).
     """
-    import numpy as np
+    if not sign:
+        return 0.0
     s = u_plus + u_minus
     d = u_plus - u_minus
-    root_c = np.sqrt(math.pi * np.abs(s * d))
-    lower = np.abs(t - 0.5 * np.log(np.abs(s / d)))
-    upper = np.arcsinh(math.sqrt(_UNDERFLOW_EXPONENT) / root_c)
-    span = np.maximum(upper - lower, 0.0)
-    nodes, weights = _ray_rule()
-    y = lower[..., None] + span[..., None] * nodes
-    tail = span * (np.exp(-((root_c[..., None] * np.sinh(y)) ** 2)) @ weights)
-    return sign * np.where(s * d < 0, np.exp(-(root_c**2)), 1.0) * tail
+    root_c = math.sqrt(math.pi * abs(s * d))
+    lower = abs(t - 0.5 * math.log(abs(s / d)))
+    upper = math.asinh(math.sqrt(_UNDERFLOW_EXPONENT) / root_c)
+    span = upper - lower
+    if not span > 0.0:
+        return 0.0
+    tail = span * sum(
+        w * math.exp(-((root_c * math.sinh(lower + span * y)) ** 2))
+        for y, w in _ray_rule()
+    )
+    return sign * (math.exp(-(root_c**2)) if s * d < 0 else 1.0) * tail
 
 
 def completion_defect(params, tau: complex, lattice_cut: int = 10) -> complex:
@@ -744,11 +775,8 @@ def completion_defect(params, tau: complex, lattice_cut: int = 10) -> complex:
     i-th reference parameter.  For parameters passing the family
     validation this difference vanishes identically; generically it does
     not.  Points whose combined Gaussian exponent exceeds 100/pi-fold
-    are skipped: their contribution is below exp(-100).  The ray
-    directions are chosen point by point; all ray integrals are then
-    evaluated in one array pass.
+    are skipped: their contribution is below exp(-100).
     """
-    import numpy as np
     params = _as_theta_params(params)
     u, v = tau.real, tau.imag
     if not v > 0:
@@ -761,8 +789,7 @@ def completion_defect(params, tau: complex, lattice_cut: int = 10) -> complex:
     root_plus, root_minus = math.sqrt(2.0 * (M + 1)), math.sqrt(2.0 * (M - 1))
     t1 = form.reference_parameter(1)
     t2 = form.reference_parameter(2)
-    rays = []
-    terms = []
+    total = 0j
     for _, _, x, y, q, t in _lattice_walk(params, lattice_cut):
         if q == 0:
             raise QSeriesError("the form vanishes at a lattice point")
@@ -781,16 +808,12 @@ def completion_defect(params, tau: complex, lattice_cut: int = 10) -> complex:
         if sign1 == 0 and sign2 == 0:
             continue
         qv = q / q_den
+        alpha = _ray_integral(u_plus, u_minus, t1, sign1) - _ray_integral(
+            u_plus, u_minus, t2, sign2
+        )
         phase = unit_phase(qv * u + t / t_den)
-        rays.append((u_plus, u_minus, sign1, sign2))
-        terms.append(math.exp(-2.0 * math.pi * qv * v) * phase)
-    if not rays:
-        return 0j
-    u_plus, u_minus, sign1, sign2 = np.array(rays).T
-    alpha = _ray_integrals(
-        u_plus, u_minus, np.array([[t1], [t2]]), np.array([sign1, sign2])
-    )
-    return root_v * complex((alpha[0] - alpha[1]) @ np.array(terms))
+        total += alpha * (math.exp(-2.0 * math.pi * qv * v) * phase)
+    return root_v * total
 
 
 def completed_waveform_numeric(params, tau: complex, lattice_cut: int = 12) -> complex:

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -600,6 +601,41 @@ def test_exact_commands_do_not_import_numpy():
     assert result.returncode == 0
     assert len(result.stdout.splitlines()) == 4
     assert result.stderr == "False\n"
+
+
+def test_numeric_commands_do_not_import_numpy():
+    # numpy is a test oracle only: the numeric commands and entry points
+    # run on the standard library too.
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from qmaass.cli import run\n"
+        "from qmaass.maass import cocycle_samples, cohen_table, radial_limit_check\n"
+        "from qmaass.theta import completion_defect, family_params\n"
+        "codes = [\n"
+        "    run(['verify', 'all']),\n"
+        "    run(['eval', 'waveform', '--cohen']),\n"
+        "    run(['eval', 'radial', '--j', '1', '--k', '1', '--l', '1', '--x', '1/5']),\n"
+        "    run(['eval', 'cocycle', '--cohen', '--gamma', '0,-1,2,0', '--xs', '1/5']),\n"
+        "]\n"
+        "assert radial_limit_check(1, 1, 1, Fraction(1, 2)).ok\n"
+        "cocycle_samples(cohen_table(30000), (0, -1, 2, 0), [Fraction(1, 3)])\n"
+        "completion_defect(family_params(2, 1, 1), 1j)\n"
+        "print(codes, 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert result.stderr == "[0, 0, 0, 0] False\n"
+
+
+def test_package_source_does_not_import_numpy():
+    source = Path(cli.__file__).parent
+    files = sorted(source.glob("*.py"))
+    assert len(files) > 5
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        assert "import numpy" not in text and "from numpy" not in text, path.name
 
 
 def test_library_and_numeric_suites_do_not_import_mpmath():

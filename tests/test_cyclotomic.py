@@ -10,7 +10,6 @@ from qmaass.cyclotomic import (
     CycNumber,
     _power_row,
     cyclotomic_polynomial,
-    e_rational,
     root_of_unity_value,
 )
 from qmaass.series import INF, QSeries
@@ -78,14 +77,6 @@ def test_to_complex():
     assert abs((CycNumber.zeta(6) + CycNumber.zeta(6, 5)).to_complex() - 1) < 1e-10
 
 
-def test_e_rational():
-    assert e_rational(Fraction(1, 3)) == CycNumber.zeta(3)
-    assert e_rational(Fraction(-1, 4)) == CycNumber.zeta(4, 3)
-    assert e_rational(Fraction(5, 3)) == CycNumber.zeta(3, 2)
-    assert e_rational(2) == 1
-    assert e_rational(Fraction(1, 2)) == -1
-
-
 def _monomial_remainder(L: int, k: int) -> tuple:
     """x^k mod Phi_L by long division of x^k itself."""
     phi = cyclotomic_polynomial(L)
@@ -112,8 +103,8 @@ def test_power_rows_are_monomial_remainders(L):
 def test_roots_of_unity_of_large_order():
     # The power row of zeta^2047 lies 1023 reduction steps above the
     # field degree; building the rows must not recurse once per step.
-    z = e_rational(Fraction(2047, 2048))
-    assert z * e_rational(Fraction(1, 2048)) == 1
+    z = CycNumber.zeta(2048, 2047)
+    assert z * CycNumber.zeta(2048) == 1
     assert abs(z.to_complex() - cmath.exp(-2j * cmath.pi / 2048)) < 1e-12
 
 

@@ -31,7 +31,6 @@ from qmaass.maass import (
     family_coeff_table,
     quantum_value,
     radial_limit_check,
-    table_csv_lines,
 )
 from qmaass.series import PrecisionError, QSeriesError
 from qmaass.theta import family_params
@@ -201,15 +200,6 @@ class TestCoeffTable:
             MaassCoeffTable(scale=24, coeffs={0: 1})
         with pytest.raises(QSeriesError):
             cohen_table(0)
-
-    def test_csv_lines(self):
-        lines = table_csv_lines(cohen_table(60))
-        assert lines[0] == "# scale=24"
-        assert lines[1] == "n,value"
-        assert "-23,-2" in lines
-        assert "1,1" in lines
-        body = lines[2:]
-        assert body == sorted(body, key=lambda s: int(s.split(",")[0]))
 
 
 # ------------------------------------------------------------- waveform sums

@@ -32,10 +32,6 @@ from qmaass.series import (
     divide_one_minus_power,
     gaussian_binomial,
     pochhammer,
-    series_from_csv_rows,
-    series_from_json,
-    series_to_csv_rows,
-    series_to_json,
     stabilized_sum,
 )
 
@@ -513,26 +509,6 @@ def test_divide_one_minus_power():
     assert divide_one_minus_power(prod, 3).agrees(p, up_to=t)
     with pytest.raises(QSeriesError):
         divide_one_minus_power(QSeries.one(t), 0)
-
-
-# ------------------------------------------------------------- serialization
-
-
-def test_json_round_trip():
-    s = QSeries.from_terms(
-        [(Fraction(1, 24), Fraction(3, 2)), (2, -1), (Fraction(-5, 3), 4)],
-        trunc=Fraction(7, 2),
-    )
-    assert series_from_json(series_to_json(s)) == s
-    p = QSeries.one()  # infinite trunc round-trips through null
-    assert series_from_json(series_to_json(p)) == p
-
-
-def test_csv_round_trip():
-    s = QSeries.from_terms([(Fraction(1, 2), 1), (3, Fraction(-2, 7))], trunc=10)
-    rows = series_to_csv_rows(s)
-    assert rows == [(1, 2, "1/1"), (3, 1, "-2/7")]
-    assert series_from_csv_rows(rows, trunc=10) == s
 
 
 # ------------------------------------------------------------- comparison

@@ -30,8 +30,9 @@ from qmaass.theta import (
     ThetaParams,
     _bounded,
     _denominators,
+    _gauss_legendre,
     _lattice_walk,
-    _ray_integrals,
+    _ray_integral,
     _ray_sign,
     completed_waveform_numeric,
     completion_defect,
@@ -342,7 +343,7 @@ def _defect_by_fractions(params, tau, cut):
     M, u, v = params.M, tau.real, tau.imag
     root_v = math.sqrt(v)
     t1, t2 = form.reference_parameter(1), form.reference_parameter(2)
-    rays, terms = [], []
+    total = 0j
     for _, r1, r2 in _fraction_points(params, cut):
         qv = form.value((r1, r2))
         combined = (M * M - 1) * min((r1 + r2) ** 2, (r1 - r2) ** 2) + 2 * qv
@@ -354,14 +355,12 @@ def _defect_by_fractions(params, tau, cut):
         sign2 = _ray_sign(u_plus, u_minus, t2)
         if sign1 == 0 and sign2 == 0:
             continue
+        alpha = _ray_integral(u_plus, u_minus, t1, sign1) - _ray_integral(
+            u_plus, u_minus, t2, sign2
+        )
         phase = unit_phase(float(qv) * u + float(form.bilinear((r1, r2), params.b)))
-        rays.append((u_plus, u_minus, sign1, sign2))
-        terms.append(math.exp(-2.0 * math.pi * float(qv) * v) * phase)
-    if not rays:
-        return 0j
-    up, um, s1, s2 = np.array(rays).T
-    alpha = _ray_integrals(up, um, np.array([[t1], [t2]]), np.array([s1, s2]))
-    return root_v * complex((alpha[0] - alpha[1]) @ np.array(terms))
+        total += alpha * (math.exp(-2.0 * math.pi * float(qv) * v) * phase)
+    return root_v * total
 
 
 _small_fractions = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
@@ -539,6 +538,28 @@ class TestFamilyLattice:
                     assert isinstance(single, complex)
                     assert abs(value - single) <= 1e-13 * (1 + abs(single))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 3).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k))),
+        st.one_of(
+            st.builds(F, st.integers(-120, 120), st.integers(1, 60)),
+            st.sampled_from(HUGE_PHASES),
+        ),
+        st.floats(0.01, 2.0),
+    )
+    def test_numeric_route_equals_the_exact_series_termwise(self, j, k_ell, x, t):
+        # Terms past 45 / t are below exp(-45) each.
+        k, ell = k_ell
+        series = family_lattice_series(j, k, ell, math.ceil(45 / t))
+        p, q = x.numerator, x.denominator
+        ref = sum(
+            float(c) * cmath.exp(2j * math.pi * (p * int(e) % q / q) - t * int(e))
+            for e, c in series.terms()
+        )
+        got = family_lattice_numeric(j, k, ell, x, t)
+        assert abs(got - ref) <= 1e-12 * (1 + abs(ref))
+
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_series_route_equals_defining_sums(self, j):
         for k, ell in ((1, 1), (2, 1), (2, 2), (3, 2)):
@@ -641,9 +662,9 @@ class TestCompletionDefect:
     @pytest.mark.parametrize(
         "j, k, ell, defect",
         [
-            (1, 1, 1, 3.0485968391664683e-09),
-            (3, 1, 1, 1.1908254091475863),
-            (3, 2, 1, 0.00011384829815614888),
+            (1, 1, 1, 3.048596840313095e-09),
+            (3, 1, 1, 1.1908254091475856),
+            (3, 2, 1, 0.00011384829815614909),
             (1, 2, 2, 0.00840775999811983),
             (3, 2, 2, 1.6109110023377873),
         ],
@@ -723,11 +744,11 @@ def _ray_cases():
 
 def test_ray_integrals_match_adaptive_quadrature():
     rays = _ray_cases()
-    up, um, t, sign = (np.array(col, dtype=float) for col in zip(*rays))
-    assert np.all(sign != 0)
-    assert np.any(np.abs(up) > np.abs(um)) and np.any(np.abs(up) < np.abs(um))
-    got = _ray_integrals(up, um, t, sign)
-    for (u_plus, u_minus, t0, s), value in zip(rays, got):
+    assert all(s != 0 for _, _, _, s in rays)
+    assert any(abs(up) > abs(um) for up, um, _, _ in rays)
+    assert any(abs(up) < abs(um) for up, um, _, _ in rays)
+    for u_plus, u_minus, t0, s in rays:
+        value = _ray_integral(u_plus, u_minus, t0, s)
         ref = _quad_ray_integral(u_plus, u_minus, t0, s)
         # The q^Q modulus the integral is multiplied by in the defect:
         # e^(-2 pi Q v), with 4 v Q = u_plus^2 - u_minus^2.
@@ -745,11 +766,40 @@ def test_ray_integrals_from_the_turning_point(c):
     half = mpmath.mpf(c) / 2
     ref = float(mpmath.exp(half) * mpmath.besselk(0, half) / 2)
     root = math.sqrt(c / math.pi)
-    sinh_branch, cosh_branch = _ray_integrals(
-        np.array([root, 0.0]), np.array([0.0, root]), 0.0, 1
-    )
+    sinh_branch = _ray_integral(root, 0.0, 0.0, 1)
+    cosh_branch = _ray_integral(0.0, root, 0.0, 1)
     assert abs(sinh_branch - ref) <= 1e-13 * ref
     assert abs(cosh_branch - math.exp(-c) * ref) <= 1e-13 * math.exp(-c) * ref
+
+
+def _legendre_rule_mp(n):
+    """The n-point Gauss-Legendre rule to 40 digits: numpy's nodes
+    polished by mpmath's root finder, weights 2 / ((1 - x^2) P_n'(x)^2)."""
+    nodes, weights = [], []
+    with mpmath.workdps(40):
+        for x0 in np.polynomial.legendre.leggauss(n)[0]:
+            x = mpmath.findroot(lambda z: mpmath.legendre(n, z), mpmath.mpf(x0))
+            p, p_prev = mpmath.legendre(n, x), mpmath.legendre(n - 1, x)
+            slope = n * (x * p - p_prev) / (x * x - 1)
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * slope**2)))
+    return nodes, weights
+
+
+def test_gauss_legendre_rule():
+    nodes, weights = _gauss_legendre(64)
+    np_nodes, np_weights = np.polynomial.legendre.leggauss(64)
+    assert max(abs(a - b) for a, b in zip(nodes, np_nodes)) <= 1e-15
+    # numpy takes its weights from derivatives at the unpolished
+    # eigenvalue roots; they are off the true weights by up to 2.3e-15.
+    assert max(abs(a - b) for a, b in zip(weights, np_weights)) <= 4e-15
+    mp_nodes, mp_weights = _legendre_rule_mp(64)
+    assert max(abs(a - b) for a, b in zip(nodes, mp_nodes)) <= 1e-15
+    assert max(abs(a - b) for a, b in zip(weights, mp_weights)) <= 1e-15
+    assert abs(sum(weights) - 2.0) <= 1e-14
+    # Exact for polynomials up to degree 127.
+    moment = sum(w * x**126 for x, w in zip(nodes, weights))
+    assert abs(moment - 2.0 / 127.0) <= 1e-14
 
 
 def _exact_sign(x) -> int:
@@ -770,7 +820,7 @@ def _defect_by_ray_signs(params, tau, exact, lattice_cut=10):
     u, v = tau.real, tau.imag
     root_v = math.sqrt(v)
     t1, t2 = form.reference_parameter(1), form.reference_parameter(2)
-    rays, terms = [], []
+    total = 0j
     for _, r1, r2 in _fraction_points(params, lattice_cut):
         qv = form.value((r1, r2))
         combined = (M * M - 1) * min((r1 + r2) ** 2, (r1 - r2) ** 2) + 2 * qv
@@ -785,12 +835,13 @@ def _defect_by_ray_signs(params, tau, exact, lattice_cut=10):
         float_signs = (_ray_sign(u_plus, u_minus, t1), _ray_sign(u_plus, u_minus, t2))
         # Away from the exact zeros the float test is the exact one.
         assert all(f == e or e == 0 for f, e in zip(float_signs, exact_signs))
-        rays.append((u_plus, u_minus) + (exact_signs if exact else float_signs))
+        sign1, sign2 = exact_signs if exact else float_signs
+        alpha = _ray_integral(u_plus, u_minus, t1, sign1) - _ray_integral(
+            u_plus, u_minus, t2, sign2
+        )
         phase = unit_phase(float(qv) * u + float(form.bilinear((r1, r2), params.b)))
-        terms.append(math.exp(-2.0 * math.pi * float(qv) * v) * phase)
-    up, um, s1, s2 = np.array(rays).T
-    alpha = _ray_integrals(up, um, np.array([[t1], [t2]]), np.array([s1, s2]))
-    return root_v * complex((alpha[0] - alpha[1]) @ np.array(terms))
+        total += alpha * (math.exp(-2.0 * math.pi * float(qv) * v) * phase)
+    return root_v * total
 
 
 class TestExactRaySigns:
