@@ -29,6 +29,7 @@ from .series import (
     QSeries,
     QSeriesError,
     divide_one_minus_power,
+    inverse_pochhammer,
     pochhammer,
     stabilized_sum,
 )
@@ -85,11 +86,6 @@ class BaileyPair:
             )
 
 
-@lru_cache(maxsize=None)
-def _inverse_pochhammer(kind: str, m: int, trunc) -> QSeries:
-    return pochhammer(kind, m, trunc).inverse().truncate(trunc)
-
-
 def definition_right_side(pair: BaileyPair, n: int, trunc) -> QSeries:
     """The defining-relation right side sum_{m<=n} alpha_m / (...)."""
     t = _require_finite(trunc)
@@ -99,8 +95,8 @@ def definition_right_side(pair: BaileyPair, n: int, trunc) -> QSeries:
         term = pair.alpha(m, t)
         if term.is_zero():
             continue
-        term = term * _inverse_pochhammer("q", n - m, t)
-        term = term * _inverse_pochhammer(second, n + m, t)
+        term = term * inverse_pochhammer("q", n - m, t)
+        term = term * inverse_pochhammer(second, n + m, t)
         total = total + term
     return total.truncate(t)
 
@@ -220,7 +216,7 @@ def unit_pair(relative: str) -> BaileyPair:
 
     @lru_cache(maxsize=None)
     def beta(n: int, trunc) -> QSeries:
-        out = _inverse_pochhammer("q", n, trunc) * _inverse_pochhammer(
+        out = inverse_pochhammer("q", n, trunc) * inverse_pochhammer(
             second, n, trunc
         )
         return out.truncate(trunc)

@@ -29,7 +29,7 @@ from .agpolys import _int_slots, ag_polynomial_sweep, ag_polynomials_at_root
 from .bailey import LIMIT_WEIGHTS, _require_finite, weighted_term
 from .cyclotomic import CycNumber, binomials_at_root, check_root_order, cyclic_add, cyclic_mul
 from .reports import CheckReport, report_from_condition
-from .series import QSeries, QSeriesError, pochhammer, stabilized_sum
+from .series import QSeries, QSeriesError, inverse_pochhammer, pochhammer, stabilized_sum
 
 __all__ = [
     "FAMILY_SUMS",
@@ -135,7 +135,7 @@ def sigma_series(rep: str, trunc) -> QSeries:
             e = n * (n + 1) // 2
             if e >= t:
                 break
-            total = total + pochhammer("-q", n, t).inverse().truncate(t).shift(e)
+            total = total + inverse_pochhammer("-q", n, t).shift(e)
         return total
     if rep == "alternating":
         total = QSeries.one(t)
@@ -197,7 +197,7 @@ def sigma_star_series(rep: str, trunc) -> QSeries:
             e = n * n
             if e >= t:
                 break
-            term = pochhammer("q;q2", n, t).inverse().truncate(t).shift(e)
+            term = inverse_pochhammer("q;q2", n, t).shift(e)
             total = total + (-term if n % 2 else term)
         return total.scale(2)
     if rep == "alternating":

@@ -21,6 +21,8 @@ and builds a new ``Fraction`` only for a truncation that actually moves.
 from __future__ import annotations
 
 import math
+import operator
+import struct
 from fractions import Fraction
 from itertools import count, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
@@ -32,6 +34,9 @@ _HALF = Fraction(1, 2)
 # of its span, the pairwise loop one multiplication per term pair; packing
 # wins only from about this many term pairs per digit of the span.
 _PACK_MIN_PAIRS_PER_DIGIT = 3
+
+# Little-endian unsigned struct codes of the machine-word digit widths.
+_WORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 _EXPONENT = int | Fraction
 
@@ -225,8 +230,22 @@ class QSeries:
         denom = math.lcm(self.denom, other.denom)
         out = dict(self._rescaled(denom))
         for m, c in other._rescaled(denom).items():
-            out[m] = out.get(m, 0) + c
-        return QSeries(out, denom, min(self.trunc, other.trunc))
+            if m in out:
+                c = out[m] + c
+                if type(c) is not int:
+                    c = _clean(c)
+                if c == 0:
+                    del out[m]
+                    continue
+            out[m] = c
+        # Each operand is clean below its own trunc; only the higher one's
+        # terms between the two truncs need dropping.
+        trunc = self.trunc
+        if other.trunc is not trunc and other.trunc != trunc:
+            trunc = min(trunc, other.trunc)
+            bound = _int_bound(trunc, denom)
+            out = {m: c for m, c in out.items() if m < bound}
+        return QSeries._from_clean(out, denom, trunc)
 
     def __sub__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
@@ -277,7 +296,8 @@ class QSeries:
                 m = m1 + m2
                 if bound is None or m < bound:
                     out[m] = out[m] + c1 * c2 if m in out else c1 * c2
-        return QSeries(out, denom, trunc)
+        clean = {m: c if type(c) is int else _clean(c) for m, c in out.items() if c != 0}
+        return QSeries._from_clean(clean, denom, trunc)
 
     __rmul__ = __mul__
 
@@ -407,11 +427,14 @@ def _kronecker_product(xa: dict, xb: dict, bound: int | None) -> dict | None:
     big-int product (CPython's Karatsuba) does the whole convolution
     (Harvey, J. Symb. Comput. 44, 2009).  Digits are written and read with
     a bias of B/2, and B is wide enough (every product coefficient is below
-    B/4 in size) that no digit spills into the next.  Exponents at or above
-    ``bound`` are dropped.  Returns None, leaving the product to the
-    pairwise loop, when a coefficient is not a plain int or when the
-    operands make fewer than ``_PACK_MIN_PAIRS_PER_DIGIT`` term pairs per
-    digit of the product's span.
+    B/4 in size) that no digit spills into the next.  A width of at most 8
+    bytes is rounded up to a machine word (1, 2, 4 or 8 bytes), so that
+    one ``struct`` call packs or unpacks all digits; wider digits go
+    through per-digit byte strings.  Exponents at or above ``bound`` are
+    dropped.  Returns None, leaving the product to the pairwise loop, when
+    a coefficient is not a plain int or when the operands make fewer than
+    ``_PACK_MIN_PAIRS_PER_DIGIT`` term pairs per digit of the product's
+    span.
     """
     if not xa or not xb:
         return {}
@@ -428,28 +451,35 @@ def _kronecker_product(xa: dict, xb: dict, bound: int | None) -> dict | None:
         return None
     peak = max(map(abs, xa.values())) * max(map(abs, xb.values()))
     width = ((peak * min(len(xa), len(xb))).bit_length() + 9) // 8
+    width = next((w for w in _WORD_CODES if w >= width), width)
+    code = _WORD_CODES.get(width)
     half = 1 << (8 * width - 1)
-
-    def biased(n: int) -> int:  # B/2 in each of n digits
-        return int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    bias = int.from_bytes(half.to_bytes(width, "little") * size, "little")  # B/2 per digit
 
     def packed(terms: dict, lo: int, hi: int) -> int:
-        digits = [half] * (hi - lo + 1)
+        n = hi - lo + 1
+        digits = [half] * n
         for m, c in terms.items():
             if m <= hi:
                 digits[m - lo] += c
-        raw = b"".join(map(int.to_bytes, digits, repeat(width), repeat("little")))
-        return int.from_bytes(raw, "little") - biased(len(digits))
+        if code:
+            raw = struct.pack("<%d%s" % (n, code), *digits)
+        else:
+            raw = b"".join(map(int.to_bytes, digits, repeat(width), repeat("little")))
+        return int.from_bytes(raw, "little") - (bias >> (8 * width * (size - n)))
 
-    product = packed(xa, lo_a, hi_a) * packed(xb, lo_b, hi_b) + biased(size)
+    product = packed(xa, lo_a, hi_a) * packed(xb, lo_b, hi_b) + bias
     raw = product.to_bytes(width * size, "little")
     keep = size if bound is None else min(size, bound - lo_a - lo_b)
-    cells = [raw[i : i + width] for i in range(0, width * keep, width)]
-    return {
-        m: c - half
-        for m, c in enumerate(map(int.from_bytes, cells, repeat("little")), lo_a + lo_b)
-        if c != half
-    }
+    if code:
+        cells = struct.unpack_from("<%d%s" % (keep, code), raw)
+    else:
+        cells = map(
+            int.from_bytes,
+            [raw[i : i + width] for i in range(0, width * keep, width)],
+            repeat("little"),
+        )
+    return {m: c - half for m, c in enumerate(cells, lo_a + lo_b) if c != half}
 
 
 # ---------------------------------------------------------------------- utils
@@ -482,15 +512,24 @@ def divide_one_minus_power(series: QSeries, s: int) -> QSeries:
         return QSeries({}, 1, x.trunc)
     if x._coeffs and min(x._coeffs) < 0:
         raise QSeriesError("division helper requires nonnegative order")
-    out = [0] * size
-    for m, c in x._coeffs.items():
-        if 0 <= m < size:
-            out[m] = c
-    for e in range(s, size):
+    out = dense_int_coeffs(x, size)
+    _divide_dense(out, 1, s)
+    return QSeries({e: c for e, c in enumerate(out) if c != 0}, 1, x.trunc)
+
+
+def _multiply_dense(out: list, c, s: int) -> None:
+    """Multiply the dense series ``out`` by (1 - c q^s), s >= 0, in place."""
+    size = len(out)
+    if s < size:
+        out[s:] = map(operator.sub, out[s:], map(operator.mul, repeat(c), out[: size - s]))
+
+
+def _divide_dense(out: list, c, s: int) -> None:
+    """Divide the dense series ``out`` by (1 - c q^s), s >= 1, in place."""
+    for e in range(s, len(out)):
         prev = out[e - s]
         if prev != 0:
-            out[e] = out[e] + prev
-    return QSeries({e: c for e, c in enumerate(out) if c != 0}, 1, x.trunc)
+            out[e] = out[e] + c * prev
 
 
 # ----------------------------------------------------------------- pochhammer
@@ -504,7 +543,41 @@ _POCH_NAMES = {
     "q2;q": (1, 2, 1),     # (q^2; q)_n
 }
 
-_poch_cache: dict[tuple, QSeries] = {}
+# (spec, trunc) -> [the product of the first i factors for i = 0, 1, ...]
+_poch_cache: dict[tuple, list[QSeries]] = {}
+# (spec, trunc) -> [the inverse of that product for i = 0, 1, ...]
+_inverse_poch_cache: dict[tuple, list[QSeries]] = {}
+
+
+def _poch_spec(kind, n: int) -> tuple:
+    """The (coeff, exponent, step) triple of a Pochhammer kind."""
+    if n < 0:
+        raise QSeriesError("pochhammer length must be nonnegative")
+    if isinstance(kind, str):
+        try:
+            return _POCH_NAMES[kind]
+        except KeyError:
+            raise QSeriesError(f"unknown pochhammer kind {kind!r}")
+    coeff, exponent, step = kind
+    spec = (coeff, _rational(exponent), int(step))
+    if spec[2] <= 0:
+        raise QSeriesError("pochhammer step must be positive")
+    return spec
+
+
+def _prefixes(cache: dict, spec: tuple, t) -> list:
+    """The cached prefixes of ``spec`` at trunc ``t``, at least the empty one."""
+    prefixes = cache.get((spec, t))
+    if prefixes is None:
+        prefixes = cache[spec, t] = [QSeries.one(t)]
+    return prefixes
+
+
+def _dense_passes_apply(spec: tuple, t) -> bool:
+    """Whether every factor of ``spec`` below the finite rational ``t`` is a
+    step the dense passes take: an integer coefficient and exponent >= 0."""
+    coeff, exponent, _ = spec
+    return type(t) is Fraction and type(coeff) is int and type(exponent) is int and exponent >= 0
 
 
 def pochhammer(kind, n: int, trunc) -> QSeries:
@@ -515,33 +588,63 @@ def pochhammer(kind, n: int, trunc) -> QSeries:
     ``(1 - coeff * q^(exponent + step*i))`` for i = 0..n-1.  The named kinds
     cover (q;q)_n, (q^2;q^2)_n, (-q;q)_n, (-1;q)_n, (q;q^2)_n and (q^2;q)_n;
     monomial arguments +/- q^j use explicit triples.
+
+    The longest cached prefix is extended one factor at a time, and every
+    prefix lands in the cache: by one pass over a dense list when the
+    trunc is finite and the factors have an integer coefficient and
+    integer exponents >= 0, else by series products.
     """
-    if n < 0:
-        raise QSeriesError("pochhammer length must be nonnegative")
-    if isinstance(kind, str):
-        try:
-            spec = _POCH_NAMES[kind]
-        except KeyError:
-            raise QSeriesError(f"unknown pochhammer kind {kind!r}")
-    else:
-        coeff, exponent, step = kind
-        spec = (coeff, _rational(exponent), int(step))
-        if spec[2] <= 0:
-            raise QSeriesError("pochhammer step must be positive")
+    spec = _poch_spec(kind, n)
     t = Fraction(trunc) if isinstance(trunc, int) else trunc
+    prefixes = _prefixes(_poch_cache, spec, t)
     coeff, exponent, step = spec
-    # Extend the longest cached prefix, so that every prefix lands in the cache.
-    start = next((i for i in range(n, 0, -1) if (spec, i, t) in _poch_cache), 0)
-    acc = _poch_cache[(spec, start, t)] if start else QSeries.one(t)
-    for i in range(start, n):
-        factor_exp = exponent + step * i
-        if t is not INF and factor_exp >= t:
-            factor = QSeries.one(t)
+    if n >= len(prefixes) and _dense_passes_apply(spec, t):
+        out = dense_int_coeffs(prefixes[-1], max(_int_bound(t, 1), 0))
+        for i in range(len(prefixes) - 1, n):
+            _multiply_dense(out, coeff, exponent + step * i)
+            prefixes.append(QSeries._from_clean({e: c for e, c in enumerate(out) if c}, 1, t))
+    else:
+        for i in range(len(prefixes) - 1, n):
+            factor_exp = exponent + step * i
+            if t is not INF and factor_exp >= t:
+                factor = QSeries.one(t)
+            else:
+                factor = QSeries.from_terms([(0, 1), (factor_exp, -coeff)], t)
+            prefixes.append(prefixes[-1] * factor)
+    return prefixes[n]
+
+
+def inverse_pochhammer(kind, n: int, trunc) -> QSeries:
+    """1 / pochhammer(kind, n, trunc), exact below the finite ``trunc``.
+
+    Extends the longest cached prefix by one division by (1 - coeff q^e)
+    per factor, so every prefix lands in its own cache.  Takes the named
+    kinds and triples with an integer coefficient and an integer exponent
+    >= 0.
+    """
+    spec = _poch_spec(kind, n)
+    t = Fraction(trunc) if isinstance(trunc, int) else trunc
+    if not _dense_passes_apply(spec, t):
+        raise QSeriesError(
+            "inverse_pochhammer needs a finite rational trunc, an integer "
+            "coefficient and an integer exponent >= 0"
+        )
+    prefixes = _prefixes(_inverse_poch_cache, spec, t)
+    if n < len(prefixes):
+        return prefixes[n]
+    coeff, exponent, step = spec
+    out = dense_int_coeffs(prefixes[-1], max(_int_bound(t, 1), 0))
+    for i in range(len(prefixes) - 1, n):
+        s = exponent + step * i
+        if s:
+            _divide_dense(out, coeff, s)
+        elif coeff == 1:
+            raise QSeriesError("cannot invert: the factor (1 - q^0) is zero")
         else:
-            factor = QSeries.from_terms([(0, 1), (factor_exp, -coeff)], t)
-        acc = acc * factor
-        _poch_cache[(spec, i + 1, t)] = acc
-    return acc
+            out = [_clean(Fraction(c, 1 - coeff)) for c in out]
+        coeffs = {e: c if type(c) is int else _clean(c) for e, c in enumerate(out) if c}
+        prefixes.append(QSeries._from_clean(coeffs, 1, t))
+    return prefixes[n]
 
 
 # ----------------------------------------------------------- gaussian binomial
@@ -662,4 +765,5 @@ def stabilized_sum(
 
 def clear_caches() -> None:
     _poch_cache.clear()
+    _inverse_poch_cache.clear()
     _gauss_cache.clear()

@@ -36,6 +36,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, cycle, islice
 
 from .cyclotomic import CycNumber
 from .families import _validate_family, family_series
@@ -374,28 +375,56 @@ def indefinite_theta_series(params, trunc) -> QSeries:
 # -------------------------------------------------------- family lattice sums
 
 
-def _family_shell(j: int, k: int, ell: int, n: int):
-    """Lattice terms of family j at outer index n.
+def _kept_nus(square: int, linear: int, excess: int, lo: int, hi: int) -> tuple:
+    """The nu in lo..hi with (square nu^2 + linear nu) / 2 > excess, as
+    ascending ranges.
+
+    With disc = linear^2 + 8 square excess >= 0 the others are the integers
+    between the parabola's real roots r1 <= r2, [ceil(r1), floor(r2)].  Both
+    ends are exact from isqrt(disc), since floor((m + sqrt(disc)) / d) =
+    floor((m + isqrt(disc)) / d) for integers m and d > 0.
+    """
+    disc = linear * linear + 8 * square * excess
+    if disc < 0:
+        return (range(lo, hi + 1),)
+    root = math.isqrt(disc)
+    first_out = -((linear + root) // (2 * square))
+    last_out = (root - linear) // (2 * square)
+    return range(lo, min(hi, first_out - 1) + 1), range(max(lo, last_out + 1), hi + 1)
+
+
+def _family_shell(j: int, k: int, ell: int, n: int, top: int):
+    """Lattice terms of family j at outer index n with exponent below ``top``.
 
     Returns (exponents, numerators, denom) with two lists of Python ints:
-    the terms numerators / denom * q^exponents.
+    the terms numerators / denom * q^exponents.  Each exponent is a
+    downward parabola in nu, so the kept nu form two end ranges; along a
+    range the exponents are running sums of an arithmetic progression and
+    the signs alternate.
     """
     if j in (1, 2):
-        nus = range(-n, n + 1)
+        hi = n
         base = (k + 1) * n * n + k * n + (n * (n + 1) // 2 if j == 1 else 0)
+        parts = ((0, 1), (2 * n + 1, -1))  # (exponent offset, sign factor)
     else:
-        nus = range(-n, n)
+        hi = n - 1
         base = (k + 1) * n * n + (n * (n - 1) // 2 if j == 3 else 0)
-    # base - quadratic_shift(k, ell, nu), with sign (-1)^(n + nu)
+        parts = ((0, -1), (n, -1)) if j == 3 else ((0, -2),)
+    # base + offset - quadratic_shift(k, ell, nu), with sign (-1)^(n + nu)
     square, linear = 2 * k + 1, 2 * k - 2 * ell + 1
-    e = [base - (square * nu * nu + linear * nu) // 2 for nu in nus]
-    sign = [1 - 2 * (i % 2) for i in range(len(e))]
-    neg = [-s for s in sign]
-    if j in (1, 2):
-        return e + [x + 2 * n + 1 for x in e], sign + neg, 2 if j == 2 else 1
-    if j == 3:
-        return e + [x + n for x in e], neg + neg, 1
-    return e, [2 * s for s in neg], 1
+    exps, nums = [], []
+    for off, mult in parts:
+        for nus in _kept_nus(square, linear, base + off - top, -n, hi):
+            if not nus:
+                continue
+            nu = nus.start
+            step = -((square * (2 * nu + 1) + linear) // 2)  # exponent at nu + 1 minus at nu
+            first = base + off - (square * nu * nu + linear * nu) // 2
+            steps = range(step, step - square * (len(nus) - 1), -square)
+            exps += accumulate(steps, initial=first)
+            signs = (-mult, mult) if (n + nu) & 1 else (mult, -mult)
+            nums += islice(cycle(signs), len(nus))
+    return exps, nums, 2 if j == 2 else 1
 
 
 def _family_shell_min_exponent(j: int, k: int, ell: int, n: int) -> Fraction:
@@ -419,10 +448,9 @@ def family_lattice_series(j: int, k: int, ell: int, trunc) -> QSeries:
     denom = 1
     n = 0 if j in (1, 2) else 1
     while _family_shell_min_exponent(j, k, ell, n) < t:
-        exps, nums, denom = _family_shell(j, k, ell, n)
+        exps, nums, denom = _family_shell(j, k, ell, n, math.ceil(t))
         for e, c in zip(exps, nums):
-            if e < t:
-                acc[e] = acc.get(e, 0) + c
+            acc[e] = acc.get(e, 0) + c
         n += 1
     return QSeries.from_terms(((e, Fraction(c, denom)) for e, c in acc.items()), t)
 
@@ -434,10 +462,9 @@ def _lattice_coefficients(j: int, k: int, ell: int, top: int):
     coeffs = [0] * top
     n = 0 if j in (1, 2) else 1
     while _family_shell_min_exponent(j, k, ell, n) < top:
-        exps, nums, denom = _family_shell(j, k, ell, n)
+        exps, nums, denom = _family_shell(j, k, ell, n, top)
         for e, c in zip(exps, nums):
-            if e < top:
-                coeffs[e] += c
+            coeffs[e] += c
         n += 1
     return tuple(coeffs), 2 if j == 2 else 1
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import hashlib
 import io
 import json
 import signal
@@ -40,6 +41,38 @@ def _run(capsys, *argv):
 
 def _json_lines(lines):
     return [json.loads(line) for line in lines]
+
+
+def _has_float(value) -> bool:
+    if isinstance(value, float):
+        return True
+    if isinstance(value, dict):
+        return any(map(_has_float, value.values()))
+    if isinstance(value, list):
+        return any(map(_has_float, value))
+    return False
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# The behaviour lock: sha256 digests of stdout lines, recorded before the
+# exact kernel moved to packed word digits, one-factor Pochhammer passes
+# and clean-map sums.  A change that moves one must fix a verdict and say
+# so in CHANGES.md.
+LOCKED_VERIFY_ALL_EXACT = "9d26a7257a089c65b8e031b46333c587e2520c4cccb6b275d59ae0e9102a0992"
+LOCKED_EXPAND_TABLES = {
+    "f --j 1 --k 2 --l 1 --order 400":
+        "eb286b1757d041a09d267aafda6a80cb26ccf63e2229a4c09dbde693eb7e9b2b",
+    "hpoly --k 3": "1b3b59cddf307d385c0fb61128197e9d239e09a88603c5699f7d4d449d1d340a",
+    "sigma": "6dce9010b74d4e9e516d223559364caf4152cb2d5cd6940c8a9516af8627fc5a",
+    "sigma-star": "89377028d87d6df11a80c9856690c8f99e568e067efeee2f73b75b2d225bbe32",
+    "s-theta --j 2 --k 2 --l 1 --order 60":
+        "2e84e0a3fcc2f3bff77b8ccf272608cd83318d289ede620b68eeef12f106e846",
+    "s-theta --M 3 --a 1/5,1/7 --b 1/3,1/11 --order 40":
+        "3e493b027d036f2a4c595fa47d21acc3407282cc728bfa3e088462d6a1bba997",
+}
 
 
 # ------------------------------------------------------------ exact parsing
@@ -175,6 +208,11 @@ class TestVerify:
         # Every suite contributes at least one distinct check name.
         checks = {o["check"] for o in _json_lines(lines)}
         assert len(checks) >= 8
+        # Behaviour lock: the exact rows are byte-identical to the recorded
+        # ones (rows with a float anywhere depend on the platform's libm).
+        exact = [line for line in lines if not _has_float(json.loads(line))]
+        assert len(exact) == 88
+        assert _sha256(exact) == LOCKED_VERIFY_ALL_EXACT
 
     # A leftover QMAASS_THREADS setting is ignored: the suite stays serial and
     # still computes each residual exactly once.
@@ -276,6 +314,12 @@ class TestVerify:
 
 
 class TestExpand:
+    @pytest.mark.parametrize("argv", sorted(LOCKED_EXPAND_TABLES))
+    def test_tables_are_locked(self, capsys, argv):
+        code, lines, _ = _run(capsys, "expand", *argv.split())
+        assert code == 0
+        assert _sha256(lines) == LOCKED_EXPAND_TABLES[argv]
+
     def test_family_table_has_order_rows(self, capsys):
         code, lines, _ = _run(
             capsys, "expand", "f", "--j", "1", "--k", "2", "--l", "1",

@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmaass import series
-from qmaass.bailey import pair_relative_q, verify_limiting_identity
-from qmaass.cyclotomic import CycNumber
-from qmaass.families import family_series
+from qmaass.bailey import pair_relative_q, unit_pair, verify_limiting_identity, verify_pair
+from qmaass.cyclotomic import CycNumber, cyclic_mul
+from qmaass.families import family_series, sigma_series, sigma_star_series
 from qmaass.series import (
     INF,
     PrecisionError,
@@ -31,6 +31,7 @@ from qmaass.series import (
     dense_int_coeffs,
     divide_one_minus_power,
     gaussian_binomial,
+    inverse_pochhammer,
     pochhammer,
     stabilized_sum,
 )
@@ -258,6 +259,70 @@ def test_kernel_takes_only_plain_integer_coefficients():
     assert _kronecker_product(dense | {5: True}, dense, 30) is None
 
 
+def pairwise_terms(xa, xb, bound=None):
+    """The pairwise product of two term maps, zeros dropped, cut at bound."""
+    out = {}
+    for m1, c1 in xa.items():
+        for m2, c2 in xb.items():
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c and (bound is None or m < bound)}
+
+
+# Bit sizes of product coefficients at the edges of the packed product's
+# digit widths: a width of w bytes holds coefficients below 2^(8w - 2)
+# (B/4) in a word of 8w bits, for w = 1, 2, 4 and 8; wider digits take
+# the byte path.
+WIDTH_EDGES = (6, 7, 14, 15, 30, 31, 62, 63, 127)
+
+
+@st.composite
+def packable_pair(draw):
+    """Two dense integer maps, without zeros, whose largest product
+    coefficient lies just below, at or just above 2^edge for a width edge;
+    the lowest exponents are often negative."""
+    n = draw(st.integers(6, 30))
+    peak = 2 ** draw(st.sampled_from(WIDTH_EDGES)) + draw(st.sampled_from([-1, 0, 1]))
+    size = max(1, math.isqrt(peak // n))
+
+    def terms():
+        lo = draw(st.integers(-25, 10))
+        signs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return {lo + i: size if up else -size for i, up in enumerate(signs)}
+
+    return terms(), terms()
+
+
+@settings(max_examples=150, deadline=None)
+@given(packable_pair(), st.one_of(st.none(), st.integers(-40, 60)), st.integers(1, 40))
+def test_packed_product_matches_pairwise_across_digit_widths(pair, bound, order):
+    xa, xb = pair
+    got = _kronecker_product(xa, xb, bound)
+    assert got is not None
+    assert got == pairwise_terms(xa, xb, bound)
+    # Through QSeries.__mul__, with the bound as a truncation ...
+    trunc = INF if bound is None else Fraction(bound)
+    _assert_matches_oracle(QSeries(xa, 1, trunc), QSeries(xb, 1, INF))
+    # ... and through cyclic_mul's fold into Z[x]/(x^order - 1).
+    folded = {}
+    for m, c in pairwise_terms(xa, xb).items():
+        folded[m % order] = folded.get(m % order, 0) + c
+    assert cyclic_mul(xa, xb, order) == {m: c for m, c in folded.items() if c}
+
+
+@pytest.mark.parametrize("edge", WIDTH_EDGES)
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_packed_product_around_each_width_edge(edge, step):
+    # Operand coefficients at the edges themselves, +/-(2^edge + step),
+    # against +/-1 and squared: both signs, a negative lowest exponent
+    # and a bound.
+    big = 2**edge + step
+    xa = {m - 5: (-1) ** m * big for m in range(12)}
+    xb = {m - 3: 1 - 2 * (m % 3 == 0) for m in range(12)}
+    assert _kronecker_product(xa, xb, None) == pairwise_terms(xa, xb)
+    assert _kronecker_product(xa, xb, 4) == pairwise_terms(xa, xb, 4)
+    assert _kronecker_product(xa, xa, None) == pairwise_terms(xa, xa)
+
+
 def test_wide_span_product_is_exact_and_small():
     x = QSeries.from_terms([(0, 1), (10**7, 1)])
     tracemalloc.start()
@@ -396,6 +461,82 @@ def test_pochhammer_cache_prefix_reuse():
     assert b == c
     assert a == pochhammer("q", 4, 25)
     assert b.coeff(1) == -1
+
+
+@pytest.mark.parametrize("kind", sorted(series._POCH_NAMES))
+@pytest.mark.parametrize("trunc", [1, 17, Fraction(61, 3), 40])
+def test_inverse_pochhammer_matches_series_inverse(kind, trunc):
+    clear_caches()
+    for n in (0, 1, 2, 5, 9):
+        got = inverse_pochhammer(kind, n, trunc)
+        want = pochhammer(kind, n, trunc).inverse().truncate(trunc)
+        assert got == want
+        assert got._coeffs == want._coeffs and got.trunc == want.trunc
+        assert {m: type(c) for m, c in got._coeffs.items()} == {
+            m: type(c) for m, c in want._coeffs.items()
+        }
+        assert_clean(got)
+        one = (got * pochhammer(kind, n, trunc)).truncate(trunc)
+        assert one == QSeries.one(trunc)
+
+
+def test_inverse_pochhammer_keeps_fraction_coefficients():
+    # 1/(-1;q)_2 = 1/(2(1+q)) = (1 - q + q^2 - ...)/2
+    inv = inverse_pochhammer("-1", 2, 6)
+    assert [inv.coeff(e) for e in range(6)] == [Fraction((-1) ** e, 2) for e in range(6)]
+    # Halves that sum to whole numbers come out as ints.
+    inv = inverse_pochhammer("-1", 6, 30)
+    whole = [c for c in inv._coeffs.values() if Fraction(c).denominator == 1]
+    assert whole and all(type(c) is int for c in whole)
+
+
+def test_inverse_pochhammer_cache_prefix_reuse():
+    clear_caches()
+    a = inverse_pochhammer("q", 4, 25)
+    b = inverse_pochhammer("q", 6, 25)
+    assert inverse_pochhammer("q", 6, 25) is b
+    assert inverse_pochhammer("q", 4, 25) is a
+    assert inverse_pochhammer("q", 5, 25) == pochhammer("q", 5, 25).inverse()
+    assert b.coeff(1) == 1 and b.coeff(6) == 11  # partitions into parts <= 6
+    clear_caches()
+    assert not series._inverse_poch_cache and not series._poch_cache
+    assert inverse_pochhammer("q", 6, 25) == b
+
+
+def test_inverse_pochhammer_refuses_what_it_cannot_divide():
+    with pytest.raises(QSeriesError):
+        inverse_pochhammer("q", 3, INF)
+    with pytest.raises(QSeriesError):
+        inverse_pochhammer((1, Fraction(1, 2), 1), 3, 10)
+    with pytest.raises(QSeriesError):
+        inverse_pochhammer((1, 0, 1), 2, 10)  # the factor 1 - q^0 vanishes
+    with pytest.raises(QSeriesError):
+        inverse_pochhammer("q", -1, 10)
+    # an explicit triple the passes do take
+    trip = inverse_pochhammer((-1, 2, 1), 3, 30)
+    assert trip == pochhammer((-1, 2, 1), 3, 30).inverse()
+
+
+def test_pochhammer_keeps_the_product_route_for_rational_exponents():
+    t = Fraction(15, 2)
+    half = pochhammer((1, Fraction(1, 2), 1), 3, t)
+    direct = QSeries.one(t)
+    for i in range(3):
+        direct = direct * QSeries.from_terms([(0, 1), (Fraction(1, 2) + i, -1)], t)
+    assert half == direct
+    assert pochhammer((1, Fraction(1, 2), 1), 2, INF).trunc is INF
+
+
+def test_pochhammer_inverses_never_reach_series_inverse(monkeypatch):
+    def refused(self):
+        raise AssertionError("a Pochhammer inverse went through QSeries.inverse")
+
+    monkeypatch.setattr(QSeries, "inverse", refused)
+    clear_caches()
+    assert sigma_series("pochhammer", 40) == sigma_series("indefinite", 40)
+    assert sigma_star_series("odd-pochhammer", 40) == sigma_star_series("alternating", 40)
+    for pair in (unit_pair("one"), unit_pair("q"), pair_relative_q(2, 1)):
+        assert verify_pair(pair, 4, 20).status == "pass"
 
 
 # --------------------------------------------------------- gaussian binomials
@@ -671,6 +812,30 @@ def test_bookkeeping_matches_fraction_formulas(a, b, cut, e, c):
     assert_same(a.scale(c), ref_scale(ra, c))
 
 
+def test_sum_builds_a_clean_map():
+    # Unequal truncs: the sum is cut at the lower one, in either order.
+    a = QSeries({0: 1, 3: 2, 9: 5}, 1, Fraction(10))
+    b = QSeries({1: 1, 6: 7}, 2, Fraction(4))
+    for s in (a + b, b + a):
+        assert s.trunc == 4 and s.denom == 2
+        assert s._coeffs == {0: 1, 1: 1, 6: 2 + 7}
+    # Full cancellation leaves the empty map, at the shared trunc.
+    zero = a - a
+    assert zero._coeffs == {} and zero.trunc == 10
+    # Halves that sum to whole numbers become ints; zero sums drop out.
+    h = QSeries({0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(3, 2)}, 1, Fraction(5))
+    g = QSeries({0: Fraction(1, 2), 1: Fraction(-1, 2), 2: 1}, 1, Fraction(5))
+    s = h + g
+    assert s._coeffs == {0: 1, 2: Fraction(5, 2)}
+    assert type(s._coeffs[0]) is int
+    # Cyclotomic coefficients add, and cancel, in their field.
+    z = CycNumber.zeta(5, 1)
+    c = QSeries({0: z, 1: z, 2: 1}, 1, Fraction(6)) + QSeries({0: -z, 1: z}, 1, Fraction(6))
+    assert set(c._coeffs) == {1, 2} and c._coeffs[1] == 2 * z
+    for s in (a + b, zero, h + g, c):
+        assert_clean(s)
+
+
 def assert_clean(s):
     """The map of s is what the cleaning constructor would build from it."""
     assert s._coeffs == QSeries(dict(s._coeffs), s.denom, s.trunc)._coeffs
@@ -680,13 +845,14 @@ def assert_clean(s):
 @settings(max_examples=200, deadline=None)
 @given(bookkeeping_series(), bookkeeping_series(), EXPONENTS, st.integers(1, 12))
 def test_results_built_without_cleaning_are_clean(a, b, e, d):
-    # Products (pairwise and packed), negation and shifts wrap their
-    # maps without the cleaning pass of the constructor.
+    # Products (pairwise and packed), sums, negation and shifts wrap
+    # their maps without the cleaning pass of the constructor.
     dense = QSeries({m: (1 - m % 2 * 2) * (m % 5) for m in range(-6, 34)}, d)
     assert _kronecker_product(dense._coeffs, dense._coeffs, None) is not None
     cut = dense.truncate(b.trunc)
     products = (a * b, dense * dense, cut * dense, dense * a)
-    for s in (*products, -a, -cut, a.shift(e), cut.shift(e), dense.shift(e)):
+    sums = (a + b, b + a, a - a, cut + dense, dense - cut)
+    for s in (*products, *sums, -a, -cut, a.shift(e), cut.shift(e), dense.shift(e)):
         assert_clean(s)
         assert_clean(s.normalized())
 

@@ -30,7 +30,10 @@ from qmaass.theta import (
     ThetaParams,
     _bounded,
     _denominators,
+    _family_shell,
+    _family_shell_min_exponent,
     _gauss_legendre,
+    _lattice_coefficients,
     _lattice_walk,
     _ray_integral,
     _ray_sign,
@@ -566,6 +569,27 @@ class TestFamilyLattice:
             assert family_lattice_series(j, k, ell, 80) == family_series(
                 j, k, ell, 80
             ), (k, ell)
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    @pytest.mark.parametrize("top", [1, 2, 9, 40, 157])
+    def test_shells_below_top_equal_the_full_enumeration(self, j, top):
+        # The cut shells keep exactly the full enumeration's terms below
+        # top, and the dense table sums them.
+        for k in (1, 2, 3):
+            for ell in range(1, k + 1):
+                table = [0] * top
+                n = 0 if j in (1, 2) else 1
+                while _family_shell_min_exponent(j, k, ell, n) < top:
+                    want = sorted((e, c) for e, c in _shell_reference(j, k, ell, n) if e < top)
+                    exps, nums, denom = _family_shell(j, k, ell, n, top)
+                    assert sorted((e, F(c, denom)) for e, c in zip(exps, nums)) == want
+                    for e, c in want:
+                        table[e] += c * denom
+                    n += 1
+                # one shell past the loop contributes nothing below top
+                assert all(e >= top for e, _ in _shell_reference(j, k, ell, n))
+                coeffs, denom = _lattice_coefficients(j, k, ell, top)
+                assert list(coeffs) == table and denom == (2 if j == 2 else 1)
 
     def test_series_route_stays_exact_for_huge_chain_length(self):
         # Intermediates beyond int64 must not wrap.
