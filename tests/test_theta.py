@@ -9,6 +9,8 @@ transformation spot checks.
 """
 
 import cmath
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -231,6 +233,49 @@ class TestFamilyParams:
         assert payload["j"] == 2 and payload["M"] == 11
         assert payload["a"] == ["1/3", "3/10"]
         assert payload["alpha"] == str(d.alpha)
+
+
+# sha256 per family of (a) family_params(j, k, ell).to_json_dict() for
+# 1 <= ell <= k <= 10 and (b) family_lattice_series(j, k, ell, 150).terms()
+# for 1 <= ell <= k <= 5, recorded before the family data became one
+# record per family; any change to the parameters or lattice terms shows.
+_LOCKED_FAMILY_DIGESTS = {
+    1: (
+        "b0c377f2d0162481da69766d5873c47d83c7d7e3371e7a2cd9d40e32f9dec20a",
+        "f5d1988e22badc27ecf3c95f7f5d55585fe06b701ca8a23fc93a9fea8e5a4290",
+    ),
+    2: (
+        "3b2cb8e2654379a1b0d7a6cd790d30b19a64efc180399ed402cfa0695e5585fc",
+        "cb7ea3af73c1c1c147c98c739044b97c1f95553aea7508af777d5bafde57a553",
+    ),
+    3: (
+        "f73c3e359105cb0ec60b3620c813958eb9afbe603445c078b4ceff42b439ae52",
+        "83946af375a891292ae9eea6a6e365da57c4259fededfdecf06f4e0cfde0dcda",
+    ),
+    4: (
+        "0ee43211b0ef21f6e0778108e35113283ae4fc86e881ee55147253a56a8cf1c8",
+        "e62afbca27c0013e9c57e1fe94259d5e31979a0b041eba8ae4369fd2ea4f6885",
+    ),
+}
+
+
+def _sha256_json(rows) -> str:
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_family_data_lock(j):
+    params = [
+        family_params(j, k, ell).to_json_dict()
+        for k in range(1, 11)
+        for ell in range(1, k + 1)
+    ]
+    lattice = [
+        [k, ell, [[str(e), str(c)] for e, c in family_lattice_series(j, k, ell, 150).terms()]]
+        for k in range(1, 6)
+        for ell in range(1, k + 1)
+    ]
+    assert (_sha256_json(params), _sha256_json(lattice)) == _LOCKED_FAMILY_DIGESTS[j]
 
 
 # ------------------------------------------------------------ theta series
