@@ -55,6 +55,7 @@ from .bailey import (
 )
 from .cyclotomic import check_root_order
 from .families import (
+    FAMILIES,
     SIGMA_REPS,
     SIGMA_STAR_REPS,
     family_series,
@@ -102,9 +103,6 @@ VERIFY_SUITES = (
 )
 EXPAND_TARGETS = ("hpoly", "f", "sigma", "sigma-star", "s-theta", "negative-part")
 EVAL_TARGETS = ("waveform", "quantum", "radial", "cocycle")
-
-FAMILY_RANGE = (1, 2, 3, 4)
-
 
 class UsageError(Exception):
     """A structurally invalid invocation (maps to exit code 2)."""
@@ -385,7 +383,7 @@ def _family_grid(check, kmax: int, *args):
     """One check per family and chain parameters 1 <= ell <= k <= kmax."""
     return [
         partial(check, j, k, ell, *args)
-        for j in FAMILY_RANGE
+        for j in FAMILIES
         for k in range(1, kmax + 1)
         for ell in range(1, k + 1)
     ]

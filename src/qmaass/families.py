@@ -5,9 +5,9 @@ coefficient tables, and cyclotomic root-of-unity values.
 
 * :func:`family_series` builds the four families as the left sides of the
   four Bailey limit identities on the chain polynomials (the weights of
-  :data:`qmaass.bailey.LIMIT_WEIGHTS`, picked by :data:`FAMILY_SUMS`),
-  with certified even/odd averaging for the conditionally convergent
-  family 2.
+  :data:`qmaass.bailey.LIMIT_WEIGHTS`, picked by the :class:`Family`
+  records of :data:`FAMILIES`), with certified even/odd averaging for the
+  conditionally convergent family 2.
 * :func:`sigma_series` / :func:`sigma_star_series` give the two classical
   partial-theta companions in all their representations, plus fast integer
   coefficient tables for large ranges.
@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .agpolys import _int_slots, ag_polynomial_sweep, ag_polynomials_at_root
@@ -32,7 +34,8 @@ from .reports import CheckReport, report_from_condition
 from .series import QSeries, QSeriesError, inverse_pochhammer, pochhammer, stabilized_sum
 
 __all__ = [
-    "FAMILY_SUMS",
+    "FAMILIES",
+    "Family",
     "family_series",
     "kz_root_value",
     "negative_part_series",
@@ -49,8 +52,8 @@ SIGMA_STAR_REPS = ("odd-pochhammer", "alternating")
 
 
 def _validate_family(j: int, k: int, ell: int) -> None:
-    if j not in (1, 2, 3, 4):
-        raise QSeriesError(f"family index must be in 1..4, got {j!r}")
+    if j not in FAMILIES:
+        raise QSeriesError(f"family index must be in 1..{len(FAMILIES)}, got {j!r}")
     if not (isinstance(k, int) and k >= 1):
         raise QSeriesError(f"k must be a positive integer, got {k!r}")
     if not (isinstance(ell, int) and 1 <= ell <= k):
@@ -60,45 +63,92 @@ def _validate_family(j: int, k: int, ell: int) -> None:
 # ------------------------------------------------------------- the 4 families
 
 
-#: Family j is ``scale`` times the left side of the limit identity
-#: ``(relative, kind)`` (see :data:`qmaass.bailey.LIMIT_WEIGHTS`) on the
-#: chain pair of that relative, whose beta_n are the chain polynomials
-#: with boundary bit b = ``first``.
-FAMILY_SUMS = {
-    1: ("q", "gauss", 1),
-    2: ("q", "even", 1),
-    3: ("one", "gauss", 1),
-    4: ("one", "even", 2),
+def _affine(coeffs: tuple, *xs: int) -> int:
+    """The affine form ``coeffs`` at ``xs``: (2, -2, 1) at (k, ell) is 2k - 2ell + 1."""
+    return sum(map(operator.mul, coeffs, xs), coeffs[-1])
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything family-specific about one series family, as data.
+
+    Forms are affine in k (``M``, ``a1``, ``b``), in (k, ell) (``shifts``,
+    ``pairing``) or in n (shell points); see :func:`_affine`.
+
+    * The family is ``sum_scale`` times the left side of the limit identity
+      ``identity`` of :data:`qmaass.bailey.LIMIT_WEIGHTS` on the chain
+      polynomials with boundary bit :attr:`first`.
+    * Its theta series, at M, a = (a1 / (2(M + 1)), (2k - 2ell + 1) / (4k + 2))
+      and b = (1 / b[0], 1 / b[1]), is ``theta_scale * q^Q(a) * F(q^power)``.
+    * Validation checks (M, a, b) against: a1 - a2 in (window, window + 1);
+      g(a) + s1 (1, 1) = a* and g(a*) + s2 (1, 1) = a for the automorph g
+      and ``shifts`` (s1, s2), or g(a) + s1 (1, 1) = a for (s1, None); and
+      B(a, (-1, -1)) = ``pairing``.
+    * Shell n >= first of the lattice expansion has, for each (m, mult) in
+      ``shell_parts`` and -n <= nu <= n - first, the term
+      mult (-1)^(n + nu) / shell_denom at q^((Q(a + (m(n), nu)) - Q(a)) / power).
+    """
+
+    identity: tuple[str, str]
+    sum_scale: int
+    theta_scale: int
+    M: tuple
+    a1: tuple
+    b: tuple
+    window: int
+    shifts: tuple
+    pairing: tuple
+    shell_parts: tuple
+    shell_denom: int
+
+    @property
+    def power(self) -> int:  # the identity's s: the family is a series in q^s
+        return LIMIT_WEIGHTS[self.identity][0]
+
+    @property
+    def first(self) -> int:  # the identity's first index
+        return LIMIT_WEIGHTS[self.identity][1]
+
+
+# Each comment is the family's sum, on the chain polynomials H_n.
+FAMILIES = {
+    # sum over n >= 0 of (q)_n (-1)^n q^(n(n+1)/2) H_n
+    1: Family(("q", "gauss"), sum_scale=1, theta_scale=1, M=(2, 2), a1=(2, 1),
+              b=((4, 6), (4, 2)), window=0, shifts=((-2, 1, -1), (0, 1, 0)), pairing=(0, -1, 0),
+              shell_parts=(((1, 0), 1), ((-1, -1), -1)), shell_denom=1),
+    # sum over n >= 0 of (q^2;q^2)_n (-1)^n H_n
+    2: Family(("q", "even"), sum_scale=1, theta_scale=2, M=(4, 3), a1=(4, 0),
+              b=((8, 8), (8, 4)), window=0, shifts=((-4, 2, -1), (0, 2, -1)), pairing=(0, -2, 1),
+              shell_parts=(((1, 0), 1), ((-1, -1), -1)), shell_denom=2),
+    # sum over n >= 1 of (q)_(n-1) (-1)^n q^(n(n+1)/2) H_n
+    3: Family(("one", "gauss"), sum_scale=1, theta_scale=-1, M=(2, 2), a1=(0, -1),
+              b=((4, 6), (4, 2)), window=-1, shifts=((-1, 1, 0), (-1, 1, -1)), pairing=(1, -1, 1),
+              shell_parts=(((1, 0), -1), ((-1, 0), -1)), shell_denom=1),
+    # sum over n >= 1 of (-1;q)_n (q)_(n-1) (-q)^n H_n, twice the sum with
+    # (q^2;q^2)_(n-1) in place of (-1;q)_n (q)_(n-1); a1 = 0 merges m = n and -n
+    4: Family(("one", "even"), sum_scale=2, theta_scale=-1, M=(4, 3), a1=(0, 0),
+              b=((8, 8), (8, 4)), window=-1, shifts=((-2, 2, -1), None), pairing=(2, -2, 1),
+              shell_parts=(((1, 0), -2),), shell_denom=1),
 }
 
 
 def family_series(j: int, k: int, ell: int, trunc) -> QSeries:
-    """Exact expansion of family ``j`` with parameters ``(k, ell)``.
-
-    Each family is a limit-identity left side on the chain polynomials
-    H_n (families 1 and 2 weight the ``b = 0`` ones, 3 and 4 the ``b = 1``
-    ones), as recorded in :data:`FAMILY_SUMS`:
-
-    * ``j = 1``: sum over n >= 0 of (q)_n (-1)^n q^(n(n+1)/2) H_n,
-    * ``j = 2``: sum over n >= 0 of (q^2;q^2)_n (-1)^n H_n, which converges
-      only through even/odd averaging of partial sums; the averaging runs
-      under a certified tail bound (order >= 2N at step N) that is checked
-      against every observed increment,
-    * ``j = 3``: sum over n >= 1 of (q)_(n-1) (-1)^n q^(n(n+1)/2) H_n,
-    * ``j = 4``: sum over n >= 1 of (-1;q)_n (q)_(n-1) (-q)^n H_n, which is
-      twice the (q^2;q^2)_(n-1) (-q)^n H_n sum, since
-      (-1;q)_n (q)_(n-1) = 2 (q^2;q^2)_(n-1).
+    """Exact expansion of family ``j`` with parameters ``(k, ell)``: the sum
+    its :data:`FAMILIES` record names.  Family 2's sum converges only
+    through even/odd averaging of partial sums; the averaging runs under a
+    certified tail bound (order >= 2N at step N) that is checked against
+    every observed increment.
     """
     _validate_family(j, k, ell)
     t = _require_finite(trunc)
     size = _int_slots(t)
     if size <= 0:
         return QSeries.zero(t)
-    relative, kind, scale = FAMILY_SUMS[j]
-    _, first, power = LIMIT_WEIGHTS[relative, kind]
+    fam = FAMILIES[j]
+    _, first, power = LIMIT_WEIGHTS[fam.identity]
     sweep = itertools.islice(ag_polynomial_sweep(k, ell, first, t), first, None)
     if power is None:
-        terms = (weighted_term(relative, kind, n, h, t) for n, h in sweep)
+        terms = (weighted_term(*fam.identity, n, h, t) for n, h in sweep)
         total = stabilized_sum(
             terms, t, n_bound=2 * size + 8, tail_order=lambda n: 2 * n
         )
@@ -107,8 +157,8 @@ def family_series(j: int, k: int, ell: int, trunc) -> QSeries:
         for n, h in sweep:
             if power(n) >= t:
                 break
-            total = total + weighted_term(relative, kind, n, h, t)
-    return total.scale(scale)
+            total = total + weighted_term(*fam.identity, n, h, t)
+    return total.scale(fam.sum_scale)
 
 
 # ------------------------------------------------------- classical companions

@@ -8,7 +8,7 @@ upper half plane is the Bessel-weighted Fourier sum
 
 This module provides:
 
-* the coefficient-table data model plus CSV rendering;
+* the coefficient-table data model;
 * the explicit odd-divisor example at scale 24 (positive indices from
   the even-parts generating series, negative ones from its odd-indexed
   partner) with its two transformation residuals;
@@ -30,11 +30,10 @@ from .agpolys import ag_polynomials_at_root
 from .bailey import LIMIT_WEIGHTS
 from .bessel import k0_bessel
 from .cyclotomic import CycNumber, check_root_order, cyclic_add, cyclic_mul
-from .families import FAMILY_SUMS, _validate_family, negative_part_series
+from .families import FAMILIES, _validate_family, negative_part_series
 from .reports import CheckReport, _exact_str, report_from_condition
 from .series import PrecisionError, QSeriesError
 from .theta import (
-    FAMILY_POWERS,
     _bounded,
     family_lattice_numeric,
     family_params,
@@ -261,25 +260,25 @@ class QuantumSample:
 def quantum_value(j: int, k: int, ell: int, x) -> QuantumSample:
     """Exact family value at the root of unity e(d x), d the family power.
 
-    The family's limit-identity sum (:data:`~qmaass.families.FAMILY_SUMS`)
-    is summed with q = e(d x): its finite q-Pochhammer prefactor vanishes
-    once its length reaches the order of the root, so the sum terminates;
-    the result is exact in a cyclotomic field.  Families with power d = 2
-    are evaluated at e(x)^d = e(d x), matching the variable of their theta
-    embedding.
+    The family's limit-identity sum (its :data:`~qmaass.families.FAMILIES`
+    record) is summed with q = e(d x): its finite q-Pochhammer prefactor
+    vanishes once its length reaches the order of the root, so the sum
+    terminates; the result is exact in a cyclotomic field.  Families with
+    power d = 2 are evaluated at e(x)^d = e(d x), matching the variable of
+    their theta embedding.
     """
     _validate_family(j, k, ell)
     xq = Fraction(x)
-    w = (FAMILY_POWERS[j] * xq) % 1
+    fam = FAMILIES[j]
+    s, first, power = LIMIT_WEIGHTS[fam.identity]
+    w = (s * xq) % 1
     N, num = w.denominator, w.numerator
     check_root_order(N)
-    relative, kind, scale = FAMILY_SUMS[j]
-    s, first, power = LIMIT_WEIGHTS[relative, kind]
     # Summed in Z[x]/(x^N - 1) at x = q, mapped to q = e(w) at the end.
     # (q^s; q^s)_i vanishes there from the first i with N | num*s*i on.
     length = N // math.gcd(N, num * s)
     chains = ag_polynomials_at_root(k, ell, first, first + length - 1, N)
-    prefix = {0: scale}  # scale * (q^s; q^s)_(n - first)
+    prefix = {0: fam.sum_scale}  # sum_scale * (q^s; q^s)_(n - first)
     total: dict = {}
     for n in range(first, first + length):
         if n > first:
@@ -341,7 +340,7 @@ def radial_limit_check(
     _validate_family(j, k, ell)
     xq = Fraction(x)
     t_grid = _radial_grid(t_grid, 0.125)
-    power = FAMILY_POWERS[j]
+    power = FAMILIES[j].power
     w = (power * xq) % 1
     samples = family_lattice_numeric(j, k, ell, w, [power * t for t in t_grid])
     estimate, stability = _richardson(samples, t_grid[1] / t_grid[0])

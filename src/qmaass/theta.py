@@ -17,8 +17,8 @@ Provided here:
 * the exact two-region theta series with a derived enumeration box and a
   one-layer safety rescan that turns an undersized box into a hard
   error;
-* the per-family parameter tables plus full validation of the windows,
-  congruences, and integrality conditions they satisfy;
+* the per-family parameters of :data:`qmaass.families.FAMILIES` plus full
+  validation of the windows, congruences, and integrality conditions;
 * closed lattice expansions of the four series families, their exact
   verification against the defining sums, and a cancellation-free
   numeric evaluator for radial limits;
@@ -38,13 +38,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, cycle, islice
 
+from .bailey import quadratic_shift
 from .cyclotomic import CycNumber
-from .families import _validate_family, family_series
+from .families import FAMILIES, _affine, _validate_family, family_series
 from .reports import CheckReport, _exact_str, report_from_comparison
 from .series import INF, PrecisionError, QSeries, QSeriesError
-
-FAMILY_SCALES = {1: Fraction(1), 2: Fraction(2), 3: Fraction(-1), 4: Fraction(-1)}
-FAMILY_POWERS = {1: 1, 2: 2, 3: 1, 4: 2}
 
 
 def unit_phase(w) -> complex:
@@ -54,8 +52,9 @@ def unit_phase(w) -> complex:
 
 
 def _frac_pair(v) -> tuple[Fraction, Fraction]:
+    """``v`` as a pair of Fractions; Fraction entries pass through as they are."""
     x, y = v
-    return (Fraction(x), Fraction(y))
+    return (x if type(x) is Fraction else Fraction(x), y if type(y) is Fraction else Fraction(y))
 
 
 def star(v) -> tuple[Fraction, Fraction]:
@@ -225,30 +224,13 @@ class FamilyThetaData:
 def family_params(j: int, k: int, ell: int) -> FamilyThetaData:
     """The exact (M, a, b) specialization realizing family j at (k, ell)."""
     _validate_family(j, k, ell)
-    a2 = Fraction(2 * k - 2 * ell + 1, 2 * (2 * k + 1))
-    if j in (1, 3):
-        M = 2 * k + 2
-        b = (Fraction(1, 2 * (2 * k + 3)), Fraction(1, 2 * (2 * k + 1)))
-        a1 = (
-            Fraction(2 * k + 1, 2 * (2 * k + 3))
-            if j == 1
-            else Fraction(-1, 2 * (2 * k + 3))
-        )
-    else:
-        M = 4 * k + 3
-        b = (Fraction(1, 8 * (k + 1)), Fraction(1, 4 * (2 * k + 1)))
-        a1 = Fraction(k, 2 * (k + 1)) if j == 2 else Fraction(0)
-    params = ThetaParams(M=M, a=(a1, a2), b=b)
+    fam = FAMILIES[j]
+    M = _affine(fam.M, k)
+    a = (Fraction(_affine(fam.a1, k), 2 * (M + 1)), Fraction(2 * k - 2 * ell + 1, 4 * k + 2))
+    b = (Fraction(1, _affine(fam.b[0], k)), Fraction(1, _affine(fam.b[1], k)))
+    params = ThetaParams(M=M, a=a, b=b)
     alpha = QuadForm(M).value(params.a)
-    return FamilyThetaData(
-        j=j,
-        k=k,
-        ell=ell,
-        params=params,
-        alpha=alpha,
-        scale=FAMILY_SCALES[j],
-        power=FAMILY_POWERS[j],
-    )
+    return FamilyThetaData(j, k, ell, params, alpha, Fraction(fam.theta_scale), fam.power)
 
 
 def _as_theta_params(p) -> ThetaParams:
@@ -393,49 +375,70 @@ def _kept_nus(square: int, linear: int, excess: int, lo: int, hi: int) -> tuple:
     return range(lo, min(hi, first_out - 1) + 1), range(max(lo, last_out + 1), hi + 1)
 
 
+def _shell_parts(j: int, k: int, ell: int, n: int) -> list[tuple[int, int]]:
+    """(start, mult) per part of shell n of family j.  At nu the part's
+    exponent is start - quadratic_shift(k, ell, nu), and start is
+    (Q(a + (m, 0)) - Q(a)) / power = ((M + 1) m^2 + A1 m) / (2 power) for
+    the record's a1 = A1 / (2(M + 1))."""
+    fam = FAMILIES[j]
+    M, a1, den = _affine(fam.M, k), _affine(fam.a1, k), 2 * fam.power
+    parts = ((_affine(form, n), mult) for form, mult in fam.shell_parts)
+    return [(((M + 1) * m * m + a1 * m) // den, mult) for m, mult in parts]
+
+
 def _family_shell(j: int, k: int, ell: int, n: int, top: int):
     """Lattice terms of family j at outer index n with exponent below ``top``.
 
-    Returns (exponents, numerators, denom) with two lists of Python ints:
-    the terms numerators / denom * q^exponents.  Each exponent is a
-    downward parabola in nu, so the kept nu form two end ranges; along a
-    range the exponents are running sums of an arithmetic progression and
-    the signs alternate.
+    Returns (exponents, numerators), two lists of Python ints: the terms
+    numerators / shell_denom * q^exponents.  Each exponent is a downward
+    parabola in nu, so the kept nu form two end ranges; along a range the
+    exponents are running sums of an arithmetic progression and the signs
+    alternate.
     """
-    if j in (1, 2):
-        hi = n
-        base = (k + 1) * n * n + k * n + (n * (n + 1) // 2 if j == 1 else 0)
-        parts = ((0, 1), (2 * n + 1, -1))  # (exponent offset, sign factor)
-    else:
-        hi = n - 1
-        base = (k + 1) * n * n + (n * (n - 1) // 2 if j == 3 else 0)
-        parts = ((0, -1), (n, -1)) if j == 3 else ((0, -2),)
-    # base + offset - quadratic_shift(k, ell, nu), with sign (-1)^(n + nu)
     square, linear = 2 * k + 1, 2 * k - 2 * ell + 1
     exps, nums = [], []
-    for off, mult in parts:
-        for nus in _kept_nus(square, linear, base + off - top, -n, hi):
+    for start, mult in _shell_parts(j, k, ell, n):
+        for nus in _kept_nus(square, linear, start - top, -n, n - FAMILIES[j].first):
             if not nus:
                 continue
             nu = nus.start
             step = -((square * (2 * nu + 1) + linear) // 2)  # exponent at nu + 1 minus at nu
-            first = base + off - (square * nu * nu + linear * nu) // 2
+            first = start - (square * nu * nu + linear * nu) // 2
             steps = range(step, step - square * (len(nus) - 1), -square)
             exps += accumulate(steps, initial=first)
             signs = (-mult, mult) if (n + nu) & 1 else (mult, -mult)
             nums += islice(cycle(signs), len(nus))
-    return exps, nums, 2 if j == 2 else 1
+    return exps, nums
 
 
-def _family_shell_min_exponent(j: int, k: int, ell: int, n: int) -> Fraction:
-    """Proven lower bound for the exponents contributed at outer index n."""
-    if j == 1:
-        return Fraction(n * n + ell * n)
-    if j == 2:
-        return Fraction(n * n + (2 * ell - 1) * n, 2)
-    if j == 3:
-        return Fraction(n * n + (k - ell) * n)
-    return Fraction(n * n + (2 * k - 2 * ell + 1) * n, 2)
+def _shell_floor(j: int, k: int, ell: int, n: int) -> int:
+    """The least exponent of shell n of family j.  Each part's exponent is a
+    downward parabola in nu, least at an end of -n..n - first."""
+    ends = (-n, n - FAMILIES[j].first)
+    starts = [start for start, _ in _shell_parts(j, k, ell, n)]
+    return min(start - quadratic_shift(k, ell, nu) for start in starts for nu in ends)
+
+
+def _shell_walk(j: int, k: int, ell: int, top: int):
+    """The shells n = first, first + 1, ... of family j cut below ``top``, while
+    their least exponent is below top; it never decreases in n."""
+    n = FAMILIES[j].first
+    while _shell_floor(j, k, ell, n) < top:
+        yield _family_shell(j, k, ell, n, top)
+        n += 1
+
+
+def _lattice_table(j: int, k: int, ell: int, top: int) -> tuple[tuple[int, ...], int]:
+    """Dense integer numerators of the lattice expansion below q^top, and their denominator."""
+    coeffs = [0] * top
+    for exps, nums in _shell_walk(j, k, ell, top):
+        for e, c in zip(exps, nums):
+            coeffs[e] += c
+    return tuple(coeffs), FAMILIES[j].shell_denom
+
+
+# The numeric evaluator's table, shared by its radial grid and every x.
+_lattice_coefficients = functools.lru_cache(maxsize=16)(_lattice_table)
 
 
 def family_lattice_series(j: int, k: int, ell: int, trunc) -> QSeries:
@@ -444,29 +447,8 @@ def family_lattice_series(j: int, k: int, ell: int, trunc) -> QSeries:
     if trunc is INF:
         raise QSeriesError("the lattice expansion needs a finite truncation order")
     t = Fraction(trunc)
-    acc: dict[int, int] = {}
-    denom = 1
-    n = 0 if j in (1, 2) else 1
-    while _family_shell_min_exponent(j, k, ell, n) < t:
-        exps, nums, denom = _family_shell(j, k, ell, n, math.ceil(t))
-        for e, c in zip(exps, nums):
-            acc[e] = acc.get(e, 0) + c
-        n += 1
-    return QSeries.from_terms(((e, Fraction(c, denom)) for e, c in acc.items()), t)
-
-
-@functools.lru_cache(maxsize=16)
-def _lattice_coefficients(j: int, k: int, ell: int, top: int):
-    """Dense integer numerators of the lattice expansion below q^top, and
-    their common denominator: the same terms as family_lattice_series."""
-    coeffs = [0] * top
-    n = 0 if j in (1, 2) else 1
-    while _family_shell_min_exponent(j, k, ell, n) < top:
-        exps, nums, denom = _family_shell(j, k, ell, n, top)
-        for e, c in zip(exps, nums):
-            coeffs[e] += c
-        n += 1
-    return tuple(coeffs), 2 if j == 2 else 1
+    coeffs, denom = _lattice_table(j, k, ell, math.ceil(t))
+    return QSeries({e: Fraction(c, denom) for e, c in enumerate(coeffs) if c}, 1, t)
 
 
 def family_lattice_numeric(j: int, k: int, ell: int, x, t, eps: float = 1e-15):
@@ -539,56 +521,32 @@ def validate_family_params(j: int, k: int, ell: int) -> CheckReport:
     collapse, and which equivalence branch holds.
     """
     data = family_params(j, k, ell)
+    fam = FAMILIES[j]
     M, a, b = data.params.M, data.params.a, data.params.b
     form = QuadForm(M)
     gamma = form.apply_automorph
-    one = (Fraction(1), Fraction(1))
 
-    def plus(u, v):
-        return (u[0] + v[0], u[1] + v[1])
-
-    def times(c, u):
-        return (c * u[0], c * u[1])
+    def moved(u, c):  # u + c (1, 1)
+        return (u[0] + c, u[1] + c)
 
     checks: dict[str, bool] = {}
 
     s, d = a[0] + a[1], a[0] - a[1]
-    if j in (1, 2):
-        checks["shift_window"] = 0 < s < 1 and 0 < d < 1
-    else:
-        checks["shift_window"] = 0 < s < 1 and -1 < d < 0
+    checks["shift_window"] = 0 < s < 1 and fam.window < d < fam.window + 1
     checks["shift_nonzero"] = a != (Fraction(0), Fraction(0))
 
     a_star, b_star = star(a), star(b)
-    if j == 1:
-        shifts = (ell - 2 * k - 1, ell)
-    elif j == 2:
-        shifts = (2 * ell - 4 * k - 1, 2 * ell - 1)
-    elif j == 3:
-        shifts = (ell - k, ell - k - 1)
-    else:
-        shifts = (2 * ell - 2 * k - 1, None)
-    if j == 4:
-        checks["shift_congruence"] = plus(gamma(a), times(shifts[0], one)) == a
+    s1, s2 = (None if c is None else _affine(c, k, ell) for c in fam.shifts)
+    if s2 is None:
+        checks["shift_congruence"] = moved(gamma(a), s1) == a
     else:
         checks["shift_congruence"] = (
-            plus(gamma(a), times(shifts[0], one)) == a_star
-            and plus(gamma(a_star), times(shifts[1], one)) == a
+            moved(gamma(a), s1) == a_star and moved(gamma(a_star), s2) == a
         )
-    checks["twist_congruence"] = (
-        plus(gamma(b), times(-1, one)) == b_star and gamma(b_star) == b
-    )
+    checks["twist_congruence"] = moved(gamma(b), -1) == b_star and gamma(b_star) == b
 
-    expected_pairing = {
-        1: -ell,
-        2: -2 * ell + 1,
-        3: k - ell + 1,
-        4: 2 * k - 2 * ell + 1,
-    }[j]
-    pairing = form.bilinear(a, (-1, -1))
-    checks["bilinear_integrality"] = (
-        pairing.denominator == 1 and pairing == expected_pairing
-    )
+    # an int equal to B(a, (-1, -1)) makes it integral
+    checks["bilinear_integrality"] = form.bilinear(a, (-1, -1)) == _affine(fam.pairing, k, ell)
 
     g = form.automorph
     A = form.matrix
@@ -603,18 +561,11 @@ def validate_family_params(j: int, k: int, ell: int) -> CheckReport:
     checks["automorph_preserves_form"] = conjugated == A
 
     c1 = form.reference_vector(1)
-    mapped = (
-        g[0][0] * c1[0] + g[0][1] * c1[1],
-        g[1][0] * c1[0] + g[1][1] * c1[1],
-    )
+    mapped = [row[0] * c1[0] + row[1] * c1[1] for row in g]
     c2 = form.reference_vector(2)
-    checks["automorph_maps_reference_vectors"] = (
-        math.hypot(mapped[0] - c2[0], mapped[1] - c2[1]) < 1e-12
-    )
+    checks["automorph_maps_reference_vectors"] = math.dist(mapped, c2) < 1e-12
 
-    checks["phase_collapse"] = (
-        (M + 1) * b[0] == Fraction(1, 2) and (M - 1) * b[1] == Fraction(1, 2)
-    )
+    checks["phase_collapse"] = (M + 1) * b[0] == (M - 1) * b[1] == Fraction(1, 2)
 
     branch_direct = equivalence_check((gamma(a), gamma(b)), (a, b), M)
     branch_star = equivalence_check(

@@ -20,10 +20,9 @@ import qmaass.families as families
 from qmaass.agpolys import ag_polynomial
 from qmaass.bailey import LIMIT_WEIGHTS
 from qmaass.cyclotomic import MAX_ROOT_ORDER, CycNumber, root_of_unity_value
-from qmaass.families import FAMILY_SUMS, kz_root_value, u_root_value, verify_kz_duality
+from qmaass.families import FAMILIES, kz_root_value, u_root_value, verify_kz_duality
 from qmaass.maass import quantum_value
 from qmaass.series import INF, QSeriesError, gaussian_binomial, pochhammer
-from qmaass.theta import FAMILY_POWERS
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PRIME_POWERS = (4, 8, 9, 16, 25, 27, 32)
@@ -77,11 +76,11 @@ def u_oracle(k: int, ell: int, N: int) -> CycNumber:
 
 
 def quantum_oracle(j: int, k: int, ell: int, x: Fraction) -> CycNumber:
-    w = (FAMILY_POWERS[j] * x) % 1
+    fam = FAMILIES[j]
+    w = (fam.power * x) % 1
     N, num = w.denominator, w.numerator
-    relative, kind, scale = FAMILY_SUMS[j]
-    s, first, power = LIMIT_WEIGHTS[relative, kind]
-    prefix = CycNumber.from_rational(N, scale)
+    s, first, power = LIMIT_WEIGHTS[fam.identity]
+    prefix = CycNumber.from_rational(N, fam.sum_scale)
     total = CycNumber.from_rational(N, 0)
     for n in itertools.count(first):
         if n > first:

@@ -9,6 +9,7 @@ transformation spot checks.
 """
 
 import cmath
+import dataclasses
 import hashlib
 import json
 import math
@@ -25,20 +26,21 @@ from qmaass import PrecisionError, QSeries, QSeriesError
 from qmaass.bailey import quadratic_shift
 from qmaass.bessel import k0_bessel
 from qmaass.cyclotomic import CycNumber
-from qmaass.families import family_series, sigma_star_series
+from qmaass.families import FAMILIES, family_series, sigma_star_series
 from qmaass.theta import (
     FamilyThetaData,
     QuadForm,
     ThetaParams,
     _bounded,
     _denominators,
-    _family_shell,
-    _family_shell_min_exponent,
+    _frac_pair,
     _gauss_legendre,
     _lattice_coefficients,
     _lattice_walk,
     _ray_integral,
     _ray_sign,
+    _shell_floor,
+    _shell_walk,
     completed_waveform_numeric,
     completion_defect,
     equivalence_check,
@@ -276,6 +278,28 @@ def test_family_data_lock(j):
         for ell in range(1, k + 1)
     ]
     assert (_sha256_json(params), _sha256_json(lattice)) == _LOCKED_FAMILY_DIGESTS[j]
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_tampered_family_record_fails_both_checks(j, monkeypatch):
+    # The record keeps a1 over 2(M + 1): one more in its constant moves it
+    # by 1 / (2(M + 1)), and both checks must notice.
+    k, ell = 2, 1
+    before = family_params(j, k, ell).params
+    slope, constant = FAMILIES[j].a1
+    moved = dataclasses.replace(FAMILIES[j], a1=(slope, constant + 1))
+    monkeypatch.setitem(FAMILIES, j, moved)
+    assert family_params(j, k, ell).params.a[0] == before.a[0] + F(1, 2 * (before.M + 1))
+    assert not validate_family_params(j, k, ell).ok
+    assert not verify_theta_embedding(j, k, ell, 40).ok
+
+
+def test_frac_pair_passes_fractions_through():
+    pair = (F(1, 3), F(-2, 5))
+    got = _frac_pair(pair)
+    assert got[0] is pair[0] and got[1] is pair[1]
+    converted = _frac_pair([3, F(1, 2)])
+    assert converted == (F(3), F(1, 2)) and all(type(c) is F for c in converted)
 
 
 # ------------------------------------------------------------ theta series
@@ -618,23 +642,40 @@ class TestFamilyLattice:
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     @pytest.mark.parametrize("top", [1, 2, 9, 40, 157])
     def test_shells_below_top_equal_the_full_enumeration(self, j, top):
-        # The cut shells keep exactly the full enumeration's terms below
-        # top, and the dense table sums them.
+        # The walk's cut shells keep exactly the full enumeration's terms
+        # below top, and the dense table sums them.
+        denom = 2 if j == 2 else 1
         for k in (1, 2, 3):
             for ell in range(1, k + 1):
                 table = [0] * top
                 n = 0 if j in (1, 2) else 1
-                while _family_shell_min_exponent(j, k, ell, n) < top:
+                for exps, nums in _shell_walk(j, k, ell, top):
                     want = sorted((e, c) for e, c in _shell_reference(j, k, ell, n) if e < top)
-                    exps, nums, denom = _family_shell(j, k, ell, n, top)
                     assert sorted((e, F(c, denom)) for e, c in zip(exps, nums)) == want
                     for e, c in want:
                         table[e] += c * denom
                     n += 1
-                # one shell past the loop contributes nothing below top
+                # one shell past the walk contributes nothing below top
                 assert all(e >= top for e, _ in _shell_reference(j, k, ell, n))
-                coeffs, denom = _lattice_coefficients(j, k, ell, top)
-                assert list(coeffs) == table and denom == (2 if j == 2 else 1)
+                coeffs, got_denom = _lattice_coefficients(j, k, ell, top)
+                assert list(coeffs) == table and got_denom == denom
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.one_of(st.integers(1, 60), st.just(2**61)).flatmap(
+            lambda k: st.tuples(st.just(k), st.integers(1, k))
+        ),
+        st.integers(0, 60),
+    )
+    def test_shell_floor_is_the_least_shell_exponent(self, j, k_ell, n):
+        # The walk's bound, read from the shell data, is the least exponent
+        # of the shell and never decreases from one shell to the next.
+        k, ell = k_ell
+        n += 0 if j in (1, 2) else 1
+        floor = _shell_floor(j, k, ell, n)
+        assert floor == min(e for e, _ in _shell_reference(j, k, ell, n))
+        assert _shell_floor(j, k, ell, n + 1) >= floor
 
     def test_series_route_stays_exact_for_huge_chain_length(self):
         # Intermediates beyond int64 must not wrap.
