@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import signal
 import subprocess
 import sys
@@ -597,6 +598,273 @@ def test_family_arguments_exit_2_exactly_when_invalid(command, j, k, ell):
     if not valid:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("qmaass: ")
+
+
+# ------------------------------------------------------------ option text
+#
+# Option values drawn from a small grammar: valid rationals, the invalid
+# tokens below, an optional leading "-", and extra or missing commas.  The
+# reference parsers say which texts are valid: an optional "-", digits, and
+# an optional "/digits" with a nonzero denominator.
+
+_BAD_TOKENS = ("1/0", "", "x", "nan", "inf")
+_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
+_INTEGER = re.compile(r"-?\d+")
+
+
+def _ref_rational(text):
+    match = _RATIONAL.fullmatch(text)
+    if match is None or match.group(2) is not None and int(match.group(2)) == 0:
+        return None
+    return Fraction(int(match.group(1)), int(match.group(2) or 1))
+
+
+def _ref_rational_list(text):
+    values = [_ref_rational(part) for part in text.split(",") if part]
+    return values if values and None not in values else None
+
+
+def _ref_rational_pair(text):
+    values = [_ref_rational(part) for part in text.split(",")]
+    return values if len(values) == 2 and None not in values else None
+
+
+def _ref_matrix(text):
+    parts = text.split(",")
+    if len(parts) != 4 or not all(_INTEGER.fullmatch(p) for p in parts):
+        return None
+    return [int(p) for p in parts]
+
+
+def _signed(token):
+    return st.tuples(st.sampled_from(("", "", "", "-")), token).map("".join)
+
+
+def _fraction_text(min_den, max_den):
+    return _signed(
+        st.tuples(st.integers(0, 30), st.integers(min_den, max_den)).map(
+            lambda pq: f"{pq[0]}/{pq[1]}"
+        )
+    )
+
+
+def _rational_text(max_den):
+    token = st.one_of(st.integers(0, 30).map(str), st.sampled_from(_BAD_TOKENS))
+    return st.one_of(_fraction_text(1, max_den), _signed(token))
+
+
+def _joined(token, size):
+    """``size`` tokens joined by commas; or, as often, any number of tokens
+    joined by one, two or no commas, with stray commas at the ends."""
+    separator = st.sampled_from((",", ",", ",,", ""))
+    noisy = st.tuples(
+        st.sampled_from(("", "", ",")),
+        st.lists(st.tuples(token, separator), max_size=size),
+        token,
+        st.sampled_from(("", "", ",")),
+    ).map(lambda t: t[0] + "".join(a + b for a, b in t[1]) + t[2] + t[3])
+    return st.one_of(st.lists(token, min_size=size, max_size=size).map(",".join), noisy)
+
+
+_FAMILY_111 = ("--j", "1", "--k", "1", "--l", "1")
+
+
+def _order_case(text):
+    value = _ref_rational(text)
+    positive = value is not None and value > 0
+    return st.sampled_from(
+        [
+            (("expand", "s-theta", *_FAMILY_111, f"--order={text}"), positive),
+            (("verify", "sigma", f"--order={text}"), positive),
+            (
+                ("expand", "f", *_FAMILY_111, f"--order={text}"),
+                positive and value.denominator == 1,
+            ),
+        ]
+    )
+
+
+def _x_case(text):
+    value = _ref_rational(text)
+    valid = value is not None and value.denominator <= MAX_ROOT_ORDER
+    return (("eval", "quantum", *_FAMILY_111, f"--x={text}"), valid)
+
+
+def _cocycle_case(args):
+    gamma_text, xs_text = args
+    gamma, xs = _ref_matrix(gamma_text), _ref_rational_list(xs_text)
+    valid = (
+        gamma is not None
+        and xs is not None
+        and gamma[0] * gamma[3] - gamma[1] * gamma[2] > 0
+        and all(gamma[2] * x + gamma[3] != 0 for x in xs)
+    )
+    argv = ("eval", "cocycle", "--cohen", f"--gamma={gamma_text}", f"--xs={xs_text}")
+    return (argv, valid)
+
+
+def _lattice_case(args):
+    m, a_text, b_text = args
+    a, b = _ref_rational_pair(a_text), _ref_rational_pair(b_text)
+    valid = (
+        m >= 2
+        and b is not None
+        and a is not None
+        and (a[0] + a[1]).denominator != 1
+        and (a[0] - a[1]).denominator != 1
+    )
+    argv = ("expand", "s-theta", f"--M={m}", f"--a={a_text}", f"--b={b_text}",
+            "--order=10")
+    return (argv, valid)
+
+
+_MATRICES = ("1,0,0,1", "0,-1,1,0", "1,1,0,1", "2,1,1,1", "0,-1,2,0", "1,0,0,-1")
+_MATRIX_ENTRY = _signed(st.one_of(st.integers(0, 3).map(str),
+                                  st.sampled_from((*_BAD_TOKENS, "1/2"))))
+
+_PAIR_TEXT = st.one_of(_joined(_fraction_text(2, 12), 2), _joined(_rational_text(12), 2))
+
+_OPTION_TEXT_CASES = st.one_of(
+    _rational_text(200).flatmap(_order_case),
+    _rational_text(200).map(_x_case),
+    st.tuples(
+        st.one_of(st.sampled_from(_MATRICES), _joined(_MATRIX_ENTRY, 4)),
+        st.one_of(_joined(_fraction_text(2, 200), 2), _joined(_rational_text(200), 2)),
+    ).map(_cocycle_case),
+    st.tuples(
+        st.integers(-1, 6), _PAIR_TEXT, _PAIR_TEXT
+    ).map(_lattice_case),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_OPTION_TEXT_CASES)
+def test_option_text_exits_2_exactly_when_invalid(case):
+    argv, valid = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))  # must return an exit code, never raise
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == (not valid), (argv, code, err.getvalue())
+    if not valid:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("qmaass: ")
+
+
+# The usage errors, locked: sha256 of the exit code and the whole of stderr,
+# argparse's own messages included (at an 80-column terminal width).
+LOCKED_USAGE_ERRORS = {
+    "":
+        "e543759c980031e8d464a9f9a80b3a2e5d2610852660563a6abb6a2b533c1f87",
+    "verify":
+        "184fd24d86ef8e62078a97cc768ae33c0add6647a9caa814091755fa966e75c3",
+    "verify nosuchsuite":
+        "94fb417df33560fb3323c70e32789768433e81e9f7e06b89a40173a0bd73a258",
+    "expand nosuch":
+        "3fc3bfd7b53d0104346a957881b139fcda0a7958d1cc51c18e345e97a69c9772",
+    "eval nosuch":
+        "ccf11e27969c66084d33114810266e977c46293c4f3294dfb3d7c13e60b0d925",
+    "verify all --bogus":
+        "17d9cb084f2b539602e6ca3f66e3b1acccc75f9b6b8ab7746e49ec47ab42896f",
+    "verify ag --kmax x":
+        "4731a10e8eb75bfeadd534b3d4513a2e17138f512ea0df9ea2d9f81cca5a076c",
+    "expand hpoly --k 2 --boundary 2":
+        "04e6a7668b32578da492582e55b950ab31ecdf8d3695ac44f195ffbaf5020567",
+    "expand sigma --format xml":
+        "53349370fc562c193296c6b3eaf0770467267cef795205ae21de1d3cf12d7348",
+    "eval radial --j one":
+        "fdacc7a205d23320670b751a6a069c2ad3227bce70c18411549ae695b5e840d1",
+    "eval waveform --tol abc":
+        "46d04e7347c83373fc46b7573f95b863471e650d5ffd6d713904194643b4c8f1",
+    "expand s-theta --M x --a 1/5,1/7 --b 0,0":
+        "741d2b2f58c142e8b754f356149f3a48929aa76089628a7fd99c5dd4747df413",
+    "verify ag --x 1/3":
+        "a11910b62bb591559bef06a4088bf28aea9021054ec90bb17cd51a183b9f00cf",
+    "verify ag --kmax 0":
+        "0a82be6bc37b965f0691184822b9b1593b0575e26674599fa9fa5f252dfa55d7",
+    "verify ag --kmax 1":
+        "b05659404acf44976d0df40d45d703799f01b4d6b65338d3753ed54cdcb15535",
+    "verify thm1 --order 0":
+        "3bb7f51a62f5b574134767ae78f5dba93985def1aa875a3c7cb21c54a325f942",
+    "verify all --order=-1/2":
+        "89ae2d91e49bccabc3c67b28b2fcdc523d3fa906234d6e99dbc2bb561ad1e26f",
+    "verify completion --tau inf,1":
+        "78d9bc8854f01ebbb850f6201d485123d73f5c7046b33099d451ee1561967f9e",
+    "verify completion --tau 1":
+        "07c6c636af6175834f2493d2908f60962eedea552f6a4b10b52275cad8e7d422",
+    "verify completion --tau 0,-1":
+        "b6b3403a1bb5f142b44a7a8435bd706f3c5f86ad654fb9c2079f26e2416bda74",
+    "verify completion --tol 0":
+        "cf6d38d80481827d8eaeb051fccc9cfff3cfffaa80a3c240a7caa18c68da4aab",
+    "verify duality --nmax 129":
+        "121ec433d88d01e2998183796f209f304feadb739ca3e8355fe1c4dee84803bc",
+    "expand hpoly":
+        "e7ad0f503b9cb70f77f276c45ca86f858bc6b72908320acde8b5bb282eb2eff6",
+    "expand hpoly --k 2 --nmax -1":
+        "dc1c2c551feb819ad01f1f20fc2b02d4344e2e3a112503c54f27ccfdfbed3a8a",
+    "expand f --j 1 --k 2 --order 10":
+        "67b24514e6c75893ecb1108196e86917ffaa733c32ac91ebe9bcebffcf69abd6",
+    "expand f --j 1 --k 1 --l 1 --order 1/2":
+        "d8eb48693a6e1b6a8614cd733e335523ff9b06e05eac90f49aa2de3d6af940e0",
+    "expand s-theta --order 5":
+        "1d70d190bb5b5cf712e5a7c6c2982b57568f22727070caae541a5854be417628",
+    "expand s-theta --M 1 --a 1/5,1/7 --b 0,0":
+        "75548260899afaff45bbc930e3dc7cf3b7738f36d51ad6c28deb98c4acae4cda",
+    "expand s-theta --M 3 --a 1/2,1/2 --b 0,0":
+        "ff428c32388aaf291f2c1f97e0b9ca76a3fc4c345e5669beb7b25bc0ddc68e69",
+    "expand negative-part --M 4":
+        "64f9113c082a5fa07d137077250c6521befefa726169ef1d85dc569a314f6361",
+    "expand sigma --order x":
+        "eca7b06f1ae693aff5c41b0155eb87a981521aeb88e3f26da93ce107ad126862",
+    "eval quantum --j 1 --k 1 --l 1":
+        "919532268a91a8177bd4f6f1b6bd658fe03e4679f2540de9cc87a8330b39c113",
+    "eval quantum --j 5 --k 1 --l 1 --x 1/3":
+        "95f2b80d4b89b5acba10974284a4775b7c3a9076ac39f477b58886335f4d0f19",
+    "eval quantum --j 1 --k 1 --l 2 --x 1/3":
+        "c533d3c38c7a21bb6533013f3740f7dd8b48a4d5b47804d9f8860934c2e49e8b",
+    "eval quantum --j 1 --k 1 --l 1 --x 1/129":
+        "121ec433d88d01e2998183796f209f304feadb739ca3e8355fe1c4dee84803bc",
+    "eval cocycle --gamma 0,-1,2,0 --xs 1/5":
+        "46d990ec175a72d94f1b36225ab579a53e8fdc6167653a7b516e22658c6bf117",
+    "eval cocycle --cohen --xs 1/5":
+        "e628df0d037dce7ddd8d00131d93a1bf8acedb46cb910cb1b181ba4d06b13482",
+    "eval cocycle --cohen --gamma 1,2,3 --xs 1/5":
+        "2f5f9a0c627393207a2d249d05bbf084117d0692e9f48792bf3173bad84f37ae",
+    "eval cocycle --cohen --gamma 0,-1,1,0 --xs 0":
+        "a888c4c6eda0e1718aa2cee06a95b0ecc4eb14552ecd9e6503cd0814047c5965",
+    "eval cocycle --cohen --gamma 1,0,0,-1 --xs 1/5":
+        "3a59e387d47c80317bcea7e67287cfef7eebc207094e1f6f5410affbeb04ade0",
+    "eval cocycle --cohen --gamma 1,0,0,1 --xs ,":
+        "66385b135afb4686766074dba0cb43928fd0a94504dba0245ebe44ad37dbd32a",
+    "eval waveform --cohen --ncut 0":
+        "97d1704e728fc47bdefede30ac276f1821692eada316ade7dbbab8022e3acd38",
+    "eval waveform --lattice-cut 0 --j 1 --k 1 --l 1":
+        "80f1d981866ce5383cc8be089a4b369c29057b708f2cf1c2c86e3462ba166728",
+    "eval waveform":
+        "1d70d190bb5b5cf712e5a7c6c2982b57568f22727070caae541a5854be417628",
+    "eval radial --j 1 --k 1 --l 1 --x 1/3 --tol inf":
+        "43283020075bc7b4f1335825b216c641a26360f84bab79197ccb5e38e880a543",
+    "eval waveform --M 4 --a 1/5 --b 0,0":
+        "54553dedcdefe1f1f8c13be2ad4a3da6fc2d73db47ef08e8d897a27f7b211b49",
+}
+
+
+def _usage_error(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:  # argparse rejects the argv itself
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("argv", sorted(LOCKED_USAGE_ERRORS))
+def test_usage_errors_are_locked(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, err = _usage_error(argv.split(" ") if argv else [])
+    assert code == 2
+    assert _sha256([str(code), err]) == LOCKED_USAGE_ERRORS[argv]
 
 
 # ------------------------------------------------------------ entry point
