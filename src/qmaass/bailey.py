@@ -70,8 +70,10 @@ def _require_finite(trunc) -> Fraction:
 class BaileyPair:
     """A Bailey pair: its relative parameter and the two sequences.
 
-    ``alpha`` and ``beta`` map ``(n, trunc)`` to a :class:`QSeries`; they
-    must be cheap to call repeatedly (the built-in constructors memoize).
+    ``alpha`` and ``beta`` map ``(n, trunc)`` to a :class:`QSeries`.  The
+    built-in constructors memoize alpha.  Only the synthetic pairs memoize
+    beta, each value of which is a full relation sum; the chain and unit
+    pairs rebuild theirs on each call, which the checks seldom repeat.
     """
 
     relative: str
@@ -156,7 +158,6 @@ def pair_relative_one(k: int, ell: int) -> BaileyPair:
             terms.append((e + 2 * n, sign))
         return QSeries.from_terms(terms, trunc)
 
-    @lru_cache(maxsize=None)
     def beta(n: int, trunc) -> QSeries:
         if n == 0:
             return QSeries.zero(trunc)
@@ -190,7 +191,6 @@ def pair_relative_q(k: int, ell: int) -> BaileyPair:
         prefactor = QSeries.from_dense([1] * (2 * n + 1), INF)
         return (lattice * prefactor).truncate(trunc)
 
-    @lru_cache(maxsize=None)
     def beta(n: int, trunc) -> QSeries:
         return ag_polynomial(k, ell, 0, n, trunc)
 
@@ -214,7 +214,6 @@ def unit_pair(relative: str) -> BaileyPair:
             return QSeries.one(trunc)
         return QSeries.zero(trunc)
 
-    @lru_cache(maxsize=None)
     def beta(n: int, trunc) -> QSeries:
         out = inverse_pochhammer("q", n, trunc) * inverse_pochhammer(
             second, n, trunc

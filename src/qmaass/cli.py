@@ -74,7 +74,7 @@ from .maass import (
     quantum_value,
     radial_limit_check,
 )
-from .reports import _exact_str, report_from_comparison, report_from_condition
+from .reports import CheckReport, _exact_str, report_from_comparison, report_from_condition
 from .series import PrecisionError, QSeriesError, dense_int_coeffs
 from .theta import (
     ThetaParams,
@@ -88,21 +88,6 @@ from .theta import (
 )
 
 __all__ = ["RunConfig", "main", "run"]
-
-VERIFY_SUITES = (
-    "ag",
-    "sigma",
-    "bailey",
-    "prop32",
-    "params",
-    "thm1",
-    "completion",
-    "cohen",
-    "duality",
-    "all",
-)
-EXPAND_TARGETS = ("hpoly", "f", "sigma", "sigma-star", "s-theta", "negative-part")
-EVAL_TARGETS = ("waveform", "quantum", "radial", "cocycle")
 
 class UsageError(Exception):
     """A structurally invalid invocation (maps to exit code 2)."""
@@ -165,6 +150,67 @@ def parse_matrix(text: str) -> tuple[int, int, int, int]:
         raise UsageError(f"expected integer matrix entries, got {text!r}") from exc
 
 
+def _count(value: int, flag: str, command: str) -> None:
+    # expand hpoly --nmax 0 is a valid one-row table.
+    least, kind = (0, "nonnegative") if command == "expand" else (1, "positive")
+    if value < least:
+        raise UsageError(f"{flag} must be a {kind} integer, got {value}")
+
+
+def _positive(value: Fraction, flag: str, command: str) -> None:
+    if value <= 0:
+        raise UsageError(f"{flag} must be positive, got {value}")
+
+
+def _finite_positive(value: float, flag: str, command: str) -> None:
+    if not 0 < value < math.inf:
+        raise UsageError(f"{flag} must be positive and finite, got {value}")
+
+
+class Option:
+    """One command-line option: its flag, the parser that turns its text
+    into an exact value, the check that value must pass, and its argparse
+    keywords.  The :class:`RunConfig` field it fills is its argparse dest."""
+
+    def __init__(self, flag: str, parse=None, check=None, **kwargs):
+        self.flag = flag
+        self.parse = parse
+        self.check = check
+        self.kwargs = kwargs
+
+
+# Parsed and checked in this order: the first invalid option names the error.
+OPTIONS = {
+    "kmax": Option("--kmax", check=_count, type=int, help="largest chain length"),
+    "nmax": Option("--nmax", check=_count, type=int, help="largest index in sweeps and hpoly"),
+    "ncut": Option("--ncut", check=_count, type=int, help="coefficient cutoff for waveforms"),
+    "lattice_cut": Option("--lattice-cut", check=_count, type=int, help="lattice shell cutoff"),
+    "order": Option("--order", parse_rational, _positive, metavar="p/q", help="truncation order"),
+    "tol": Option("--tol", check=_finite_positive, type=float, help="numeric tolerance"),
+    "shift_a": Option("--a", parse_rational_pair, metavar="p/q,p/q", help="lattice shift pair"),
+    "twist_b": Option("--b", parse_rational_pair, metavar="p/q,p/q", help="lattice twist pair"),
+    "tau": Option("--tau", parse_tau, metavar="re,im", help="upper-half-plane point"),
+    "x": Option("--x", parse_rational, metavar="p/q", help="exact rational point"),
+    "xs": Option("--xs", parse_rational_list, metavar="p/q,...", help="rational points"),
+    "gamma": Option("--gamma", parse_matrix, metavar="a,b,c,d", help="integer matrix entries"),
+    "j": Option("--j", type=int, help="family index 1..4"),
+    "k": Option("--k", type=int, help="chain length"),
+    "ell": Option("--l", type=int, metavar="L", help="chain marker, 1..k"),
+    "boundary": Option("--boundary", type=int, choices=(0, 1), default=0, help="boundary bit"),
+    "lattice_m": Option("--M", type=int, metavar="M", help="lattice form parameter"),
+    "cohen": Option("--cohen", action="store_true", help="use the level-2 table, not a lattice"),
+    "conjugate_image": Option(
+        "--conjugate-image", action="store_true",
+        help="conjugate the transformed term in cocycle samples",
+    ),
+    "out": Option("--out", metavar="PATH", help="write output here instead of stdout"),
+    "fmt": Option(
+        "--format", choices=("json", "csv"),
+        help="row format (tables default to csv, checks and eval to json)",
+    ),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated options for one invocation.
@@ -199,57 +245,26 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, ns: argparse.Namespace) -> "RunConfig":
-        def opt(name, mapper=None):
-            value = getattr(ns, name, None)
-            if value is None:
-                return None
-            return mapper(value) if mapper else value
+        values = {}
+        for name, option in OPTIONS.items():
+            if not hasattr(ns, name):  # not an option of this subcommand
+                continue
+            value = getattr(ns, name)
+            if value is not None and option.parse:
+                value = option.parse(value)
+            if value is not None and option.check:
+                option.check(value, option.flag, ns.command)
+            values[name] = value
+        return cls(command=ns.command, target=ns.target, **values)
 
-        # expand hpoly --nmax 0 is a valid one-row table.
-        least, kind = (0, "nonnegative") if ns.command == "expand" else (1, "positive")
-        for name in ("kmax", "nmax", "ncut", "lattice_cut"):
-            value = getattr(ns, name, None)
-            if value is not None and value < least:
-                flag = "--" + name.replace("_", "-")
-                raise UsageError(f"{flag} must be a {kind} integer, got {value}")
-        order = opt("order", parse_rational)
-        if order is not None and order <= 0:
-            raise UsageError(f"--order must be positive, got {order}")
-        tol = opt("tol")
-        if tol is not None and not 0 < tol < math.inf:
-            raise UsageError(f"--tol must be positive and finite, got {tol}")
-        return cls(
-            command=ns.command,
-            target=ns.target,
-            order=order,
-            j=opt("j"),
-            k=opt("k"),
-            ell=opt("l"),
-            boundary=getattr(ns, "boundary", 0) or 0,
-            kmax=opt("kmax"),
-            nmax=opt("nmax"),
-            lattice_m=opt("M"),
-            shift_a=opt("a", parse_rational_pair),
-            twist_b=opt("b", parse_rational_pair),
-            ncut=opt("ncut"),
-            lattice_cut=opt("lattice_cut"),
-            tau=opt("tau", parse_tau),
-            x=opt("x", parse_rational),
-            xs=opt("xs", parse_rational_list),
-            gamma=opt("gamma", parse_matrix),
-            cohen=bool(getattr(ns, "cohen", False)),
-            conjugate_image=bool(getattr(ns, "conjugate_image", False)),
-            tol=tol,
-            out=opt("out"),
-            fmt=getattr(ns, "format", None)
-            or ("csv" if ns.command == "expand" else "json"),
-        )
+    def family(self) -> tuple[int, int, int]:
+        """(j, k, ell), each of them required."""
+        return self.require("j"), self.require("k"), self.require("ell")
 
     def require(self, name: str):
         value = getattr(self, name)
         if value is None:
-            flag = {"ell": "--l", "lattice_m": "--M"}.get(name, "--" + name)
-            raise UsageError(f"{self.command} {self.target} requires {flag}")
+            raise UsageError(f"{self.command} {self.target} requires {OPTIONS[name].flag}")
         return value
 
 
@@ -274,9 +289,6 @@ class LineWriter:
             self._wrote_header = True
         self.stream.write(",".join(_csv_cell(v) for v in obj.values()) + "\n")
 
-    def flush(self) -> None:
-        self.stream.flush()
-
 
 def _csv_cell(value) -> str:
     if isinstance(value, float):
@@ -290,125 +302,114 @@ def _csv_cell(value) -> str:
 # --------------------------------------------------------------------------
 # verify suites
 #
-# Each builder returns an ordered list of zero-argument callables, one
-# per check.  The order of the list is the output order.
+# Each builder returns a suite's checks in output order.  A check is a
+# partial of a module-level report function over plain arguments and
+# returns one report or an iterable of reports.  Bailey pairs are built
+# when their check runs, so a finished check keeps nothing alive.
 
 
 def _checks_chain_relation(cfg: RunConfig):
     kmax = cfg.kmax or 3
     nmax = cfg.nmax or 8
-    checks = []
     # The partition comparison is defined only from two chain levels up.
-    for k in range(2, kmax + 1):
-        for ell in range(1, k + 1):
-            for b in (0, 1):
-                for n in range(0, nmax + 1):
-                    if b == 1 and n == 0:
-                        # The partition identity needs at least one part
-                        # when the extra boundary factor is switched on.
-                        continue
-                    checks.append(
-                        lambda k=k, ell=ell, b=b, n=n: verify_ag_relation(k, ell, b, n)
-                    )
-    return checks
+    # The partition identity needs at least one part when the extra
+    # boundary factor is switched on (b = 1).
+    return [
+        partial(verify_ag_relation, k, ell, b, n)
+        for k in range(2, kmax + 1)
+        for ell in range(1, k + 1)
+        for b in (0, 1)
+        for n in range(b, nmax + 1)
+    ]
+
+
+def _compare_reps(kind, series_of, base, rep, order):
+    return report_from_comparison(
+        "classical_series_representation",
+        {"series": kind, "lhs": base, "rhs": rep, "order": order},
+        series_of(base, order),
+        series_of(rep, order),
+    )
 
 
 def _checks_classical_reps(cfg: RunConfig):
     order = cfg.order if cfg.order is not None else Fraction(200)
+    return [
+        partial(_compare_reps, kind, series_of, reps[0], rep, order)
+        for kind, series_of, reps in (
+            ("sigma", sigma_series, SIGMA_REPS),
+            ("sigma-star", sigma_star_series, SIGMA_STAR_REPS),
+        )
+        for rep in reps[1:]
+    ]
 
-    def compare(kind, series_of, base, rep):
-        return report_from_comparison(
-            "classical_series_representation",
-            {"series": kind, "lhs": base, "rhs": rep, "order": order},
-            series_of(base, order),
-            series_of(rep, order),
-        )
 
-    checks = []
-    for rep in SIGMA_REPS[1:]:
-        checks.append(
-            lambda rep=rep: compare("sigma", sigma_series, SIGMA_REPS[0], rep)
-        )
-    for rep in SIGMA_STAR_REPS[1:]:
-        checks.append(
-            lambda rep=rep: compare(
-                "sigma-star", sigma_star_series, SIGMA_STAR_REPS[0], rep
-            )
-        )
-    return checks
+_CHAIN_PAIRS = {"one": pair_relative_one, "q": pair_relative_q}
+
+
+def _check_unit_pair(relative, nmax, order):
+    return verify_pair(unit_pair(relative), nmax, order)
+
+
+def _check_chain_pair(relative, k, ell, nmax, order):
+    return verify_pair(_CHAIN_PAIRS[relative](k, ell), nmax, order)
+
+
+def _check_limit(relative, kind, order):
+    return verify_limiting_identity(_CHAIN_PAIRS[relative](1, 1), relative, kind, order)
+
+
+def _check_synthetic_pairs(order):
+    """Six seeded random pairs: each one's relation, then its limit identities."""
+    rng = random.Random(7)
+    for relative in RELATIVES:
+        for _ in range(3):
+            pair = synthetic_pair(relative, rng)
+            yield verify_pair(pair, 6, order)
+            for kind in IDENTITY_KINDS:
+                yield verify_limiting_identity(pair, relative, kind, order)
 
 
 def _checks_pair_relation(cfg: RunConfig):
     kmax = cfg.kmax or 3
     nmax = cfg.nmax or 8
     order = cfg.order if cfg.order is not None else Fraction(40)
-    makers = {"one": pair_relative_one, "q": pair_relative_q}
     checks = []
     for relative in RELATIVES:
-        checks.append(
-            lambda relative=relative: verify_pair(unit_pair(relative), nmax, order)
+        checks.append(partial(_check_unit_pair, relative, nmax, order))
+        checks.extend(
+            partial(_check_chain_pair, relative, k, ell, nmax, order)
+            for k in range(1, kmax + 1)
+            for ell in range(1, k + 1)
         )
-        for k in range(1, kmax + 1):
-            for ell in range(1, k + 1):
-                checks.append(
-                    lambda relative=relative, k=k, ell=ell: verify_pair(
-                        makers[relative](k, ell), nmax, order
-                    )
-                )
     # The limit identities ignore 0-index entries on one side, so they
     # are checked only on pairs whose 0-index entries vanish: the chain
     # pairs and the synthetic pairs, never the unit pairs.
-    for relative in RELATIVES:
-        for kind in IDENTITY_KINDS:
-            checks.append(
-                lambda relative=relative, kind=kind: verify_limiting_identity(
-                    makers[relative](1, 1), relative, kind, order
-                )
-            )
-    rng = random.Random(7)
-    for relative in RELATIVES:
-        for _ in range(3):
-            pair = synthetic_pair(relative, rng)
-            checks.append(lambda pair=pair: verify_pair(pair, 6, order))
-            for kind in IDENTITY_KINDS:
-                checks.append(
-                    lambda pair=pair, relative=relative, kind=kind: (
-                        verify_limiting_identity(pair, relative, kind, order)
-                    )
-                )
+    checks.extend(
+        partial(_check_limit, relative, kind, order)
+        for relative in RELATIVES
+        for kind in IDENTITY_KINDS
+    )
+    checks.append(partial(_check_synthetic_pairs, order))
     return checks
 
 
-def _family_grid(check, kmax: int, *args):
-    """One check per family and chain parameters 1 <= ell <= k <= kmax."""
+def _family_grid(check, kmax: int, order, cfg: RunConfig):
+    """One check per family and chain parameters 1 <= ell <= k <= kmax;
+    a check that reads a series takes its truncation order last."""
+    args = () if order is None else (cfg.order or order,)
     return [
         partial(check, j, k, ell, *args)
         for j in FAMILIES
-        for k in range(1, kmax + 1)
+        for k in range(1, (cfg.kmax or kmax) + 1)
         for ell in range(1, k + 1)
     ]
 
 
-def _checks_lattice_identity(cfg: RunConfig):
-    order = cfg.order if cfg.order is not None else Fraction(60)
-    return _family_grid(verify_family_lattice, cfg.kmax or 3, order)
-
-
-def _checks_family_params(cfg: RunConfig):
-    return _family_grid(validate_family_params, cfg.kmax or 10)
-
-
-def _checks_theta_embedding(cfg: RunConfig):
-    order = cfg.order if cfg.order is not None else Fraction(60)
-    return _family_grid(verify_theta_embedding, cfg.kmax or 3, order)
-
-
-def _checks_completion(cfg: RunConfig):
-    tau = cfg.tau if cfg.tau is not None else 1j
-    cut = cfg.lattice_cut if cfg.lattice_cut is not None else 10
-    tol = cfg.tol if cfg.tol is not None else 1e-8
-
-    def family_defect(j, k, ell):
+def _check_completion(tau, cut, tol, j=None, k=None, ell=None):
+    """The completion defect of family j at (k, ell) vanishes; with no
+    family, the defect of the off-family control does not."""
+    if j is not None:
         defect = abs(completion_defect(family_params(j, k, ell).params, tau, cut))
         return report_from_condition(
             "completion_defect_vanishes",
@@ -416,74 +417,68 @@ def _checks_completion(cfg: RunConfig):
             defect < tol,
             {"defect": defect, "tolerance": tol},
         )
+    # Deliberately off-family shifts: the boundary corrections must NOT
+    # cancel, or the vanishing checks prove nothing.
+    params = ThetaParams(
+        4, (Fraction(1, 5), Fraction(1, 7)), (Fraction(1, 3), Fraction(1, 11))
+    )
+    defect = abs(completion_defect(params, tau, cut))
+    return report_from_condition(
+        "completion_defect_control",
+        {"M": 4, "tau": str(tau), "lattice_cut": cut},
+        defect > 1e-3,
+        {"defect": defect, "floor": 1e-3},
+    )
 
-    def control_defect():
-        # Deliberately off-family shifts: the boundary corrections must
-        # NOT cancel, or the vanishing checks above prove nothing.
-        params = ThetaParams(
-            4,
-            (Fraction(1, 5), Fraction(1, 7)),
-            (Fraction(1, 3), Fraction(1, 11)),
-        )
-        defect = abs(completion_defect(params, tau, cut))
-        return report_from_condition(
-            "completion_defect_control",
-            {"M": 4, "tau": str(tau), "lattice_cut": cut},
-            defect > 1e-3,
-            {"defect": defect, "floor": 1e-3},
-        )
 
+def _checks_completion(cfg: RunConfig):
+    tau = cfg.tau if cfg.tau is not None else 1j
+    cut = cfg.lattice_cut if cfg.lattice_cut is not None else 10
+    tol = cfg.tol if cfg.tol is not None else 1e-8
     return [
-        lambda: family_defect(1, 1, 1),
-        lambda: family_defect(4, 1, 1),
-        control_defect,
+        partial(_check_completion, tau, cut, tol, 1, 1, 1),
+        partial(_check_completion, tau, cut, tol, 4, 1, 1),
+        partial(_check_completion, tau, cut, tol),
+    ]
+
+
+def _check_cohen_reality(ncut):
+    table = cohen_table(ncut)
+    tau = complex(0.0, 1.0 / math.sqrt(2.0))
+    value, tail = eval_waveform(table, tau, table.extent())
+    return report_from_condition(
+        "cohen_waveform_real_on_axis",
+        {"tau": str(tau), "ncut": ncut},
+        abs(value.imag) < 1e-8,
+        {"value_re": value.real, "value_im": value.imag, "tail_bound": tail},
+    )
+
+
+def _check_cohen_residuals(tau, label, ncut):
+    """Both transformation residuals at tau, from one computation."""
+    inversion, shift = cohen_transform_residual(tau, ncut)
+    return [
+        report_from_condition(
+            "cohen_inversion_residual",
+            {"tau": label, "ncut": ncut},
+            abs(inversion) < 1e-6,
+            {"residual": abs(inversion), "tolerance": 1e-6},
+        ),
+        report_from_condition(
+            "cohen_shift_residual",
+            {"tau": label, "ncut": ncut},
+            abs(shift) < 1e-12,
+            {"residual": abs(shift), "tolerance": 1e-12},
+        ),
     ]
 
 
 def _checks_cohen_waveform(cfg: RunConfig):
     ncut = cfg.ncut or 5000
-
-    def reality():
-        table = cohen_table(ncut)
-        tau = complex(0.0, 1.0 / math.sqrt(2.0))
-        value, tail = eval_waveform(table, tau, table.extent())
-        return report_from_condition(
-            "cohen_waveform_real_on_axis",
-            {"tau": str(tau), "ncut": ncut},
-            abs(value.imag) < 1e-8,
-            {"value_re": value.real, "value_im": value.imag, "tail_bound": tail},
-        )
-
-    memo: dict[complex, tuple[complex, complex]] = {}
-
-    def residuals(tau, label):
-        if tau not in memo:  # both reports of one tau share one computation
-            memo[tau] = cohen_transform_residual(tau, ncut)
-        inversion, shift = memo[tau]
-        return [
-            report_from_condition(
-                "cohen_inversion_residual",
-                {"tau": label, "ncut": ncut},
-                abs(inversion) < 1e-6,
-                {"residual": abs(inversion), "tolerance": 1e-6},
-            ),
-            report_from_condition(
-                "cohen_shift_residual",
-                {"tau": label, "ncut": ncut},
-                abs(shift) < 1e-12,
-                {"residual": abs(shift), "tolerance": 1e-12},
-            ),
-        ]
-
-    def at(tau, label, index):
-        return lambda: residuals(tau, label)[index]
-
     return [
-        reality,
-        at(1j, "i", 0),
-        at(1j, "i", 1),
-        at(complex(1.0 / 3.0, 0.5), "1/3+i/2", 0),
-        at(complex(1.0 / 3.0, 0.5), "1/3+i/2", 1),
+        partial(_check_cohen_reality, ncut),
+        partial(_check_cohen_residuals, 1j, "i", ncut),
+        partial(_check_cohen_residuals, complex(1.0 / 3.0, 0.5), "1/3+i/2", ncut),
     ]
 
 
@@ -492,20 +487,21 @@ def _checks_root_duality(cfg: RunConfig):
     nmax = cfg.nmax or 12
     check_root_order(nmax)
     return [
-        lambda k=k, ell=ell, big_n=big_n: verify_kz_duality(k, ell, big_n)
+        partial(verify_kz_duality, k, ell, big_n)
         for k in range(1, kmax + 1)
         for ell in range(1, k + 1)
         for big_n in range(1, nmax + 1)
     ]
 
 
-_SUITE_BUILDERS = {
+# In the order of ``verify all``.
+SUITES = {
     "ag": _checks_chain_relation,
     "sigma": _checks_classical_reps,
     "bailey": _checks_pair_relation,
-    "prop32": _checks_lattice_identity,
-    "params": _checks_family_params,
-    "thm1": _checks_theta_embedding,
+    "prop32": partial(_family_grid, verify_family_lattice, 3, Fraction(60)),
+    "params": partial(_family_grid, validate_family_params, 10, None),
+    "thm1": partial(_family_grid, verify_theta_embedding, 3, Fraction(60)),
     "completion": _checks_completion,
     "cohen": _checks_cohen_waveform,
     "duality": _checks_root_duality,
@@ -513,20 +509,16 @@ _SUITE_BUILDERS = {
 
 
 def _run_verify(cfg: RunConfig, writer: LineWriter) -> int:
-    if cfg.target == "all":
-        checks = []
-        for name in VERIFY_SUITES[:-1]:
-            checks.extend(_SUITE_BUILDERS[name](cfg))
-    else:
-        checks = _SUITE_BUILDERS[cfg.target](cfg)
+    suites = SUITES.values() if cfg.target == "all" else [SUITES[cfg.target]]
+    checks = [check for suite in suites for check in suite(cfg)]
     if not checks:
         raise UsageError(f"verify {cfg.target}: these parameters give no checks")
     failed = False
     for check in checks:
-        report = check()
-        writer.emit(report.to_json_dict())
-        failed |= not report.ok
-    writer.flush()
+        result = check()
+        for report in [result] if isinstance(result, CheckReport) else result:
+            writer.emit(report.to_json_dict())
+            failed |= not report.ok
     return 1 if failed else 0
 
 
@@ -560,11 +552,8 @@ def _expand_hpoly(cfg: RunConfig, writer: LineWriter) -> None:
 
 
 def _expand_family(cfg: RunConfig, writer: LineWriter) -> None:
-    j = cfg.require("j")
-    k = cfg.require("k")
-    ell = cfg.require("ell")
     order = _int_order(cfg, 50)
-    series = family_series(j, k, ell, order)
+    series = family_series(*cfg.family(), order)
     for n in range(order):
         writer.emit({"n": n, "coefficient": _exact_str(series.coeff(n))})
 
@@ -578,9 +567,7 @@ def _expand_classical(cfg: RunConfig, writer: LineWriter, starred: bool) -> None
 
 def _theta_params_from(cfg: RunConfig) -> ThetaParams:
     if cfg.j is not None:
-        k = cfg.require("k")
-        ell = cfg.require("ell")
-        return family_params(cfg.j, k, ell).params
+        return family_params(*cfg.family()).params
     if cfg.lattice_m is None or cfg.shift_a is None or cfg.twist_b is None:
         raise UsageError(
             "s-theta needs either --j/--k/--l or all of --M/--a/--b"
@@ -613,18 +600,14 @@ def _expand_negative_part(cfg: RunConfig, writer: LineWriter) -> None:
         )
 
 
-def _run_expand(cfg: RunConfig, writer: LineWriter) -> int:
-    handlers = {
-        "hpoly": _expand_hpoly,
-        "f": _expand_family,
-        "sigma": lambda c, w: _expand_classical(c, w, starred=False),
-        "sigma-star": lambda c, w: _expand_classical(c, w, starred=True),
-        "s-theta": _expand_theta,
-        "negative-part": _expand_negative_part,
-    }
-    handlers[cfg.target](cfg, writer)
-    writer.flush()
-    return 0
+EXPANDERS = {
+    "hpoly": _expand_hpoly,
+    "f": _expand_family,
+    "sigma": partial(_expand_classical, starred=False),
+    "sigma-star": partial(_expand_classical, starred=True),
+    "s-theta": _expand_theta,
+    "negative-part": _expand_negative_part,
+}
 
 
 # --------------------------------------------------------------------------
@@ -634,32 +617,20 @@ def _run_expand(cfg: RunConfig, writer: LineWriter) -> int:
 def _eval_waveform(cfg: RunConfig, writer: LineWriter) -> int:
     tau = cfg.tau if cfg.tau is not None else 1j
     if cfg.cohen:
-        ncut = cfg.ncut or 5000
-        table = cohen_table(ncut)
+        size = ("ncut", cfg.ncut or 5000)
+        table = cohen_table(size[1])
         value, tail = eval_waveform(table, tau, table.extent())
-        writer.emit(
-            {
-                "target": "waveform",
-                "model": "cohen",
-                "tau_re": tau.real,
-                "tau_im": tau.imag,
-                "ncut": ncut,
-                "value_re": value.real,
-                "value_im": value.imag,
-                "tail_bound": tail,
-            }
-        )
-        return 0
-    params = _theta_params_from(cfg)
-    cut = cfg.lattice_cut if cfg.lattice_cut is not None else 12
-    value, tail = waveform_numeric(params, tau, cut)
+    else:
+        params = _theta_params_from(cfg)
+        size = ("lattice_cut", cfg.lattice_cut if cfg.lattice_cut is not None else 12)
+        value, tail = waveform_numeric(params, tau, size[1])
     writer.emit(
         {
             "target": "waveform",
-            "model": "theta",
+            "model": "cohen" if cfg.cohen else "theta",
             "tau_re": tau.real,
             "tau_im": tau.imag,
-            "lattice_cut": cut,
+            size[0]: size[1],
             "value_re": value.real,
             "value_im": value.imag,
             "tail_bound": tail,
@@ -669,9 +640,7 @@ def _eval_waveform(cfg: RunConfig, writer: LineWriter) -> int:
 
 
 def _eval_quantum(cfg: RunConfig, writer: LineWriter) -> int:
-    sample = quantum_value(
-        cfg.require("j"), cfg.require("k"), cfg.require("ell"), cfg.require("x")
-    )
+    sample = quantum_value(*cfg.family(), cfg.require("x"))
     payload = {"target": "quantum"} | sample.to_json_dict()
     if sample.value.is_rational():
         payload["value"] = _exact_str(sample.value.rational_value())
@@ -680,15 +649,8 @@ def _eval_quantum(cfg: RunConfig, writer: LineWriter) -> int:
 
 
 def _eval_radial(cfg: RunConfig, writer: LineWriter) -> int:
-    report = radial_limit_check(
-        cfg.require("j"),
-        cfg.require("k"),
-        cfg.require("ell"),
-        cfg.require("x"),
-        tol=cfg.tol if cfg.tol is not None else 1e-4,
-    )
+    report = radial_limit_check(*cfg.family(), cfg.require("x"), tol=cfg.tol or 1e-4)
     writer.emit(report.to_json_dict())
-    writer.flush()
     return 0 if report.ok else 1
 
 
@@ -718,29 +680,46 @@ def _eval_cocycle(cfg: RunConfig, writer: LineWriter) -> int:
     return 0
 
 
-def _run_eval(cfg: RunConfig, writer: LineWriter) -> int:
-    handlers = {
-        "waveform": _eval_waveform,
-        "quantum": _eval_quantum,
-        "radial": _eval_radial,
-        "cocycle": _eval_cocycle,
-    }
-    code = handlers[cfg.target](cfg, writer)
-    writer.flush()
-    return code
+EVALUATORS = {
+    "waveform": _eval_waveform,
+    "quantum": _eval_quantum,
+    "radial": _eval_radial,
+    "cocycle": _eval_cocycle,
+}
 
 
 # --------------------------------------------------------------------------
 # wiring
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    parser.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        help="row format (tables default to csv, checks and eval to json)",
-    )
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its help line, its targets (argparse choices), its
+    default row format and the RunConfig fields it takes, in --help order."""
+
+    help: str
+    targets: tuple
+    fmt: str
+    fields: tuple
+    metavar: str | None = None
+
+
+COMMANDS = {
+    "verify": Command(
+        "run a named suite of checks", (*SUITES, "all"), "json",
+        ("order", "kmax", "nmax", "ncut", "lattice_cut", "tau", "tol", "out", "fmt"), "suite",
+    ),
+    "expand": Command(
+        "write a coefficient table", tuple(EXPANDERS), "csv",
+        ("order", "j", "k", "ell", "boundary", "nmax", "lattice_m", "shift_a", "twist_b",
+         "out", "fmt"),
+    ),
+    "eval": Command(
+        "evaluate waveforms, limits, samples", tuple(EVALUATORS), "json",
+        ("j", "k", "ell", "lattice_m", "shift_a", "twist_b", "x", "xs", "tau", "ncut",
+         "lattice_cut", "gamma", "cohen", "conjugate_image", "tol", "out", "fmt"),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -749,59 +728,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact q-series checks, coefficient tables, and waveform evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run a named suite of checks")
-    p_verify.add_argument("target", metavar="suite", choices=VERIFY_SUITES)
-    p_verify.add_argument("--order", metavar="p/q", help="series truncation order")
-    p_verify.add_argument("--kmax", type=int, help="largest chain length")
-    p_verify.add_argument("--nmax", type=int, help="largest index in sweeps")
-    p_verify.add_argument("--ncut", type=int, help="coefficient cutoff for waveforms")
-    p_verify.add_argument("--lattice-cut", type=int, help="lattice shell cutoff")
-    p_verify.add_argument("--tau", metavar="re,im", help="upper-half-plane point")
-    p_verify.add_argument("--tol", type=float, help="numeric tolerance override")
-    _add_common(p_verify)
-
-    p_expand = sub.add_parser("expand", help="write a coefficient table")
-    p_expand.add_argument("target", choices=EXPAND_TARGETS)
-    p_expand.add_argument("--order", metavar="p/q", help="number of rows / truncation")
-    p_expand.add_argument("--j", type=int, help="family index 1..4")
-    p_expand.add_argument("--k", type=int, help="chain length")
-    p_expand.add_argument("--l", type=int, help="chain marker, 1..k")
-    p_expand.add_argument(
-        "--boundary", type=int, choices=(0, 1), default=0,
-        help="chain boundary bit for hpoly",
-    )
-    p_expand.add_argument("--nmax", type=int, help="largest chain index for hpoly")
-    p_expand.add_argument("--M", type=int, help="lattice form parameter")
-    p_expand.add_argument("--a", metavar="p/q,p/q", help="lattice shift pair")
-    p_expand.add_argument("--b", metavar="p/q,p/q", help="lattice twist pair")
-    _add_common(p_expand)
-
-    p_eval = sub.add_parser("eval", help="evaluate waveforms, limits, samples")
-    p_eval.add_argument("target", choices=EVAL_TARGETS)
-    p_eval.add_argument("--j", type=int, help="family index 1..4")
-    p_eval.add_argument("--k", type=int, help="chain length")
-    p_eval.add_argument("--l", type=int, help="chain marker, 1..k")
-    p_eval.add_argument("--M", type=int, help="lattice form parameter")
-    p_eval.add_argument("--a", metavar="p/q,p/q", help="lattice shift pair")
-    p_eval.add_argument("--b", metavar="p/q,p/q", help="lattice twist pair")
-    p_eval.add_argument("--x", metavar="p/q", help="exact rational point")
-    p_eval.add_argument("--xs", metavar="p/q,...", help="comma-separated rational points")
-    p_eval.add_argument("--tau", metavar="re,im", help="upper-half-plane point")
-    p_eval.add_argument("--ncut", type=int, help="coefficient cutoff")
-    p_eval.add_argument("--lattice-cut", type=int, help="lattice shell cutoff")
-    p_eval.add_argument("--gamma", metavar="a,b,c,d", help="integer matrix entries")
-    p_eval.add_argument(
-        "--cohen", action="store_true",
-        help="use the level-2 coefficient table instead of a family lattice",
-    )
-    p_eval.add_argument(
-        "--conjugate-image", action="store_true",
-        help="conjugate the transformed term in cocycle samples",
-    )
-    p_eval.add_argument("--tol", type=float, help="numeric tolerance")
-    _add_common(p_eval)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("target", metavar=command.metavar, choices=command.targets)
+        for field in command.fields:
+            option = OPTIONS[field]
+            p.add_argument(option.flag, dest=field, **option.kwargs)
+        p.set_defaults(fmt=command.fmt)
     return parser
 
 
@@ -826,10 +759,13 @@ def run(argv=None) -> int:
         try:
             writer = LineWriter(stream, cfg.fmt)
             if cfg.command == "verify":
-                return _run_verify(cfg, writer)
-            if cfg.command == "expand":
-                return _run_expand(cfg, writer)
-            return _run_eval(cfg, writer)
+                code = _run_verify(cfg, writer)
+            elif cfg.command == "expand":
+                code = EXPANDERS[cfg.target](cfg, writer) or 0  # a table always exits 0
+            else:
+                code = EVALUATORS[cfg.target](cfg, writer)
+            stream.flush()
+            return code
         finally:
             if cfg.out:
                 stream.close()

@@ -60,21 +60,8 @@ def _poly_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def _phi_degree(L: int) -> int:
     return len(cyclotomic_polynomial(L)) - 1
-
-
-@functools.lru_cache(maxsize=None)
-def _power_row(L: int, k: int) -> tuple:
-    """zeta_L^k expressed in the power basis (k taken mod L)."""
-    k %= L
-    d = _phi_degree(L)
-    if k < d:
-        row = [0] * d
-        row[k] = 1
-        return tuple(row)
-    return _reduced_powers(L)[k - d]
 
 
 @functools.lru_cache(maxsize=None)
@@ -104,10 +91,13 @@ class CycNumber:
     def __init__(self, order: int, vec):
         d = _phi_degree(order)
         v = list(vec)
+        for k in range(order, len(v)):  # zeta^order = 1
+            v[k % order] += v[k]
         v += [0] * (d - len(v))
-        for k, c in enumerate(v[d:], d):  # fold zeta^k, k >= d, into the basis
+        rows = _reduced_powers(order) if any(v[d:order]) else ()
+        for c, row in zip(v[d:order], rows):  # fold zeta^k, d <= k < order
             if c:
-                for j, r in enumerate(_power_row(order, k)):
+                for j, r in enumerate(row):
                     if r:
                         v[j] += c * r
         self.order = order

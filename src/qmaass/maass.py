@@ -30,12 +30,13 @@ from .agpolys import ag_polynomials_at_root
 from .bailey import LIMIT_WEIGHTS
 from .bessel import k0_bessel
 from .cyclotomic import CycNumber, check_root_order, cyclic_add, cyclic_mul
-from .families import FAMILIES, _validate_family, negative_part_series
+from .families import FAMILIES, _validate_family, negative_part_series, sigma_coefficients
 from .reports import CheckReport, _exact_str, report_from_condition
-from .series import PrecisionError, QSeriesError
+from .series import PrecisionError, QSeriesError, dense_int_coeffs
 from .theta import (
     _bounded,
     family_lattice_numeric,
+    family_lattice_series,
     family_params,
     indefinite_theta_series,
     unit_phase,
@@ -114,10 +115,6 @@ def cohen_table(n_max: int) -> MaassCoeffTable:
     cross-checked against it in the tests).  All values are exact
     integers supported on the residue class 1 mod 24.
     """
-    from .families import sigma_coefficients
-    from .series import dense_int_coeffs
-    from .theta import family_lattice_series
-
     if not (isinstance(n_max, int) and n_max >= 1):
         raise QSeriesError("the table extent must be a positive integer")
     coeffs: dict[int, int] = {}

@@ -39,6 +39,7 @@ from fractions import Fraction
 from itertools import accumulate, cycle, islice
 
 from .bailey import quadratic_shift
+from .bessel import k0_bessel
 from .cyclotomic import CycNumber
 from .families import FAMILIES, _affine, _validate_family, family_series
 from .reports import CheckReport, _exact_str, report_from_comparison
@@ -301,11 +302,12 @@ def _twist_residues(params: ThetaParams) -> tuple[int, int, int]:
 def indefinite_theta_series(params, trunc) -> QSeries:
     """The exact two-region theta series of (M, a, b), below ``trunc``.
 
-    The two regions are cut by floor-based inequalities on n +- nu; in
-    either region the exponent dominates (n + a1)^2, which bounds the
-    enumeration box.  A one-layer rescan beyond the box raises if any
-    in-region term below ``trunc`` shows up there, so an undersized box
-    can never silently drop terms.
+    The two regions make up the cone r1^2 > r2^2 (the main cone of
+    :func:`_cone_weights`), whose boundary no lattice point meets because
+    a1 +- a2 is not integral; in it the exponent dominates (n + a1)^2,
+    which bounds the enumeration box.  A one-layer rescan beyond the box
+    raises if any in-region term below ``trunc`` shows up there, so an
+    undersized box can never silently drop terms.
     """
     params = _as_theta_params(params)
     if trunc is INF:
@@ -314,8 +316,6 @@ def indefinite_theta_series(params, trunc) -> QSeries:
     if t <= 0:
         return QSeries.zero(t)
     a1, a2 = params.a
-    fl_plus = math.floor(a1 + a2)
-    fl_minus = math.floor(a1 - a2)
     order, c1, c2 = _twist_residues(params)
     D, _ = _denominators(params)
     den = 2 * D * D
@@ -326,10 +326,8 @@ def indefinite_theta_series(params, trunc) -> QSeries:
     edge = reach + 1
     # exponent numerator -> {twist residue: number of points}
     acc: dict[int, dict[int, int]] = {}
-    for n, nu, _, _, q, _ in _lattice_walk(params, edge):
-        upper = n + nu >= -fl_plus and n - nu >= -fl_minus
-        lower = n + nu < -fl_plus and n - nu < -fl_minus
-        if not (upper or lower):
+    for n, nu, x, y, q, _ in _lattice_walk(params, edge):
+        if x * x <= y * y:
             continue
         if abs(n) == edge or abs(nu) == edge:
             if q < limit:
@@ -621,8 +619,6 @@ def waveform_numeric(
     the shells.  A tail bound that is not below |value| raises
     :class:`PrecisionError`.
     """
-    from .bessel import k0_bessel
-
     params = _as_theta_params(params)
     u, v = tau.real, tau.imag
     if not v > 0:

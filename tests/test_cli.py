@@ -215,17 +215,14 @@ class TestVerify:
         assert len(exact) == 88
         assert _sha256(exact) == LOCKED_VERIFY_ALL_EXACT
 
-    # A leftover QMAASS_THREADS setting is ignored: the suite stays serial and
-    # still computes each residual exactly once.
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_cohen_suite_computes_each_residual_once(self, capsys, monkeypatch, threads):
+    # One check reports both residuals of a tau from one computation.
+    def test_cohen_suite_computes_each_residual_once(self, capsys, monkeypatch):
         calls = []
 
         def counted(tau, ncut):
             calls.append(tau)
             return cohen_transform_residual(tau, ncut)
 
-        monkeypatch.setenv("QMAASS_THREADS", threads)
         monkeypatch.setattr(cli, "cohen_transform_residual", counted)
         code, lines, _ = _run(capsys, "verify", "cohen", "--ncut", "600")
         assert code == 0

@@ -8,7 +8,6 @@ import pytest
 
 from qmaass.cyclotomic import (
     CycNumber,
-    _power_row,
     cyclotomic_polynomial,
     root_of_unity_value,
 )
@@ -97,7 +96,7 @@ def test_power_rows_are_monomial_remainders(L):
     d = totient(L)
     powers = {0, d - 1, d, d + 1, (d + L) // 2, L - 1, L, L + d, 3 * L + 5}
     for k in sorted(powers):
-        assert _power_row(L, k) == _monomial_remainder(L, k), (L, k)
+        assert CycNumber.zeta(L, k).vec == _monomial_remainder(L, k), (L, k)
 
 
 def test_roots_of_unity_of_large_order():

@@ -487,6 +487,18 @@ class TestIntegerWalk:
         brute = _brute_force_theta(params, trunc, box)
         assert mine == brute and mine.denom == brute.denom
 
+    @settings(max_examples=60, deadline=None)
+    @given(_theta_params())
+    def test_main_cone_is_the_floor_based_regions(self, params):
+        # The two regions of the theta series, as the floor-based tests on
+        # n +- nu described them, are the lattice points with r1^2 > r2^2.
+        a1, a2 = params.a
+        fl_plus, fl_minus = math.floor(a1 + a2), math.floor(a1 - a2)
+        for n, nu, x, y, _, _ in _lattice_walk(params, 8):
+            upper = n + nu >= -fl_plus and n - nu >= -fl_minus
+            lower = n + nu < -fl_plus and n - nu < -fl_minus
+            assert (upper or lower) == (x * x > y * y), (params, n, nu)
+
     def test_term_just_below_trunc_is_kept(self):
         # trunc times the exponent denominator falls strictly between two
         # integers here, so rounding it down would drop the q^e term.
