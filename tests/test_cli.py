@@ -215,14 +215,17 @@ class TestVerify:
         assert len(exact) == 88
         assert _sha256(exact) == LOCKED_VERIFY_ALL_EXACT
 
-    # One check reports both residuals of a tau from one computation.
-    def test_cohen_suite_computes_each_residual_once(self, capsys, monkeypatch):
+    # One check reports both residuals of a tau from one computation, and a
+    # leftover QMAASS_THREADS setting changes nothing about that.
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_cohen_suite_computes_each_residual_once(self, capsys, monkeypatch, threads):
         calls = []
 
         def counted(tau, ncut):
             calls.append(tau)
             return cohen_transform_residual(tau, ncut)
 
+        monkeypatch.setenv("QMAASS_THREADS", threads)
         monkeypatch.setattr(cli, "cohen_transform_residual", counted)
         code, lines, _ = _run(capsys, "verify", "cohen", "--ncut", "600")
         assert code == 0
