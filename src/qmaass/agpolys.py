@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import binomials_at_root, cyclic_add, cyclic_mul
+from .cyclotomic import binomials_at_root, root_sums
 from .reports import CheckReport, report_from_comparison
 from .series import INF, QSeries, QSeriesError, dense_int_coeffs, gaussian_binomial
 
@@ -57,28 +57,14 @@ def _int_slots(trunc) -> int:
     return max(0, math.ceil(t))
 
 
-def _chains(k: int, ell: int, b: int, trunc, top: int | None = None, order=None):
+def _chains(k: int, ell: int, b: int, trunc, top: int | None = None):
     """Depth-first over the chains ``0 <= n_1 <= ... <= n_{k-1}`` (``<= top``).
 
     Yields ``(n_{k-1}, g_{k-1}, partial)`` for each chain with q-weight
     below ``trunc`` and every ``g_j >= 0``; ``partial`` is the chain's
     power of q times every binomial except the final one, whose top side
-    depends on ``n``.  With an ``order`` N (``trunc`` infinite, ``top``
-    given) ``partial`` is its value at a primitive N-th root of unity, a
-    map in Z[x]/(x^N - 1) (:func:`qmaass.cyclotomic.cyclic_mul`).
+    depends on ``n``.
     """
-    if order is None:
-        one = QSeries.one(trunc)
-
-        def times(partial, top_side: int, bottom: int, w: int):
-            return partial * gaussian_binomial(top_side, bottom, trunc).shift(w)
-    else:
-        one, binomial = {0: 1}, binomials_at_root(order)
-
-        def times(partial, top_side: int, bottom: int, w: int):
-            factor = cyclic_add({}, binomial(top_side, bottom), order, shift=w)
-            return cyclic_mul(partial, factor, order)
-
     def walk(j: int, prev: int, acc: int, weight: int, partial):
         g = acc - b * j
         if g < 0:
@@ -90,15 +76,11 @@ def _chains(k: int, ell: int, b: int, trunc, top: int | None = None, order=None)
             w = v * v + (1 - b) * v
             if weight + w >= trunc:
                 break
-            yield from walk(
-                j + 1,
-                v,
-                acc + 2 * v + (1 if j + 1 < ell else 0),
-                weight + w,
-                times(partial, v - prev + g, v - prev, w),
-            )
+            factor = gaussian_binomial(v - prev + g, v - prev, trunc).shift(w)
+            nxt = acc + 2 * v + (1 if j + 1 < ell else 0)
+            yield from walk(j + 1, v, nxt, weight + w, partial * factor)
 
-    return walk(0, 0, 0, 0, one)
+    return walk(0, 0, 0, 0, QSeries.one(trunc))
 
 
 def ag_polynomial(k: int, ell: int, b: int, n: int, trunc=INF) -> QSeries:
@@ -120,21 +102,46 @@ def ag_polynomial(k: int, ell: int, b: int, n: int, trunc=INF) -> QSeries:
     return total
 
 
-def ag_polynomials_at_root(k: int, ell: int, b: int, n_max: int, N: int) -> list[dict]:
-    """The chain polynomials for n = 0..n_max at a primitive N-th root of
-    unity, as maps in Z[x]/(x^N - 1) (reduce one with
-    :meth:`~qmaass.cyclotomic.CycNumber.from_powers`).
+def _chains_at_root(ring, k: int, ell: int, b: int, n_max: int) -> list:
+    """The chain polynomials for n = 0..n_max as elements of ``ring`` (a
+    :class:`~qmaass.cyclotomic.CyclicRing` or its L1 bound), from one walk.
 
-    One walk over the chains with ``n_{k-1} <= n_max`` serves every n.
+    Each layer keeps one sum per chain state (n_j, acc), as the later
+    factors read only n_j and g_j = acc - b*j.  The last factor takes no
+    product: as sum_s [s+g choose s] z^s = 1/prod_(i<=g) (1 - z x^i), the
+    states join a series in z at z^(n_(k-1)), divided by 1 - z x^g from
+    the largest g down (Horner's rule).
     """
+    binomial = binomials_at_root(ring)
+    layer = {(0, 0): 1}
+    for j in range(k - 1):
+        step: dict = {}
+        for (prev, acc), partial in layer.items():
+            g = acc - b * j
+            for v in range(prev, n_max + 1) if g >= 0 else ():
+                factor = binomial(v - prev + g, v - prev)
+                if factor:
+                    key = (v, acc + 2 * v + (1 if j + 1 < ell else 0))
+                    step[key] = step.get(key, 0) + ring.mul(partial, factor)
+        layer = {(v, acc): ring.rot(a, v * v + (1 - b) * v) for (v, acc), a in step.items()}
+    by_g: dict = {}
+    for (last, acc), partial in layer.items():
+        by_g.setdefault(acc - b * (k - 1), []).append((last, partial))
+    series, low = [0] * (n_max + 1), n_max  # series[n] = 0 for n < low
+    for g in range(max(by_g, default=-1), -1, -1):
+        for last, partial in by_g.get(g, ()):
+            series[last] += partial
+            low = min(low, last)
+        for n in range(low + 1, n_max + 1):
+            series[n] += ring.rot(series[n - 1], g)
+    return series
+
+
+def ag_polynomials_at_root(k: int, ell: int, b: int, n_max: int, N: int) -> list[dict]:
+    """The chain polynomials for n = 0..n_max at a primitive N-th root of unity, as
+    maps in Z[x]/(x^N - 1) (reduce with :meth:`~qmaass.cyclotomic.CycNumber.from_powers`)."""
     _validate_chain_params(k, ell, b, n_max)
-    binomial = binomials_at_root(N)
-    out: list[dict] = [{} for _ in range(n_max + 1)]
-    for last, g, partial in _chains(k, ell, b, INF, n_max, N):
-        for n in range(last, n_max + 1):
-            term = cyclic_mul(partial, binomial(n - last + g, n - last), N)
-            out[n] = cyclic_add(out[n], term, N)
-    return out
+    return root_sums(N, lambda ring: _chains_at_root(ring, k, ell, b, n_max))
 
 
 def ag_polynomial_sweep(k: int, ell: int, b: int, trunc):

@@ -569,9 +569,7 @@ def _theta_params_from(cfg: RunConfig) -> ThetaParams:
     if cfg.j is not None:
         return family_params(*cfg.family()).params
     if cfg.lattice_m is None or cfg.shift_a is None or cfg.twist_b is None:
-        raise UsageError(
-            "s-theta needs either --j/--k/--l or all of --M/--a/--b"
-        )
+        raise UsageError(f"{cfg.target} needs either --j/--k/--l or all of --M/--a/--b")
     return ThetaParams(cfg.lattice_m, cfg.shift_a, cfg.twist_b)
 
 
@@ -755,7 +753,10 @@ def run(argv=None) -> int:
     ns = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = RunConfig.from_args(ns)
-        stream = open(cfg.out, "w", encoding="utf-8") if cfg.out else sys.stdout
+        try:
+            stream = open(cfg.out, "w", encoding="utf-8") if cfg.out else sys.stdout
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {cfg.out}: {exc.strerror}") from exc
         try:
             writer = LineWriter(stream, cfg.fmt)
             if cfg.command == "verify":

@@ -10,9 +10,12 @@ Arithmetic between numbers of different orders embeds both into the
 compositum Q(zeta_lcm) first, which keeps mixed expressions (roots of unity
 with heterogeneous denominators) canonical.
 
-Long sums of products at one root of unity are done first in the group
-ring Z[x]/(x^N - 1) (integer maps {exponent mod N: coefficient}, see
-:func:`cyclic_mul`) and reduced mod Phi_N once at the end.
+Sums at one root of unity are taken in Z[x]/(x^N - 1), packed by x -> 2^W
+into one int mod 2^(W*N) - 1 (:class:`CyclicRing`), and reduced mod Phi_N
+once (exact, as Phi_N divides x^N - 1).  Only the final value is split into
+digits: run once with x -> 1 and signs dropped, the sum bounds its own L1
+norm by B, and W = B.bit_length() + 2 holds each coefficient as one
+balanced base-2^W digit (:func:`root_sums`).
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from fractions import Fraction
 
-from .series import QSeries, QSeriesError, _clean, _kronecker_product
+from .series import QSeries, QSeriesError, _clean
 
 
 @functools.lru_cache(maxsize=None)
@@ -34,53 +38,23 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     num = [-1] + [0] * (L - 1) + [1]
     for d in range(1, L):
         if L % d == 0:
-            phi_d = cyclotomic_polynomial(d)
-            num = _poly_exact_div(num, phi_d)
+            num = _divide(num, cyclotomic_polynomial(d))
     return tuple(num)
 
 
-def _poly_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Exact polynomial long division over Z (monic or +/-1-leading divisor)."""
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q, r = divmod(c, lead)
-        if r != 0:
-            raise ArithmeticError("non-exact cyclotomic division")
-        out[i - dd] = q
-        for j, dc in enumerate(den):
-            num[i - dd + j] -= q * dc
-    if any(num):
-        raise ArithmeticError("non-exact cyclotomic division")
-    return out
-
-
-def _phi_degree(L: int) -> int:
-    return len(cyclotomic_polynomial(L)) - 1
-
-
-@functools.lru_cache(maxsize=None)
-def _reduced_powers(L: int) -> tuple:
-    """zeta_L^k in the power basis for d <= k < L, d = phi(L), each row
-    one shift of the row before it."""
-    phi = cyclotomic_polynomial(L)
-    d = len(phi) - 1
-    row = [0] * (d - 1) + [1]
-    rows = []
-    for _ in range(d, L):
-        top = row[-1]
-        row = [0] + row[:-1]
-        if top:
-            # zeta^d = -(phi_0 + phi_1 zeta + ... + phi_{d-1} zeta^{d-1})
-            for j in range(d):
-                row[j] -= top * phi[j]
-        rows.append(tuple(row))
-    return tuple(rows)
+def _divide(num: list, den: tuple[int, ...]) -> list:
+    """Long division by the monic ``den`` in place: returns the quotient and
+    leaves the remainder in ``num`` below degree len(den) - 1, zeros above."""
+    d = len(den) - 1
+    terms = [(j, c) for j, c in enumerate(den[:-1]) if c]
+    quotient = [0] * max(0, len(num) - d)
+    for i in range(len(num) - 1, d - 1, -1):
+        c, num[i] = num[i], 0
+        if c:
+            quotient[i - d] = c
+            for j, p in terms:
+                num[i - d + j] -= c * p
+    return quotient
 
 
 class CycNumber:
@@ -89,19 +63,14 @@ class CycNumber:
     __slots__ = ("order", "vec")
 
     def __init__(self, order: int, vec):
-        d = _phi_degree(order)
+        phi = cyclotomic_polynomial(order)
         v = list(vec)
         for k in range(order, len(v)):  # zeta^order = 1
             v[k % order] += v[k]
-        v += [0] * (d - len(v))
-        rows = _reduced_powers(order) if any(v[d:order]) else ()
-        for c, row in zip(v[d:order], rows):  # fold zeta^k, d <= k < order
-            if c:
-                for j, r in enumerate(row):
-                    if r:
-                        v[j] += c * r
+        v = v[:order] + [0] * (len(phi) - 1 - len(v))
+        _divide(v, phi)  # the remainder mod Phi_order
         self.order = order
-        self.vec = tuple(_clean(c) for c in v[:d])
+        self.vec = tuple(_clean(c) for c in v[: len(phi) - 1])
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -169,7 +138,7 @@ class CycNumber:
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
-        d = _phi_degree(a.order)
+        d = len(a.vec)
         conv = [0] * (2 * d - 1)
         av, bv = a.vec, b.vec
         for i, x in enumerate(av):
@@ -197,20 +166,23 @@ class CycNumber:
     def inverse(self) -> "CycNumber":
         """Field inverse: the product of the other Galois conjugates
         (zeta -> zeta^p, p a unit mod the order) over the norm, a rational.
-        The product is taken in Z[x]/(x^L - 1) (:func:`cyclic_mul`)."""
+        The product is taken in Z[x]/(x^L - 1) (:func:`root_sums`)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         L = self.order
         den = math.lcm(*(c.denominator for c in self.vec))
         a = {i: int(c * den) for i, c in enumerate(self.vec) if c}
-        others = {0: 1}
-        for p in range(2, L):
-            if math.gcd(p, L) == 1:
-                others = cyclic_mul(others, {i * p % L: c for i, c in a.items()}, L)
-        norm = CycNumber.from_powers(L, cyclic_mul(a, others, L)).rational_value()
-        return CycNumber.from_powers(
-            L, {e: Fraction(c * den, norm) for e, c in others.items()}
-        )
+
+        def build(ring):
+            others = 1
+            for p in range(2, L):
+                if math.gcd(p, L) == 1:
+                    others = ring.mul(others, ring.encode({i * p: c for i, c in a.items()}))
+            return [others, ring.mul(ring.encode(a), others)]
+
+        others, norm = root_sums(L, build)
+        norm = CycNumber.from_powers(L, norm).rational_value()
+        return CycNumber.from_powers(L, {e: Fraction(c * den, norm) for e, c in others.items()})
 
     # ------------------------------------------------------------------ tests
     def is_zero(self) -> bool:
@@ -269,29 +241,20 @@ def root_of_unity_value(series: QSeries, N: int, power: int = 1) -> CycNumber:
     s = series.normalized()
     L = N * s.denom
     rational_powers: dict[int, object] = {}
-    cyc_parts: CycNumber | None = None
+    out = CycNumber.from_rational(L, 0)
     for m, c in s._coeffs.items():
         k = (m * power) % L
         if isinstance(c, (int, Fraction)):
             rational_powers[k] = rational_powers.get(k, 0) + c
         else:
-            term = CycNumber.zeta(L, k) * c
-            cyc_parts = term if cyc_parts is None else cyc_parts + term
-    out = CycNumber.from_powers(L, rational_powers)
-    if cyc_parts is not None:
-        out = out + cyc_parts
-    return out
+            out = out + CycNumber.zeta(L, k) * c
+    return CycNumber.from_powers(L, rational_powers) + out
 
 
 # ------------------------------------------- the group ring Z[x]/(x^N - 1)
-#
-# An element is an integer map {exponent mod N: coefficient}.  Sums of
-# products at a primitive N-th root of unity are taken here and reduced
-# mod Phi_N once, by CycNumber.from_powers; that is exact, since Phi_N
-# divides x^N - 1.
 
 #: Largest root order the root-of-unity values accept.  Chains of length
-#: k >= 2 tabulate up to N^2/2 Gaussian binomials of N terms each.
+#: k >= 3 tabulate up to N^2/2 Gaussian binomials of N terms each.
 MAX_ROOT_ORDER = 128
 
 
@@ -300,52 +263,82 @@ def check_root_order(N) -> None:
     if not (isinstance(N, int) and N >= 1):
         raise QSeriesError(f"N must be a positive integer, got {N!r}")
     if N > MAX_ROOT_ORDER:
-        raise QSeriesError(
-            f"root of unity of order {N} exceeds the order bound {MAX_ROOT_ORDER}"
-        )
+        raise QSeriesError(f"root of unity of order {N} exceeds the order bound {MAX_ROOT_ORDER}")
 
 
-def cyclic_add(a: dict, b: dict, N: int, sign: int = 1, shift: int = 0) -> dict:
-    """a + sign * x^shift * b in Z[x]/(x^N - 1); b's exponents may be any ints."""
-    out = dict(a)
-    for e, c in b.items():
-        e = (e + shift) % N
-        out[e] = out.get(e, 0) + sign * c
-    return {e: c for e, c in out.items() if c}
+class CyclicRing:
+    """Z[x]/(x^N - 1) packed into one int by x -> 2^W, a ring map onto
+    Z/(2^(W*N) - 1) as x^N - 1 -> 0 (Kronecker substitution; Harvey, J.
+    Symb. Comput. 44, 2009).  ``+`` and ``*`` by an int >= 0 are int
+    operations; ``mul`` and ``rot`` (times x^s) fold the bits above W*N
+    back.  Each step is exact; :meth:`decode` needs |c| < 2^(W-2)."""
+
+    sub = operator.sub
+
+    def __init__(self, order: int, width: int):
+        self.order, self.width, self.bits = order, width, order * width
+        self.mask = (1 << self.bits) - 1  # also the modulus 2^(W*N) - 1
+
+    def mul(self, a: int, b: int) -> int:
+        return self.rot(a * b, 0)
+
+    def rot(self, a: int, s: int) -> int:
+        a <<= self.width * (s % self.order)
+        for _ in range(2):  # twice, so that every value stays near W*N bits
+            a = (a & self.mask) + (a >> self.bits)
+        return a
+
+    def encode(self, powers: dict) -> int:
+        return sum(c << self.width * (e % self.order) for e, c in powers.items())
+
+    def decode(self, a: int) -> dict:
+        """The map {exponent: coefficient} of balanced base-2^W digits: with
+        2^(W-1) added, each lies in [0, 2^W - 1), so the residue is least."""
+        half, digit = 1 << self.width - 1, (1 << self.width) - 1
+        a = (a + half * (self.mask // digit)) % self.mask
+        coeffs = ((e, (a >> self.width * e & digit) - half) for e in range(self.order))
+        return {e: c for e, c in coeffs if c}
 
 
-def cyclic_mul(a: dict, b: dict, N: int) -> dict:
-    """Product in Z[x]/(x^N - 1): one Kronecker product, folded mod N."""
-    prod = _kronecker_product(a, b, None)
-    if prod is None:  # sparse operands
-        prod = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                prod[m1 + m2] = prod.get(m1 + m2, 0) + c1 * c2
-    return cyclic_add({}, prod, N)
+class _L1Bound(CyclicRing):
+    """Width 0 (x -> 1) with signs dropped: each value bounds the L1 norm of the
+    matching :class:`CyclicRing` value, a norm subadditive, submultiplicative
+    and rotation invariant."""
+
+    sub = operator.add
+
+    def encode(self, powers: dict) -> int:
+        return sum(map(abs, powers.values()))
 
 
-def binomials_at_root(N: int):
-    """[top choose bottom] at a primitive N-th root of unity, as a function
-    returning group-ring maps.
+def root_sums(order: int, build) -> list[dict]:
+    """The elements of the list ``build(ring)`` as integer maps in Z[x]/(x^order - 1):
+    ``build`` runs over the L1 bound ring, whose largest value B bounds every
+    coefficient, then over the :class:`CyclicRing` of width B.bit_length() + 2."""
+    bound = max(build(_L1Bound(order, 0)), default=0)
+    ring = CyclicRing(order, bound.bit_length() + 2)
+    return [ring.decode(a) for a in build(ring)]
 
-    By the q-Lucas theorem (Desarmenien, Europ. J. Combin. 3, 1982) it is
-    C(top // N, bottom // N) [top % N choose bottom % N], and tops below N
-    come from the division-free q-Pascal rule [m, i] = [m-1, i-1] +
-    x^i [m-1, i], memoized for as long as the returned function lives.
+
+def binomials_at_root(ring):
+    """[top choose bottom] at a primitive N-th root of unity, N the ring's
+    order, as a function returning ring elements: by the q-Lucas theorem
+    (Desarmenien, Europ. J. Combin. 3, 1982) C(top // N, bottom // N)
+    [top % N choose bottom % N], with tops below N from the q-Pascal rule
+    [m, i] = [m-1, i-1] + x^i [m-1, i], memoized while the function lives.
     """
+    N = ring.order
 
     @functools.lru_cache(maxsize=None)
-    def small(m: int, i: int) -> dict:
+    def small(m: int, i: int) -> int:
         if i in (0, m):
-            return {0: 1}
-        return cyclic_add(small(m - 1, i - 1), small(m - 1, i), N, shift=i)
+            return 1
+        return small(m - 1, i - 1) + ring.rot(small(m - 1, i), i)
 
-    def binomial(top: int, bottom: int) -> dict:
+    def binomial(top: int, bottom: int) -> int:
         (t1, t0), (b1, b0) = divmod(top, N), divmod(bottom, N)
         if not 0 <= bottom <= top or b0 > t0:
-            return {}
-        c = math.comb(t1, b1)
-        return small(t0, b0) if c == 1 else cyclic_add({}, small(t0, b0), N, c)
+            return 0
+        return small(t0, b0) * math.comb(t1, b1)
 
     return binomial

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .agpolys import _int_slots, ag_polynomial_sweep, ag_polynomials_at_root
 from .bailey import LIMIT_WEIGHTS, _require_finite, weighted_term
-from .cyclotomic import CycNumber, binomials_at_root, check_root_order, cyclic_add, cyclic_mul
+from .cyclotomic import CycNumber, binomials_at_root, check_root_order, root_sums
 from .reports import CheckReport, report_from_condition
 from .series import QSeries, QSeriesError, inverse_pochhammer, pochhammer, stabilized_sum
 
@@ -400,27 +400,21 @@ def kz_root_value(k: int, ell: int, N: int) -> CycNumber:
     """
     _validate_family(1, k, ell)
     check_root_order(N)
-    binomial = binomials_at_root(N)
-    inner = [{0: 1}] * (N + 1)
-    for j in range(1, k):
-        bump = 1 if j == ell - 1 else 0
-        weighted = [
-            cyclic_add({}, t, N, shift=v * v + (v if j >= ell else 0))
-            for v, t in enumerate(inner)
-        ]
-        sums = []
-        for m in range(len(inner) - bump):
-            row: dict = {}
-            for v in range(m + bump + 1):
-                row = cyclic_add(row, cyclic_mul(binomial(m + bump, v), weighted[v], N), N)
-            sums.append(row)
-        inner = sums
-    total: dict = {}
-    poch = {0: 1}  # (q)_(n_k)
-    for n_k in range(N):
-        total = cyclic_add(total, cyclic_mul(poch, inner[n_k], N), N, shift=k)
-        poch = cyclic_add(poch, poch, N, -1, n_k + 1)
-    return CycNumber.from_powers(N, total)
+
+    def build(ring):
+        binomial = binomials_at_root(ring)
+        inner = [1] * (N + 1)
+        for j in range(1, k):
+            bump = 1 if j == ell - 1 else 0
+            weighted = [ring.rot(t, v * v + (v if j >= ell else 0)) for v, t in enumerate(inner)]
+            inner = [sum(ring.mul(binomial(m + bump, v), weighted[v]) for v in range(m + bump + 1))
+                     for m in range(len(inner) - bump)]
+        total = 0  # by Horner's rule: (q)_(n_k) = (q)_(n_k - 1) (1 - q^(n_k))
+        for n_k in range(N - 1, -1, -1):
+            total = ring.sub(total, ring.rot(total, n_k + 1)) + inner[n_k]
+        return [ring.rot(total, k)]
+
+    return CycNumber.from_powers(N, root_sums(N, build)[0])
 
 
 def u_root_value(k: int, ell: int, N: int) -> CycNumber:
@@ -434,14 +428,18 @@ def u_root_value(k: int, ell: int, N: int) -> CycNumber:
     """
     _validate_family(1, k, ell)
     check_root_order(N)
+
     chains = ag_polynomials_at_root(k, ell, 1, N, N)
-    total: dict = {}
-    poch = {0: 1}  # (q)_(n-1)
-    for n in range(1, N + 1):
-        term = cyclic_mul(cyclic_mul(poch, poch, N), chains[n], N)
-        total = cyclic_add(total, term, N, shift=n - k)
-        poch = cyclic_add(poch, poch, N, -1, n)
-    return CycNumber.from_powers(N, {-e: c for e, c in total.items()})
+
+    def build(ring):
+        total = 0  # by Horner's rule: (q)_n^2 = (q)_(n-1)^2 (1 - q^n)^2
+        for n in range(N, 0, -1):
+            for _ in range(2):
+                total = ring.sub(total, ring.rot(total, n))
+            total += ring.encode({e + n - k: c for e, c in chains[n].items()})
+        return [total]
+
+    return CycNumber.from_powers(N, {-e: c for e, c in root_sums(N, build)[0].items()})
 
 
 def verify_kz_duality(k: int, ell: int, N: int) -> CheckReport:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .agpolys import ag_polynomials_at_root
 from .bailey import LIMIT_WEIGHTS
 from .bessel import k0_bessel
-from .cyclotomic import CycNumber, check_root_order, cyclic_add, cyclic_mul
+from .cyclotomic import CycNumber, check_root_order, root_sums
 from .families import FAMILIES, _validate_family, negative_part_series, sigma_coefficients
 from .reports import CheckReport, _exact_str, report_from_condition
 from .series import PrecisionError, QSeriesError, dense_int_coeffs
@@ -275,15 +275,16 @@ def quantum_value(j: int, k: int, ell: int, x) -> QuantumSample:
     # (q^s; q^s)_i vanishes there from the first i with N | num*s*i on.
     length = N // math.gcd(N, num * s)
     chains = ag_polynomials_at_root(k, ell, first, first + length - 1, N)
-    prefix = {0: fam.sum_scale}  # sum_scale * (q^s; q^s)_(n - first)
-    total: dict = {}
-    for n in range(first, first + length):
-        if n > first:
-            prefix = cyclic_add(prefix, prefix, N, -1, s * (n - first))
-        term = cyclic_mul(prefix, chains[n], N)
-        shift = 0 if power is None else power(n)
-        total = cyclic_add(total, term, N, -1 if n % 2 else 1, shift)
-    value = CycNumber.from_powers(N, {e * num: c for e, c in total.items()})
+
+    def build(ring):
+        total = 0  # by Horner's rule over the factors 1 - q^(s (n - first)) of the prefix
+        for n in range(first + length - 1, first - 1, -1):
+            total = ring.sub(total, ring.rot(total, s * (n + 1 - first)))
+            term = ring.rot(ring.encode(chains[n]), 0 if power is None else power(n))
+            total = ring.sub(total, term) if n % 2 else total + term
+        return [total * fam.sum_scale]
+
+    value = CycNumber.from_powers(N, {e * num: c for e, c in root_sums(N, build)[0].items()})
     return QuantumSample(x=xq, value=value)
 
 

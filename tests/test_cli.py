@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -198,6 +199,13 @@ class TestVerify:
         assert code == 0
         assert len(lines) == 3 * 8
         assert all(o["status"] == "pass" for o in _json_lines(lines))
+
+    def test_duality_suite_reaches_k6_at_order_24(self, capsys):
+        start = time.perf_counter()
+        code, lines, _ = _run(capsys, "verify", "duality", "--kmax", "6", "--nmax", "24")
+        assert time.perf_counter() - start < 60  # about 6 s on 2 CPUs
+        assert code == 0
+        assert len(lines) == 21 * 24  # every (k, ell) with ell <= k <= 6, each N
 
     def test_all_runs_every_suite(self, capsys):
         code, lines, _ = _run(
@@ -841,11 +849,13 @@ LOCKED_USAGE_ERRORS = {
     "eval waveform --lattice-cut 0 --j 1 --k 1 --l 1":
         "80f1d981866ce5383cc8be089a4b369c29057b708f2cf1c2c86e3462ba166728",
     "eval waveform":
-        "1d70d190bb5b5cf712e5a7c6c2982b57568f22727070caae541a5854be417628",
+        "07d28c05ce55d6bb5439b84d836fd2db9ceb310a81d0d7cbf2f0bb77873d6b12",
     "eval radial --j 1 --k 1 --l 1 --x 1/3 --tol inf":
         "43283020075bc7b4f1335825b216c641a26360f84bab79197ccb5e38e880a543",
     "eval waveform --M 4 --a 1/5 --b 0,0":
         "54553dedcdefe1f1f8c13be2ad4a3da6fc2d73db47ef08e8d897a27f7b211b49",
+    "expand sigma --order 3 --out /nonexistent/dir/x":
+        "a1510f27645d3983adfce6cd59afe0781b24926fa90d246b2886256b06eb6ef7",
 }
 
 

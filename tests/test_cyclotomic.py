@@ -5,11 +5,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmaass.cyclotomic import (
     CycNumber,
     cyclotomic_polynomial,
     root_of_unity_value,
+    root_sums,
 )
 from qmaass.series import INF, QSeries
 
@@ -127,3 +130,111 @@ def test_root_of_unity_value_cyclotomic_coefficients():
     s = QSeries.from_terms([(1, CycNumber.zeta(4))])
     v = root_of_unity_value(s, 3)
     assert v == CycNumber.zeta(4) * CycNumber.zeta(3)
+
+
+# ------------------------------------------- the packed ring Z[x]/(x^N - 1)
+#
+# The reference is a plain-dict group ring: {exponent mod N: coefficient}.
+
+
+def _ref_sum(terms) -> dict:
+    """The map of (exponent, coefficient) terms already reduced mod N."""
+    out: dict = {}
+    for e, c in terms:
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_step(op: str, a: dict, b: dict, c: int, N: int) -> dict:
+    if op == "add":
+        return _ref_sum([*a.items(), *b.items()])
+    if op == "sub":
+        return _ref_sum([*a.items(), *((e, -v) for e, v in b.items())])
+    if op == "scale":
+        return _ref_sum((e, abs(c) * v) for e, v in a.items())
+    if op == "rot":
+        return {(e + c) % N: v for e, v in a.items()}
+    return _ref_sum(((e1 + e2) % N, v1 * v2) for e1, v1 in a.items() for e2, v2 in b.items())
+
+
+def _ring_step(ring, op: str, a: int, b: int, c: int) -> int:
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return ring.sub(a, b)
+    if op == "scale":  # by a nonnegative int, as the ring asks
+        return a * abs(c)
+    if op == "rot":
+        return ring.rot(a, c)
+    return ring.mul(a, b)
+
+
+@st.composite
+def ring_programs(draw):
+    """An order N, integer maps (exponents of either sign) and a sequence
+    of ring steps, each reading two earlier values by index."""
+    N = draw(st.integers(1, 128))
+    coeffs = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
+    maps = draw(st.lists(st.dictionaries(st.integers(-300, 300), coeffs, max_size=6), min_size=1, max_size=3))
+    steps = draw(st.lists(
+        st.tuples(st.sampled_from(["add", "sub", "scale", "rot", "mul"]),
+                  st.integers(0, 20), st.integers(0, 20), st.integers(-200, 200)),
+        max_size=12,
+    ))
+    return N, maps, steps
+
+
+def _run_program(step, values, steps):
+    for op, i, j, c in steps:
+        values.append(step(op, values[i % len(values)], values[j % len(values)], c))
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_programs())
+def test_packed_ring_matches_dict_reference(program):
+    N, maps, steps = program
+    expected = _run_program(
+        lambda op, a, b, c: _ref_step(op, a, b, c, N),
+        [_ref_sum((e % N, c) for e, c in m.items()) for m in maps],
+        steps,
+    )
+    got = root_sums(N, lambda ring: _run_program(
+        lambda op, a, b, c: _ring_step(ring, op, a, b, c), [ring.encode(m) for m in maps], steps
+    ))
+    assert got == expected
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 64, 128])
+@pytest.mark.parametrize("B", [1, 2, 3, 7, 8, 255, 256, 2**61 - 1, 2**61, 2**61 + 1])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_coefficient_at_the_bound_decodes(N, B, sign):
+    # One coefficient of size exactly B, the whole L1 norm: the width
+    # B.bit_length() + 2 must still separate it ...
+    for e in {0, N // 2, N - 1}:
+        assert root_sums(N, lambda ring: [ring.encode({e: sign * B})]) == [{e: sign * B}]
+    # ... also when it comes out of a product and a rotation.
+    (got,) = root_sums(N, lambda ring: [ring.rot(ring.mul(ring.encode({1: sign * B}), 1), -1)])
+    assert got == {0: sign * B}
+
+
+@pytest.mark.parametrize("N", [1, 5, 12, 128])
+def test_extreme_digits_of_both_signs_decode(N):
+    # Alternating +-B at every exponent: L1 norm N*B, every digit extreme.
+    B = 2**40 + 3
+    powers = {e: (-1) ** e * B for e in range(N)}
+    (got,) = root_sums(N, lambda ring: [ring.encode(powers)])
+    assert got == powers
+
+
+def test_ring_width_comes_from_the_l1_bound():
+    # The bound pass runs at width 0 (x -> 1); the L1 norm here is 9, and
+    # |coefficient| <= B < 2^(W-2) with W = B.bit_length() + 2.
+    widths = []
+
+    def build(ring):
+        widths.append(ring.width)
+        return [ring.encode({0: 5, 3: -4})]
+
+    assert root_sums(7, build) == [{0: 5, 3: -4}]
+    assert widths == [0, (9).bit_length() + 2]

@@ -10,6 +10,7 @@ the factors as cyclotomic numbers.
 import functools
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,9 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmaass.families as families
-from qmaass.agpolys import ag_polynomial
+from qmaass.agpolys import _chains_at_root, ag_polynomial, ag_polynomials_at_root
 from qmaass.bailey import LIMIT_WEIGHTS
-from qmaass.cyclotomic import MAX_ROOT_ORDER, CycNumber, root_of_unity_value
+from qmaass.cyclotomic import (
+    MAX_ROOT_ORDER,
+    CycNumber,
+    _L1Bound,
+    binomials_at_root,
+    root_of_unity_value,
+    root_sums,
+)
 from qmaass.families import FAMILIES, kz_root_value, u_root_value, verify_kz_duality
 from qmaass.maass import quantum_value
 from qmaass.series import INF, QSeriesError, gaussian_binomial, pochhammer
@@ -153,3 +161,73 @@ def test_order_bound():
     with pytest.raises(QSeriesError):
         quantum_value(2, 1, 1, Fraction(1, 2 * big))
     assert quantum_value(2, 1, 1, Fraction(1, 2 * MAX_ROOT_ORDER)).value.order == MAX_ROOT_ORDER
+
+
+# ------------------------------------------------ the merged chain walk
+
+def _pascal(ring):
+    """[m choose i] by the q-Pascal rule alone, for any m: the exact
+    polynomial in Z[x]/(x^N - 1), where q-Lucas holds only mod Phi_N."""
+
+    @functools.lru_cache(maxsize=None)
+    def binomial(m: int, i: int):
+        if not 0 <= i <= m:
+            return 0
+        return 1 if i in (0, m) else binomial(m - 1, i - 1) + ring.rot(binomial(m - 1, i), i)
+
+    return binomial
+
+
+def _chain_by_chain(ring, k: int, ell: int, b: int, n_max: int) -> list:
+    """The chain polynomials at the ring's root, one chain at a time: the
+    inner factors by q-Lucas (``binomials_at_root``), the last one exact,
+    as the walk takes them."""
+    inner, last = binomials_at_root(ring), _pascal(ring)
+    out = [0] * (n_max + 1)
+    for chain in itertools.combinations_with_replacement(range(n_max + 1), k - 1):
+        partial, prev, acc = 1, 0, 0
+        for j, v in enumerate(chain + (None,)):
+            g = acc - b * j
+            if g < 0:
+                break
+            if v is None:  # the last factor, for every top value n
+                for n in range(prev, n_max + 1):
+                    out[n] += ring.mul(partial, last(n - prev + g, n - prev))
+                break
+            factor = ring.rot(inner(v - prev + g, v - prev), v * v + (1 - b) * v)
+            partial, prev = ring.mul(partial, factor), v
+            acc += 2 * v + (1 if j + 1 < ell else 0)
+    return out
+
+
+# n_max is capped per k so that the reference walks at most ~2,000 chains.
+WALK_CASES = st.integers(1, 5).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.integers(1, k),
+    st.sampled_from([0, 1]),
+    st.integers(1, 24),
+    st.integers(0, (24, 24, 24, 16, 9)[k - 1]),
+))
+
+
+@settings(max_examples=60, deadline=None)
+@given(WALK_CASES)
+def test_merged_walk_matches_chain_by_chain(case):
+    k, ell, b, N, n_max = case
+    expected = root_sums(N, lambda ring: _chain_by_chain(ring, k, ell, b, n_max))
+    assert ag_polynomials_at_root(k, ell, b, n_max, N) == expected
+    # The L1 bounds agree too: merging only regroups the same terms.
+    bound = _L1Bound(N, 0)
+    assert _chains_at_root(bound, k, ell, b, n_max) == _chain_by_chain(bound, k, ell, b, n_max)
+
+
+@pytest.mark.parametrize("ell", range(1, 7))
+def test_duality_at_k6_order_24(ell):
+    assert verify_kz_duality(6, ell, 24).ok
+
+
+def test_long_chains_at_high_order_are_fast():
+    start = time.perf_counter()
+    u_root_value(6, 1, 24)
+    quantum_value(1, 5, 1, Fraction(1, 29))
+    assert time.perf_counter() - start < 4.0  # about 0.16 s on 2 CPUs
