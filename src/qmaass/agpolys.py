@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .cyclotomic import binomials_at_root, root_sums
 from .reports import CheckReport, report_from_comparison
-from .series import INF, QSeries, QSeriesError, dense_int_coeffs, gaussian_binomial
+from .series import INF, QSeries, QSeriesError, dense_int_coeffs, finite_trunc, gaussian_binomial
 
 __all__ = [
     "PartitionConstraint",
@@ -157,8 +157,7 @@ def ag_polynomial_sweep(k: int, ell: int, b: int, trunc):
     are frozen into a shared accumulator and never touched again.
     """
     _validate_chain_params(k, ell, b, 0)
-    if trunc is INF:
-        raise QSeriesError("the incremental chain scan needs a finite truncation")
+    trunc = finite_trunc(trunc)
     size = _int_slots(trunc)
     if k == 1:
         constant = QSeries.one(trunc)
@@ -241,8 +240,7 @@ def ag_generating(constraint: PartitionConstraint, trunc) -> QSeries:
     is the frequency of the previous size (needed for the adjacent-sum rule)
     and the accumulated size, all below the finite ``trunc``.
     """
-    if trunc is INF:
-        raise QSeriesError("frequency enumeration needs a finite truncation")
+    trunc = finite_trunc(trunc)
     size = _int_slots(trunc)
     if size <= 0:
         return QSeries.zero(trunc)

@@ -5,30 +5,36 @@ sequences ``(alpha_n, beta_n)`` of q-series tied together by
 
     beta_n = sum_{m=0}^{n} alpha_m / ((q;q)_{n-m} (a q; q)_{n+m}).
 
-This module provides the defining-relation verifier, the two explicit
-pairs built from the chain polynomials of :mod:`qmaass.agpolys`, random
-finite-support pairs for property testing, and truncation-level
-verification of the four limit identities obtained by summing a pair
-against classical weight sequences.  Those weights live in one table,
-:data:`LIMIT_WEIGHTS`; the four series families of
+This module provides the relation sweep :func:`relation_sums` (every
+beta_n the relation forces, by in-place divisions) and the verifier built
+on it, the two explicit pairs built from the chain polynomials of
+:mod:`qmaass.agpolys`, random finite-support pairs for property testing,
+and truncation-level verification of the four limit identities obtained
+by summing a pair against classical weight sequences.  Those weights live
+in one table, :data:`LIMIT_WEIGHTS`; the four series families of
 :mod:`qmaass.families` are the left sides of the four identities on the
 chain pairs, and both they and their root-of-unity values read it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from itertools import count
+from typing import Callable, Iterator
 
-from .agpolys import ag_polynomial
+from .agpolys import _int_slots, ag_polynomial
 from .reports import CheckReport, _exact_str, report_from_comparison
 from .series import (
     INF,
     QSeries,
     QSeriesError,
+    _divide_dense,
+    dense_int_coeffs,
     divide_one_minus_power,
+    finite_trunc,
     inverse_pochhammer,
     pochhammer,
     stabilized_sum,
@@ -60,10 +66,12 @@ def _validate_pair_params(k, ell) -> None:
         raise QSeriesError("chain-pair parameters need 1 <= ell <= k")
 
 
-def _require_finite(trunc) -> Fraction:
-    if trunc is INF:
-        raise QSeriesError("this operation needs a finite truncation order")
-    return Fraction(trunc)
+def _require_positive(trunc) -> Fraction:
+    """A finite ``trunc`` > 0: a check below q^0 or lower compares nothing."""
+    t = finite_trunc(trunc)
+    if t <= 0:
+        raise QSeriesError(f"a check needs a positive truncation order, got {_exact_str(t)}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -72,8 +80,14 @@ class BaileyPair:
 
     ``alpha`` and ``beta`` map ``(n, trunc)`` to a :class:`QSeries`.  The
     built-in constructors memoize alpha.  Only the synthetic pairs memoize
-    beta, each value of which is a full relation sum; the chain and unit
-    pairs rebuild theirs on each call, which the checks seldom repeat.
+    beta: a list per trunc, grown from one :func:`relation_sums` sweep and
+    held as long as the pair.  The chain and unit pairs rebuild beta on
+    each call, which the checks seldom repeat.
+
+    The relation sums read alpha as a dense list, so every alpha_n must
+    have integer exponents >= 0 below trunc (all built-in pairs have int
+    coefficients and such exponents); any other alpha raises
+    :class:`QSeriesError` there.
     """
 
     relative: str
@@ -88,33 +102,55 @@ class BaileyPair:
             )
 
 
-def definition_right_side(pair: BaileyPair, n: int, trunc) -> QSeries:
-    """The defining-relation right side sum_{m<=n} alpha_m / (...)."""
-    t = _require_finite(trunc)
+def relation_sums(pair: BaileyPair, trunc) -> Iterator[QSeries]:
+    """Yield the relation sums sum_{m<=n} alpha_m / ((q;q)_{n-m} (aq;q)_{n+m})
+    for n = 0, 1, 2, ..., each below the finite ``trunc``.
+
+    A nonzero alpha_m enters at n = m as alpha_m / (aq;q)_{2m}, one series
+    product.  Each step n -> n+1 divides every live term in place by
+    (1 - q^(n+1-m)) and (1 - q^(n+1+m+d)), d = 0 for relative 1 and 1 for
+    relative q.  Once n+1-m reaches T = ceil(trunc) both divisions are the
+    identity below q^T, so the term is folded into a shared accumulator
+    and never touched again.
+    """
+    t = finite_trunc(trunc)
+    size = _int_slots(t)
     second = _SECOND_FACTOR[pair.relative]
-    total = QSeries.zero(t)
-    for m in range(n + 1):
-        term = pair.alpha(m, t)
-        if term.is_zero():
-            continue
-        term = term * inverse_pochhammer("q", n - m, t)
-        term = term * inverse_pochhammer(second, n + m, t)
-        total = total + term
-    return total.truncate(t)
+    d = 1 if pair.relative == "q" else 0
+    frozen = [0] * size
+    live: list[tuple[int, list]] = []  # (m, dense term at the current n)
+    for n in count():
+        still = []
+        for m, term in live:
+            if n - m >= size:
+                frozen[:] = map(operator.add, frozen, term)
+                continue
+            _divide_dense(term, 1, n - m)
+            _divide_dense(term, 1, n + m + d)
+            still.append((m, term))
+        live = still
+        alpha = pair.alpha(n, t)
+        if not alpha.is_zero():
+            live.append((n, dense_int_coeffs(alpha * inverse_pochhammer(second, 2 * n, t), size)))
+        total = frozen
+        for _, term in live:
+            total = list(map(operator.add, total, term))
+        yield QSeries({e: c for e, c in enumerate(total) if c}, 1, t)
 
 
 def verify_pair(pair: BaileyPair, n_max: int, trunc) -> CheckReport:
     """Check the defining relation for every n <= n_max below trunc."""
-    t = _require_finite(trunc)
+    if n_max < 0:
+        raise QSeriesError(f"a check needs n_max >= 0, got {n_max}")
+    t = _require_positive(trunc)
     params = {
         "relative": pair.relative,
         "label": pair.label,
         "n_max": n_max,
         "trunc": _exact_str(t),
     }
-    for n in range(n_max + 1):
+    for n, rhs in zip(range(n_max + 1), relation_sums(pair, t)):
         lhs = pair.beta(n, t)
-        rhs = definition_right_side(pair, n, t)
         bad = lhs.first_mismatch(rhs)
         if bad is not None:
             return CheckReport(
@@ -258,10 +294,17 @@ def synthetic_pair(
     placeholder = BaileyPair(
         relative=relative, alpha=alpha, beta=alpha, label="_partial"
     )
+    sums: dict = {}  # trunc -> (its relation sweep, the betas drawn from it)
 
-    @lru_cache(maxsize=None)
     def beta(n: int, trunc) -> QSeries:
-        return definition_right_side(placeholder, n, trunc)
+        t = finite_trunc(trunc)
+        entry = sums.get(t)
+        if entry is None:
+            entry = sums[t] = (relation_sums(placeholder, t), [])
+        sweep, values = entry
+        while len(values) <= n:
+            values.append(next(sweep))
+        return values[n]
 
     label = "synthetic({},{})".format(
         relative, ",".join(f"{i}:{support[i]}" for i in sorted(support))
@@ -356,7 +399,7 @@ def verify_limiting_identity(
             f"pair is relative {pair.relative!r} but the requested "
             f"identity needs relative {relative!r}"
         )
-    t = _require_finite(trunc)
+    t = _require_positive(trunc)
     params = {
         "relative": relative,
         "kind": kind,

@@ -28,10 +28,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .agpolys import _int_slots, ag_polynomial_sweep, ag_polynomials_at_root
-from .bailey import LIMIT_WEIGHTS, _require_finite, weighted_term
+from .bailey import LIMIT_WEIGHTS, weighted_term
 from .cyclotomic import CycNumber, binomials_at_root, check_root_order, root_sums
 from .reports import CheckReport, report_from_condition
-from .series import QSeries, QSeriesError, inverse_pochhammer, pochhammer, stabilized_sum
+from .series import (
+    QSeries,
+    QSeriesError,
+    finite_trunc,
+    inverse_pochhammer,
+    pochhammer,
+    stabilized_sum,
+)
 
 __all__ = [
     "FAMILIES",
@@ -140,7 +147,7 @@ def family_series(j: int, k: int, ell: int, trunc) -> QSeries:
     every observed increment.
     """
     _validate_family(j, k, ell)
-    t = _require_finite(trunc)
+    t = finite_trunc(trunc)
     size = _int_slots(t)
     if size <= 0:
         return QSeries.zero(t)
@@ -175,7 +182,7 @@ def sigma_series(rep: str, trunc) -> QSeries:
 
     All four agree coefficient-for-coefficient below ``trunc``.
     """
-    t = _require_finite(trunc)
+    t = finite_trunc(trunc)
     size = _int_slots(t)
     if size <= 0:
         return QSeries.zero(t)
@@ -237,7 +244,7 @@ def sigma_star_series(rep: str, trunc) -> QSeries:
 
     Both agree below ``trunc``; the leading term is -2q.
     """
-    t = _require_finite(trunc)
+    t = finite_trunc(trunc)
     size = _int_slots(t)
     if size <= 0:
         return QSeries.zero(t)
@@ -318,7 +325,7 @@ def negative_part_series(
         raise QSeriesError(f"ell must be a positive integer, got {ell!r}")
     if region not in ("printed", "cone"):
         raise QSeriesError(f"region must be 'printed' or 'cone', got {region!r}")
-    t = _require_finite(trunc)
+    t = finite_trunc(trunc)
     denom = 8 * (M + 1) * (M - 1)
     c = M - 1 - 2 * ell
 

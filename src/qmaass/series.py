@@ -61,6 +61,13 @@ class StabilizationError(PrecisionError):
         self.first_unstable_exponent = first_unstable_exponent
 
 
+def finite_trunc(trunc) -> Fraction:
+    """``trunc`` as a Fraction; QSeriesError for an infinite or NaN one."""
+    if isinstance(trunc, float) and not math.isfinite(trunc):
+        raise QSeriesError(f"this operation needs a finite truncation order, got {trunc!r}")
+    return Fraction(trunc)
+
+
 def _clean(c):
     """Normalize a coefficient: rationals with denominator 1 become ints."""
     if type(c) is Fraction and c.denominator == 1:

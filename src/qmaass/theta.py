@@ -43,7 +43,7 @@ from .bessel import k0_bessel
 from .cyclotomic import CycNumber
 from .families import FAMILIES, _affine, _validate_family, family_series
 from .reports import CheckReport, _exact_str, report_from_comparison
-from .series import INF, PrecisionError, QSeries, QSeriesError
+from .series import PrecisionError, QSeries, QSeriesError, finite_trunc
 
 
 def unit_phase(w) -> complex:
@@ -310,9 +310,7 @@ def indefinite_theta_series(params, trunc) -> QSeries:
     undersized box can never silently drop terms.
     """
     params = _as_theta_params(params)
-    if trunc is INF:
-        raise QSeriesError("the theta series needs a finite truncation order")
-    t = Fraction(trunc)
+    t = finite_trunc(trunc)
     if t <= 0:
         return QSeries.zero(t)
     a1, a2 = params.a
@@ -442,9 +440,7 @@ _lattice_coefficients = functools.lru_cache(maxsize=16)(_lattice_table)
 def family_lattice_series(j: int, k: int, ell: int, trunc) -> QSeries:
     """Closed two-variable lattice expansion of a series family."""
     _validate_family(j, k, ell)
-    if trunc is INF:
-        raise QSeriesError("the lattice expansion needs a finite truncation order")
-    t = Fraction(trunc)
+    t = finite_trunc(trunc)
     coeffs, denom = _lattice_table(j, k, ell, math.ceil(t))
     return QSeries({e: Fraction(c, denom) for e, c in enumerate(coeffs) if c}, 1, t)
 

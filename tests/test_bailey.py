@@ -1,23 +1,43 @@
 """Bailey pairs: defining relation, explicit pairs, limit identities."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmaass.bailey import (
     BaileyPair,
-    definition_right_side,
     pair_relative_one,
     pair_relative_q,
     quadratic_shift,
+    relation_sums,
     synthetic_pair,
     unit_pair,
     verify_limiting_identity,
     verify_pair,
 )
-from qmaass.families import family_series
-from qmaass.series import QSeries, QSeriesError, pochhammer
+from qmaass.families import family_series, sigma_series
+from qmaass.series import QSeries, QSeriesError, inverse_pochhammer, pochhammer
+
+
+def reference_right_side(pair: BaileyPair, n: int, trunc) -> QSeries:
+    """The defining-relation right side sum_{m<=n} alpha_m / ((q;q)_{n-m}
+    (aq;q)_{n+m}), built from scratch with two series products per
+    nonzero alpha_m."""
+    t = Fraction(trunc)
+    second = "q" if pair.relative == "one" else "q2;q"
+    total = QSeries.zero(t)
+    for m in range(n + 1):
+        term = pair.alpha(m, t)
+        if term.is_zero():
+            continue
+        term = term * inverse_pochhammer("q", n - m, t)
+        term = term * inverse_pochhammer(second, n + m, t)
+        total = total + term
+    return total.truncate(t)
 
 # ------------------------------------------------------------ quadratic shift
 
@@ -181,8 +201,9 @@ def test_synthetic_relative_one_support_excludes_zero():
 
 @pytest.mark.parametrize("relative", ["one", "q"])
 def test_built_in_alphas_are_memoized(relative, monkeypatch):
-    # The relation sums alpha_m for every m <= n, and beta_n sums it again:
-    # each (m, trunc) must build its series once, not once per n.
+    # Every relation sweep reads alpha_m once, and the synthetic beta runs
+    # a sweep of its own: each (m, trunc) must build its series once, not
+    # once per sweep.
     built = []
     monomial = QSeries.monomial.__func__
 
@@ -192,8 +213,7 @@ def test_built_in_alphas_are_memoized(relative, monkeypatch):
 
     monkeypatch.setattr(QSeries, "monomial", classmethod(counting))
     pair = synthetic_pair(relative, random.Random(3))
-    for n in range(8):
-        definition_right_side(pair, n, 20)
+    for n, _ in zip(range(8), relation_sums(pair, 20)):
         pair.beta(n, 20)
     assert len(built) == 8
     unit = unit_pair(relative)
@@ -253,6 +273,104 @@ def test_limit_identity_left_side_is_family(j, k, ell):
 
 def test_definition_right_side_unit():
     pair = unit_pair("one")
-    rhs = definition_right_side(pair, 2, 20)
+    _, _, rhs = (s for _, s in zip(range(3), relation_sums(pair, 20)))
     want = (pochhammer("q", 2, 20) * pochhammer("q", 2, 20)).inverse()
     assert rhs == want.truncate(20)
+
+
+# ------------------------------------------------------------ relation sweep
+
+
+def _polynomial_pair(relative: str, alphas: dict) -> BaileyPair:
+    """A pair whose alpha_m is the polynomial alphas[m] (a list of (exponent,
+    coefficient) terms); beta is unused by the relation sums."""
+
+    def alpha(m: int, trunc) -> QSeries:
+        return QSeries.from_terms(alphas.get(m, ()), trunc)
+
+    return BaileyPair(relative=relative, alpha=alpha, beta=alpha)
+
+
+_polynomial = st.lists(
+    st.tuples(st.integers(0, 30), st.integers(-9, 9).filter(bool)), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    relative=st.sampled_from(["one", "q"]),
+    alphas=st.dictionaries(st.integers(0, 7), _polynomial, min_size=1, max_size=3),
+    top=st.integers(1, 60),
+    offset=st.sampled_from([0, Fraction(1, 2), Fraction(2, 3)]),
+)
+def test_relation_sums_match_the_double_product_loop(relative, alphas, top, offset):
+    # Integral and fractional truncs up to 60, and n past the freeze point:
+    # every alpha_m has frozen once n >= T + m.
+    trunc = top - offset
+    pair = _polynomial_pair(relative, alphas)
+    n_max = math.ceil(trunc) + max(alphas) + 2
+    for n, got in zip(range(n_max + 1), relation_sums(pair, trunc)):
+        assert got == reference_right_side(pair, n, trunc), n
+        assert got.trunc == trunc
+
+
+@pytest.mark.parametrize("maker", [pair_relative_one, pair_relative_q])
+@pytest.mark.parametrize("k, ell", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+def test_relation_sums_of_chain_pairs(maker, k, ell):
+    pair = maker(k, ell)
+    for trunc in (40, Fraction(79, 2)):
+        for n, got in zip(range(13), relation_sums(pair, trunc)):
+            assert got == reference_right_side(pair, n, trunc), (trunc, n)
+            assert got == pair.beta(n, trunc), (trunc, n)
+
+
+@pytest.mark.parametrize("exponent", [-1, Fraction(1, 2), Fraction(-3, 2)])
+def test_relation_sums_refuse_alpha_off_the_dense_grid(exponent):
+    pair = _polynomial_pair("q", {0: [(0, 1)], 1: [(exponent, 2), (3, 1)]})
+    sums = relation_sums(pair, 20)
+    assert next(sums) == reference_right_side(pair, 0, 20)
+    with pytest.raises(QSeriesError):
+        next(sums)
+
+
+def test_relation_sums_take_one_product_per_alpha(monkeypatch):
+    # One series product enters each nonzero alpha_m; every later step of
+    # the sweep divides in place.  The double-product loop took two per
+    # (n, m) with alpha_m nonzero.
+    pair = pair_relative_q(3, 2)
+    t = Fraction(60)
+    nonzero = sum(not pair.alpha(m, t).is_zero() for m in range(13))
+    betas = [pair.beta(n, t) for n in range(13)]
+    warmed = BaileyPair("q", pair.alpha, lambda n, trunc: betas[n], pair.label)
+    products = []
+    mul = QSeries.__mul__
+
+    def counting(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(QSeries, "__mul__", counting)
+    assert verify_pair(warmed, 12, 60).ok
+    assert 0 < nonzero and len(products) <= nonzero
+
+
+# --------------------------------------------------------- vacuous checks
+
+
+@pytest.mark.parametrize("n_max, trunc", [(-1, 40), (3, 0), (3, -2), (3, Fraction(-1, 2))])
+def test_verify_pair_refuses_empty_ranges(n_max, trunc):
+    with pytest.raises(QSeriesError):
+        verify_pair(pair_relative_q(2, 1), n_max, trunc)
+
+
+@pytest.mark.parametrize("kind, trunc", [("gauss", 0), ("even", -3), ("gauss", Fraction(-1, 3))])
+def test_limit_identity_refuses_empty_ranges(kind, trunc):
+    with pytest.raises(QSeriesError):
+        verify_limiting_identity(pair_relative_q(2, 1), "q", kind, trunc)
+
+
+def test_series_below_nonpositive_truncs_stay_zero():
+    assert family_series(1, 1, 1, 0).is_zero()
+    assert family_series(2, 1, 1, -3).is_zero()
+    assert sigma_series("pochhammer", 0).is_zero()
+    assert sigma_series("averaged", Fraction(-1, 2)).is_zero()

@@ -17,9 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmaass import series
-from qmaass.bailey import pair_relative_q, unit_pair, verify_limiting_identity, verify_pair
+from qmaass.agpolys import PartitionConstraint, ag_generating, ag_polynomial_sweep
+from qmaass.bailey import (
+    pair_relative_q,
+    relation_sums,
+    unit_pair,
+    verify_limiting_identity,
+    verify_pair,
+)
 from qmaass.cyclotomic import CycNumber, root_sums
 from qmaass.families import family_series, sigma_series, sigma_star_series
+from qmaass.theta import family_lattice_series, family_params, indefinite_theta_series
 from qmaass.series import (
     INF,
     PrecisionError,
@@ -979,3 +987,33 @@ def test_series_bookkeeping_builds_few_fractions():
 
     built = fractions_built_in(series.__file__, work)
     assert 0 < built <= 600
+
+
+# ------------------------------------------------------ non-finite truncations
+
+
+_FINITE_TRUNC_ENTRY_POINTS = {
+    "verify_pair": lambda t: verify_pair(pair_relative_q(2, 1), 3, t),
+    "verify_limiting_identity": lambda t: verify_limiting_identity(
+        pair_relative_q(1, 1), "q", "gauss", t
+    ),
+    "relation_sums": lambda t: next(relation_sums(unit_pair("one"), t)),
+    "family_series": lambda t: family_series(1, 1, 1, t),
+    "sigma_series": lambda t: sigma_series("pochhammer", t),
+    "sigma_star_series": lambda t: sigma_star_series("alternating", t),
+    "ag_polynomial_sweep": lambda t: next(ag_polynomial_sweep(2, 1, 0, t)),
+    "ag_generating": lambda t: ag_generating(PartitionConstraint(3, 1, 4, 2), t),
+    "indefinite_theta_series": lambda t: indefinite_theta_series(family_params(1, 1, 1).params, t),
+    "family_lattice_series": lambda t: family_lattice_series(1, 1, 1, t),
+}
+
+
+@pytest.mark.parametrize("trunc", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("entry", sorted(_FINITE_TRUNC_ENTRY_POINTS))
+def test_non_finite_truncs_are_refused(entry, trunc):
+    # A float infinity that is not the INF object, and NaN, get the same
+    # QSeriesError as INF itself: not OverflowError or a bare ValueError.
+    with pytest.raises(QSeriesError, match="finite truncation order"):
+        _FINITE_TRUNC_ENTRY_POINTS[entry](trunc)
+    with pytest.raises(QSeriesError, match="finite truncation order"):
+        _FINITE_TRUNC_ENTRY_POINTS[entry](INF)
