@@ -11,30 +11,27 @@ partitions with bounded part sizes and bounded adjacent-frequency sums; the
 coefficient.  ``ag`` names the Andrews-Gordon family of partition identities
 this construction generalizes.
 
-Three evaluators are provided: :func:`ag_polynomial` computes one polynomial
-exactly (depth-first over chains), :func:`ag_polynomial_sweep` streams
-the whole sequence ``n = 0, 1, 2, ...`` below a fixed truncation in
-amortized linear time per step, which is what the series-family code needs
-at large truncation orders, and :func:`ag_polynomials_at_root` gives the
-values at a root of unity of every n up to a bound from one walk.
+One walk computes them, over merged chain states and parameterised by its
+ring (:func:`_walk`).  Over the packed truncated ring Z[x]/(x^T) it gives
+the polynomials for n = 0..n_max below a truncation, or whole
+(:func:`ag_polynomials`, :func:`ag_polynomial`); over the packed cyclic
+ring Z[x]/(x^N - 1) their values at a primitive N-th root of unity
+(:func:`ag_polynomials_at_root`).
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cyclotomic import binomials_at_root, root_sums
+from .cyclotomic import root_sums
 from .reports import CheckReport, report_from_comparison
-from .series import INF, QSeries, QSeriesError, dense_int_coeffs, finite_trunc, gaussian_binomial
+from .series import INF, QSeries, QSeriesError, TruncatedL1, TruncatedRing, finite_trunc, int_slots
 
 __all__ = [
     "PartitionConstraint",
     "ag_generating",
     "ag_polynomial",
-    "ag_polynomial_sweep",
+    "ag_polynomials",
     "ag_polynomials_at_root",
     "verify_ag_relation",
 ]
@@ -51,36 +48,81 @@ def _validate_chain_params(k: int, ell: int, b: int, n: int) -> None:
         raise QSeriesError(f"top chain value must be a nonnegative integer, got {n!r}")
 
 
-def _int_slots(trunc) -> int:
-    """Number of integer exponents e with 0 <= e < trunc."""
-    t = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
-    return max(0, math.ceil(t))
+def _degree_bound(k: int, b: int, n_max: int) -> int:
+    """D = (k-1) n_max (n_max + 1 - b), the degree bound of the polynomials
+    up to n_max; :func:`ag_polynomials` proves it for each one it returns."""
+    return (k - 1) * n_max * (n_max + 1 - b)
 
 
-def _chains(k: int, ell: int, b: int, trunc, top: int | None = None):
-    """Depth-first over the chains ``0 <= n_1 <= ... <= n_{k-1}`` (``<= top``).
+def _walk(ring, k: int, ell: int, b: int, n_max: int) -> list:
+    """The chain polynomials for n = 0..n_max as elements of ``ring``, from
+    one walk over the chains.
 
-    Yields ``(n_{k-1}, g_{k-1}, partial)`` for each chain with q-weight
-    below ``trunc`` and every ``g_j >= 0``; ``partial`` is the chain's
-    power of q times every binomial except the final one, whose top side
-    depends on ``n``.
+    Each layer keeps one sum per chain state (n_j, acc), as the later
+    factors read only n_j and g_j = acc - b*j; it stops at the first n_j
+    whose weight n_j^2 + (1-b) n_j reaches the ring's horizon, and drops
+    the states whose sum is 0.  The last factor takes no product: as
+    sum_s [s+g choose s] z^s = 1/prod_(i<=g) (1 - z x^i), the states join a
+    series in z at z^(n_(k-1)), divided by 1 - z x^g from the largest g
+    down (Horner's rule).  Below a finite horizon T that series stops
+    changing at n = T - 1: [s+g choose s] is constant mod x^T from s = T - 1
+    on, and a chain's weight is at least its n_(k-1), so from n = T - 1 on
+    every chain's term is constant mod x^T.
     """
-    def walk(j: int, prev: int, acc: int, weight: int, partial):
-        g = acc - b * j
-        if g < 0:
-            return
-        if j == k - 1:
-            yield prev, g, partial
-            return
-        for v in itertools.count(prev) if top is None else range(prev, top + 1):
-            w = v * v + (1 - b) * v
-            if weight + w >= trunc:
-                break
-            factor = gaussian_binomial(v - prev + g, v - prev, trunc).shift(w)
-            nxt = acc + 2 * v + (1 if j + 1 < ell else 0)
-            yield from walk(j + 1, v, nxt, weight + w, partial * factor)
+    layer = {(0, 0): 1}
+    for j in range(k - 1):
+        step: dict = {}
+        for (prev, acc), partial in layer.items():
+            g = acc - b * j
+            for v in range(prev, n_max + 1) if g >= 0 else ():
+                if v * v + (1 - b) * v >= ring.horizon:
+                    break
+                factor = ring.binomial(v - prev + g, v - prev)
+                if factor:
+                    key = (v, acc + 2 * v + (1 if j + 1 < ell else 0))
+                    step[key] = step.get(key, 0) + ring.mul(partial, factor)
+        layer = {(v, acc): r for (v, acc), a in step.items()
+                 if (r := ring.rot(a, v * v + (1 - b) * v))}
+    by_g: dict = {}
+    for (last, acc), partial in layer.items():
+        by_g.setdefault(acc - b * (k - 1), []).append((last, partial))
+    end = min(n_max, max(ring.horizon - 1, 0))
+    series, low = [0] * (end + 1), end  # series[n] = 0 for n < low
+    for g in range(max(by_g, default=-1), -1, -1):
+        for last, partial in by_g.get(g, ()):
+            series[last] += partial
+            low = min(low, last)
+        for n in range(low + 1, end + 1):
+            series[n] += ring.rot(series[n - 1], g)
+    return series + series[-1:] * (n_max - end)
 
-    return walk(0, 0, 0, 0, QSeries.one(trunc))
+
+def ag_polynomials(k: int, ell: int, b: int, n_max: int, trunc=INF) -> list[QSeries]:
+    """The chain polynomials for n = 0..n_max, exact below ``trunc`` (default:
+    whole), from one walk over the packed ring Z[x]/(x^T).
+
+    A finite ``trunc`` takes T = ceil(trunc) slots; the polynomials are then
+    constant from n = T - 1 on.  ``INF`` takes T = D + 1 with D the degree
+    bound of :func:`_degree_bound`, and proves that nothing was dropped:
+    every coefficient is >= 0, so the walk with x -> 1 and no horizon gives
+    each polynomial at q = 1, which its coefficients must sum to.  Equal
+    consecutive polynomials share one :class:`QSeries`.
+    """
+    _validate_chain_params(k, ell, b, n_max)
+    whole = trunc == INF
+    t = INF if whole else finite_trunc(trunc)
+    slots = _degree_bound(k, b, n_max) + 1 if whole else int_slots(t)
+    sizes = _walk(TruncatedL1(INF if whole else slots), k, ell, b, n_max)
+    ring = TruncatedRing(slots, max(sizes))
+    out, prev = [], None
+    for n, a in enumerate(_walk(ring, k, ell, b, n_max)):
+        if a != prev:
+            coeffs = ring.decode(a)
+            poly, total, prev = QSeries._from_clean(coeffs, 1, t), sum(coeffs.values()), a
+        if whole and total != sizes[n]:
+            raise QSeriesError(f"chain polynomial {n} has terms above its degree bound {slots - 1}")
+        out.append(poly)
+    return out
 
 
 def ag_polynomial(k: int, ell: int, b: int, n: int, trunc=INF) -> QSeries:
@@ -92,118 +134,17 @@ def ag_polynomial(k: int, ell: int, b: int, n: int, trunc=INF) -> QSeries:
 
     with ``bottom_j = n_{j+1} - n_j`` (reading ``n_k = n``) and
     ``g_j = -b*j + sum_{r<=j} (2 n_r + [r < ell])``; a chain with any
-    ``g_j < 0`` contributes nothing because the binomial vanishes.  For
-    ``k = 1`` the empty product makes every value 1.
+    ``g_j < 0`` contributes nothing because the binomial vanishes (for
+    ``k = 1`` every value is 1): entry n of :func:`ag_polynomials`.
     """
-    _validate_chain_params(k, ell, b, n)
-    total = QSeries.zero(trunc)
-    for last, g, partial in _chains(k, ell, b, trunc, n):
-        total = total + partial * gaussian_binomial(n - last + g, n - last, trunc)
-    return total
-
-
-def _chains_at_root(ring, k: int, ell: int, b: int, n_max: int) -> list:
-    """The chain polynomials for n = 0..n_max as elements of ``ring`` (a
-    :class:`~qmaass.cyclotomic.CyclicRing` or its L1 bound), from one walk.
-
-    Each layer keeps one sum per chain state (n_j, acc), as the later
-    factors read only n_j and g_j = acc - b*j.  The last factor takes no
-    product: as sum_s [s+g choose s] z^s = 1/prod_(i<=g) (1 - z x^i), the
-    states join a series in z at z^(n_(k-1)), divided by 1 - z x^g from
-    the largest g down (Horner's rule).
-    """
-    binomial = binomials_at_root(ring)
-    layer = {(0, 0): 1}
-    for j in range(k - 1):
-        step: dict = {}
-        for (prev, acc), partial in layer.items():
-            g = acc - b * j
-            for v in range(prev, n_max + 1) if g >= 0 else ():
-                factor = binomial(v - prev + g, v - prev)
-                if factor:
-                    key = (v, acc + 2 * v + (1 if j + 1 < ell else 0))
-                    step[key] = step.get(key, 0) + ring.mul(partial, factor)
-        layer = {(v, acc): ring.rot(a, v * v + (1 - b) * v) for (v, acc), a in step.items()}
-    by_g: dict = {}
-    for (last, acc), partial in layer.items():
-        by_g.setdefault(acc - b * (k - 1), []).append((last, partial))
-    series, low = [0] * (n_max + 1), n_max  # series[n] = 0 for n < low
-    for g in range(max(by_g, default=-1), -1, -1):
-        for last, partial in by_g.get(g, ()):
-            series[last] += partial
-            low = min(low, last)
-        for n in range(low + 1, n_max + 1):
-            series[n] += ring.rot(series[n - 1], g)
-    return series
+    return ag_polynomials(k, ell, b, n, trunc)[n]
 
 
 def ag_polynomials_at_root(k: int, ell: int, b: int, n_max: int, N: int) -> list[dict]:
     """The chain polynomials for n = 0..n_max at a primitive N-th root of unity, as
     maps in Z[x]/(x^N - 1) (reduce with :meth:`~qmaass.cyclotomic.CycNumber.from_powers`)."""
     _validate_chain_params(k, ell, b, n_max)
-    return root_sums(N, lambda ring: _chains_at_root(ring, k, ell, b, n_max))
-
-
-def ag_polynomial_sweep(k: int, ell: int, b: int, trunc):
-    """Yield ``(n, polynomial truncated below trunc)`` for n = 0, 1, 2, ...
-
-    Chains with ``n_{k-1} <= n`` are shared between consecutive ``n``: only
-    the final binomial factor changes, by the exact one-term ratio
-
-        binom(r+1+g, r+1) = binom(r+g, r) * (1 - q^(r+1+g)) / (1 - q^(r+1)),
-
-    so each active chain is advanced with two dense linear passes instead of
-    being recomputed.  Chains whose update exponents have left the window
-    are frozen into a shared accumulator and never touched again.
-    """
-    _validate_chain_params(k, ell, b, 0)
-    trunc = finite_trunc(trunc)
-    size = _int_slots(trunc)
-    if k == 1:
-        constant = QSeries.one(trunc)
-        for n in itertools.count(0):
-            yield n, constant
-        return
-
-    # Static part of each chain: (n_{k-1}, final g, dense prefix).
-    records = [
-        (last, g, dense_int_coeffs(partial, size))
-        for last, g, partial in _chains(k, ell, b, trunc)
-    ]
-    records.sort(key=lambda rec: rec[0])
-    stable = [0] * size
-    active: list[list] = []  # [n_{k-1}, g, mutable dense coefficients]
-    next_record = 0
-    for n in itertools.count(0):
-        while next_record < len(records) and records[next_record][0] == n:
-            last, g, base = records[next_record]
-            active.append([last, g, list(base)])
-            next_record += 1
-        still_active: list[list] = []
-        for entry in active:
-            last, g, arr = entry
-            s = n - last
-            if s == 0:
-                still_active.append(entry)
-                continue
-            if s >= size:
-                # Both update strides fall outside the window: frozen.
-                for e in range(size):
-                    stable[e] += arr[e]
-                continue
-            t = s + g
-            if t < size:
-                for e in range(size - 1, t - 1, -1):
-                    arr[e] -= arr[e - t]
-            for e in range(s, size):
-                arr[e] += arr[e - s]
-            still_active.append(entry)
-        active = still_active
-        out = list(stable)
-        for _, _, arr in active:
-            for e in range(size):
-                out[e] += arr[e]
-        yield n, QSeries.from_dense(out, trunc)
+    return root_sums(N, lambda ring: _walk(ring, k, ell, b, n_max))
 
 
 @dataclass(frozen=True)
@@ -241,7 +182,7 @@ def ag_generating(constraint: PartitionConstraint, trunc) -> QSeries:
     and the accumulated size, all below the finite ``trunc``.
     """
     trunc = finite_trunc(trunc)
-    size = _int_slots(trunc)
+    size = int_slots(trunc)
     if size <= 0:
         return QSeries.zero(trunc)
     npos = constraint.part_bound - 1
@@ -308,7 +249,7 @@ def verify_ag_relation(k: int, ell: int, b: int, n: int, up_to=None) -> CheckRep
         raise QSeriesError(
             "no partition side exists for b=1, n=0: the part bound 2n - b + 1 vanishes"
         )
-    degree_bound = (k - 1) * n * (n + 1 - b)
+    degree_bound = _degree_bound(k, b, n)
     compare_to = degree_bound + 2
     if up_to is not None:
         compare_to = min(compare_to, up_to)

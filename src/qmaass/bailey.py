@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import count
 from typing import Callable, Iterator
 
-from .agpolys import _int_slots, ag_polynomial
+from .agpolys import ag_polynomial
 from .reports import CheckReport, _exact_str, report_from_comparison
 from .series import (
     INF,
@@ -35,6 +35,7 @@ from .series import (
     dense_int_coeffs,
     divide_one_minus_power,
     finite_trunc,
+    int_slots,
     inverse_pochhammer,
     pochhammer,
     stabilized_sum,
@@ -82,7 +83,8 @@ class BaileyPair:
     built-in constructors memoize alpha.  Only the synthetic pairs memoize
     beta: a list per trunc, grown from one :func:`relation_sums` sweep and
     held as long as the pair.  The chain and unit pairs rebuild beta on
-    each call, which the checks seldom repeat.
+    each call (one chain walk, or a product of inverse Pochhammers), which
+    the checks seldom repeat.
 
     The relation sums read alpha as a dense list, so every alpha_n must
     have integer exponents >= 0 below trunc (all built-in pairs have int
@@ -114,7 +116,7 @@ def relation_sums(pair: BaileyPair, trunc) -> Iterator[QSeries]:
     and never touched again.
     """
     t = finite_trunc(trunc)
-    size = _int_slots(t)
+    size = int_slots(t)
     second = _SECOND_FACTOR[pair.relative]
     d = 1 if pair.relative == "q" else 0
     frozen = [0] * size

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .agpolys import ag_polynomial, verify_ag_relation
+from .agpolys import ag_polynomials, verify_ag_relation
 from .bailey import (
     IDENTITY_KINDS,
     RELATIVES,
@@ -538,17 +538,10 @@ def _expand_hpoly(cfg: RunConfig, writer: LineWriter) -> None:
     k = cfg.require("k")
     ell = cfg.ell if cfg.ell is not None else 1
     nmax = cfg.nmax if cfg.nmax is not None else 8
-    for n in range(0, nmax + 1):
-        poly = ag_polynomial(k, ell, cfg.boundary, n)
+    for n, poly in enumerate(ag_polynomials(k, ell, cfg.boundary, nmax)):
         degree = poly.degree()
         size = 1 if degree is None else int(degree) + 1
-        coeffs = dense_int_coeffs(poly, size)
-        writer.emit(
-            {
-                "n": n,
-                "coefficients": " ".join(str(c) for c in coeffs),
-            }
-        )
+        writer.emit({"n": n, "coefficients": " ".join(map(str, dense_int_coeffs(poly, size)))})
 
 
 def _expand_family(cfg: RunConfig, writer: LineWriter) -> None:

@@ -26,7 +26,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .series import QSeries, QSeriesError, _clean
+from .series import PackedRing, QSeries, QSeriesError, _clean
 
 
 @functools.lru_cache(maxsize=None)
@@ -266,7 +266,7 @@ def check_root_order(N) -> None:
         raise QSeriesError(f"root of unity of order {N} exceeds the order bound {MAX_ROOT_ORDER}")
 
 
-class CyclicRing:
+class CyclicRing(PackedRing):
     """Z[x]/(x^N - 1) packed into one int by x -> 2^W, a ring map onto
     Z/(2^(W*N) - 1) as x^N - 1 -> 0 (Kronecker substitution; Harvey, J.
     Symb. Comput. 44, 2009).  ``+`` and ``*`` by an int >= 0 are int
@@ -276,6 +276,7 @@ class CyclicRing:
     sub = operator.sub
 
     def __init__(self, order: int, width: int):
+        super().__init__()
         self.order, self.width, self.bits = order, width, order * width
         self.mask = (1 << self.bits) - 1  # also the modulus 2^(W*N) - 1
 
@@ -287,6 +288,15 @@ class CyclicRing:
         for _ in range(2):  # twice, so that every value stays near W*N bits
             a = (a & self.mask) + (a >> self.bits)
         return a
+
+    def binomial(self, top: int, bottom: int) -> int:
+        """[top choose bottom] at a primitive N-th root of unity, by the q-Lucas
+        theorem (Desarmenien, Europ. J. Combin. 3, 1982): C(top // N, bottom // N)
+        [top % N choose bottom % N], the second from the q-Pascal table."""
+        (t1, t0), (b1, b0) = divmod(top, self.order), divmod(bottom, self.order)
+        if not 0 <= bottom <= top or b0 > t0:
+            return 0
+        return super().binomial(t0, b0) * math.comb(t1, b1)
 
     def encode(self, powers: dict) -> int:
         return sum(c << self.width * (e % self.order) for e, c in powers.items())
@@ -319,26 +329,3 @@ def root_sums(order: int, build) -> list[dict]:
     ring = CyclicRing(order, bound.bit_length() + 2)
     return [ring.decode(a) for a in build(ring)]
 
-
-def binomials_at_root(ring):
-    """[top choose bottom] at a primitive N-th root of unity, N the ring's
-    order, as a function returning ring elements: by the q-Lucas theorem
-    (Desarmenien, Europ. J. Combin. 3, 1982) C(top // N, bottom // N)
-    [top % N choose bottom % N], with tops below N from the q-Pascal rule
-    [m, i] = [m-1, i-1] + x^i [m-1, i], memoized while the function lives.
-    """
-    N = ring.order
-
-    @functools.lru_cache(maxsize=None)
-    def small(m: int, i: int) -> int:
-        if i in (0, m):
-            return 1
-        return small(m - 1, i - 1) + ring.rot(small(m - 1, i), i)
-
-    def binomial(top: int, bottom: int) -> int:
-        (t1, t0), (b1, b0) = divmod(top, N), divmod(bottom, N)
-        if not 0 <= bottom <= top or b0 > t0:
-            return 0
-        return small(t0, b0) * math.comb(t1, b1)
-
-    return binomial

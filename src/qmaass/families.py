@@ -27,14 +27,15 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .agpolys import _int_slots, ag_polynomial_sweep, ag_polynomials_at_root
+from .agpolys import ag_polynomials, ag_polynomials_at_root
 from .bailey import LIMIT_WEIGHTS, weighted_term
-from .cyclotomic import CycNumber, binomials_at_root, check_root_order, root_sums
+from .cyclotomic import CycNumber, check_root_order, root_sums
 from .reports import CheckReport, report_from_condition
 from .series import (
     QSeries,
     QSeriesError,
     finite_trunc,
+    int_slots,
     inverse_pochhammer,
     pochhammer,
     stabilized_sum,
@@ -148,23 +149,21 @@ def family_series(j: int, k: int, ell: int, trunc) -> QSeries:
     """
     _validate_family(j, k, ell)
     t = finite_trunc(trunc)
-    size = _int_slots(t)
+    size = int_slots(t)
     if size <= 0:
         return QSeries.zero(t)
     fam = FAMILIES[j]
     _, first, power = LIMIT_WEIGHTS[fam.identity]
-    sweep = itertools.islice(ag_polynomial_sweep(k, ell, first, t), first, None)
+    if power is None:  # as many terms as the averaging may take
+        n_max = first + 2 * size + 8
+    else:  # the terms before q^power(n) reaches trunc
+        n_max = next(n for n in itertools.count(first) if power(n) >= t) - 1
+    chain = ag_polynomials(k, ell, first, n_max, t)
+    terms = (weighted_term(*fam.identity, n, chain[n], t) for n in range(first, n_max + 1))
     if power is None:
-        terms = (weighted_term(*fam.identity, n, h, t) for n, h in sweep)
-        total = stabilized_sum(
-            terms, t, n_bound=2 * size + 8, tail_order=lambda n: 2 * n
-        )
+        total = stabilized_sum(terms, t, n_bound=2 * size + 8, tail_order=lambda n: 2 * n)
     else:
-        total = QSeries.zero(t)
-        for n, h in sweep:
-            if power(n) >= t:
-                break
-            total = total + weighted_term(*fam.identity, n, h, t)
+        total = sum(terms, QSeries.zero(t))
     return total.scale(fam.sum_scale)
 
 
@@ -183,7 +182,7 @@ def sigma_series(rep: str, trunc) -> QSeries:
     All four agree coefficient-for-coefficient below ``trunc``.
     """
     t = finite_trunc(trunc)
-    size = _int_slots(t)
+    size = int_slots(t)
     if size <= 0:
         return QSeries.zero(t)
     if rep == "pochhammer":
@@ -245,7 +244,7 @@ def sigma_star_series(rep: str, trunc) -> QSeries:
     Both agree below ``trunc``; the leading term is -2q.
     """
     t = finite_trunc(trunc)
-    size = _int_slots(t)
+    size = int_slots(t)
     if size <= 0:
         return QSeries.zero(t)
     if rep == "odd-pochhammer":
@@ -409,13 +408,12 @@ def kz_root_value(k: int, ell: int, N: int) -> CycNumber:
     check_root_order(N)
 
     def build(ring):
-        binomial = binomials_at_root(ring)
         inner = [1] * (N + 1)
         for j in range(1, k):
             bump = 1 if j == ell - 1 else 0
             weighted = [ring.rot(t, v * v + (v if j >= ell else 0)) for v, t in enumerate(inner)]
-            inner = [sum(ring.mul(binomial(m + bump, v), weighted[v]) for v in range(m + bump + 1))
-                     for m in range(len(inner) - bump)]
+            inner = [sum(ring.mul(ring.binomial(m + bump, v), weighted[v])
+                         for v in range(m + bump + 1)) for m in range(len(inner) - bump)]
         total = 0  # by Horner's rule: (q)_(n_k) = (q)_(n_k - 1) (1 - q^(n_k))
         for n_k in range(N - 1, -1, -1):
             total = ring.sub(total, ring.rot(total, n_k + 1)) + inner[n_k]

@@ -68,6 +68,11 @@ def finite_trunc(trunc) -> Fraction:
     return Fraction(trunc)
 
 
+def int_slots(trunc) -> int:
+    """Number of integer exponents e with 0 <= e < trunc."""
+    return max(0, math.ceil(Fraction(trunc)))
+
+
 def _clean(c):
     """Normalize a coefficient: rationals with denominator 1 become ints."""
     if type(c) is Fraction and c.denominator == 1:
@@ -478,15 +483,87 @@ def _kronecker_product(xa: dict, xb: dict, bound: int | None) -> dict | None:
     product = packed(xa, lo_a, hi_a) * packed(xb, lo_b, hi_b) + bias
     raw = product.to_bytes(width * size, "little")
     keep = size if bound is None else min(size, bound - lo_a - lo_b)
-    if code:
-        cells = struct.unpack_from("<%d%s" % (keep, code), raw)
-    else:
-        cells = map(
-            int.from_bytes,
-            [raw[i : i + width] for i in range(0, width * keep, width)],
-            repeat("little"),
-        )
+    cells = _unpack(raw, width, keep)
     return {m: c - half for m, c in enumerate(cells, lo_a + lo_b) if c != half}
+
+
+def _unpack(raw: bytes, width: int, count: int):
+    """The first ``count`` little-endian unsigned ``width``-byte digits of ``raw``."""
+    if code := _WORD_CODES.get(width):
+        return struct.unpack_from("<%d%s" % (count, code), raw)
+    return map(int.from_bytes, [raw[i : i + width] for i in range(0, width * count, width)],
+               repeat("little"))
+
+
+# ------------------------------------------------------------ packed rings
+
+
+class PackedRing:
+    """What the packed polynomial rings share (:class:`TruncatedRing`,
+    :class:`~qmaass.cyclotomic.CyclicRing` and their L1 bounds): exponents
+    at or above ``horizon`` vanish, and Gaussian binomials come from the
+    q-Pascal rule [m, i] = [m-1, i-1] + x^i [m-1, i], tabulated while the
+    ring lives.  A subclass supplies ``mul`` and ``rot`` (times x^s)."""
+
+    horizon = INF
+
+    def __init__(self):
+        self._columns: list[list] = []  # _columns[i][r] = [i + r choose i]
+
+    def binomial(self, top: int, bottom: int):
+        """[top choose bottom], zero off 0 <= bottom <= top."""
+        columns, rows = self._columns, top - bottom
+        if not 0 <= bottom <= top:
+            return 0
+        if bottom < len(columns) and rows < len(columns[bottom]):
+            return columns[bottom][rows]
+        columns.extend([1] for _ in range(len(columns), bottom + 1))
+        for i, column in enumerate(columns[: bottom + 1]):
+            while len(column) <= rows:
+                r = len(column)
+                column.append(columns[i - 1][r] + self.rot(column[r - 1], i) if i else 1)
+        return columns[bottom][rows]
+
+
+class TruncatedRing(PackedRing):
+    """Z[x]/(x^T) packed into one int by x -> 2^W, a ring map onto Z/2^(W*T)
+    as x^T -> 0: ``mul`` is a product and a mask, ``rot`` a shift and a
+    mask.  Each step is exact; :meth:`decode` needs every coefficient in
+    [0, ``bound``], which W, a whole number of bytes, holds."""
+
+    def __init__(self, slots: int, bound: int):
+        super().__init__()
+        nbytes = -(-bound.bit_length() // 8) or 1
+        self.bytes = next((w for w in _WORD_CODES if w >= nbytes), nbytes)
+        self.width, self.horizon = 8 * self.bytes, slots
+        self.mask = (1 << self.width * slots) - 1
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b & self.mask
+
+    def rot(self, a: int, s: int) -> int:
+        return a << self.width * s & self.mask if s < self.horizon else 0
+
+    def decode(self, a: int) -> dict:
+        """The map {exponent: coefficient} of the nonzero base-2^W digits."""
+        raw = (a & self.mask).to_bytes(self.bytes * self.horizon, "little")
+        return {e: c for e, c in enumerate(_unpack(raw, self.bytes, self.horizon)) if c}
+
+
+class TruncatedL1(PackedRing):
+    """x -> 1 with x^s dropped for s >= ``horizon``: each value bounds the L1
+    norm of the matching :class:`TruncatedRing` value.  With no horizon, a
+    value whose coefficients are all >= 0 is their sum."""
+
+    def __init__(self, horizon):
+        super().__init__()
+        self.horizon = horizon
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b
+
+    def rot(self, a: int, s: int) -> int:
+        return a if s < self.horizon else 0
 
 
 # ---------------------------------------------------------------------- utils

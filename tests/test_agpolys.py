@@ -6,14 +6,15 @@ from functools import lru_cache
 
 import pytest
 
+import qmaass.agpolys as agpolys
 from qmaass.agpolys import (
     PartitionConstraint,
     ag_generating,
     ag_polynomial,
-    ag_polynomial_sweep,
+    ag_polynomials,
     verify_ag_relation,
 )
-from qmaass.series import INF, QSeries, QSeriesError
+from qmaass.series import INF, QSeries, QSeriesError, gaussian_binomial
 
 # --------------------------------------------------------------------- oracles
 
@@ -62,6 +63,41 @@ def oracle_chain_poly(k: int, ell: int, b: int, n: int) -> dict:
         for e, c in poly.items():
             total[e] = total.get(e, 0) + c
     return {e: c for e, c in total.items() if c}
+
+
+def _depth_first_chains(k: int, ell: int, b: int, trunc, top: int):
+    """Depth-first over the chains ``0 <= n_1 <= ... <= n_{k-1} <= top``.
+
+    Yields ``(n_{k-1}, g_{k-1}, partial)`` for each chain with q-weight
+    below ``trunc`` and every ``g_j >= 0``; ``partial`` is the chain's
+    power of q times every binomial except the final one, whose top side
+    depends on ``n``.
+    """
+    def walk(j: int, prev: int, acc: int, weight: int, partial):
+        g = acc - b * j
+        if g < 0:
+            return
+        if j == k - 1:
+            yield prev, g, partial
+            return
+        for v in range(prev, top + 1):
+            w = v * v + (1 - b) * v
+            if weight + w >= trunc:
+                break
+            factor = gaussian_binomial(v - prev + g, v - prev, trunc).shift(w)
+            nxt = acc + 2 * v + (1 if j + 1 < ell else 0)
+            yield from walk(j + 1, v, nxt, weight + w, partial * factor)
+
+    return walk(0, 0, 0, 0, QSeries.one(trunc))
+
+
+def reference_polynomial(k: int, ell: int, b: int, n: int, trunc=INF) -> QSeries:
+    """The chain polynomial by a depth-first walk with one series product per
+    factor: the library's evaluator before the merged walk replaced it."""
+    total = QSeries.zero(trunc)
+    for last, g, partial in _depth_first_chains(k, ell, b, trunc, n):
+        total = total + partial * gaussian_binomial(n - last + g, n - last, trunc)
+    return total
 
 
 def oracle_partition_counts(c: PartitionConstraint, size: int) -> list:
@@ -150,27 +186,56 @@ def test_parameter_validation():
 
 
 def test_sweep_matches_direct_evaluation():
-    trunc = 30
-    for k in (1, 2, 3):
-        for ell in range(1, k + 1):
-            for b in (0, 1):
-                sweep = ag_polynomial_sweep(k, ell, b, trunc)
-                for n, poly in itertools.islice(sweep, 11):
-                    assert poly == ag_polynomial(k, ell, b, n, trunc=trunc), (k, ell, b, n)
+    # Long chains below a small trunc give inner binomials whose top
+    # reaches the trunc, where q-Lucas would no longer hold mod q^trunc.
+    for ks, trunc in (((1, 2, 3), 30), ((4, 5), 3), ((4, 5), Fraction(9, 2))):
+        for k in ks:
+            for ell in range(1, k + 1):
+                for b in (0, 1):
+                    sweep = ag_polynomials(k, ell, b, 10, trunc)
+                    for n, poly in enumerate(sweep):
+                        want = reference_polynomial(k, ell, b, n, trunc)
+                        assert poly == want, (k, ell, b, trunc, n)
 
 
 def test_sweep_deep_consistency_spot():
-    # Larger n where the frozen-chain path is exercised (n past trunc).
+    # Larger n, past the point n = trunc - 1 where the walk's list turns constant.
     trunc = 12
-    sweep = ag_polynomial_sweep(2, 1, 0, trunc)
-    values = {n: poly for n, poly in itertools.islice(sweep, 26)}
+    values = ag_polynomials(2, 1, 0, 25, trunc)
     for n in (15, 20, 25):
-        assert values[n] == ag_polynomial(2, 1, 0, n, trunc=trunc)
+        assert values[n] == reference_polynomial(2, 1, 0, n, trunc)
 
 
-def test_sweep_requires_finite_truncation():
-    with pytest.raises(QSeriesError):
-        next(ag_polynomial_sweep(2, 1, 0, INF))
+def test_sweep_at_infinite_truncation_is_whole():
+    values = ag_polynomials(2, 1, 0, 8, INF)
+    for n, poly in enumerate(values):
+        assert poly.trunc is INF
+        assert poly == reference_polynomial(2, 1, 0, n), n
+
+
+def test_sweep_shares_equal_consecutive_values():
+    values = ag_polynomials(1, 1, 0, 300, 300)
+    assert all(poly is values[0] for poly in values) and values[0] == QSeries.one(300)
+    values = ag_polynomials(3, 2, 1, 40, 9)
+    assert all(poly is values[8] for poly in values[8:])
+
+
+def test_sweep_at_nonpositive_truncation_is_zero():
+    for trunc in (0, Fraction(-1, 2), -3):
+        values = ag_polynomials(3, 2, 0, 4, trunc)
+        assert all(poly.is_zero() and poly.trunc == trunc for poly in values)
+
+
+def test_whole_polynomials_prove_their_degree_bound(monkeypatch):
+    # (k, ell, b) = (3, 1, 0) reaches the bound D = (k-1) n (n+1) at n = 4,
+    # so one slot fewer drops its top term and the coefficient sum catches it.
+    assert ag_polynomial(3, 1, 0, 4).degree() == agpolys._degree_bound(3, 0, 4)
+    bound = agpolys._degree_bound
+    monkeypatch.setattr(agpolys, "_degree_bound", lambda k, b, n: bound(k, b, n) - 1)
+    with pytest.raises(QSeriesError, match="degree bound"):
+        ag_polynomials(3, 1, 0, 4)
+    with pytest.raises(QSeriesError, match="degree bound"):
+        verify_ag_relation(3, 1, 0, 4)
 
 
 # ------------------------------------------------------------------ partitions

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import qmaass.families as families
 from qmaass.agpolys import ag_polynomial
 from qmaass.cyclotomic import CycNumber
 from qmaass.families import (
@@ -145,6 +146,28 @@ def test_family_four_matches_direct_products():
         ).shift(n)
         oracle = oracle + (-term if n % 2 else term)
     assert family_series(4, k, ell, trunc) == oracle.truncate(trunc)
+
+
+def test_family_series_takes_one_walk_and_no_chain_products(monkeypatch):
+    # The chain polynomials come from one ag_polynomials call, whose walk
+    # runs over packed ints; each series product belongs to a weighted term.
+    walks, products, terms = [], [], []
+
+    def counted(log, fn):
+        def call(*args):
+            log.append(args)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(families, "ag_polynomials", counted(walks, families.ag_polynomials))
+    monkeypatch.setattr(families, "weighted_term", counted(terms, families.weighted_term))
+    monkeypatch.setattr(QSeries, "__mul__", counted(products, QSeries.__mul__))
+    for j in (1, 2, 3, 4):
+        for log in (walks, products, terms):
+            log.clear()
+        family_series(j, 3, 2, 30)
+        assert len(walks) == 1, j
+        assert 0 < len(products) == len(terms), j
 
 
 def test_family_two_special_case():

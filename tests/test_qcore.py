@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmaass import series
-from qmaass.agpolys import PartitionConstraint, ag_generating, ag_polynomial_sweep
+from qmaass.agpolys import PartitionConstraint, ag_generating, ag_polynomials
 from qmaass.bailey import (
     pair_relative_q,
     relation_sums,
@@ -1001,7 +1001,6 @@ _FINITE_TRUNC_ENTRY_POINTS = {
     "family_series": lambda t: family_series(1, 1, 1, t),
     "sigma_series": lambda t: sigma_series("pochhammer", t),
     "sigma_star_series": lambda t: sigma_star_series("alternating", t),
-    "ag_polynomial_sweep": lambda t: next(ag_polynomial_sweep(2, 1, 0, t)),
     "ag_generating": lambda t: ag_generating(PartitionConstraint(3, 1, 4, 2), t),
     "indefinite_theta_series": lambda t: indefinite_theta_series(family_params(1, 1, 1).params, t),
     "family_lattice_series": lambda t: family_lattice_series(1, 1, 1, t),
@@ -1017,3 +1016,18 @@ def test_non_finite_truncs_are_refused(entry, trunc):
         _FINITE_TRUNC_ENTRY_POINTS[entry](trunc)
     with pytest.raises(QSeriesError, match="finite truncation order"):
         _FINITE_TRUNC_ENTRY_POINTS[entry](INF)
+
+
+@pytest.mark.parametrize("trunc", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_chain_polynomials_read_inf_as_whole(trunc):
+    # The chain polynomials are finite, so +inf (INF or another float
+    # infinity) asks for them whole; -inf and NaN are refused as above.
+    if trunc > 0:
+        for inf in (trunc, float("inf")):
+            whole = ag_polynomials(2, 1, 0, 3, inf)
+            assert all(poly.trunc is INF for poly in whole)
+            assert [poly.truncate(13) for poly in whole] == ag_polynomials(2, 1, 0, 3, 13)
+            assert whole[3].degree() == 12
+        return
+    with pytest.raises(QSeriesError, match="finite truncation order"):
+        ag_polynomials(2, 1, 0, 3, trunc)

@@ -10,6 +10,7 @@ the factors as cyclotomic numbers.
 import functools
 import itertools
 import math
+import operator
 import time
 from fractions import Fraction
 
@@ -18,19 +19,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmaass.families as families
-from qmaass.agpolys import _chains_at_root, ag_polynomial, ag_polynomials_at_root
+from qmaass.agpolys import _walk, ag_polynomial, ag_polynomials, ag_polynomials_at_root
 from qmaass.bailey import LIMIT_WEIGHTS
 from qmaass.cyclotomic import (
     MAX_ROOT_ORDER,
     CycNumber,
     _L1Bound,
-    binomials_at_root,
     root_of_unity_value,
     root_sums,
 )
 from qmaass.families import FAMILIES, kz_root_value, u_root_value, verify_kz_duality
 from qmaass.maass import quantum_value
-from qmaass.series import INF, QSeriesError, gaussian_binomial, pochhammer
+from qmaass.series import (
+    INF,
+    QSeriesError,
+    TruncatedL1,
+    TruncatedRing,
+    gaussian_binomial,
+    int_slots,
+    pochhammer,
+)
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PRIME_POWERS = (4, 8, 9, 16, 25, 27, 32)
@@ -167,7 +175,7 @@ def test_order_bound():
 
 def _pascal(ring):
     """[m choose i] by the q-Pascal rule alone, for any m: the exact
-    polynomial in Z[x]/(x^N - 1), where q-Lucas holds only mod Phi_N."""
+    polynomial in the ring, where q-Lucas holds only mod Phi_N."""
 
     @functools.lru_cache(maxsize=None)
     def binomial(m: int, i: int):
@@ -179,10 +187,10 @@ def _pascal(ring):
 
 
 def _chain_by_chain(ring, k: int, ell: int, b: int, n_max: int) -> list:
-    """The chain polynomials at the ring's root, one chain at a time: the
-    inner factors by q-Lucas (``binomials_at_root``), the last one exact,
-    as the walk takes them."""
-    inner, last = binomials_at_root(ring), _pascal(ring)
+    """The chain polynomials in the ring, one chain at a time, with no layer
+    stop and no cut: the inner factors by the ring's binomials (q-Lucas in
+    the cyclic ring), the last one exact, as the walk takes them."""
+    inner, last = ring.binomial, _pascal(ring)
     out = [0] * (n_max + 1)
     for chain in itertools.combinations_with_replacement(range(n_max + 1), k - 1):
         partial, prev, acc = 1, 0, 0
@@ -201,24 +209,39 @@ def _chain_by_chain(ring, k: int, ell: int, b: int, n_max: int) -> list:
 
 
 # n_max is capped per k so that the reference walks at most ~2,000 chains.
+# The truncations, integer or not, put n_max past the walk's cut at
+# n = ceil(trunc) - 1 in most cases.
 WALK_CASES = st.integers(1, 5).flatmap(lambda k: st.tuples(
     st.just(k),
     st.integers(1, k),
     st.sampled_from([0, 1]),
     st.integers(1, 24),
     st.integers(0, (24, 24, 24, 16, 9)[k - 1]),
+    st.builds(operator.sub, st.integers(1, 30), st.sampled_from([0, Fraction(1, 2), Fraction(2, 3)])),
 ))
 
 
 @settings(max_examples=60, deadline=None)
 @given(WALK_CASES)
 def test_merged_walk_matches_chain_by_chain(case):
-    k, ell, b, N, n_max = case
+    k, ell, b, N, n_max, trunc = case
     expected = root_sums(N, lambda ring: _chain_by_chain(ring, k, ell, b, n_max))
     assert ag_polynomials_at_root(k, ell, b, n_max, N) == expected
     # The L1 bounds agree too: merging only regroups the same terms.
     bound = _L1Bound(N, 0)
-    assert _chains_at_root(bound, k, ell, b, n_max) == _chain_by_chain(bound, k, ell, b, n_max)
+    assert _walk(bound, k, ell, b, n_max) == _chain_by_chain(bound, k, ell, b, n_max)
+    # Over the truncated ring the walk adds its layer stop and its cut.
+    T = int_slots(trunc)
+    sizes = _chain_by_chain(TruncatedL1(T), k, ell, b, n_max)
+    ring = TruncatedRing(T, max(sizes))
+    expected = [ring.decode(a) for a in _chain_by_chain(ring, k, ell, b, n_max)]
+    got = ag_polynomials(k, ell, b, n_max, trunc)
+    assert [{int(e): c for e, c in poly.terms()} for poly in got] == expected
+    assert all(poly.trunc == trunc for poly in got)
+    # With no horizon the L1 walk is each polynomial at q = 1, as the
+    # coefficient-sum guard of whole polynomials reads it.
+    whole = TruncatedL1(INF)
+    assert _walk(whole, k, ell, b, n_max) == _chain_by_chain(whole, k, ell, b, n_max)
 
 
 @pytest.mark.parametrize("ell", range(1, 7))
