@@ -25,7 +25,9 @@ from dataclasses import dataclass
 
 from .cyclotomic import root_sums
 from .reports import CheckReport, report_from_comparison
-from .series import INF, QSeries, QSeriesError, TruncatedL1, TruncatedRing, finite_trunc, int_slots
+from .series import (
+    INF, QSeries, QSeriesError, TruncatedL1, TruncatedRing, finite_trunc, int_slots, positive_trunc,
+)
 
 __all__ = [
     "PartitionConstraint",
@@ -252,7 +254,7 @@ def verify_ag_relation(k: int, ell: int, b: int, n: int, up_to=None) -> CheckRep
     degree_bound = _degree_bound(k, b, n)
     compare_to = degree_bound + 2
     if up_to is not None:
-        compare_to = min(compare_to, up_to)
+        compare_to = min(compare_to, positive_trunc(up_to))
     poly = ag_polynomial(k, ell, b, n)
     flipped = QSeries.from_terms(
         ((degree_bound - e, c) for e, c in poly.terms()), trunc=compare_to

@@ -11,9 +11,10 @@ on it, the two explicit pairs built from the chain polynomials of
 :mod:`qmaass.agpolys`, random finite-support pairs for property testing,
 and truncation-level verification of the four limit identities obtained
 by summing a pair against classical weight sequences.  Those weights live
-in one table, :data:`LIMIT_WEIGHTS`; the four series families of
-:mod:`qmaass.families` are the left sides of the four identities on the
-chain pairs, and both they and their root-of-unity values read it.
+in one table, :data:`LIMIT_WEIGHTS`, and both sides of every identity are
+summed by one rule; the four series families of :mod:`qmaass.families`
+are the left sides (:func:`left_side`) of the four identities on the
+chain pairs, and both they and their root-of-unity values read the table.
 """
 
 from __future__ import annotations
@@ -21,23 +22,25 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import count
-from typing import Callable, Iterator
+from functools import lru_cache, partial
+from itertools import count, islice
+from typing import Callable, Iterable, Iterator
 
-from .agpolys import ag_polynomial
+from .agpolys import ag_polynomials
 from .reports import CheckReport, _exact_str, report_from_comparison
 from .series import (
     INF,
     QSeries,
     QSeriesError,
     _divide_dense,
+    averaging_budget,
     dense_int_coeffs,
     divide_one_minus_power,
     finite_trunc,
     int_slots,
     inverse_pochhammer,
     pochhammer,
+    positive_trunc,
     stabilized_sum,
 )
 
@@ -67,24 +70,24 @@ def _validate_pair_params(k, ell) -> None:
         raise QSeriesError("chain-pair parameters need 1 <= ell <= k")
 
 
-def _require_positive(trunc) -> Fraction:
-    """A finite ``trunc`` > 0: a check below q^0 or lower compares nothing."""
-    t = finite_trunc(trunc)
-    if t <= 0:
-        raise QSeriesError(f"a check needs a positive truncation order, got {_exact_str(t)}")
-    return t
-
-
 @dataclass(frozen=True)
 class BaileyPair:
     """A Bailey pair: its relative parameter and the two sequences.
 
-    ``alpha`` and ``beta`` map ``(n, trunc)`` to a :class:`QSeries`.  The
-    built-in constructors memoize alpha.  Only the synthetic pairs memoize
-    beta: a list per trunc, grown from one :func:`relation_sums` sweep and
-    held as long as the pair.  The chain and unit pairs rebuild beta on
-    each call (one chain walk, or a product of inverse Pochhammers), which
-    the checks seldom repeat.
+    ``alpha`` maps ``(n, trunc)`` to alpha_n, a :class:`QSeries`; the
+    built-in constructors memoize it.  ``betas`` maps ``(n_max, trunc)`` to
+    beta_0, ..., beta_(n_max) in one pass, which nothing keeps after the
+    check that asked: a chain pair takes one chain walk to n_max, a unit
+    pair yields its products of inverse Pochhammers one by one, and a
+    synthetic pair reads the first n_max + 1 sums of its own
+    :func:`relation_sums` sweep.
+
+    So a synthetic pair's definition check (:func:`verify_pair`) compares
+    the sweep with itself and passes by construction.  That stays: its
+    beta has no definition but the relation, a beta from the direct double
+    sum would cost about 15 ms per pair, and the synthetic pairs are there
+    to test the limit identities, which sum beta on one side and alpha on
+    the other.
 
     The relation sums read alpha as a dense list, so every alpha_n must
     have integer exponents >= 0 below trunc (all built-in pairs have int
@@ -94,7 +97,7 @@ class BaileyPair:
 
     relative: str
     alpha: Callable[[int, object], QSeries]
-    beta: Callable[[int, object], QSeries]
+    betas: Callable[[int, object], Iterable[QSeries]]
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -144,15 +147,14 @@ def verify_pair(pair: BaileyPair, n_max: int, trunc) -> CheckReport:
     """Check the defining relation for every n <= n_max below trunc."""
     if n_max < 0:
         raise QSeriesError(f"a check needs n_max >= 0, got {n_max}")
-    t = _require_positive(trunc)
+    t = positive_trunc(trunc)
     params = {
         "relative": pair.relative,
         "label": pair.label,
         "n_max": n_max,
         "trunc": _exact_str(t),
     }
-    for n, rhs in zip(range(n_max + 1), relation_sums(pair, t)):
-        lhs = pair.beta(n, t)
+    for n, (lhs, rhs) in enumerate(zip(pair.betas(n_max, t), relation_sums(pair, t))):
         bad = lhs.first_mismatch(rhs)
         if bad is not None:
             return CheckReport(
@@ -196,15 +198,13 @@ def pair_relative_one(k: int, ell: int) -> BaileyPair:
             terms.append((e + 2 * n, sign))
         return QSeries.from_terms(terms, trunc)
 
-    def beta(n: int, trunc) -> QSeries:
-        if n == 0:
-            return QSeries.zero(trunc)
-        return ag_polynomial(k, ell, 1, n, trunc)
+    def betas(n_max: int, trunc) -> list[QSeries]:
+        return [QSeries.zero(trunc), *ag_polynomials(k, ell, 1, n_max, trunc)[1:]]
 
     return BaileyPair(
         relative="one",
         alpha=alpha,
-        beta=beta,
+        betas=betas,
         label=f"chain(k={k},ell={ell},relative=one)",
     )
 
@@ -229,15 +229,19 @@ def pair_relative_q(k: int, ell: int) -> BaileyPair:
         prefactor = QSeries.from_dense([1] * (2 * n + 1), INF)
         return (lattice * prefactor).truncate(trunc)
 
-    def beta(n: int, trunc) -> QSeries:
-        return ag_polynomial(k, ell, 0, n, trunc)
+    def betas(n_max: int, trunc) -> list[QSeries]:
+        return ag_polynomials(k, ell, 0, n_max, trunc)
 
     return BaileyPair(
         relative="q",
         alpha=alpha,
-        beta=beta,
+        betas=betas,
         label=f"chain(k={k},ell={ell},relative=q)",
     )
+
+
+#: The chain pair of each relative parameter, by (k, ell).
+CHAIN_PAIRS = {"one": pair_relative_one, "q": pair_relative_q}
 
 
 def unit_pair(relative: str) -> BaileyPair:
@@ -252,25 +256,19 @@ def unit_pair(relative: str) -> BaileyPair:
             return QSeries.one(trunc)
         return QSeries.zero(trunc)
 
-    def beta(n: int, trunc) -> QSeries:
-        out = inverse_pochhammer("q", n, trunc) * inverse_pochhammer(
-            second, n, trunc
-        )
-        return out.truncate(trunc)
+    def betas(n_max: int, trunc) -> Iterator[QSeries]:
+        for n in range(n_max + 1):
+            out = inverse_pochhammer("q", n, trunc) * inverse_pochhammer(second, n, trunc)
+            yield out.truncate(trunc)
 
     return BaileyPair(
-        relative=relative, alpha=alpha, beta=beta, label=f"unit({relative})"
+        relative=relative, alpha=alpha, betas=betas, label=f"unit({relative})"
     )
 
 
-def synthetic_pair(
-    relative: str,
-    rng,
-    max_support: int = 5,
-    index_range: int = 8,
-    coeff_bound: int = 9,
-) -> BaileyPair:
-    """A random pair: finite-support integer alpha, beta from the relation.
+def synthetic_pair(relative: str, rng) -> BaileyPair:
+    """A random pair: alpha_m a nonzero integer in -9..9 at 1 to 5 indices
+    m < 8 and zero elsewhere, beta from the relation.
 
     For relative 1 the support excludes index 0, keeping alpha_0 = beta_0 = 0;
     the limit identities that sum from n = 1 silently ignore the 0-index
@@ -279,39 +277,25 @@ def synthetic_pair(
     if relative not in RELATIVES:
         raise QSeriesError(f"relative must be one of {RELATIVES}")
     lowest = 1 if relative == "one" else 0
-    indices = rng.sample(
-        range(lowest, index_range), rng.randint(1, max_support)
-    )
     support = {}
-    for i in indices:
+    for i in rng.sample(range(lowest, 8), rng.randint(1, 5)):
         value = 0
         while value == 0:
-            value = rng.randint(-coeff_bound, coeff_bound)
+            value = rng.randint(-9, 9)
         support[i] = value
 
     @lru_cache(maxsize=None)
     def alpha(n: int, trunc) -> QSeries:
         return QSeries.monomial(support.get(n, 0), 0, trunc)
 
-    placeholder = BaileyPair(
-        relative=relative, alpha=alpha, beta=alpha, label="_partial"
-    )
-    sums: dict = {}  # trunc -> (its relation sweep, the betas drawn from it)
-
-    def beta(n: int, trunc) -> QSeries:
-        t = finite_trunc(trunc)
-        entry = sums.get(t)
-        if entry is None:
-            entry = sums[t] = (relation_sums(placeholder, t), [])
-        sweep, values = entry
-        while len(values) <= n:
-            values.append(next(sweep))
-        return values[n]
+    def betas(n_max: int, trunc) -> Iterator[QSeries]:
+        return islice(relation_sums(pair, trunc), n_max + 1)
 
     label = "synthetic({},{})".format(
         relative, ",".join(f"{i}:{support[i]}" for i in sorted(support))
     )
-    return BaileyPair(relative=relative, alpha=alpha, beta=beta, label=label)
+    pair = BaileyPair(relative=relative, alpha=alpha, betas=betas, label=label)
+    return pair
 
 
 # ------------------------------------------------------------ limit identities
@@ -354,43 +338,51 @@ def weighted_term(relative: str, kind: str, n: int, beta: QSeries, trunc) -> QSe
     return -term if n % 2 else term
 
 
-def _sum_weighted_terms(term_at, first: int, power, trunc) -> QSeries:
-    """Plain sum of term_at(n) for n >= first, cut off where q^power(n) closes it.
+def _limit_sum(relative: str, kind: str, values, term, trunc, tail_order=None) -> QSeries:
+    """The sum of term(n, v_n) over n >= first for the limit identity
+    ``(relative, kind)``, below trunc, with v_0, v_1, ... read in one pass
+    from ``values(n_max, trunc)``.
 
-    ``power(n)`` is a provable lower bound for the order contributed by
-    the weight sequence alone; summation stops once it reaches trunc.  Two
-    probe terms past the cutoff guard against sequences that violate the
-    nonnegative-order assumption the cutoff relies on.
+    With a decaying weight the sum stops before the first n with
+    q^power(n) at or above trunc: ``power(n)`` is a provable lower bound for
+    the order the weight alone contributes.  The two terms past the cut
+    must vanish below trunc, a guard against values of negative order.
+    Without one (first = 0) the sum is the even/odd average of partial
+    sums, :func:`stabilized_sum` over its term budget, certified by
+    ``tail_order`` when one is given.
     """
-    total = QSeries.zero(trunc)
-    n = first
-    while power(n) < trunc:
-        total = total + term_at(n)
-        n += 1
-    for probe in (n, n + 1):
-        lo = term_at(probe).min_order()
-        if lo is not None and lo < trunc:
-            raise QSeriesError(
-                "limit-identity term re-entered below trunc past the cutoff"
-            )
-    return total.truncate(trunc)
+    _, first, power = LIMIT_WEIGHTS[relative, kind]
+    if power is None:
+        n_max = averaging_budget(trunc)
+    else:
+        n_max = next(n for n in count(first) if power(n) >= trunc) + 1
+    terms = (term(n, v) for n, v in enumerate(values(n_max, trunc)) if n >= first)
+    if power is None:
+        return stabilized_sum(terms, trunc, tail_order=tail_order)
+    *kept, probe, next_probe = terms
+    if not (probe.is_zero() and next_probe.is_zero()):
+        raise QSeriesError("limit-identity term re-entered below trunc past the cutoff")
+    return sum(kept, QSeries.zero(trunc))
 
 
-def verify_limiting_identity(
-    pair: BaileyPair,
-    relative: str,
-    kind: str,
-    trunc,
-    n_bound: int = 600,
-) -> CheckReport:
+def left_side(pair: BaileyPair, kind: str, trunc, tail_order=None) -> QSeries:
+    """The left side of the limit identity ``(pair.relative, kind)`` on
+    ``pair``: the sum over n >= first of the :func:`weighted_term` of
+    beta_n, below the finite ``trunc``, from one pass of ``pair.betas``.
+    ``tail_order`` certifies an averaged sum (see :func:`stabilized_sum`)."""
+    term = partial(weighted_term, pair.relative, kind, trunc=trunc)
+    return _limit_sum(pair.relative, kind, pair.betas, term, trunc, tail_order)
+
+
+def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) -> CheckReport:
     """Verify one of the four limit identities on a pair, below trunc.
 
     The identity is selected by ``(relative, kind)``, and its weights are
     read from :data:`LIMIT_WEIGHTS`: ``gauss`` weights carry the triangular
     power q^{n(n+1)/2}; ``even`` weights use (q^2;q^2) Pochhammers.
-    ``relative`` must match the pair's own relative parameter.  The
-    ``even`` identity for relative q has no decaying weight on either
-    side, so both sides are summed with stabilized averaging.
+    ``relative`` must match the pair's own relative parameter.  Both sides
+    are summed by the same rule; the ``even`` identity for relative q has
+    no decaying weight on either side, so both are averaged.
     """
     if relative not in RELATIVES:
         raise QSeriesError(f"relative must be one of {RELATIVES}")
@@ -401,33 +393,27 @@ def verify_limiting_identity(
             f"pair is relative {pair.relative!r} but the requested "
             f"identity needs relative {relative!r}"
         )
-    t = _require_positive(trunc)
+    t = positive_trunc(trunc)
     params = {
         "relative": relative,
         "kind": kind,
         "label": pair.label,
         "trunc": _exact_str(t),
     }
-    s, first, power = LIMIT_WEIGHTS[relative, kind]
+    s, _, power = LIMIT_WEIGHTS[relative, kind]
 
-    def lhs_at(n: int) -> QSeries:
-        return weighted_term(relative, kind, n, pair.beta(n, t), t)
+    def alphas(n_max: int, trunc) -> Iterator[QSeries]:
+        return (pair.alpha(n, trunc) for n in range(n_max + 1))
 
-    def rhs_at(n: int) -> QSeries:
-        term = pair.alpha(n, t)
-        if power is not None:
-            term = term.shift(power(n))
+    def rhs_at(n: int, alpha: QSeries) -> QSeries:
+        term = alpha if power is None else alpha.shift(power(n))
         term = term.truncate(t)
         if relative == "one":
             term = divide_one_minus_power(term, s * n)
         return -term if n % 2 else term
 
-    if power is None:
-        lhs = stabilized_sum(lhs_at, t, n_bound=n_bound)
-        rhs = stabilized_sum(rhs_at, t, n_bound=n_bound)
-    else:
-        lhs = _sum_weighted_terms(lhs_at, first, power, t)
-        rhs = _sum_weighted_terms(rhs_at, first, power, t)
+    lhs = left_side(pair, kind, t)
+    rhs = _limit_sum(relative, kind, alphas, rhs_at, t)
     if relative == "q":
         one_minus_q = QSeries.one(t) - QSeries.monomial(1, 1, t)
         rhs = (one_minus_q * rhs).truncate(t)

@@ -44,10 +44,9 @@ from functools import partial
 
 from .agpolys import ag_polynomials, verify_ag_relation
 from .bailey import (
+    CHAIN_PAIRS,
     IDENTITY_KINDS,
     RELATIVES,
-    pair_relative_one,
-    pair_relative_q,
     synthetic_pair,
     unit_pair,
     verify_limiting_identity,
@@ -344,19 +343,16 @@ def _checks_classical_reps(cfg: RunConfig):
     ]
 
 
-_CHAIN_PAIRS = {"one": pair_relative_one, "q": pair_relative_q}
-
-
 def _check_unit_pair(relative, nmax, order):
     return verify_pair(unit_pair(relative), nmax, order)
 
 
 def _check_chain_pair(relative, k, ell, nmax, order):
-    return verify_pair(_CHAIN_PAIRS[relative](k, ell), nmax, order)
+    return verify_pair(CHAIN_PAIRS[relative](k, ell), nmax, order)
 
 
 def _check_limit(relative, kind, order):
-    return verify_limiting_identity(_CHAIN_PAIRS[relative](1, 1), relative, kind, order)
+    return verify_limiting_identity(CHAIN_PAIRS[relative](1, 1), relative, kind, order)
 
 
 def _check_synthetic_pairs(order):

@@ -27,8 +27,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .agpolys import ag_polynomials, ag_polynomials_at_root
-from .bailey import LIMIT_WEIGHTS, weighted_term
+from .agpolys import ag_polynomials_at_root
+from .bailey import CHAIN_PAIRS, LIMIT_WEIGHTS, left_side
 from .cyclotomic import CycNumber, check_root_order, root_sums
 from .reports import CheckReport, report_from_condition
 from .series import (
@@ -142,28 +142,17 @@ FAMILIES = {
 
 def family_series(j: int, k: int, ell: int, trunc) -> QSeries:
     """Exact expansion of family ``j`` with parameters ``(k, ell)``: the sum
-    its :data:`FAMILIES` record names.  Family 2's sum converges only
-    through even/odd averaging of partial sums; the averaging runs under a
-    certified tail bound (order >= 2N at step N) that is checked against
-    every observed increment.
+    its :data:`FAMILIES` record names, ``sum_scale`` times the limit-identity
+    left side on its chain pair.  Family 2's sum converges only through
+    even/odd averaging of partial sums; the averaging runs under a certified
+    tail bound (order >= 2N at step N) that is checked against every
+    observed increment.
     """
     _validate_family(j, k, ell)
-    t = finite_trunc(trunc)
-    size = int_slots(t)
-    if size <= 0:
-        return QSeries.zero(t)
     fam = FAMILIES[j]
-    _, first, power = LIMIT_WEIGHTS[fam.identity]
-    if power is None:  # as many terms as the averaging may take
-        n_max = first + 2 * size + 8
-    else:  # the terms before q^power(n) reaches trunc
-        n_max = next(n for n in itertools.count(first) if power(n) >= t) - 1
-    chain = ag_polynomials(k, ell, first, n_max, t)
-    terms = (weighted_term(*fam.identity, n, chain[n], t) for n in range(first, n_max + 1))
-    if power is None:
-        total = stabilized_sum(terms, t, n_bound=2 * size + 8, tail_order=lambda n: 2 * n)
-    else:
-        total = sum(terms, QSeries.zero(t))
+    relative, kind = fam.identity
+    pair = CHAIN_PAIRS[relative](k, ell)
+    total = left_side(pair, kind, finite_trunc(trunc), tail_order=lambda n: 2 * n)
     return total.scale(fam.sum_scale)
 
 
@@ -206,9 +195,7 @@ def sigma_series(rep: str, trunc) -> QSeries:
             p = pochhammer("q", i, t)
             return -p if i % 2 else p
 
-        return stabilized_sum(
-            term_at, t, n_bound=2 * size + 8, tail_order=lambda n: 2 * n
-        ).scale(2)
+        return stabilized_sum(term_at, t, tail_order=lambda n: 2 * n).scale(2)
     if rep == "indefinite":
         return QSeries.from_dense(sigma_coefficients(size - 1), t)
     raise QSeriesError(f"unknown representation {rep!r}; expected one of {SIGMA_REPS}")

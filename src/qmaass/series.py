@@ -68,6 +68,14 @@ def finite_trunc(trunc) -> Fraction:
     return Fraction(trunc)
 
 
+def positive_trunc(trunc) -> Fraction:
+    """A finite ``trunc`` > 0: a check below q^0 or lower compares nothing."""
+    t = finite_trunc(trunc)
+    if t <= 0:
+        raise QSeriesError(f"a check needs a positive truncation order, got {t}")
+    return t
+
+
 def int_slots(trunc) -> int:
     """Number of integer exponents e with 0 <= e < trunc."""
     return max(0, math.ceil(Fraction(trunc)))
@@ -769,18 +777,22 @@ def gaussian_binomial(n: int, k: int, trunc=INF) -> QSeries:
 
 # ------------------------------------------------------------- stabilized sum
 
+def averaging_budget(trunc) -> int:
+    """The number of terms past the first that :func:`stabilized_sum` may
+    take below ``trunc``: 2 ceil(trunc) + 8, and at least 600."""
+    return 600 if trunc == INF else max(600, 2 * int_slots(finite_trunc(trunc)) + 8)
+
+
 def stabilized_sum(
     terms,
     trunc,
-    n_bound: int = 600,
     tail_order: Callable[[int], _EXPONENT] | None = None,
-    settle: int = 4,
 ) -> QSeries:
     """Averaged partial sums (S_{2N} + S_{2N+1})/2 of a term sequence.
 
     ``terms`` is a callable i -> t_i or an iterable of terms; either way
     each term is taken once, in increasing order of i, and at most
-    ``n_bound + 1`` of them are taken.
+    ``averaging_budget(trunc) + 1`` of them are taken.
 
     For alternating sequences whose raw partial sums oscillate forever in
     low-order coefficients, the even/odd average settles; this returns its
@@ -791,15 +803,15 @@ def stabilized_sum(
     ``tail_order(N)``.  When supplied, the sum stops as soon as the bound
     clears ``trunc`` and every observed increment is checked against its
     promise (a violation is a hard error, since it would falsify the bound).
-    Without it the engine settles observationally: ``settle`` consecutive
+    Without it the engine settles observationally: 4 consecutive
     increments must vanish identically below ``trunc`` before it stops, and
-    exhausting ``n_bound`` terms raises :class:`StabilizationError` carrying
+    exhausting the term budget raises :class:`StabilizationError` carrying
     the first unstable exponent.
     """
     t = Fraction(trunc) if isinstance(trunc, int) else trunc
     if callable(terms):
         terms = map(terms, count())
-    trimmed = (s.truncate(t) for s in islice(terms, n_bound + 1))
+    trimmed = (s.truncate(t) for s in islice(terms, averaging_budget(t) + 1))
 
     # Accumulate twice the averages, so that integer coefficients stay ints:
     # 2 A_0 = 2 t_0 + t_1, and step n adds t_(2n-1) + 2 t_(2n) + t_(2n+1),
@@ -838,7 +850,7 @@ def stabilized_sum(
                 break
         elif delta.is_zero():
             streak += 1
-            if streak >= settle:
+            if streak >= 4:
                 break
         else:
             streak = 0

@@ -43,7 +43,7 @@ from .bessel import k0_bessel
 from .cyclotomic import CycNumber
 from .families import FAMILIES, _affine, _validate_family, family_series
 from .reports import CheckReport, _exact_str, report_from_comparison
-from .series import PrecisionError, QSeries, QSeriesError, finite_trunc
+from .series import PrecisionError, QSeries, QSeriesError, finite_trunc, positive_trunc
 
 
 def unit_phase(w) -> complex:
@@ -482,8 +482,9 @@ def family_lattice_numeric(j: int, k: int, ell: int, x, t, eps: float = 1e-15):
 
 def verify_family_lattice(j: int, k: int, ell: int, trunc) -> CheckReport:
     """Compare a defining family sum with its closed lattice expansion."""
-    lhs = family_series(j, k, ell, trunc)
-    rhs = family_lattice_series(j, k, ell, trunc)
+    t = positive_trunc(trunc)
+    lhs = family_series(j, k, ell, t)
+    rhs = family_lattice_series(j, k, ell, t)
     return report_from_comparison(
         "family_lattice_identity", {"j": j, "k": k, "ell": ell}, lhs, rhs
     )
@@ -492,7 +493,7 @@ def verify_family_lattice(j: int, k: int, ell: int, trunc) -> CheckReport:
 def verify_theta_embedding(j: int, k: int, ell: int, trunc) -> CheckReport:
     """Certify theta = scale * q^alpha * family(q^power) below ``trunc``."""
     data = family_params(j, k, ell)
-    t = Fraction(trunc)
+    t = positive_trunc(trunc)
     theta = indefinite_theta_series(data.params, t)
     inner_trunc = (t - data.alpha) / data.power
     fam = family_series(j, k, ell, inner_trunc)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmaass.bailey as bailey
+from qmaass.agpolys import ag_polynomial
 from qmaass.bailey import (
     BaileyPair,
     pair_relative_one,
@@ -38,6 +40,11 @@ def reference_right_side(pair: BaileyPair, n: int, trunc) -> QSeries:
         term = term * inverse_pochhammer(second, n + m, t)
         total = total + term
     return total.truncate(t)
+
+
+def beta(pair: BaileyPair, n: int, trunc) -> QSeries:
+    """beta_n of the pair: the last of the betas up to n."""
+    return list(pair.betas(n, trunc))[n]
 
 # ------------------------------------------------------------ quadratic shift
 
@@ -79,13 +86,14 @@ def test_pair_q_alpha_frozen():
 def test_pair_one_vanishing_at_zero():
     pair = pair_relative_one(2, 1)
     assert pair.alpha(0, 10).is_zero()
-    assert pair.beta(0, 10).is_zero()
+    assert beta(pair, 0, 10).is_zero()
+    assert list(pair.betas(3, 10))[0].is_zero()
 
 
 def test_pair_q_at_zero():
     pair = pair_relative_q(2, 1)
     assert pair.alpha(0, 10) == QSeries.one(10)
-    assert pair.beta(0, 10) == QSeries.one(10)
+    assert beta(pair, 0, 10) == QSeries.one(10)
 
 
 def test_pair_alpha_integer_exponents():
@@ -110,10 +118,10 @@ def test_pair_parameter_validation():
 def test_unit_pair_beta_formula():
     pair = unit_pair("one")
     want = (pochhammer("q", 3, 30) * pochhammer("q", 3, 30)).inverse()
-    assert pair.beta(3, 30) == want.truncate(30)
+    assert beta(pair, 3, 30) == want.truncate(30)
     pair_q = unit_pair("q")
     want_q = (pochhammer("q", 2, 30) * pochhammer("q2;q", 2, 30)).inverse()
-    assert pair_q.beta(2, 30) == want_q.truncate(30)
+    assert beta(pair_q, 2, 30) == want_q.truncate(30)
 
 
 def test_verify_unit_pairs():
@@ -133,17 +141,76 @@ def test_verify_chain_pairs_small():
 def test_verify_pair_negative_control():
     base = pair_relative_q(1, 1)
 
-    def bad_beta(n, trunc):
-        out = base.beta(n, trunc)
-        if n == 1:
-            out = out + QSeries.monomial(1, 1, trunc)
+    def bad_betas(n_max, trunc):
+        out = list(base.betas(n_max, trunc))
+        out[1] = out[1] + QSeries.monomial(1, 1, trunc)
         return out
 
-    corrupted = BaileyPair(relative="q", alpha=base.alpha, beta=bad_beta)
+    corrupted = BaileyPair(relative="q", alpha=base.alpha, betas=bad_betas)
     report = verify_pair(corrupted, 4, 30)
     assert not report.ok
     assert report.to_json_dict()["n"] == 1
     assert "first_mismatch_exponent" in report.to_json_dict()
+
+
+# ---------------------------------------------------------------------- betas
+
+
+@pytest.mark.parametrize("maker, b", [(pair_relative_one, 1), (pair_relative_q, 0)])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("trunc, n_max", [(7, 9), (Fraction(13, 2), 2), (Fraction(9, 2), 8), (12, 12)])
+def test_chain_betas_match_one_walk_per_n(maker, b, k, trunc, n_max):
+    # One walk to n_max gives what a walk per n gives, also past
+    # n = ceil(trunc) - 1, where the chain polynomials stop changing.
+    for ell in range(1, k + 1):
+        betas = list(maker(k, ell).betas(n_max, trunc))
+        assert len(betas) == n_max + 1
+        assert betas[0] == (QSeries.zero(trunc) if b else ag_polynomial(k, ell, 0, 0, trunc))
+        for n in range(1, n_max + 1):
+            assert betas[n] == ag_polynomial(k, ell, b, n, trunc), (ell, n)
+            assert betas[n].trunc == trunc
+
+
+@pytest.mark.parametrize("maker", [pair_relative_one, pair_relative_q])
+def test_chain_pair_check_takes_one_walk_to_n_max(maker, monkeypatch):
+    # verify_pair reads beta_0 .. beta_n_max from one chain walk that stops
+    # at n_max, not at ceil(trunc) - 1.
+    walks = []
+    walk = bailey.ag_polynomials
+
+    def counting(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(bailey, "ag_polynomials", counting)
+    assert verify_pair(maker(3, 2), 8, 400).ok
+    assert [args[3] for args in walks] == [8]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_corrupted_betas_fail_the_limit_identities(n):
+    # The left sides read the pair's betas: one extra term in beta_n shows.
+    base = pair_relative_q(2, 1)
+
+    def bad_betas(n_max, trunc):
+        out = list(base.betas(n_max, trunc))
+        out[n] = out[n] + QSeries.monomial(1, 3, trunc)
+        return out
+
+    corrupted = BaileyPair(relative="q", alpha=base.alpha, betas=bad_betas)
+    for kind in ("gauss", "even"):
+        assert verify_limiting_identity(base, "q", kind, 30).ok
+        assert not verify_limiting_identity(corrupted, "q", kind, 30).ok, kind
+
+
+@pytest.mark.parametrize("trunc", [1, 2, 3, 4, 5, 6, 620])
+def test_averaged_identity_term_budget(trunc):
+    # This pair's averaged sides settle only after about ceil(trunc) + 17
+    # terms: more than 2 ceil(trunc) + 8 at trunc 1 to 6, and more than
+    # 600 at trunc 620.  The budget is the larger of the two.
+    pair = synthetic_pair("q", random.Random(3))
+    report = verify_limiting_identity(pair, "q", "even", trunc)
+    assert report.ok, report.to_json_dict()
 
 
 # ------------------------------------------------------------ limit identities
@@ -196,13 +263,13 @@ def test_synthetic_relative_one_support_excludes_zero():
     for _ in range(20):
         pair = synthetic_pair("one", rng)
         assert pair.alpha(0, 10).is_zero()
-        assert pair.beta(0, 10).is_zero()
+        assert beta(pair, 0, 10).is_zero()
 
 
 @pytest.mark.parametrize("relative", ["one", "q"])
 def test_built_in_alphas_are_memoized(relative, monkeypatch):
-    # Every relation sweep reads alpha_m once, and the synthetic beta runs
-    # a sweep of its own: each (m, trunc) must build its series once, not
+    # Every relation sweep reads alpha_m once, and the synthetic betas run
+    # a sweep of their own: each (m, trunc) must build its series once, not
     # once per sweep.
     built = []
     monomial = QSeries.monomial.__func__
@@ -213,8 +280,9 @@ def test_built_in_alphas_are_memoized(relative, monkeypatch):
 
     monkeypatch.setattr(QSeries, "monomial", classmethod(counting))
     pair = synthetic_pair(relative, random.Random(3))
-    for n, _ in zip(range(8), relation_sums(pair, 20)):
-        pair.beta(n, 20)
+    for _ in zip(range(8), relation_sums(pair, 20)):
+        pass
+    assert len(list(pair.betas(7, 20))) == 8
     assert len(built) == 8
     unit = unit_pair(relative)
     assert all(unit.alpha(m, 20) is unit.alpha(m, 20) for m in (0, 1))
@@ -228,21 +296,18 @@ def test_limit_identity_left_side_is_family(j, k, ell):
     trunc = 25
     sign = lambda n: -1 if n % 2 else 1  # noqa: E731
     triangle = lambda n: n * (n + 1) // 2  # noqa: E731
-    if j in (1, 2):
-        beta = pair_relative_q(k, ell).beta
-    else:
-        beta = pair_relative_one(k, ell).beta
+    pair = (pair_relative_q if j in (1, 2) else pair_relative_one)(k, ell)
 
     def term(n: int) -> QSeries:
         if j == 1:  # (q)_n (-1)^n q^(n(n+1)/2) beta_n
-            out = (pochhammer("q", n, trunc) * beta(n, trunc)).shift(triangle(n))
+            out = (pochhammer("q", n, trunc) * beta(pair, n, trunc)).shift(triangle(n))
         elif j == 2:  # (q^2;q^2)_n (-1)^n beta_n
-            out = pochhammer("q2", n, trunc) * beta(n, trunc)
+            out = pochhammer("q2", n, trunc) * beta(pair, n, trunc)
         elif j == 3:  # (q)_(n-1) (-1)^n q^(n(n+1)/2) beta_n
-            out = pochhammer("q", n - 1, trunc) * beta(n, trunc)
+            out = pochhammer("q", n - 1, trunc) * beta(pair, n, trunc)
             out = out.shift(triangle(n))
         else:  # 2 (q^2;q^2)_(n-1) (-1)^n q^n beta_n
-            out = (pochhammer("q2", n - 1, trunc) * beta(n, trunc)).shift(n)
+            out = (pochhammer("q2", n - 1, trunc) * beta(pair, n, trunc)).shift(n)
             out = out.scale(2)
         return out.truncate(trunc).scale(sign(n))
 
@@ -283,12 +348,12 @@ def test_definition_right_side_unit():
 
 def _polynomial_pair(relative: str, alphas: dict) -> BaileyPair:
     """A pair whose alpha_m is the polynomial alphas[m] (a list of (exponent,
-    coefficient) terms); beta is unused by the relation sums."""
+    coefficient) terms); the relation sums read no betas, so it has none."""
 
     def alpha(m: int, trunc) -> QSeries:
         return QSeries.from_terms(alphas.get(m, ()), trunc)
 
-    return BaileyPair(relative=relative, alpha=alpha, beta=alpha)
+    return BaileyPair(relative=relative, alpha=alpha, betas=lambda n_max, trunc: ())
 
 
 _polynomial = st.lists(
@@ -319,9 +384,10 @@ def test_relation_sums_match_the_double_product_loop(relative, alphas, top, offs
 def test_relation_sums_of_chain_pairs(maker, k, ell):
     pair = maker(k, ell)
     for trunc in (40, Fraction(79, 2)):
+        betas = pair.betas(12, trunc)
         for n, got in zip(range(13), relation_sums(pair, trunc)):
             assert got == reference_right_side(pair, n, trunc), (trunc, n)
-            assert got == pair.beta(n, trunc), (trunc, n)
+            assert got == betas[n], (trunc, n)
 
 
 @pytest.mark.parametrize("exponent", [-1, Fraction(1, 2), Fraction(-3, 2)])
@@ -340,8 +406,8 @@ def test_relation_sums_take_one_product_per_alpha(monkeypatch):
     pair = pair_relative_q(3, 2)
     t = Fraction(60)
     nonzero = sum(not pair.alpha(m, t).is_zero() for m in range(13))
-    betas = [pair.beta(n, t) for n in range(13)]
-    warmed = BaileyPair("q", pair.alpha, lambda n, trunc: betas[n], pair.label)
+    betas = pair.betas(12, t)
+    warmed = BaileyPair("q", pair.alpha, lambda n_max, trunc: betas[: n_max + 1], pair.label)
     products = []
     mul = QSeries.__mul__
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-import qmaass.families as families
+import qmaass.bailey as bailey
 from qmaass.agpolys import ag_polynomial
 from qmaass.cyclotomic import CycNumber
 from qmaass.families import (
@@ -154,13 +154,13 @@ def test_family_series_takes_one_walk_and_no_chain_products(monkeypatch):
     walks, products, terms = [], [], []
 
     def counted(log, fn):
-        def call(*args):
+        def call(*args, **kwargs):
             log.append(args)
-            return fn(*args)
+            return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(families, "ag_polynomials", counted(walks, families.ag_polynomials))
-    monkeypatch.setattr(families, "weighted_term", counted(terms, families.weighted_term))
+    monkeypatch.setattr(bailey, "ag_polynomials", counted(walks, bailey.ag_polynomials))
+    monkeypatch.setattr(bailey, "weighted_term", counted(terms, bailey.weighted_term))
     monkeypatch.setattr(QSeries, "__mul__", counted(products, QSeries.__mul__))
     for j in (1, 2, 3, 4):
         for log in (walks, products, terms):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmaass import series
-from qmaass.agpolys import PartitionConstraint, ag_generating, ag_polynomials
+from qmaass.agpolys import PartitionConstraint, ag_generating, ag_polynomials, verify_ag_relation
 from qmaass.bailey import (
     pair_relative_q,
     relation_sums,
@@ -27,7 +27,13 @@ from qmaass.bailey import (
 )
 from qmaass.cyclotomic import CycNumber, root_sums
 from qmaass.families import family_series, sigma_series, sigma_star_series
-from qmaass.theta import family_lattice_series, family_params, indefinite_theta_series
+from qmaass.theta import (
+    family_lattice_series,
+    family_params,
+    indefinite_theta_series,
+    verify_family_lattice,
+    verify_theta_embedding,
+)
 from qmaass.series import (
     INF,
     PrecisionError,
@@ -624,7 +630,7 @@ def test_stabilized_sum_alternating_constant():
 
 def test_stabilized_sum_divergent_raises():
     with pytest.raises(StabilizationError) as err:
-        stabilized_sum(lambda i: QSeries.one(8), trunc=8, n_bound=30)
+        stabilized_sum(lambda i: QSeries.one(8), trunc=8)
     assert err.value.first_unstable_exponent == 0
     assert isinstance(err.value, PrecisionError)
 
@@ -897,18 +903,15 @@ def _outcome(fn):
         st.builds(Fraction, st.integers(-6, 24), st.integers(1, 12)),
         st.integers(-3, 8),
     ),
-    st.integers(1, 3),
     st.sampled_from([None, 1, 2]),
 )
-def test_stabilized_sum_matches_fraction_formulas(raw, step, trunc, settle, slope):
+def test_stabilized_sum_matches_fraction_formulas(raw, step, trunc, slope):
     # Shifted by step * i, the terms leave every finite window, so the sum
     # can settle; step 0 and an infinite trunc exercise the failures.
     seq = [s.shift(step * i) for i, s in enumerate(raw)]
     tail = None if slope is None else (lambda n: slope * n - 1)
-    got = _outcome(lambda: stabilized_sum(seq, trunc, settle=settle, tail_order=tail))
-    want = _outcome(
-        lambda: ref_stabilized_sum([ref(s) for s in seq], trunc, settle, tail)
-    )
+    got = _outcome(lambda: stabilized_sum(seq, trunc, tail_order=tail))
+    want = _outcome(lambda: ref_stabilized_sum([ref(s) for s in seq], trunc, 4, tail))
     assert got[0] == want[0]
     if got[0] == "sum":
         assert_same(got[1], want[1])
@@ -1004,6 +1007,8 @@ _FINITE_TRUNC_ENTRY_POINTS = {
     "ag_generating": lambda t: ag_generating(PartitionConstraint(3, 1, 4, 2), t),
     "indefinite_theta_series": lambda t: indefinite_theta_series(family_params(1, 1, 1).params, t),
     "family_lattice_series": lambda t: family_lattice_series(1, 1, 1, t),
+    "verify_theta_embedding": lambda t: verify_theta_embedding(1, 1, 1, t),
+    "verify_family_lattice": lambda t: verify_family_lattice(1, 1, 1, t),
 }
 
 
@@ -1016,6 +1021,22 @@ def test_non_finite_truncs_are_refused(entry, trunc):
         _FINITE_TRUNC_ENTRY_POINTS[entry](trunc)
     with pytest.raises(QSeriesError, match="finite truncation order"):
         _FINITE_TRUNC_ENTRY_POINTS[entry](INF)
+
+
+@pytest.mark.parametrize("trunc", [0, -3, Fraction(-1, 2)])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda t: verify_theta_embedding(1, 1, 1, t),
+        lambda t: verify_family_lattice(2, 2, 1, t),
+        lambda t: verify_ag_relation(2, 1, 0, 3, up_to=t),
+    ],
+    ids=["theta_embedding", "family_lattice", "ag_relation"],
+)
+def test_checks_refuse_nonpositive_truncs(check, trunc):
+    # Below q^0 or lower a check compares nothing, so it may not pass.
+    with pytest.raises(QSeriesError, match="positive truncation order"):
+        check(trunc)
 
 
 @pytest.mark.parametrize("trunc", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
