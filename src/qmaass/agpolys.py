@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .cyclotomic import root_sums
 from .reports import CheckReport, report_from_comparison
 from .series import (
-    INF, QSeries, QSeriesError, TruncatedL1, TruncatedRing, finite_trunc, int_slots, positive_trunc,
+    INF, L1Bound, QSeries, QSeriesError, TruncatedRing, finite_trunc, int_slots, positive_trunc,
 )
 
 __all__ = [
@@ -114,7 +114,7 @@ def ag_polynomials(k: int, ell: int, b: int, n_max: int, trunc=INF) -> list[QSer
     whole = trunc == INF
     t = INF if whole else finite_trunc(trunc)
     slots = _degree_bound(k, b, n_max) + 1 if whole else int_slots(t)
-    sizes = _walk(TruncatedL1(INF if whole else slots), k, ell, b, n_max)
+    sizes = _walk(L1Bound(INF if whole else slots), k, ell, b, n_max)
     ring = TruncatedRing(slots, max(sizes))
     out, prev = [], None
     for n, a in enumerate(_walk(ring, k, ell, b, n_max)):

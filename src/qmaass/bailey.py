@@ -331,9 +331,13 @@ def weighted_term(relative: str, kind: str, n: int, beta: QSeries, trunc) -> QSe
     """The n-th left-side term (-1)^n q^power(n) (q^s;q^s)_(n-first) beta,
     truncated below trunc, of the limit identity ``(relative, kind)``."""
     s, first, power = LIMIT_WEIGHTS[relative, kind]
-    term = pochhammer((1, s, s), n - first, trunc) * beta
-    if power is not None:
-        term = term.shift(power(n))
+    shift = 0 if power is None else power(n)
+    # Terms of beta at or above trunc - shift land at or above trunc, so
+    # beta is cut there first; the Pochhammer keeps trunc, the one cut its
+    # cache holds.
+    term = pochhammer((1, s, s), n - first, trunc) * beta.truncate(trunc - shift)
+    if shift:
+        term = term.shift(shift)
     term = term.truncate(trunc)
     return -term if n % 2 else term
 

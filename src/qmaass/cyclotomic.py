@@ -11,11 +11,11 @@ compositum Q(zeta_lcm) first, which keeps mixed expressions (roots of unity
 with heterogeneous denominators) canonical.
 
 Sums at one root of unity are taken in Z[x]/(x^N - 1), packed by x -> 2^W
-into one int mod 2^(W*N) - 1 (:class:`CyclicRing`), and reduced mod Phi_N
-once (exact, as Phi_N divides x^N - 1).  Only the final value is split into
-digits: run once with x -> 1 and signs dropped, the sum bounds its own L1
-norm by B, and W = B.bit_length() + 2 holds each coefficient as one
-balanced base-2^W digit (:func:`root_sums`).
+into one int mod 2^(W*N) - 1 (:class:`CyclicRing`, on the codec of
+:class:`~qmaass.series.PackedRing`), and reduced mod Phi_N once (exact, as
+Phi_N divides x^N - 1).  Only the final value is split into digits: run
+once with x -> 1 and signs dropped (:class:`~qmaass.series.L1Bound`), the
+sum bounds its own L1 norm, which sizes W (:func:`root_sums`).
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 from fractions import Fraction
 
-from .series import PackedRing, QSeries, QSeriesError, _clean
+from .series import L1Bound, PackedRing, QSeries, QSeriesError, _clean
 
 
 @functools.lru_cache(maxsize=None)
@@ -267,65 +266,29 @@ def check_root_order(N) -> None:
 
 
 class CyclicRing(PackedRing):
-    """Z[x]/(x^N - 1) packed into one int by x -> 2^W, a ring map onto
-    Z/(2^(W*N) - 1) as x^N - 1 -> 0 (Kronecker substitution; Harvey, J.
-    Symb. Comput. 44, 2009).  ``+`` and ``*`` by an int >= 0 are int
-    operations; ``mul`` and ``rot`` (times x^s) fold the bits above W*N
-    back.  Each step is exact; :meth:`decode` needs |c| < 2^(W-2)."""
+    """Z[x]/(x^N - 1), N = ``order``, packed onto Z/(2^(W*N) - 1) as
+    x^N - 1 -> 0: ``mul`` and ``rot`` fold the bits above W*N back."""
 
-    sub = operator.sub
-
-    def __init__(self, order: int, width: int):
-        super().__init__()
-        self.order, self.width, self.bits = order, width, order * width
-        self.mask = (1 << self.bits) - 1  # also the modulus 2^(W*N) - 1
+    def __init__(self, order: int, bound: int):
+        super().__init__(order, bound)
+        self.period, self.bits = order, order * self.width
+        self.modulus = (1 << self.bits) - 1
 
     def mul(self, a: int, b: int) -> int:
         return self.rot(a * b, 0)
 
     def rot(self, a: int, s: int) -> int:
-        a <<= self.width * (s % self.order)
+        a <<= self.width * (s % self.period)
         for _ in range(2):  # twice, so that every value stays near W*N bits
-            a = (a & self.mask) + (a >> self.bits)
+            a = (a & self.modulus) + (a >> self.bits)
         return a
-
-    def binomial(self, top: int, bottom: int) -> int:
-        """[top choose bottom] at a primitive N-th root of unity, by the q-Lucas
-        theorem (Desarmenien, Europ. J. Combin. 3, 1982): C(top // N, bottom // N)
-        [top % N choose bottom % N], the second from the q-Pascal table."""
-        (t1, t0), (b1, b0) = divmod(top, self.order), divmod(bottom, self.order)
-        if not 0 <= bottom <= top or b0 > t0:
-            return 0
-        return super().binomial(t0, b0) * math.comb(t1, b1)
-
-    def encode(self, powers: dict) -> int:
-        return sum(c << self.width * (e % self.order) for e, c in powers.items())
-
-    def decode(self, a: int) -> dict:
-        """The map {exponent: coefficient} of balanced base-2^W digits: with
-        2^(W-1) added, each lies in [0, 2^W - 1), so the residue is least."""
-        half, digit = 1 << self.width - 1, (1 << self.width) - 1
-        a = (a + half * (self.mask // digit)) % self.mask
-        coeffs = ((e, (a >> self.width * e & digit) - half) for e in range(self.order))
-        return {e: c for e, c in coeffs if c}
-
-
-class _L1Bound(CyclicRing):
-    """Width 0 (x -> 1) with signs dropped: each value bounds the L1 norm of the
-    matching :class:`CyclicRing` value, a norm subadditive, submultiplicative
-    and rotation invariant."""
-
-    sub = operator.add
-
-    def encode(self, powers: dict) -> int:
-        return sum(map(abs, powers.values()))
 
 
 def root_sums(order: int, build) -> list[dict]:
     """The elements of the list ``build(ring)`` as integer maps in Z[x]/(x^order - 1):
-    ``build`` runs over the L1 bound ring, whose largest value B bounds every
-    coefficient, then over the :class:`CyclicRing` of width B.bit_length() + 2."""
-    bound = max(build(_L1Bound(order, 0)), default=0)
-    ring = CyclicRing(order, bound.bit_length() + 2)
+    ``build`` runs over the :class:`~qmaass.series.L1Bound` of that period,
+    whose largest value bounds every coefficient, then over the
+    :class:`CyclicRing` of that bound."""
+    bound = max(build(L1Bound(period=order)), default=0)
+    ring = CyclicRing(order, bound)
     return [ring.decode(a) for a in build(ring)]
-

@@ -190,8 +190,6 @@ def family_coeff_table(
     ell: int,
     trunc,
     include_negative: bool = False,
-    region: str = "cone",
-    nu_window: int | None = None,
 ) -> tuple[MaassCoeffTable, dict]:
     """Coefficient table of a family waveform read off its theta series.
 
@@ -199,8 +197,9 @@ def family_coeff_table(
     ``trunc`` (so the positive part of the table reproduces the shifted
     family series term by term).  With ``include_negative`` the
     conjectural negative part is filled from the negative-index series
-    and flagged experimental in the diagnostics — the pairing is
-    reported data, not a certified property.
+    over its cone region, complete below ``trunc``, and flagged
+    experimental in the diagnostics — the pairing is reported data, not a
+    certified property.
     """
     data = family_params(j, k, ell)
     series = indefinite_theta_series(data.params, trunc)
@@ -208,9 +207,7 @@ def family_coeff_table(
     diagnostics: dict[str, object] = {"experimental_negative": False}
     negative_terms: list[tuple[Fraction, object]] = []
     if include_negative:
-        neg, neg_diag = negative_part_series(
-            data.params.M, ell, trunc, region=region, nu_window=nu_window
-        )
+        neg, neg_diag = negative_part_series(data.params.M, ell, trunc, region="cone")
         negative_terms = list(neg.terms())
         exponents.extend(e for e, _ in negative_terms)
         diagnostics["experimental_negative"] = True

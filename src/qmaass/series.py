@@ -357,8 +357,8 @@ class QSeries:
                 raise QSeriesError("leading coefficient is not invertible")
         denom = self.denom
         if self.trunc is INF:
-            # An exact polynomial still inverts to an honest infinite series;
-            # pick a generous default window beyond the polynomial degree.
+            # An exact polynomial inverts to an infinite series: no window
+            # is exact without a truncation order, so none is guessed.
             raise QSeriesError("inverse of an untruncated series needs a finite trunc")
         trunc = self.trunc - Fraction(2 * m0, denom) if m0 else self.trunc
         size = _int_bound(self.trunc, denom) - m0
@@ -440,19 +440,13 @@ class QSeries:
 
 
 def _kronecker_product(xa: dict, xb: dict, bound: int | None) -> dict | None:
-    """Product of two integer-coefficient term maps by Kronecker substitution.
-
-    Each operand is packed into one Python int, the coefficient of q^m as
-    its digit at B^(m - lowest exponent) with B = 256^width, so that one
-    big-int product (CPython's Karatsuba) does the whole convolution
-    (Harvey, J. Symb. Comput. 44, 2009).  Digits are written and read with
-    a bias of B/2, and B is wide enough (every product coefficient is below
-    B/4 in size) that no digit spills into the next.  A width of at most 8
-    bytes is rounded up to a machine word (1, 2, 4 or 8 bytes), so that
-    one ``struct`` call packs or unpacks all digits; wider digits go
-    through per-digit byte strings.  Exponents at or above ``bound`` are
-    dropped.  Returns None, leaving the product to the pairwise loop, when
-    a coefficient is not a plain int or when the operands make fewer than
+    """Product of two integer-coefficient term maps by Kronecker substitution:
+    one big-int product (CPython's Karatsuba) in the :class:`TruncatedRing`
+    of the product's span, cut at ``bound`` (exponents at or above it are
+    dropped).  Its bound is the product of the largest operand coefficients
+    times the shorter operand's length, at least every product coefficient.
+    Returns None, leaving the product to the pairwise loop, when a
+    coefficient is not a plain int or when the operands make fewer than
     ``_PACK_MIN_PAIRS_PER_DIGIT`` term pairs per digit of the product's
     span.
     """
@@ -470,59 +464,57 @@ def _kronecker_product(xa: dict, xb: dict, bound: int | None) -> dict | None:
     if {*map(type, xa.values()), *map(type, xb.values())} != {int}:
         return None
     peak = max(map(abs, xa.values())) * max(map(abs, xb.values()))
-    width = ((peak * min(len(xa), len(xb))).bit_length() + 9) // 8
-    width = next((w for w in _WORD_CODES if w >= width), width)
-    code = _WORD_CODES.get(width)
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * size, "little")  # B/2 per digit
-
-    def packed(terms: dict, lo: int, hi: int) -> int:
-        n = hi - lo + 1
-        digits = [half] * n
-        for m, c in terms.items():
-            if m <= hi:
-                digits[m - lo] += c
-        if code:
-            raw = struct.pack("<%d%s" % (n, code), *digits)
-        else:
-            raw = b"".join(map(int.to_bytes, digits, repeat(width), repeat("little")))
-        return int.from_bytes(raw, "little") - (bias >> (8 * width * (size - n)))
-
-    product = packed(xa, lo_a, hi_a) * packed(xb, lo_b, hi_b) + bias
-    raw = product.to_bytes(width * size, "little")
-    keep = size if bound is None else min(size, bound - lo_a - lo_b)
-    cells = _unpack(raw, width, keep)
-    return {m: c - half for m, c in enumerate(cells, lo_a + lo_b) if c != half}
-
-
-def _unpack(raw: bytes, width: int, count: int):
-    """The first ``count`` little-endian unsigned ``width``-byte digits of ``raw``."""
-    if code := _WORD_CODES.get(width):
-        return struct.unpack_from("<%d%s" % (count, code), raw)
-    return map(int.from_bytes, [raw[i : i + width] for i in range(0, width * count, width)],
-               repeat("little"))
+    slots = size if bound is None else min(size, bound - lo_a - lo_b)
+    ring = TruncatedRing(slots, peak * min(len(xa), len(xb)))
+    return ring.decode(ring.mul(ring.encode(xa, lo_a), ring.encode(xb, lo_b)), lo_a + lo_b)
 
 
 # ------------------------------------------------------------ packed rings
 
 
 class PackedRing:
-    """What the packed polynomial rings share (:class:`TruncatedRing`,
-    :class:`~qmaass.cyclotomic.CyclicRing` and their L1 bounds): exponents
-    at or above ``horizon`` vanish, and Gaussian binomials come from the
-    q-Pascal rule [m, i] = [m-1, i-1] + x^i [m-1, i], tabulated while the
-    ring lives.  A subclass supplies ``mul`` and ``rot`` (times x^s)."""
+    """Z[x]/(x^T) (:class:`TruncatedRing`) or Z[x]/(x^N - 1)
+    (:class:`~qmaass.cyclotomic.CyclicRing`) packed into one int by
+    x -> 2^W, a ring map onto Z/``modulus`` (Kronecker substitution; Harvey,
+    J. Symb. Comput. 44, 2009).  ``+`` and ``*`` by an int >= 0 are int
+    operations, ``sub`` is ``-`` (signs are dropped in an :class:`L1Bound`);
+    a subclass supplies ``modulus``, ``mul`` and ``rot`` (times x^s), each
+    exact.
+
+    A value is the sum of its coefficients c times 2^(W e) over ``slots``
+    exponents e.  :meth:`decode` reads each c back while |c| <= ``bound``:
+    W is ceil((bound.bit_length() + 2) / 8) bytes, rounded up to a machine
+    word up to 8 bytes, so c + 2^(W-1) lies in [2^(W-2), 3 * 2^(W-2)], one
+    unsigned digit that never reaches 2^W - 1.  Exponents at or above
+    ``horizon`` vanish, and with a ``period`` N, x^N = 1.  Gaussian
+    binomials come from the q-Pascal rule [m, i] = [m-1, i-1] + x^i [m-1, i],
+    tabulated while the ring lives.
+    """
 
     horizon = INF
+    period = None
+    sub = operator.sub
 
-    def __init__(self):
+    def __init__(self, slots: int, bound: int):
         self._columns: list[list] = []  # _columns[i][r] = [i + r choose i]
+        nbytes = (bound.bit_length() + 9) // 8
+        self.bytes = next((w for w in _WORD_CODES if w >= nbytes), nbytes)
+        self.width, self.slots = 8 * self.bytes, slots
+        self._half = 1 << self.width - 1
+        self._bias = int.from_bytes(self._half.to_bytes(self.bytes, "little") * slots, "little")
+        code = _WORD_CODES.get(self.bytes)  # wider digits go byte by byte
+        self._words = code and struct.Struct("<%d%s" % (slots, code))
 
     def binomial(self, top: int, bottom: int):
-        """[top choose bottom], zero off 0 <= bottom <= top."""
-        columns, rows = self._columns, top - bottom
+        """[top choose bottom], zero off 0 <= bottom <= top.  With a period N,
+        by the q-Lucas theorem (Desarmenien, Europ. J. Combin. 3, 1982):
+        C(top // N, bottom // N) [top % N choose bottom % N]."""
         if not 0 <= bottom <= top:
             return 0
+        if self.period and top >= self.period:
+            (t1, t0), (b1, b0) = divmod(top, self.period), divmod(bottom, self.period)
+            return self.binomial(t0, b0) * math.comb(t1, b1)
+        columns, rows = self._columns, top - bottom
         if bottom < len(columns) and rows < len(columns[bottom]):
             return columns[bottom][rows]
         columns.extend([1] for _ in range(len(columns), bottom + 1))
@@ -532,19 +524,45 @@ class PackedRing:
                 column.append(columns[i - 1][r] + self.rot(column[r - 1], i) if i else 1)
         return columns[bottom][rows]
 
+    def encode(self, powers: dict, low: int = 0) -> int:
+        """The value of the map {exponent: coefficient} times x^-low, its
+        exponents at least ``low`` (any, with a period): the biased digits
+        packed by one ``struct`` call (byte by byte past 8 bytes), less the
+        bias.  Exponents from ``low + slots`` on vanish."""
+        digits, period, slots = [self._half] * self.slots, self.period, self.slots
+        for e, c in powers.items():
+            e -= low
+            if period:
+                e %= period
+            if e < slots:
+                digits[e] += c
+        if self._words:
+            raw = self._words.pack(*digits)
+        else:
+            raw = b"".join(map(int.to_bytes, digits, repeat(self.bytes), repeat("little")))
+        return int.from_bytes(raw, "little") - self._bias
+
+    def decode(self, a: int, low: int = 0) -> dict:
+        """The map {exponent: coefficient} of the nonzero coefficients of ``a``
+        times x^low: the least residue of a plus the bias, as unsigned
+        digits, each less 2^(W-1)."""
+        w, half = self.bytes, self._half
+        raw = ((a + self._bias) % self.modulus).to_bytes(w * self.slots, "little")
+        if self._words:
+            cells = self._words.unpack(raw)
+        else:
+            cells = map(int.from_bytes, [raw[i : i + w] for i in range(0, len(raw), w)], repeat("little"))
+        return {e: c - half for e, c in enumerate(cells, low) if c != half}
+
 
 class TruncatedRing(PackedRing):
-    """Z[x]/(x^T) packed into one int by x -> 2^W, a ring map onto Z/2^(W*T)
-    as x^T -> 0: ``mul`` is a product and a mask, ``rot`` a shift and a
-    mask.  Each step is exact; :meth:`decode` needs every coefficient in
-    [0, ``bound``], which W, a whole number of bytes, holds."""
+    """Z[x]/(x^T), T = ``slots``, packed onto Z/2^(W*T) as x^T -> 0: ``mul``
+    is a product and a mask, ``rot`` a shift and a mask."""
 
     def __init__(self, slots: int, bound: int):
-        super().__init__()
-        nbytes = -(-bound.bit_length() // 8) or 1
-        self.bytes = next((w for w in _WORD_CODES if w >= nbytes), nbytes)
-        self.width, self.horizon = 8 * self.bytes, slots
-        self.mask = (1 << self.width * slots) - 1
+        super().__init__(slots, bound)
+        self.horizon, self.mask = slots, (1 << self.width * slots) - 1
+        self.modulus = self.mask + 1
 
     def mul(self, a: int, b: int) -> int:
         return a * b & self.mask
@@ -552,26 +570,30 @@ class TruncatedRing(PackedRing):
     def rot(self, a: int, s: int) -> int:
         return a << self.width * s & self.mask if s < self.horizon else 0
 
-    def decode(self, a: int) -> dict:
-        """The map {exponent: coefficient} of the nonzero base-2^W digits."""
-        raw = (a & self.mask).to_bytes(self.bytes * self.horizon, "little")
-        return {e: c for e, c in enumerate(_unpack(raw, self.bytes, self.horizon)) if c}
 
+class L1Bound(PackedRing):
+    """x -> 1 with signs dropped, x^s dropped for s >= ``horizon`` and
+    binomials by q-Lucas for a ``period``: each value bounds the L1 norm of
+    the matching value of the packed ring with that horizon or period, a
+    norm subadditive, submultiplicative and unchanged by rotation, so the
+    largest value is that ring's ``bound``.  With no horizon, a value whose
+    coefficients are all >= 0 is their sum."""
 
-class TruncatedL1(PackedRing):
-    """x -> 1 with x^s dropped for s >= ``horizon``: each value bounds the L1
-    norm of the matching :class:`TruncatedRing` value.  With no horizon, a
-    value whose coefficients are all >= 0 is their sum."""
+    width = 0
+    sub = operator.add
 
-    def __init__(self, horizon):
-        super().__init__()
-        self.horizon = horizon
+    def __init__(self, horizon=INF, period: int | None = None):
+        self._columns = []  # the q-Pascal table; nothing is packed
+        self.horizon, self.period = horizon, period
 
     def mul(self, a: int, b: int) -> int:
         return a * b
 
     def rot(self, a: int, s: int) -> int:
         return a if s < self.horizon else 0
+
+    def encode(self, powers: dict) -> int:
+        return sum(map(abs, powers.values()))
 
 
 # ---------------------------------------------------------------------- utils

@@ -445,7 +445,12 @@ def family_lattice_series(j: int, k: int, ell: int, trunc) -> QSeries:
     return QSeries({e: Fraction(c, denom) for e, c in enumerate(coeffs) if c}, 1, t)
 
 
-def family_lattice_numeric(j: int, k: int, ell: int, x, t, eps: float = 1e-15):
+# Lattice terms of modulus below this are dropped: about the rounding
+# error of a double-precision sum of magnitude 1.
+_LATTICE_TERM_FLOOR = 1e-15
+
+
+def family_lattice_numeric(j: int, k: int, ell: int, x, t):
     """Numeric family value at q = e(x) exp(-t) via the lattice expansion.
 
     ``x`` is an exact rational phase in full turns and ``t`` the radial
@@ -453,7 +458,7 @@ def family_lattice_numeric(j: int, k: int, ell: int, x, t, eps: float = 1e-15):
     a grid of them (a list of values).  Every lattice term has modulus
     exp(-t * exponent) <= 1, so this route is free of the catastrophic
     cancellation the defining hypergeometric sums suffer near the
-    circle.  At each t the terms with exp(-t * exponent) >= ``eps`` are
+    circle.  At each t the terms with exp(-t * exponent) >= 1e-15 are
     summed from one integer coefficient table, shared by the grid.  With
     x = p/q the exponents r0 + q m of one residue class share the phase
     e(p r0 / q), reduced exactly, and their decay factors exp(-t q m).
@@ -465,7 +470,7 @@ def family_lattice_numeric(j: int, k: int, ell: int, x, t, eps: float = 1e-15):
         raise QSeriesError("the radial distance must be positive and finite")
     xq = Fraction(x)
     p, q = xq.numerator, xq.denominator
-    cutoff = -math.log(eps)
+    cutoff = -math.log(_LATTICE_TERM_FLOOR)
     limits = [math.floor(cutoff / s) + 1 for s in ts]
     coeffs, denom = _lattice_coefficients(j, k, ell, max(limits))
     phases = [unit_phase(p * r0 % q / q) for r0 in range(min(q, max(limits)))]

@@ -288,6 +288,26 @@ def test_built_in_alphas_are_memoized(relative, monkeypatch):
     assert all(unit.alpha(m, 20) is unit.alpha(m, 20) for m in (0, 1))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(bailey.LIMIT_WEIGHTS)),
+    st.integers(0, 9),
+    st.dictionaries(st.integers(-6, 60), st.integers(-50, 50).filter(bool), max_size=30),
+    st.sampled_from([Fraction(60), Fraction(121, 2), Fraction(7, 3)]),
+    st.sampled_from([-20, 0, 5, math.inf]),
+)
+def test_weighted_term_cuts_beta_before_the_product(identity, n, coeffs, trunc, slack):
+    # weighted_term cuts beta at trunc - power(n) before multiplying; the
+    # term and its truncation equal the full product, shifted and cut.
+    s, first, power = bailey.LIMIT_WEIGHTS[identity]
+    n = max(n, first)
+    beta_n = QSeries(coeffs, 1, trunc + slack)
+    want = pochhammer((1, s, s), n - first, trunc) * beta_n
+    want = want.shift(0 if power is None else power(n)).truncate(trunc).scale((-1) ** n)
+    got = bailey.weighted_term(*identity, n, beta_n, trunc)
+    assert got == want and got.trunc == want.trunc
+
+
 @pytest.mark.parametrize("k, ell", [(1, 1), (2, 1), (3, 2)])
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
 def test_limit_identity_left_side_is_family(j, k, ell):

@@ -229,7 +229,8 @@ def test_extreme_digits_of_both_signs_decode(N):
 
 def test_ring_width_comes_from_the_l1_bound():
     # The bound pass runs at width 0 (x -> 1); the L1 norm here is 9, and
-    # |coefficient| <= B < 2^(W-2) with W = B.bit_length() + 2.
+    # |coefficient| <= B < 2^(W-2) with W = B.bit_length() + 2 = 6 bits,
+    # rounded up to one byte.
     widths = []
 
     def build(ring):
@@ -237,4 +238,4 @@ def test_ring_width_comes_from_the_l1_bound():
         return [ring.encode({0: 5, 3: -4})]
 
     assert root_sums(7, build) == [{0: 5, 3: -4}]
-    assert widths == [0, (9).bit_length() + 2]
+    assert widths == [0, 8]

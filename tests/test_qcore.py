@@ -25,7 +25,7 @@ from qmaass.bailey import (
     verify_limiting_identity,
     verify_pair,
 )
-from qmaass.cyclotomic import CycNumber, root_sums
+from qmaass.cyclotomic import CycNumber, CyclicRing, root_sums
 from qmaass.families import family_series, sigma_series, sigma_star_series
 from qmaass.theta import (
     family_lattice_series,
@@ -36,10 +36,12 @@ from qmaass.theta import (
 )
 from qmaass.series import (
     INF,
+    L1Bound,
     PrecisionError,
     QSeries,
     QSeriesError,
     StabilizationError,
+    TruncatedRing,
     _kronecker_product,
     clear_caches,
     dense_int_coeffs,
@@ -336,6 +338,48 @@ def test_packed_product_around_each_width_edge(edge, step):
     assert _kronecker_product(xa, xb, None) == pairwise_terms(xa, xb)
     assert _kronecker_product(xa, xb, 4) == pairwise_terms(xa, xb, 4)
     assert _kronecker_product(xa, xa, None) == pairwise_terms(xa, xa)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(WIDTH_EDGES), st.sampled_from([-1, 0, 1]), st.integers(1, 40), st.data())
+def test_packed_rings_decode_what_they_encode(edge, step, slots, data):
+    # Coefficients of both signs up to a bound around each width edge, the
+    # bound itself among them, round-trip through both rings; so does the
+    # negated value, whose packed int is negative.
+    bound = 2**edge + step
+    coeff = st.integers(-bound, bound) | st.sampled_from([-bound, bound])
+    powers = data.draw(st.dictionaries(st.integers(0, slots - 1), coeff, max_size=slots))
+    powers = {e: c for e, c in powers.items() if c}
+    for ring in (TruncatedRing(slots, bound), CyclicRing(slots, bound)):
+        packed = ring.encode(powers)
+        assert ring.decode(packed) == powers
+        assert ring.decode(ring.sub(0, packed)) == {e: -c for e, c in powers.items()}
+
+
+@pytest.mark.parametrize("edge", WIDTH_EDGES)
+def test_packed_width_keeps_two_spare_bits(edge):
+    # W holds bound.bit_length() + 2 bits, in whole machine words up to
+    # 8 bytes: a coefficient at the bound keeps its digit below 2^W - 1.
+    for bound in (2**edge - 1, 2**edge, 2**edge + 1):
+        nbytes = -(-(bound.bit_length() + 2) // 8)
+        nbytes = next((w for w in (1, 2, 4, 8) if w >= nbytes), nbytes)
+        assert TruncatedRing(1, bound).width == CyclicRing(1, bound).width == 8 * nbytes
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 6, 7, 12])
+def test_l1_bound_is_the_q_lucas_l1_norm(N):
+    # With a period the L1 ring takes binomials by q-Lucas, as the cyclic
+    # ring does: C(top // N, bottom // N) C(top % N, bottom % N), the L1
+    # norm of the cyclic value, whose coefficients are all >= 0.
+    bound, ring = L1Bound(period=N), CyclicRing(N, 2**40)
+    for top in range(3 * N + 2):
+        for bottom in range(-1, top + 2):
+            value = ring.decode(ring.binomial(top, bottom))
+            assert all(c > 0 for c in value.values())
+            lucas = 0
+            if 0 <= bottom <= top:
+                lucas = math.comb(top // N, bottom // N) * math.comb(top % N, bottom % N)
+            assert bound.binomial(top, bottom) == sum(value.values()) == lucas
 
 
 def test_wide_span_product_is_exact_and_small():

@@ -24,7 +24,6 @@ from qmaass.bailey import LIMIT_WEIGHTS
 from qmaass.cyclotomic import (
     MAX_ROOT_ORDER,
     CycNumber,
-    _L1Bound,
     root_of_unity_value,
     root_sums,
 )
@@ -32,8 +31,8 @@ from qmaass.families import FAMILIES, kz_root_value, u_root_value, verify_kz_dua
 from qmaass.maass import quantum_value
 from qmaass.series import (
     INF,
+    L1Bound,
     QSeriesError,
-    TruncatedL1,
     TruncatedRing,
     gaussian_binomial,
     int_slots,
@@ -228,11 +227,11 @@ def test_merged_walk_matches_chain_by_chain(case):
     expected = root_sums(N, lambda ring: _chain_by_chain(ring, k, ell, b, n_max))
     assert ag_polynomials_at_root(k, ell, b, n_max, N) == expected
     # The L1 bounds agree too: merging only regroups the same terms.
-    bound = _L1Bound(N, 0)
+    bound = L1Bound(period=N)
     assert _walk(bound, k, ell, b, n_max) == _chain_by_chain(bound, k, ell, b, n_max)
     # Over the truncated ring the walk adds its layer stop and its cut.
     T = int_slots(trunc)
-    sizes = _chain_by_chain(TruncatedL1(T), k, ell, b, n_max)
+    sizes = _chain_by_chain(L1Bound(T), k, ell, b, n_max)
     ring = TruncatedRing(T, max(sizes))
     expected = [ring.decode(a) for a in _chain_by_chain(ring, k, ell, b, n_max)]
     got = ag_polynomials(k, ell, b, n_max, trunc)
@@ -240,7 +239,7 @@ def test_merged_walk_matches_chain_by_chain(case):
     assert all(poly.trunc == trunc for poly in got)
     # With no horizon the L1 walk is each polynomial at q = 1, as the
     # coefficient-sum guard of whole polynomials reads it.
-    whole = TruncatedL1(INF)
+    whole = L1Bound()
     assert _walk(whole, k, ell, b, n_max) == _chain_by_chain(whole, k, ell, b, n_max)
 
 
