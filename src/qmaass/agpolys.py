@@ -25,9 +25,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import root_sums
 from .reports import CheckReport, report_from_comparison
-from .series import (
-    INF, L1Bound, QSeries, QSeriesError, TruncatedRing, finite_trunc, int_slots, positive_trunc,
-)
+from .series import INF, L1Bound, QSeries, QSeriesError, TruncatedRing, finite_trunc, int_slots
 
 __all__ = [
     "PartitionConstraint",
@@ -233,7 +231,7 @@ def ag_generating(constraint: PartitionConstraint, trunc) -> QSeries:
     return QSeries.from_dense(total, trunc)
 
 
-def verify_ag_relation(k: int, ell: int, b: int, n: int, up_to=None) -> CheckReport:
+def verify_ag_relation(k: int, ell: int, b: int, n: int) -> CheckReport:
     """Certify that the reversed chain polynomial counts the constrained partitions.
 
     The chain polynomial with top value ``n`` is reversed about
@@ -253,8 +251,6 @@ def verify_ag_relation(k: int, ell: int, b: int, n: int, up_to=None) -> CheckRep
         )
     degree_bound = _degree_bound(k, b, n)
     compare_to = degree_bound + 2
-    if up_to is not None:
-        compare_to = min(compare_to, positive_trunc(up_to))
     poly = ag_polynomial(k, ell, b, n)
     flipped = QSeries.from_terms(
         ((degree_bound - e, c) for e, c in poly.terms()), trunc=compare_to

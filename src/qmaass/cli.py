@@ -38,7 +38,7 @@ import random
 import re
 import signal
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -77,6 +77,7 @@ from .reports import CheckReport, _exact_str, report_from_comparison, report_fro
 from .series import PrecisionError, QSeriesError, dense_int_coeffs
 from .theta import (
     ThetaParams,
+    completion_cut_suffices,
     completion_defect,
     family_params,
     indefinite_theta_series,
@@ -210,51 +211,26 @@ OPTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated options for one invocation.
+class RunConfig(make_dataclass("RunConfig", ["command", "target", *OPTIONS], frozen=True)):
+    """Validated options for one invocation: its command and target, and
+    one attribute per ``OPTIONS`` key, None for an option the subcommand
+    does not take.
 
     Exact quantities keep their :class:`Fraction` type from the parser
     on; nothing here round-trips a rational through a float.
     """
 
-    command: str
-    target: str
-    order: Fraction | None = None
-    j: int | None = None
-    k: int | None = None
-    ell: int | None = None
-    boundary: int = 0
-    kmax: int | None = None
-    nmax: int | None = None
-    lattice_m: int | None = None
-    shift_a: tuple[Fraction, Fraction] | None = None
-    twist_b: tuple[Fraction, Fraction] | None = None
-    ncut: int | None = None
-    lattice_cut: int | None = None
-    tau: complex | None = None
-    x: Fraction | None = None
-    xs: tuple[Fraction, ...] | None = None
-    gamma: tuple[int, int, int, int] | None = None
-    cohen: bool = False
-    conjugate_image: bool = False
-    tol: float | None = None
-    out: str | None = None
-    fmt: str = "csv"
-
     @classmethod
     def from_args(cls, ns: argparse.Namespace) -> "RunConfig":
         values = {}
         for name, option in OPTIONS.items():
-            if not hasattr(ns, name):  # not an option of this subcommand
-                continue
-            value = getattr(ns, name)
+            value = getattr(ns, name, None)  # absent: not an option of this subcommand
             if value is not None and option.parse:
                 value = option.parse(value)
             if value is not None and option.check:
                 option.check(value, option.flag, ns.command)
             values[name] = value
-        return cls(command=ns.command, target=ns.target, **values)
+        return cls(ns.command, ns.target, **values)
 
     def family(self) -> tuple[int, int, int]:
         """(j, k, ell), each of them required."""
@@ -404,21 +380,28 @@ def _family_grid(check, kmax: int, order, cfg: RunConfig):
 
 def _check_completion(tau, cut, tol, j=None, k=None, ell=None):
     """The completion defect of family j at (k, ell) vanishes; with no
-    family, the defect of the off-family control does not."""
+    family, the defect of the off-family control does not.  A cut whose
+    outer shell still adds terms is a precision failure, not a verdict."""
+    if j is None:
+        # Deliberately off-family shifts: the boundary corrections must NOT
+        # cancel, or the vanishing checks prove nothing.
+        params = ThetaParams(
+            4, (Fraction(1, 5), Fraction(1, 7)), (Fraction(1, 3), Fraction(1, 11))
+        )
+    else:
+        params = family_params(j, k, ell).params
+    if not completion_cut_suffices(params, tau, cut):
+        raise PrecisionError(
+            f"lattice cut {cut} is too short for the completion defect at tau = {tau}"
+        )
+    defect = abs(completion_defect(params, tau, cut))
     if j is not None:
-        defect = abs(completion_defect(family_params(j, k, ell).params, tau, cut))
         return report_from_condition(
             "completion_defect_vanishes",
             {"j": j, "k": k, "ell": ell, "tau": str(tau), "lattice_cut": cut},
             defect < tol,
             {"defect": defect, "tolerance": tol},
         )
-    # Deliberately off-family shifts: the boundary corrections must NOT
-    # cancel, or the vanishing checks prove nothing.
-    params = ThetaParams(
-        4, (Fraction(1, 5), Fraction(1, 7)), (Fraction(1, 3), Fraction(1, 11))
-    )
-    defect = abs(completion_defect(params, tau, cut))
     return report_from_condition(
         "completion_defect_control",
         {"M": 4, "tau": str(tau), "lattice_cut": cut},

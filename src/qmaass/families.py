@@ -276,13 +276,7 @@ def sigma_star_coefficients(n_max: int) -> list:
 # ------------------------------------------------- experimental negative part
 
 
-def negative_part_series(
-    M: int,
-    ell: int,
-    trunc,
-    region: str = "printed",
-    nu_window: tuple | None = None,
-):
+def negative_part_series(M: int, ell: int, trunc, region: str = "printed"):
     """Experimental companion sum over a two-variable lattice region.
 
     With ``X = 2(M+1)n + M - 1`` and ``Y = 2(M-1)v + M - 1 - 2*ell``, each
@@ -315,19 +309,14 @@ def negative_part_series(
     denom = 8 * (M + 1) * (M - 1)
     c = M - 1 - 2 * ell
 
-    if nu_window is None:
-        # |Y| <= y_bound covers every in-cone term below trunc; the printed
-        # region gets a doubled window so near-cone anomalies are surfaced.
-        budget = max(1, math.ceil(t))
-        y_bound = math.isqrt(4 * (M * M - 1) * budget) + 2 * (M - 1)
-        if region == "printed":
-            y_bound *= 2
-        lo = math.ceil(Fraction(-y_bound - c, 2 * (M - 1)))
-        hi = math.floor(Fraction(y_bound - c, 2 * (M - 1)))
-    else:
-        lo, hi = nu_window
-        if lo > hi:
-            raise QSeriesError("empty v window")
+    # |Y| <= y_bound covers every in-cone term below trunc; the printed
+    # region gets a doubled window so near-cone anomalies are surfaced.
+    budget = max(1, math.ceil(t))
+    y_bound = math.isqrt(4 * (M * M - 1) * budget) + 2 * (M - 1)
+    if region == "printed":
+        y_bound *= 2
+    lo = math.ceil(Fraction(-y_bound - c, 2 * (M - 1)))
+    hi = math.floor(Fraction(y_bound - c, 2 * (M - 1)))
 
     coeffs: dict[Fraction, int] = {}
     anomalies = []

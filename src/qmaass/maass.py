@@ -64,15 +64,12 @@ class MaassCoeffTable:
 
     ``scale`` is the positive integer N in the expansion; ``coeffs`` maps
     nonzero integer indices to real coefficients (exact rationals when
-    sourced from series).  The two constant-term exponents ``kappa1``
-    and ``kappa2`` are carried to express cuspidality; every table built
-    here is cuspidal, so both are zero.
+    sourced from series).  Every table built here is cuspidal: it has no
+    constant term.
     """
 
     scale: int
     coeffs: dict[int, object] = field(default_factory=dict)
-    kappa1: float = 0.0
-    kappa2: float = 0.0
 
     def __post_init__(self) -> None:
         if not (isinstance(self.scale, int) and self.scale >= 1):

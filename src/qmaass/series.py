@@ -631,11 +631,13 @@ def divide_one_minus_power(series: QSeries, s: int) -> QSeries:
     return QSeries({e: c for e, c in enumerate(out) if c != 0}, 1, x.trunc)
 
 
-def _multiply_dense(out: list, c, s: int) -> None:
-    """Multiply the dense series ``out`` by (1 - c q^s), s >= 0, in place."""
+def _times_factor(out: list, c, s: int) -> dict:
+    """Multiply the dense series ``out`` by (1 - c q^s), s >= 0, in place;
+    return its nonzero terms as a clean map."""
     size = len(out)
     if s < size:
         out[s:] = map(operator.sub, out[s:], map(operator.mul, repeat(c), out[: size - s]))
+    return {e: x for e, x in enumerate(out) if x}
 
 
 def _divide_dense(out: list, c, s: int) -> None:
@@ -644,6 +646,18 @@ def _divide_dense(out: list, c, s: int) -> None:
         prev = out[e - s]
         if prev != 0:
             out[e] = out[e] + c * prev
+
+
+def _over_factor(out: list, c, s: int) -> dict:
+    """Divide the dense series ``out`` by (1 - c q^s), s >= 0, in place;
+    return its nonzero terms as a clean map."""
+    if s:
+        _divide_dense(out, c, s)
+    elif c == 1:
+        raise QSeriesError("cannot invert: the factor (1 - q^0) is zero")
+    else:
+        out[:] = [_clean(Fraction(x, 1 - c)) for x in out]
+    return {e: x if type(x) is int else _clean(x) for e, x in enumerate(out) if x}
 
 
 # ----------------------------------------------------------------- pochhammer
@@ -663,102 +677,59 @@ _poch_cache: dict[tuple, list[QSeries]] = {}
 _inverse_poch_cache: dict[tuple, list[QSeries]] = {}
 
 
-def _poch_spec(kind, n: int) -> tuple:
-    """The (coeff, exponent, step) triple of a Pochhammer kind."""
+def _prefix(cache: dict, kind, n: int, trunc, apply) -> QSeries:
+    """The first n factors of ``kind``, each applied to a dense list by
+    ``apply(out, coeff, exponent)``, which returns the list's clean map.
+    Extends the longest cached prefix one pass per factor, so every
+    prefix lands in ``cache``."""
     if n < 0:
         raise QSeriesError("pochhammer length must be nonnegative")
     if isinstance(kind, str):
         try:
-            return _POCH_NAMES[kind]
+            spec = _POCH_NAMES[kind]
         except KeyError:
             raise QSeriesError(f"unknown pochhammer kind {kind!r}")
-    coeff, exponent, step = kind
-    spec = (coeff, _rational(exponent), int(step))
-    if spec[2] <= 0:
-        raise QSeriesError("pochhammer step must be positive")
-    return spec
-
-
-def _prefixes(cache: dict, spec: tuple, t) -> list:
-    """The cached prefixes of ``spec`` at trunc ``t``, at least the empty one."""
+    else:
+        coeff, exponent, step = kind
+        spec = (coeff, _rational(exponent), int(step))
+        if spec[2] <= 0:
+            raise QSeriesError("pochhammer step must be positive")
+    coeff, exponent, step = spec
+    t = Fraction(trunc) if isinstance(trunc, int) else trunc
+    if not (type(t) is Fraction and type(coeff) is int and type(exponent) is int and exponent >= 0):
+        raise QSeriesError(
+            "a pochhammer needs a finite rational trunc, an integer "
+            "coefficient and an integer exponent >= 0"
+        )
     prefixes = cache.get((spec, t))
     if prefixes is None:
         prefixes = cache[spec, t] = [QSeries.one(t)]
-    return prefixes
-
-
-def _dense_passes_apply(spec: tuple, t) -> bool:
-    """Whether every factor of ``spec`` below the finite rational ``t`` is a
-    step the dense passes take: an integer coefficient and exponent >= 0."""
-    coeff, exponent, _ = spec
-    return type(t) is Fraction and type(coeff) is int and type(exponent) is int and exponent >= 0
+    if n >= len(prefixes):
+        out = dense_int_coeffs(prefixes[-1], max(_int_bound(t, 1), 0))
+        for i in range(len(prefixes) - 1, n):
+            prefixes.append(QSeries._from_clean(apply(out, coeff, exponent + step * i), 1, t))
+    return prefixes[n]
 
 
 def pochhammer(kind, n: int, trunc) -> QSeries:
-    """Finite q-Pochhammer product of n factors.
+    """Finite q-Pochhammer product of n factors, below the finite ``trunc``.
 
     ``kind`` is one of the named strings in ``_POCH_NAMES`` or an explicit
     triple ``(coeff, exponent, step)`` describing factors
     ``(1 - coeff * q^(exponent + step*i))`` for i = 0..n-1.  The named kinds
     cover (q;q)_n, (q^2;q^2)_n, (-q;q)_n, (-1;q)_n, (q;q^2)_n and (q^2;q)_n;
-    monomial arguments +/- q^j use explicit triples.
-
-    The longest cached prefix is extended one factor at a time, and every
-    prefix lands in the cache: by one pass over a dense list when the
-    trunc is finite and the factors have an integer coefficient and
-    integer exponents >= 0, else by series products.
+    monomial arguments +/- q^j use explicit triples.  The coefficient must
+    be an int and the exponent an int >= 0; anything else, or an infinite
+    trunc, raises :class:`QSeriesError`.
     """
-    spec = _poch_spec(kind, n)
-    t = Fraction(trunc) if isinstance(trunc, int) else trunc
-    prefixes = _prefixes(_poch_cache, spec, t)
-    coeff, exponent, step = spec
-    if n >= len(prefixes) and _dense_passes_apply(spec, t):
-        out = dense_int_coeffs(prefixes[-1], max(_int_bound(t, 1), 0))
-        for i in range(len(prefixes) - 1, n):
-            _multiply_dense(out, coeff, exponent + step * i)
-            prefixes.append(QSeries._from_clean({e: c for e, c in enumerate(out) if c}, 1, t))
-    else:
-        for i in range(len(prefixes) - 1, n):
-            factor_exp = exponent + step * i
-            if t is not INF and factor_exp >= t:
-                factor = QSeries.one(t)
-            else:
-                factor = QSeries.from_terms([(0, 1), (factor_exp, -coeff)], t)
-            prefixes.append(prefixes[-1] * factor)
-    return prefixes[n]
+    return _prefix(_poch_cache, kind, n, trunc, _times_factor)
 
 
 def inverse_pochhammer(kind, n: int, trunc) -> QSeries:
-    """1 / pochhammer(kind, n, trunc), exact below the finite ``trunc``.
-
-    Extends the longest cached prefix by one division by (1 - coeff q^e)
-    per factor, so every prefix lands in its own cache.  Takes the named
-    kinds and triples with an integer coefficient and an integer exponent
-    >= 0.
-    """
-    spec = _poch_spec(kind, n)
-    t = Fraction(trunc) if isinstance(trunc, int) else trunc
-    if not _dense_passes_apply(spec, t):
-        raise QSeriesError(
-            "inverse_pochhammer needs a finite rational trunc, an integer "
-            "coefficient and an integer exponent >= 0"
-        )
-    prefixes = _prefixes(_inverse_poch_cache, spec, t)
-    if n < len(prefixes):
-        return prefixes[n]
-    coeff, exponent, step = spec
-    out = dense_int_coeffs(prefixes[-1], max(_int_bound(t, 1), 0))
-    for i in range(len(prefixes) - 1, n):
-        s = exponent + step * i
-        if s:
-            _divide_dense(out, coeff, s)
-        elif coeff == 1:
-            raise QSeriesError("cannot invert: the factor (1 - q^0) is zero")
-        else:
-            out = [_clean(Fraction(c, 1 - coeff)) for c in out]
-        coeffs = {e: c if type(c) is int else _clean(c) for e, c in enumerate(out) if c}
-        prefixes.append(QSeries._from_clean(coeffs, 1, t))
-    return prefixes[n]
+    """1 / pochhammer(kind, n, trunc), exact below the finite ``trunc``:
+    one division by (1 - coeff q^e) per factor.  Takes what
+    :func:`pochhammer` takes."""
+    return _prefix(_inverse_poch_cache, kind, n, trunc, _over_factor)
 
 
 # ----------------------------------------------------------- gaussian binomial

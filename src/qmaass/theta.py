@@ -743,6 +743,33 @@ def _ray_integral(u_plus: float, u_minus: float, t: float, sign: int) -> float:
     return sign * (math.exp(-(root_c**2)) if s * d < 0 else 1.0) * tail
 
 
+def _completion_points(params: ThetaParams, v: float, cut: int):
+    """The points of :func:`_lattice_walk` whose completion term at
+    Im tau = v can reach exp(-100); the others are skipped.
+
+    Each ray integral is bounded by a Gaussian whose exponent is
+    pi v B(r, c_i)^2 with B(r, c_i)^2 = (M^2-1)(r1 -+ r2)^2; with the q^Q
+    modulus the per-point exponent is at least
+    pi v ((M^2-1) min (r1 +- r2)^2 + 2 Q(r)), a positive definite
+    expression.
+    """
+    M = params.M
+    D, _ = _denominators(params)
+    r_den = D * D
+    for n, nu, x, y, q, t in _lattice_walk(params, cut):
+        combined = (M * M - 1) * min((x + y) ** 2, (x - y) ** 2) + q
+        if math.pi * v * (combined / r_den) <= 100.0:
+            yield n, nu, x, y, q, t
+
+
+def completion_cut_suffices(params, tau: complex, lattice_cut: int) -> bool:
+    """Whether :func:`completion_defect` skips every point of the outer
+    shell max(|n|, |nu|) = lattice_cut; if not, a larger cut adds terms
+    that the defect at this cut leaves out."""
+    points = _completion_points(_as_theta_params(params), tau.imag, lattice_cut)
+    return all(max(abs(n), abs(nu)) < lattice_cut for n, nu, *_ in points)
+
+
 def completion_defect(params, tau: complex, lattice_cut: int = 10) -> complex:
     """Difference of the two boundary correction sums at tau.
 
@@ -760,23 +787,15 @@ def completion_defect(params, tau: complex, lattice_cut: int = 10) -> complex:
     form = QuadForm(params.M)
     M = params.M
     D, E = _denominators(params)
-    q_den, t_den, r_den = 2 * D * D, D * E, D * D
+    q_den, t_den = 2 * D * D, D * E
     root_v = math.sqrt(v)
     root_plus, root_minus = math.sqrt(2.0 * (M + 1)), math.sqrt(2.0 * (M - 1))
     t1 = form.reference_parameter(1)
     t2 = form.reference_parameter(2)
     total = 0j
-    for _, _, x, y, q, t in _lattice_walk(params, lattice_cut):
+    for _, _, x, y, q, t in _completion_points(params, v, lattice_cut):
         if q == 0:
             raise QSeriesError("the form vanishes at a lattice point")
-        # Each ray integral is bounded by a Gaussian whose exponent is
-        # pi v B(r, c_i)^2 with B(r, c_i)^2 = (M^2-1)(r1 -+ r2)^2; with
-        # the q^Q modulus the per-point exponent is at least
-        # pi v ((M^2-1) min (r1 +- r2)^2 + 2 Q(r)), a positive definite
-        # expression.
-        combined = (M * M - 1) * min((x + y) ** 2, (x - y) ** 2) + q
-        if math.pi * v * (combined / r_den) > 100.0:
-            continue
         u_plus = root_plus * (x / D) * root_v
         u_minus = root_minus * (y / D) * root_v
         sign1 = _ray_sign(u_plus, u_minus, t1)

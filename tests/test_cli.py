@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -121,6 +122,16 @@ class TestParsing:
         assert cfg.x == Fraction(1, 7)
         assert isinstance(cfg.x, Fraction)
 
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_runconfig_holds_every_option_once(self, command):
+        target = cli.COMMANDS[command].targets[0]
+        cfg = RunConfig.from_args(build_parser().parse_args([command, target]))
+        names = [field.name for field in dataclasses.fields(cfg)]
+        assert names == ["command", "target", *cli.OPTIONS]
+        taken = set(cli.COMMANDS[command].fields)
+        assert all(getattr(cfg, name) is None for name in cli.OPTIONS if name not in taken)
+        assert cfg.fmt == cli.COMMANDS[command].fmt
+
     def test_thread_env_is_ignored(self, capsys, monkeypatch):
         monkeypatch.delenv("QMAASS_THREADS", raising=False)
         unset = _run(capsys, "verify", "sigma", "--order", "10")
@@ -183,6 +194,23 @@ class TestVerify:
         assert len(objs) == 3
         assert objs[-1]["check"] == "completion_defect_control"
         assert objs[-1]["defect"] > 1e-3
+
+    def test_completion_cut_too_short_is_precision_failure(self, capsys):
+        # At cut 1 the outer shell of (1,1,1) still adds terms: its defect
+        # there is truncation, not a failed verdict.
+        code, lines, err = _run(capsys, "verify", "completion", "--lattice-cut", "1")
+        assert code == 3
+        assert lines == []
+        assert err.startswith("qmaass: numeric precision failure")
+
+    def test_completion_float_sign_defect_still_fails(self, capsys):
+        # At tau = 0.2i the guard accepts cut 16, and the (1,1,1) defect
+        # left by the float ray signs fails the tolerance, as it should.
+        code, lines, _ = _run(
+            capsys, "verify", "completion", "--tau", "0,0.2", "--lattice-cut", "16"
+        )
+        assert code == 1
+        assert _json_lines(lines)[0]["status"] == "fail"
 
     def test_cohen_suite(self, capsys):
         code, lines, _ = _run(capsys, "verify", "cohen", "--ncut", "600")

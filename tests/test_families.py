@@ -245,13 +245,7 @@ def test_negative_part_empty_window_below_trunc():
     assert series.is_zero()
 
 
-def test_negative_part_window_control():
-    s1, d1 = negative_part_series(4, 1, 10, nu_window=(-3, 3))
-    assert d1["nu_window"] == (-3, 3)
-    s2, _ = negative_part_series(4, 1, 10, nu_window=(-3, 3))
-    assert s1 == s2
-    with pytest.raises(QSeriesError):
-        negative_part_series(4, 1, 10, nu_window=(2, -2))
+def test_negative_part_refuses_m_below_two():
     with pytest.raises(QSeriesError):
         negative_part_series(1, 1, 10)
 

@@ -161,7 +161,6 @@ class TestCoeffTable:
         assert table.coeffs[49] == -1
         assert table.coeffs[73] == 2
         assert table.coeffs[-23] == -2
-        assert table.kappa1 == 0.0 and table.kappa2 == 0.0
 
     def test_support_residue_class(self):
         table = cohen_table(3000)

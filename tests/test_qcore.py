@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmaass import series
-from qmaass.agpolys import PartitionConstraint, ag_generating, ag_polynomials, verify_ag_relation
+from qmaass.agpolys import PartitionConstraint, ag_generating, ag_polynomials
 from qmaass.bailey import (
     pair_relative_q,
     relation_sums,
@@ -576,14 +576,22 @@ def test_inverse_pochhammer_refuses_what_it_cannot_divide():
     assert trip == pochhammer((-1, 2, 1), 3, 30).inverse()
 
 
-def test_pochhammer_keeps_the_product_route_for_rational_exponents():
-    t = Fraction(15, 2)
-    half = pochhammer((1, Fraction(1, 2), 1), 3, t)
-    direct = QSeries.one(t)
-    for i in range(3):
-        direct = direct * QSeries.from_terms([(0, 1), (Fraction(1, 2) + i, -1)], t)
-    assert half == direct
-    assert pochhammer((1, Fraction(1, 2), 1), 2, INF).trunc is INF
+@pytest.mark.parametrize("build", [pochhammer, inverse_pochhammer], ids=["poch", "inverse"])
+@pytest.mark.parametrize(
+    "kind, trunc",
+    [
+        ("q", INF),
+        ((1, Fraction(1, 2), 1), 10),
+        ((Fraction(1, 2), 1, 1), 10),
+        ((1, -1, 1), 10),
+    ],
+    ids=["infinite-trunc", "half-exponent", "fraction-coefficient", "negative-exponent"],
+)
+def test_pochhammers_refuse_what_the_dense_passes_cannot_take(build, kind, trunc):
+    # Both take one path, a pass per factor over a dense integer-exponent
+    # list below a finite trunc, and share the guard in front of it.
+    with pytest.raises(QSeriesError, match="finite rational trunc"):
+        build(kind, 3, trunc)
 
 
 def test_pochhammer_inverses_never_reach_series_inverse(monkeypatch):
@@ -1073,9 +1081,8 @@ def test_non_finite_truncs_are_refused(entry, trunc):
     [
         lambda t: verify_theta_embedding(1, 1, 1, t),
         lambda t: verify_family_lattice(2, 2, 1, t),
-        lambda t: verify_ag_relation(2, 1, 0, 3, up_to=t),
     ],
-    ids=["theta_embedding", "family_lattice", "ag_relation"],
+    ids=["theta_embedding", "family_lattice"],
 )
 def test_checks_refuse_nonpositive_truncs(check, trunc):
     # Below q^0 or lower a check compares nothing, so it may not pass.

@@ -30,7 +30,6 @@ from qmaass.cyclotomic import (
 from qmaass.families import FAMILIES, kz_root_value, u_root_value, verify_kz_duality
 from qmaass.maass import quantum_value
 from qmaass.series import (
-    INF,
     L1Bound,
     QSeriesError,
     TruncatedRing,
@@ -55,7 +54,9 @@ def _exact(kind: str, args: tuple):
     if kind == "binomial":
         return gaussian_binomial(*args)
     if kind == "poch":
-        return pochhammer("q", *args, INF)
+        # (q;q)_n has degree n(n+1)/2, so this trunc keeps every term.
+        (n,) = args
+        return pochhammer("q", n, n * (n + 1) // 2 + 1)
     return ag_polynomial(*args)
 
 

@@ -42,6 +42,7 @@ from qmaass.theta import (
     _shell_floor,
     _shell_walk,
     completed_waveform_numeric,
+    completion_cut_suffices,
     completion_defect,
     equivalence_check,
     family_lattice_numeric,
@@ -795,6 +796,16 @@ class TestCompletionDefect:
         # The float ray signs at exact zeros (TestExactRaySigns) leave
         # these defects; `verify all` prints the first of them.
         assert abs(completion_defect(family_params(j, k, ell), 1j)) == defect
+
+    @pytest.mark.parametrize("tau", [1j, complex(0.3, 0.8), 0.2j])
+    @pytest.mark.parametrize("j, k, ell", [(1, 1, 1), (2, 2, 1), (3, 2, 2), (4, 1, 1)])
+    def test_a_cut_the_guard_accepts_is_converged(self, j, k, ell, tau):
+        # From the first cut whose outer shell is all skipped, every larger
+        # cut is accepted too and adds nothing to the defect.
+        d = family_params(j, k, ell)
+        first = next(c for c in range(1, 30) if completion_cut_suffices(d, tau, c))
+        assert all(completion_cut_suffices(d, tau, c) for c in range(first, first + 4))
+        assert completion_defect(d, tau, first) == completion_defect(d, tau, first + 4)
 
     def test_every_point_skipped_far_up_the_axis(self):
         assert completion_defect(family_params(1, 1, 1), 1000j) == 0
