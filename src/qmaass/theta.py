@@ -58,14 +58,23 @@ def _frac_pair(v) -> tuple[Fraction, Fraction]:
     return (x if type(x) is Fraction else Fraction(x), y if type(y) is Fraction else Fraction(y))
 
 
-def star(v) -> tuple[Fraction, Fraction]:
-    """The reflection (x1, x2) -> (-x1, x2)."""
-    x, y = _frac_pair(v)
+def star(v):
+    """The reflection (x1, x2) -> (-x1, x2), of Fractions or of integer numerators."""
+    x, y = v
     return (-x, y)
 
 
+def _over_common(*pairs) -> tuple[int, list[tuple[int, int]]]:
+    """D, the pairs' least common denominator, and each pair's numerators over D."""
+    D = math.lcm(*(c.denominator for pair in pairs for c in pair))
+    return D, [tuple(c.numerator * (D // c.denominator) for c in pair) for pair in pairs]
+
+
 class QuadForm:
-    """Exact toolkit for the form Q(r) = ((M+1) r1^2 - (M-1) r2^2)/2."""
+    """Exact toolkit for the form Q(r) = ((M+1) r1^2 - (M-1) r2^2)/2.
+
+    :meth:`bilinear` and :meth:`apply_automorph` take Fractions or integer
+    numerators over a common denominator."""
 
     def __init__(self, M: int):
         if not (isinstance(M, int) and M >= 2):
@@ -80,9 +89,8 @@ class QuadForm:
         x, y = _frac_pair(r)
         return Fraction(self.M + 1, 2) * x * x - Fraction(self.M - 1, 2) * y * y
 
-    def bilinear(self, r, s) -> Fraction:
-        x, y = _frac_pair(r)
-        u, w = _frac_pair(s)
+    def bilinear(self, r, s):
+        (x, y), (u, w) = r, s
         return (self.M + 1) * x * u - (self.M - 1) * y * w
 
     @property
@@ -91,22 +99,15 @@ class QuadForm:
         M = self.M
         return ((M, M - 1), (M + 1, M))
 
-    def apply_automorph(self, v) -> tuple[Fraction, Fraction]:
-        x, y = _frac_pair(v)
+    def apply_automorph(self, v):
+        x, y = v
         M = self.M
         return (M * x + (M - 1) * y, (M + 1) * x + M * y)
 
     # ----------------------------------------------- norm -1 reference data
-    def reference_vector(self, which: int) -> tuple[float, float]:
-        """The norm -1 vectors ((-1)^which (M-1), M+1)/sqrt(M^2-1)."""
-        self._check_ref_index(which)
-        M = self.M
-        root = math.sqrt(M * M - 1)
-        sign = -1.0 if which == 1 else 1.0
-        return (sign * (M - 1) / root, (M + 1) / root)
-
     def reference_parameter(self, which: int) -> float:
-        """Hyperbolic parameter placing reference vector ``which`` on the curve."""
+        """Hyperbolic parameter placing the norm -1 reference vector
+        c_which = ((-1)^which (M-1), M+1)/sqrt(M^2-1) on the curve."""
         self._check_ref_index(which)
         t = math.asinh(math.sqrt((self.M - 1) / 2.0))
         return -t if which == 1 else t
@@ -144,22 +145,27 @@ class QuadForm:
             raise QSeriesError("reference vector index must be 1 or 2")
 
 
+def _equivalent(form: QuadForm, x, alpha, D: int, y, beta, E: int) -> bool:
+    """:func:`equivalence_check` of a = x / D, alpha / D, b = y / E and beta / E."""
+    for sign in (1, -1):
+        shift = (x[0] + sign * alpha[0], x[1] + sign * alpha[1])
+        mu = (y[0] + sign * beta[0], y[1] + sign * beta[1])
+        if shift[0] % D or shift[1] % D or mu[0] % E or mu[1] % E:
+            continue
+        if form.bilinear(x, (mu[0] // E, mu[1] // E)) % D == 0:
+            return True
+    return False
+
+
 def equivalence_check(pair1, pair2, M: int) -> bool:
     """Whether shift/twist pairs (a, b) and (alpha, beta) are equivalent.
 
     Requires a +- alpha integral and b +- beta =: mu integral with the
     same sign choice in both, and B(a, mu) an integer.
     """
-    form = QuadForm(M)
-    a, b = _frac_pair(pair1[0]), _frac_pair(pair1[1])
-    al, be = _frac_pair(pair2[0]), _frac_pair(pair2[1])
-    for sign in (1, -1):
-        da = (a[0] + sign * al[0], a[1] + sign * al[1])
-        mu = (b[0] + sign * be[0], b[1] + sign * be[1])
-        if all(c.denominator == 1 for c in da + mu):
-            if form.bilinear(a, mu).denominator == 1:
-                return True
-    return False
+    D, (a, alpha) = _over_common(pair1[0], pair2[0])
+    E, (b, beta) = _over_common(pair1[1], pair2[1])
+    return _equivalent(QuadForm(M), a, alpha, D, b, beta, E)
 
 
 # --------------------------------------------------------------- theta params
@@ -222,13 +228,25 @@ class FamilyThetaData:
         return out
 
 
+def _family_numerators(j: int, k: int, ell: int) -> tuple:
+    """(M, A, D, B, E): family j's shift a = A / D and twist b = B / E at
+    (k, ell), read off its record as :class:`qmaass.families.Family` says."""
+    fam = FAMILIES[j]
+    M = _affine(fam.M, k)
+    d1, d2 = 2 * (M + 1), 4 * k + 2
+    D = math.lcm(d1, d2)
+    A = (_affine(fam.a1, k) * (D // d1), (2 * k - 2 * ell + 1) * (D // d2))
+    e1, e2 = (_affine(c, k) for c in fam.b)
+    E = math.lcm(e1, e2)
+    return M, A, D, (E // e1, E // e2), E
+
+
 def family_params(j: int, k: int, ell: int) -> FamilyThetaData:
     """The exact (M, a, b) specialization realizing family j at (k, ell)."""
     _validate_family(j, k, ell)
     fam = FAMILIES[j]
-    M = _affine(fam.M, k)
-    a = (Fraction(_affine(fam.a1, k), 2 * (M + 1)), Fraction(2 * k - 2 * ell + 1, 4 * k + 2))
-    b = (Fraction(1, _affine(fam.b[0], k)), Fraction(1, _affine(fam.b[1], k)))
+    M, A, D, B, E = _family_numerators(j, k, ell)
+    a, b = (Fraction(A[0], D), Fraction(A[1], D)), (Fraction(B[0], E), Fraction(B[1], E))
     params = ThetaParams(M=M, a=a, b=b)
     alpha = QuadForm(M).value(params.a)
     return FamilyThetaData(j, k, ell, params, alpha, Fraction(fam.theta_scale), fam.power)
@@ -257,11 +275,7 @@ def _sqrt_ceil(t: Fraction) -> int:
 
 def _denominators(params: ThetaParams) -> tuple[int, int]:
     """D and E with a = (A1, A2) / D and b = (B1, B2) / E."""
-    (a1, a2), (b1, b2) = params.a, params.b
-    return (
-        math.lcm(a1.denominator, a2.denominator),
-        math.lcm(b1.denominator, b2.denominator),
-    )
+    return _over_common(params.a)[0], _over_common(params.b)[0]
 
 
 def _lattice_walk(params: ThetaParams, cut: int):
@@ -275,9 +289,8 @@ def _lattice_walk(params: ThetaParams, cut: int):
     if cut < 1:
         raise QSeriesError("the lattice cutoff must be a positive integer")
     M = params.M
-    D, E = _denominators(params)
-    A1, A2 = (c.numerator * (D // c.denominator) for c in params.a)
-    B1, B2 = (c.numerator * (E // c.denominator) for c in params.b)
+    D, ((A1, A2),) = _over_common(params.a)
+    E, ((B1, B2),) = _over_common(params.b)
     for n in range(-cut, cut + 1):
         x = A1 + n * D
         qx, tx = (M + 1) * x * x, (M + 1) * x * B1
@@ -516,13 +529,15 @@ def validate_family_params(j: int, k: int, ell: int) -> CheckReport:
     """Exact validation of every condition the family parameters satisfy.
 
     Checks the shift windows, the automorph congruences, the bilinear
-    integrality value, the automorph matrix properties, the float map of
-    the first reference vector onto the second, the half-integer phase
-    collapse, and which equivalence branch holds.
+    integrality value, the half-integer phase collapse and which
+    equivalence branch holds, each as an integer identity or divisibility
+    on a = A / D and b = B / E.  The automorph's determinant, its
+    invariance of the form and its map of the first reference vector onto
+    the second hold for every M >= 2; they are reported all the same.
     """
-    data = family_params(j, k, ell)
+    _validate_family(j, k, ell)
     fam = FAMILIES[j]
-    M, a, b = data.params.M, data.params.a, data.params.b
+    M, A, D, B, E = _family_numerators(j, k, ell)
     form = QuadForm(M)
     gamma = form.apply_automorph
 
@@ -530,58 +545,43 @@ def validate_family_params(j: int, k: int, ell: int) -> CheckReport:
         return (u[0] + c, u[1] + c)
 
     checks: dict[str, bool] = {}
-
-    s, d = a[0] + a[1], a[0] - a[1]
-    checks["shift_window"] = 0 < s < 1 and fam.window < d < fam.window + 1
-    checks["shift_nonzero"] = a != (Fraction(0), Fraction(0))
-
-    a_star, b_star = star(a), star(b)
+    s, d = A[0] + A[1], A[0] - A[1]
+    checks["shift_window"] = 0 < s < D and fam.window * D < d < (fam.window + 1) * D
+    checks["shift_nonzero"] = A != (0, 0)
+    A_star, B_star = star(A), star(B)
     s1, s2 = (None if c is None else _affine(c, k, ell) for c in fam.shifts)
     if s2 is None:
-        checks["shift_congruence"] = moved(gamma(a), s1) == a
+        checks["shift_congruence"] = moved(gamma(A), s1 * D) == A
     else:
         checks["shift_congruence"] = (
-            moved(gamma(a), s1) == a_star and moved(gamma(a_star), s2) == a
+            moved(gamma(A), s1 * D) == A_star and moved(gamma(A_star), s2 * D) == A
         )
-    checks["twist_congruence"] = moved(gamma(b), -1) == b_star and gamma(b_star) == b
+    checks["twist_congruence"] = moved(gamma(B), -E) == B_star and gamma(B_star) == B
 
     # an int equal to B(a, (-1, -1)) makes it integral
-    checks["bilinear_integrality"] = form.bilinear(a, (-1, -1)) == _affine(fam.pairing, k, ell)
+    checks["bilinear_integrality"] = form.bilinear(A, (-1, -1)) == _affine(fam.pairing, k, ell) * D
 
-    g = form.automorph
-    A = form.matrix
+    g, Q = form.automorph, form.matrix
     checks["automorph_det"] = g[0][0] * g[1][1] - g[0][1] * g[1][0] == 1
+    # g^T Q g, with Q diagonal
     conjugated = tuple(
-        tuple(
-            sum(g[i][r] * A[i][jj] * g[jj][c] for i in range(2) for jj in range(2))
-            for c in range(2)
-        )
-        for r in range(2)
+        tuple(sum(g[i][r] * Q[i][i] * g[i][c] for i in (0, 1)) for c in (0, 1)) for r in (0, 1)
     )
-    checks["automorph_preserves_form"] = conjugated == A
+    checks["automorph_preserves_form"] = conjugated == Q
+    # g c_1 = c_2; both reference vectors carry the factor 1 / sqrt(M^2 - 1)
+    checks["automorph_maps_reference_vectors"] = gamma((1 - M, M + 1)) == (M - 1, M + 1)
+    checks["phase_collapse"] = 2 * (M + 1) * B[0] == 2 * (M - 1) * B[1] == E
 
-    c1 = form.reference_vector(1)
-    mapped = [row[0] * c1[0] + row[1] * c1[1] for row in g]
-    c2 = form.reference_vector(2)
-    checks["automorph_maps_reference_vectors"] = math.dist(mapped, c2) < 1e-12
-
-    checks["phase_collapse"] = (M + 1) * b[0] == (M - 1) * b[1] == Fraction(1, 2)
-
-    branch_direct = equivalence_check((gamma(a), gamma(b)), (a, b), M)
-    branch_star = equivalence_check(
-        (gamma(a), gamma(b)), (a_star, b_star), M
-    ) and equivalence_check((gamma(a_star), gamma(b_star)), (a, b), M)
+    ga, gb = gamma(A), gamma(B)
+    branch_direct = _equivalent(form, ga, A, D, gb, B, E)
+    branch_star = _equivalent(form, ga, A_star, D, gb, B_star, E) and _equivalent(
+        form, gamma(A_star), A, D, gamma(B_star), B, E
+    )
     checks["equivalence_branch"] = branch_direct or branch_star
-
-    details: dict[str, object] = dict(checks)
-    details["equivalence_direct"] = branch_direct
-    details["equivalence_starred"] = branch_star
-    return CheckReport(
-        check="family_theta_params",
-        params={"j": j, "k": k, "ell": ell, "M": M},
-        status="pass" if all(checks.values()) else "fail",
-        details=details,
-    )
+    branches = {"equivalence_direct": branch_direct, "equivalence_starred": branch_star}
+    status = "pass" if all(checks.values()) else "fail"
+    params = {"j": j, "k": k, "ell": ell, "M": M}
+    return CheckReport("family_theta_params", params, status, {**checks, **branches})
 
 
 # ------------------------------------------------------------- numeric layer

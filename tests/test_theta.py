@@ -12,13 +12,16 @@ import cmath
 import dataclasses
 import hashlib
 import json
+import fractions
 import math
+import sys
 from fractions import Fraction
+from unittest.mock import patch
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -26,7 +29,8 @@ from qmaass import PrecisionError, QSeries, QSeriesError
 from qmaass.bailey import quadratic_shift
 from qmaass.bessel import k0_bessel
 from qmaass.cyclotomic import CycNumber
-from qmaass.families import FAMILIES, family_series, sigma_star_series
+from qmaass.families import FAMILIES, _affine, family_series, sigma_star_series
+from qmaass.reports import CheckReport
 from qmaass.theta import (
     FamilyThetaData,
     QuadForm,
@@ -61,6 +65,29 @@ from qmaass.theta import (
 F = Fraction
 
 
+class FractionForm(QuadForm):
+    """QuadForm with the Fraction-only helpers the validation used before
+    it moved to integer numerators, and the float reference vectors."""
+
+    def bilinear(self, r, s) -> Fraction:
+        x, y = _frac_pair(r)
+        u, w = _frac_pair(s)
+        return (self.M + 1) * x * u - (self.M - 1) * y * w
+
+    def apply_automorph(self, v) -> tuple[Fraction, Fraction]:
+        x, y = _frac_pair(v)
+        M = self.M
+        return (M * x + (M - 1) * y, (M + 1) * x + M * y)
+
+    def reference_vector(self, which: int) -> tuple[float, float]:
+        """The norm -1 vectors ((-1)^which (M-1), M+1)/sqrt(M^2-1)."""
+        self._check_ref_index(which)
+        M = self.M
+        root = math.sqrt(M * M - 1)
+        sign = -1.0 if which == 1 else 1.0
+        return (sign * (M - 1) / root, (M + 1) / root)
+
+
 # ------------------------------------------------------------ quadratic form
 
 
@@ -74,7 +101,7 @@ class TestQuadForm:
 
     @pytest.mark.parametrize("M", [2, 3, 4, 10, 23])
     def test_reference_vectors_have_norm_minus_one(self, M):
-        form = QuadForm(M)
+        form = FractionForm(M)
         for which in (1, 2):
             c = form.reference_vector(which)
             val = (M + 1) / 2 * c[0] ** 2 - (M - 1) / 2 * c[1] ** 2
@@ -82,7 +109,7 @@ class TestQuadForm:
 
     @pytest.mark.parametrize("M", [2, 3, 4, 10, 23])
     def test_reference_vectors_pair_to_minus_two_m(self, M):
-        form = QuadForm(M)
+        form = FractionForm(M)
         c1 = form.reference_vector(1)
         c2 = form.reference_vector(2)
         val = (M + 1) * c1[0] * c2[0] - (M - 1) * c1[1] * c2[1]
@@ -90,7 +117,7 @@ class TestQuadForm:
 
     @pytest.mark.parametrize("M", [2, 3, 4, 10])
     def test_curve_passes_through_reference_vectors(self, M):
-        form = QuadForm(M)
+        form = FractionForm(M)
         for which in (1, 2):
             t = form.reference_parameter(which)
             p = form.curve_point(t)
@@ -100,7 +127,7 @@ class TestQuadForm:
 
     @pytest.mark.parametrize("M", range(2, 51))
     def test_automorph_properties(self, M):
-        form = QuadForm(M)
+        form = FractionForm(M)
         g = form.automorph
         assert g[0][0] * g[1][1] - g[0][1] * g[1][0] == 1
         # Exact conjugation g^T A g == A.
@@ -120,10 +147,12 @@ class TestQuadForm:
         )
         c2 = form.reference_vector(2)
         assert math.hypot(mapped[0] - c2[0], mapped[1] - c2[1]) < 1e-12
+        # Exactly: sqrt(M^2 - 1) c_1 = (1 - M, M + 1) goes to sqrt(M^2 - 1) c_2.
+        assert QuadForm(M).apply_automorph((1 - M, M + 1)) == (M - 1, M + 1)
 
     @pytest.mark.parametrize("M", [2, 3, 7])
     def test_pairings_match_float_reference_vectors(self, M):
-        form = QuadForm(M)
+        form = FractionForm(M)
         root = math.sqrt(M * M - 1)
         r = (F(2, 3), F(-1, 5))
         for which in (1, 2):
@@ -138,7 +167,7 @@ class TestQuadForm:
         with pytest.raises(QSeriesError):
             QuadForm(1)
         with pytest.raises(QSeriesError):
-            QuadForm(2).reference_vector(3)
+            FractionForm(2).reference_vector(3)
 
 
 # ------------------------------------------------- star / equivalence / params
@@ -301,6 +330,327 @@ def test_frac_pair_passes_fractions_through():
     assert got[0] is pair[0] and got[1] is pair[1]
     converted = _frac_pair([3, F(1, 2)])
     assert converted == (F(3), F(1, 2)) and all(type(c) is F for c in converted)
+
+
+# ------------------------------------ Fraction reference for the validation
+# The validation as it stood before it moved to integer numerators, kept
+# as the oracle of the integer checks: the same code on Fraction pairs,
+# with the Fraction helpers of FractionForm.
+
+
+def reference_star(v) -> tuple[Fraction, Fraction]:
+    """The reflection (x1, x2) -> (-x1, x2)."""
+    x, y = _frac_pair(v)
+    return (-x, y)
+
+
+def reference_equivalence_check(pair1, pair2, M: int) -> bool:
+    """Whether shift/twist pairs (a, b) and (alpha, beta) are equivalent.
+
+    Requires a +- alpha integral and b +- beta =: mu integral with the
+    same sign choice in both, and B(a, mu) an integer.
+    """
+    form = FractionForm(M)
+    a, b = _frac_pair(pair1[0]), _frac_pair(pair1[1])
+    al, be = _frac_pair(pair2[0]), _frac_pair(pair2[1])
+    for sign in (1, -1):
+        da = (a[0] + sign * al[0], a[1] + sign * al[1])
+        mu = (b[0] + sign * be[0], b[1] + sign * be[1])
+        if all(c.denominator == 1 for c in da + mu):
+            if form.bilinear(a, mu).denominator == 1:
+                return True
+    return False
+
+
+def reference_validate_family_params(j: int, k: int, ell: int) -> CheckReport:
+    """Exact validation of every condition the family parameters satisfy.
+
+    Checks the shift windows, the automorph congruences, the bilinear
+    integrality value, the automorph matrix properties, the float map of
+    the first reference vector onto the second, the half-integer phase
+    collapse, and which equivalence branch holds.
+    """
+    data = family_params(j, k, ell)
+    fam = FAMILIES[j]
+    M, a, b = data.params.M, data.params.a, data.params.b
+    form = FractionForm(M)
+    gamma = form.apply_automorph
+
+    def moved(u, c):  # u + c (1, 1)
+        return (u[0] + c, u[1] + c)
+
+    checks: dict[str, bool] = {}
+
+    s, d = a[0] + a[1], a[0] - a[1]
+    checks["shift_window"] = 0 < s < 1 and fam.window < d < fam.window + 1
+    checks["shift_nonzero"] = a != (Fraction(0), Fraction(0))
+
+    a_star, b_star = reference_star(a), reference_star(b)
+    s1, s2 = (None if c is None else _affine(c, k, ell) for c in fam.shifts)
+    if s2 is None:
+        checks["shift_congruence"] = moved(gamma(a), s1) == a
+    else:
+        checks["shift_congruence"] = (
+            moved(gamma(a), s1) == a_star and moved(gamma(a_star), s2) == a
+        )
+    checks["twist_congruence"] = moved(gamma(b), -1) == b_star and gamma(b_star) == b
+
+    # an int equal to B(a, (-1, -1)) makes it integral
+    checks["bilinear_integrality"] = form.bilinear(a, (-1, -1)) == _affine(fam.pairing, k, ell)
+
+    g = form.automorph
+    A = form.matrix
+    checks["automorph_det"] = g[0][0] * g[1][1] - g[0][1] * g[1][0] == 1
+    conjugated = tuple(
+        tuple(
+            sum(g[i][r] * A[i][jj] * g[jj][c] for i in range(2) for jj in range(2))
+            for c in range(2)
+        )
+        for r in range(2)
+    )
+    checks["automorph_preserves_form"] = conjugated == A
+
+    c1 = form.reference_vector(1)
+    mapped = [row[0] * c1[0] + row[1] * c1[1] for row in g]
+    c2 = form.reference_vector(2)
+    checks["automorph_maps_reference_vectors"] = math.dist(mapped, c2) < 1e-12
+
+    checks["phase_collapse"] = (M + 1) * b[0] == (M - 1) * b[1] == Fraction(1, 2)
+
+    branch_direct = reference_equivalence_check((gamma(a), gamma(b)), (a, b), M)
+    branch_star = reference_equivalence_check(
+        (gamma(a), gamma(b)), (a_star, b_star), M
+    ) and reference_equivalence_check((gamma(a_star), gamma(b_star)), (a, b), M)
+    checks["equivalence_branch"] = branch_direct or branch_star
+
+    details: dict[str, object] = dict(checks)
+    details["equivalence_direct"] = branch_direct
+    details["equivalence_starred"] = branch_star
+    return CheckReport(
+        check="family_theta_params",
+        params={"j": j, "k": k, "ell": ell, "M": M},
+        status="pass" if all(checks.values()) else "fail",
+        details=details,
+    )
+
+
+def _same_report(got, expected) -> bool:
+    """Equal reports, with the detail keys in the same order."""
+    return got == expected and list(got.details) == list(expected.details)
+
+
+def test_integer_validation_matches_reference_up_to_k30():
+    for j in FAMILIES:
+        for k in range(1, 31):
+            for ell in range(1, k + 1):
+                got = validate_family_params(j, k, ell)
+                assert _same_report(got, reference_validate_family_params(j, k, ell))
+                assert got.ok
+
+
+def _affine_forms(size: int):
+    return st.tuples(*[st.integers(-4, 4)] * size)
+
+
+def _nudge(form, by=1):
+    """The affine form with its constant moved by ``by``."""
+    return form[:-1] + (form[-1] + by,)
+
+
+@st.composite
+def _tampered_records(draw):
+    """(j, k, ell, record): a family record with any of its validated fields
+    (M, a1, b, window, shift constants, pairing) kept, nudged or redrawn."""
+    j = draw(st.sampled_from(sorted(FAMILIES)))
+    k = draw(st.integers(1, 12))
+    ell = draw(st.integers(1, k))
+    fam = FAMILIES[j]
+
+    def either(kept, *others):  # shrinks towards the record's own value
+        return draw(st.one_of(st.just(kept), *others))
+
+    def nudged(form):
+        return st.integers(-2, 2).map(lambda c: _nudge(form, c))
+
+    # b's forms stay nonzero at k; the sign may flip
+    twist = st.tuples(st.integers(0, 8), st.integers(1, 9), st.sampled_from((1, -1))).map(
+        lambda t: (t[0] * t[2], t[1] * t[2])
+    )
+    s1, s2 = fam.shifts
+    record = dataclasses.replace(
+        fam,
+        M=either(fam.M, st.tuples(st.integers(0, 4), st.integers(2, 9))),
+        a1=either(fam.a1, nudged(fam.a1), _affine_forms(2)),
+        b=(either(fam.b[0], twist), either(fam.b[1], twist)),
+        window=either(fam.window, st.integers(-3, 3)),
+        shifts=(
+            either(s1, nudged(s1), _affine_forms(3)),
+            either(s2, *(() if s2 is None else (nudged(s2),)), st.none(), _affine_forms(3)),
+        ),
+        pairing=either(fam.pairing, nudged(fam.pairing), _affine_forms(3)),
+    )
+    return j, k, ell, record
+
+
+def _validate_tampered(case):
+    j, k, ell, record = case
+    with patch.dict(FAMILIES, {j: record}):
+        return validate_family_params(j, k, ell)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_tampered_records())
+def test_integer_validation_matches_reference_on_tampered_records(case):
+    j, k, ell, record = case
+    got = _validate_tampered(case)
+    with patch.dict(FAMILIES, {j: record}):
+        try:
+            expected = reference_validate_family_params(j, k, ell)
+        except QSeriesError:
+            # family_params refuses a1 +- a2 integral, which the integer
+            # checks report as a failed window
+            assert not got.details["shift_window"] and not got.ok
+            return
+    assert _same_report(got, expected)
+
+
+# find() settings for the tests that show a strategy reaches a branch: a
+# fixed seed, and no shrinking, since any example shows it.
+_FIND = settings(max_examples=2000, database=None, phases=[Phase.generate], derandomize=True)
+
+# The checks that read the record.  shift_nonzero reads it too, but no
+# record fails it: a2 = (2k - 2ell + 1) / (4k + 2) is never zero.
+_RECORD_KEYS = (
+    "shift_window",
+    "shift_congruence",
+    "twist_congruence",
+    "bilinear_integrality",
+    "phase_collapse",
+    "equivalence_branch",
+)
+
+
+@pytest.mark.parametrize("key", _RECORD_KEYS)
+@pytest.mark.parametrize("value", [True, False])
+def test_tampered_records_reach_both_branches(key, value):
+    # The property above sees every record-dependent check both pass and fail.
+    find(
+        _tampered_records(),
+        lambda case: _validate_tampered(case).details[key] is value,
+        settings=_FIND,
+    )
+
+
+@st.composite
+def _equivalence_cases(draw):
+    """((a, b), (alpha, beta), M): alpha is either unrelated to a or
+    sign (n - a) for an integer vector n, so that a + sign alpha is
+    integral, plus on each entry maybe a nudge by a fraction whose
+    denominator (7, 11 or 13) a does not have; beta likewise."""
+    M = draw(st.integers(2, 12))
+    entry = st.one_of(
+        st.integers(-6, 6),
+        st.builds(Fraction, st.integers(-30, 30), st.sampled_from((2, 3, 4, 5, 6, 10, 12))),
+    )
+    nudge = st.one_of(
+        st.just(0), st.builds(Fraction, st.integers(1, 6), st.sampled_from((7, 11, 13)))
+    )
+    a, b = (draw(entry), draw(entry)), (draw(entry), draw(entry))
+    sign = draw(st.sampled_from((1, -1)))
+
+    def partner(v):
+        if draw(st.booleans()):
+            return (draw(entry), draw(entry))
+        n = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+        return (sign * (n[0] - v[0]) + draw(nudge), sign * (n[1] - v[1]) + draw(nudge))
+
+    return (a, b), (partner(a), partner(b)), M
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_equivalence_cases())
+def test_equivalence_check_matches_reference(case):
+    pair1, pair2, M = case
+    assert equivalence_check(pair1, pair2, M) is reference_equivalence_check(pair1, pair2, M)
+
+
+# a = (1/3, 1/4) and b = (1/2, 1/5): each pair's entries have unequal
+# denominators, and D = 12 for a differs from E = 10 for b.
+_A, _B = (F(1, 3), F(1, 4)), (F(1, 2), F(1, 5))
+
+
+@pytest.mark.parametrize(
+    "partner, M, expected",
+    [
+        # a + alpha = (1, 1), b + beta = (1, 1), B(a, (1, 1)) = 6/3 - 4/4
+        (((F(2, 3), F(3, 4)), (F(1, 2), F(4, 5))), 5, True),
+        # the same sums, but B(a, (1, 1)) = 5/3 - 3/4 at M = 4
+        (((F(2, 3), F(3, 4)), (F(1, 2), F(4, 5))), 4, False),
+        # a - alpha = (1, -2), b - beta = (1, 0), B(a, (1, 0)) = 6/3
+        (((F(-2, 3), F(9, 4)), (F(-1, 2), F(1, 5))), 5, True),
+        # a - alpha = (1, -2), b - beta = (1, 0), B(a, (1, 0)) = 4/3 at M = 3
+        (((F(-2, 3), F(9, 4)), (F(-1, 2), F(1, 5))), 3, False),
+        # alpha over 84 and beta over 70: no sign makes either sum integral
+        (((F(2, 3), F(3, 4) + F(1, 7)), (F(1, 2), F(4, 5) + F(1, 7))), 5, False),
+        # integer entries in the partner pair
+        (((F(-1, 3), 3), (F(1, 2), F(-1, 5))), 5, False),
+    ],
+)
+def test_equivalence_check_on_unequal_denominators(partner, M, expected):
+    assert equivalence_check((_A, _B), partner, M) is expected
+    assert reference_equivalence_check((_A, _B), partner, M) is expected
+
+
+# One tampered record per check key: the key must read false and the
+# report fail.  automorph_det, automorph_preserves_form and
+# automorph_maps_reference_vectors read the form alone and hold for every
+# M >= 2, so no record can make them fail.
+_WITNESSES = {
+    "shift_window": lambda fam: {"window": fam.window + 1},
+    "shift_congruence": lambda fam: {"shifts": (_nudge(fam.shifts[0]), fam.shifts[1])},
+    # b1 -> -b1
+    "twist_congruence": lambda fam: {"b": (tuple(-c for c in fam.b[0]), fam.b[1])},
+    "bilinear_integrality": lambda fam: {"pairing": _nudge(fam.pairing)},
+    # b -> 2b, so (M + 1) b1 = 1 and not 1/2
+    "phase_collapse": lambda fam: {"b": tuple(tuple(c // 2 for c in form) for form in fam.b)},
+    # b1 -> b1 / 2
+    "equivalence_branch": lambda fam: {"b": (tuple(2 * c for c in fam.b[0]), fam.b[1])},
+}
+
+
+@pytest.mark.parametrize("key", sorted(_WITNESSES))
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_a_tampered_record_fails_each_check(key, j, monkeypatch):
+    fam = FAMILIES[j]
+    monkeypatch.setitem(FAMILIES, j, dataclasses.replace(fam, **_WITNESSES[key](fam)))
+    for k, ell in ((1, 1), (2, 1), (3, 2)):
+        rep = validate_family_params(j, k, ell)
+        assert rep.details[key] is False and rep.status == "fail", (k, ell, rep.details)
+        assert _same_report(rep, reference_validate_family_params(j, k, ell))
+
+
+def _fraction_calls(func, points) -> int:
+    """Python-level calls into the fractions module while func runs on points."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        for point in points:
+            func(*point)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_validation_makes_no_fraction_calls_beyond_family_params():
+    grid = [(j, k, ell) for j in FAMILIES for k in range(1, 11) for ell in range(1, k + 1)]
+    assert _fraction_calls(family_params, grid) > 0
+    assert _fraction_calls(validate_family_params, grid) <= _fraction_calls(family_params, grid)
 
 
 # ------------------------------------------------------------ theta series
