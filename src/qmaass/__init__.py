@@ -11,7 +11,7 @@ from .bailey import (
     verify_pair,
 )
 from .bessel import k0_bessel
-from .cyclotomic import CycNumber, root_of_unity_value
+from .cyclotomic import CycNumber
 from .families import (
     family_series,
     negative_part_series,
@@ -28,7 +28,6 @@ from .maass import (
     cohen_table,
     cohen_transform_residual,
     eval_waveform,
-    family_coeff_table,
     quantum_value,
     radial_limit_check,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "cohen_transform_residual",
     "completion_defect",
     "eval_waveform",
-    "family_coeff_table",
     "family_params",
     "family_series",
     "gaussian_binomial",
@@ -89,7 +87,6 @@ __all__ = [
     "pochhammer",
     "quantum_value",
     "radial_limit_check",
-    "root_of_unity_value",
     "sigma_coefficients",
     "sigma_series",
     "sigma_star_coefficients",

@@ -25,7 +25,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .series import L1Bound, PackedRing, QSeries, QSeriesError, _clean
+from .series import L1Bound, PackedRing, QSeriesError, _clean
 
 
 @functools.lru_cache(maxsize=None)
@@ -224,30 +224,6 @@ class CycNumber:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CycNumber(order={self.order}, vec={self.vec})"
-
-
-# -------------------------------------------------------------- root helpers
-
-def root_of_unity_value(series: QSeries, N: int, power: int = 1) -> CycNumber:
-    """Exact evaluation of a q-series at q = zeta_N^power.
-
-    All stored terms are summed, so the caller is responsible for the series
-    being an exact polynomial (infinite trunc) or for the truncation being
-    the intended evaluation window.  Fractional exponents m/D map to
-    zeta_(N*D)^(m*power); the result lives in Q(zeta_(N*D)) (coefficient
-    rings of cyclotomic numbers embed into the compositum automatically).
-    """
-    s = series.normalized()
-    L = N * s.denom
-    rational_powers: dict[int, object] = {}
-    out = CycNumber.from_rational(L, 0)
-    for m, c in s._coeffs.items():
-        k = (m * power) % L
-        if isinstance(c, (int, Fraction)):
-            rational_powers[k] = rational_powers.get(k, 0) + c
-        else:
-            out = out + CycNumber.zeta(L, k) * c
-    return CycNumber.from_powers(L, rational_powers) + out
 
 
 # ------------------------------------------- the group ring Z[x]/(x^N - 1)

@@ -12,8 +12,6 @@ This module provides:
 * the explicit odd-divisor example at scale 24 (positive indices from
   the even-parts generating series, negative ones from its odd-indexed
   partner) with its two transformation residuals;
-* coefficient tables for the four q-series families, read off the exact
-  indefinite theta series, with experimental negative parts;
 * exact root-of-unity evaluation of the families (the hypergeometric
   sums terminate there), radial-limit extrapolation checks against
   those exact values, and cocycle sampling of the positive-part series
@@ -30,15 +28,13 @@ from .agpolys import ag_polynomials_at_root
 from .bailey import LIMIT_WEIGHTS
 from .bessel import k0_bessel
 from .cyclotomic import CycNumber, check_root_order, root_sums
-from .families import FAMILIES, _validate_family, negative_part_series, sigma_coefficients
+from .families import FAMILIES, _validate_family, sigma_coefficients
 from .reports import CheckReport, _exact_str, report_from_condition
 from .series import PrecisionError, QSeriesError, dense_int_coeffs
 from .theta import (
     _bounded,
     family_lattice_numeric,
     family_lattice_series,
-    family_params,
-    indefinite_theta_series,
     unit_phase,
 )
 
@@ -49,7 +45,6 @@ __all__ = [
     "cocycle_samples",
     "cohen_transform_residual",
     "eval_waveform",
-    "family_coeff_table",
     "quantum_value",
     "radial_limit_check",
 ]
@@ -80,15 +75,6 @@ class MaassCoeffTable:
     def extent(self) -> int:
         """Largest absolute index present (0 for an empty table)."""
         return max((abs(n) for n in self.coeffs), key=int, default=0)
-
-    def residue_classes(self) -> set[int]:
-        """Residue classes mod scale in which the support lives.
-
-        Tables built here are supported on a single residue class (for
-        instance 1 mod 24 for the scale-24 example), so this set is a
-        singleton for them.
-        """
-        return {n % self.scale for n in self.coeffs}
 
     def max_abs_coeff(self) -> float:
         return max((abs(float(c)) for c in self.coeffs.values()), default=0.0)
@@ -176,52 +162,6 @@ def cohen_transform_residual(tau: complex, n_cut: int) -> tuple[complex, complex
     res_inv = f_inv - f_tau.conjugate()
     res_shift = f_shift - unit_phase(Fraction(1, 24)) * f_tau
     return res_inv, res_shift
-
-
-# ------------------------------------------------- family coefficient tables
-
-
-def family_coeff_table(
-    j: int,
-    k: int,
-    ell: int,
-    trunc,
-    include_negative: bool = False,
-) -> tuple[MaassCoeffTable, dict]:
-    """Coefficient table of a family waveform read off its theta series.
-
-    Positive indices come from the exact indefinite theta series below
-    ``trunc`` (so the positive part of the table reproduces the shifted
-    family series term by term).  With ``include_negative`` the
-    conjectural negative part is filled from the negative-index series
-    over its cone region, complete below ``trunc``, and flagged
-    experimental in the diagnostics — the pairing is reported data, not a
-    certified property.
-    """
-    data = family_params(j, k, ell)
-    series = indefinite_theta_series(data.params, trunc)
-    exponents = [e for e, _ in series.terms()]
-    diagnostics: dict[str, object] = {"experimental_negative": False}
-    negative_terms: list[tuple[Fraction, object]] = []
-    if include_negative:
-        neg, neg_diag = negative_part_series(data.params.M, ell, trunc, region="cone")
-        negative_terms = list(neg.terms())
-        exponents.extend(e for e, _ in negative_terms)
-        diagnostics["experimental_negative"] = True
-        diagnostics["negative_part"] = neg_diag
-    scale = math.lcm(*(e.denominator for e in exponents)) if exponents else 1
-    coeffs: dict[int, object] = {}
-    for e, c in series.terms():
-        coeffs[int(e * scale)] = c
-    # The companion series lists the coefficients of negative Fourier
-    # indices against positive exponents |n|/scale, so indices flip sign.
-    for e, c in negative_terms:
-        idx = -int(e * scale)
-        coeffs[idx] = coeffs.get(idx, 0) + c
-    table = MaassCoeffTable(scale=scale, coeffs=coeffs)
-    diagnostics["scale"] = scale
-    diagnostics["positive_terms"] = len(list(series.terms()))
-    return table, diagnostics
 
 
 # --------------------------------------------------------- quantum evaluation

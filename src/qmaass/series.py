@@ -399,9 +399,6 @@ class QSeries:
             {m: c if m % 2 == 0 else -c for m, c in s._coeffs.items()}, 1, s.trunc
         )
 
-    def map_coefficients(self, fn: Callable) -> "QSeries":
-        return QSeries({m: fn(c) for m, c in self._coeffs.items()}, self.denom, self.trunc)
-
     # ------------------------------------------------------------- comparison
     def first_mismatch(self, other: "QSeries", up_to=None) -> Fraction | None:
         """Lowest exponent below min(truncs, up_to) where coefficients differ."""

@@ -23,10 +23,8 @@ Provided here:
   verification against the defining sums, and a cancellation-free
   numeric evaluator for radial limits;
 * numeric evaluation of the Bessel-weighted waveform attached to theta
-  data, of the boundary correction ("completion defect") that must
-  vanish exactly when the parameters satisfy the validated conditions,
-  and numeric spot checks of the modular transformation laws of the
-  completed waveform at ``M = 2``.
+  data, and of the boundary correction ("completion defect") that must
+  vanish exactly when the parameters satisfy the validated conditions.
 """
 
 from __future__ import annotations
@@ -112,14 +110,6 @@ class QuadForm:
         t = math.asinh(math.sqrt((self.M - 1) / 2.0))
         return -t if which == 1 else t
 
-    def curve_point(self, t: float) -> tuple[float, float]:
-        """The norm -1 curve (sqrt(2/(M+1)) sinh t, sqrt(2/(M-1)) cosh t)."""
-        M = self.M
-        return (
-            math.sqrt(2.0 / (M + 1)) * math.sinh(t),
-            math.sqrt(2.0 / (M - 1)) * math.cosh(t),
-        )
-
     def boundary_pairing(self, r, which: int) -> Fraction:
         """B(r, c_which) divided by sqrt(M^2 - 1); the sign is exact.
 
@@ -146,7 +136,7 @@ class QuadForm:
 
 
 def _equivalent(form: QuadForm, x, alpha, D: int, y, beta, E: int) -> bool:
-    """:func:`equivalence_check` of a = x / D, alpha / D, b = y / E and beta / E."""
+    """Whether shift/twist pairs (x / D, y / E) and (alpha / D, beta / E) are equivalent."""
     for sign in (1, -1):
         shift = (x[0] + sign * alpha[0], x[1] + sign * alpha[1])
         mu = (y[0] + sign * beta[0], y[1] + sign * beta[1])
@@ -155,17 +145,6 @@ def _equivalent(form: QuadForm, x, alpha, D: int, y, beta, E: int) -> bool:
         if form.bilinear(x, (mu[0] // E, mu[1] // E)) % D == 0:
             return True
     return False
-
-
-def equivalence_check(pair1, pair2, M: int) -> bool:
-    """Whether shift/twist pairs (a, b) and (alpha, beta) are equivalent.
-
-    Requires a +- alpha integral and b +- beta =: mu integral with the
-    same sign choice in both, and B(a, mu) an integer.
-    """
-    D, (a, alpha) = _over_common(pair1[0], pair2[0])
-    E, (b, beta) = _over_common(pair1[1], pair2[1])
-    return _equivalent(QuadForm(M), a, alpha, D, b, beta, E)
 
 
 # --------------------------------------------------------------- theta params
@@ -809,50 +788,3 @@ def completion_defect(params, tau: complex, lattice_cut: int = 10) -> complex:
         phase = unit_phase(qv * u + t / t_den)
         total += alpha * (math.exp(-2.0 * math.pi * qv * v) * phase)
     return root_v * total
-
-
-def completed_waveform_numeric(params, tau: complex, lattice_cut: int = 12) -> complex:
-    """Waveform plus completion defect: the modular completion, numerically."""
-    value, _ = waveform_numeric(params, tau, lattice_cut)
-    return value + completion_defect(params, tau, lattice_cut)
-
-
-def modular_spotcheck_m2(
-    a, b, tau: complex = 1j, lattice_cut: int = 12
-) -> dict[str, float]:
-    """Numeric residuals of the transformation laws at M = 2.
-
-    Checks the completed waveform against its shift law (tau -> tau + 1,
-    with the twist moved to a + b + (1/2, 1/2) and an explicit phase)
-    and its inversion law (tau -> -1/tau, averaging the three residue
-    classes of the inverse form matrix).  Returns both absolute
-    residuals; for honest parameters both sit at quadrature precision.
-    """
-    M = 2
-    form = QuadForm(M)
-    params = ThetaParams(M=M, a=_frac_pair(a), b=_frac_pair(b))
-    a_v, b_v = params.a, params.b
-
-    # Shift law.  The matrix diagonal is (M+1, 1-M); applying the inverse
-    # matrix to it gives (1, 1), so the twist shift is (1/2, 1/2).
-    new_b = (a_v[0] + b_v[0] + Fraction(1, 2), a_v[1] + b_v[1] + Fraction(1, 2))
-    lhs = completed_waveform_numeric(params, tau + 1.0, lattice_cut)
-    phase_arg = -form.value(a_v) - Fraction(1, 2) * form.bilinear((1, 1), a_v)
-    rhs = unit_phase(phase_arg % 1) * completed_waveform_numeric(
-        ThetaParams(M=M, a=a_v, b=new_b), tau, lattice_cut
-    )
-    shift_residual = abs(lhs - rhs)
-
-    # Inversion law.  The inverse matrix maps the integer lattice onto
-    # multiples of (1/3, 1), so the residues mod Z^2 are (p/3, 0).
-    lhs2 = completed_waveform_numeric(params, -1.0 / tau, lattice_cut)
-    total = 0.0 + 0.0j
-    for p in range(3):
-        shifted = ThetaParams(M=M, a=(Fraction(p, 3) - b_v[0], -b_v[1]), b=a_v)
-        total += completed_waveform_numeric(shifted, tau, lattice_cut)
-    rhs2 = unit_phase(form.bilinear(a_v, b_v) % 1) / math.sqrt(3.0) * total
-    inversion_residual = abs(lhs2 - rhs2)
-    return {
-        "shift_residual": shift_residual,
-        "inversion_residual": inversion_residual,
-    }

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import root_of_unity_value
+
 from qmaass.cyclotomic import (
     CycNumber,
     cyclotomic_polynomial,
-    root_of_unity_value,
     root_sums,
 )
 from qmaass.series import INF, QSeries

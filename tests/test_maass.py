@@ -14,11 +14,12 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import root_of_unity_value
+
 from qmaass.agpolys import ag_polynomial
 from qmaass.bessel import k0_bessel
-from qmaass.cyclotomic import CycNumber, root_of_unity_value
+from qmaass.cyclotomic import CycNumber
 from qmaass.families import (
-    family_series,
     sigma_coefficients,
     sigma_star_coefficients,
 )
@@ -28,12 +29,10 @@ from qmaass.maass import (
     cohen_table,
     cohen_transform_residual,
     eval_waveform,
-    family_coeff_table,
     quantum_value,
     radial_limit_check,
 )
 from qmaass.series import PrecisionError, QSeriesError
-from qmaass.theta import family_params
 
 
 # ----------------------------------------------------------------- K0 Bessel
@@ -164,7 +163,7 @@ class TestCoeffTable:
 
     def test_support_residue_class(self):
         table = cohen_table(3000)
-        assert table.residue_classes() == {1}
+        assert {n % 24 for n in table.coeffs} == {1}
         assert all(n % 24 == 1 for n in table.coeffs)
 
     def test_negative_side_matches_dense_representation(self):
@@ -313,50 +312,6 @@ class TestCohenResiduals:
         pair = cohen_transform_residual(1j, 200)
         assert isinstance(pair, tuple) and len(pair) == 2
         assert all(isinstance(z, complex) for z in pair)
-
-
-# ----------------------------------------------------- family coefficient tables
-
-
-class TestFamilyTables:
-    @pytest.mark.parametrize(
-        "j,k,ell",
-        [(j, k, ell) for j in (1, 2, 3, 4) for k in (1, 2) for ell in range(1, k + 1)],
-    )
-    def test_positive_round_trip(self, j, k, ell):
-        # Table built from the theta series re-reads the shifted family
-        # series coefficient by coefficient.
-        trunc = 30
-        table, diag = family_coeff_table(j, k, ell, trunc)
-        data = family_params(j, k, ell)
-        inner = family_series(j, k, ell, (Fraction(trunc) - data.alpha) / data.power)
-        shifted = inner.compose_power(data.power).shift(data.alpha).scale(data.scale)
-        expected = {int(e * table.scale): c for e, c in shifted.terms()}
-        actual = {n: c for n, c in table.coeffs.items() if n > 0}
-        assert actual == expected
-        assert not diag["experimental_negative"]
-
-    def test_scale_matches_offset_denominator(self):
-        table, _ = family_coeff_table(1, 1, 1, 20)
-        assert table.scale == 60  # offset 11/60 over the integer lattice
-
-    def test_negative_side_experimental(self):
-        plain, _ = family_coeff_table(1, 1, 1, 30)
-        table, diag = family_coeff_table(1, 1, 1, 30, include_negative=True)
-        assert diag["experimental_negative"]
-        assert diag["negative_part"]["region"] == "cone"
-        negatives = [n for n in table.coeffs if n < 0]
-        assert negatives
-        # Positive side is untouched by the experimental extension.
-        assert {n: c for n, c in table.coeffs.items() if n > 0} == dict(plain.coeffs)
-        # Support still lives in one residue class across zero.
-        assert table.residue_classes() == {11}
-
-    def test_residue_classes_positive_only(self):
-        for j, expected_scale in ((1, 60), (2, 6), (3, 60), (4, 12)):
-            table, _ = family_coeff_table(j, 1, 1, 25)
-            assert table.scale == expected_scale
-            assert len(table.residue_classes()) == 1
 
 
 # --------------------------------------------------------- quantum evaluation

@@ -469,7 +469,6 @@ def test_compose_power_and_negate_variable():
 def test_map_coefficients_and_scale():
     s = QSeries.from_dense([2, 4], trunc=5)
     assert s.scale(Fraction(1, 2)) == QSeries.from_dense([1, 2], trunc=5)
-    assert s.map_coefficients(lambda c: c * c) == QSeries.from_dense([4, 16], trunc=5)
 
 
 # ------------------------------------------------------------ finite products

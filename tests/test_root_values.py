@@ -18,13 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import root_of_unity_value
+
 import qmaass.families as families
 from qmaass.agpolys import _walk, ag_polynomial, ag_polynomials, ag_polynomials_at_root
 from qmaass.bailey import LIMIT_WEIGHTS
 from qmaass.cyclotomic import (
     MAX_ROOT_ORDER,
     CycNumber,
-    root_of_unity_value,
     root_sums,
 )
 from qmaass.families import FAMILIES, kz_root_value, u_root_value, verify_kz_duality
