@@ -66,9 +66,9 @@ from .families import (
     verify_kz_duality,
 )
 from .maass import (
+    _cohen_residuals,
     cocycle_samples,
     cohen_table,
-    cohen_transform_residual,
     eval_waveform,
     quantum_value,
     radial_limit_check,
@@ -434,8 +434,15 @@ def _check_cohen_reality(ncut):
 
 
 def _check_cohen_residuals(tau, label, ncut):
-    """Both transformation residuals at tau, from one computation."""
-    inversion, shift = cohen_transform_residual(tau, ncut)
+    """Both transformation residuals at tau, from one computation.  The
+    inversion residual is a verdict only when it clears the tolerance by
+    the tail bounds; the shift residual cancels termwise."""
+    inversion, shift, tail = _cohen_residuals(tau, ncut)
+    if abs(inversion) + tail >= 1e-6 > abs(inversion) - tail:
+        raise PrecisionError(
+            f"the inversion residual {abs(inversion):.3g} at tau = {label} is within its "
+            f"tail bound {tail:.3g} of the tolerance 1e-06; raise --ncut"
+        )
     return [
         report_from_condition(
             "cohen_inversion_residual",

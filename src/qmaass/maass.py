@@ -147,6 +147,20 @@ def eval_waveform(
     return _bounded(math.sqrt(v) * total, math.sqrt(v) * tail)
 
 
+def _cohen_residuals(tau: complex, n_cut: int) -> tuple[complex, complex, float]:
+    """The two residuals of :func:`cohen_transform_residual` and ``tail``,
+    the sum of the tail bounds of f(tau) and f(-1/(2 tau)), the two values
+    the first residual compares."""
+    table = cohen_table(max(n_cut, 1))
+    cut = table.extent()  # the largest index the table actually reaches
+    f_tau, tail_tau = eval_waveform(table, tau, cut)
+    f_inv, tail_inv = eval_waveform(table, -1.0 / (2.0 * tau), cut)
+    f_shift, _ = eval_waveform(table, tau + 1.0, cut)
+    res_inv = f_inv - f_tau.conjugate()
+    res_shift = f_shift - unit_phase(Fraction(1, 24)) * f_tau
+    return res_inv, res_shift, tail_tau + tail_inv
+
+
 def cohen_transform_residual(tau: complex, n_cut: int) -> tuple[complex, complex]:
     """Residuals of the two transformation laws of the scale-24 example.
 
@@ -154,14 +168,7 @@ def cohen_transform_residual(tau: complex, n_cut: int) -> tuple[complex, complex
     The second vanishes termwise; the first vanishes up to truncation
     and float error.
     """
-    table = cohen_table(max(n_cut, 1))
-    cut = table.extent()  # the largest index the table actually reaches
-    f_tau, _ = eval_waveform(table, tau, cut)
-    f_inv, _ = eval_waveform(table, -1.0 / (2.0 * tau), cut)
-    f_shift, _ = eval_waveform(table, tau + 1.0, cut)
-    res_inv = f_inv - f_tau.conjugate()
-    res_shift = f_shift - unit_phase(Fraction(1, 24)) * f_tau
-    return res_inv, res_shift
+    return _cohen_residuals(tau, n_cut)[:2]
 
 
 # --------------------------------------------------------- quantum evaluation

@@ -14,9 +14,8 @@ Provided here:
   determinant-one automorph, the two norm ``-1`` reference vectors with
   their hyperbolic parameterization, and sign tests against them that
   stay in rational arithmetic;
-* the exact two-region theta series with a derived enumeration box and a
-  one-layer safety rescan that turns an undersized box into a hard
-  error;
+* the exact two-region theta series, enumerated row by row over exactly
+  the lattice points whose exponent is below the truncation;
 * the per-family parameters of :data:`qmaass.families.FAMILIES` plus full
   validation of the windows, congruences, and integrality conditions;
 * closed lattice expansions of the four series families, their exact
@@ -242,16 +241,6 @@ def _as_theta_params(p) -> ThetaParams:
 # ------------------------------------------------------------ two-region sum
 
 
-def _sqrt_ceil(t: Fraction) -> int:
-    """Smallest integer N >= 0 with N*N >= t."""
-    if t <= 0:
-        return 0
-    n = math.isqrt(math.ceil(t))
-    while n * n < t:
-        n += 1
-    return n
-
-
 def _denominators(params: ThetaParams) -> tuple[int, int]:
     """D and E with a = (A1, A2) / D and b = (B1, B2) / E."""
     return _over_common(params.a)[0], _over_common(params.b)[0]
@@ -296,44 +285,38 @@ def indefinite_theta_series(params, trunc) -> QSeries:
 
     The two regions make up the cone r1^2 > r2^2 (the main cone of
     :func:`_cone_weights`), whose boundary no lattice point meets because
-    a1 +- a2 is not integral; in it the exponent dominates (n + a1)^2,
-    which bounds the enumeration box.  A one-layer rescan beyond the box
-    raises if any in-region term below ``trunc`` shows up there, so an
-    undersized box can never silently drop terms.
+    a1 +- a2 is not integral.  In the cone the exponent numerator
+    q = (M+1) x^2 - (M-1) y^2 exceeds 2 x^2, so only the rows with
+    2 x^2 below the limit hold terms; in each row the kept nu are read
+    exactly from :func:`_kept_nus`, the rule of the family shells.
     """
     params = _as_theta_params(params)
     t = finite_trunc(trunc)
     if t <= 0:
         return QSeries.zero(t)
-    a1, a2 = params.a
+    M = params.M
     order, c1, c2 = _twist_residues(params)
-    D, _ = _denominators(params)
+    D, ((A1, A2),) = _over_common(params.a)
     den = 2 * D * D
     # An integer numerator q is below t * den exactly when it is below
     # the ceiling.
     limit = math.ceil(t * den)
-    reach = _sqrt_ceil(t) + 1 + max(math.ceil(abs(a1)), math.ceil(abs(a2)))
-    edge = reach + 1
+    reach = math.isqrt((limit - 1) // 2)  # the largest |x| with 2 x^2 < limit
+    # (M-1) y^2 > (M+1) x^2 - limit at y = A2 + nu D, as _kept_nus reads it
+    square, linear = 2 * (M - 1) * D * D, 4 * (M - 1) * A2 * D
     # exponent numerator -> {twist residue: number of points}
     acc: dict[int, dict[int, int]] = {}
-    for n, nu, x, y, q, _ in _lattice_walk(params, edge):
-        if x * x <= y * y:
-            continue
-        if abs(n) == edge or abs(nu) == edge:
-            if q < limit:
-                raise QSeriesError(
-                    "enumeration box closed too early: term below trunc at "
-                    f"({n}, {nu})"
-                )
-            continue
-        if q <= 0:
-            raise QSeriesError(
-                f"in-region lattice point ({n}, {nu}) has non-positive exponent"
-            )
-        if q < limit:
-            counts = acc.setdefault(q, {})
-            r = (c1 * n - c2 * nu) % order
-            counts[r] = counts.get(r, 0) + 1
+    for n in range(-((reach + A1) // D), (reach - A1) // D + 1):
+        x = A1 + n * D
+        qx = (M + 1) * x * x
+        # the cone: -|x| < A2 + nu D < |x|
+        lo, hi = (-abs(x) - A2) // D + 1, -((A2 - abs(x)) // D) - 1
+        for nus in _kept_nus(square, linear, qx - limit - (M - 1) * A2 * A2, lo, hi):
+            for nu in nus:
+                q = qx - (M - 1) * (A2 + nu * D) ** 2
+                counts = acc.setdefault(q, {})
+                r = (c1 * n - c2 * nu) % order
+                counts[r] = counts.get(r, 0) + 1
     if order <= 2:
         coeffs = {q: c.get(0, 0) - c.get(1, 0) for q, c in acc.items()}
     else:

@@ -29,7 +29,7 @@ from qmaass.cli import (
     run,
 )
 from qmaass.cyclotomic import MAX_ROOT_ORDER
-from qmaass.maass import cohen_transform_residual
+from qmaass.maass import _cohen_residuals
 from qmaass.series import QSeriesError
 from qmaass.theta import family_params
 
@@ -220,6 +220,16 @@ class TestVerify:
         assert objs[0]["check"] == "cohen_waveform_real_on_axis"
         assert abs(objs[0]["value_im"]) < 1e-8
 
+    # The inversion residual is a verdict only once it clears the 1e-6
+    # tolerance by the tail bounds: 1.4e-5 within 0.016 at ncut 50,
+    # 2.9e-8 within 2.1e-5 at ncut 100, and a pass at ncut 200.
+    @pytest.mark.parametrize("ncut, expected", [(50, 3), (100, 3), (200, 0)])
+    def test_cohen_inversion_verdict_reads_the_tail_bound(self, capsys, ncut, expected):
+        code, _, err = _run(capsys, "verify", "cohen", "--ncut", str(ncut))
+        assert code == expected
+        if expected == 3:
+            assert "tail bound" in err and "--ncut" in err
+
     def test_duality_suite(self, capsys):
         code, lines, _ = _run(
             capsys, "verify", "duality", "--kmax", "2", "--nmax", "8"
@@ -259,10 +269,10 @@ class TestVerify:
 
         def counted(tau, ncut):
             calls.append(tau)
-            return cohen_transform_residual(tau, ncut)
+            return _cohen_residuals(tau, ncut)
 
         monkeypatch.setenv("QMAASS_THREADS", threads)
-        monkeypatch.setattr(cli, "cohen_transform_residual", counted)
+        monkeypatch.setattr(cli, "_cohen_residuals", counted)
         code, lines, _ = _run(capsys, "verify", "cohen", "--ncut", "600")
         assert code == 0
         assert len(lines) == 5

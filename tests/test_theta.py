@@ -40,6 +40,7 @@ from qmaass.theta import (
     _equivalent,
     _frac_pair,
     _gauss_legendre,
+    _kept_nus,
     _lattice_coefficients,
     _lattice_walk,
     _over_common,
@@ -850,11 +851,33 @@ class TestIntegerWalk:
     @settings(max_examples=40, deadline=None)
     @given(_theta_params(), st.builds(F, st.integers(1, 24), st.integers(1, 3)))
     def test_theta_series_matches_fraction_keys(self, params, trunc):
-        # The library's box and rescan ring, plus one more ring.
+        # The box holds every term: in the cone r1^2 < Q(r) < trunc, so
+        # |a1 + n| < sqrt(trunc), and |a2 + nu| < |a1 + n|.
         box = math.isqrt(math.ceil(trunc)) + 4 + max(math.ceil(abs(c)) for c in params.a)
         mine = indefinite_theta_series(params, trunc)
         brute = _brute_force_theta(params, trunc, box)
         assert mine == brute and mine.denom == brute.denom
+
+    @settings(max_examples=40, deadline=None)
+    @given(_theta_params(), st.builds(F, st.integers(1, 24), st.integers(1, 3)))
+    def test_theta_series_visits_only_the_points_it_keeps(self, params, trunc):
+        # The nu ranges the series reads hold exactly the lattice points of
+        # the cone with exponent below trunc: none is visited and dropped.
+        visited = []
+
+        def counted(*args):
+            ranges = _kept_nus(*args)
+            visited.extend(len(nus) for nus in ranges)
+            return ranges
+
+        # patch, not monkeypatch: a function-scoped fixture trips the health check
+        with patch("qmaass.theta._kept_nus", counted):
+            indefinite_theta_series(params, trunc)
+        form, (a1, a2) = QuadForm(params.M), params.a
+        box = math.isqrt(math.ceil(trunc)) + 1 + max(math.ceil(abs(c)) for c in params.a)
+        points = [(a1 + n, a2 + nu) for n in range(-box, box + 1) for nu in range(-box, box + 1)]
+        kept = [r for r in points if r[0] ** 2 > r[1] ** 2 and form.value(r) < trunc]
+        assert sum(visited) == len(kept)
 
     @settings(max_examples=60, deadline=None)
     @given(_theta_params())
