@@ -61,10 +61,9 @@ def _walk(ring, k: int, ell: int, b: int, n_max: int) -> list:
     Each layer keeps one sum per chain state (n_j, acc), as the later
     factors read only n_j and g_j = acc - b*j; it stops at the first n_j
     whose weight n_j^2 + (1-b) n_j reaches the ring's horizon, and drops
-    the states whose sum is 0.  The last factor takes no product: as
-    sum_s [s+g choose s] z^s = 1/prod_(i<=g) (1 - z x^i), the states join a
-    series in z at z^(n_(k-1)), divided by 1 - z x^g from the largest g
-    down (Horner's rule).  Below a finite horizon T that series stops
+    the states whose sum is 0.  The last factor takes no product: the
+    states join a series in z at z^(n_(k-1)), summed by
+    :func:`_binomial_sums`.  Below a finite horizon T that series stops
     changing at n = T - 1: [s+g choose s] is constant mod x^T from s = T - 1
     on, and a chain's weight is at least its n_(k-1), so from n = T - 1 on
     every chain's term is constant mod x^T.
@@ -87,14 +86,23 @@ def _walk(ring, k: int, ell: int, b: int, n_max: int) -> list:
     for (last, acc), partial in layer.items():
         by_g.setdefault(acc - b * (k - 1), []).append((last, partial))
     end = min(n_max, max(ring.horizon - 1, 0))
+    series = _binomial_sums(ring, by_g, end)
+    return series + series[-1:] * (n_max - end)
+
+
+def _binomial_sums(ring, by_g: dict, end: int) -> list:
+    """z^0..z^end of sum_g sum_((p, a) in by_g[g]) a z^p / prod_(i<=g) (1 - z x^i)
+    over ``ring``, each p <= end: z^(p+s) gathers a [s+g choose s] (Andrews,
+    The Theory of Partitions, Thm 3.3).  The terms join from the largest g
+    down, and each g divides the series by 1 - z x^g (Horner's rule)."""
     series, low = [0] * (end + 1), end  # series[n] = 0 for n < low
     for g in range(max(by_g, default=-1), -1, -1):
-        for last, partial in by_g.get(g, ()):
-            series[last] += partial
-            low = min(low, last)
+        for p, a in by_g.get(g, ()):
+            series[p] += a
+            low = min(low, p)
         for n in range(low + 1, end + 1):
             series[n] += ring.rot(series[n - 1], g)
-    return series + series[-1:] * (n_max - end)
+    return series
 
 
 def ag_polynomials(k: int, ell: int, b: int, n_max: int, trunc=INF) -> list[QSeries]:

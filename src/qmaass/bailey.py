@@ -54,13 +54,10 @@ _SECOND_FACTOR = {"one": "q", "q": "q2;q"}
 def quadratic_shift(k: int, ell: int, nu: int) -> int:
     """Integer value of ((2k+1) nu^2 + (2k - 2 ell + 1) nu) / 2.
 
-    The numerator is always even because nu^2 and nu share parity, so the
-    shift is an exact integer; a non-integer value signals corrupted input.
+    The numerator is congruent to nu^2 + nu = nu (nu + 1) mod 2, so it is
+    even and the halving is exact for every integer k, ell and nu.
     """
-    num = (2 * k + 1) * nu * nu + (2 * k - 2 * ell + 1) * nu
-    if num % 2:
-        raise QSeriesError("quadratic exponent shift must be an integer")
-    return num // 2
+    return ((2 * k + 1) * nu * nu + (2 * k - 2 * ell + 1) * nu) // 2
 
 
 def _validate_pair_params(k, ell) -> None:

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, cycle, islice
 
-from .bailey import quadratic_shift
 from .bessel import k0_bessel
 from .cyclotomic import CycNumber
 from .families import FAMILIES, _affine, _validate_family, family_series
@@ -348,7 +347,7 @@ def _kept_nus(square: int, linear: int, excess: int, lo: int, hi: int) -> tuple:
 
 def _shell_parts(j: int, k: int, ell: int, n: int) -> list[tuple[int, int]]:
     """(start, mult) per part of shell n of family j.  At nu the part's
-    exponent is start - quadratic_shift(k, ell, nu), and start is
+    exponent is start - ((2k+1) nu^2 + (2k - 2 ell + 1) nu) / 2, and start is
     (Q(a + (m, 0)) - Q(a)) / power = ((M + 1) m^2 + A1 m) / (2 power) for
     the record's a1 = A1 / (2(M + 1))."""
     fam = FAMILIES[j]
@@ -382,20 +381,14 @@ def _family_shell(j: int, k: int, ell: int, n: int, top: int):
     return exps, nums
 
 
-def _shell_floor(j: int, k: int, ell: int, n: int) -> int:
-    """The least exponent of shell n of family j.  Each part's exponent is a
-    downward parabola in nu, least at an end of -n..n - first."""
-    ends = (-n, n - FAMILIES[j].first)
-    starts = [start for start, _ in _shell_parts(j, k, ell, n)]
-    return min(start - quadratic_shift(k, ell, nu) for start in starts for nu in ends)
-
-
 def _shell_walk(j: int, k: int, ell: int, top: int):
-    """The shells n = first, first + 1, ... of family j cut below ``top``, while
-    their least exponent is below top; it never decreases in n."""
+    """The shells n = first, first + 1, ... of family j cut below ``top``, up
+    to the first empty one.  A cut shell keeps exactly the terms below top,
+    so it is empty exactly when its least exponent reaches top; that least
+    exponent never decreases in n, so no later shell keeps a term."""
     n = FAMILIES[j].first
-    while _shell_floor(j, k, ell, n) < top:
-        yield _family_shell(j, k, ell, n, top)
+    while (shell := _family_shell(j, k, ell, n, top))[0]:
+        yield shell
         n += 1
 
 
@@ -593,8 +586,6 @@ def waveform_numeric(
     total = 0.0 + 0.0j
     outer_abs = 0.0
     for n, nu, x, y, q, t in _lattice_walk(params, lattice_cut):
-        if q == 0:
-            raise QSeriesError("the form vanishes at a lattice point")
         rho, rho_perp = _cone_weights(M, x, y)
         qv = q / q_den
         weight = 0.0
@@ -756,8 +747,6 @@ def completion_defect(params, tau: complex, lattice_cut: int = 10) -> complex:
     t2 = form.reference_parameter(2)
     total = 0j
     for _, _, x, y, q, t in _completion_points(params, v, lattice_cut):
-        if q == 0:
-            raise QSeriesError("the form vanishes at a lattice point")
         u_plus = root_plus * (x / D) * root_v
         u_minus = root_minus * (y / D) * root_v
         sign1 = _ray_sign(u_plus, u_minus, t1)

@@ -5,6 +5,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmaass.agpolys as agpolys
 from qmaass.agpolys import (
@@ -14,7 +16,7 @@ from qmaass.agpolys import (
     ag_polynomials,
     verify_ag_relation,
 )
-from qmaass.series import INF, QSeries, QSeriesError, gaussian_binomial
+from qmaass.series import INF, L1Bound, QSeries, QSeriesError, TruncatedRing, gaussian_binomial
 
 # --------------------------------------------------------------------- oracles
 
@@ -236,6 +238,51 @@ def test_whole_polynomials_prove_their_degree_bound(monkeypatch):
         ag_polynomials(3, 1, 0, 4)
     with pytest.raises(QSeriesError, match="degree bound"):
         verify_ag_relation(3, 1, 0, 4)
+
+
+# ------------------------------------------------------- the z-series Horner
+
+# (T, end, by_g): terms a z^p with g <= 6 and p <= end <= 8, where a is a
+# small polynomial below x^T.
+BINOMIAL_SUMS = st.tuples(st.integers(1, 12), st.integers(0, 8)).flatmap(
+    lambda t_end: st.tuples(
+        st.just(t_end[0]),
+        st.just(t_end[1]),
+        st.dictionaries(
+            st.integers(0, 6),
+            st.lists(
+                st.tuples(
+                    st.integers(0, t_end[1]),
+                    st.dictionaries(st.integers(0, t_end[0] - 1), st.integers(-3, 3), max_size=4),
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+            max_size=4,
+        ),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(BINOMIAL_SUMS)
+def test_binomial_sums_gather_the_gaussian_binomials(case):
+    # The z^n entry is sum a [n - p + g choose n - p], over Z[x]/(x^T) and at x = 1.
+    T, end, by_g = case
+    ring = TruncatedRing(T, 2**40)
+    packed = {g: [(p, ring.encode(a)) for p, a in group] for g, group in by_g.items()}
+    norms = {g: [(p, sum(map(abs, a.values()))) for p, a in group] for g, group in by_g.items()}
+    got = agpolys._binomial_sums(ring, packed, end)
+    sizes = agpolys._binomial_sums(L1Bound(), norms, end)
+    for n in range(end + 1):
+        want, size = QSeries.zero(T), 0
+        for g, group in by_g.items():
+            for p, a in group:
+                binomial = gaussian_binomial(n - p + g, n - p)
+                want = want + QSeries.from_terms(a.items(), T) * binomial
+                size += sum(map(abs, a.values())) * sum(c for _, c in binomial.terms())
+        assert ring.decode(got[n]) == {int(e): c for e, c in want.terms() if c}
+        assert sizes[n] == size
 
 
 # ------------------------------------------------------------------ partitions

@@ -32,6 +32,7 @@ from qmaass.families import FAMILIES, kz_root_value, u_root_value, verify_kz_dua
 from qmaass.maass import quantum_value
 from qmaass.series import (
     L1Bound,
+    PackedRing,
     QSeriesError,
     TruncatedRing,
     gaussian_binomial,
@@ -154,6 +155,17 @@ def test_duality_fails_on_a_perturbed_side(monkeypatch):
     monkeypatch.setattr(families, "u_root_value", lambda k, ell, N: u_root_value(k, ell, N) + 1)
     report = verify_kz_duality(2, 1, 7)
     assert not report.ok
+
+
+def test_kz_root_value_takes_no_binomial_table(monkeypatch):
+    # Each level is one pass of the z-series Horner: no q-Pascal table.
+    want = kz_oracle(3, 2, 12)
+
+    def refuse(self, top, bottom):
+        raise AssertionError("kz_root_value asked for a binomial table")
+
+    monkeypatch.setattr(PackedRing, "binomial", refuse)
+    assert _same(kz_root_value(3, 2, 12), want)
 
 
 def test_order_bound():

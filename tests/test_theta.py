@@ -38,6 +38,7 @@ from qmaass.theta import (
     _bounded,
     _denominators,
     _equivalent,
+    _family_shell,
     _frac_pair,
     _gauss_legendre,
     _kept_nus,
@@ -46,7 +47,6 @@ from qmaass.theta import (
     _over_common,
     _ray_integral,
     _ray_sign,
-    _shell_floor,
     _shell_walk,
     completion_cut_suffices,
     completion_defect,
@@ -1073,13 +1073,15 @@ class TestFamilyLattice:
         st.integers(0, 60),
     )
     def test_shell_floor_is_the_least_shell_exponent(self, j, k_ell, n):
-        # The walk's bound, read from the shell data, is the least exponent
-        # of the shell and never decreases from one shell to the next.
+        # The walk stops at the first empty cut shell: a shell cut below top
+        # is empty exactly when its least exponent reaches top, and that
+        # least exponent never decreases from one shell to the next.
         k, ell = k_ell
         n += 0 if j in (1, 2) else 1
-        floor = _shell_floor(j, k, ell, n)
-        assert floor == min(e for e, _ in _shell_reference(j, k, ell, n))
-        assert _shell_floor(j, k, ell, n + 1) >= floor
+        floor = min(e for e, _ in _shell_reference(j, k, ell, n))
+        assert not _family_shell(j, k, ell, n, floor)[0]
+        assert _family_shell(j, k, ell, n, floor + 1)[0]
+        assert min(e for e, _ in _shell_reference(j, k, ell, n + 1)) >= floor
 
     def test_series_route_stays_exact_for_huge_chain_length(self):
         # Intermediates beyond int64 must not wrap.
