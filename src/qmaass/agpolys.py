@@ -16,7 +16,8 @@ ring (:func:`_walk`).  Over the packed truncated ring Z[x]/(x^T) it gives
 the polynomials for n = 0..n_max below a truncation, or whole
 (:func:`ag_polynomials`, :func:`ag_polynomial`); over the packed cyclic
 ring Z[x]/(x^N - 1) their values at a primitive N-th root of unity
-(:func:`ag_polynomials_at_root`).
+(:func:`ag_polynomials_at_root`).  The partition oracle
+(:func:`ag_generating`) runs its own DP over the same packed truncated ring.
 """
 
 from __future__ import annotations
@@ -62,11 +63,12 @@ def _walk(ring, k: int, ell: int, b: int, n_max: int) -> list:
     factors read only n_j and g_j = acc - b*j; it stops at the first n_j
     whose weight n_j^2 + (1-b) n_j reaches the ring's horizon, and drops
     the states whose sum is 0.  The last factor takes no product: the
-    states join a series in z at z^(n_(k-1)), summed by
-    :func:`_binomial_sums`.  Below a finite horizon T that series stops
-    changing at n = T - 1: [s+g choose s] is constant mod x^T from s = T - 1
-    on, and a chain's weight is at least its n_(k-1), so from n = T - 1 on
-    every chain's term is constant mod x^T.
+    states join a series in z at z^(n_(k-1)), summed by the ring's
+    :meth:`~qmaass.series.PackedRing.binomial_sums`.  Below a finite
+    horizon T that series stops changing at n = T - 1: [s+g choose s] is
+    constant mod x^T from s = T - 1 on, and a chain's weight is at least
+    its n_(k-1), so from n = T - 1 on every chain's term is constant mod
+    x^T.
     """
     layer = {(0, 0): 1}
     for j in range(k - 1):
@@ -86,23 +88,8 @@ def _walk(ring, k: int, ell: int, b: int, n_max: int) -> list:
     for (last, acc), partial in layer.items():
         by_g.setdefault(acc - b * (k - 1), []).append((last, partial))
     end = min(n_max, max(ring.horizon - 1, 0))
-    series = _binomial_sums(ring, by_g, end)
+    series = ring.binomial_sums(by_g, end)
     return series + series[-1:] * (n_max - end)
-
-
-def _binomial_sums(ring, by_g: dict, end: int) -> list:
-    """z^0..z^end of sum_g sum_((p, a) in by_g[g]) a z^p / prod_(i<=g) (1 - z x^i)
-    over ``ring``, each p <= end: z^(p+s) gathers a [s+g choose s] (Andrews,
-    The Theory of Partitions, Thm 3.3).  The terms join from the largest g
-    down, and each g divides the series by 1 - z x^g (Horner's rule)."""
-    series, low = [0] * (end + 1), end  # series[n] = 0 for n < low
-    for g in range(max(by_g, default=-1), -1, -1):
-        for p, a in by_g.get(g, ()):
-            series[p] += a
-            low = min(low, p)
-        for n in range(low + 1, end + 1):
-            series[n] += ring.rot(series[n - 1], g)
-    return series
 
 
 def ag_polynomials(k: int, ell: int, b: int, n_max: int, trunc=INF) -> list[QSeries]:
@@ -186,57 +173,34 @@ def ag_generating(constraint: PartitionConstraint, trunc) -> QSeries:
     """Generating function (by partition size) of the admitted partitions.
 
     Dynamic programming over part sizes ``1, ..., part_bound - 1``: the state
-    is the frequency of the previous size (needed for the adjacent-sum rule)
-    and the accumulated size, all below the finite ``trunc``.
+    is the frequency of the previous size (needed for the adjacent-sum rule),
+    and each state holds its partitions' series below the finite ``trunc``
+    as one packed value, so f parts of size j are one rotation by f j.  The
+    DP runs first over :class:`~qmaass.series.L1Bound`, whose total
+    over-counts the partitions and so bounds every coefficient.
     """
     trunc = finite_trunc(trunc)
     size = int_slots(trunc)
     if size <= 0:
         return QSeries.zero(trunc)
     npos = constraint.part_bound - 1
-    if npos == 0:
-        return QSeries.one(trunc)
+    caps = {1: constraint.first_freq_bound - 1}
+    caps[npos] = min(caps.get(npos, size), constraint.last_freq_bound - 1)
 
-    def edge_cap(j: int) -> int | None:
-        cap = None
-        if j == 1:
-            cap = constraint.first_freq_bound - 1
-        if j == npos:
-            last = constraint.last_freq_bound - 1
-            cap = last if cap is None else min(cap, last)
-        return cap
+    def build(ring) -> int:
+        states = {0: 1}  # frequency of the previous size -> packed series
+        for j in range(1, npos + 1):
+            cap, step = min(caps.get(j, size), (size - 1) // j), {}
+            for fprev, a in states.items():
+                # the pair rule f_(j-1) + f_j <= pair_sum_max from j = 2 on
+                fmax = cap if j == 1 else min(cap, constraint.pair_sum_max - fprev)
+                for f in range(fmax + 1):
+                    step[f] = step.get(f, 0) + ring.rot(a, f * j)
+            states = step
+        return sum(states.values())
 
-    # dp: frequency at the previous position -> dense counts by weight
-    dp: dict[int, list] = {}
-    top = (size - 1) // 1
-    cap1 = edge_cap(1)
-    if cap1 is not None:
-        top = min(top, cap1)
-    for f in range(top + 1):
-        arr = [0] * size
-        arr[f] = 1
-        dp[f] = arr
-    for j in range(2, npos + 1):
-        new_dp: dict[int, list] = {}
-        capj = edge_cap(j)
-        for fprev, arr in dp.items():
-            fmax = min(constraint.pair_sum_max - fprev, (size - 1) // j)
-            if capj is not None:
-                fmax = min(fmax, capj)
-            for f in range(fmax + 1):
-                dest = new_dp.get(f)
-                if dest is None:
-                    dest = new_dp[f] = [0] * size
-                off = f * j
-                for w in range(size - off):
-                    if arr[w]:
-                        dest[w + off] += arr[w]
-        dp = new_dp
-    total = [0] * size
-    for arr in dp.values():
-        for w in range(size):
-            total[w] += arr[w]
-    return QSeries.from_dense(total, trunc)
+    ring = TruncatedRing(size, build(L1Bound(size)))
+    return QSeries._from_clean(ring.decode(build(ring)), 1, trunc)
 
 
 def verify_ag_relation(k: int, ell: int, b: int, n: int) -> CheckReport:

@@ -35,7 +35,6 @@ from .series import (
     _divide_dense,
     averaging_budget,
     dense_int_coeffs,
-    divide_one_minus_power,
     finite_trunc,
     int_slots,
     inverse_pochhammer,
@@ -409,8 +408,10 @@ def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) 
     def rhs_at(n: int, alpha: QSeries) -> QSeries:
         term = alpha if power is None else alpha.shift(power(n))
         term = term.truncate(t)
-        if relative == "one":
-            term = divide_one_minus_power(term, s * n)
+        if relative == "one":  # n >= first = 1, so s n >= 1
+            out = dense_int_coeffs(term, int_slots(t))
+            _divide_dense(out, 1, s * n)
+            term = QSeries({e: c for e, c in enumerate(out) if c}, 1, t)
         return -term if n % 2 else term
 
     lhs = left_side(pair, kind, t)

@@ -10,7 +10,11 @@ Two regimes:
 * from x = 2 up, Steed's continued fraction CF2 (Thompson and Barnett,
   J. Comput. Phys. 64, 1986; the nu = 0 case of ``bessik`` in Numerical
   Recipes), which gives K0(x) = sqrt(pi/(2x)) e^-x / s with s the sum
-  the recurrence builds; it needs fewer terms the larger x is.
+  the recurrence builds; it needs fewer terms the larger x is;
+* from x = 745 up, including x = inf, 0.0: there
+  K0(x) < sqrt(pi/(2x)) e^-x lies below half the least subnormal double,
+  so 0.0 is the correctly rounded value (the recurrence itself overflows
+  to NaN on part of that range, first near x = 5e16).
 
 Values are cached.  The relative error is below 1e-12 on all of
 (0, 700]; the tests hold it to 1e-13 against 30-digit references on
@@ -25,6 +29,7 @@ from functools import lru_cache
 from .series import QSeriesError
 
 _CF2_SWITCH = 2.0
+_UNDERFLOW = 745.0
 _EULER_GAMMA = 0.5772156649015329
 _EPS = 1e-17
 _MAX_TERMS = 10000
@@ -38,6 +43,8 @@ def k0_bessel(x: float) -> float:
         raise QSeriesError("the Bessel argument must be positive")
     if x < _CF2_SWITCH:
         return _k0_ascending(x)
+    if x >= _UNDERFLOW:
+        return 0.0
     return _k0_steed(x)
 
 

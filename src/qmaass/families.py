@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .agpolys import _binomial_sums, ag_polynomials_at_root
+from .agpolys import ag_polynomials_at_root
 from .bailey import CHAIN_PAIRS, LIMIT_WEIGHTS, left_side
 from .cyclotomic import CycNumber, check_root_order, root_sums
 from .reports import CheckReport, report_from_condition
@@ -379,7 +379,7 @@ def kz_root_value(k: int, ell: int, N: int) -> CycNumber:
     n_j <= n_(j+1) + 1, so the sum is finite.  It is summed level by
     level in Z[x]/(x^N - 1): ``inner[m]`` is the sum over n_1..n_j with
     n_(j+1) = m, and N bounds every n_j (one bump at most).  Each level is one
-    pass of :func:`~qmaass.agpolys._binomial_sums` with g = p = v, as
+    pass of :meth:`~qmaass.series.PackedRing.binomial_sums` with g = p = v, as
     [m choose v] = [(m - v) + v choose m - v].
     """
     _validate_family(1, k, ell)
@@ -391,7 +391,7 @@ def kz_root_value(k: int, ell: int, N: int) -> CycNumber:
             bump = 1 if j == ell - 1 else 0
             by_g = {v: [(v, ring.rot(t, v * v + (v if j >= ell else 0)))]
                     for v, t in enumerate(inner)}
-            inner = _binomial_sums(ring, by_g, len(inner) - 1)[bump:]
+            inner = ring.binomial_sums(by_g, len(inner) - 1)[bump:]
         total = 0  # by Horner's rule: (q)_(n_k) = (q)_(n_k - 1) (1 - q^(n_k))
         for n_k in range(N - 1, -1, -1):
             total = ring.sub(total, ring.rot(total, n_k + 1)) + inner[n_k]

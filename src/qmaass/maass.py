@@ -30,13 +30,8 @@ from .bessel import k0_bessel
 from .cyclotomic import CycNumber, check_root_order, root_sums
 from .families import FAMILIES, _validate_family, sigma_coefficients
 from .reports import CheckReport, _exact_str, report_from_condition
-from .series import PrecisionError, QSeriesError, dense_int_coeffs
-from .theta import (
-    _bounded,
-    family_lattice_numeric,
-    family_lattice_series,
-    unit_phase,
-)
+from .series import PrecisionError, QSeriesError
+from .theta import _bounded, _lattice_table, family_lattice_numeric, unit_phase
 
 __all__ = [
     "MaassCoeffTable",
@@ -107,7 +102,7 @@ def cohen_table(n_max: int) -> MaassCoeffTable:
             coeffs[24 * m + 1] = value
     m_neg = (n_max + 1) // 24
     if m_neg >= 1:
-        fourth = dense_int_coeffs(family_lattice_series(4, 1, 1, m_neg + 1), m_neg + 1)
+        fourth, _ = _lattice_table(4, 1, 1, m_neg + 1)  # shell_denom 1: integers
         for m in range(1, m_neg + 1):
             value = -fourth[m] if m % 2 == 0 else fourth[m]
             if value:

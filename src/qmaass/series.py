@@ -485,7 +485,8 @@ class PackedRing:
     unsigned digit that never reaches 2^W - 1.  Exponents at or above
     ``horizon`` vanish, and with a ``period`` N, x^N = 1.  Gaussian
     binomials come from the q-Pascal rule [m, i] = [m-1, i-1] + x^i [m-1, i],
-    tabulated while the ring lives.
+    tabulated while the ring lives, or summed along a row by
+    :meth:`binomial_sums`.
     """
 
     horizon = INF
@@ -520,6 +521,20 @@ class PackedRing:
                 r = len(column)
                 column.append(columns[i - 1][r] + self.rot(column[r - 1], i) if i else 1)
         return columns[bottom][rows]
+
+    def binomial_sums(self, by_g: dict, end: int) -> list:
+        """z^0..z^end of sum_g sum_((p, a) in by_g[g]) a z^p / prod_(i<=g) (1 - z x^i),
+        each p <= end: z^(p+s) gathers a [s+g choose s] (Andrews, The Theory
+        of Partitions, Thm 3.3).  The terms join from the largest g down, and
+        each g divides the series by 1 - z x^g (Horner's rule)."""
+        series, low = [0] * (end + 1), end  # series[n] = 0 for n < low
+        for g in range(max(by_g, default=-1), -1, -1):
+            for p, a in by_g.get(g, ()):
+                series[p] += a
+                low = min(low, p)
+            for n in range(low + 1, end + 1):
+                series[n] += self.rot(series[n - 1], g)
+        return series
 
     def encode(self, powers: dict, low: int = 0) -> int:
         """The value of the map {exponent: coefficient} times x^-low, its
@@ -609,25 +624,6 @@ def dense_int_coeffs(series: QSeries, size: int) -> list:
     return out
 
 
-def divide_one_minus_power(series: QSeries, s: int) -> QSeries:
-    """Exact division by (1 - q^s) for integer s >= 1 (truncated ascending)."""
-    if s < 1:
-        raise QSeriesError("divisor exponent must be a positive integer")
-    x = series.normalized()
-    if x.denom != 1:
-        raise QSeriesError("division helper requires integer exponents")
-    if x.trunc is INF:
-        raise QSeriesError("division by (1 - q^s) needs a finite trunc")
-    size = _int_bound(x.trunc, 1)
-    if size <= 0:
-        return QSeries({}, 1, x.trunc)
-    if x._coeffs and min(x._coeffs) < 0:
-        raise QSeriesError("division helper requires nonnegative order")
-    out = dense_int_coeffs(x, size)
-    _divide_dense(out, 1, s)
-    return QSeries({e: c for e, c in enumerate(out) if c != 0}, 1, x.trunc)
-
-
 def _times_factor(out: list, c, s: int) -> dict:
     """Multiply the dense series ``out`` by (1 - c q^s), s >= 0, in place;
     return its nonzero terms as a clean map."""
@@ -668,17 +664,16 @@ _POCH_NAMES = {
     "q2;q": (1, 2, 1),     # (q^2; q)_n
 }
 
-# (spec, trunc) -> [the product of the first i factors for i = 0, 1, ...]
-_poch_cache: dict[tuple, list[QSeries]] = {}
-# (spec, trunc) -> [the inverse of that product for i = 0, 1, ...]
-_inverse_poch_cache: dict[tuple, list[QSeries]] = {}
+# (apply, spec, trunc) -> [the first i factors applied, for i = 0, 1, ...]:
+# their product with apply = _times_factor, its inverse with _over_factor.
+_prefix_cache: dict[tuple, list[QSeries]] = {}
 
 
-def _prefix(cache: dict, kind, n: int, trunc, apply) -> QSeries:
+def _prefix(kind, n: int, trunc, apply) -> QSeries:
     """The first n factors of ``kind``, each applied to a dense list by
     ``apply(out, coeff, exponent)``, which returns the list's clean map.
     Extends the longest cached prefix one pass per factor, so every
-    prefix lands in ``cache``."""
+    prefix lands in ``_prefix_cache``."""
     if n < 0:
         raise QSeriesError("pochhammer length must be nonnegative")
     if isinstance(kind, str):
@@ -698,9 +693,9 @@ def _prefix(cache: dict, kind, n: int, trunc, apply) -> QSeries:
             "a pochhammer needs a finite rational trunc, an integer "
             "coefficient and an integer exponent >= 0"
         )
-    prefixes = cache.get((spec, t))
+    prefixes = _prefix_cache.get((apply, spec, t))
     if prefixes is None:
-        prefixes = cache[spec, t] = [QSeries.one(t)]
+        prefixes = _prefix_cache[apply, spec, t] = [QSeries.one(t)]
     if n >= len(prefixes):
         out = dense_int_coeffs(prefixes[-1], max(_int_bound(t, 1), 0))
         for i in range(len(prefixes) - 1, n):
@@ -719,50 +714,32 @@ def pochhammer(kind, n: int, trunc) -> QSeries:
     be an int and the exponent an int >= 0; anything else, or an infinite
     trunc, raises :class:`QSeriesError`.
     """
-    return _prefix(_poch_cache, kind, n, trunc, _times_factor)
+    return _prefix(kind, n, trunc, _times_factor)
 
 
 def inverse_pochhammer(kind, n: int, trunc) -> QSeries:
     """1 / pochhammer(kind, n, trunc), exact below the finite ``trunc``:
     one division by (1 - coeff q^e) per factor.  Takes what
     :func:`pochhammer` takes."""
-    return _prefix(_inverse_poch_cache, kind, n, trunc, _over_factor)
+    return _prefix(kind, n, trunc, _over_factor)
 
 
 # ----------------------------------------------------------- gaussian binomial
-
-_gauss_cache: dict[tuple[int, int], tuple] = {}
-
 
 def gaussian_binomial(n: int, k: int, trunc=INF) -> QSeries:
     """Gaussian binomial coefficient [n choose k]_q as an exact polynomial.
 
     Zero whenever the pair (n, k) falls outside 0 <= k <= n (including
-    negative top entries).  Computed by multiplying the k numerator factors
-    (1 - q^(n-k+i)) and dividing synthetically by each (1 - q^i).
+    negative top entries).  With g = min(k, n - k) it is the z^(n-g) entry
+    of :meth:`PackedRing.binomial_sums` of the single term z^0 at g, over
+    the ring of its g (n - g) + 1 exponents: its coefficients are >= 0 and
+    sum to C(n, g), which bounds each of them.
     """
     if k < 0 or n < 0 or k > n:
         return QSeries.zero(trunc)
-    k = min(k, n - k)
-    key = (n, k)
-    coeffs = _gauss_cache.get(key)
-    if coeffs is None:
-        deg = k * (n - k)
-        arr = [0] * (deg + 1)
-        arr[0] = 1
-        top = 0
-        for i in range(1, k + 1):
-            s = n - k + i
-            # multiply by (1 - q^s)
-            top += s
-            for e in range(min(top, deg), s - 1, -1):
-                arr[e] -= arr[e - s]
-            # divide by (1 - q^i)
-            for e in range(i, deg + 1):
-                arr[e] += arr[e - i]
-        coeffs = tuple(arr)
-        _gauss_cache[key] = coeffs
-    return QSeries({e: c for e, c in enumerate(coeffs) if c}, 1, trunc)
+    g = min(k, n - k)
+    ring = TruncatedRing(g * (n - g) + 1, math.comb(n, g))
+    return QSeries(ring.decode(ring.binomial_sums({g: [(0, 1)]}, n - g)[-1]), 1, trunc)
 
 
 # ------------------------------------------------------------- stabilized sum
@@ -850,6 +827,4 @@ def stabilized_sum(
 
 
 def clear_caches() -> None:
-    _poch_cache.clear()
-    _inverse_poch_cache.clear()
-    _gauss_cache.clear()
+    _prefix_cache.clear()

@@ -545,12 +545,12 @@ def validate_family_params(j: int, k: int, ell: int) -> CheckReport:
 def _cone_weights(M: int, x: int, y: int) -> tuple[float, float]:
     """Exact-sign weights of the two cones at the lattice point (x, y) / D.
 
-    The first weight is 1 inside the cone r1^2 > r2^2 (1/2 on its
-    boundary); the second is 1 inside (M+1)^2 r1^2 < (M-1)^2 r2^2 (1/2
-    on its boundary).  The gap between the cones carries weight zero.
+    The first weight is 1 inside the cone r1^2 > r2^2, whose boundary no
+    lattice point meets (x = +-y would make a1 -+ a2 integral); the second
+    is 1 inside (M+1)^2 r1^2 < (M-1)^2 r2^2 (1/2 on its boundary).  The gap
+    between the cones carries weight zero.
     """
-    main = x * x - y * y
-    rho = 1.0 if main > 0 else (0.5 if main == 0 else 0.0)
+    rho = 1.0 if x * x > y * y else 0.0
     normal = ((M + 1) * x) ** 2 - ((M - 1) * y) ** 2
     rho_perp = 1.0 if normal < 0 else (0.5 if normal == 0 else 0.0)
     return rho, rho_perp
@@ -589,9 +589,12 @@ def waveform_numeric(
         rho, rho_perp = _cone_weights(M, x, y)
         qv = q / q_den
         weight = 0.0
-        if rho and q > 0:
+        # q > 2 x^2 >= 0 in the main cone; q <= -2 (M-1) y^2 / (M+1) < 0 in
+        # the closed perpendicular one, where y = 0 would force x = 0 and
+        # make a1 + a2 integral.
+        if rho:
             weight += rho * k0_bessel(2.0 * math.pi * qv * v)
-        if rho_perp and q < 0:
+        if rho_perp:
             weight += rho_perp * k0_bessel(-2.0 * math.pi * qv * v)
         if weight == 0.0:
             continue

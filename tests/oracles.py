@@ -7,6 +7,7 @@ term by term, as an independent oracle.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from qmaass.cyclotomic import CycNumber
 from qmaass.series import QSeries
@@ -32,3 +33,17 @@ def root_of_unity_value(series: QSeries, N: int, power: int = 1) -> CycNumber:
         else:
             out = out + CycNumber.zeta(L, k) * c
     return CycNumber.from_powers(L, rational_powers) + out
+
+
+@lru_cache(maxsize=None)
+def oracle_binomial(top: int, bottom: int) -> dict:
+    """Gaussian binomial as an exponent->coeff dict via the Pascal recursion
+    [m, j] = [m-1, j-1] + q^j * [m-1, j]  (independent of the library route)."""
+    if bottom < 0 or bottom > top:
+        return {}
+    if bottom == 0 or bottom == top:
+        return {0: 1}
+    out = dict(oracle_binomial(top - 1, bottom - 1))
+    for e, c in oracle_binomial(top - 1, bottom).items():
+        out[e + bottom] = out.get(e + bottom, 0) + c
+    return {e: c for e, c in out.items() if c}

@@ -2,11 +2,12 @@
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracles import oracle_binomial
 
 import qmaass.agpolys as agpolys
 from qmaass.agpolys import (
@@ -16,23 +17,9 @@ from qmaass.agpolys import (
     ag_polynomials,
     verify_ag_relation,
 )
-from qmaass.series import INF, L1Bound, QSeries, QSeriesError, TruncatedRing, gaussian_binomial
+from qmaass.series import INF, L1Bound, PackedRing, QSeries, QSeriesError, TruncatedRing, gaussian_binomial
 
 # --------------------------------------------------------------------- oracles
-
-
-@lru_cache(maxsize=None)
-def _oracle_binomial(top: int, bottom: int):
-    """Gaussian binomial as an exponent->coeff dict via the Pascal recursion
-    [m, j] = [m-1, j-1] + q^j * [m-1, j]  (independent of the library route)."""
-    if bottom < 0 or bottom > top:
-        return {}
-    if bottom == 0 or bottom == top:
-        return {0: 1}
-    out = dict(_oracle_binomial(top - 1, bottom - 1))
-    for e, c in _oracle_binomial(top - 1, bottom).items():
-        out[e + bottom] = out.get(e + bottom, 0) + c
-    return {e: c for e, c in out.items() if c}
 
 
 def oracle_chain_poly(k: int, ell: int, b: int, n: int) -> dict:
@@ -54,7 +41,7 @@ def oracle_chain_poly(k: int, ell: int, b: int, n: int) -> dict:
                 dead = True
                 break
             bottom = values[j] - values[j - 1]
-            factor = _oracle_binomial(bottom + g, bottom)
+            factor = oracle_binomial(bottom + g, bottom)
             new = {}
             for e1, c1 in poly.items():
                 for e2, c2 in factor.items():
@@ -86,7 +73,7 @@ def _depth_first_chains(k: int, ell: int, b: int, trunc, top: int):
             w = v * v + (1 - b) * v
             if weight + w >= trunc:
                 break
-            factor = gaussian_binomial(v - prev + g, v - prev, trunc).shift(w)
+            factor = QSeries(oracle_binomial(v - prev + g, v - prev), 1, trunc).shift(w)
             nxt = acc + 2 * v + (1 if j + 1 < ell else 0)
             yield from walk(j + 1, v, nxt, weight + w, partial * factor)
 
@@ -98,7 +85,7 @@ def reference_polynomial(k: int, ell: int, b: int, n: int, trunc=INF) -> QSeries
     factor: the library's evaluator before the merged walk replaced it."""
     total = QSeries.zero(trunc)
     for last, g, partial in _depth_first_chains(k, ell, b, trunc, n):
-        total = total + partial * gaussian_binomial(n - last + g, n - last, trunc)
+        total = total + partial * QSeries(oracle_binomial(n - last + g, n - last), 1, trunc)
     return total
 
 
@@ -272,17 +259,33 @@ def test_binomial_sums_gather_the_gaussian_binomials(case):
     ring = TruncatedRing(T, 2**40)
     packed = {g: [(p, ring.encode(a)) for p, a in group] for g, group in by_g.items()}
     norms = {g: [(p, sum(map(abs, a.values()))) for p, a in group] for g, group in by_g.items()}
-    got = agpolys._binomial_sums(ring, packed, end)
-    sizes = agpolys._binomial_sums(L1Bound(), norms, end)
+    got = ring.binomial_sums(packed, end)
+    sizes = L1Bound().binomial_sums(norms, end)
     for n in range(end + 1):
         want, size = QSeries.zero(T), 0
         for g, group in by_g.items():
             for p, a in group:
-                binomial = gaussian_binomial(n - p + g, n - p)
-                want = want + QSeries.from_terms(a.items(), T) * binomial
-                size += sum(map(abs, a.values())) * sum(c for _, c in binomial.terms())
+                binomial = oracle_binomial(n - p + g, n - p)
+                want = want + QSeries.from_terms(a.items(), T) * QSeries(binomial, 1, T)
+                size += sum(map(abs, a.values())) * sum(binomial.values())
         assert ring.decode(got[n]) == {int(e): c for e, c in want.terms() if c}
         assert sizes[n] == size
+
+
+def test_gaussian_binomial_matches_the_pascal_oracle():
+    # n reaches 41, as far as the benchmark's binomials do.
+    for n in range(42):
+        for k in range(-1, n + 2):
+            assert gaussian_binomial(n, k) == QSeries(oracle_binomial(n, k), 1, INF), (n, k)
+
+
+def test_gaussian_binomial_reads_the_rings_horner(monkeypatch):
+    def refused(self, by_g, end):
+        raise AssertionError("gaussian_binomial took its own loops")
+
+    monkeypatch.setattr(PackedRing, "binomial_sums", refused)
+    with pytest.raises(AssertionError, match="its own loops"):
+        gaussian_binomial(5, 2)
 
 
 # ------------------------------------------------------------------ partitions
@@ -311,15 +314,10 @@ def test_partition_unconstrained_matches_bounded_parts_product():
 
 
 def test_partition_matches_bruteforce_oracle():
+    # Every pair, first and last bound in 1..3 and part bound in 1..6.
     size = 14
-    cases = [
-        PartitionConstraint(2, 1, 3, 4),
-        PartitionConstraint(1, 2, 2, 5),
-        PartitionConstraint(3, 3, 1, 4),
-        PartitionConstraint(2, 2, 2, 3),
-        PartitionConstraint(4, 2, 3, 2),
-    ]
-    for constraint in cases:
+    for bounds in itertools.product(range(1, 4), range(1, 4), range(1, 4), range(1, 7)):
+        constraint = PartitionConstraint(*bounds)
         series = ag_generating(constraint, size)
         want = oracle_partition_counts(constraint, size)
         got = [series.coeff(e) for e in range(size)]

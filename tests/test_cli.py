@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import re
 import signal
 import subprocess
@@ -515,6 +516,21 @@ class TestEval:
         assert obj["model"] == "theta"
         assert abs(obj["value_re"]) + abs(obj["value_im"]) > 0.0
         assert obj["tail_bound"] < 1e-12
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--cohen", "--tau", "0,1e100"),
+            ("--j", "1", "--k", "1", "--l", "1", "--tau", "0,1e300"),
+        ],
+        ids=["cohen", "theta"],
+    )
+    def test_waveform_far_up_the_axis_is_finite(self, capsys, argv):
+        # K0 underflows to 0.0 there; it must not print NaN.
+        code, lines, _ = _run(capsys, "eval", "waveform", *argv)
+        assert code == 0
+        obj = json.loads(lines[0])
+        assert all(math.isfinite(obj[key]) for key in ("value_re", "value_im", "tail_bound"))
 
     @pytest.mark.parametrize("cut", ["0", "-2"])
     def test_waveform_rejects_nonpositive_lattice_cut(self, capsys, cut):

@@ -93,6 +93,11 @@ class TestBessel:
         assert k0_bessel(2.0) < k0_bessel(1.0)
         assert k0_bessel(18.5) < k0_bessel(17.5)
 
+    @pytest.mark.parametrize("x", [745.0, 1e21, 1e300, 1.7e308, math.inf])
+    def test_underflows_to_zero(self, x):
+        # K0(x) < sqrt(pi/(2x)) e^-x is below half the least subnormal.
+        assert k0_bessel(x) == 0.0
+
     def test_rejects_nonpositive(self):
         with pytest.raises(QSeriesError):
             k0_bessel(0.0)

@@ -43,9 +43,9 @@ from qmaass.series import (
     StabilizationError,
     TruncatedRing,
     _kronecker_product,
+    _over_factor,
     clear_caches,
     dense_int_coeffs,
-    divide_one_minus_power,
     gaussian_binomial,
     inverse_pochhammer,
     pochhammer,
@@ -557,7 +557,7 @@ def test_inverse_pochhammer_cache_prefix_reuse():
     assert inverse_pochhammer("q", 5, 25) == pochhammer("q", 5, 25).inverse()
     assert b.coeff(1) == 1 and b.coeff(6) == 11  # partitions into parts <= 6
     clear_caches()
-    assert not series._inverse_poch_cache and not series._poch_cache
+    assert not series._prefix_cache
     assert inverse_pochhammer("q", 6, 25) == b
 
 
@@ -708,14 +708,16 @@ def test_stabilized_sum_accepts_sequences():
 
 
 def test_divide_one_minus_power():
+    # _over_factor divides a dense list by (1 - q^s) in place.
     t = 9
-    geom = divide_one_minus_power(QSeries.one(t), 2)
+    geom = QSeries._from_clean(_over_factor([1] + [0] * (t - 1), 1, 2), 1, Fraction(t))
     assert geom == QSeries.from_terms([(0, 1), (2, 1), (4, 1), (6, 1), (8, 1)], t)
     p = QSeries.from_dense([2, 0, -1, 5], trunc=t)
     prod = p * QSeries.from_terms([(0, 1), (3, -1)], t)
-    assert divide_one_minus_power(prod, 3).agrees(p, up_to=t)
+    quotient = _over_factor(dense_int_coeffs(prod, t), 1, 3)
+    assert QSeries._from_clean(quotient, 1, Fraction(t)).agrees(p, up_to=t)
     with pytest.raises(QSeriesError):
-        divide_one_minus_power(QSeries.one(t), 0)
+        _over_factor([1] + [0] * (t - 1), 1, 0)
 
 
 # ------------------------------------------------------------- comparison

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import root_of_unity_value
+from oracles import oracle_binomial, root_of_unity_value
 
 import qmaass.families as families
 from qmaass.agpolys import _walk, ag_polynomial, ag_polynomials, ag_polynomials_at_root
@@ -33,9 +33,9 @@ from qmaass.maass import quantum_value
 from qmaass.series import (
     L1Bound,
     PackedRing,
+    QSeries,
     QSeriesError,
     TruncatedRing,
-    gaussian_binomial,
     int_slots,
     pochhammer,
 )
@@ -54,7 +54,7 @@ CASES = st.sampled_from(CHAIN_PARAMS).flatmap(
 @functools.lru_cache(maxsize=None)
 def _exact(kind: str, args: tuple):
     if kind == "binomial":
-        return gaussian_binomial(*args)
+        return QSeries(oracle_binomial(*args))
     if kind == "poch":
         # (q;q)_n has degree n(n+1)/2, so this trunc keeps every term.
         (n,) = args
