@@ -77,7 +77,6 @@ from .reports import CheckReport, _exact_str, report_from_comparison, report_fro
 from .series import PrecisionError, QSeriesError, dense_int_coeffs
 from .theta import (
     ThetaParams,
-    completion_cut_suffices,
     completion_defect,
     family_params,
     indefinite_theta_series,
@@ -390,10 +389,6 @@ def _check_completion(tau, cut, tol, j=None, k=None, ell=None):
         )
     else:
         params = family_params(j, k, ell).params
-    if not completion_cut_suffices(params, tau, cut):
-        raise PrecisionError(
-            f"lattice cut {cut} is too short for the completion defect at tau = {tau}"
-        )
     defect = abs(completion_defect(params, tau, cut))
     if j is not None:
         return report_from_condition(

@@ -6,9 +6,8 @@ polynomial, so equality of field elements is equality of vectors.  The
 cyclotomic polynomials themselves are computed by the classical recursion:
 Phi_L = (x^L - 1) / prod of Phi_d over proper divisors d of L.
 
-Arithmetic between numbers of different orders embeds both into the
-compositum Q(zeta_lcm) first, which keeps mixed expressions (roots of unity
-with heterogeneous denominators) canonical.
+Arithmetic combines numbers of one order, or a number and a rational;
+numbers of different orders raise ``ValueError``.
 
 Sums at one root of unity are taken in Z[x]/(x^N - 1), packed by x -> 2^W
 into one int mod 2^(W*N) - 1 (:class:`CyclicRing`, on the codec of
@@ -88,27 +87,14 @@ class CycNumber:
             vec[k % order] += c
         return cls(order, vec)
 
-    # ---------------------------------------------------------------- embed
-    def embed(self, order: int) -> "CycNumber":
-        """Image in Q(zeta_order) for a multiple of the current order."""
-        if order == self.order:
-            return self
-        if order % self.order != 0:
-            raise ValueError("embedding requires a multiple of the current order")
-        step = order // self.order
-        return CycNumber.from_powers(
-            order, {k * step: c for k, c in enumerate(self.vec) if c != 0}
-        )
-
     def _pair(self, other) -> tuple["CycNumber", "CycNumber"]:
         if isinstance(other, (int, Fraction)):
             other = CycNumber.from_rational(self.order, other)
         elif not isinstance(other, CycNumber):
             return NotImplemented, NotImplemented
-        if self.order == other.order:
-            return self, other
-        L = math.lcm(self.order, other.order)
-        return self.embed(L), other.embed(L)
+        elif other.order != self.order:
+            raise ValueError(f"cannot combine orders {self.order} and {other.order}")
+        return self, other
 
     # ------------------------------------------------------------- arithmetic
     def __add__(self, other):
@@ -132,8 +118,6 @@ class CycNumber:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycNumber(self.order, [other * x for x in self.vec])
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
@@ -149,18 +133,6 @@ class CycNumber:
         return CycNumber(a.order, conv)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = CycNumber.from_rational(self.order, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def inverse(self) -> "CycNumber":
         """Field inverse: the product of the other Galois conjugates

@@ -296,8 +296,6 @@ class QSeries:
 
     def __mul__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
-            if isinstance(other, (int, Fraction)) or hasattr(other, "order"):
-                return self.scale(other)
             return NotImplemented
         denom = math.lcm(self.denom, other.denom)
         xa = self._rescaled(denom)
@@ -337,10 +335,9 @@ class QSeries:
     def inverse(self) -> "QSeries":
         """Multiplicative inverse as a (Laurent) series.
 
-        Requires a nonzero lowest-order coefficient that is invertible
-        (any nonzero rational; cyclotomic units via their field inverse).
-        If the series has order o and is exact below T, the inverse is exact
-        below T - 2*o.
+        Requires a lowest-order coefficient that is a nonzero ``int`` or
+        ``Fraction``.  If the series has order o and is exact below T, the
+        inverse is exact below T - 2*o.
         """
         if not self._coeffs:
             raise QSeriesError("cannot invert: series is zero below its truncation")
@@ -351,10 +348,7 @@ class QSeries:
         elif isinstance(c0, Fraction):
             inv_c0 = 1 / c0
         else:
-            try:
-                inv_c0 = c0.inverse()
-            except AttributeError:  # pragma: no cover - exotic rings
-                raise QSeriesError("leading coefficient is not invertible")
+            raise QSeriesError(f"cannot invert: the lowest coefficient {c0!r} is not rational")
         denom = self.denom
         if self.trunc is INF:
             # An exact polynomial inverts to an infinite series: no window
@@ -376,7 +370,7 @@ class QSeries:
                 if v != 0:
                     acc = acc + c * v
             if acc != 0:
-                inv[e] = -acc * inv_c0 if not isinstance(acc, (int, Fraction)) else _clean(-acc * inv_c0)
+                inv[e] = _clean(-acc * inv_c0)
         out = {e - m0: c for e, c in enumerate(inv) if c != 0}
         return QSeries(out, denom, trunc)
 
@@ -389,15 +383,6 @@ class QSeries:
         coeffs = {m * c.numerator: v for m, v in self._coeffs.items()}
         trunc = self.trunc if self.trunc is INF else self.trunc * c
         return QSeries(coeffs, denom, trunc).normalized()
-
-    def negate_variable(self) -> "QSeries":
-        """Substitute q -> -q; defined only for integer-exponent series."""
-        s = self.normalized()
-        if s.denom != 1:
-            raise QSeriesError("negate_variable requires integer exponents")
-        return QSeries(
-            {m: c if m % 2 == 0 else -c for m, c in s._coeffs.items()}, 1, s.trunc
-        )
 
     # ------------------------------------------------------------- comparison
     def first_mismatch(self, other: "QSeries", up_to=None) -> Fraction | None:
@@ -417,9 +402,6 @@ class QSeries:
                 if bad is None or m < bad:
                     bad = m
         return None if bad is None else Fraction(m := bad, denom)
-
-    def agrees(self, other: "QSeries", up_to=None) -> bool:
-        return self.first_mismatch(other, up_to) is None
 
     # ---------------------------------------------------------------- display
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -642,15 +624,12 @@ def _divide_dense(out: list, c, s: int) -> None:
 
 
 def _over_factor(out: list, c, s: int) -> dict:
-    """Divide the dense series ``out`` by (1 - c q^s), s >= 0, in place;
+    """Divide the dense series ``out`` by (1 - c q^s), s >= 1, in place;
     return its nonzero terms as a clean map."""
-    if s:
-        _divide_dense(out, c, s)
-    elif c == 1:
-        raise QSeriesError("cannot invert: the factor (1 - q^0) is zero")
-    else:
-        out[:] = [_clean(Fraction(x, 1 - c)) for x in out]
-    return {e: x if type(x) is int else _clean(x) for e, x in enumerate(out) if x}
+    if s < 1:
+        raise QSeriesError(f"an inverse pochhammer needs factor exponents >= 1, got {s}")
+    _divide_dense(out, c, s)
+    return {e: x for e, x in enumerate(out) if x}
 
 
 # ----------------------------------------------------------------- pochhammer
@@ -720,7 +699,8 @@ def pochhammer(kind, n: int, trunc) -> QSeries:
 def inverse_pochhammer(kind, n: int, trunc) -> QSeries:
     """1 / pochhammer(kind, n, trunc), exact below the finite ``trunc``:
     one division by (1 - coeff q^e) per factor.  Takes what
-    :func:`pochhammer` takes."""
+    :func:`pochhammer` takes, except that a factor exponent 0 (as in
+    (-1; q)_n, n >= 1) raises :class:`QSeriesError`."""
     return _prefix(kind, n, trunc, _over_factor)
 
 

@@ -172,13 +172,6 @@ class ThetaParams:
                     "the shift components must have non-integral sum and difference"
                 )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "M": self.M,
-            "a": [_exact_str(c) for c in self.a],
-            "b": [_exact_str(c) for c in self.b],
-        }
-
 
 @dataclass(frozen=True)
 class FamilyThetaData:
@@ -195,14 +188,6 @@ class FamilyThetaData:
     alpha: Fraction
     scale: Fraction
     power: int
-
-    def to_json_dict(self) -> dict:
-        out = {"j": self.j, "k": self.k, "ell": self.ell}
-        out.update(self.params.to_json_dict())
-        out["alpha"] = _exact_str(self.alpha)
-        out["scale"] = _exact_str(self.scale)
-        out["power"] = self.power
-        return out
 
 
 def _family_numerators(j: int, k: int, ell: int) -> tuple:
@@ -227,14 +212,6 @@ def family_params(j: int, k: int, ell: int) -> FamilyThetaData:
     params = ThetaParams(M=M, a=a, b=b)
     alpha = QuadForm(M).value(params.a)
     return FamilyThetaData(j, k, ell, params, alpha, Fraction(fam.theta_scale), fam.power)
-
-
-def _as_theta_params(p) -> ThetaParams:
-    if isinstance(p, FamilyThetaData):
-        return p.params
-    if isinstance(p, ThetaParams):
-        return p
-    raise QSeriesError("expected ThetaParams or FamilyThetaData")
 
 
 # ------------------------------------------------------------ two-region sum
@@ -279,7 +256,7 @@ def _twist_residues(params: ThetaParams) -> tuple[int, int, int]:
     return order, int(beta1 * order), int(beta2 * order)
 
 
-def indefinite_theta_series(params, trunc) -> QSeries:
+def indefinite_theta_series(params: ThetaParams, trunc) -> QSeries:
     """The exact two-region theta series of (M, a, b), below ``trunc``.
 
     The two regions make up the cone r1^2 > r2^2 (the main cone of
@@ -289,7 +266,6 @@ def indefinite_theta_series(params, trunc) -> QSeries:
     2 x^2 below the limit hold terms; in each row the kept nu are read
     exactly from :func:`_kept_nus`, the rule of the family shells.
     """
-    params = _as_theta_params(params)
     t = finite_trunc(trunc)
     if t <= 0:
         return QSeries.zero(t)
@@ -418,12 +394,12 @@ def family_lattice_series(j: int, k: int, ell: int, trunc) -> QSeries:
 _LATTICE_TERM_FLOOR = 1e-15
 
 
-def family_lattice_numeric(j: int, k: int, ell: int, x, t):
-    """Numeric family value at q = e(x) exp(-t) via the lattice expansion.
+def family_lattice_numeric(j: int, k: int, ell: int, x, ts: list) -> list:
+    """Numeric family values at q = e(x) exp(-t) via the lattice expansion,
+    one for each t in ``ts``.
 
-    ``x`` is an exact rational phase in full turns and ``t`` the radial
-    distance to the unit circle: a positive float (one complex value) or
-    a grid of them (a list of values).  Every lattice term has modulus
+    ``x`` is an exact rational phase in full turns and each t a positive
+    radial distance to the unit circle.  Every lattice term has modulus
     exp(-t * exponent) <= 1, so this route is free of the catastrophic
     cancellation the defining hypergeometric sums suffer near the
     circle.  At each t the terms with exp(-t * exponent) >= 1e-15 are
@@ -432,8 +408,7 @@ def family_lattice_numeric(j: int, k: int, ell: int, x, t):
     e(p r0 / q), reduced exactly, and their decay factors exp(-t q m).
     """
     _validate_family(j, k, ell)
-    scalar = not isinstance(t, (list, tuple))
-    ts = [float(t)] if scalar else [float(s) for s in t]
+    ts = [float(s) for s in ts]
     if not ts or not all(0 < s < math.inf for s in ts):
         raise QSeriesError("the radial distance must be positive and finite")
     xq = Fraction(x)
@@ -450,7 +425,7 @@ def family_lattice_numeric(j: int, k: int, ell: int, x, t):
             head = math.exp(-s * r0) * phases[r0]
             total += sum(map(operator.mul, coeffs[r0:lim:q], decay)) * head
         values.append(total / denom)
-    return values[0] if scalar else values
+    return values
 
 
 def verify_family_lattice(j: int, k: int, ell: int, trunc) -> CheckReport:
@@ -565,18 +540,42 @@ def _bounded(value: complex, tail: float) -> tuple[complex, float]:
     return value, tail
 
 
+def _waveform_tail(params: ThetaParams, v: float, cut: int) -> float:
+    """A bound on the waveform terms, before the factor sqrt(v), of the
+    lattice points outside the shells max(|n|, |nu|) <= cut.
+
+    In either cone |Q(r)| >= c |r|^2 with c = (M-1) / (2 (M+1)): in the
+    main one Q > r1^2 > |r|^2 / 2, in the perpendicular one
+    |Q| >= (M-1) / (M+1) r2^2 and |r|^2 <= 2 r2^2.  The cones are disjoint,
+    so a point weighs at most 1, and K0(x) <= sqrt(pi / (2x)) e^-x.  Shell
+    s holds 8 s points, each with |r| >= s - A for A = max(|a1|, |a2|), so
+    it adds at most f(s) = 8 s sqrt(pi / (2 x)) e^-x, x = 2 pi c v (s - A)^2.
+    With f decreasing, the shells from S = cut + 1 on add at most
+    f(S) + the integral of f from S, and s / (s - A) <= S / (S - A) leaves
+    a Gaussian integral, an erfc.  Infinite when shell S can reach the
+    origin (S <= A).
+    """
+    M, A, start = params.M, max(map(abs, params.a)), cut + 1
+    if start <= A:
+        return math.inf
+    gap, rate = start - float(A), math.pi * (M - 1) / (M + 1) * v  # rate = 2 pi c v
+    x = rate * gap * gap
+    head = 8 * start * math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
+    integral = 8 * start / gap * math.pi / (2.0 * math.sqrt(2.0) * rate) * math.erfc(math.sqrt(x))
+    return head + integral
+
+
 def waveform_numeric(
-    params, tau: complex, lattice_cut: int = 12
+    params: ThetaParams, tau: complex, lattice_cut: int = 12
 ) -> tuple[complex, float]:
     """The Bessel-weighted indefinite theta waveform at tau.
 
     Sums over both cones with exact region selection and K0 weights.
-    Returns (value, tail_bound); the tail bound is twice the outermost
-    shell's absolute contribution, justified by the Gaussian decay of
-    the shells.  A tail bound that is not below |value| raises
-    :class:`PrecisionError`.
+    Returns (value, tail_bound): the tail bound is sqrt(v) times the bound
+    of :func:`_waveform_tail` on the omitted lattice points, proven for
+    the exact terms; the float rounding of the sum is not bounded.  A
+    tail bound that is not below |value| raises :class:`PrecisionError`.
     """
-    params = _as_theta_params(params)
     u, v = tau.real, tau.imag
     if not v > 0:
         raise QSeriesError("tau must lie in the upper half plane")
@@ -584,8 +583,7 @@ def waveform_numeric(
     D, E = _denominators(params)
     q_den, t_den = 2 * D * D, D * E
     total = 0.0 + 0.0j
-    outer_abs = 0.0
-    for n, nu, x, y, q, t in _lattice_walk(params, lattice_cut):
+    for _, _, x, y, q, t in _lattice_walk(params, lattice_cut):
         rho, rho_perp = _cone_weights(M, x, y)
         qv = q / q_den
         weight = 0.0
@@ -598,12 +596,9 @@ def waveform_numeric(
             weight += rho_perp * k0_bessel(-2.0 * math.pi * qv * v)
         if weight == 0.0:
             continue
-        term = weight * unit_phase(qv * u + t / t_den)
-        total += term
-        if max(abs(n), abs(nu)) == lattice_cut:
-            outer_abs += abs(term)
+        total += weight * unit_phase(qv * u + t / t_den)
     root_v = math.sqrt(v)
-    return _bounded(root_v * total, 2.0 * root_v * outer_abs)
+    return _bounded(root_v * total, root_v * _waveform_tail(params, v, lattice_cut))
 
 
 # Gauss-Legendre nodes per panel and panels per ray integral; the rule
@@ -718,15 +713,7 @@ def _completion_points(params: ThetaParams, v: float, cut: int):
             yield n, nu, x, y, q, t
 
 
-def completion_cut_suffices(params, tau: complex, lattice_cut: int) -> bool:
-    """Whether :func:`completion_defect` skips every point of the outer
-    shell max(|n|, |nu|) = lattice_cut; if not, a larger cut adds terms
-    that the defect at this cut leaves out."""
-    points = _completion_points(_as_theta_params(params), tau.imag, lattice_cut)
-    return all(max(abs(n), abs(nu)) < lattice_cut for n, nu, *_ in points)
-
-
-def completion_defect(params, tau: complex, lattice_cut: int = 10) -> complex:
+def completion_defect(params: ThetaParams, tau: complex, lattice_cut: int = 10) -> complex:
     """Difference of the two boundary correction sums at tau.
 
     Each lattice point contributes (alpha_1 - alpha_2) q^Q(r) e(B(r, b))
@@ -734,9 +721,10 @@ def completion_defect(params, tau: complex, lattice_cut: int = 10) -> complex:
     i-th reference parameter.  For parameters passing the family
     validation this difference vanishes identically; generically it does
     not.  Points whose combined Gaussian exponent exceeds 100/pi-fold
-    are skipped: their contribution is below exp(-100).
+    are skipped: their contribution is below exp(-100).  A point kept on
+    the outer shell max(|n|, |nu|) = lattice_cut means a larger cut adds
+    terms this one leaves out, and raises :class:`PrecisionError`.
     """
-    params = _as_theta_params(params)
     u, v = tau.real, tau.imag
     if not v > 0:
         raise QSeriesError("tau must lie in the upper half plane")
@@ -749,7 +737,11 @@ def completion_defect(params, tau: complex, lattice_cut: int = 10) -> complex:
     t1 = form.reference_parameter(1)
     t2 = form.reference_parameter(2)
     total = 0j
-    for _, _, x, y, q, t in _completion_points(params, v, lattice_cut):
+    for n, nu, x, y, q, t in _completion_points(params, v, lattice_cut):
+        if max(abs(n), abs(nu)) == lattice_cut:
+            raise PrecisionError(
+                f"lattice cut {lattice_cut} is too short for the completion defect at tau = {tau}"
+            )
         u_plus = root_plus * (x / D) * root_v
         u_minus = root_minus * (y / D) * root_v
         sign1 = _ray_sign(u_plus, u_minus, t1)

@@ -3,9 +3,12 @@
 The library never evaluates a general q-series at a root of unity: its
 root-of-unity values come from group-ring sums (:mod:`qmaass.cyclotomic`).
 The tests expand the same objects as exact q-series and sum them here,
-term by term, as an independent oracle.
+term by term, as an independent oracle.  The knot side (Morton's formula
+for torus knots) and the partition side of the classical companions
+share no code with the library either.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,20 +22,40 @@ def root_of_unity_value(series: QSeries, N: int, power: int = 1) -> CycNumber:
     All stored terms are summed, so the caller is responsible for the series
     being an exact polynomial (infinite trunc) or for the truncation being
     the intended evaluation window.  Fractional exponents m/D map to
-    zeta_(N*D)^(m*power); the result lives in Q(zeta_(N*D)) (coefficient
-    rings of cyclotomic numbers embed into the compositum automatically).
+    zeta_(N*D)^(m*power); the result lives in Q(zeta_(N*D)), or in the
+    compositum with the fields of cyclotomic coefficients (see :func:`lift`).
     """
     s = series.normalized()
     L = N * s.denom
     rational_powers: dict[int, object] = {}
-    out = CycNumber.from_rational(L, 0)
+    cyclotomic = []
     for m, c in s._coeffs.items():
         k = (m * power) % L
         if isinstance(c, (int, Fraction)):
             rational_powers[k] = rational_powers.get(k, 0) + c
         else:
-            out = out + CycNumber.zeta(L, k) * c
-    return CycNumber.from_powers(L, rational_powers) + out
+            cyclotomic.append((k, c))
+    order = math.lcm(L, *(c.order for _, c in cyclotomic))
+    out = lift(CycNumber.from_powers(L, rational_powers), order)
+    for k, c in cyclotomic:
+        out = out + lift(CycNumber.zeta(L, k), order) * lift(c, order)
+    return out
+
+
+def lift(x: CycNumber, order: int) -> CycNumber:
+    """The image of ``x`` in Q(zeta_order), for a multiple ``order`` of its
+    order: zeta_(x.order) -> zeta_order^(order / x.order)."""
+    if order % x.order:
+        raise ValueError(f"order {order} is not a multiple of {x.order}")
+    step = order // x.order
+    return CycNumber.from_powers(order, {k * step: c for k, c in enumerate(x.vec) if c})
+
+
+def negate_variable(series: QSeries) -> QSeries:
+    """The substitution q -> -q in an integer-exponent series."""
+    s = series.normalized()
+    assert s.denom == 1, "q -> -q needs integer exponents"
+    return QSeries({m: -c if m % 2 else c for m, c in s._coeffs.items()}, 1, s.trunc)
 
 
 @lru_cache(maxsize=None)
@@ -47,3 +70,79 @@ def oracle_binomial(top: int, bottom: int) -> dict:
     for e, c in oracle_binomial(top - 1, bottom).items():
         out[e + bottom] = out.get(e + bottom, 0) + c
     return {e: c for e, c in out.items() if c}
+
+
+def torus_jones_at_root(m: int, p: int, N: int) -> CycNumber:
+    """The N-coloured Jones polynomial of the (m, p) torus knot at
+    q = zeta_N, by Morton's formula (Math. Proc. Cambridge Philos. Soc.
+    117, 1995) in Q = q^(1/4):
+
+        Q^(mp(1 - N^2)) / (Q^(2N) - Q^(-2N)) * sum over 2r = -(N-1), -(N-3), ..., N-1
+            of Q^(mp(2r)^2 - 2(m+p)(2r) + 2) - Q^(mp(2r)^2 - 2(m-p)(2r) - 2).
+
+    The denominator vanishes at Q = zeta_(4N), so the Laurent polynomial
+    is divided exactly first; the value lies in Q(zeta_(4N)).
+    """
+    # The numerator times Q^(2N), to be divided by Q^(4N) - 1.
+    num: dict[int, int] = {}
+    for r2 in range(1 - N, N, 2):
+        base = m * p * (r2 * r2 + 1 - N * N) + 2 * N
+        for e, c in ((base - 2 * (m + p) * r2 + 2, 1), (base - 2 * (m - p) * r2 - 2, -1)):
+            num[e] = num.get(e, 0) + c
+    num = {e: c for e, c in num.items() if c}
+    floor, quotient = min(num, default=0), {}
+    while num and max(num) - 4 * N >= floor:
+        top = max(num)
+        c = num.pop(top)
+        quotient[top - 4 * N] = c
+        num[top - 4 * N] = num.get(top - 4 * N, 0) + c
+        if not num[top - 4 * N]:
+            del num[top - 4 * N]
+    assert not num, "Morton's numerator is not divisible by Q^(2N) - Q^(-2N)"
+    vec = [0] * (4 * N)
+    for e, c in quotient.items():
+        vec[e % (4 * N)] += c
+    return CycNumber(4 * N, vec)
+
+
+def sigma_by_rank_parity(n_max: int) -> list:
+    """Coefficients 0..n_max of Ramanujan's sigma(q) by Andrews, Dyson and
+    Hickerson (Invent. Math. 91, 1988): S(n) is the number of partitions
+    of n into distinct parts with even rank less the number with odd
+    rank, the rank being the largest part less the number of parts.
+
+    A partition with largest part L is L on top of a distinct-part
+    partition of the rest into parts below L; ``parts[s][e]`` counts the
+    partitions of s into distinct parts below L with a part count of
+    parity e."""
+    out = [0] * (n_max + 1)
+    out[0] = 1  # the empty partition
+    parts = [[0, 0] for _ in range(n_max + 1)]
+    parts[0][0] = 1
+    for L in range(1, n_max + 1):
+        for s in range(n_max - L + 1):
+            for e in (0, 1):
+                rank = L - (1 + e)  # its parity: the part count is 1 + e mod 2
+                out[L + s] += parts[s][e] if rank % 2 == 0 else -parts[s][e]
+        for s in range(n_max, L - 1, -1):  # admit the part L
+            parts[s][0] += parts[s - L][1]
+            parts[s][1] += parts[s - L][0]
+    return out
+
+
+def sigma_star_by_odd_partitions(n_max: int) -> list:
+    """Coefficients 0..n_max of sigma*(q) = 2 sum_(n >= 1) (-1)^n q^(n^2) / (q; q^2)_n,
+    read literally: q^(n^2) / (q; q^2)_n counts the partitions into odd
+    parts whose distinct parts are exactly 1, 3, ..., 2n - 1, that is n^2
+    plus a partition into odd parts up to 2n - 1."""
+    out = [0] * (n_max + 1)
+    odd = [1] + [0] * n_max  # partitions into odd parts up to 2n - 1
+    n = 1
+    while n * n <= n_max:
+        part = 2 * n - 1
+        for s in range(part, n_max + 1):
+            odd[s] += odd[s - part]
+        for s in range(n_max - n * n + 1):
+            out[n * n + s] += 2 * (-1) ** n * odd[s]
+        n += 1
+    return out

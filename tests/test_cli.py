@@ -606,6 +606,27 @@ class TestEval:
         assert lines == []
         assert "tail bound" in err
 
+    def test_waveform_tail_bound_covers_the_lattice_truncation(self, capsys):
+        # Near the real axis the lattice sum converges slowly.  At cut 12
+        # the omitted points may outweigh the value, and the tool refuses;
+        # at cuts 40 and 80 the printed bound covers the distance to the
+        # cut-120 value.
+        head = ("eval", "waveform", "--M", "4", "--a", "1/3,1/5", "--b", "0,0", "--tau", "0,0.001")
+        code, lines, err = _run(capsys, *head, "--lattice-cut", "12")
+        assert (code, lines) == (3, []) and "tail bound" in err
+
+        def value(cut):
+            code, lines, err = _run(capsys, *head, "--lattice-cut", str(cut))
+            assert code == 0, err
+            obj = json.loads(lines[0])
+            return complex(obj["value_re"], obj["value_im"]), obj["tail_bound"]
+
+        limit, limit_tail = value(120)
+        assert limit_tail < 1e-9
+        for cut in (40, 80):
+            near, tail = value(cut)
+            assert abs(near - limit) <= tail, cut
+
     def test_cocycle_insufficient_extent_is_precision_failure(self, capsys):
         code, _, err = _run(
             capsys, "eval", "cocycle", "--cohen", "--gamma", "0,-1,2,0",
@@ -996,7 +1017,7 @@ def test_numeric_commands_do_not_import_numpy():
         "]\n"
         "assert radial_limit_check(1, 1, 1, Fraction(1, 2)).ok\n"
         "cocycle_samples(cohen_table(30000), (0, -1, 2, 0), [Fraction(1, 3)])\n"
-        "completion_defect(family_params(2, 1, 1), 1j)\n"
+        "completion_defect(family_params(2, 1, 1).params, 1j)\n"
         "print(codes, 'numpy' in sys.modules, file=sys.stderr)\n"
     )
     result = subprocess.run(

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import negate_variable
+
 from qmaass import series
 from qmaass.agpolys import PartitionConstraint, ag_generating, ag_polynomials
 from qmaass.bailey import (
@@ -157,7 +159,7 @@ def test_truncated_product_is_honest(a, b, ta, tb):
     at, bt = a.truncate(ta), b.truncate(tb)
     prod_t = at * bt
     prod_full = a * b
-    assert prod_full.agrees(prod_t, up_to=prod_t.trunc)
+    assert prod_full.first_mismatch(prod_t, up_to=prod_t.trunc) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -424,7 +426,7 @@ def test_inverse_of_laurent_series():
     assert inv.trunc == 14
     for e in range(2, 14):
         assert inv.coeff(e) == 1
-    assert (x * inv).agrees(QSeries.one(), up_to=10)
+    assert (x * inv).first_mismatch(QSeries.one(), up_to=10) is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -439,7 +441,7 @@ def test_inverse_round_trip(a):
     at = a.truncate(10)
     inv = at.inverse()
     prod = at * inv
-    assert prod.agrees(QSeries.one(), up_to=prod.trunc)
+    assert prod.first_mismatch(QSeries.one(), up_to=prod.trunc) is None
 
 
 def test_inverse_errors():
@@ -447,6 +449,21 @@ def test_inverse_errors():
         QSeries.zero(trunc=5).inverse()
     with pytest.raises(QSeriesError):
         QSeries.one().inverse()  # infinite trunc refused
+    # only a rational lowest coefficient is inverted
+    unit = QSeries.from_terms([(0, CycNumber.zeta(5)), (1, 1)], trunc=6)
+    with pytest.raises(QSeriesError, match="not rational"):
+        unit.inverse()
+    assert QSeries.from_terms([(0, 1), (1, CycNumber.zeta(5))], trunc=6).inverse().coeff(1) == -CycNumber.zeta(5)
+
+
+def test_series_times_a_scalar_is_refused():
+    s = QSeries.from_dense([1, 2], trunc=5)
+    for scalar in (3, Fraction(1, 2), CycNumber.zeta(3)):
+        with pytest.raises(TypeError):
+            s * scalar
+        with pytest.raises(TypeError):
+            scalar * s
+    assert s.scale(3) == QSeries.from_dense([3, 6], trunc=5)
 
 
 # ----------------------------------------------------------- substitutions
@@ -460,10 +477,10 @@ def test_compose_power_and_negate_variable():
     half = s.compose_power(Fraction(1, 2))
     assert half.coeff(Fraction(1, 2)) == 1
     assert half.trunc == 4
-    alt = s.negate_variable()
+    alt = negate_variable(s)
     assert alt.coeff(1) == -1 and alt.coeff(2) == 1
-    with pytest.raises(QSeriesError):
-        half.negate_variable()
+    with pytest.raises(AssertionError):
+        negate_variable(half)
 
 
 def test_map_coefficients_and_scale():
@@ -526,6 +543,10 @@ def test_pochhammer_cache_prefix_reuse():
 def test_inverse_pochhammer_matches_series_inverse(kind, trunc):
     clear_caches()
     for n in (0, 1, 2, 5, 9):
+        if n and series._POCH_NAMES[kind][1] == 0:  # a factor 1 - c q^0
+            with pytest.raises(QSeriesError):
+                inverse_pochhammer(kind, n, trunc)
+            continue
         got = inverse_pochhammer(kind, n, trunc)
         want = pochhammer(kind, n, trunc).inverse().truncate(trunc)
         assert got == want
@@ -538,14 +559,22 @@ def test_inverse_pochhammer_matches_series_inverse(kind, trunc):
         assert one == QSeries.one(trunc)
 
 
-def test_inverse_pochhammer_keeps_fraction_coefficients():
-    # 1/(-1;q)_2 = 1/(2(1+q)) = (1 - q + q^2 - ...)/2
-    inv = inverse_pochhammer("-1", 2, 6)
+def test_inverse_pochhammer_refuses_exponent_zero():
+    # 1/(-1;q)_n has the factor 1/(1 + q^0); only factor exponents >= 1
+    # are divided out, so the prefix cache holds ints alone.
+    clear_caches()
+    assert inverse_pochhammer("-1", 0, 6) == QSeries.one(6)
+    for kind in ("-1", (-1, 0, 1), (3, 0, 2)):
+        with pytest.raises(QSeriesError, match="exponents >= 1"):
+            inverse_pochhammer(kind, 2, 6)
+    # the product itself still takes exponent 0, and its series inverse
+    # keeps the halves: 1/(2(1+q)) = (1 - q + q^2 - ...)/2
+    inv = pochhammer("-1", 2, 6).inverse()
     assert [inv.coeff(e) for e in range(6)] == [Fraction((-1) ** e, 2) for e in range(6)]
-    # Halves that sum to whole numbers come out as ints.
-    inv = inverse_pochhammer("-1", 6, 30)
-    whole = [c for c in inv._coeffs.values() if Fraction(c).denominator == 1]
-    assert whole and all(type(c) is int for c in whole)
+    inverse_pochhammer("q", 5, 30)
+    assert all(
+        type(c) is int for prefixes in series._prefix_cache.values() for p in prefixes for c in p._coeffs.values()
+    )
 
 
 def test_inverse_pochhammer_cache_prefix_reuse():
@@ -715,7 +744,7 @@ def test_divide_one_minus_power():
     p = QSeries.from_dense([2, 0, -1, 5], trunc=t)
     prod = p * QSeries.from_terms([(0, 1), (3, -1)], t)
     quotient = _over_factor(dense_int_coeffs(prod, t), 1, 3)
-    assert QSeries._from_clean(quotient, 1, Fraction(t)).agrees(p, up_to=t)
+    assert QSeries._from_clean(quotient, 1, Fraction(t)).first_mismatch(p, up_to=t) is None
     with pytest.raises(QSeriesError):
         _over_factor([1] + [0] * (t - 1), 1, 0)
 
@@ -727,9 +756,9 @@ def test_first_mismatch_and_agrees():
     a = QSeries.from_dense([1, 2, 3, 4], trunc=10)
     b = QSeries.from_dense([1, 2, 5, 4], trunc=10)
     assert a.first_mismatch(b) == 2
-    assert a.agrees(b, up_to=2)
-    assert not a.agrees(b)
-    assert a.agrees(a)
+    assert a.first_mismatch(b, up_to=2) is None
+    assert a.first_mismatch(b, up_to=3) == 2
+    assert a.first_mismatch(a) is None
     c = QSeries.from_dense([1, 2], trunc=2)
     assert a.first_mismatch(c) is None  # only compared below the common window
 
