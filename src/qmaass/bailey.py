@@ -331,7 +331,7 @@ def weighted_term(relative: str, kind: str, n: int, beta: QSeries, trunc) -> QSe
     # Terms of beta at or above trunc - shift land at or above trunc, so
     # beta is cut there first; the Pochhammer keeps trunc, the one cut its
     # cache holds.
-    term = pochhammer((1, s, s), n - first, trunc) * beta.truncate(trunc - shift)
+    term = pochhammer("q" if s == 1 else "q2", n - first, trunc) * beta.truncate(trunc - shift)
     if shift:
         term = term.shift(shift)
     term = term.truncate(trunc)

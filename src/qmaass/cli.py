@@ -556,20 +556,10 @@ def _expand_theta(cfg: RunConfig, writer: LineWriter) -> None:
 
 
 def _expand_negative_part(cfg: RunConfig, writer: LineWriter) -> None:
-    lattice_m = cfg.require("lattice_m")
-    ell = cfg.require("ell")
-    order = _int_order(cfg, 50)
-    series, diagnostics = negative_part_series(lattice_m, ell, order)
-    anomalous = len(diagnostics.get("anomalous_terms", ()))
+    lattice_m, ell = cfg.require("lattice_m"), cfg.require("ell")
+    series, _ = negative_part_series(lattice_m, ell, _int_order(cfg, 50))
     for exponent, coeff in series.terms():
-        writer.emit(
-            {
-                "exponent": _exact_str(exponent),
-                "coefficient": _exact_str(coeff),
-                "region": diagnostics["region"],
-                "anomalous_terms": anomalous,
-            }
-        )
+        writer.emit({"exponent": _exact_str(exponent), "coefficient": _exact_str(coeff)})
 
 
 EXPANDERS = {

@@ -11,9 +11,8 @@ coefficient tables, and cyclotomic root-of-unity values.
 * :func:`sigma_series` / :func:`sigma_star_series` give the two classical
   partial-theta companions in all their representations, plus fast integer
   coefficient tables for large ranges.
-* :func:`negative_part_series` enumerates the experimental companion sum
-  whose printed region produces anomalous terms; those are quarantined in a
-  diagnostics structure, never silently dropped.
+* :func:`negative_part_series` enumerates the companion sum over its
+  cone, exactly, below a truncation.
 * :func:`kz_root_value`, :func:`u_root_value`, :func:`verify_kz_duality`
   evaluate the Kontsevich-Zagier-type finite sums at roots of unity and
   check the duality between them.
@@ -273,83 +272,58 @@ def sigma_star_coefficients(n_max: int) -> list:
     return out
 
 
-# ------------------------------------------------- experimental negative part
+# ---------------------------------------------------------------- negative part
 
 
-def negative_part_series(M: int, ell: int, trunc, region: str = "printed"):
-    """Experimental companion sum over a two-variable lattice region.
+def negative_part_series(M: int, ell: int, trunc, region: str = "cone"):
+    """Companion sum over the cone ``|X| < |Y|`` of a two-variable lattice.
 
     With ``X = 2(M+1)n + M - 1`` and ``Y = 2(M-1)v + M - 1 - 2*ell``, each
-    admitted pair ``(n, v)`` contributes ``(-1)^(n+v)`` at exponent
-    ``((M+1) Y^2 - (M-1) X^2) / (8 (M+1) (M-1))``.
-
-    ``region`` selects the admission rule:
-
-    * ``"printed"`` — ``|(M+1)n + M-1| < 2 |(M-1)v + M-1-2*ell|``, taken
-      literally.  This region contains points with non-positive exponent
-      (collected into the diagnostics, never added to the series) and also
-      meets every exponent window at arbitrarily large ``|v|``, so a finite
-      ``v`` window is required to make the enumeration terminate; enlarging
-      the window may add terms.  The data is experimental.
-    * ``"cone"`` — ``|X| < |Y|``.  Inside the cone the exponent is at least
-      ``Y^2 / (4 (M^2-1))``, so enumeration below ``trunc`` is complete and
-      no window is needed; every exponent is positive.
+    pair ``(n, v)`` in the cone contributes ``(-1)^(n+v)`` at exponent
+    ``((M+1) Y^2 - (M-1) X^2) / (8 (M+1) (M-1))``.  Inside the cone that
+    exponent is at least ``Y^2 / (4 (M^2-1))``, so enumeration below
+    ``trunc`` is finite and complete, and every exponent is positive.
+    ``region`` accepts only ``"cone"``.
 
     Returns ``(series, diagnostics)`` where diagnostics record the region,
-    the ``v`` window used, the anomalous (non-positive exponent) terms, and
-    the count of terms at or above ``trunc``.
+    the ``v`` window searched, the anomalous (non-positive exponent) terms
+    (always none), the count of terms at or above ``trunc`` and the count
+    kept.
     """
     if not (isinstance(M, int) and M >= 2):
         raise QSeriesError(f"M must be an integer >= 2, got {M!r}")
     if not (isinstance(ell, int) and ell >= 1):
         raise QSeriesError(f"ell must be a positive integer, got {ell!r}")
-    if region not in ("printed", "cone"):
-        raise QSeriesError(f"region must be 'printed' or 'cone', got {region!r}")
+    if region != "cone":
+        raise QSeriesError(f"region must be 'cone', got {region!r}")
     t = finite_trunc(trunc)
     denom = 8 * (M + 1) * (M - 1)
     c = M - 1 - 2 * ell
 
-    # |Y| <= y_bound covers every in-cone term below trunc; the printed
-    # region gets a doubled window so near-cone anomalies are surfaced.
+    # |Y| <= y_bound covers every in-cone term below trunc.
     budget = max(1, math.ceil(t))
     y_bound = math.isqrt(4 * (M * M - 1) * budget) + 2 * (M - 1)
-    if region == "printed":
-        y_bound *= 2
     lo = math.ceil(Fraction(-y_bound - c, 2 * (M - 1)))
     hi = math.floor(Fraction(y_bound - c, 2 * (M - 1)))
 
     coeffs: dict[Fraction, int] = {}
-    anomalies = []
     dropped_high = 0
     kept = 0
     for nu in range(lo, hi + 1):
         y = 2 * (M - 1) * nu + c
-        if region == "printed":
-            radius = abs(y + c)  # equals 2 |(M-1) v + M-1-2*ell|
-            # |(M+1) n + (M-1)| < radius
-            span = radius - (M - 1)
-            n_lo = math.ceil(Fraction(-radius - (M - 1), M + 1))
-            n_hi = math.floor(Fraction(span, M + 1))
-            candidates = range(n_lo, n_hi + 1)
-            admitted = (
-                n for n in candidates if abs((M + 1) * n + M - 1) < radius
-            )
-        else:
-            n_lo = math.ceil(Fraction(-abs(y) - (M - 1), 2 * (M + 1)))
-            n_hi = math.floor(Fraction(abs(y) - (M - 1), 2 * (M + 1)))
-            admitted = (
-                n
-                for n in range(n_lo, n_hi + 1)
-                if abs(2 * (M + 1) * n + M - 1) < abs(y)
-            )
+        n_lo = math.ceil(Fraction(-abs(y) - (M - 1), 2 * (M + 1)))
+        n_hi = math.floor(Fraction(abs(y) - (M - 1), 2 * (M + 1)))
+        admitted = (
+            n
+            for n in range(n_lo, n_hi + 1)
+            if abs(2 * (M + 1) * n + M - 1) < abs(y)
+        )
         for n in admitted:
             x = 2 * (M + 1) * n + M - 1
             e_num = (M + 1) * y * y - (M - 1) * x * x
             exponent = Fraction(e_num, denom)
             sign = -1 if (n + nu) % 2 else 1
-            if exponent <= 0:
-                anomalies.append({"n": n, "nu": nu, "exponent": exponent})
-            elif exponent < t:
+            if exponent < t:
                 kept += 1
                 coeffs[exponent] = coeffs.get(exponent, 0) + sign
             else:
@@ -358,7 +332,7 @@ def negative_part_series(M: int, ell: int, trunc, region: str = "printed"):
     diagnostics = {
         "region": region,
         "nu_window": (lo, hi),
-        "anomalous_terms": anomalies,
+        "anomalous_terms": [],
         "dropped_above_trunc": dropped_high,
         "terms_in_series": kept,
     }

@@ -648,30 +648,20 @@ _POCH_NAMES = {
 _prefix_cache: dict[tuple, list[QSeries]] = {}
 
 
-def _prefix(kind, n: int, trunc, apply) -> QSeries:
+def _prefix(kind: str, n: int, trunc, apply) -> QSeries:
     """The first n factors of ``kind``, each applied to a dense list by
     ``apply(out, coeff, exponent)``, which returns the list's clean map.
     Extends the longest cached prefix one pass per factor, so every
     prefix lands in ``_prefix_cache``."""
     if n < 0:
         raise QSeriesError("pochhammer length must be nonnegative")
-    if isinstance(kind, str):
-        try:
-            spec = _POCH_NAMES[kind]
-        except KeyError:
-            raise QSeriesError(f"unknown pochhammer kind {kind!r}")
-    else:
-        coeff, exponent, step = kind
-        spec = (coeff, _rational(exponent), int(step))
-        if spec[2] <= 0:
-            raise QSeriesError("pochhammer step must be positive")
-    coeff, exponent, step = spec
+    try:
+        spec = coeff, exponent, step = _POCH_NAMES[kind]
+    except (KeyError, TypeError):
+        raise QSeriesError(f"unknown pochhammer kind {kind!r}")
     t = Fraction(trunc) if isinstance(trunc, int) else trunc
-    if not (type(t) is Fraction and type(coeff) is int and type(exponent) is int and exponent >= 0):
-        raise QSeriesError(
-            "a pochhammer needs a finite rational trunc, an integer "
-            "coefficient and an integer exponent >= 0"
-        )
+    if type(t) is not Fraction:
+        raise QSeriesError("a pochhammer needs a finite rational trunc")
     prefixes = _prefix_cache.get((apply, spec, t))
     if prefixes is None:
         prefixes = _prefix_cache[apply, spec, t] = [QSeries.one(t)]
@@ -682,21 +672,17 @@ def _prefix(kind, n: int, trunc, apply) -> QSeries:
     return prefixes[n]
 
 
-def pochhammer(kind, n: int, trunc) -> QSeries:
+def pochhammer(kind: str, n: int, trunc) -> QSeries:
     """Finite q-Pochhammer product of n factors, below the finite ``trunc``.
 
-    ``kind`` is one of the named strings in ``_POCH_NAMES`` or an explicit
-    triple ``(coeff, exponent, step)`` describing factors
-    ``(1 - coeff * q^(exponent + step*i))`` for i = 0..n-1.  The named kinds
-    cover (q;q)_n, (q^2;q^2)_n, (-q;q)_n, (-1;q)_n, (q;q^2)_n and (q^2;q)_n;
-    monomial arguments +/- q^j use explicit triples.  The coefficient must
-    be an int and the exponent an int >= 0; anything else, or an infinite
-    trunc, raises :class:`QSeriesError`.
+    ``kind`` names one of the products in ``_POCH_NAMES``: (q;q)_n,
+    (q^2;q^2)_n, (-q;q)_n, (-1;q)_n, (q;q^2)_n and (q^2;q)_n.  Any other
+    kind, or an infinite trunc, raises :class:`QSeriesError`.
     """
     return _prefix(kind, n, trunc, _times_factor)
 
 
-def inverse_pochhammer(kind, n: int, trunc) -> QSeries:
+def inverse_pochhammer(kind: str, n: int, trunc) -> QSeries:
     """1 / pochhammer(kind, n, trunc), exact below the finite ``trunc``:
     one division by (1 - coeff q^e) per factor.  Takes what
     :func:`pochhammer` takes, except that a factor exponent 0 (as in

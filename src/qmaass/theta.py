@@ -368,17 +368,16 @@ def _shell_walk(j: int, k: int, ell: int, top: int):
         n += 1
 
 
+@functools.lru_cache(maxsize=16)
 def _lattice_table(j: int, k: int, ell: int, top: int) -> tuple[tuple[int, ...], int]:
-    """Dense integer numerators of the lattice expansion below q^top, and their denominator."""
+    """Dense integer numerators of the lattice expansion below q^top, and
+    their denominator; cached for the exact series, the numeric grids and
+    the Cohen table alike."""
     coeffs = [0] * top
     for exps, nums in _shell_walk(j, k, ell, top):
         for e, c in zip(exps, nums):
             coeffs[e] += c
     return tuple(coeffs), FAMILIES[j].shell_denom
-
-
-# The numeric evaluator's table, shared by its radial grid and every x.
-_lattice_coefficients = functools.lru_cache(maxsize=16)(_lattice_table)
 
 
 def family_lattice_series(j: int, k: int, ell: int, trunc) -> QSeries:
@@ -392,6 +391,8 @@ def family_lattice_series(j: int, k: int, ell: int, trunc) -> QSeries:
 # Lattice terms of modulus below this are dropped: about the rounding
 # error of a double-precision sum of magnitude 1.
 _LATTICE_TERM_FLOOR = 1e-15
+# The most coefficients one numeric table may hold (t down to about 3.3e-5).
+_LATTICE_TABLE_CAP = 1 << 20
 
 
 def family_lattice_numeric(j: int, k: int, ell: int, x, ts: list) -> list:
@@ -403,9 +404,11 @@ def family_lattice_numeric(j: int, k: int, ell: int, x, ts: list) -> list:
     exp(-t * exponent) <= 1, so this route is free of the catastrophic
     cancellation the defining hypergeometric sums suffer near the
     circle.  At each t the terms with exp(-t * exponent) >= 1e-15 are
-    summed from one integer coefficient table, shared by the grid.  With
-    x = p/q the exponents r0 + q m of one residue class share the phase
-    e(p r0 / q), reduced exactly, and their decay factors exp(-t q m).
+    summed from one integer coefficient table, shared by the grid; a t
+    whose table would exceed ``_LATTICE_TABLE_CAP`` coefficients raises
+    :class:`PrecisionError`.  With x = p/q the exponents r0 + q m of one
+    residue class share the phase e(p r0 / q), reduced exactly, and their
+    decay factors exp(-t q m).
     """
     _validate_family(j, k, ell)
     ts = [float(s) for s in ts]
@@ -414,8 +417,13 @@ def family_lattice_numeric(j: int, k: int, ell: int, x, ts: list) -> list:
     xq = Fraction(x)
     p, q = xq.numerator, xq.denominator
     cutoff = -math.log(_LATTICE_TERM_FLOOR)
+    if cutoff / min(ts) >= _LATTICE_TABLE_CAP:  # floor(cutoff / t) + 1 > the cap
+        raise PrecisionError(
+            f"t = {min(ts)!r} needs a table of {cutoff / min(ts):.4g} lattice"
+            f" coefficients, more than {_LATTICE_TABLE_CAP}"
+        )
     limits = [math.floor(cutoff / s) + 1 for s in ts]
-    coeffs, denom = _lattice_coefficients(j, k, ell, max(limits))
+    coeffs, denom = _lattice_table(j, k, ell, max(limits))
     phases = [unit_phase(p * r0 % q / q) for r0 in range(min(q, max(limits)))]
     values = []
     for s, lim in zip(ts, limits):

@@ -146,3 +146,55 @@ def sigma_star_by_odd_partitions(n_max: int) -> list:
             out[n * n + s] += 2 * (-1) ** n * odd[s]
         n += 1
     return out
+
+
+def galois(x: CycNumber, b: int) -> CycNumber:
+    """sigma_b(x), the automorphism zeta -> zeta^b of Q(zeta_(x.order)),
+    for b a unit mod the order."""
+    if math.gcd(b, x.order) != 1:
+        raise ValueError(f"{b} is not a unit mod {x.order}")
+    return CycNumber.from_powers(x.order, {k * b: c for k, c in enumerate(x.vec) if c})
+
+
+def sigma_at_root(N: int, power: int = 1) -> CycNumber:
+    """Ramanujan's sigma(q) = 1 + sum_(n >= 0) (-1)^n q^(n+1) (q; q)_n at
+    q = zeta_N^power, a unit power: (q; q)_n vanishes from n = N on, so
+    the sum stops there."""
+    one = CycNumber.from_rational(N, 1)
+    total, prefix = one, one
+    for n in range(N):
+        total = total + (-1) ** n * CycNumber.zeta(N, power * (n + 1)) * prefix
+        prefix = prefix * (1 - CycNumber.zeta(N, power * (n + 1)))
+    return total
+
+
+def sigma_star_at_root(N: int, power: int = 1) -> CycNumber:
+    """sigma*(q) = -2 sum_(n >= 0) q^(n+1) (q^2; q^2)_n at q = zeta_N^power,
+    a unit power: (q^2; q^2)_n vanishes once N divides 2n, so the sum stops
+    at n = N."""
+    total, prefix = CycNumber.from_rational(N, 0), CycNumber.from_rational(N, 1)
+    for n in range(N):
+        total = total + CycNumber.zeta(N, power * (n + 1)) * prefix
+        prefix = prefix * (1 - CycNumber.zeta(N, 2 * power * (n + 1)))
+    return -2 * total
+
+
+def negative_part_by_box(M: int, ell: int, trunc, box: int = 60) -> dict:
+    """The cone sum of :func:`qmaass.families.negative_part_series` below
+    ``trunc`` by brute force over |n|, |nu| <= box: with
+    X = 2(M+1)n + M - 1 and Y = 2(M-1)nu + M - 1 - 2 ell, each point with
+    |X| < |Y| adds (-1)^(n+nu) at ((M+1)Y^2 - (M-1)X^2) / (8(M+1)(M-1)).
+    Raises if a kept point lies on the box's edge, where the box may cut."""
+    denom = 8 * (M + 1) * (M - 1)
+    top = math.ceil(trunc * denom)  # e < trunc exactly when its numerator is below top
+    out: dict = {}
+    for n in range(-box, box + 1):
+        x = 2 * (M + 1) * n + M - 1
+        for nu in range(-box, box + 1):
+            y = 2 * (M - 1) * nu + M - 1 - 2 * ell
+            num = (M + 1) * y * y - (M - 1) * x * x
+            if abs(x) < abs(y) and num < top:
+                assert box not in (abs(n), abs(nu)), "the box cuts the cone sum"
+                e = Fraction(num, denom)
+                out[e] = out.get(e, 0) + (-1) ** (n + nu)
+    return {e: c for e, c in out.items() if c}

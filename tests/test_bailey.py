@@ -302,7 +302,7 @@ def test_weighted_term_cuts_beta_before_the_product(identity, n, coeffs, trunc, 
     s, first, power = bailey.LIMIT_WEIGHTS[identity]
     n = max(n, first)
     beta_n = QSeries(coeffs, 1, trunc + slack)
-    want = pochhammer((1, s, s), n - first, trunc) * beta_n
+    want = pochhammer({1: "q", 2: "q2"}[s], n - first, trunc) * beta_n
     want = want.shift(0 if power is None else power(n)).truncate(trunc).scale((-1) ** n)
     got = bailey.weighted_term(*identity, n, beta_n, trunc)
     assert got == want and got.trunc == want.trunc

@@ -30,6 +30,7 @@ from qmaass.cli import (
     run,
 )
 from qmaass.cyclotomic import MAX_ROOT_ORDER
+from qmaass.families import negative_part_series
 from qmaass.maass import _cohen_residuals
 from qmaass.series import QSeriesError
 from qmaass.theta import family_params
@@ -70,6 +71,9 @@ LOCKED_EXPAND_TABLES = {
     "f --j 1 --k 2 --l 1 --order 400":
         "eb286b1757d041a09d267aafda6a80cb26ccf63e2229a4c09dbde693eb7e9b2b",
     "hpoly --k 3": "1b3b59cddf307d385c0fb61128197e9d239e09a88603c5699f7d4d449d1d340a",
+    # Recorded when the table became the cone series alone.
+    "negative-part --M 3 --l 1 --order 20":
+        "64b9a2007d1858ae9a40c41ed864002412a1295ff799aa3ff7f6e1163774fce5",
     "sigma": "6dce9010b74d4e9e516d223559364caf4152cb2d5cd6940c8a9516af8627fc5a",
     "sigma-star": "89377028d87d6df11a80c9856690c8f99e568e067efeee2f73b75b2d225bbe32",
     "s-theta --j 2 --k 2 --l 1 --order 60":
@@ -446,9 +450,10 @@ class TestExpand:
             "--order", "20",
         )
         assert code == 0
-        assert lines[0] == "exponent,coefficient,region,anomalous_terms"
-        assert len(lines) > 1
-        assert all(line.split(",")[2] == "printed" for line in lines[1:])
+        assert lines[0] == "exponent,coefficient"
+        series, _ = negative_part_series(3, 1, 20)
+        assert lines[1:] == [f"{e},{c}" for e, c in series.terms()]
+        assert lines[1] == "7/8,-2"
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"

@@ -3,7 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from oracles import negate_variable, sigma_by_rank_parity, sigma_star_by_odd_partitions
+from oracles import (
+    negate_variable,
+    negative_part_by_box,
+    sigma_by_rank_parity,
+    sigma_star_by_odd_partitions,
+)
 
 import qmaass.bailey as bailey
 from qmaass.agpolys import ag_polynomial
@@ -228,25 +233,30 @@ def test_family_validation():
 # -------------------------------------------------------------- negative part
 
 
-def test_negative_part_printed_observation():
+def test_negative_part_defaults_to_the_cone():
     series, diag = negative_part_series(4, 1, 10)
-    assert diag["region"] == "printed"
+    assert diag["region"] == "cone"
+    assert (series, diag) == negative_part_series(4, 1, 10, region="cone")
     for e, c in series.terms():
         assert 0 < e < 10
         assert c != 0
-    assert diag["anomalous_terms"], "printed region is expected to produce anomalies"
-    for item in diag["anomalous_terms"]:
-        assert item["exponent"] <= 0
 
 
-def test_negative_part_known_anomaly_present():
-    _, diag = negative_part_series(4, 1, 10)
-    hits = [
-        a
-        for a in diag["anomalous_terms"]
-        if a["n"] == -2 and a["nu"] == 1 and a["exponent"] == Fraction(-311, 60)
-    ]
-    assert hits
+@pytest.mark.parametrize("region", ["printed", "", None])
+def test_negative_part_refuses_any_region_but_the_cone(region):
+    # The printed region's lattice sum diverges: its table read the
+    # search window, not the series.
+    with pytest.raises(QSeriesError, match="region"):
+        negative_part_series(4, 1, 10, region=region)
+
+
+@pytest.mark.parametrize("trunc", [5, 20, Fraction(61, 2), 60])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("M", range(2, 9))
+def test_negative_part_is_the_cone_sum_over_a_box(M, ell, trunc):
+    series, diag = negative_part_series(M, ell, trunc)
+    assert dict(series.terms()) == negative_part_by_box(M, ell, trunc)
+    assert diag["anomalous_terms"] == []
 
 
 def test_negative_part_cone_is_anomaly_free():

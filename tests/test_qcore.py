@@ -521,12 +521,12 @@ def test_pochhammer_matches_direct_product():
     for i in range(1, 6):
         direct = direct * QSeries.from_terms([(0, 1), (i, -1)], t)
     assert pochhammer("q", 5, t) == direct
-    # explicit-triple kind: (-q^2; q)_3 = (1+q^2)(1+q^3)(1+q^4)
-    trip = pochhammer((-1, 2, 1), 3, t)
-    direct = QSeries.one(t)
-    for i in range(3):
-        direct = direct * QSeries.from_terms([(0, 1), (2 + i, 1)], t)
-    assert trip == direct
+    # (-q; q)_3 = (1+q)(1+q^2)(1+q^3) and (q^2; q)_3 = (1-q^2)(1-q^3)(1-q^4)
+    for kind, sign, first in (("-q", 1, 1), ("q2;q", -1, 2)):
+        direct = QSeries.one(t)
+        for i in range(3):
+            direct = direct * QSeries.from_terms([(0, 1), (first + i, sign)], t)
+        assert pochhammer(kind, 3, t) == direct, kind
 
 
 def test_pochhammer_cache_prefix_reuse():
@@ -541,6 +541,9 @@ def test_pochhammer_cache_prefix_reuse():
 @pytest.mark.parametrize("kind", sorted(series._POCH_NAMES))
 @pytest.mark.parametrize("trunc", [1, 17, Fraction(61, 3), 40])
 def test_inverse_pochhammer_matches_series_inverse(kind, trunc):
+    # every named kind suits the dense passes, so _prefix checks no spec
+    coeff, exponent, step = series._POCH_NAMES[kind]
+    assert type(coeff) is int and type(exponent) is int and exponent >= 0 and step >= 1
     clear_caches()
     for n in (0, 1, 2, 5, 9):
         if n and series._POCH_NAMES[kind][1] == 0:  # a factor 1 - c q^0
@@ -564,9 +567,9 @@ def test_inverse_pochhammer_refuses_exponent_zero():
     # are divided out, so the prefix cache holds ints alone.
     clear_caches()
     assert inverse_pochhammer("-1", 0, 6) == QSeries.one(6)
-    for kind in ("-1", (-1, 0, 1), (3, 0, 2)):
+    for n in (1, 2, 7):
         with pytest.raises(QSeriesError, match="exponents >= 1"):
-            inverse_pochhammer(kind, 2, 6)
+            inverse_pochhammer("-1", n, 6)
     # the product itself still takes exponent 0, and its series inverse
     # keeps the halves: 1/(2(1+q)) = (1 - q + q^2 - ...)/2
     inv = pochhammer("-1", 2, 6).inverse()
@@ -593,32 +596,38 @@ def test_inverse_pochhammer_cache_prefix_reuse():
 def test_inverse_pochhammer_refuses_what_it_cannot_divide():
     with pytest.raises(QSeriesError):
         inverse_pochhammer("q", 3, INF)
-    with pytest.raises(QSeriesError):
-        inverse_pochhammer((1, Fraction(1, 2), 1), 3, 10)
-    with pytest.raises(QSeriesError):
-        inverse_pochhammer((1, 0, 1), 2, 10)  # the factor 1 - q^0 vanishes
+    with pytest.raises(QSeriesError, match="exponents >= 1"):
+        inverse_pochhammer("-1", 2, 10)  # the factor 1 + q^0 has exponent 0
     with pytest.raises(QSeriesError):
         inverse_pochhammer("q", -1, 10)
-    # an explicit triple the passes do take
-    trip = inverse_pochhammer((-1, 2, 1), 3, 30)
-    assert trip == pochhammer((-1, 2, 1), 3, 30).inverse()
+    with pytest.raises(QSeriesError, match="unknown pochhammer kind"):
+        inverse_pochhammer((1, 1, 1), 3, 10)  # kinds go by name only
+    assert inverse_pochhammer("-q", 3, 30) == pochhammer("-q", 3, 30).inverse()
 
 
 @pytest.mark.parametrize("build", [pochhammer, inverse_pochhammer], ids=["poch", "inverse"])
 @pytest.mark.parametrize(
-    "kind, trunc",
+    "kind, trunc, message",
     [
-        ("q", INF),
-        ((1, Fraction(1, 2), 1), 10),
-        ((Fraction(1, 2), 1, 1), 10),
-        ((1, -1, 1), 10),
+        ("q", INF, "finite rational trunc"),
+        ((1, Fraction(1, 2), 1), 10, "unknown pochhammer kind"),
+        ((Fraction(1, 2), 1, 1), 10, "unknown pochhammer kind"),
+        ((1, -1, 1), 10, "unknown pochhammer kind"),
+        ((1, 1, 1), 10, "unknown pochhammer kind"),  # once the triple of "q"
+        (["q"], 10, "unknown pochhammer kind"),
+        ("q;q", 10, "unknown pochhammer kind"),
     ],
-    ids=["infinite-trunc", "half-exponent", "fraction-coefficient", "negative-exponent"],
+    ids=[
+        "infinite-trunc", "half-exponent", "fraction-coefficient", "negative-exponent",
+        "triple-of-q", "list", "unknown-name",
+    ],
 )
-def test_pochhammers_refuse_what_the_dense_passes_cannot_take(build, kind, trunc):
+def test_pochhammers_refuse_what_the_dense_passes_cannot_take(build, kind, trunc, message):
     # Both take one path, a pass per factor over a dense integer-exponent
-    # list below a finite trunc, and share the guard in front of it.
-    with pytest.raises(QSeriesError, match="finite rational trunc"):
+    # list below a finite trunc, and share the guard in front of it.  Kinds
+    # go by name, each with an integer coefficient and an exponent >= 0,
+    # so a triple is refused as an unknown kind whatever it holds.
+    with pytest.raises(QSeriesError, match=message):
         build(kind, 3, trunc)
 
 

@@ -18,7 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lift, oracle_binomial, root_of_unity_value, torus_jones_at_root
+from oracles import (
+    galois,
+    lift,
+    oracle_binomial,
+    root_of_unity_value,
+    sigma_at_root,
+    sigma_star_at_root,
+    torus_jones_at_root,
+)
 
 import qmaass.families as families
 from qmaass.agpolys import _walk, ag_polynomial, ag_polynomials, ag_polynomials_at_root
@@ -280,3 +288,99 @@ def test_long_chains_at_high_order_are_fast():
     u_root_value(6, 1, 24)
     quantum_value(1, 5, 1, Fraction(1, 29))
     assert time.perf_counter() - start < 4.0  # about 0.16 s on 2 CPUs
+
+
+# ---------------------------------------------- Habiro-ring properties
+#
+# The families lie in the Habiro ring (Habiro, Invent. Math. 171, 2008), so
+# their values at roots of unity are Galois equivariant and congruent
+# along prime-power steps.  quantum_value(j, k, ell, x) is F_j at
+# q = e(w), w = d x mod 1, d the family power.
+
+
+def _units(m: int) -> list:
+    """The fractions a/m in [0, 1) with a a unit mod m."""
+    return [Fraction(a, m) for a in range(m) if math.gcd(a, m) == 1]
+
+
+def _integral(x: CycNumber) -> bool:
+    return all(Fraction(c).denominator == 1 for c in x.vec)
+
+
+@pytest.mark.parametrize("N", [6, 9, 16, 25, 30])
+@pytest.mark.parametrize("k, ell", [(1, 1), (2, 1), (3, 2)])
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_quantum_values_are_galois_equivariant(j, k, ell, N):
+    # F(zeta^b) = sigma_b F(zeta): the value at a/N is sigma_b of the value
+    # at 1/N, b = num(w_a) num(w_1)^-1 mod den(w).
+    d = FAMILIES[j].power
+    w1 = d * Fraction(1, N) % 1
+    base = quantum_value(j, k, ell, Fraction(1, N)).value
+    moved = 0
+    for x in _units(N)[1:]:
+        w = d * x % 1
+        b = w.numerator * pow(w1.numerator, -1, w.denominator) % w.denominator
+        got = quantum_value(j, k, ell, x).value
+        assert _same(got, galois(base, b)), x
+        moved += got != base
+    assert moved  # some conjugate differs from the value at 1/N
+
+
+@functools.lru_cache(maxsize=None)
+def _family_at(j: int, k: int, ell: int, w: Fraction) -> CycNumber:
+    """F_j(e(w)) for the chain (k, ell), read from quantum_value."""
+    return quantum_value(j, k, ell, w / FAMILIES[j].power).value
+
+
+@functools.lru_cache(maxsize=None)
+def _over_one_minus(eps: Fraction, L: int) -> CycNumber:
+    """1 / (1 - e(eps)) in Q(zeta_L)."""
+    return lift(1 - CycNumber.zeta(eps.denominator, eps.numerator), L).inverse()
+
+
+@pytest.mark.parametrize("k, ell", [(1, 1), (2, 1), (2, 2)])
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_quantum_values_satisfy_the_habiro_congruences(j, k, ell):
+    # F(zeta eps) = F(zeta) mod (1 - eps) in Z[zeta eps] for eps of prime-
+    # power order: (F(zeta eps) - F(zeta)) / (1 - eps) has integer
+    # coordinates in the power basis of Q(zeta_L), L the lcm of the orders.
+    # 1 / (1 - eps) itself is not integral, so adding 1 to the difference
+    # must break it.
+    cases = 0
+    for m in (1, 2, 3, 4):
+        for zeta in _units(m):
+            for order in (2, 3, 4, 5, 7):
+                L = math.lcm(m, order)
+                for eps in _units(order):
+                    diff = lift(_family_at(j, k, ell, (zeta + eps) % 1), L) - lift(
+                        _family_at(j, k, ell, zeta), L
+                    )
+                    assert _integral(diff * _over_one_minus(eps, L)), (zeta, eps)
+                    assert not _integral((diff + 1) * _over_one_minus(eps, L)), (zeta, eps)
+                    cases += 1
+    assert cases == 90
+
+
+# ------------------------------------------- the scale-24 quantum identities
+
+
+def test_sigma_and_sigma_star_agree_at_roots_of_unity():
+    # sigma(zeta) = -sigma*(zeta^-1) at every root of unity (Cohen, Invent.
+    # Math. 91, 1988), both summed termwise in the oracles.
+    for N in range(1, 61):
+        left, right = sigma_at_root(N), -sigma_star_at_root(N, -1)
+        assert _same(left, right), N
+
+
+def test_second_and_fourth_families_agree_on_exact_values():
+    # quantum_value(2, 1, 1, x) is sigma(e(4x)) / 2 and quantum_value(4, 1,
+    # 1, y) is -sigma*(-e(2y)), so at y = -2x - 1/4 the identity
+    # sigma(zeta) = -sigma*(zeta^-1) makes the second twice the first; here
+    # for every reduced x = a/b in [0, 1) with b <= 32.
+    xs = [x for b in range(1, 33) for x in _units(b)]
+    assert len(xs) == 324
+    for x in xs:
+        left = 2 * quantum_value(2, 1, 1, x).value
+        right = quantum_value(4, 1, 1, -2 * x - Fraction(1, 4)).value
+        L = math.lcm(left.order, right.order)
+        assert _same(lift(left, L), lift(right, L)), x

@@ -15,6 +15,7 @@ import json
 import fractions
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -43,7 +44,7 @@ from qmaass.theta import (
     _frac_pair,
     _gauss_legendre,
     _kept_nus,
-    _lattice_coefficients,
+    _lattice_table,
     _lattice_walk,
     _over_common,
     _ray_integral,
@@ -1020,6 +1021,25 @@ class TestFamilyLattice:
         with pytest.raises(QSeriesError):
             family_lattice_numeric(1, 1, 1, F(0), [])
 
+    @pytest.mark.parametrize("t", [0.99 * 34.5388 / 2**20, 1e-7, 5e-324])
+    def test_numeric_route_refuses_a_table_past_its_cap(self, t):
+        # The table holds floor(-log(1e-15) / t) + 1 coefficients; past
+        # 2^20 of them the call refuses before it allocates any.
+        tracemalloc.start()
+        try:
+            with pytest.raises(PrecisionError, match=r"t = .* needs a table of .* coefficients"):
+                family_lattice_numeric(1, 1, 1, F(1, 3), [0.5, t])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_numeric_route_takes_the_finest_test_grid(self):
+        # t = 1/8192, the finest radial grid point of the tests, needs
+        # 282,942 coefficients: under the cap.
+        (value,) = family_lattice_numeric(1, 1, 1, F(1, 3), [1 / 8192])
+        assert cmath.isfinite(value)
+
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     @pytest.mark.parametrize("k, ell", [(1, 1), (2, 1), (2, 2)])
     def test_numeric_route_matches_termwise_reference(self, j, k, ell):
@@ -1087,7 +1107,7 @@ class TestFamilyLattice:
                     n += 1
                 # one shell past the walk contributes nothing below top
                 assert all(e >= top for e, _ in _shell_reference(j, k, ell, n))
-                coeffs, got_denom = _lattice_coefficients(j, k, ell, top)
+                coeffs, got_denom = _lattice_table(j, k, ell, top)
                 assert list(coeffs) == table and got_denom == denom
 
     @settings(max_examples=200, deadline=None)
