@@ -308,26 +308,26 @@ def test_weighted_term_cuts_beta_before_the_product(identity, n, coeffs, trunc, 
     assert got == want and got.trunc == want.trunc
 
 
-@pytest.mark.parametrize("k, ell", [(1, 1), (2, 1), (3, 2)])
-@pytest.mark.parametrize("j", [1, 2, 3, 4])
-def test_limit_identity_left_side_is_family(j, k, ell):
+def _assert_left_side_is_family(j, k, ell, trunc):
     # Family j is a multiple of one limit-identity left side on a chain
-    # pair; the four weighted sums are written out here independently.
-    trunc = 25
+    # pair; the four weighted sums are written out here independently,
+    # as products of QSeries.
+    trunc = Fraction(trunc)
     sign = lambda n: -1 if n % 2 else 1  # noqa: E731
     triangle = lambda n: n * (n + 1) // 2  # noqa: E731
     pair = (pair_relative_q if j in (1, 2) else pair_relative_one)(k, ell)
+    betas = list(pair.betas(120, trunc))
 
     def term(n: int) -> QSeries:
         if j == 1:  # (q)_n (-1)^n q^(n(n+1)/2) beta_n
-            out = (pochhammer("q", n, trunc) * beta(pair, n, trunc)).shift(triangle(n))
+            out = (pochhammer("q", n, trunc) * betas[n]).shift(triangle(n))
         elif j == 2:  # (q^2;q^2)_n (-1)^n beta_n
-            out = pochhammer("q2", n, trunc) * beta(pair, n, trunc)
+            out = pochhammer("q2", n, trunc) * betas[n]
         elif j == 3:  # (q)_(n-1) (-1)^n q^(n(n+1)/2) beta_n
-            out = pochhammer("q", n - 1, trunc) * beta(pair, n, trunc)
+            out = pochhammer("q", n - 1, trunc) * betas[n]
             out = out.shift(triangle(n))
         else:  # 2 (q^2;q^2)_(n-1) (-1)^n q^n beta_n
-            out = (pochhammer("q2", n - 1, trunc) * beta(pair, n, trunc)).shift(n)
+            out = (pochhammer("q2", n - 1, trunc) * betas[n]).shift(n)
             out = out.scale(2)
         return out.truncate(trunc).scale(sign(n))
 
@@ -354,6 +354,20 @@ def test_limit_identity_left_side_is_family(j, k, ell):
             total = total + term(n)
             n += 1
     assert total == family_series(j, k, ell, trunc)
+
+
+@pytest.mark.parametrize("k, ell", [(1, 1), (2, 1), (3, 2)])
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_limit_identity_left_side_is_family(j, k, ell):
+    _assert_left_side_is_family(j, k, ell, 25)
+
+
+@pytest.mark.parametrize("trunc", [1, 2, Fraction(7, 2), Fraction(121, 2)])
+@pytest.mark.parametrize("k, ell", [(1, 1), (2, 1), (3, 2)])
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_limit_identity_left_side_is_family_across_truncs(j, k, ell, trunc):
+    # Integer and half-integer truncations, down to a single coefficient.
+    _assert_left_side_is_family(j, k, ell, trunc)
 
 
 def test_definition_right_side_unit():

@@ -70,6 +70,13 @@ LOCKED_VERIFY_ALL_EXACT = "9d26a7257a089c65b8e031b46333c587e2520c4cccb6b275d59ae
 LOCKED_EXPAND_TABLES = {
     "f --j 1 --k 2 --l 1 --order 400":
         "eb286b1757d041a09d267aafda6a80cb26ccf63e2229a4c09dbde693eb7e9b2b",
+    # Recorded before the families moved onto one packed Horner sum.
+    "f --j 2 --k 2 --l 1 --order 400":
+        "8e9c445f4c8b50181bcae6c4ed35f5587587716841a2a4b716fd619f48d4dd7f",
+    "f --j 3 --k 3 --l 2 --order 200":
+        "5f10a680ed135e31b36d23b59bdfdd35a2252dc6d089189aa2d87e9671974933",
+    "f --j 4 --k 1 --l 1 --order 300":
+        "9d0d13592f7dc1d72603ca0d3da3385a7b7500ff90e724040391114ccdc747b6",
     "hpoly --k 3": "1b3b59cddf307d385c0fb61128197e9d239e09a88603c5699f7d4d449d1d340a",
     # Recorded when the table became the cone series alone.
     "negative-part --M 3 --l 1 --order 20":
