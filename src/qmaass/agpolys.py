@@ -177,7 +177,8 @@ def ag_generating(constraint: PartitionConstraint, trunc) -> QSeries:
     and each state holds its partitions' series below the finite ``trunc``
     as one packed value, so f parts of size j are one rotation by f j.  The
     DP runs first over :class:`~qmaass.series.L1Bound`, whose total
-    over-counts the partitions and so bounds every coefficient.
+    over-counts the partitions and so bounds every coefficient
+    (:meth:`~qmaass.series.PackedRing.sums`).
     """
     trunc = finite_trunc(trunc)
     size = int_slots(trunc)
@@ -187,7 +188,7 @@ def ag_generating(constraint: PartitionConstraint, trunc) -> QSeries:
     caps = {1: constraint.first_freq_bound - 1}
     caps[npos] = min(caps.get(npos, size), constraint.last_freq_bound - 1)
 
-    def build(ring) -> int:
+    def build(ring) -> list:
         states = {0: 1}  # frequency of the previous size -> packed series
         for j in range(1, npos + 1):
             cap, step = min(caps.get(j, size), (size - 1) // j), {}
@@ -197,10 +198,9 @@ def ag_generating(constraint: PartitionConstraint, trunc) -> QSeries:
                 for f in range(fmax + 1):
                     step[f] = step.get(f, 0) + ring.rot(a, f * j)
             states = step
-        return sum(states.values())
+        return [sum(states.values())]
 
-    ring = TruncatedRing(size, build(L1Bound(size)))
-    return QSeries._from_clean(ring.decode(build(ring)), 1, trunc)
+    return QSeries._from_clean(TruncatedRing.sums(size, build)[0], 1, trunc)
 
 
 def verify_ag_relation(k: int, ell: int, b: int, n: int) -> CheckReport:

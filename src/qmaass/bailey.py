@@ -12,9 +12,10 @@ on it, the two explicit pairs built from the chain polynomials of
 and truncation-level verification of the four limit identities obtained
 by summing a pair against classical weight sequences.  Those weights live
 in one table, :data:`LIMIT_WEIGHTS`, and both sides of every identity are
-summed by one rule; the four series families of :mod:`qmaass.families`
-are the left sides (:func:`left_side`) of the four identities on the
-chain pairs, and both they and their root-of-unity values read the table.
+summed by one rule over :class:`~qmaass.series.QSeries` products.  The
+four series families of :mod:`qmaass.families` are the left sides of the
+four identities on the chain pairs, summed from the same table in a
+packed ring instead (:func:`qmaass.families.chain_sum`).
 """
 
 from __future__ import annotations
@@ -338,7 +339,7 @@ def weighted_term(relative: str, kind: str, n: int, beta: QSeries, trunc) -> QSe
     return -term if n % 2 else term
 
 
-def _limit_sum(relative: str, kind: str, values, term, trunc, tail_order=None) -> QSeries:
+def _limit_sum(relative: str, kind: str, values, term, trunc) -> QSeries:
     """The sum of term(n, v_n) over n >= first for the limit identity
     ``(relative, kind)``, below trunc, with v_0, v_1, ... read in one pass
     from ``values(n_max, trunc)``.
@@ -348,8 +349,8 @@ def _limit_sum(relative: str, kind: str, values, term, trunc, tail_order=None) -
     the order the weight alone contributes.  The two terms past the cut
     must vanish below trunc, a guard against values of negative order.
     Without one (first = 0) the sum is the even/odd average of partial
-    sums, :func:`stabilized_sum` over its term budget, certified by
-    ``tail_order`` when one is given.
+    sums, :func:`stabilized_sum` over its term budget, which stops once the
+    average is seen to settle.
     """
     _, first, power = LIMIT_WEIGHTS[relative, kind]
     if power is None:
@@ -358,20 +359,11 @@ def _limit_sum(relative: str, kind: str, values, term, trunc, tail_order=None) -
         n_max = next(n for n in count(first) if power(n) >= trunc) + 1
     terms = (term(n, v) for n, v in enumerate(values(n_max, trunc)) if n >= first)
     if power is None:
-        return stabilized_sum(terms, trunc, tail_order=tail_order)
+        return stabilized_sum(terms, trunc)
     *kept, probe, next_probe = terms
     if not (probe.is_zero() and next_probe.is_zero()):
         raise QSeriesError("limit-identity term re-entered below trunc past the cutoff")
     return sum(kept, QSeries.zero(trunc))
-
-
-def left_side(pair: BaileyPair, kind: str, trunc, tail_order=None) -> QSeries:
-    """The left side of the limit identity ``(pair.relative, kind)`` on
-    ``pair``: the sum over n >= first of the :func:`weighted_term` of
-    beta_n, below the finite ``trunc``, from one pass of ``pair.betas``.
-    ``tail_order`` certifies an averaged sum (see :func:`stabilized_sum`)."""
-    term = partial(weighted_term, pair.relative, kind, trunc=trunc)
-    return _limit_sum(pair.relative, kind, pair.betas, term, trunc, tail_order)
 
 
 def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) -> CheckReport:
@@ -414,7 +406,8 @@ def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) 
             term = QSeries({e: c for e, c in enumerate(out) if c}, 1, t)
         return -term if n % 2 else term
 
-    lhs = left_side(pair, kind, t)
+    beta_at = partial(weighted_term, relative, kind, trunc=t)
+    lhs = _limit_sum(relative, kind, pair.betas, beta_at, t)
     rhs = _limit_sum(relative, kind, alphas, rhs_at, t)
     if relative == "q":
         one_minus_q = QSeries.one(t) - QSeries.monomial(1, 1, t)

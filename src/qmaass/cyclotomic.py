@@ -222,6 +222,10 @@ class CyclicRing(PackedRing):
         self.period, self.bits = order, order * self.width
         self.modulus = (1 << self.bits) - 1
 
+    @staticmethod
+    def twin(order: int) -> L1Bound:
+        return L1Bound(period=order)
+
     def mul(self, a: int, b: int) -> int:
         return self.rot(a * b, 0)
 
@@ -232,11 +236,6 @@ class CyclicRing(PackedRing):
         return a
 
 
-def root_sums(order: int, build) -> list[dict]:
-    """The elements of the list ``build(ring)`` as integer maps in Z[x]/(x^order - 1):
-    ``build`` runs over the :class:`~qmaass.series.L1Bound` of that period,
-    whose largest value bounds every coefficient, then over the
-    :class:`CyclicRing` of that bound."""
-    bound = max(build(L1Bound(period=order)), default=0)
-    ring = CyclicRing(order, bound)
-    return [ring.decode(a) for a in build(ring)]
+#: root_sums(order, build): the list ``build(ring)`` as integer maps in
+#: Z[x]/(x^order - 1), by :meth:`~qmaass.series.PackedRing.sums`.
+root_sums = CyclicRing.sums

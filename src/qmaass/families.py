@@ -3,11 +3,13 @@
 Everything here is exact: truncated integer-coefficient series, integer
 coefficient tables, and cyclotomic root-of-unity values.
 
-* :func:`family_series` builds the four families as the left sides of the
-  four Bailey limit identities on the chain polynomials (the weights of
-  :data:`qmaass.bailey.LIMIT_WEIGHTS`, picked by the :class:`Family`
-  records of :data:`FAMILIES`), with certified even/odd averaging for the
-  conditionally convergent family 2.
+* :func:`chain_sum` is the one weighted sum behind every family: the
+  left side of a Bailey limit identity (a weight of
+  :data:`qmaass.bailey.LIMIT_WEIGHTS`) on chain values in a packed ring,
+  summed by Horner's rule.  :func:`family_series` takes it over the
+  truncated ring Z[x]/(x^T) (the families are picked by the :class:`Family`
+  records of :data:`FAMILIES`), and :func:`qmaass.maass.quantum_value` over
+  the cyclic ring Z[x]/(x^N - 1) of a root of unity.
 * :func:`sigma_series` / :func:`sigma_star_series` give the two classical
   partial-theta companions in all their representations, plus fast integer
   coefficient tables for large ranges.
@@ -26,23 +28,24 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .agpolys import ag_polynomials_at_root
-from .bailey import CHAIN_PAIRS, LIMIT_WEIGHTS, left_side
+from .agpolys import _walk, ag_polynomials_at_root
+from .bailey import LIMIT_WEIGHTS
 from .cyclotomic import CycNumber, check_root_order, root_sums
 from .reports import CheckReport, report_from_condition
 from .series import (
     QSeries,
     QSeriesError,
+    TruncatedRing,
     finite_trunc,
     int_slots,
     inverse_pochhammer,
     pochhammer,
-    stabilized_sum,
 )
 
 __all__ = [
     "FAMILIES",
     "Family",
+    "chain_sum",
     "family_series",
     "kz_root_value",
     "negative_part_series",
@@ -139,20 +142,48 @@ FAMILIES = {
 }
 
 
+def chain_sum(ring, weights: tuple, chains: list, top: int):
+    """2 sum_(first <= n < top) t_n + t_top in ``ring``, t_n = (-1)^n
+    x^power(n) (x^s; x^s)_(n - first) chains[n] for the
+    :data:`~qmaass.bailey.LIMIT_WEIGHTS` entry (s, first, power), by
+    :meth:`~qmaass.series.PackedRing.pochhammer_sum`.  Half of it is the
+    sum if t_n vanishes from ``top`` on, and exactly the even/odd average
+    of the partial sums if t_n is (-1)^n times one value from ``top`` on."""
+    s, first, power = weights
+    terms = []
+    for n in range(first, top + 1):
+        t = ring.rot(chains[n], 0 if power is None else power(n)) * (1 if n == top else 2)
+        terms.append(ring.sub(0, t) if n % 2 else t)
+    return ring.pochhammer_sum(terms, s)
+
+
+def _truncated_chain_sum(weights: tuple, k: int, ell: int, t: Fraction) -> dict:
+    """:func:`chain_sum` below ``t`` over Z[x]/(x^T), T = ceil(t), on the
+    chain polynomials with boundary bit ``first``.  Its top is the first n
+    with power(n) >= T, or T - 1 with no power: from there on the chain
+    polynomials (:func:`~qmaass.agpolys._walk`) and the Pochhammer, whose
+    next factor is 1 - x^(s (n + 1 - first)), are constant mod x^T."""
+    _, first, power = weights
+    size = int_slots(t)
+    top = max(size - 1, first) if power is None else next(
+        n for n in itertools.count(first) if power(n) >= size)
+    (coeffs,) = TruncatedRing.sums(
+        size, lambda ring: [chain_sum(ring, weights, _walk(ring, k, ell, first, top), top)])
+    return coeffs
+
+
 def family_series(j: int, k: int, ell: int, trunc) -> QSeries:
     """Exact expansion of family ``j`` with parameters ``(k, ell)``: the sum
     its :data:`FAMILIES` record names, ``sum_scale`` times the limit-identity
-    left side on its chain pair.  Family 2's sum converges only through
-    even/odd averaging of partial sums; the averaging runs under a certified
-    tail bound (order >= 2N at step N) that is checked against every
-    observed increment.
+    left side on its chain polynomials, which is half their
+    :func:`chain_sum` over Z[x]/(x^T); for family 2, whose sum converges
+    only as the even/odd average of its partial sums, exactly that average.
     """
     _validate_family(j, k, ell)
     fam = FAMILIES[j]
-    relative, kind = fam.identity
-    pair = CHAIN_PAIRS[relative](k, ell)
-    total = left_side(pair, kind, finite_trunc(trunc), tail_order=lambda n: 2 * n)
-    return total.scale(fam.sum_scale)
+    t = finite_trunc(trunc)
+    coeffs = _truncated_chain_sum(LIMIT_WEIGHTS[fam.identity], k, ell, t)
+    return QSeries({e: Fraction(c * fam.sum_scale, 2) for e, c in coeffs.items()}, 1, t)
 
 
 # ------------------------------------------------------- classical companions
@@ -163,7 +194,8 @@ def sigma_series(rep: str, trunc) -> QSeries:
 
     ``pochhammer``   sum over n >= 0 of q^(n(n+1)/2) / (-q;q)_n,
     ``alternating``  1 + sum over n >= 0 of (-1)^n q^(n+1) (q;q)_n,
-    ``averaged``     2 * averaged partial sums of (-1)^n (q;q)_n,
+    ``averaged``     2 * averaged partial sums of (-1)^n (q;q)_n, the
+                     :func:`chain_sum` of weights (1, 0, None) at k = 1,
     ``indefinite``   sum over n >= 0, |v| <= n of
                      (-1)^(n+v) q^(n(3n+1)/2 - v^2) (1 - q^(2n+1)).
 
@@ -190,11 +222,7 @@ def sigma_series(rep: str, trunc) -> QSeries:
             total = total + (-term if n % 2 else term)
         return total
     if rep == "averaged":
-        def term_at(i: int) -> QSeries:
-            p = pochhammer("q", i, t)
-            return -p if i % 2 else p
-
-        return stabilized_sum(term_at, t, tail_order=lambda n: 2 * n).scale(2)
+        return QSeries._from_clean(_truncated_chain_sum((1, 0, None), 1, 1, t), 1, t)
     if rep == "indefinite":
         return QSeries.from_dense(sigma_coefficients(size - 1), t)
     raise QSeriesError(f"unknown representation {rep!r}; expected one of {SIGMA_REPS}")
@@ -366,10 +394,7 @@ def kz_root_value(k: int, ell: int, N: int) -> CycNumber:
             by_g = {v: [(v, ring.rot(t, v * v + (v if j >= ell else 0)))]
                     for v, t in enumerate(inner)}
             inner = ring.binomial_sums(by_g, len(inner) - 1)[bump:]
-        total = 0  # by Horner's rule: (q)_(n_k) = (q)_(n_k - 1) (1 - q^(n_k))
-        for n_k in range(N - 1, -1, -1):
-            total = ring.sub(total, ring.rot(total, n_k + 1)) + inner[n_k]
-        return [ring.rot(total, k)]
+        return [ring.rot(ring.pochhammer_sum(inner[:N]), k)]
 
     return CycNumber.from_powers(N, root_sums(N, build)[0])
 
@@ -388,13 +413,9 @@ def u_root_value(k: int, ell: int, N: int) -> CycNumber:
 
     chains = ag_polynomials_at_root(k, ell, 1, N, N)
 
-    def build(ring):
-        total = 0  # by Horner's rule: (q)_n^2 = (q)_(n-1)^2 (1 - q^n)^2
-        for n in range(N, 0, -1):
-            for _ in range(2):
-                total = ring.sub(total, ring.rot(total, n))
-            total += ring.encode({e + n - k: c for e, c in chains[n].items()})
-        return [total]
+    def build(ring):  # the term of n is (q)_(n-1)^2 times chains[n] q^(n - k)
+        terms = [ring.encode({e + n - k: c for e, c in chains[n].items()}) for n in range(1, N + 1)]
+        return [ring.pochhammer_sum(terms, reps=2)]
 
     return CycNumber.from_powers(N, {-e: c for e, c in root_sums(N, build)[0].items()})
 

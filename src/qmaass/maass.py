@@ -28,7 +28,7 @@ from .agpolys import ag_polynomials_at_root
 from .bailey import LIMIT_WEIGHTS
 from .bessel import k0_bessel
 from .cyclotomic import CycNumber, check_root_order, root_sums
-from .families import FAMILIES, _validate_family, sigma_coefficients
+from .families import FAMILIES, _validate_family, chain_sum, sigma_coefficients
 from .reports import CheckReport, _exact_str, report_from_condition
 from .series import PrecisionError, QSeriesError
 from .theta import _bounded, _lattice_table, family_lattice_numeric, unit_phase
@@ -196,31 +196,26 @@ def quantum_value(j: int, k: int, ell: int, x) -> QuantumSample:
     The family's limit-identity sum (its :data:`~qmaass.families.FAMILIES`
     record) is summed with q = e(d x): its finite q-Pochhammer prefactor
     vanishes once its length reaches the order of the root, so the sum
-    terminates; the result is exact in a cyclotomic field.  Families with
-    power d = 2 are evaluated at e(x)^d = e(d x), matching the variable of
-    their theta embedding.
+    terminates, and its :func:`~qmaass.families.chain_sum` to that top is
+    twice the value; the result is exact in a cyclotomic field.  Families
+    with power d = 2 are evaluated at e(x)^d = e(d x), matching the variable
+    of their theta embedding.
     """
     _validate_family(j, k, ell)
     xq = Fraction(x)
     fam = FAMILIES[j]
-    s, first, power = LIMIT_WEIGHTS[fam.identity]
+    s, first, _ = weights = LIMIT_WEIGHTS[fam.identity]
     w = (s * xq) % 1
     N, num = w.denominator, w.numerator
     check_root_order(N)
     # Summed in Z[x]/(x^N - 1) at x = q, mapped to q = e(w) at the end.
     # (q^s; q^s)_i vanishes there from the first i with N | num*s*i on.
-    length = N // math.gcd(N, num * s)
-    chains = ag_polynomials_at_root(k, ell, first, first + length - 1, N)
-
-    def build(ring):
-        total = 0  # by Horner's rule over the factors 1 - q^(s (n - first)) of the prefix
-        for n in range(first + length - 1, first - 1, -1):
-            total = ring.sub(total, ring.rot(total, s * (n + 1 - first)))
-            term = ring.rot(ring.encode(chains[n]), 0 if power is None else power(n))
-            total = ring.sub(total, term) if n % 2 else total + term
-        return [total * fam.sum_scale]
-
-    value = CycNumber.from_powers(N, {e * num: c for e, c in root_sums(N, build)[0].items()})
+    # The top term has the factor (q^s; q^s)_(top - first) = 0: any chain value.
+    top = first + N // math.gcd(N, num * s)
+    chains = ag_polynomials_at_root(k, ell, first, top - 1, N)
+    (twice,) = root_sums(
+        N, lambda ring: [chain_sum(ring, weights, [*map(ring.encode, chains), 0], top)])
+    value = CycNumber.from_powers(N, {e * num: c * fam.sum_scale // 2 for e, c in twice.items()})
     return QuantumSample(x=xq, value=value)
 
 

@@ -24,8 +24,8 @@ import math
 import operator
 import struct
 from fractions import Fraction
-from itertools import count, islice, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 INF = math.inf
 _HALF = Fraction(1, 2)
@@ -401,7 +401,7 @@ class QSeries:
             if xa.get(m, 0) != xb.get(m, 0):
                 if bad is None or m < bad:
                     bad = m
-        return None if bad is None else Fraction(m := bad, denom)
+        return None if bad is None else Fraction(bad, denom)
 
     # ---------------------------------------------------------------- display
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -518,6 +518,26 @@ class PackedRing:
                 series[n] += self.rot(series[n - 1], g)
         return series
 
+    def pochhammer_sum(self, terms: list, s: int = 1, reps: int = 1):
+        """sum_m (x^s; x^s)_m^reps terms[m] by Horner's rule: for m from the
+        number of terms down to 1, the total is multiplied by
+        (1 - x^(s m))^reps and takes terms[m - 1]."""
+        total = 0
+        for m in range(len(terms), 0, -1):
+            for _ in range(reps):
+                total = self.sub(total, self.rot(total, s * m))
+            total += terms[m - 1]
+        return total
+
+    @classmethod
+    def sums(cls, size: int, build) -> list[dict]:
+        """The elements of the list ``build(ring)`` as integer maps: ``build``
+        runs over the ring's :class:`L1Bound` twin of ``size``, whose largest
+        value bounds every coefficient, then over the ring of ``size`` and
+        that bound."""
+        ring = cls(size, max(build(cls.twin(size)), default=0))
+        return [ring.decode(a) for a in build(ring)]
+
     def encode(self, powers: dict, low: int = 0) -> int:
         """The value of the map {exponent: coefficient} times x^-low, its
         exponents at least ``low`` (any, with a period): the biased digits
@@ -557,6 +577,10 @@ class TruncatedRing(PackedRing):
         super().__init__(slots, bound)
         self.horizon, self.mask = slots, (1 << self.width * slots) - 1
         self.modulus = self.mask + 1
+
+    @staticmethod
+    def twin(slots: int) -> L1Bound:
+        return L1Bound(horizon=slots)
 
     def mul(self, a: int, b: int) -> int:
         return a * b & self.mask
@@ -716,34 +740,20 @@ def averaging_budget(trunc) -> int:
     return 600 if trunc == INF else max(600, 2 * int_slots(finite_trunc(trunc)) + 8)
 
 
-def stabilized_sum(
-    terms,
-    trunc,
-    tail_order: Callable[[int], _EXPONENT] | None = None,
-) -> QSeries:
+def stabilized_sum(terms: Iterable[QSeries], trunc) -> QSeries:
     """Averaged partial sums (S_{2N} + S_{2N+1})/2 of a term sequence.
 
-    ``terms`` is a callable i -> t_i or an iterable of terms; either way
-    each term is taken once, in increasing order of i, and at most
-    ``averaging_budget(trunc) + 1`` of them are taken.
+    ``terms`` is an iterable of terms; each is taken once, in order, and at
+    most ``averaging_budget(trunc) + 1`` of them are taken.
 
     For alternating sequences whose raw partial sums oscillate forever in
     low-order coefficients, the even/odd average settles; this returns its
-    common value once every coefficient below ``trunc`` has stopped moving.
-
-    ``tail_order`` (optional) must be a certified lower bound: for every
-    m >= N, the averaged increment A_m - A_{m-1} has q-order at least
-    ``tail_order(N)``.  When supplied, the sum stops as soon as the bound
-    clears ``trunc`` and every observed increment is checked against its
-    promise (a violation is a hard error, since it would falsify the bound).
-    Without it the engine settles observationally: 4 consecutive
-    increments must vanish identically below ``trunc`` before it stops, and
-    exhausting the term budget raises :class:`StabilizationError` carrying
-    the first unstable exponent.
+    common value once every coefficient below ``trunc`` has stopped moving,
+    observed as 4 consecutive increments that vanish identically below
+    ``trunc``.  Exhausting the term budget first raises
+    :class:`StabilizationError` carrying the first unstable exponent.
     """
     t = Fraction(trunc) if isinstance(trunc, int) else trunc
-    if callable(terms):
-        terms = map(terms, count())
     trimmed = (s.truncate(t) for s in islice(terms, averaging_budget(t) + 1))
 
     # Accumulate twice the averages, so that integer coefficients stay ints:
@@ -756,39 +766,21 @@ def stabilized_sum(
     acc = first.scale(2) + odd
     streak = 0
     unstable: QSeries | None = None
-    n_idx = 1
-    while True:
+    while streak < 4:
         even, next_odd = next(trimmed, None), next(trimmed, None)
         if next_odd is None:
-            last_unstable = None if unstable is None else unstable.min_order()
-            if tail_order is not None:
-                raise StabilizationError(
-                    "term budget exhausted before the certified tail bound cleared trunc",
-                    last_unstable,
-                )
             raise StabilizationError(
-                "no stabilization within the term budget", last_unstable
+                "no stabilization within the term budget",
+                None if unstable is None else unstable.min_order(),
             )
         delta = odd + even.scale(2) + next_odd
         odd = next_odd
         acc = acc + delta
-        if tail_order is not None:
-            promised = tail_order(n_idx)
-            if delta._coeffs and min(delta._coeffs) < _int_bound(promised, delta.denom):
-                raise PrecisionError(
-                    f"stabilized_sum: certified tail order {Fraction(promised)} violated at "
-                    f"step {n_idx} (observed order {delta.min_order()})"
-                )
-            if tail_order(n_idx + 1) >= t:
-                break
-        elif delta.is_zero():
+        if delta.is_zero():
             streak += 1
-            if streak >= 4:
-                break
         else:
             streak = 0
             unstable = delta
-        n_idx += 1
     return acc.scale(_HALF).truncate(t)
 
 

@@ -11,6 +11,7 @@ from oracles import (
 )
 
 import qmaass.bailey as bailey
+import qmaass.families as families
 from qmaass.agpolys import ag_polynomial
 from qmaass.cyclotomic import CycNumber
 from qmaass.families import (
@@ -175,8 +176,9 @@ def test_family_four_matches_direct_products():
 
 
 def test_family_series_takes_one_walk_and_no_chain_products(monkeypatch):
-    # The chain polynomials come from one ag_polynomials call, whose walk
-    # runs over packed ints; each series product belongs to a weighted term.
+    # The chain polynomials come from one walk per ring, the L1 sizing pass
+    # and the packed pass, and the weighted sum stays packed: no series
+    # product and no limit-identity term.
     walks, products, terms = [], [], []
 
     def counted(log, fn):
@@ -185,15 +187,15 @@ def test_family_series_takes_one_walk_and_no_chain_products(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(bailey, "ag_polynomials", counted(walks, bailey.ag_polynomials))
+    monkeypatch.setattr(families, "_walk", counted(walks, families._walk))
     monkeypatch.setattr(bailey, "weighted_term", counted(terms, bailey.weighted_term))
     monkeypatch.setattr(QSeries, "__mul__", counted(products, QSeries.__mul__))
     for j in (1, 2, 3, 4):
         for log in (walks, products, terms):
             log.clear()
         family_series(j, 3, 2, 30)
-        assert len(walks) == 1, j
-        assert 0 < len(products) == len(terms), j
+        assert [type(ring).__name__ for ring, *_ in walks] == ["L1Bound", "TruncatedRing"], j
+        assert products == terms == [], j
 
 
 def test_family_two_special_case():
