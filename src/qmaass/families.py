@@ -3,13 +3,11 @@
 Everything here is exact: truncated integer-coefficient series, integer
 coefficient tables, and cyclotomic root-of-unity values.
 
-* :func:`chain_sum` is the one weighted sum behind every family: the
-  left side of a Bailey limit identity (a weight of
-  :data:`qmaass.bailey.LIMIT_WEIGHTS`) on chain values in a packed ring,
-  summed by Horner's rule.  :func:`family_series` takes it over the
-  truncated ring Z[x]/(x^T) (the families are picked by the :class:`Family`
-  records of :data:`FAMILIES`), and :func:`qmaass.maass.quantum_value` over
-  the cyclic ring Z[x]/(x^N - 1) of a root of unity.
+* :func:`chain_sum` sums every family: a limit-identity left side
+  (:data:`qmaass.bailey.LIMIT_WEIGHTS`) on chain values in a packed ring.
+  :func:`family_series` takes it over Z[x]/(x^T) for the :class:`Family`
+  records of :data:`FAMILIES`, :func:`qmaass.maass.quantum_value` over
+  Z[x]/(x^N - 1).
 * :func:`sigma_series` / :func:`sigma_star_series` give the two classical
   partial-theta companions in all their representations, plus fast integer
   coefficient tables for large ranges.
