@@ -41,7 +41,6 @@ from .series import (
     gaussian_binomial,
     inverse_pochhammer,
     pochhammer,
-    stabilized_sum,
 )
 from .theta import (
     FamilyThetaData,
@@ -91,7 +90,6 @@ __all__ = [
     "sigma_series",
     "sigma_star_coefficients",
     "sigma_star_series",
-    "stabilized_sum",
     "synthetic_pair",
     "unit_pair",
     "validate_family_params",

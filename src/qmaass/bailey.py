@@ -11,11 +11,10 @@ on it, the two explicit pairs built from the chain polynomials of
 :mod:`qmaass.agpolys`, random finite-support pairs for property testing,
 and truncation-level verification of the four limit identities obtained
 by summing a pair against classical weight sequences.  Those weights live
-in one table, :data:`LIMIT_WEIGHTS`, and both sides of every identity are
-summed by one rule over :class:`~qmaass.series.QSeries` products.  The
-four series families of :mod:`qmaass.families` are the left sides of the
-four identities on the chain pairs, summed from the same table in a
-packed ring instead (:func:`qmaass.families.chain_sum`).
+in one table, :data:`LIMIT_WEIGHTS`, and every sum weighted by them is
+one :func:`chain_sum` in a packed ring: both sides of each identity
+here, and the four series families of :mod:`qmaass.families`, which are
+the left sides on the chain pairs.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import count, islice
 from typing import Callable, Iterable, Iterator
 
@@ -33,15 +32,14 @@ from .series import (
     INF,
     QSeries,
     QSeriesError,
+    StabilizationError,
+    TruncatedRing,
     _divide_dense,
-    averaging_budget,
     dense_int_coeffs,
     finite_trunc,
     int_slots,
     inverse_pochhammer,
-    pochhammer,
     positive_trunc,
-    stabilized_sum,
 )
 
 RELATIVES = ("one", "q")
@@ -86,10 +84,10 @@ class BaileyPair:
     to test the limit identities, which sum beta on one side and alpha on
     the other.
 
-    The relation sums read alpha as a dense list, so every alpha_n must
-    have integer exponents >= 0 below trunc (all built-in pairs have int
-    coefficients and such exponents); any other alpha raises
-    :class:`QSeriesError` there.
+    The relation sums read alpha as a dense list and the limit identities
+    read both sequences in a packed ring, so every alpha_n and beta_n must
+    have int coefficients at integer exponents >= 0 below trunc, as all
+    built-in pairs have; any other raises :class:`QSeriesError` there.
     """
 
     relative: str
@@ -113,7 +111,8 @@ def relation_sums(pair: BaileyPair, trunc) -> Iterator[QSeries]:
     (1 - q^(n+1-m)) and (1 - q^(n+1+m+d)), d = 0 for relative 1 and 1 for
     relative q.  Once n+1-m reaches T = ceil(trunc) both divisions are the
     identity below q^T, so the term is folded into a shared accumulator
-    and never touched again.
+    and never touched again.  A step with no live term and no new alpha
+    yields the previous sum itself.
     """
     t = finite_trunc(trunc)
     size = int_slots(t)
@@ -121,7 +120,9 @@ def relation_sums(pair: BaileyPair, trunc) -> Iterator[QSeries]:
     d = 1 if pair.relative == "q" else 0
     frozen = [0] * size
     live: list[tuple[int, list]] = []  # (m, dense term at the current n)
+    out = None
     for n in count():
+        moved = bool(live) or out is None
         still = []
         for m, term in live:
             if n - m >= size:
@@ -134,10 +135,13 @@ def relation_sums(pair: BaileyPair, trunc) -> Iterator[QSeries]:
         alpha = pair.alpha(n, t)
         if not alpha.is_zero():
             live.append((n, dense_int_coeffs(alpha * inverse_pochhammer(second, 2 * n, t), size)))
-        total = frozen
-        for _, term in live:
-            total = list(map(operator.add, total, term))
-        yield QSeries({e: c for e, c in enumerate(total) if c}, 1, t)
+            moved = True
+        if moved:
+            total = frozen
+            for _, term in live:
+                total = list(map(operator.add, total, term))
+            out = QSeries._from_clean({e: c for e, c in enumerate(total) if c}, 1, t)
+        yield out
 
 
 def verify_pair(pair: BaileyPair, n_max: int, trunc) -> CheckReport:
@@ -222,9 +226,10 @@ def pair_relative_q(k: int, ell: int) -> BaileyPair:
         for nu in range(-n, n + 1):
             sign = -1 if nu % 2 else 1
             terms.append((base - quadratic_shift(k, ell, nu), sign))
-        lattice = QSeries.from_terms(terms, INF)
-        prefactor = QSeries.from_dense([1] * (2 * n + 1), INF)
-        return (lattice * prefactor).truncate(trunc)
+        lattice = QSeries.from_terms(terms, trunc)  # the prefactor only raises exponents
+        if lattice.is_zero():
+            return lattice
+        return lattice * QSeries.from_dense([1] * (2 * n + 1), INF)
 
     def betas(n_max: int, trunc) -> list[QSeries]:
         return ag_polynomials(k, ell, 0, n_max, trunc)
@@ -324,46 +329,89 @@ LIMIT_WEIGHTS = {
 }
 
 
-def weighted_term(relative: str, kind: str, n: int, beta: QSeries, trunc) -> QSeries:
-    """The n-th left-side term (-1)^n q^power(n) (q^s;q^s)_(n-first) beta,
-    truncated below trunc, of the limit identity ``(relative, kind)``."""
-    s, first, power = LIMIT_WEIGHTS[relative, kind]
-    shift = 0 if power is None else power(n)
-    # Terms of beta at or above trunc - shift land at or above trunc, so
-    # beta is cut there first; the Pochhammer keeps trunc, the one cut its
-    # cache holds.
-    term = pochhammer("q" if s == 1 else "q2", n - first, trunc) * beta.truncate(trunc - shift)
-    if shift:
-        term = term.shift(shift)
-    term = term.truncate(trunc)
-    return -term if n % 2 else term
+def chain_sum(ring, weights: tuple, chains: list, top: int):
+    """2 sum_(first <= n < top) t_n + t_top in ``ring``, t_n = (-1)^n
+    x^power(n) (x^s; x^s)_(n - first) chains[n] for the
+    :data:`LIMIT_WEIGHTS` entry (s, first, power), by
+    :meth:`~qmaass.series.PackedRing.pochhammer_sum`.  Half of it is the
+    sum if t_n vanishes from ``top`` on, and exactly the even/odd average
+    of the partial sums if t_n is (-1)^n times one value from ``top`` on."""
+    s, first, power = weights
+    terms = []
+    for n in range(first, top + 1):
+        t = ring.rot(chains[n], 0 if power is None else power(n)) * (1 if n == top else 2)
+        terms.append(ring.sub(0, t) if n % 2 else t)
+    return ring.pochhammer_sum(terms, s)
 
 
-def _limit_sum(relative: str, kind: str, values, term, trunc) -> QSeries:
-    """The sum of term(n, v_n) over n >= first for the limit identity
-    ``(relative, kind)``, below trunc, with v_0, v_1, ... read in one pass
-    from ``values(n_max, trunc)``.
+def averaging_budget(trunc) -> int:
+    """The last index of beta the averaged identity may read below the
+    finite ``trunc``: 2 ceil(trunc) + 8, and at least 600."""
+    return max(600, 2 * int_slots(trunc) + 8)
 
-    With a decaying weight the sum stops before the first n with
-    q^power(n) at or above trunc: ``power(n)`` is a provable lower bound for
-    the order the weight alone contributes.  The two terms past the cut
-    must vanish below trunc, a guard against values of negative order.
-    Without one (first = 0) the sum is the even/odd average of partial
-    sums, :func:`stabilized_sum` over its term budget, which stops once the
-    average is seen to settle.
+
+def _shared(fn, items) -> Iterator:
+    """fn of each item, called once per run of one shared object (equal
+    consecutive chain polynomials and relation sums share one series)."""
+    prev = out = object()
+    for item in items:
+        if item is not prev:
+            prev, out = item, fn(item)
+        yield out
+
+
+def _int_map(series: QSeries) -> dict:
+    """The {exponent: coefficient} map of ``series``, for
+    :meth:`~qmaass.series.PackedRing.encode`; QSeriesError unless every
+    exponent is an integer >= 0 and every coefficient an int."""
+    s = series.normalized()
+    if s.denom != 1 or min(s._coeffs, default=0) < 0 or {*map(type, s._coeffs.values())} - {int}:
+        raise QSeriesError("a limit identity sums int coefficients at integer exponents >= 0")
+    return s._coeffs
+
+
+def _averaged_top(betas: Iterable[QSeries], weights: tuple, size: int) -> tuple[list, int]:
+    """The int maps of beta_0 .. beta_top and the top 2N + 1 at which
+    :func:`chain_sum` is twice the even/odd average of the partial sums,
+    for weights (s, first, None) below x^size.
+
+    N is the first step n that ends four in a row whose increment
+    t_(2n-1) + 2 t_(2n) + t_(2n+1) vanishes.  That increment is the unit
+    P = (x^s; x^s)_(2n-1-first) times the bracket
+
+        -beta_(2n-1) + 2 (1 - x^a) beta_(2n) - (1 - x^a)(1 - x^(a+s)) beta_(2n+1),
+
+    a = s (2n - first), so it vanishes exactly when the bracket does, and
+    its lowest exponent is the bracket's: the bracket is summed by shifts
+    and subtractions, with no product.  ``betas`` is read once, lazily;
+    running out first raises :class:`StabilizationError` with the lowest
+    exponent of the last increment that did not vanish.
     """
-    _, first, power = LIMIT_WEIGHTS[relative, kind]
-    if power is None:
-        n_max = averaging_budget(trunc)
-    else:
-        n_max = next(n for n in count(first) if power(n) >= trunc) + 1
-    terms = (term(n, v) for n, v in enumerate(values(n_max, trunc)) if n >= first)
-    if power is None:
-        return stabilized_sum(terms, trunc)
-    *kept, probe, next_probe = terms
-    if not (probe.is_zero() and next_probe.is_zero()):
-        raise QSeriesError("limit-identity term re-entered below trunc past the cutoff")
-    return sum(kept, QSeries.zero(trunc))
+    s, first, _ = weights
+    source = _shared(lambda beta: (_int_map(beta), dense_int_coeffs(beta, size)), betas)
+    read, streak, unstable = [], 0, None
+    for n in count(1):
+        read.extend(islice(source, 2 * n + 2 - len(read)))
+        if len(read) < 2 * n + 2:
+            raise StabilizationError("no stabilization within the term budget", unstable)
+        (_, b1), (_, b2), (_, b3) = read[2 * n - 1 :]
+        a = s * (2 * n - first)
+        z = list(map(operator.sub, map(operator.add, b2, b2), b3))
+        z[a + s :] = map(operator.add, z[a + s :], b3)
+        bracket = list(map(operator.sub, z, b1))
+        bracket[a:] = map(operator.sub, bracket[a:], z)
+        if any(bracket):
+            streak, unstable = 0, Fraction(next(e for e, c in enumerate(bracket) if c))
+        elif (streak := streak + 1) == 4:
+            return [m for m, _ in read], 2 * n + 1
+
+
+def _over_one_minus(ring, a: int, c: int) -> int:
+    """a / (1 - x^c) in ``ring``, c >= 1: a (1 + x^c)(1 + x^(2c))(1 + x^(4c))
+    ... up to the first factor that the ring's horizon kills."""
+    while c < ring.horizon:
+        a, c = a + ring.rot(a, c), 2 * c
+    return a
 
 
 def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) -> CheckReport:
@@ -372,9 +420,18 @@ def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) 
     The identity is selected by ``(relative, kind)``, and its weights are
     read from :data:`LIMIT_WEIGHTS`: ``gauss`` weights carry the triangular
     power q^{n(n+1)/2}; ``even`` weights use (q^2;q^2) Pochhammers.
-    ``relative`` must match the pair's own relative parameter.  Both sides
-    are summed by the same rule; the ``even`` identity for relative q has
-    no decaying weight on either side, so both are averaged.
+    ``relative`` must match the pair's own relative parameter.
+
+    Both sides are one :func:`chain_sum` each, in one Z[x]/(x^T), T =
+    ceil(trunc), sized by one L1 pass
+    (:meth:`~qmaass.series.PackedRing.sums`): the left side over beta_n,
+    the right side over alpha_n with no Pochhammer weight, as
+    (x^T; x^T)_m is 1 there.  Both stop at the same top: the first n with
+    power(n) >= T, past which every term vanishes, or for the ``even``
+    identity for relative q, which has no decaying weight, the top
+    :func:`_averaged_top` finds on the left side.  Every beta_n and
+    alpha_n read must have int coefficients at integer exponents >= 0;
+    any other raises :class:`QSeriesError`.
     """
     if relative not in RELATIVES:
         raise QSeriesError(f"relative must be one of {RELATIVES}")
@@ -392,27 +449,34 @@ def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) 
         "label": pair.label,
         "trunc": _exact_str(t),
     }
-    s, _, power = LIMIT_WEIGHTS[relative, kind]
+    size = int_slots(t)
+    weights = s, first, power = LIMIT_WEIGHTS[relative, kind]
+    if power is None:
+        betas, top = _averaged_top(pair.betas(averaging_budget(t), t), weights, size)
+        last = top
+    else:
+        top = next(n for n in count(first) if power(n) >= size)
+        last = top - 1  # the terms at top vanish below x^T
+        betas = list(_shared(_int_map, pair.betas(last, t)))
+    betas = betas[first : last + 1]
+    alphas = [_int_map(pair.alpha(n, t)) for n in range(first, last + 1)]
 
-    def alphas(n_max: int, trunc) -> Iterator[QSeries]:
-        return (pair.alpha(n, trunc) for n in range(n_max + 1))
+    def build(ring) -> list:
+        def chains(values) -> list:  # only the terms read are encoded
+            return [0] * first + list(values) + [0] * (top - last)
 
-    def rhs_at(n: int, alpha: QSeries) -> QSeries:
-        term = alpha if power is None else alpha.shift(power(n))
-        term = term.truncate(t)
-        if relative == "one":  # n >= first = 1, so s n >= 1
-            out = dense_int_coeffs(term, int_slots(t))
-            _divide_dense(out, 1, s * n)
-            term = QSeries({e: c for e, c in enumerate(out) if c}, 1, t)
-        return -term if n % 2 else term
+        lhs = chain_sum(ring, weights, chains(_shared(ring.encode, betas)), top)
+        terms = (ring.encode(m) if m else 0 for m in alphas)
+        if relative == "one":
+            terms = (_over_one_minus(ring, a, s * n) for n, a in enumerate(terms, first))
+        rhs = chain_sum(ring, (size, first, power), chains(terms), top)  # s = T: no Pochhammer
+        return [lhs, ring.sub(rhs, ring.rot(rhs, 1)) if relative == "q" else rhs]
 
-    beta_at = partial(weighted_term, relative, kind, trunc=t)
-    lhs = _limit_sum(relative, kind, pair.betas, beta_at, t)
-    rhs = _limit_sum(relative, kind, alphas, rhs_at, t)
-    if relative == "q":
-        one_minus_q = QSeries.one(t) - QSeries.monomial(1, 1, t)
-        rhs = (one_minus_q * rhs).truncate(t)
-        if kind == "even":
-            rhs = rhs.scale(Fraction(1, 2))
-
-    return report_from_comparison("bailey_limit_identity", params, lhs, rhs)
+    lhs, rhs = TruncatedRing.sums(size, build)
+    halves = 4 if (relative, kind) == ("q", "even") else 2
+    return report_from_comparison(
+        "bailey_limit_identity",
+        params,
+        QSeries({e: Fraction(c, 2) for e, c in lhs.items()}, 1, t),
+        QSeries({e: Fraction(c, halves) for e, c in rhs.items()}, 1, t),
+    )

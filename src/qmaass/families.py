@@ -3,11 +3,11 @@
 Everything here is exact: truncated integer-coefficient series, integer
 coefficient tables, and cyclotomic root-of-unity values.
 
-* :func:`chain_sum` sums every family: a limit-identity left side
-  (:data:`qmaass.bailey.LIMIT_WEIGHTS`) on chain values in a packed ring.
-  :func:`family_series` takes it over Z[x]/(x^T) for the :class:`Family`
-  records of :data:`FAMILIES`, :func:`qmaass.maass.quantum_value` over
-  Z[x]/(x^N - 1).
+* Every family is a limit-identity left side
+  (:data:`qmaass.bailey.LIMIT_WEIGHTS`) on chain values, summed by
+  :func:`qmaass.bailey.chain_sum` in a packed ring: :func:`family_series`
+  over Z[x]/(x^T) for the :class:`Family` records of :data:`FAMILIES`,
+  :func:`qmaass.maass.quantum_value` over Z[x]/(x^N - 1).
 * :func:`sigma_series` / :func:`sigma_star_series` give the two classical
   partial-theta companions in all their representations, plus fast integer
   coefficient tables for large ranges.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .agpolys import _walk, ag_polynomials_at_root
-from .bailey import LIMIT_WEIGHTS
+from .bailey import LIMIT_WEIGHTS, chain_sum
 from .cyclotomic import CycNumber, check_root_order, root_sums
 from .reports import CheckReport, report_from_condition
 from .series import (
@@ -43,7 +43,6 @@ from .series import (
 __all__ = [
     "FAMILIES",
     "Family",
-    "chain_sum",
     "family_series",
     "kz_root_value",
     "negative_part_series",
@@ -138,21 +137,6 @@ FAMILIES = {
               b=((8, 8), (8, 4)), window=-1, shifts=((-2, 2, -1), None), pairing=(2, -2, 1),
               shell_parts=(((1, 0), -2),), shell_denom=1),
 }
-
-
-def chain_sum(ring, weights: tuple, chains: list, top: int):
-    """2 sum_(first <= n < top) t_n + t_top in ``ring``, t_n = (-1)^n
-    x^power(n) (x^s; x^s)_(n - first) chains[n] for the
-    :data:`~qmaass.bailey.LIMIT_WEIGHTS` entry (s, first, power), by
-    :meth:`~qmaass.series.PackedRing.pochhammer_sum`.  Half of it is the
-    sum if t_n vanishes from ``top`` on, and exactly the even/odd average
-    of the partial sums if t_n is (-1)^n times one value from ``top`` on."""
-    s, first, power = weights
-    terms = []
-    for n in range(first, top + 1):
-        t = ring.rot(chains[n], 0 if power is None else power(n)) * (1 if n == top else 2)
-        terms.append(ring.sub(0, t) if n % 2 else t)
-    return ring.pochhammer_sum(terms, s)
 
 
 def _truncated_chain_sum(weights: tuple, k: int, ell: int, t: Fraction) -> dict:

@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .agpolys import ag_polynomials_at_root
-from .bailey import LIMIT_WEIGHTS
+from .bailey import LIMIT_WEIGHTS, chain_sum
 from .bessel import k0_bessel
 from .cyclotomic import CycNumber, check_root_order, root_sums
-from .families import FAMILIES, _validate_family, chain_sum, sigma_coefficients
+from .families import FAMILIES, _validate_family, sigma_coefficients
 from .reports import CheckReport, _exact_str, report_from_condition
 from .series import PrecisionError, QSeriesError
 from .theta import _bounded, _lattice_table, family_lattice_numeric, unit_phase
@@ -196,7 +196,7 @@ def quantum_value(j: int, k: int, ell: int, x) -> QuantumSample:
     The family's limit-identity sum (its :data:`~qmaass.families.FAMILIES`
     record) is summed with q = e(d x): its finite q-Pochhammer prefactor
     vanishes once its length reaches the order of the root, so the sum
-    terminates, and its :func:`~qmaass.families.chain_sum` to that top is
+    terminates, and its :func:`~qmaass.bailey.chain_sum` to that top is
     twice the value; the result is exact in a cyclotomic field.  Families
     with power d = 2 are evaluated at e(x)^d = e(d x), matching the variable
     of their theta embedding.

@@ -24,11 +24,10 @@ import math
 import operator
 import struct
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 INF = math.inf
-_HALF = Fraction(1, 2)
 
 # The packed integer product costs about one digit operation per exponent
 # of its span, the pairwise loop one multiplication per term pair; packing
@@ -192,12 +191,6 @@ class QSeries:
         if self.denom % e.denominator != 0:
             return 0
         return self._coeffs.get(e.numerator * (self.denom // e.denominator), 0)
-
-    def min_order(self) -> Fraction | None:
-        """Lowest stored exponent, or None for the (truncated) zero series."""
-        if not self._coeffs:
-            return None
-        return Fraction(min(self._coeffs), self.denom)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -730,58 +723,6 @@ def gaussian_binomial(n: int, k: int, trunc=INF) -> QSeries:
     g = min(k, n - k)
     ring = TruncatedRing(g * (n - g) + 1, math.comb(n, g))
     return QSeries(ring.decode(ring.binomial_sums({g: [(0, 1)]}, n - g)[-1]), 1, trunc)
-
-
-# ------------------------------------------------------------- stabilized sum
-
-def averaging_budget(trunc) -> int:
-    """The number of terms past the first that :func:`stabilized_sum` may
-    take below ``trunc``: 2 ceil(trunc) + 8, and at least 600."""
-    return 600 if trunc == INF else max(600, 2 * int_slots(finite_trunc(trunc)) + 8)
-
-
-def stabilized_sum(terms: Iterable[QSeries], trunc) -> QSeries:
-    """Averaged partial sums (S_{2N} + S_{2N+1})/2 of a term sequence.
-
-    ``terms`` is an iterable of terms; each is taken once, in order, and at
-    most ``averaging_budget(trunc) + 1`` of them are taken.
-
-    For alternating sequences whose raw partial sums oscillate forever in
-    low-order coefficients, the even/odd average settles; this returns its
-    common value once every coefficient below ``trunc`` has stopped moving,
-    observed as 4 consecutive increments that vanish identically below
-    ``trunc``.  Exhausting the term budget first raises
-    :class:`StabilizationError` carrying the first unstable exponent.
-    """
-    t = Fraction(trunc) if isinstance(trunc, int) else trunc
-    trimmed = (s.truncate(t) for s in islice(terms, averaging_budget(t) + 1))
-
-    # Accumulate twice the averages, so that integer coefficients stay ints:
-    # 2 A_0 = 2 t_0 + t_1, and step n adds t_(2n-1) + 2 t_(2n) + t_(2n+1),
-    # twice the increment A_n - A_(n-1) and of the same order.  Every
-    # increment is truncated below t, so it reaches t only when it is zero.
-    first, odd = next(trimmed, None), next(trimmed, None)
-    if odd is None:
-        raise StabilizationError("need at least two terms to average")
-    acc = first.scale(2) + odd
-    streak = 0
-    unstable: QSeries | None = None
-    while streak < 4:
-        even, next_odd = next(trimmed, None), next(trimmed, None)
-        if next_odd is None:
-            raise StabilizationError(
-                "no stabilization within the term budget",
-                None if unstable is None else unstable.min_order(),
-            )
-        delta = odd + even.scale(2) + next_odd
-        odd = next_odd
-        acc = acc + delta
-        if delta.is_zero():
-            streak += 1
-        else:
-            streak = 0
-            unstable = delta
-    return acc.scale(_HALF).truncate(t)
 
 
 def clear_caches() -> None:

@@ -5,15 +5,30 @@ root-of-unity values come from group-ring sums (:mod:`qmaass.cyclotomic`).
 The tests expand the same objects as exact q-series and sum them here,
 term by term, as an independent oracle.  The knot side (Morton's formula
 for torus knots) and the partition side of the classical companions
-share no code with the library either.
+share no code with the library either.  The Bailey limit identities
+are summed here over series products, with the even/odd average
+observed term by term (:func:`limit_identity_by_products`), where the
+library sums them in a packed ring.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, islice
 
+from qmaass.bailey import LIMIT_WEIGHTS, averaging_budget
 from qmaass.cyclotomic import CycNumber
-from qmaass.series import QSeries
+from qmaass.reports import _exact_str, report_from_comparison
+from qmaass.series import (
+    INF,
+    QSeries,
+    QSeriesError,
+    StabilizationError,
+    _divide_dense,
+    dense_int_coeffs,
+    int_slots,
+    pochhammer,
+)
 
 
 def root_of_unity_value(series: QSeries, N: int, power: int = 1) -> CycNumber:
@@ -198,3 +213,108 @@ def negative_part_by_box(M: int, ell: int, trunc, box: int = 60) -> dict:
                 e = Fraction(num, denom)
                 out[e] = out.get(e, 0) + (-1) ** (n + nu)
     return {e: c for e, c in out.items() if c}
+
+
+def min_order(series: QSeries) -> Fraction | None:
+    """The lowest exponent of ``series``, None for the zero series."""
+    return next((e for e, _ in series.terms()), None)
+
+
+def weighted_term(relative: str, kind: str, n: int, beta: QSeries, trunc) -> QSeries:
+    """The n-th left-side term (-1)^n q^power(n) (q^s;q^s)_(n-first) beta,
+    truncated below trunc, of the limit identity ``(relative, kind)``."""
+    s, first, power = LIMIT_WEIGHTS[relative, kind]
+    shift = 0 if power is None else power(n)
+    # Terms of beta at or above trunc - shift land at or above trunc, so
+    # beta is cut there first.
+    term = pochhammer("q" if s == 1 else "q2", n - first, trunc) * beta.truncate(trunc - shift)
+    if shift:
+        term = term.shift(shift)
+    term = term.truncate(trunc)
+    return -term if n % 2 else term
+
+
+def stabilized_sum(terms, trunc) -> QSeries:
+    """Averaged partial sums (S_{2N} + S_{2N+1})/2 of a term sequence, each
+    term taken once, in order, at most ``averaging_budget(trunc) + 1`` of
+    them (601 for an infinite trunc).  Returns the average once 4
+    consecutive increments vanish below ``trunc``; exhausting the budget
+    first raises :class:`StabilizationError` with the lowest exponent of
+    the last increment that did not vanish."""
+    t = Fraction(trunc) if isinstance(trunc, int) else trunc
+    budget = 600 if t == INF else averaging_budget(t)
+    trimmed = (s.truncate(t) for s in islice(terms, budget + 1))
+    # Twice the averages: 2 A_0 = 2 t_0 + t_1, and step n adds
+    # t_(2n-1) + 2 t_(2n) + t_(2n+1), twice the increment A_n - A_(n-1).
+    first, odd = next(trimmed, None), next(trimmed, None)
+    if odd is None:
+        raise StabilizationError("need at least two terms to average")
+    acc = first.scale(2) + odd
+    streak = 0
+    unstable = None
+    while streak < 4:
+        even, next_odd = next(trimmed, None), next(trimmed, None)
+        if next_odd is None:
+            raise StabilizationError(
+                "no stabilization within the term budget",
+                None if unstable is None else min_order(unstable),
+            )
+        delta = odd + even.scale(2) + next_odd
+        odd = next_odd
+        acc = acc + delta
+        if delta.is_zero():
+            streak += 1
+        else:
+            streak = 0
+            unstable = delta
+    return acc.scale(Fraction(1, 2)).truncate(t)
+
+
+def _limit_sum(relative: str, kind: str, values, term, trunc) -> QSeries:
+    """The sum of term(n, v_n) over n >= first below trunc, v_0, v_1, ...
+    read in one pass from ``values(n_max, trunc)``: cut before the first n
+    with power(n) >= trunc, where two probe terms must vanish, or with no
+    power the :func:`stabilized_sum` of the terms."""
+    _, first, power = LIMIT_WEIGHTS[relative, kind]
+    if power is None:
+        n_max = averaging_budget(trunc)
+    else:
+        n_max = next(n for n in count(first) if power(n) >= trunc) + 1
+    terms = (term(n, v) for n, v in enumerate(values(n_max, trunc)) if n >= first)
+    if power is None:
+        return stabilized_sum(terms, trunc)
+    *kept, probe, next_probe = terms
+    if not (probe.is_zero() and next_probe.is_zero()):
+        raise QSeriesError("limit-identity term re-entered below trunc past the cutoff")
+    return sum(kept, QSeries.zero(trunc))
+
+
+def limit_identity_by_products(pair, relative: str, kind: str, trunc):
+    """The report of :func:`qmaass.bailey.verify_limiting_identity`, both
+    sides summed term by term over series products by one rule: the right
+    side's terms are (-1)^n q^power(n) alpha_n, divided by (1 - q^(s n))
+    for relative 1; its sum is multiplied by (1 - q) for relative q, and
+    halved for the even identity for relative q, whose two sides are
+    averaged each on its own."""
+    t = Fraction(trunc)
+    params = {"relative": relative, "kind": kind, "label": pair.label, "trunc": _exact_str(t)}
+    s, _, power = LIMIT_WEIGHTS[relative, kind]
+
+    def alphas(n_max: int, trunc):
+        return (pair.alpha(n, trunc) for n in range(n_max + 1))
+
+    def rhs_at(n: int, alpha: QSeries) -> QSeries:
+        term = (alpha if power is None else alpha.shift(power(n))).truncate(t)
+        if relative == "one":  # n >= first = 1, so s n >= 1
+            out = dense_int_coeffs(term, int_slots(t))
+            _divide_dense(out, 1, s * n)
+            term = QSeries({e: c for e, c in enumerate(out) if c}, 1, t)
+        return -term if n % 2 else term
+
+    lhs = _limit_sum(relative, kind, pair.betas, lambda n, b: weighted_term(relative, kind, n, b, t), t)
+    rhs = _limit_sum(relative, kind, alphas, rhs_at, t)
+    if relative == "q":
+        rhs = ((QSeries.one(t) - QSeries.monomial(1, 1, t)) * rhs).truncate(t)
+        if kind == "even":
+            rhs = rhs.scale(Fraction(1, 2))
+    return report_from_comparison("bailey_limit_identity", params, lhs, rhs)

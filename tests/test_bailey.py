@@ -8,10 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import limit_identity_by_products, weighted_term
+
 import qmaass.bailey as bailey
 from qmaass.agpolys import ag_polynomial
 from qmaass.bailey import (
+    CHAIN_PAIRS,
+    IDENTITY_KINDS,
+    RELATIVES,
     BaileyPair,
+    averaging_budget,
     pair_relative_one,
     pair_relative_q,
     quadratic_shift,
@@ -22,7 +28,15 @@ from qmaass.bailey import (
     verify_pair,
 )
 from qmaass.families import family_series, sigma_series
-from qmaass.series import QSeries, QSeriesError, inverse_pochhammer, pochhammer
+from qmaass.series import (
+    PackedRing,
+    QSeries,
+    QSeriesError,
+    StabilizationError,
+    _divide_dense,
+    inverse_pochhammer,
+    pochhammer,
+)
 
 
 def reference_right_side(pair: BaileyPair, n: int, trunc) -> QSeries:
@@ -213,6 +227,255 @@ def test_averaged_identity_term_budget(trunc):
     assert report.ok, report.to_json_dict()
 
 
+def _outcome(check, *args):
+    """A limit-identity report as a dict, or the first unstable exponent of
+    the StabilizationError it raised."""
+    try:
+        return check(*args).to_json_dict()
+    except StabilizationError as err:
+        return ("unstable", err.first_unstable_exponent)
+
+
+def _changed(base: BaileyPair, side: str, n: int, extra) -> BaileyPair:
+    """``base`` with extra(trunc) added to alpha_n or beta_n."""
+    alpha, betas = base.alpha, base.betas
+    if side == "alpha":
+        def alpha(m, trunc):
+            return base.alpha(m, trunc) + (extra(trunc) if m == n else QSeries.zero(trunc))
+    else:
+        def betas(n_max, trunc):
+            for m, b in enumerate(base.betas(n_max, trunc)):
+                yield b + extra(trunc) if m == n else b
+    return BaileyPair(base.relative, alpha, betas, base.label)
+
+
+def _designed_pair(beta_at) -> BaileyPair:
+    """A relative-q pair with beta_n = beta_at(n, trunc), read lazily, and
+    alpha = 0: a test input for the averaged stop rule, not a Bailey pair."""
+    def betas(n_max, trunc):
+        return (beta_at(n, trunc) for n in range(n_max + 1))
+
+    return BaileyPair("q", lambda n, trunc: QSeries.zero(trunc), betas, "designed")
+
+
+@pytest.mark.parametrize("trunc", [1, Fraction(7, 2), 40, Fraction(121, 2)])
+def test_limit_identities_match_the_reference_route(trunc):
+    # The packed sums give the reports of the series-product route in
+    # tests/oracles.py, which averages each side on its own.
+    rng = random.Random(2029)
+    pairs = [CHAIN_PAIRS[rel](k, ell) for rel in RELATIVES for k in (1, 2, 3) for ell in range(1, k + 1)]
+    pairs += [synthetic_pair(rel, rng) for rel in RELATIVES for _ in range(6)]
+    for pair in pairs:
+        for kind in IDENTITY_KINDS:
+            args = (pair, pair.relative, kind, trunc)
+            got = _outcome(verify_limiting_identity, *args)
+            assert got == _outcome(limit_identity_by_products, *args), (pair.label, kind)
+
+
+@pytest.mark.parametrize("relative", RELATIVES)
+@pytest.mark.parametrize("kind", IDENTITY_KINDS)
+@pytest.mark.parametrize("side, n", [("alpha", 1), ("alpha", 2), ("beta", 1), ("beta", 2)])
+def test_corrupted_pairs_fail_every_limit_identity(relative, kind, side, n):
+    # One extra term q^3 in alpha_n or beta_n shows on its side of each of
+    # the four identities, at the reference route's first mismatch.
+    base = CHAIN_PAIRS[relative](2, 1)
+    corrupted = _changed(base, side, n, lambda trunc: QSeries.monomial(1, 3, trunc))
+    assert verify_limiting_identity(base, relative, kind, 30).ok
+    report = verify_limiting_identity(corrupted, relative, kind, 30)
+    assert not report.ok
+    assert report.to_json_dict() == limit_identity_by_products(corrupted, relative, kind, 30).to_json_dict()
+
+
+@pytest.mark.parametrize("k, ell", [(1, 1), (2, 1), (3, 2)])
+def test_beta_corrupted_past_the_averaged_stop_never_passes(k, ell):
+    # The averaged identity's stop N ends four vanishing increments, which
+    # read beta up to top = 2N + 1.  A beta corrupted past N and up to top
+    # is read: it moves an increment, so the sum takes it in and fails, or
+    # runs out of budget.  (A beta past top is read by no stop that
+    # observes the increments, the reference route's included.)
+    base = pair_relative_q(k, ell)
+    read = []
+
+    def counted(n_max, trunc):
+        for beta in base.betas(n_max, trunc):
+            read.append(beta)
+            yield beta
+
+    assert verify_limiting_identity(BaileyPair("q", base.alpha, counted), "q", "even", 30).ok
+    top = len(read) - 1
+    assert top % 2 == 1
+    for m in range((top - 1) // 2 + 1, top + 1):
+        corrupted = _changed(base, "beta", m, lambda trunc: QSeries.monomial(1, 3, trunc))
+        try:
+            report = verify_limiting_identity(corrupted, "q", "even", 30)
+        except StabilizationError:
+            continue
+        assert not report.ok, m
+
+
+@pytest.mark.parametrize("relative", RELATIVES)
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+@pytest.mark.parametrize(
+    "exponent, coeff", [(-1, 1), (Fraction(1, 2), 1), (Fraction(-3, 2), 2), (2, Fraction(1, 2))]
+)
+def test_limit_identities_refuse_terms_off_the_packed_grid(relative, side, exponent, coeff):
+    # Both sides are summed in Z[x]/(x^T): a negative or fractional
+    # exponent, or a coefficient that is not an int, is refused.
+    base = CHAIN_PAIRS[relative](2, 1)
+    corrupted = _changed(base, side, 1, lambda trunc: QSeries.from_terms([(exponent, coeff)], trunc))
+    for kind in IDENTITY_KINDS:
+        with pytest.raises(QSeriesError) as err:
+            verify_limiting_identity(corrupted, relative, kind, 30)
+        assert err.type is QSeriesError, kind
+
+
+@pytest.mark.parametrize("relative", RELATIVES)
+def test_limit_identities_read_the_rings_horner(relative, monkeypatch):
+    def refused(self, terms, s=1, reps=1):
+        raise AssertionError("the limit identity took its own loops")
+
+    monkeypatch.setattr(PackedRing, "pochhammer_sum", refused)
+    for kind in IDENTITY_KINDS:
+        with pytest.raises(AssertionError, match="its own loops"):
+            verify_limiting_identity(CHAIN_PAIRS[relative](1, 1), relative, kind, 30)
+
+
+@pytest.mark.parametrize("relative", RELATIVES)
+def test_limit_identities_take_no_product_past_the_sweep(relative, monkeypatch):
+    # A synthetic pair's betas come from its relation sweep, one product
+    # per nonzero alpha; a chain pair's from the chain walk, with none once
+    # its alphas are memoized.  The sums themselves take no product.
+    synthetic = synthetic_pair(relative, random.Random(11))
+    nonzero = sum(not synthetic.alpha(m, 40).is_zero() for m in range(8))
+    chain = CHAIN_PAIRS[relative](2, 1)
+    for kind in IDENTITY_KINDS:
+        assert verify_limiting_identity(chain, relative, kind, 40).ok
+    products = []
+    mul = QSeries.__mul__
+
+    def counting(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(QSeries, "__mul__", counting)
+    for kind in IDENTITY_KINDS:
+        products.clear()
+        assert verify_limiting_identity(chain, relative, kind, 40).ok
+        assert products == [], kind
+        assert verify_limiting_identity(synthetic, relative, kind, 40).ok
+        assert 0 < len(products) <= nonzero, kind
+
+
+# --------------------------------------------------------- averaged stop rule
+#
+# The even identity for relative q has no decaying weight: its sum is the
+# even/odd average of the partial sums, stopped after four vanishing
+# increments.  These designed inputs test that stop against the reference
+# route's observed average.
+
+
+def _balanced(n: int, t) -> QSeries:
+    """beta_n with every averaged increment 0: beta_n = 0 for even n, and
+    beta_(2m+1) = (-1)^m / prod_(j=1..m) (1 - q^(4j)) (1 - q^(4j+2)), so
+    that beta_(2m-1) = -(1 - q^(4m)) (1 - q^(4m+2)) beta_(2m+1)."""
+    if n % 2 == 0:
+        return QSeries.zero(t)
+    dense = [1] + [0] * (math.ceil(t) - 1)
+    for j in range(1, n // 2 + 1):
+        _divide_dense(dense, 1, 4 * j)
+        _divide_dense(dense, 1, 4 * j + 2)
+    return QSeries.from_dense(dense, t).scale((-1) ** (n // 2))
+
+
+def _read_and_outcome(check, beta_at, trunc):
+    """The outcome of ``check`` on the designed pair of ``beta_at``, and the
+    indices of the betas it read, in order."""
+    read = []
+
+    def counted(n, t):
+        read.append(n)
+        return beta_at(n, t)
+
+    return _outcome(check, _designed_pair(counted), "q", "even", trunc), read
+
+
+@pytest.mark.parametrize("trunc", [10, 40, Fraction(61, 3)])
+@pytest.mark.parametrize(
+    "beta_at",
+    [
+        lambda n, t: QSeries.monomial(1, n, t),  # the terms leave every window
+        lambda n, t: QSeries.one(t),  # sum of (-1)^n (q^2;q^2)_n
+        lambda n, t: QSeries.monomial(n * n if n < 9 else 81, 2, t),  # moves, then settles
+        lambda n, t: QSeries.monomial(int(n >= 8), 2, t),  # three still steps, then a move
+        _balanced,  # every increment vanishes, each by its own bracket
+    ],
+    ids=["geometric", "constant", "settling", "late", "balanced"],
+)
+def test_averaged_stop_settles_as_the_reference_route(trunc, beta_at):
+    # Both routes read each beta once, in order, up to the same odd top,
+    # and give the same report (alpha = 0, so a nonzero left side fails).
+    got, read = _read_and_outcome(verify_limiting_identity, beta_at, trunc)
+    assert read == list(range(len(read))) and len(read) % 2 == 0
+    assert (got, read) == _read_and_outcome(limit_identity_by_products, beta_at, trunc)
+
+
+@pytest.mark.parametrize("trunc, exponent", [(10, 0), (10, 3), (Fraction(61, 3), 7)])
+def test_averaged_stop_diverges_with_the_first_unstable_exponent(trunc, exponent):
+    # beta_n = n^2 q^e: the increments' second difference is -2 q^e at
+    # every step, so the budget of averaging_budget(trunc) + 1 betas runs
+    # out, each read once, and the error names q^e, as the reference does.
+    read = []
+
+    def beta_at(n, t):
+        read.append(n)
+        return QSeries.monomial(n * n, exponent, t)
+
+    with pytest.raises(StabilizationError) as err:
+        verify_limiting_identity(_designed_pair(beta_at), "q", "even", trunc)
+    assert err.value.first_unstable_exponent == exponent
+    assert read == list(range(averaging_budget(trunc) + 1))
+    pair = _designed_pair(lambda n, t: QSeries.monomial(n * n, exponent, t))
+    assert _outcome(limit_identity_by_products, pair, "q", "even", trunc) == ("unstable", exponent)
+
+
+def test_averaged_stop_keeps_to_the_budget():
+    # beta_n = min(n, 640) q^2 settles only past the budget of 600 at
+    # trunc 40 (so it raises), and well within the budget of 1290 at 641.
+    def beta_at(n, t):
+        return QSeries.monomial(min(n, 640) ** 2, 2, t)
+
+    with pytest.raises(StabilizationError):
+        verify_limiting_identity(_designed_pair(beta_at), "q", "even", 40)
+    assert averaging_budget(641) == 1290
+    report = verify_limiting_identity(_designed_pair(beta_at), "q", "even", 641)
+    assert not report.ok and report.to_json_dict()["first_mismatch_exponent"] == "2"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.dictionaries(st.integers(0, 24), st.integers(-9, 9).filter(bool), max_size=4),
+            st.integers(1, 7),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.sampled_from([1, 2, 5, Fraction(13, 2), 12, 25]),
+)
+def test_averaged_stop_matches_the_reference_on_random_betas(runs, trunc):
+    # beta_n runs through the drawn polynomials, each repeated its drawn
+    # number of times, then stays at the last: runs of one beta make
+    # vanishing increments in the middle of the sequence.
+    polys = [poly for poly, times in runs for _ in range(times)]
+
+    def beta_at(n, t):
+        return QSeries(polys[min(n, len(polys) - 1)], 1, t)
+
+    got = _read_and_outcome(verify_limiting_identity, beta_at, trunc)
+    assert got == _read_and_outcome(limit_identity_by_products, beta_at, trunc)
+
+
 # ------------------------------------------------------------ limit identities
 
 
@@ -297,14 +560,14 @@ def test_built_in_alphas_are_memoized(relative, monkeypatch):
     st.sampled_from([-20, 0, 5, math.inf]),
 )
 def test_weighted_term_cuts_beta_before_the_product(identity, n, coeffs, trunc, slack):
-    # weighted_term cuts beta at trunc - power(n) before multiplying; the
+    # The reference route's weighted_term cuts beta at trunc - power(n) before multiplying; the
     # term and its truncation equal the full product, shifted and cut.
     s, first, power = bailey.LIMIT_WEIGHTS[identity]
     n = max(n, first)
     beta_n = QSeries(coeffs, 1, trunc + slack)
     want = pochhammer({1: "q", 2: "q2"}[s], n - first, trunc) * beta_n
     want = want.shift(0 if power is None else power(n)).truncate(trunc).scale((-1) ** n)
-    got = bailey.weighted_term(*identity, n, beta_n, trunc)
+    got = weighted_term(*identity, n, beta_n, trunc)
     assert got == want and got.trunc == want.trunc
 
 
