@@ -224,9 +224,7 @@ def verify_ag_relation(k: int, ell: int, b: int, n: int) -> CheckReport:
     degree_bound = _degree_bound(k, b, n)
     compare_to = degree_bound + 2
     poly = ag_polynomial(k, ell, b, n)
-    flipped = QSeries.from_terms(
-        ((degree_bound - e, c) for e, c in poly.terms()), trunc=compare_to
-    )
+    flipped = QSeries({degree_bound - m: c for m, c in poly._coeffs.items()}, 1, compare_to)
     partitions = ag_generating(
         PartitionConstraint(k - 1, ell, k, 2 * n - b + 1), compare_to
     )

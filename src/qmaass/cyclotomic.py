@@ -7,7 +7,9 @@ cyclotomic polynomials themselves are computed by the classical recursion:
 Phi_L = (x^L - 1) / prod of Phi_d over proper divisors d of L.
 
 Arithmetic combines numbers of one order, or a number and a rational;
-numbers of different orders raise ``ValueError``.
+numbers of different orders raise ``ValueError``.  Series with such
+coefficients multiply on the integer product of ``QSeries``
+(:func:`series_product`).
 
 Sums at one root of unity are taken in Z[x]/(x^N - 1), packed by x -> 2^W
 into one int mod 2^(W*N) - 1 (:class:`CyclicRing`, on the codec of
@@ -22,9 +24,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from fractions import Fraction
+from itertools import repeat
 
-from .series import L1Bound, PackedRing, QSeriesError, _clean
+from .series import L1Bound, PackedRing, QSeriesError, _clean, _int_product
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,13 +66,16 @@ class CycNumber:
 
     def __init__(self, order: int, vec):
         phi = cyclotomic_polynomial(order)
+        d = len(phi) - 1
         v = list(vec)
-        for k in range(order, len(v)):  # zeta^order = 1
-            v[k % order] += v[k]
-        v = v[:order] + [0] * (len(phi) - 1 - len(v))
-        _divide(v, phi)  # the remainder mod Phi_order
+        if len(v) > d:
+            for k in range(order, len(v)):  # zeta^order = 1
+                v[k % order] += v[k]
+            del v[order:]
+            _divide(v, phi)  # the remainder mod Phi_order
+            del v[d:]
         self.order = order
-        self.vec = tuple(_clean(c) for c in v[: len(phi) - 1])
+        self.vec = (*(v if {*map(type, v)} <= {int} else map(_clean, v)), *repeat(0, d - len(v)))
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -137,7 +144,8 @@ class CycNumber:
     def inverse(self) -> "CycNumber":
         """Field inverse: the product of the other Galois conjugates
         (zeta -> zeta^p, p a unit mod the order) over the norm, a rational.
-        The product is taken in Z[x]/(x^L - 1) (:func:`root_sums`)."""
+        The product is taken in Z[x]/(x^L - 1) (:func:`root_sums`) and
+        reduced mod Phi_L before the division."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         L = self.order
@@ -153,14 +161,14 @@ class CycNumber:
 
         others, norm = root_sums(L, build)
         norm = CycNumber.from_powers(L, norm).rational_value()
-        return CycNumber.from_powers(L, {e: Fraction(c * den, norm) for e, c in others.items()})
+        return CycNumber(L, [Fraction(c * den, norm) for c in CycNumber.from_powers(L, others).vec])
 
     # ------------------------------------------------------------------ tests
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.vec)
+        return not any(self.vec)
 
     def is_rational(self) -> bool:
-        return all(x == 0 for x in self.vec[1:])
+        return not any(self.vec[1:])
 
     def rational_value(self):
         if not self.is_rational():
@@ -168,9 +176,10 @@ class CycNumber:
         return self.vec[0]
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, CycNumber)):
-            a, b = self._pair(other)
-            return a.vec == b.vec
+        if isinstance(other, (int, Fraction)):
+            return self.vec[0] == other and self.is_rational()
+        if isinstance(other, CycNumber):
+            return self.vec == self._pair(other)[1].vec
         return NotImplemented
 
     __hash__ = None
@@ -239,3 +248,58 @@ class CyclicRing(PackedRing):
 #: root_sums(order, build): the list ``build(ring)`` as integer maps in
 #: Z[x]/(x^order - 1), by :meth:`~qmaass.series.PackedRing.sums`.
 root_sums = CyclicRing.sums
+
+
+def series_product(xa: dict, xb: dict, bound) -> dict:
+    """The product below ``bound`` of two term maps of rationals and numbers
+    of one order L: cleared of their operand's denominator, the
+    coefficients pack once into ints of the :class:`CyclicRing` sized by
+    the product of the operands' summed L1 norms (a rational r packs to r),
+    and each term a CycNumber reaches is reduced mod Phi_L once."""
+    nums, cyc, orders, den, norm = [], [], set(), 1, 1
+    for x in (xa, xb):
+        vecs, ms, total = {}, [], 0
+        for m, c in x.items():
+            if type(c) is CycNumber:
+                vecs[m] = c.vec
+                ms.append(m)
+                orders.add(c.order)
+            elif type(c) is int or type(c) is Fraction:
+                vecs[m] = (c,)
+            else:
+                raise QSeriesError(f"a series product cannot take {type(c).__name__} coefficients")
+        d = math.lcm(*[c.denominator for v in vecs.values() for c in v])
+        for m, v in vecs.items():
+            vecs[m] = v = [c.numerator * (d // c.denominator) for c in v]
+            total += sum(map(abs, v))
+        nums.append(vecs)
+        cyc.append(ms)
+        den, norm = den * d, norm * total
+    if len(orders) > 1:
+        raise ValueError("cannot combine orders %d and %d" % tuple(sorted(orders)[:2]))
+    L = min(orders, default=1)
+    ring = CyclicRing(L, norm)
+    for vecs in nums:
+        for m, v in vecs.items():
+            vecs[m] = v[0] if len(v) == 1 else ring.encode(dict(enumerate(v)))
+    reach = None  # the exponents a pair holding a CycNumber reaches, unless every pair does
+    if len(cyc[0]) < len(xa) and len(cyc[1]) < len(xb):
+        reach = {m + e for m in cyc[0] for e in xb} | {m + e for m in xa for e in cyc[1]}
+    out, packed = {}, {}
+    for m, p in _int_product(*nums, bound).items():
+        if reach is None or m in reach:
+            packed[m] = p
+        else:
+            out[m] = _clean(Fraction(p, den))
+    # _divide's long division, on the columns of all terms at once
+    phi, cols = cyclotomic_polynomial(L), ring.columns(list(packed.values()))
+    d = len(phi) - 1
+    for i in range(L - 1, d - 1, -1):
+        for j, c in enumerate(phi[:-1]):
+            if c:
+                k = i - d + j
+                cols[k] = list(map(operator.sub, cols[k], map(operator.mul, cols[i], repeat(c))))
+    for m, v in zip(packed, zip(*cols[:d])):
+        if any(v):
+            out[m] = CycNumber(L, v if den == 1 else [Fraction(c, den) for c in v])
+    return out

@@ -4,10 +4,13 @@ A :class:`QSeries` stores finitely many terms ``c * q^(m/denom)`` with integer
 numerators ``m`` over one shared positive denominator, together with a
 truncation threshold ``trunc``: the series is known exactly for all exponents
 strictly below ``trunc``, and terms at or above ``trunc`` are discarded.
-Coefficients may be ``int``, ``Fraction``, or any ring element supporting
-``+``, ``-``, ``*`` and equality with ``0`` (cyclotomic numbers in
-particular).  Rescaling ``(m, denom) -> (m*t, denom*t)`` never changes the
-series; equality compares the canonical (gcd-reduced) form.
+Coefficients are ``int``, ``Fraction`` or
+:class:`~qmaass.cyclotomic.CycNumber`.  Every product runs on one integer
+kernel: rationals over their common denominator, numbers of one order
+packed into ints (:func:`~qmaass.cyclotomic.series_product`); two orders
+raise ``ValueError``, other coefficients :class:`QSeriesError`.  Rescaling
+``(m, denom) -> (m*t, denom*t)`` never changes the series; equality
+compares the canonical (gcd-reduced) form.
 
 ``trunc`` may be ``math.inf`` for series that are exact polynomials (needed
 when a polynomial must be reversed coefficient-by-coefficient).
@@ -24,7 +27,7 @@ import math
 import operator
 import struct
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 INF = math.inf
@@ -297,18 +300,13 @@ class QSeries:
             xa, xb = xb, xa
         trunc = self._mul_trunc(other)
         bound = _int_bound(trunc, denom)
-        out = _kronecker_product(xa, xb, bound)
-        if out is not None:
-            return QSeries._from_clean(out, denom, trunc)
-        out = {}
-        items_b = list(xb.items())
-        for m1, c1 in xa.items():
-            for m2, c2 in items_b:
-                m = m1 + m2
-                if bound is None or m < bound:
-                    out[m] = out[m] + c1 * c2 if m in out else c1 * c2
-        clean = {m: c if type(c) is int else _clean(c) for m, c in out.items() if c != 0}
-        return QSeries._from_clean(clean, denom, trunc)
+        if not xa or {*map(type, xa.values()), *map(type, xb.values())} <= {int}:
+            out = _int_product(xa, xb, bound)  # xa is the shorter operand
+        else:  # rationals as Q(zeta_1), on the same kernel
+            from .cyclotomic import series_product  # cyclotomic builds on this module
+
+            out = series_product(xa, xb, bound)
+        return QSeries._from_clean(out, denom, trunc)
 
     __rmul__ = __mul__
 
@@ -409,6 +407,23 @@ class QSeries:
 
 
 # ------------------------------------------------------------ integer product
+
+
+def _int_product(xa: dict, xb: dict, bound: int | None) -> dict:
+    """The nonzero terms of the product of two integer term maps below
+    ``bound``: packed by :func:`_kronecker_product` when dense enough,
+    else pairwise over the terms of ``xb`` in exponent order."""
+    out = _kronecker_product(xa, xb, bound)
+    if out is not None:
+        return out
+    out, items_b = {}, sorted(xb.items())
+    for m1, c1 in xa.items():
+        top = INF if bound is None else bound - m1
+        for m2, c2 in items_b:
+            if m2 >= top:
+                break
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def _kronecker_product(xa: dict, xb: dict, bound: int | None) -> dict | None:
@@ -549,17 +564,25 @@ class PackedRing:
             raw = b"".join(map(int.to_bytes, digits, repeat(self.bytes), repeat("little")))
         return int.from_bytes(raw, "little") - self._bias
 
-    def decode(self, a: int, low: int = 0) -> dict:
-        """The map {exponent: coefficient} of the nonzero coefficients of ``a``
-        times x^low: the least residue of a plus the bias, as unsigned
-        digits, each less 2^(W-1)."""
-        w, half = self.bytes, self._half
+    def _cells(self, a: int):
+        """The unsigned digits of the least residue of ``a`` plus the bias."""
+        w = self.bytes
         raw = ((a + self._bias) % self.modulus).to_bytes(w * self.slots, "little")
         if self._words:
-            cells = self._words.unpack(raw)
-        else:
-            cells = map(int.from_bytes, [raw[i : i + w] for i in range(0, len(raw), w)], repeat("little"))
-        return {e: c - half for e, c in enumerate(cells, low) if c != half}
+            return self._words.unpack(raw)
+        return map(int.from_bytes, [raw[i : i + w] for i in range(0, len(raw), w)], repeat("little"))
+
+    def decode(self, a: int, low: int = 0) -> dict:
+        """The map {exponent: coefficient} of the nonzero coefficients of ``a``
+        times x^low: its digits (:meth:`_cells`), each less 2^(W-1)."""
+        half = self._half
+        return {e: c - half for e, c in enumerate(self._cells(a), low) if c != half}
+
+    def columns(self, values: list) -> list[list]:
+        """The coefficients of x^0, ..., x^(slots-1) in each of ``values``,
+        one list per exponent."""
+        cells, n = [*chain.from_iterable(map(self._cells, values))], self.slots
+        return [[*map(operator.sub, cells[e::n], repeat(self._half))] for e in range(n)]
 
 
 class TruncatedRing(PackedRing):

@@ -113,6 +113,37 @@ def test_power_rows_are_monomial_remainders(L):
         assert CycNumber.zeta(L, k).vec == _monomial_remainder(L, k), (L, k)
 
 
+def _long_division_remainder(L: int, vec: list) -> tuple:
+    """The vector mod Phi_L by long division of the whole vector, with no
+    folding by x^L = 1 first."""
+    phi = cyclotomic_polynomial(L)
+    d = len(phi) - 1
+    rem = list(vec) + [0] * d
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            for j, p in enumerate(phi):
+                rem[i - d + j] -= c * p
+    return tuple(rem[:d])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 15, 60, 105, 360, 1155, 2048]), st.randoms(use_true_random=False))
+def test_constructor_is_the_long_division_remainder(L, rng):
+    # Vectors up to twice the order long, sparse or dense, with int and
+    # Fraction coordinates; an integral Fraction comes out as an int.
+    size = rng.randint(0, 2 * L)
+    density = rng.choice([0.02, 0.3, 1.0])
+    vec = [0] * size
+    for i in range(size):
+        if rng.random() < density:
+            c = rng.randint(-99, 99)
+            vec[i] = Fraction(c, rng.randint(1, 4)) if rng.random() < 0.3 else c
+    got = CycNumber(L, vec).vec
+    assert got == _long_division_remainder(L, vec)
+    assert all(type(c) is int or c.denominator > 1 for c in got)
+
+
 def test_roots_of_unity_of_large_order():
     # The power row of zeta^2047 lies 1023 reduction steps above the
     # field degree; building the rows must not recurse once per step.

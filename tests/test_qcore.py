@@ -8,6 +8,7 @@ by hand (pentagonal-number product, small Gaussian binomials).
 
 import fractions
 import math
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -261,6 +262,84 @@ def test_rational_and_cyclotomic_operands_match_pairwise_oracle(a, b, n):
     _assert_matches_oracle(a, cyc)
 
 
+def _clean_types(terms):
+    """The type of each coefficient once an integral Fraction is an int."""
+    return {e: int if type(c) is Fraction and c.denominator == 1 else type(c)
+            for e, c in terms.items()}
+
+
+@st.composite
+def mixed_series(draw, order):
+    """A series whose coefficients mix ints, Fractions and numbers of one
+    cyclotomic order (their coordinates ints or Fractions, their vectors
+    up to twice the order long), over a shared denominator 1..6, with
+    negative exponents and an infinite, negative or fractional trunc; its
+    terms are sparse or a dense run long enough for the packed product."""
+    d = draw(st.integers(1, 6))
+    ints = st.integers(-9, 9).filter(bool)
+    fracs = st.builds(Fraction, ints, st.integers(2, 7))
+    coords = st.lists(st.one_of(ints, fracs, st.just(0)), min_size=1, max_size=2 * order)
+    cycs = coords.map(lambda v: CycNumber(order, v)).filter(lambda c: not c.is_zero())
+    kinds = draw(st.lists(st.sampled_from([ints, fracs, cycs]), min_size=1, max_size=3, unique=True))
+    coeff = st.one_of(*kinds)
+    lo = draw(st.integers(-12, 6))
+    if draw(st.booleans()):
+        terms = dict(zip(range(lo, lo + 30), draw(st.lists(coeff, min_size=16, max_size=30))))
+    else:
+        terms = draw(st.dictionaries(st.integers(lo, lo + 30), coeff, max_size=10))
+    cut = draw(st.one_of(st.none(), st.integers(lo - 3, lo + 60)))
+    return QSeries(terms, d, INF if cut is None else Fraction(cut, d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 7, 12, 15]), st.data())
+def test_mixed_products_match_pairwise_in_value_and_type(order, data):
+    # Rationals and one order's numbers share the packed integer product;
+    # a term only rational pairs reach stays an int or a Fraction.
+    a, b = data.draw(mixed_series(order)), data.draw(mixed_series(order))
+    got = _assert_matches_oracle(a, b)
+    want, _ = oracle_product(a, b)
+    assert _clean_types(dict(got.terms())) == _clean_types(want)
+
+
+def test_products_refuse_two_orders_and_foreign_coefficients():
+    x = QSeries({0: 1, 1: CycNumber.zeta(4)}, 1, Fraction(5))
+    y = QSeries({0: CycNumber.zeta(6), 2: Fraction(1, 2)}, 1, Fraction(5))
+    with pytest.raises(ValueError, match="cannot combine orders 4 and 6"):
+        x * y
+    for coeff in (0.5, complex(1, 1)):
+        with pytest.raises(QSeriesError, match="cannot take (float|complex) coefficients"):
+            x * QSeries({1: coeff, 2: 3}, 1, Fraction(5))
+
+
+def test_cyclotomic_product_takes_no_field_products(monkeypatch):
+    # The product packs each coefficient once and builds each output term
+    # once, with no CycNumber product or sum.
+    rng = random.Random(11)
+
+    def operand(den):
+        coeffs = (CycNumber.from_powers(15, {rng.randrange(15): rng.randint(1, 9)}) for _ in range(60))
+        return QSeries.from_terms(
+            [(Fraction(rng.randint(1, 20 * den), den), c) for c in coeffs], Fraction(20))
+
+    a, b = operand(7), operand(11)
+    calls = {"__init__": 0, "__mul__": 0, "__add__": 0}
+
+    def counted(name):
+        fn = getattr(CycNumber, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(CycNumber, name, counted(name))
+    product = a * b
+    assert calls["__mul__"] == calls["__add__"] == 0
+    assert 0 < calls["__init__"] <= product.num_terms()
+
+
 @pytest.mark.parametrize("trunc", [INF, Fraction(-3), Fraction(7, 2), Fraction(40)])
 def test_product_with_operands_zero_below_truncation(trunc):
     dense = QSeries({m: (-1) ** m * (m + 1) for m in range(-5, 30)}, 2, trunc)
@@ -366,6 +445,22 @@ def test_packed_width_keeps_two_spare_bits(edge):
         nbytes = -(-(bound.bit_length() + 2) // 8)
         nbytes = next((w for w in (1, 2, 4, 8) if w >= nbytes), nbytes)
         assert TruncatedRing(1, bound).width == CyclicRing(1, bound).width == 8 * nbytes
+
+
+@pytest.mark.parametrize("edge", WIDTH_EDGES)
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("k", [1, 4])
+def test_cyclotomic_product_decodes_at_its_l1_bound(edge, sign, k):
+    # One term each, s zeta^5 and sign zeta^k / 2 in Q(zeta_7): cleared of
+    # the denominator 2, the product's one coordinate in Z[x]/(x^7 - 1) is
+    # sign s, exactly the bound B = s * 1, at x^6 (reduced mod Phi_7 into
+    # all six coordinates) or folded to x^2.
+    for s in (2**edge - 1, 2**edge, 2**edge + 1):
+        a = QSeries({1: CycNumber.from_powers(7, {5: s})}, 1, INF)
+        b = QSeries({2: CycNumber.from_powers(7, {k: Fraction(sign, 2)})}, 1, INF)
+        want = CycNumber.from_powers(7, {5 + k: Fraction(sign * s, 2)})
+        assert (a * b).coeff(3).vec == want.vec
+        assert a * b == QSeries({3: want}, 1, INF)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 6, 7, 12])
