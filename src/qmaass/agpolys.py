@@ -22,10 +22,8 @@ ring Z[x]/(x^N - 1) their values at a primitive N-th root of unity
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cyclotomic import root_sums
-from .reports import CheckReport, report_from_comparison
+from .reports import CheckReport, Record, report_from_comparison
 from .series import INF, L1Bound, QSeries, QSeriesError, TruncatedRing, finite_trunc, int_slots
 
 __all__ = [
@@ -142,8 +140,7 @@ def ag_polynomials_at_root(k: int, ell: int, b: int, n_max: int, N: int) -> list
     return root_sums(N, lambda ring: _walk(ring, k, ell, b, n_max))
 
 
-@dataclass(frozen=True)
-class PartitionConstraint:
+class PartitionConstraint(Record):
     """Admission rules for partitions counted by :func:`ag_generating`.
 
     Writing ``f_j`` for the number of parts equal to ``j``, a partition is
@@ -157,16 +154,14 @@ class PartitionConstraint:
     ``part_bound = 1`` leaves only the empty partition.
     """
 
-    pair_sum_max: int
-    first_freq_bound: int
-    last_freq_bound: int
-    part_bound: int
-
-    def __post_init__(self) -> None:
-        for name in ("pair_sum_max", "first_freq_bound", "last_freq_bound", "part_bound"):
-            value = getattr(self, name)
+    def __init__(self, pair_sum_max: int, first_freq_bound: int, last_freq_bound: int,
+                 part_bound: int) -> None:
+        fields = dict(pair_sum_max=pair_sum_max, first_freq_bound=first_freq_bound,
+                      last_freq_bound=last_freq_bound, part_bound=part_bound)
+        for name, value in fields.items():
             if not (isinstance(value, int) and value >= 1):
                 raise QSeriesError(f"{name} must be a positive integer, got {value!r}")
+        self.__dict__.update(fields)
 
 
 def ag_generating(constraint: PartitionConstraint, trunc) -> QSeries:

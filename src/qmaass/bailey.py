@@ -20,14 +20,13 @@ the left sides on the chain pairs.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
-from typing import Callable, Iterable, Iterator
 
 from .agpolys import ag_polynomials
-from .reports import CheckReport, _exact_str, report_from_comparison
+from .reports import CheckReport, Record, _exact_str, report_from_comparison
 from .series import (
     INF,
     QSeries,
@@ -65,8 +64,7 @@ def _validate_pair_params(k, ell) -> None:
         raise QSeriesError("chain-pair parameters need 1 <= ell <= k")
 
 
-@dataclass(frozen=True)
-class BaileyPair:
+class BaileyPair(Record):
     """A Bailey pair: its relative parameter and the two sequences.
 
     ``alpha`` maps ``(n, trunc)`` to alpha_n, a :class:`QSeries`; the
@@ -90,16 +88,11 @@ class BaileyPair:
     built-in pairs have; any other raises :class:`QSeriesError` there.
     """
 
-    relative: str
-    alpha: Callable[[int, object], QSeries]
-    betas: Callable[[int, object], Iterable[QSeries]]
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.relative not in RELATIVES:
-            raise QSeriesError(
-                f"relative must be one of {RELATIVES}, got {self.relative!r}"
-            )
+    def __init__(self, relative: str, alpha: Callable[[int, object], QSeries],
+                 betas: Callable[[int, object], Iterable[QSeries]], label: str = "") -> None:
+        if relative not in RELATIVES:
+            raise QSeriesError(f"relative must be one of {RELATIVES}, got {relative!r}")
+        self.__dict__.update(relative=relative, alpha=alpha, betas=betas, label=label)
 
 
 def relation_sums(pair: BaileyPair, trunc) -> Iterator[QSeries]:

@@ -34,11 +34,9 @@ import argparse
 import cmath
 import json
 import math
-import random
 import re
 import signal
 import sys
-from dataclasses import dataclass, make_dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -73,7 +71,7 @@ from .maass import (
     quantum_value,
     radial_limit_check,
 )
-from .reports import CheckReport, _exact_str, report_from_comparison, report_from_condition
+from .reports import CheckReport, Record, _exact_str, report_from_comparison, report_from_condition
 from .series import PrecisionError, QSeriesError, dense_int_coeffs
 from .theta import (
     ThetaParams,
@@ -210,7 +208,7 @@ OPTIONS = {
 }
 
 
-class RunConfig(make_dataclass("RunConfig", ["command", "target", *OPTIONS], frozen=True)):
+class RunConfig(Record):
     """Validated options for one invocation: its command and target, and
     one attribute per ``OPTIONS`` key, None for an option the subcommand
     does not take.
@@ -218,6 +216,13 @@ class RunConfig(make_dataclass("RunConfig", ["command", "target", *OPTIONS], fro
     Exact quantities keep their :class:`Fraction` type from the parser
     on; nothing here round-trips a rational through a float.
     """
+
+    def __init__(self, command: str, target: str, *values, **options) -> None:
+        given = dict(zip(OPTIONS, values), **options)
+        if len(values) + len(options) != len(OPTIONS) or given.keys() != OPTIONS.keys():
+            raise TypeError(f"RunConfig takes a command, a target and the {len(OPTIONS)} OPTIONS")
+        self.__dict__.update(command=command, target=target)
+        self.__dict__.update((name, given[name]) for name in OPTIONS)
 
     @classmethod
     def from_args(cls, ns: argparse.Namespace) -> "RunConfig":
@@ -332,6 +337,8 @@ def _check_limit(relative, kind, order):
 
 def _check_synthetic_pairs(order):
     """Six seeded random pairs: each one's relation, then its limit identities."""
+    import random  # only this suite draws random pairs; the other commands never load it
+
     rng = random.Random(7)
     for relative in RELATIVES:
         for _ in range(3):
@@ -654,16 +661,13 @@ EVALUATORS = {
 # wiring
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(Record):
     """One subcommand: its help line, its targets (argparse choices), its
     default row format and the RunConfig fields it takes, in --help order."""
 
-    help: str
-    targets: tuple
-    fmt: str
-    fields: tuple
-    metavar: str | None = None
+    def __init__(self, help: str, targets: tuple, fmt: str, fields: tuple,
+                 metavar: str | None = None) -> None:
+        self.__dict__.update(help=help, targets=targets, fmt=fmt, fields=fields, metavar=metavar)
 
 
 COMMANDS = {

@@ -23,13 +23,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .agpolys import _walk, ag_polynomials_at_root
 from .bailey import LIMIT_WEIGHTS, chain_sum
 from .cyclotomic import CycNumber, check_root_order, root_sums
-from .reports import CheckReport, report_from_condition
+from .reports import CheckReport, Record, report_from_condition
 from .series import (
     QSeries,
     QSeriesError,
@@ -75,8 +74,7 @@ def _affine(coeffs: tuple, *xs: int) -> int:
     return sum(map(operator.mul, coeffs, xs), coeffs[-1])
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """Everything family-specific about one series family, as data.
 
     Forms are affine in k (``M``, ``a1``, ``b``), in (k, ell) (``shifts``,
@@ -96,17 +94,14 @@ class Family:
       mult (-1)^(n + nu) / shell_denom at q^((Q(a + (m(n), nu)) - Q(a)) / power).
     """
 
-    identity: tuple[str, str]
-    sum_scale: int
-    theta_scale: int
-    M: tuple
-    a1: tuple
-    b: tuple
-    window: int
-    shifts: tuple
-    pairing: tuple
-    shell_parts: tuple
-    shell_denom: int
+    def __init__(self, identity: tuple[str, str], sum_scale: int, theta_scale: int, M: tuple,
+                 a1: tuple, b: tuple, window: int, shifts: tuple, pairing: tuple,
+                 shell_parts: tuple, shell_denom: int) -> None:
+        self.__dict__.update(
+            identity=identity, sum_scale=sum_scale, theta_scale=theta_scale, M=M, a1=a1, b=b,
+            window=window, shifts=shifts, pairing=pairing, shell_parts=shell_parts,
+            shell_denom=shell_denom,
+        )
 
     @property
     def power(self) -> int:  # the identity's s: the family is a series in q^s

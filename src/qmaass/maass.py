@@ -21,7 +21,6 @@ This module provides:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .agpolys import ag_polynomials_at_root
@@ -29,7 +28,7 @@ from .bailey import LIMIT_WEIGHTS, chain_sum
 from .bessel import k0_bessel
 from .cyclotomic import CycNumber, check_root_order, root_sums
 from .families import FAMILIES, _validate_family, sigma_coefficients
-from .reports import CheckReport, _exact_str, report_from_condition
+from .reports import CheckReport, Record, _exact_str, report_from_condition
 from .series import PrecisionError, QSeriesError
 from .theta import _bounded, _lattice_table, family_lattice_numeric, unit_phase
 
@@ -48,8 +47,7 @@ __all__ = [
 # ---------------------------------------------------------------- data model
 
 
-@dataclass(frozen=True)
-class MaassCoeffTable:
+class MaassCoeffTable(Record):
     """Fourier coefficient table of a waveform.
 
     ``scale`` is the positive integer N in the expansion; ``coeffs`` maps
@@ -58,14 +56,13 @@ class MaassCoeffTable:
     constant term.
     """
 
-    scale: int
-    coeffs: dict[int, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.scale, int) and self.scale >= 1):
+    def __init__(self, scale: int, coeffs: dict[int, object] | None = None) -> None:
+        coeffs = {} if coeffs is None else coeffs
+        if not (isinstance(scale, int) and scale >= 1):
             raise QSeriesError("the table scale must be a positive integer")
-        if 0 in self.coeffs:
+        if 0 in coeffs:
             raise QSeriesError("coefficient tables are indexed by nonzero integers")
+        self.__dict__.update(scale=scale, coeffs=coeffs)
 
     def extent(self) -> int:
         """Largest absolute index present (0 for an empty table)."""
@@ -169,12 +166,11 @@ def cohen_transform_residual(tau: complex, n_cut: int) -> tuple[complex, complex
 # --------------------------------------------------------- quantum evaluation
 
 
-@dataclass(frozen=True)
-class QuantumSample:
+class QuantumSample(Record):
     """Exact value of a family series at a root of unity."""
 
-    x: Fraction
-    value: CycNumber
+    def __init__(self, x: Fraction, value: CycNumber) -> None:
+        self.__dict__.update(x=x, value=value)
 
     @property
     def complex_value(self) -> complex:

@@ -9,7 +9,6 @@ Reports serialize to single JSON objects (one line per check on the CLI).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .series import QSeries
@@ -44,18 +43,45 @@ def _exact_str(value):
     return _jsonable(value)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one verification check."""
+class Record:
+    """Base of the package's frozen value records.
 
-    check: str
-    params: dict
-    status: str  # "pass" or "fail"
-    details: dict = field(default_factory=dict)
+    A subclass's ``__init__`` checks its arguments, then sets every field
+    at once with ``self.__dict__.update(...)`` in field order, so the
+    instance dict is the field list.  Equality, hash and ``repr`` go by it
+    as a frozen dataclass's do; assigning or deleting an attribute raises
+    :class:`AttributeError`.  ``type(r)(**{**vars(r), name: value})`` is
+    ``r`` with one field changed, checked again.
+    """
 
-    def __post_init__(self) -> None:
-        if self.status not in ("pass", "fail"):
-            raise ValueError(f"status must be 'pass' or 'fail', got {self.status!r}")
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CheckReport(Record):
+    """Outcome of one verification check: ``status`` is "pass" or "fail"."""
+
+    def __init__(self, check: str, params: dict, status: str, details: dict | None = None) -> None:
+        if status not in ("pass", "fail"):
+            raise ValueError(f"status must be 'pass' or 'fail', got {status!r}")
+        self.__dict__.update(
+            check=check, params=params, status=status, details={} if details is None else details
+        )
 
     @property
     def ok(self) -> bool:

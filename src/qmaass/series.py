@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 import operator
 import struct
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Sequence
 
 INF = math.inf
 

@@ -31,14 +31,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, cycle, islice
 
 from .bessel import k0_bessel
 from .cyclotomic import CycNumber
 from .families import FAMILIES, _affine, _validate_family, family_series
-from .reports import CheckReport, _exact_str, report_from_comparison
+from .reports import CheckReport, Record, _exact_str, report_from_comparison
 from .series import PrecisionError, QSeries, QSeriesError, finite_trunc, positive_trunc
 
 
@@ -148,8 +147,7 @@ def _equivalent(form: QuadForm, x, alpha, D: int, y, beta, E: int) -> bool:
 # --------------------------------------------------------------- theta params
 
 
-@dataclass(frozen=True)
-class ThetaParams:
+class ThetaParams(Record):
     """Shift/twist data (M, a, b) for the two-region theta series.
 
     The components of ``a`` must have non-integral sum and difference;
@@ -157,37 +155,30 @@ class ThetaParams:
     regions and the exponent strictly positive there.
     """
 
-    M: int
-    a: tuple[Fraction, Fraction]
-    b: tuple[Fraction, Fraction]
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.M, int) and self.M >= 2):
+    def __init__(self, M: int, a, b) -> None:
+        if not (isinstance(M, int) and M >= 2):
             raise QSeriesError("M must be an integer >= 2")
-        object.__setattr__(self, "a", _frac_pair(self.a))
-        object.__setattr__(self, "b", _frac_pair(self.b))
-        for s in (self.a[0] + self.a[1], self.a[0] - self.a[1]):
+        a, b = _frac_pair(a), _frac_pair(b)
+        for s in (a[0] + a[1], a[0] - a[1]):
             if s.denominator == 1:
                 raise QSeriesError(
                     "the shift components must have non-integral sum and difference"
                 )
+        self.__dict__.update(M=M, a=a, b=b)
 
 
-@dataclass(frozen=True)
-class FamilyThetaData:
+class FamilyThetaData(Record):
     """Theta parameters realizing one series family, plus exact match data.
 
     The two-region theta series of ``params`` equals
     ``scale * q^alpha * F(q^power)`` where F is the family series.
     """
 
-    j: int
-    k: int
-    ell: int
-    params: ThetaParams
-    alpha: Fraction
-    scale: Fraction
-    power: int
+    def __init__(self, j: int, k: int, ell: int, params: ThetaParams, alpha: Fraction,
+                 scale: Fraction, power: int) -> None:
+        self.__dict__.update(
+            j=j, k=k, ell=ell, params=params, alpha=alpha, scale=scale, power=power
+        )
 
 
 def _family_numerators(j: int, k: int, ell: int) -> tuple:

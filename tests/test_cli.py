@@ -1,7 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -138,7 +137,7 @@ class TestParsing:
     def test_runconfig_holds_every_option_once(self, command):
         target = cli.COMMANDS[command].targets[0]
         cfg = RunConfig.from_args(build_parser().parse_args([command, target]))
-        names = [field.name for field in dataclasses.fields(cfg)]
+        names = list(vars(cfg))
         assert names == ["command", "target", *cli.OPTIONS]
         taken = set(cli.COMMANDS[command].fields)
         assert all(getattr(cfg, name) is None for name in cli.OPTIONS if name not in taken)
@@ -1062,6 +1061,29 @@ def test_library_and_numeric_suites_do_not_import_mpmath():
     assert result.returncode == 0
     assert len(result.stdout.splitlines()) == 8  # 3 completion + 5 cohen lines
     assert result.stderr == "False\n"
+
+
+def test_cli_import_loads_no_dataclasses_typing_or_random():
+    # Every CLI call pays for what ``import qmaass.cli`` loads.  The records
+    # are plain classes, so dataclasses (and the inspect, ast, dis and
+    # tokenize it pulls in) never loads; annotations come from
+    # collections.abc, not typing; random loads with the synthetic-pair
+    # suite only.  -S keeps site hooks from loading any of them first.
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})\n"
+        "bare = set(sys.modules)\n"
+        "import qmaass.cli\n"
+        "print(*sorted(set(sys.modules) - bare))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    added = set(result.stdout.split())
+    assert "qmaass.cli" in added
+    banned = {"dataclasses", "inspect", "ast", "dis", "tokenize", "random", "typing"}
+    assert added.isdisjoint(banned), sorted(added & banned)
 
 
 def test_closed_stdout_ends_quietly():

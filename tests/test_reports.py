@@ -1,11 +1,19 @@
-"""Report plumbing: comparison details and JSON shape."""
+"""Report plumbing: comparison details and JSON shape, and the frozen
+value records every module builds on :class:`qmaass.reports.Record`."""
 
 from fractions import Fraction
 
 import pytest
 
+from qmaass import cli
+from qmaass.agpolys import PartitionConstraint
+from qmaass.bailey import RELATIVES, BaileyPair
+from qmaass.cyclotomic import CycNumber
+from qmaass.families import Family
+from qmaass.maass import MaassCoeffTable, QuantumSample
 from qmaass.reports import CheckReport, report_from_comparison, report_from_condition
-from qmaass.series import QSeries
+from qmaass.series import QSeries, QSeriesError
+from qmaass.theta import FamilyThetaData, ThetaParams
 
 
 def test_pass_report_shape():
@@ -55,3 +63,158 @@ def test_condition_report():
 def test_status_validation():
     with pytest.raises(ValueError):
         CheckReport("x", {}, "maybe")
+
+
+# ------------------------------------------------------------ value records
+
+F = Fraction
+_THETA = ThetaParams(2, (F(1, 3), F(1, 5)), (0, F(1, 2)))
+
+# (type, field names, positional values, repr): each repr is the one the
+# frozen dataclasses these records replaced printed, byte for byte; reports
+# print it for a value with no to_json_dict.
+RECORDS = [
+    (
+        CheckReport, ["check", "params", "status", "details"], ("c", {"n": 1}, "pass", {"why": 2}),
+        "CheckReport(check='c', params={'n': 1}, status='pass', details={'why': 2})",
+    ),
+    (
+        PartitionConstraint,
+        ["pair_sum_max", "first_freq_bound", "last_freq_bound", "part_bound"], (1, 2, 3, 4),
+        "PartitionConstraint(pair_sum_max=1, first_freq_bound=2, last_freq_bound=3, part_bound=4)",
+    ),
+    (
+        BaileyPair, ["relative", "alpha", "betas", "label"], ("q", abs, len, "x"),
+        "BaileyPair(relative='q', alpha=<built-in function abs>, betas=<built-in function len>,"
+        " label='x')",
+    ),
+    (
+        Family,
+        ["identity", "sum_scale", "theta_scale", "M", "a1", "b", "window", "shifts", "pairing",
+         "shell_parts", "shell_denom"],
+        (("q", "gauss"), 1, 1, (2, 2), (2, 1), ((4, 6), (4, 2)), 0, ((-2, 1, -1), (0, 1, 0)),
+         (0, -1, 0), (((1, 0), 1), ((-1, -1), -1)), 1),
+        "Family(identity=('q', 'gauss'), sum_scale=1, theta_scale=1, M=(2, 2), a1=(2, 1),"
+        " b=((4, 6), (4, 2)), window=0, shifts=((-2, 1, -1), (0, 1, 0)), pairing=(0, -1, 0),"
+        " shell_parts=(((1, 0), 1), ((-1, -1), -1)), shell_denom=1)",
+    ),
+    (
+        ThetaParams, ["M", "a", "b"], (2, (F(1, 3), F(1, 5)), (0, F(1, 2))),
+        "ThetaParams(M=2, a=(Fraction(1, 3), Fraction(1, 5)), b=(Fraction(0, 1), Fraction(1, 2)))",
+    ),
+    (
+        FamilyThetaData, ["j", "k", "ell", "params", "alpha", "scale", "power"],
+        (1, 2, 1, _THETA, F(7, 60), F(1), 1),
+        "FamilyThetaData(j=1, k=2, ell=1, params=ThetaParams(M=2, a=(Fraction(1, 3),"
+        " Fraction(1, 5)), b=(Fraction(0, 1), Fraction(1, 2))), alpha=Fraction(7, 60),"
+        " scale=Fraction(1, 1), power=1)",
+    ),
+    (
+        MaassCoeffTable, ["scale", "coeffs"], (24, {1: F(1, 2), -5: 3}),
+        "MaassCoeffTable(scale=24, coeffs={1: Fraction(1, 2), -5: 3})",
+    ),
+    (
+        QuantumSample, ["x", "value"], (F(1, 7), CycNumber.zeta(7, 1)),
+        "QuantumSample(x=Fraction(1, 7), value=CycNumber(order=7, vec=(0, 1, 0, 0, 0, 0)))",
+    ),
+    (
+        cli.Command, ["help", "targets", "fmt", "fields", "metavar"],
+        ("help", ("a",), "json", ("order",), "suite"),
+        "Command(help='help', targets=('a',), fmt='json', fields=('order',), metavar='suite')",
+    ),
+    (
+        cli.RunConfig,
+        ["command", "target", "kmax", "nmax", "ncut", "lattice_cut", "order", "tol", "shift_a",
+         "twist_b", "tau", "x", "xs", "gamma", "j", "k", "ell", "boundary", "lattice_m", "cohen",
+         "conjugate_image", "out", "fmt"],
+        ("verify", "all", *[None] * 21),
+        "RunConfig(command='verify', target='all', kmax=None, nmax=None, ncut=None,"
+        " lattice_cut=None, order=None, tol=None, shift_a=None, twist_b=None, tau=None, x=None,"
+        " xs=None, gamma=None, j=None, k=None, ell=None, boundary=None, lattice_m=None,"
+        " cohen=None, conjugate_image=None, out=None, fmt=None)",
+    ),
+]
+
+# One field of each record set to another valid value.
+_CHANGED = {
+    CheckReport: ("status", "fail"),
+    PartitionConstraint: ("part_bound", 5),
+    BaileyPair: ("label", ""),
+    Family: ("window", 1),
+    ThetaParams: ("M", 3),
+    FamilyThetaData: ("power", 2),
+    MaassCoeffTable: ("coeffs", {1: 1}),
+    QuantumSample: ("x", F(1, 5)),
+    cli.Command: ("metavar", None),
+    cli.RunConfig: ("fmt", "csv"),
+}
+
+
+@pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_frozen_values(cls, names, values, text):
+    record = cls(*values)
+    assert list(vars(record)) == names
+    assert cls(**dict(zip(names, values))) == record
+    assert repr(record) == str(record) == text
+    # equality and hash go by value, as the dataclass's did
+    twin = cls(*values)
+    assert twin == record and twin is not record and not twin != record
+    assert record != values and record != object()
+    name, value = _CHANGED[cls]
+    assert cls(**{**vars(record), name: value}) != record
+    fields = tuple(getattr(record, name) for name in names)
+    try:
+        expected = hash(fields)
+    except TypeError:  # a dict or CycNumber field: unhashable, as before
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin) == expected
+    for name in (names[0], names[-1], "extra"):
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            setattr(record, name, 0)
+    for name in (names[0], names[-1]):
+        with pytest.raises(AttributeError, match="cannot delete field"):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in names) == fields
+
+
+def test_record_defaults():
+    first, second = CheckReport("c", {}, "pass"), CheckReport("c", {}, "pass")
+    assert first.details == second.details == {} and first.details is not second.details
+    table = MaassCoeffTable(1)
+    assert table.coeffs == {} and table.coeffs is not MaassCoeffTable(1).coeffs
+    assert BaileyPair("q", abs, len).label == ""
+    assert cli.Command("h", (), "csv", ()).metavar is None
+    assert ThetaParams(2, (1, F(1, 2)), (0, 1)).a == (F(1), F(1, 2))
+    assert all(type(c) is Fraction for c in ThetaParams(2, (1, F(1, 2)), (0, 1)).b)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: CheckReport("x", {}, "maybe"), ValueError,
+         "status must be 'pass' or 'fail', got 'maybe'"),
+        (lambda: ThetaParams(1, (F(1, 3), F(1, 5)), (0, 0)), QSeriesError,
+         "M must be an integer >= 2"),
+        (lambda: ThetaParams(2.0, (F(1, 3), F(1, 5)), (0, 0)), QSeriesError,
+         "M must be an integer >= 2"),
+        (lambda: ThetaParams(2, (F(1, 2), F(1, 2)), (0, 0)), QSeriesError,
+         "the shift components must have non-integral sum and difference"),
+        (lambda: BaileyPair("z", abs, len), QSeriesError,
+         f"relative must be one of {RELATIVES}, got 'z'"),
+        (lambda: MaassCoeffTable(0), QSeriesError, "the table scale must be a positive integer"),
+        (lambda: MaassCoeffTable(1, {0: 1}), QSeriesError,
+         "coefficient tables are indexed by nonzero integers"),
+        (lambda: PartitionConstraint(1, 0, 0, 1), QSeriesError,
+         "first_freq_bound must be a positive integer, got 0"),
+        (lambda: PartitionConstraint(1, 1, 1, "2"), QSeriesError,
+         "part_bound must be a positive integer, got '2'"),
+        (lambda: cli.RunConfig("verify", "all"), TypeError,
+         "RunConfig takes a command, a target and the 21 OPTIONS"),
+    ],
+)
+def test_record_validation_messages(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message

@@ -9,7 +9,6 @@ transformation spot checks.
 """
 
 import cmath
-import dataclasses
 import hashlib
 import json
 import fractions
@@ -338,6 +337,12 @@ def test_family_data_lock(j):
     assert (_sha256_json(params), _sha256_json(lattice)) == _LOCKED_FAMILY_DIGESTS[j]
 
 
+def _with(record, **changes):
+    """``record`` with some fields changed, built (and checked) again by its
+    constructor; an unknown field name raises TypeError."""
+    return type(record)(**{**vars(record), **changes})
+
+
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
 def test_tampered_family_record_fails_both_checks(j, monkeypatch):
     # The record keeps a1 over 2(M + 1): one more in its constant moves it
@@ -345,7 +350,7 @@ def test_tampered_family_record_fails_both_checks(j, monkeypatch):
     k, ell = 2, 1
     before = family_params(j, k, ell).params
     slope, constant = FAMILIES[j].a1
-    moved = dataclasses.replace(FAMILIES[j], a1=(slope, constant + 1))
+    moved = _with(FAMILIES[j], a1=(slope, constant + 1))
     monkeypatch.setitem(FAMILIES, j, moved)
     assert family_params(j, k, ell).params.a[0] == before.a[0] + F(1, 2 * (before.M + 1))
     assert not validate_family_params(j, k, ell).ok
@@ -516,7 +521,7 @@ def _tampered_records(draw):
         lambda t: (t[0] * t[2], t[1] * t[2])
     )
     s1, s2 = fam.shifts
-    record = dataclasses.replace(
+    record = _with(
         fam,
         M=either(fam.M, st.tuples(st.integers(0, 4), st.integers(2, 9))),
         a1=either(fam.a1, nudged(fam.a1), _affine_forms(2)),
@@ -661,7 +666,7 @@ _WITNESSES = {
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
 def test_a_tampered_record_fails_each_check(key, j, monkeypatch):
     fam = FAMILIES[j]
-    monkeypatch.setitem(FAMILIES, j, dataclasses.replace(fam, **_WITNESSES[key](fam)))
+    monkeypatch.setitem(FAMILIES, j, _with(fam, **_WITNESSES[key](fam)))
     for k, ell in ((1, 1), (2, 1), (3, 2)):
         rep = validate_family_params(j, k, ell)
         assert rep.details[key] is False and rep.status == "fail", (k, ell, rep.details)
