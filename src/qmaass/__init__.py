@@ -37,7 +37,6 @@ from .series import (
     PrecisionError,
     QSeries,
     QSeriesError,
-    StabilizationError,
     gaussian_binomial,
     inverse_pochhammer,
     pochhammer,
@@ -65,7 +64,6 @@ __all__ = [
     "QSeries",
     "QSeriesError",
     "QuantumSample",
-    "StabilizationError",
     "ThetaParams",
     "ag_polynomial",
     "ag_polynomials",

@@ -31,7 +31,6 @@ from .series import (
     INF,
     QSeries,
     QSeriesError,
-    StabilizationError,
     TruncatedRing,
     _divide_dense,
     dense_int_coeffs,
@@ -65,7 +64,8 @@ def _validate_pair_params(k, ell) -> None:
 
 
 class BaileyPair(Record):
-    """A Bailey pair: its relative parameter and the two sequences.
+    """A Bailey pair: its relative parameter, the two sequences, and where
+    beta settles.
 
     ``alpha`` maps ``(n, trunc)`` to alpha_n, a :class:`QSeries`; the
     built-in constructors memoize it.  ``betas`` maps ``(n_max, trunc)`` to
@@ -74,6 +74,14 @@ class BaileyPair(Record):
     pair yields its products of inverse Pochhammers one by one, and a
     synthetic pair reads the first n_max + 1 sums of its own
     :func:`relation_sums` sweep.
+
+    ``settle`` is a promise about beta: below every x^T, beta_n is one
+    series from n = T - 1 + ``settle`` on.  Each constructor proves its
+    own: 0 for a chain pair (the chain walk is constant from T - 1 on,
+    :func:`~qmaass.agpolys._walk`) and a unit pair (beta_n - beta_(n-1)
+    has order >= n), and the largest index S of a synthetic pair's support
+    (order >= n - S).  :func:`limit_top` turns it into the top of the
+    averaged limit identity, which checks the promise at top + 1.
 
     So a synthetic pair's definition check (:func:`verify_pair`) compares
     the sweep with itself and passes by construction.  That stays: its
@@ -89,10 +97,14 @@ class BaileyPair(Record):
     """
 
     def __init__(self, relative: str, alpha: Callable[[int, object], QSeries],
-                 betas: Callable[[int, object], Iterable[QSeries]], label: str = "") -> None:
+                 betas: Callable[[int, object], Iterable[QSeries]], label: str = "",
+                 settle: int = 0) -> None:
         if relative not in RELATIVES:
             raise QSeriesError(f"relative must be one of {RELATIVES}, got {relative!r}")
-        self.__dict__.update(relative=relative, alpha=alpha, betas=betas, label=label)
+        if type(settle) is not int or settle < 0:
+            raise QSeriesError(f"settle must be an int >= 0, got {settle!r}")
+        self.__dict__.update(relative=relative, alpha=alpha, betas=betas, label=label,
+                             settle=settle)
 
 
 def relation_sums(pair: BaileyPair, trunc) -> Iterator[QSeries]:
@@ -263,7 +275,8 @@ def unit_pair(relative: str) -> BaileyPair:
 
 def synthetic_pair(relative: str, rng) -> BaileyPair:
     """A random pair: alpha_m a nonzero integer in -9..9 at 1 to 5 indices
-    m < 8 and zero elsewhere, beta from the relation.
+    m < 8 and zero elsewhere, beta from the relation, settling at the
+    largest index of the support (:class:`BaileyPair`).
 
     For relative 1 the support excludes index 0, keeping alpha_0 = beta_0 = 0;
     the limit identities that sum from n = 1 silently ignore the 0-index
@@ -289,7 +302,7 @@ def synthetic_pair(relative: str, rng) -> BaileyPair:
     label = "synthetic({},{})".format(
         relative, ",".join(f"{i}:{support[i]}" for i in sorted(support))
     )
-    pair = BaileyPair(relative=relative, alpha=alpha, betas=betas, label=label)
+    pair = BaileyPair(relative, alpha, betas, label, settle=max(support))
     return pair
 
 
@@ -328,7 +341,8 @@ def chain_sum(ring, weights: tuple, chains: list, top: int):
     :data:`LIMIT_WEIGHTS` entry (s, first, power), by
     :meth:`~qmaass.series.PackedRing.pochhammer_sum`.  Half of it is the
     sum if t_n vanishes from ``top`` on, and exactly the even/odd average
-    of the partial sums if t_n is (-1)^n times one value from ``top`` on."""
+    of the partial sums if t_n is (-1)^n times one value from ``top`` on;
+    below a truncation, :func:`limit_top` proves where that is."""
     s, first, power = weights
     terms = []
     for n in range(first, top + 1):
@@ -337,10 +351,26 @@ def chain_sum(ring, weights: tuple, chains: list, top: int):
     return ring.pochhammer_sum(terms, s)
 
 
-def averaging_budget(trunc) -> int:
-    """The last index of beta the averaged identity may read below the
-    finite ``trunc``: 2 ceil(trunc) + 8, and at least 600."""
-    return max(600, 2 * int_slots(trunc) + 8)
+def limit_top(weights: tuple, size: int, settle: int = 0) -> int:
+    """The top at which :func:`chain_sum` with the :data:`LIMIT_WEIGHTS`
+    entry (s, first, power) is exactly twice the limit sum below x^size,
+    on chains that settle ``settle`` past size - 1 (:class:`BaileyPair`).
+
+    With a power, the first n with power(n) >= size: every term from there
+    on vanishes.  With none, max(size + settle, first).  From there on the
+    chain is constant mod x^size, and so is (x^s; x^s)_(n - first), whose
+    next factor is 1 - x^(s (n + 1 - first)); and alpha_n vanishes mod
+    x^size for every built-in pair (order >= n for a chain pair, zero past
+    the support otherwise).  So both sides' terms are (-1)^n times one
+    value from the top on, and the sum is the even/odd average of the
+    partial sums.  Every limit sum takes its top from here: both sides of
+    :func:`verify_limiting_identity` and the families of
+    :mod:`qmaass.families`, on the chain pairs' settle 0.
+    """
+    _, first, power = weights
+    if power is None:
+        return max(size + settle, first)
+    return next(n for n in count(first) if power(n) >= size)
 
 
 def _shared(fn, items) -> Iterator:
@@ -363,42 +393,6 @@ def _int_map(series: QSeries) -> dict:
     return s._coeffs
 
 
-def _averaged_top(betas: Iterable[QSeries], weights: tuple, size: int) -> tuple[list, int]:
-    """The int maps of beta_0 .. beta_top and the top 2N + 1 at which
-    :func:`chain_sum` is twice the even/odd average of the partial sums,
-    for weights (s, first, None) below x^size.
-
-    N is the first step n that ends four in a row whose increment
-    t_(2n-1) + 2 t_(2n) + t_(2n+1) vanishes.  That increment is the unit
-    P = (x^s; x^s)_(2n-1-first) times the bracket
-
-        -beta_(2n-1) + 2 (1 - x^a) beta_(2n) - (1 - x^a)(1 - x^(a+s)) beta_(2n+1),
-
-    a = s (2n - first), so it vanishes exactly when the bracket does, and
-    its lowest exponent is the bracket's: the bracket is summed by shifts
-    and subtractions, with no product.  ``betas`` is read once, lazily;
-    running out first raises :class:`StabilizationError` with the lowest
-    exponent of the last increment that did not vanish.
-    """
-    s, first, _ = weights
-    source = _shared(lambda beta: (_int_map(beta), dense_int_coeffs(beta, size)), betas)
-    read, streak, unstable = [], 0, None
-    for n in count(1):
-        read.extend(islice(source, 2 * n + 2 - len(read)))
-        if len(read) < 2 * n + 2:
-            raise StabilizationError("no stabilization within the term budget", unstable)
-        (_, b1), (_, b2), (_, b3) = read[2 * n - 1 :]
-        a = s * (2 * n - first)
-        z = list(map(operator.sub, map(operator.add, b2, b2), b3))
-        z[a + s :] = map(operator.add, z[a + s :], b3)
-        bracket = list(map(operator.sub, z, b1))
-        bracket[a:] = map(operator.sub, bracket[a:], z)
-        if any(bracket):
-            streak, unstable = 0, Fraction(next(e for e, c in enumerate(bracket) if c))
-        elif (streak := streak + 1) == 4:
-            return [m for m, _ in read], 2 * n + 1
-
-
 def _over_one_minus(ring, a: int, c: int) -> int:
     """a / (1 - x^c) in ``ring``, c >= 1: a (1 + x^c)(1 + x^(2c))(1 + x^(4c))
     ... up to the first factor that the ring's horizon kills."""
@@ -419,11 +413,13 @@ def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) 
     ceil(trunc), sized by one L1 pass
     (:meth:`~qmaass.series.PackedRing.sums`): the left side over beta_n,
     the right side over alpha_n with no Pochhammer weight, as
-    (x^T; x^T)_m is 1 there.  Both stop at the same top: the first n with
-    power(n) >= T, past which every term vanishes, or for the ``even``
-    identity for relative q, which has no decaying weight, the top
-    :func:`_averaged_top` finds on the left side.  Every beta_n and
-    alpha_n read must have int coefficients at integer exponents >= 0;
+    (x^T; x^T)_m is 1 there.  Both stop at the one proven top of
+    :func:`limit_top`: the first n with power(n) >= T, past which every
+    term vanishes, or for the ``even`` identity for relative q, which has
+    no decaying weight, T + ``pair.settle``.  That identity reads beta one
+    index further, and fails, naming that index and the first exponent
+    that moved, unless beta_(top + 1) = beta_top.  Every beta_n and
+    alpha_n summed must have int coefficients at integer exponents >= 0;
     any other raises :class:`QSeriesError`.
     """
     if relative not in RELATIVES:
@@ -444,14 +440,18 @@ def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) 
     }
     size = int_slots(t)
     weights = s, first, power = LIMIT_WEIGHTS[relative, kind]
+    top = limit_top(weights, size, pair.settle)
     if power is None:
-        betas, top = _averaged_top(pair.betas(averaging_budget(t), t), weights, size)
         last = top
+        betas = list(pair.betas(top + 1, t))
+        moved = betas.pop().first_mismatch(betas[top])
+        if moved is not None:
+            return CheckReport("bailey_limit_identity", params, "fail", {
+                "unsettled_n": top + 1, "first_mismatch_exponent": _exact_str(moved)})
     else:
-        top = next(n for n in count(first) if power(n) >= size)
         last = top - 1  # the terms at top vanish below x^T
-        betas = list(_shared(_int_map, pair.betas(last, t)))
-    betas = betas[first : last + 1]
+        betas = list(pair.betas(last, t))
+    betas = list(_shared(_int_map, betas[first:]))
     alphas = [_int_map(pair.alpha(n, t)) for n in range(first, last + 1)]
 
     def build(ring) -> list:

@@ -26,7 +26,7 @@ import operator
 from fractions import Fraction
 
 from .agpolys import _walk, ag_polynomials_at_root
-from .bailey import LIMIT_WEIGHTS, chain_sum
+from .bailey import LIMIT_WEIGHTS, chain_sum, limit_top
 from .cyclotomic import CycNumber, check_root_order, root_sums
 from .reports import CheckReport, Record, report_from_condition
 from .series import (
@@ -136,14 +136,12 @@ FAMILIES = {
 
 def _truncated_chain_sum(weights: tuple, k: int, ell: int, t: Fraction) -> dict:
     """:func:`chain_sum` below ``t`` over Z[x]/(x^T), T = ceil(t), on the
-    chain polynomials with boundary bit ``first``.  Its top is the first n
-    with power(n) >= T, or T - 1 with no power: from there on the chain
-    polynomials (:func:`~qmaass.agpolys._walk`) and the Pochhammer, whose
-    next factor is 1 - x^(s (n + 1 - first)), are constant mod x^T."""
-    _, first, power = weights
+    chain polynomials with boundary bit ``first``, to the proven top of
+    :func:`~qmaass.bailey.limit_top` at settle 0: the chain polynomials
+    are constant mod x^T from T - 1 on (:func:`~qmaass.agpolys._walk`)."""
+    first = weights[1]
     size = int_slots(t)
-    top = max(size - 1, first) if power is None else next(
-        n for n in itertools.count(first) if power(n) >= size)
+    top = limit_top(weights, size)
     (coeffs,) = TruncatedRing.sums(
         size, lambda ring: [chain_sum(ring, weights, _walk(ring, k, ell, first, top), top)])
     return coeffs

@@ -51,18 +51,6 @@ class PrecisionError(QSeriesError):
     """Raised when a numeric or truncation guard refuses to certify a value."""
 
 
-class StabilizationError(PrecisionError):
-    """Raised when an averaged partial-sum scheme fails to settle.
-
-    ``first_unstable_exponent`` records the lowest exponent still changing
-    when the term budget ran out.
-    """
-
-    def __init__(self, message: str, first_unstable_exponent: Fraction | None = None):
-        super().__init__(message)
-        self.first_unstable_exponent = first_unstable_exponent
-
-
 def finite_trunc(trunc) -> Fraction:
     """``trunc`` as a Fraction; QSeriesError for an infinite or NaN one."""
     if isinstance(trunc, float) and not math.isfinite(trunc):

@@ -6,24 +6,22 @@ The tests expand the same objects as exact q-series and sum them here,
 term by term, as an independent oracle.  The knot side (Morton's formula
 for torus knots) and the partition side of the classical companions
 share no code with the library either.  The Bailey limit identities
-are summed here over series products, with the even/odd average
-observed term by term (:func:`limit_identity_by_products`), where the
+are summed here over series products, the even/odd average taken at
+the pair's proven top (:func:`limit_identity_by_products`), where the
 library sums them in a packed ring.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
+from itertools import count
 
-from qmaass.bailey import LIMIT_WEIGHTS, averaging_budget
+from qmaass.bailey import LIMIT_WEIGHTS
 from qmaass.cyclotomic import CycNumber
 from qmaass.reports import _exact_str, report_from_comparison
 from qmaass.series import (
-    INF,
     QSeries,
     QSeriesError,
-    StabilizationError,
     _divide_dense,
     dense_int_coeffs,
     int_slots,
@@ -235,52 +233,25 @@ def weighted_term(relative: str, kind: str, n: int, beta: QSeries, trunc) -> QSe
 
 
 def stabilized_sum(terms, trunc) -> QSeries:
-    """Averaged partial sums (S_{2N} + S_{2N+1})/2 of a term sequence, each
-    term taken once, in order, at most ``averaging_budget(trunc) + 1`` of
-    them (601 for an infinite trunc).  Returns the average once 4
-    consecutive increments vanish below ``trunc``; exhausting the budget
-    first raises :class:`StabilizationError` with the lowest exponent of
-    the last increment that did not vanish."""
-    t = Fraction(trunc) if isinstance(trunc, int) else trunc
-    budget = 600 if t == INF else averaging_budget(t)
-    trimmed = (s.truncate(t) for s in islice(terms, budget + 1))
-    # Twice the averages: 2 A_0 = 2 t_0 + t_1, and step n adds
-    # t_(2n-1) + 2 t_(2n) + t_(2n+1), twice the increment A_n - A_(n-1).
-    first, odd = next(trimmed, None), next(trimmed, None)
-    if odd is None:
-        raise StabilizationError("need at least two terms to average")
-    acc = first.scale(2) + odd
-    streak = 0
-    unstable = None
-    while streak < 4:
-        even, next_odd = next(trimmed, None), next(trimmed, None)
-        if next_odd is None:
-            raise StabilizationError(
-                "no stabilization within the term budget",
-                None if unstable is None else min_order(unstable),
-            )
-        delta = odd + even.scale(2) + next_odd
-        odd = next_odd
-        acc = acc + delta
-        if delta.is_zero():
-            streak += 1
-        else:
-            streak = 0
-            unstable = delta
-    return acc.scale(Fraction(1, 2)).truncate(t)
+    """(S_(top-1) + S_top) / 2 for the partial sums S_n of the term list
+    t_0 .. t_top, each term cut below ``trunc``: the even/odd average of
+    the partial sums of any sequence that goes on as (-1)^n t_top."""
+    *head, last = (s.truncate(trunc) for s in terms)
+    return (sum(head, QSeries.zero(trunc)) + last.scale(Fraction(1, 2))).truncate(trunc)
 
 
-def _limit_sum(relative: str, kind: str, values, term, trunc) -> QSeries:
+def _limit_sum(relative: str, kind: str, values, term, trunc, settle: int) -> QSeries:
     """The sum of term(n, v_n) over n >= first below trunc, v_0, v_1, ...
     read in one pass from ``values(n_max, trunc)``: cut before the first n
     with power(n) >= trunc, where two probe terms must vanish, or with no
-    power the :func:`stabilized_sum` of the terms."""
+    power the :func:`stabilized_sum` of the terms up to the top
+    max(ceil(trunc) + settle, first)."""
     _, first, power = LIMIT_WEIGHTS[relative, kind]
     if power is None:
-        n_max = averaging_budget(trunc)
+        n_max = max(math.ceil(trunc) + settle, first)
     else:
         n_max = next(n for n in count(first) if power(n) >= trunc) + 1
-    terms = (term(n, v) for n, v in enumerate(values(n_max, trunc)) if n >= first)
+    terms = [term(n, v) for n, v in enumerate(values(n_max, trunc)) if n >= first]
     if power is None:
         return stabilized_sum(terms, trunc)
     *kept, probe, next_probe = terms
@@ -295,7 +266,9 @@ def limit_identity_by_products(pair, relative: str, kind: str, trunc):
     side's terms are (-1)^n q^power(n) alpha_n, divided by (1 - q^(s n))
     for relative 1; its sum is multiplied by (1 - q) for relative q, and
     halved for the even identity for relative q, whose two sides are
-    averaged each on its own."""
+    averaged each on its own, at the top max(ceil(trunc) + settle, first)
+    of the pair's own settle.  It has no guard: a beta that still moves
+    at the top gives a wrong sum here, not a named index."""
     t = Fraction(trunc)
     params = {"relative": relative, "kind": kind, "label": pair.label, "trunc": _exact_str(t)}
     s, _, power = LIMIT_WEIGHTS[relative, kind]
@@ -311,8 +284,9 @@ def limit_identity_by_products(pair, relative: str, kind: str, trunc):
             term = QSeries({e: c for e, c in enumerate(out) if c}, 1, t)
         return -term if n % 2 else term
 
-    lhs = _limit_sum(relative, kind, pair.betas, lambda n, b: weighted_term(relative, kind, n, b, t), t)
-    rhs = _limit_sum(relative, kind, alphas, rhs_at, t)
+    lhs = _limit_sum(relative, kind, pair.betas,
+                     lambda n, b: weighted_term(relative, kind, n, b, t), t, pair.settle)
+    rhs = _limit_sum(relative, kind, alphas, rhs_at, t, pair.settle)
     if relative == "q":
         rhs = ((QSeries.one(t) - QSeries.monomial(1, 1, t)) * rhs).truncate(t)
         if kind == "even":

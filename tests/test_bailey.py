@@ -17,7 +17,6 @@ from qmaass.bailey import (
     IDENTITY_KINDS,
     RELATIVES,
     BaileyPair,
-    averaging_budget,
     pair_relative_one,
     pair_relative_q,
     quadratic_shift,
@@ -32,7 +31,6 @@ from qmaass.series import (
     PackedRing,
     QSeries,
     QSeriesError,
-    StabilizationError,
     _divide_dense,
     inverse_pochhammer,
     pochhammer,
@@ -219,21 +217,12 @@ def test_corrupted_betas_fail_the_limit_identities(n):
 
 @pytest.mark.parametrize("trunc", [1, 2, 3, 4, 5, 6, 620])
 def test_averaged_identity_term_budget(trunc):
-    # This pair's averaged sides settle only after about ceil(trunc) + 17
-    # terms: more than 2 ceil(trunc) + 8 at trunc 1 to 6, and more than
-    # 600 at trunc 620.  The budget is the larger of the two.
+    # This pair's beta still changes at index ceil(trunc) + 6, past what a
+    # top of ceil(trunc) - 1 would read.  Its declared settle 7, the largest
+    # index of its support, puts the proven top past that at every trunc.
     pair = synthetic_pair("q", random.Random(3))
     report = verify_limiting_identity(pair, "q", "even", trunc)
     assert report.ok, report.to_json_dict()
-
-
-def _outcome(check, *args):
-    """A limit-identity report as a dict, or the first unstable exponent of
-    the StabilizationError it raised."""
-    try:
-        return check(*args).to_json_dict()
-    except StabilizationError as err:
-        return ("unstable", err.first_unstable_exponent)
 
 
 def _changed(base: BaileyPair, side: str, n: int, extra) -> BaileyPair:
@@ -246,16 +235,21 @@ def _changed(base: BaileyPair, side: str, n: int, extra) -> BaileyPair:
         def betas(n_max, trunc):
             for m, b in enumerate(base.betas(n_max, trunc)):
                 yield b + extra(trunc) if m == n else b
-    return BaileyPair(base.relative, alpha, betas, base.label)
+    return BaileyPair(base.relative, alpha, betas, base.label, base.settle)
 
 
-def _designed_pair(beta_at) -> BaileyPair:
-    """A relative-q pair with beta_n = beta_at(n, trunc), read lazily, and
-    alpha = 0: a test input for the averaged stop rule, not a Bailey pair."""
+def _designed_pair(beta_at, settle: int = 0) -> BaileyPair:
+    """A relative-q pair with beta_n = beta_at(n, trunc), read lazily,
+    alpha = 0 and the given settle: a test input for the proven top and
+    its guard, a Bailey pair only for beta = 0."""
     def betas(n_max, trunc):
         return (beta_at(n, trunc) for n in range(n_max + 1))
 
-    return BaileyPair("q", lambda n, trunc: QSeries.zero(trunc), betas, "designed")
+    return BaileyPair("q", lambda n, trunc: QSeries.zero(trunc), betas, "designed", settle)
+
+
+def _q3(trunc) -> QSeries:
+    return QSeries.monomial(1, 3, trunc)
 
 
 @pytest.mark.parametrize("trunc", [1, Fraction(7, 2), 40, Fraction(121, 2)])
@@ -268,8 +262,24 @@ def test_limit_identities_match_the_reference_route(trunc):
     for pair in pairs:
         for kind in IDENTITY_KINDS:
             args = (pair, pair.relative, kind, trunc)
-            got = _outcome(verify_limiting_identity, *args)
-            assert got == _outcome(limit_identity_by_products, *args), (pair.label, kind)
+            got = verify_limiting_identity(*args).to_json_dict()
+            assert got == limit_identity_by_products(*args).to_json_dict(), (pair.label, kind)
+
+
+@pytest.mark.parametrize("trunc", [1, Fraction(7, 2), 10, 30, 40, Fraction(121, 2), 80])
+def test_reading_past_the_proven_top_changes_no_report(trunc):
+    # The averaged identity reads beta to top + 1 and alpha to top, top =
+    # ceil(trunc) + settle.  The same pair declaring a settle 20 higher
+    # reads 20 more of each and gives the same passing report, for every
+    # built-in constructor: the sum at the proven top is the limit.
+    rng = random.Random(2032)
+    pairs = [pair_relative_q(k, ell) for k in range(1, 5) for ell in range(1, k + 1)]
+    pairs += [unit_pair("q"), *(synthetic_pair("q", rng) for _ in range(40))]
+    for pair in pairs:
+        later = BaileyPair(**{**vars(pair), "settle": pair.settle + 20})
+        want = verify_limiting_identity(later, "q", "even", trunc)
+        assert want.ok, want.to_json_dict()
+        assert verify_limiting_identity(pair, "q", "even", trunc) == want, pair.label
 
 
 @pytest.mark.parametrize("relative", RELATIVES)
@@ -286,31 +296,47 @@ def test_corrupted_pairs_fail_every_limit_identity(relative, kind, side, n):
     assert report.to_json_dict() == limit_identity_by_products(corrupted, relative, kind, 30).to_json_dict()
 
 
+def _guard(report) -> tuple:
+    """The status of a limit-identity report (or its dict) with the index
+    and exponent its guard names, (None, None) where the guard held."""
+    out = report if isinstance(report, dict) else report.to_json_dict()
+    if "unsettled_n" not in out:
+        return out["status"], None, None
+    return out["status"], out["unsettled_n"], out["first_mismatch_exponent"]
+
+
 @pytest.mark.parametrize("k, ell", [(1, 1), (2, 1), (3, 2)])
 def test_beta_corrupted_past_the_averaged_stop_never_passes(k, ell):
-    # The averaged identity's stop N ends four vanishing increments, which
-    # read beta up to top = 2N + 1.  A beta corrupted past N and up to top
-    # is read: it moves an increment, so the sum takes it in and fails, or
-    # runs out of budget.  (A beta past top is read by no stop that
-    # observes the increments, the reference route's included.)
+    # At trunc 30 the averaged identity reads beta_0 .. beta_31 of a chain
+    # pair, top = 30 + settle 0.  One extra q^3 in any of them fails: up to
+    # the proven stop T - 1 + settle = 29 it moves the sum, and past it
+    # the guard names beta_31 and q^3.  beta_32 is read by no check.
     base = pair_relative_q(k, ell)
-    read = []
+    assert verify_limiting_identity(base, "q", "even", 30).ok
+    for m in range(33):
+        report = verify_limiting_identity(_changed(base, "beta", m, _q3), "q", "even", 30)
+        want = ("fail", None, None) if m < 30 else ("fail", 31, "3")
+        assert _guard(report) == (want if m < 32 else ("pass", None, None)), m
 
-    def counted(n_max, trunc):
-        for beta in base.betas(n_max, trunc):
-            read.append(beta)
-            yield beta
 
-    assert verify_limiting_identity(BaileyPair("q", base.alpha, counted), "q", "even", 30).ok
-    top = len(read) - 1
-    assert top % 2 == 1
-    for m in range((top - 1) // 2 + 1, top + 1):
-        corrupted = _changed(base, "beta", m, lambda trunc: QSeries.monomial(1, 3, trunc))
-        try:
-            report = verify_limiting_identity(corrupted, "q", "even", 30)
-        except StabilizationError:
-            continue
-        assert not report.ok, m
+@pytest.mark.parametrize("settle", [0, 1, 3])
+def test_beta_moved_past_the_declared_settle_trips_the_guard(settle):
+    # beta = alpha = 0 is a Bailey pair for any settle.  Below x^10 its top
+    # is 10 + settle: one extra q^3 at an index up to 9 + settle moves the
+    # sum, one in (9 + settle, top + 1] trips the guard, and one past
+    # top + 1 is not read.  The synthetic pairs keep their own settle.
+    top = 10 + settle
+    zero = _designed_pair(lambda n, t: QSeries.zero(t), settle)
+    assert verify_limiting_identity(zero, "q", "even", 10).ok
+    for m in range(top + 3):
+        report = verify_limiting_identity(_changed(zero, "beta", m, _q3), "q", "even", 10)
+        want = ("fail", None, None) if m <= 9 + settle else ("fail", top + 1, "3")
+        assert _guard(report) == (want if m <= top + 1 else ("pass", None, None)), m
+    for pair in (synthetic_pair("q", random.Random(seed)) for seed in range(8)):
+        top = 10 + pair.settle
+        for m in (top, top + 1):
+            report = verify_limiting_identity(_changed(pair, "beta", m, _q3), "q", "even", 10)
+            assert _guard(report) == ("fail", top + 1, "3"), (pair.label, m)
 
 
 @pytest.mark.parametrize("relative", RELATIVES)
@@ -366,12 +392,13 @@ def test_limit_identities_take_no_product_past_the_sweep(relative, monkeypatch):
         assert 0 < len(products) <= nonzero, kind
 
 
-# --------------------------------------------------------- averaged stop rule
+# ------------------------------------------------ proven top and its guard
 #
 # The even identity for relative q has no decaying weight: its sum is the
-# even/odd average of the partial sums, stopped after four vanishing
-# increments.  These designed inputs test that stop against the reference
-# route's observed average.
+# even/odd average of the partial sums at the proven top ceil(trunc) +
+# settle, and beta_(top+1) must equal beta_top.  These designed inputs,
+# with the settle each beta keeps, test that top and that guard against
+# the reference route, which averages at the same top.
 
 
 def _balanced(n: int, t) -> QSeries:
@@ -387,68 +414,55 @@ def _balanced(n: int, t) -> QSeries:
     return QSeries.from_dense(dense, t).scale((-1) ** (n // 2))
 
 
-def _read_and_outcome(check, beta_at, trunc):
-    """The outcome of ``check`` on the designed pair of ``beta_at``, and the
-    indices of the betas it read, in order."""
+def _read_and_outcome(check, beta_at, trunc, settle):
+    """The report of ``check`` on the designed pair of ``beta_at`` and
+    ``settle``, as a dict, and the indices of the betas it read, in order."""
     read = []
 
     def counted(n, t):
         read.append(n)
         return beta_at(n, t)
 
-    return _outcome(check, _designed_pair(counted), "q", "even", trunc), read
+    return check(_designed_pair(counted, settle), "q", "even", trunc).to_json_dict(), read
 
 
 @pytest.mark.parametrize("trunc", [10, 40, Fraction(61, 3)])
 @pytest.mark.parametrize(
-    "beta_at",
+    "beta_at, settle",
     [
-        lambda n, t: QSeries.monomial(1, n, t),  # the terms leave every window
-        lambda n, t: QSeries.one(t),  # sum of (-1)^n (q^2;q^2)_n
-        lambda n, t: QSeries.monomial(n * n if n < 9 else 81, 2, t),  # moves, then settles
-        lambda n, t: QSeries.monomial(int(n >= 8), 2, t),  # three still steps, then a move
-        _balanced,  # every increment vanishes, each by its own bracket
+        (lambda n, t: QSeries.monomial(1, n, t), 1),  # zero below x^T from n = T on
+        (lambda n, t: QSeries.one(t), 0),  # sum of (-1)^n (q^2;q^2)_n
+        (lambda n, t: QSeries.monomial(n * n if n < 9 else 81, 2, t), 9),  # moves, then settles
+        (lambda n, t: QSeries.monomial(int(n >= 8), 2, t), 8),  # still, then one move
+        (_balanced, 0),  # every increment vanishes, but beta never settles
     ],
     ids=["geometric", "constant", "settling", "late", "balanced"],
 )
-def test_averaged_stop_settles_as_the_reference_route(trunc, beta_at):
-    # Both routes read each beta once, in order, up to the same odd top,
-    # and give the same report (alpha = 0, so a nonzero left side fails).
-    got, read = _read_and_outcome(verify_limiting_identity, beta_at, trunc)
-    assert read == list(range(len(read))) and len(read) % 2 == 0
-    assert (got, read) == _read_and_outcome(limit_identity_by_products, beta_at, trunc)
+def test_averaged_stop_settles_as_the_reference_route(trunc, beta_at, settle):
+    # The check reads beta_0 .. beta_(top+1), each once, in order.  A beta
+    # that keeps its settle gives the reference route's report (alpha = 0,
+    # so a nonzero left side fails); the balanced beta, whose averages are
+    # all equal, still moves at top + 1, and the guard names it.
+    top = math.ceil(trunc) + settle
+    got, read = _read_and_outcome(verify_limiting_identity, beta_at, trunc, settle)
+    assert read == list(range(top + 2))
+    if beta_at is _balanced:
+        assert _guard(got) == ("fail", top + 1, "0")
+    else:
+        assert got == _read_and_outcome(limit_identity_by_products, beta_at, trunc, settle)[0]
 
 
 @pytest.mark.parametrize("trunc, exponent", [(10, 0), (10, 3), (Fraction(61, 3), 7)])
 def test_averaged_stop_diverges_with_the_first_unstable_exponent(trunc, exponent):
-    # beta_n = n^2 q^e: the increments' second difference is -2 q^e at
-    # every step, so the budget of averaging_budget(trunc) + 1 betas runs
-    # out, each read once, and the error names q^e, as the reference does.
-    read = []
-
-    def beta_at(n, t):
-        read.append(n)
-        return QSeries.monomial(n * n, exponent, t)
-
-    with pytest.raises(StabilizationError) as err:
-        verify_limiting_identity(_designed_pair(beta_at), "q", "even", trunc)
-    assert err.value.first_unstable_exponent == exponent
-    assert read == list(range(averaging_budget(trunc) + 1))
-    pair = _designed_pair(lambda n, t: QSeries.monomial(n * n, exponent, t))
-    assert _outcome(limit_identity_by_products, pair, "q", "even", trunc) == ("unstable", exponent)
-
-
-def test_averaged_stop_keeps_to_the_budget():
-    # beta_n = min(n, 640) q^2 settles only past the budget of 600 at
-    # trunc 40 (so it raises), and well within the budget of 1290 at 641.
-    def beta_at(n, t):
-        return QSeries.monomial(min(n, 640) ** 2, 2, t)
-
-    with pytest.raises(StabilizationError):
-        verify_limiting_identity(_designed_pair(beta_at), "q", "even", 40)
-    assert averaging_budget(641) == 1290
-    report = verify_limiting_identity(_designed_pair(beta_at), "q", "even", 641)
-    assert not report.ok and report.to_json_dict()["first_mismatch_exponent"] == "2"
+    # beta_n = n^2 q^e never settles: whatever settle it declares, the
+    # check reads beta_0 .. beta_(top+1), each once, and the guard names
+    # top + 1 and q^e.
+    for settle in (0, 5):
+        got, read = _read_and_outcome(
+            verify_limiting_identity, lambda n, t: QSeries.monomial(n * n, exponent, t), trunc, settle)
+        top = math.ceil(trunc) + settle
+        assert read == list(range(top + 2))
+        assert _guard(got) == ("fail", top + 1, str(exponent))
 
 
 @settings(max_examples=60, deadline=None)
@@ -462,18 +476,27 @@ def test_averaged_stop_keeps_to_the_budget():
         max_size=8,
     ),
     st.sampled_from([1, 2, 5, Fraction(13, 2), 12, 25]),
+    st.integers(0, 12),
 )
-def test_averaged_stop_matches_the_reference_on_random_betas(runs, trunc):
+def test_averaged_stop_matches_the_reference_on_random_betas(runs, trunc, settle):
     # beta_n runs through the drawn polynomials, each repeated its drawn
-    # number of times, then stays at the last: runs of one beta make
-    # vanishing increments in the middle of the sequence.
+    # number of times, then stays at the last; the drawn settle may or may
+    # not hold.  Where beta_(top+1) = beta_top the check gives the
+    # reference route's report at the same top; elsewhere the guard names
+    # top + 1 and the first exponent that moved.
     polys = [poly for poly, times in runs for _ in range(times)]
 
     def beta_at(n, t):
         return QSeries(polys[min(n, len(polys) - 1)], 1, t)
 
-    got = _read_and_outcome(verify_limiting_identity, beta_at, trunc)
-    assert got == _read_and_outcome(limit_identity_by_products, beta_at, trunc)
+    top = math.ceil(trunc) + settle
+    got, read = _read_and_outcome(verify_limiting_identity, beta_at, trunc, settle)
+    assert read == list(range(top + 2))
+    moved = beta_at(top + 1, trunc).first_mismatch(beta_at(top, trunc))
+    if moved is None:
+        assert got == _read_and_outcome(limit_identity_by_products, beta_at, trunc, settle)[0]
+    else:
+        assert _guard(got) == ("fail", top + 1, str(moved))
 
 
 # ------------------------------------------------------------ limit identities

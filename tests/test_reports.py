@@ -84,9 +84,9 @@ RECORDS = [
         "PartitionConstraint(pair_sum_max=1, first_freq_bound=2, last_freq_bound=3, part_bound=4)",
     ),
     (
-        BaileyPair, ["relative", "alpha", "betas", "label"], ("q", abs, len, "x"),
+        BaileyPair, ["relative", "alpha", "betas", "label", "settle"], ("q", abs, len, "x", 2),
         "BaileyPair(relative='q', alpha=<built-in function abs>, betas=<built-in function len>,"
-        " label='x')",
+        " label='x', settle=2)",
     ),
     (
         Family,
@@ -184,7 +184,7 @@ def test_record_defaults():
     assert first.details == second.details == {} and first.details is not second.details
     table = MaassCoeffTable(1)
     assert table.coeffs == {} and table.coeffs is not MaassCoeffTable(1).coeffs
-    assert BaileyPair("q", abs, len).label == ""
+    assert BaileyPair("q", abs, len).label == "" and BaileyPair("q", abs, len).settle == 0
     assert cli.Command("h", (), "csv", ()).metavar is None
     assert ThetaParams(2, (1, F(1, 2)), (0, 1)).a == (F(1), F(1, 2))
     assert all(type(c) is Fraction for c in ThetaParams(2, (1, F(1, 2)), (0, 1)).b)
@@ -203,6 +203,7 @@ def test_record_defaults():
          "the shift components must have non-integral sum and difference"),
         (lambda: BaileyPair("z", abs, len), QSeriesError,
          f"relative must be one of {RELATIVES}, got 'z'"),
+        (lambda: BaileyPair("q", abs, len, "", -1), QSeriesError, "settle must be an int >= 0, got -1"),
         (lambda: MaassCoeffTable(0), QSeriesError, "the table scale must be a positive integer"),
         (lambda: MaassCoeffTable(1, {0: 1}), QSeriesError,
          "coefficient tables are indexed by nonzero integers"),
