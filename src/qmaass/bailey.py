@@ -6,7 +6,7 @@ sequences ``(alpha_n, beta_n)`` of q-series tied together by
     beta_n = sum_{m=0}^{n} alpha_m / ((q;q)_{n-m} (a q; q)_{n+m}).
 
 This module provides the relation sweep :func:`relation_sums` (every
-beta_n the relation forces, by in-place divisions) and the verifier built
+beta_n the relation forces, in one packed ring) and the verifier built
 on it, the two explicit pairs built from the chain polynomials of
 :mod:`qmaass.agpolys`, random finite-support pairs for property testing,
 and truncation-level verification of the four limit identities obtained
@@ -19,11 +19,10 @@ the left sides on the chain pairs.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
+from itertools import count
 
 from .agpolys import ag_polynomials
 from .reports import CheckReport, Record, _exact_str, report_from_comparison
@@ -32,8 +31,6 @@ from .series import (
     QSeries,
     QSeriesError,
     TruncatedRing,
-    _divide_dense,
-    dense_int_coeffs,
     finite_trunc,
     int_slots,
     inverse_pochhammer,
@@ -72,8 +69,7 @@ class BaileyPair(Record):
     beta_0, ..., beta_(n_max) in one pass, which nothing keeps after the
     check that asked: a chain pair takes one chain walk to n_max, a unit
     pair yields its products of inverse Pochhammers one by one, and a
-    synthetic pair reads the first n_max + 1 sums of its own
-    :func:`relation_sums` sweep.
+    synthetic pair takes its own :func:`relation_sums` to n_max.
 
     ``settle`` is a promise about beta: below every x^T, beta_n is one
     series from n = T - 1 + ``settle`` on.  Each constructor proves its
@@ -81,7 +77,8 @@ class BaileyPair(Record):
     :func:`~qmaass.agpolys._walk`) and a unit pair (beta_n - beta_(n-1)
     has order >= n), and the largest index S of a synthetic pair's support
     (order >= n - S).  :func:`limit_top` turns it into the top of the
-    averaged limit identity, which checks the promise at top + 1.
+    averaged limit identity, which checks the promise at top + 1, on beta
+    and on alpha.
 
     So a synthetic pair's definition check (:func:`verify_pair`) compares
     the sweep with itself and passes by construction.  That stays: its
@@ -90,10 +87,10 @@ class BaileyPair(Record):
     to test the limit identities, which sum beta on one side and alpha on
     the other.
 
-    The relation sums read alpha as a dense list and the limit identities
-    read both sequences in a packed ring, so every alpha_n and beta_n must
-    have int coefficients at integer exponents >= 0 below trunc, as all
-    built-in pairs have; any other raises :class:`QSeriesError` there.
+    The relation sums read alpha, and the limit identities both sequences,
+    in a packed ring, so every alpha_n and beta_n must have int
+    coefficients at integer exponents >= 0 below trunc, as all built-in
+    pairs have; any other raises :class:`QSeriesError` there.
     """
 
     def __init__(self, relative: str, alpha: Callable[[int, object], QSeries],
@@ -107,46 +104,38 @@ class BaileyPair(Record):
                              settle=settle)
 
 
-def relation_sums(pair: BaileyPair, trunc) -> Iterator[QSeries]:
-    """Yield the relation sums sum_{m<=n} alpha_m / ((q;q)_{n-m} (aq;q)_{n+m})
-    for n = 0, 1, 2, ..., each below the finite ``trunc``.
+def relation_sums(pair: BaileyPair, n_max: int, trunc) -> list[QSeries]:
+    """The relation sums sum_{m<=n} alpha_m / ((q;q)_{n-m} (aq;q)_{n+m})
+    for n = 0, ..., n_max, each below the finite ``trunc``, from one sweep
+    in Z[x]/(x^T), T = ceil(trunc), sized by one L1 pass
+    (:meth:`~qmaass.series.PackedRing.sums`).
 
-    A nonzero alpha_m enters at n = m as alpha_m / (aq;q)_{2m}, one series
-    product.  Each step n -> n+1 divides every live term in place by
-    (1 - q^(n+1-m)) and (1 - q^(n+1+m+d)), d = 0 for relative 1 and 1 for
-    relative q.  Once n+1-m reaches T = ceil(trunc) both divisions are the
-    identity below q^T, so the term is folded into a shared accumulator
-    and never touched again.  A step with no live term and no new alpha
-    yields the previous sum itself.
+    alpha_0 .. alpha_(n_max) are read once, up front.  A nonzero alpha_m
+    enters at n = m, divided by the 2m factors of (aq;q)_{2m}.  Each step
+    n -> n+1 divides every term by (1 - x^(n+1-m)) and (1 - x^(n+1+m+d)),
+    d = 0 for relative 1 and 1 for relative q; a division at or past the
+    horizon is the identity.  Equal neighbouring sums are one series.
     """
     t = finite_trunc(trunc)
-    size = int_slots(t)
-    second = _SECOND_FACTOR[pair.relative]
     d = 1 if pair.relative == "q" else 0
-    frozen = [0] * size
-    live: list[tuple[int, list]] = []  # (m, dense term at the current n)
-    out = None
-    for n in count():
-        moved = bool(live) or out is None
-        still = []
-        for m, term in live:
-            if n - m >= size:
-                frozen[:] = map(operator.add, frozen, term)
-                continue
-            _divide_dense(term, 1, n - m)
-            _divide_dense(term, 1, n + m + d)
-            still.append((m, term))
-        live = still
-        alpha = pair.alpha(n, t)
-        if not alpha.is_zero():
-            live.append((n, dense_int_coeffs(alpha * inverse_pochhammer(second, 2 * n, t), size)))
-            moved = True
-        if moved:
-            total = frozen
-            for _, term in live:
-                total = list(map(operator.add, total, term))
-            out = QSeries._from_clean({e: c for e, c in enumerate(total) if c}, 1, t)
-        yield out
+    alphas = [_int_map(pair.alpha(n, t)) for n in range(n_max + 1)]
+
+    def build(ring) -> list:
+        terms, sums = [], []
+        for n, alpha in enumerate(alphas):
+            terms = [(m, ring.divide(ring.divide(a, n - m), n + m + d)) for m, a in terms]
+            if alpha:
+                a = ring.encode(alpha)
+                for e in range(1 + d, 2 * n + 1 + d):
+                    a = ring.divide(a, e)
+                terms.append((n, a))
+            sums.append(sum(a for _, a in terms))
+        return sums
+
+    out = []
+    for coeffs in TruncatedRing.sums(int_slots(t), build):
+        out.append(out[-1] if out and out[-1]._coeffs == coeffs else QSeries._from_clean(coeffs, 1, t))
+    return out
 
 
 def verify_pair(pair: BaileyPair, n_max: int, trunc) -> CheckReport:
@@ -160,7 +149,7 @@ def verify_pair(pair: BaileyPair, n_max: int, trunc) -> CheckReport:
         "n_max": n_max,
         "trunc": _exact_str(t),
     }
-    for n, (lhs, rhs) in enumerate(zip(pair.betas(n_max, t), relation_sums(pair, t))):
+    for n, (lhs, rhs) in enumerate(zip(pair.betas(n_max, t), relation_sums(pair, n_max, t))):
         bad = lhs.first_mismatch(rhs)
         if bad is not None:
             return CheckReport(
@@ -297,7 +286,7 @@ def synthetic_pair(relative: str, rng) -> BaileyPair:
         return QSeries.monomial(support.get(n, 0), 0, trunc)
 
     def betas(n_max: int, trunc) -> Iterator[QSeries]:
-        return islice(relation_sums(pair, trunc), n_max + 1)
+        return relation_sums(pair, n_max, trunc)
 
     label = "synthetic({},{})".format(
         relative, ",".join(f"{i}:{support[i]}" for i in sorted(support))
@@ -389,16 +378,8 @@ def _int_map(series: QSeries) -> dict:
     exponent is an integer >= 0 and every coefficient an int."""
     s = series.normalized()
     if s.denom != 1 or min(s._coeffs, default=0) < 0 or {*map(type, s._coeffs.values())} - {int}:
-        raise QSeriesError("a limit identity sums int coefficients at integer exponents >= 0")
+        raise QSeriesError("a Bailey sum reads int coefficients at integer exponents >= 0")
     return s._coeffs
-
-
-def _over_one_minus(ring, a: int, c: int) -> int:
-    """a / (1 - x^c) in ``ring``, c >= 1: a (1 + x^c)(1 + x^(2c))(1 + x^(4c))
-    ... up to the first factor that the ring's horizon kills."""
-    while c < ring.horizon:
-        a, c = a + ring.rot(a, c), 2 * c
-    return a
 
 
 def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) -> CheckReport:
@@ -416,9 +397,11 @@ def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) 
     (x^T; x^T)_m is 1 there.  Both stop at the one proven top of
     :func:`limit_top`: the first n with power(n) >= T, past which every
     term vanishes, or for the ``even`` identity for relative q, which has
-    no decaying weight, T + ``pair.settle``.  That identity reads beta one
-    index further, and fails, naming that index and the first exponent
-    that moved, unless beta_(top + 1) = beta_top.  Every beta_n and
+    no decaying weight, T + ``pair.settle``.  That identity reads beta and
+    alpha one index further, and fails, naming that index
+    (``unsettled_n`` for beta, ``unsettled_alpha_n`` for alpha) and the
+    first exponent that moved, unless beta_(top + 1) = beta_top and
+    alpha_(top + 1) = alpha_top below x^T.  Every beta_n and
     alpha_n summed must have int coefficients at integer exponents >= 0;
     any other raises :class:`QSeriesError`.
     """
@@ -441,18 +424,17 @@ def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) 
     size = int_slots(t)
     weights = s, first, power = LIMIT_WEIGHTS[relative, kind]
     top = limit_top(weights, size, pair.settle)
-    if power is None:
-        last = top
-        betas = list(pair.betas(top + 1, t))
-        moved = betas.pop().first_mismatch(betas[top])
-        if moved is not None:
-            return CheckReport("bailey_limit_identity", params, "fail", {
-                "unsettled_n": top + 1, "first_mismatch_exponent": _exact_str(moved)})
-    else:
-        last = top - 1  # the terms at top vanish below x^T
-        betas = list(pair.betas(last, t))
+    last = top if power is None else top - 1  # with a power, the terms at top vanish below x^T
+    betas = list(pair.betas(top + 1 if power is None else last, t))
+    alphas = [pair.alpha(n, t) for n in range(first, len(betas))]
+    if power is None:  # beta and alpha must repeat at top + 1
+        for key, read in (("unsettled_n", betas), ("unsettled_alpha_n", alphas)):
+            moved = read.pop().first_mismatch(read[-1])
+            if moved is not None:
+                return CheckReport("bailey_limit_identity", params, "fail", {
+                    key: top + 1, "first_mismatch_exponent": _exact_str(moved)})
     betas = list(_shared(_int_map, betas[first:]))
-    alphas = [_int_map(pair.alpha(n, t)) for n in range(first, last + 1)]
+    alphas = list(map(_int_map, alphas))
 
     def build(ring) -> list:
         def chains(values) -> list:  # only the terms read are encoded
@@ -461,7 +443,7 @@ def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) 
         lhs = chain_sum(ring, weights, chains(_shared(ring.encode, betas)), top)
         terms = (ring.encode(m) if m else 0 for m in alphas)
         if relative == "one":
-            terms = (_over_one_minus(ring, a, s * n) for n, a in enumerate(terms, first))
+            terms = (ring.divide(a, s * n) for n, a in enumerate(terms, first))
         rhs = chain_sum(ring, (size, first, power), chains(terms), top)  # s = T: no Pochhammer
         return [lhs, ring.sub(rhs, ring.rot(rhs, 1)) if relative == "q" else rhs]
 

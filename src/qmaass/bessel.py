@@ -1,6 +1,6 @@
 """Modified Bessel function of the second kind, order zero, in floats.
 
-Two regimes:
+Three regimes:
 
 * below x = 2 the ascending series
   K0(x) = -(log(x/2) + euler_gamma) I0(x) + sum_{m>=1} z^m/(m!)^2 H_m,

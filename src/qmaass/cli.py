@@ -72,7 +72,7 @@ from .maass import (
     radial_limit_check,
 )
 from .reports import CheckReport, Record, _exact_str, report_from_comparison, report_from_condition
-from .series import PrecisionError, QSeriesError, dense_int_coeffs
+from .series import PrecisionError, QSeriesError
 from .theta import (
     ThetaParams,
     completion_defect,
@@ -529,7 +529,7 @@ def _expand_hpoly(cfg: RunConfig, writer: LineWriter) -> None:
     for n, poly in enumerate(ag_polynomials(k, ell, cfg.boundary, nmax)):
         degree = poly.degree()
         size = 1 if degree is None else int(degree) + 1
-        writer.emit({"n": n, "coefficients": " ".join(map(str, dense_int_coeffs(poly, size)))})
+        writer.emit({"n": n, "coefficients": " ".join(str(poly.coeff(e)) for e in range(size))})
 
 
 def _expand_family(cfg: RunConfig, writer: LineWriter) -> None:

@@ -36,7 +36,6 @@ from .series import (
     finite_trunc,
     int_slots,
     inverse_pochhammer,
-    pochhammer,
 )
 
 __all__ = [
@@ -168,7 +167,9 @@ def sigma_series(rep: str, trunc) -> QSeries:
     """One of the four representations of the first classical companion.
 
     ``pochhammer``   sum over n >= 0 of q^(n(n+1)/2) / (-q;q)_n,
-    ``alternating``  1 + sum over n >= 0 of (-1)^n q^(n+1) (q;q)_n,
+    ``alternating``  1 + sum over n >= 0 of (-1)^n q^(n+1) (q;q)_n, one
+                     Horner pass of
+                     :meth:`~qmaass.series.PackedRing.pochhammer_sum`,
     ``averaged``     2 * averaged partial sums of (-1)^n (q;q)_n, the
                      :func:`chain_sum` of weights (1, 0, None) at k = 1,
     ``indefinite``   sum over n >= 0, |v| <= n of
@@ -189,13 +190,12 @@ def sigma_series(rep: str, trunc) -> QSeries:
             total = total + inverse_pochhammer("-q", n, t).shift(e)
         return total
     if rep == "alternating":
-        total = QSeries.one(t)
-        for n in itertools.count(0):
-            if n + 1 >= t:
-                break
-            term = pochhammer("q", n, t).shift(n + 1)
-            total = total + (-term if n % 2 else term)
-        return total
+        def build(ring) -> list:
+            terms = (ring.rot(1, n + 1) for n in range(size - 1))
+            return [1 + ring.pochhammer_sum([ring.sub(0, a) if n % 2 else a for n, a in enumerate(terms)])]
+
+        (coeffs,) = TruncatedRing.sums(size, build)
+        return QSeries._from_clean(coeffs, 1, t)
     if rep == "averaged":
         return QSeries._from_clean(_truncated_chain_sum((1, 0, None), 1, 1, t), 1, t)
     if rep == "indefinite":

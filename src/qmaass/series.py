@@ -514,6 +514,18 @@ class PackedRing:
                 series[n] += self.rot(series[n - 1], g)
         return series
 
+    def divide(self, a: int, c: int, sign: int = 1) -> int:
+        """a / (1 - sign x^c), c >= 1, sign 1 or -1, in a ring with a
+        horizon: a (1 + sign x^c)(1 + x^(2c))(1 + x^(4c)) ... up to the
+        first factor that the horizon kills."""
+        if c < 1:
+            raise QSeriesError(f"an inverse pochhammer needs factor exponents >= 1, got {c}")
+        if sign < 0:
+            a, c = self.sub(a, self.rot(a, c)), 2 * c
+        while c < self.horizon:
+            a, c = a + self.rot(a, c), 2 * c
+        return a
+
     def pochhammer_sum(self, terms: list, s: int = 1, reps: int = 1):
         """sum_m (x^s; x^s)_m^reps terms[m] by Horner's rule: for m from the
         number of terms down to 1, the total is multiplied by
@@ -618,48 +630,6 @@ class L1Bound(PackedRing):
         return sum(map(abs, powers.values()))
 
 
-# ---------------------------------------------------------------------- utils
-
-def dense_int_coeffs(series: QSeries, size: int) -> list:
-    """Dense coefficient list for an integer-exponent, nonnegative-order series."""
-    s = series.normalized()
-    if s.denom != 1:
-        raise QSeriesError("dense view requires integer exponents")
-    out = [0] * size
-    for m, c in s._coeffs.items():
-        if m < 0:
-            raise QSeriesError("dense view requires nonnegative exponents")
-        if m < size:
-            out[m] = c
-    return out
-
-
-def _times_factor(out: list, c, s: int) -> dict:
-    """Multiply the dense series ``out`` by (1 - c q^s), s >= 0, in place;
-    return its nonzero terms as a clean map."""
-    size = len(out)
-    if s < size:
-        out[s:] = map(operator.sub, out[s:], map(operator.mul, repeat(c), out[: size - s]))
-    return {e: x for e, x in enumerate(out) if x}
-
-
-def _divide_dense(out: list, c, s: int) -> None:
-    """Divide the dense series ``out`` by (1 - c q^s), s >= 1, in place."""
-    for e in range(s, len(out)):
-        prev = out[e - s]
-        if prev != 0:
-            out[e] = out[e] + c * prev
-
-
-def _over_factor(out: list, c, s: int) -> dict:
-    """Divide the dense series ``out`` by (1 - c q^s), s >= 1, in place;
-    return its nonzero terms as a clean map."""
-    if s < 1:
-        raise QSeriesError(f"an inverse pochhammer needs factor exponents >= 1, got {s}")
-    _divide_dense(out, c, s)
-    return {e: x for e, x in enumerate(out) if x}
-
-
 # ----------------------------------------------------------------- pochhammer
 
 _POCH_NAMES = {
@@ -671,33 +641,34 @@ _POCH_NAMES = {
     "q2;q": (1, 2, 1),     # (q^2; q)_n
 }
 
-# (apply, spec, trunc) -> [the first i factors applied, for i = 0, 1, ...]:
-# their product with apply = _times_factor, its inverse with _over_factor.
-_prefix_cache: dict[tuple, list[QSeries]] = {}
 
-
-def _prefix(kind: str, n: int, trunc, apply) -> QSeries:
-    """The first n factors of ``kind``, each applied to a dense list by
-    ``apply(out, coeff, exponent)``, which returns the list's clean map.
-    Extends the longest cached prefix one pass per factor, so every
-    prefix lands in ``_prefix_cache``."""
+def _factors(kind: str, n: int, trunc, apply) -> QSeries:
+    """The first n factors (1 - c x^e) of ``kind``, each applied to a value
+    of Z[x]/(x^T), 1 at first, by ``apply(ring, value, e, c)``, in one
+    :meth:`TruncatedRing.sums` pass, T = ceil(trunc)."""
     if n < 0:
         raise QSeriesError("pochhammer length must be nonnegative")
     try:
-        spec = coeff, exponent, step = _POCH_NAMES[kind]
+        coeff, exponent, step = _POCH_NAMES[kind]
     except (KeyError, TypeError):
         raise QSeriesError(f"unknown pochhammer kind {kind!r}")
     t = Fraction(trunc) if isinstance(trunc, int) else trunc
     if type(t) is not Fraction:
         raise QSeriesError("a pochhammer needs a finite rational trunc")
-    prefixes = _prefix_cache.get((apply, spec, t))
-    if prefixes is None:
-        prefixes = _prefix_cache[apply, spec, t] = [QSeries.one(t)]
-    if n >= len(prefixes):
-        out = dense_int_coeffs(prefixes[-1], max(_int_bound(t, 1), 0))
-        for i in range(len(prefixes) - 1, n):
-            prefixes.append(QSeries._from_clean(apply(out, coeff, exponent + step * i), 1, t))
-    return prefixes[n]
+
+    def build(ring) -> list:
+        a = 1
+        for e in range(exponent, exponent + step * n, step):
+            a = apply(ring, a, e, coeff)
+        return [a]
+
+    (coeffs,) = TruncatedRing.sums(int_slots(t), build)
+    return QSeries._from_clean(coeffs, 1, t)
+
+
+def _times(ring, a: int, e: int, c: int) -> int:
+    """a (1 - c x^e), c = 1 or -1."""
+    return ring.sub(a, ring.rot(a, e)) if c == 1 else a + ring.rot(a, e)
 
 
 def pochhammer(kind: str, n: int, trunc) -> QSeries:
@@ -707,15 +678,15 @@ def pochhammer(kind: str, n: int, trunc) -> QSeries:
     (q^2;q^2)_n, (-q;q)_n, (-1;q)_n, (q;q^2)_n and (q^2;q)_n.  Any other
     kind, or an infinite trunc, raises :class:`QSeriesError`.
     """
-    return _prefix(kind, n, trunc, _times_factor)
+    return _factors(kind, n, trunc, _times)
 
 
 def inverse_pochhammer(kind: str, n: int, trunc) -> QSeries:
     """1 / pochhammer(kind, n, trunc), exact below the finite ``trunc``:
-    one division by (1 - coeff q^e) per factor.  Takes what
+    one :meth:`PackedRing.divide` per factor.  Takes what
     :func:`pochhammer` takes, except that a factor exponent 0 (as in
     (-1; q)_n, n >= 1) raises :class:`QSeriesError`."""
-    return _prefix(kind, n, trunc, _over_factor)
+    return _factors(kind, n, trunc, PackedRing.divide)
 
 
 # ----------------------------------------------------------- gaussian binomial
@@ -734,7 +705,3 @@ def gaussian_binomial(n: int, k: int, trunc=INF) -> QSeries:
     g = min(k, n - k)
     ring = TruncatedRing(g * (n - g) + 1, math.comb(n, g))
     return QSeries(ring.decode(ring.binomial_sums({g: [(0, 1)]}, n - g)[-1]), 1, trunc)
-
-
-def clear_caches() -> None:
-    _prefix_cache.clear()

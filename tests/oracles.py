@@ -19,14 +19,7 @@ from itertools import count
 from qmaass.bailey import LIMIT_WEIGHTS
 from qmaass.cyclotomic import CycNumber
 from qmaass.reports import _exact_str, report_from_comparison
-from qmaass.series import (
-    QSeries,
-    QSeriesError,
-    _divide_dense,
-    dense_int_coeffs,
-    int_slots,
-    pochhammer,
-)
+from qmaass.series import QSeries, QSeriesError, pochhammer
 
 
 def root_of_unity_value(series: QSeries, N: int, power: int = 1) -> CycNumber:
@@ -260,6 +253,15 @@ def _limit_sum(relative: str, kind: str, values, term, trunc, settle: int) -> QS
     return sum(kept, QSeries.zero(trunc))
 
 
+def over_one_minus(series: QSeries, s: int) -> QSeries:
+    """series / (1 - q^s), s >= 1, for integer exponents >= 0 below its
+    trunc: the dense recurrence c_e += c_(e-s)."""
+    out = [series.coeff(e) for e in range(max(0, math.ceil(series.trunc)))]
+    for e in range(s, len(out)):
+        out[e] += out[e - s]
+    return QSeries({e: c for e, c in enumerate(out) if c}, 1, series.trunc)
+
+
 def limit_identity_by_products(pair, relative: str, kind: str, trunc):
     """The report of :func:`qmaass.bailey.verify_limiting_identity`, both
     sides summed term by term over series products by one rule: the right
@@ -279,9 +281,7 @@ def limit_identity_by_products(pair, relative: str, kind: str, trunc):
     def rhs_at(n: int, alpha: QSeries) -> QSeries:
         term = (alpha if power is None else alpha.shift(power(n))).truncate(t)
         if relative == "one":  # n >= first = 1, so s n >= 1
-            out = dense_int_coeffs(term, int_slots(t))
-            _divide_dense(out, 1, s * n)
-            term = QSeries({e: c for e, c in enumerate(out) if c}, 1, t)
+            term = over_one_minus(term, s * n)
         return -term if n % 2 else term
 
     lhs = _limit_sum(relative, kind, pair.betas,

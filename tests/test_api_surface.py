@@ -17,7 +17,6 @@ REPO = Path(__file__).resolve().parents[1]
 
 NEEDED = {
     "zeta": "CycNumber.zeta: the oracles of tests/oracles.py and test_root_values.py",
-    "clear_caches": "series.clear_caches: ROADMAP item 10 (one API for the caches)",
     "boundary_pairing": "QuadForm.boundary_pairing: ROADMAP item 1 (exact ray signs)",
     "normal_pairing": "QuadForm.normal_pairing: ROADMAP item 1 (exact ray signs)",
 }

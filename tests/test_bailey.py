@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import limit_identity_by_products, weighted_term
+from oracles import limit_identity_by_products, over_one_minus, weighted_term
 
 import qmaass.bailey as bailey
 from qmaass.agpolys import ag_polynomial
@@ -31,7 +31,6 @@ from qmaass.series import (
     PackedRing,
     QSeries,
     QSeriesError,
-    _divide_dense,
     inverse_pochhammer,
     pochhammer,
 )
@@ -268,7 +267,7 @@ def test_limit_identities_match_the_reference_route(trunc):
 
 @pytest.mark.parametrize("trunc", [1, Fraction(7, 2), 10, 30, 40, Fraction(121, 2), 80])
 def test_reading_past_the_proven_top_changes_no_report(trunc):
-    # The averaged identity reads beta to top + 1 and alpha to top, top =
+    # The averaged identity reads beta and alpha to top + 1, top =
     # ceil(trunc) + settle.  The same pair declaring a settle 20 higher
     # reads 20 more of each and gives the same passing report, for every
     # built-in constructor: the sum at the proven top is the limit.
@@ -339,6 +338,32 @@ def test_beta_moved_past_the_declared_settle_trips_the_guard(settle):
             assert _guard(report) == ("fail", top + 1, "3"), (pair.label, m)
 
 
+@pytest.mark.parametrize("settle", [0, 1, 3])
+def test_alpha_moved_past_the_declared_settle_trips_the_guard(settle):
+    # beta = alpha = 0 below x^10, top = 10 + settle.  One extra q^3 in
+    # alpha_m moves the right side for m < top; at m = top or top + 1,
+    # alpha_(top+1) differs from alpha_top and the guard names top + 1;
+    # past it alpha is unread.  Where beta moves at top + 1 as well, the
+    # beta guard's report is the one returned.
+    top = 10 + settle
+    zero = _designed_pair(lambda n, t: QSeries.zero(t), settle)
+    beta_moved = verify_limiting_identity(_changed(zero, "beta", top + 1, _q3), "q", "even", 10)
+    assert _guard(beta_moved) == ("fail", top + 1, "3")
+    for m in range(top + 3):
+        moved = _changed(zero, "alpha", m, _q3)
+        got = verify_limiting_identity(moved, "q", "even", 10).to_json_dict()
+        named = got.get("unsettled_alpha_n"), got.get("first_mismatch_exponent")
+        if m < top:
+            assert (got["status"], named[0]) == ("fail", None), m
+        elif m <= top + 1:
+            assert (got["status"], named) == ("fail", (top + 1, "3")), m
+            assert "unsettled_n" not in got
+        else:
+            assert got["status"] == "pass", m
+        both = _changed(moved, "beta", top + 1, _q3)
+        assert verify_limiting_identity(both, "q", "even", 10) == beta_moved, m
+
+
 @pytest.mark.parametrize("relative", RELATIVES)
 @pytest.mark.parametrize("side", ["alpha", "beta"])
 @pytest.mark.parametrize(
@@ -368,11 +393,11 @@ def test_limit_identities_read_the_rings_horner(relative, monkeypatch):
 
 @pytest.mark.parametrize("relative", RELATIVES)
 def test_limit_identities_take_no_product_past_the_sweep(relative, monkeypatch):
-    # A synthetic pair's betas come from its relation sweep, one product
-    # per nonzero alpha; a chain pair's from the chain walk, with none once
-    # its alphas are memoized.  The sums themselves take no product.
+    # A synthetic pair's betas come from its relation sweep and a chain
+    # pair's from the chain walk, both in packed rings: once the chain
+    # pair's alphas are memoized, neither they nor the sums themselves take
+    # a series product.
     synthetic = synthetic_pair(relative, random.Random(11))
-    nonzero = sum(not synthetic.alpha(m, 40).is_zero() for m in range(8))
     chain = CHAIN_PAIRS[relative](2, 1)
     for kind in IDENTITY_KINDS:
         assert verify_limiting_identity(chain, relative, kind, 40).ok
@@ -389,7 +414,7 @@ def test_limit_identities_take_no_product_past_the_sweep(relative, monkeypatch):
         assert verify_limiting_identity(chain, relative, kind, 40).ok
         assert products == [], kind
         assert verify_limiting_identity(synthetic, relative, kind, 40).ok
-        assert 0 < len(products) <= nonzero, kind
+        assert products == [], kind
 
 
 # ------------------------------------------------ proven top and its guard
@@ -407,11 +432,10 @@ def _balanced(n: int, t) -> QSeries:
     that beta_(2m-1) = -(1 - q^(4m)) (1 - q^(4m+2)) beta_(2m+1)."""
     if n % 2 == 0:
         return QSeries.zero(t)
-    dense = [1] + [0] * (math.ceil(t) - 1)
+    out = QSeries.one(t)
     for j in range(1, n // 2 + 1):
-        _divide_dense(dense, 1, 4 * j)
-        _divide_dense(dense, 1, 4 * j + 2)
-    return QSeries.from_dense(dense, t).scale((-1) ** (n // 2))
+        out = over_one_minus(over_one_minus(out, 4 * j), 4 * j + 2)
+    return out.scale((-1) ** (n // 2))
 
 
 def _read_and_outcome(check, beta_at, trunc, settle):
@@ -566,8 +590,7 @@ def test_built_in_alphas_are_memoized(relative, monkeypatch):
 
     monkeypatch.setattr(QSeries, "monomial", classmethod(counting))
     pair = synthetic_pair(relative, random.Random(3))
-    for _ in zip(range(8), relation_sums(pair, 20)):
-        pass
+    relation_sums(pair, 7, 20)
     assert len(list(pair.betas(7, 20))) == 8
     assert len(built) == 8
     unit = unit_pair(relative)
@@ -658,7 +681,7 @@ def test_limit_identity_left_side_is_family_across_truncs(j, k, ell, trunc):
 
 def test_definition_right_side_unit():
     pair = unit_pair("one")
-    _, _, rhs = (s for _, s in zip(range(3), relation_sums(pair, 20)))
+    rhs = relation_sums(pair, 2, 20)[2]
     want = (pochhammer("q", 2, 20) * pochhammer("q", 2, 20)).inverse()
     assert rhs == want.truncate(20)
 
@@ -694,7 +717,9 @@ def test_relation_sums_match_the_double_product_loop(relative, alphas, top, offs
     trunc = top - offset
     pair = _polynomial_pair(relative, alphas)
     n_max = math.ceil(trunc) + max(alphas) + 2
-    for n, got in zip(range(n_max + 1), relation_sums(pair, trunc)):
+    sums = relation_sums(pair, n_max, trunc)
+    assert len(sums) == n_max + 1
+    for n, got in enumerate(sums):
         assert got == reference_right_side(pair, n, trunc), n
         assert got.trunc == trunc
 
@@ -705,39 +730,45 @@ def test_relation_sums_of_chain_pairs(maker, k, ell):
     pair = maker(k, ell)
     for trunc in (40, Fraction(79, 2)):
         betas = pair.betas(12, trunc)
-        for n, got in zip(range(13), relation_sums(pair, trunc)):
+        for n, got in enumerate(relation_sums(pair, 12, trunc)):
             assert got == reference_right_side(pair, n, trunc), (trunc, n)
             assert got == betas[n], (trunc, n)
 
 
-@pytest.mark.parametrize("exponent", [-1, Fraction(1, 2), Fraction(-3, 2)])
-def test_relation_sums_refuse_alpha_off_the_dense_grid(exponent):
-    pair = _polynomial_pair("q", {0: [(0, 1)], 1: [(exponent, 2), (3, 1)]})
-    sums = relation_sums(pair, 20)
-    assert next(sums) == reference_right_side(pair, 0, 20)
-    with pytest.raises(QSeriesError):
-        next(sums)
+@pytest.mark.parametrize(
+    "exponent, coeff",
+    [(-1, 2), (Fraction(1, 2), 2), (Fraction(-3, 2), 2), (3, Fraction(1, 2))],
+    ids=["-1", "exponent1", "exponent2", "fraction-coefficient"],
+)
+def test_relation_sums_refuse_alpha_off_the_dense_grid(exponent, coeff):
+    # The sweep runs in Z[x]/(x^T): alpha_1 with a negative or fractional
+    # exponent, or a coefficient that is not an int, is refused as soon as
+    # the sweep reads it.
+    pair = _polynomial_pair("q", {0: [(0, 1)], 1: [(exponent, coeff), (3, 1)]})
+    assert relation_sums(pair, 0, 20) == [reference_right_side(pair, 0, 20)]
+    with pytest.raises(QSeriesError) as err:
+        relation_sums(pair, 1, 20)
+    assert err.type is QSeriesError
 
 
-def test_relation_sums_take_one_product_per_alpha(monkeypatch):
-    # One series product enters each nonzero alpha_m; every later step of
-    # the sweep divides in place.  The double-product loop took two per
-    # (n, m) with alpha_m nonzero.
-    pair = pair_relative_q(3, 2)
-    t = Fraction(60)
-    nonzero = sum(not pair.alpha(m, t).is_zero() for m in range(13))
-    betas = pair.betas(12, t)
-    warmed = BaileyPair("q", pair.alpha, lambda n_max, trunc: betas[: n_max + 1], pair.label)
-    products = []
-    mul = QSeries.__mul__
+@pytest.mark.parametrize("maker", [pair_relative_one, pair_relative_q])
+def test_relation_sums_read_each_alpha_once(maker):
+    # The sweep reads alpha_0 .. alpha_(n_max) once each, in order, up
+    # front, and its sums are the chain pair's betas; equal neighbours are
+    # one series.
+    pair = maker(3, 2)
+    read = []
 
-    def counting(a, b):
-        products.append(1)
-        return mul(a, b)
+    def alpha(m, trunc):
+        read.append(m)
+        return pair.alpha(m, trunc)
 
-    monkeypatch.setattr(QSeries, "__mul__", counting)
-    assert verify_pair(warmed, 12, 60).ok
-    assert 0 < nonzero and len(products) <= nonzero
+    counted = BaileyPair(pair.relative, alpha, pair.betas, pair.label)
+    sums = relation_sums(counted, 12, 60)
+    assert read == list(range(13))
+    assert sums == pair.betas(12, 60)
+    assert all(a is b for a, b in zip(sums, sums[1:]) if a == b)
+    assert verify_pair(counted, 12, 60).ok
 
 
 # --------------------------------------------------------- vacuous checks

@@ -45,9 +45,6 @@ from qmaass.series import (
     QSeriesError,
     TruncatedRing,
     _kronecker_product,
-    _over_factor,
-    clear_caches,
-    dense_int_coeffs,
     gaussian_binomial,
     inverse_pochhammer,
     pochhammer,
@@ -587,16 +584,16 @@ def test_map_coefficients_and_scale():
 def test_pochhammer_frozen_heads():
     # (q;q)_3 = (1-q)(1-q^2)(1-q^3)
     p = pochhammer("q", 3, 30)
-    assert dense_int_coeffs(p, 7) == [1, -1, -1, 0, 1, 1, -1]
+    assert [p.coeff(e) for e in range(7)] == [1, -1, -1, 0, 1, 1, -1]
     # (-1;q)_2 = 2(1+q)
     p = pochhammer("-1", 2, 30)
-    assert dense_int_coeffs(p, 3) == [2, 2, 0]
+    assert [p.coeff(e) for e in range(3)] == [2, 2, 0]
     # (q;q^2)_2 = (1-q)(1-q^3)
     p = pochhammer("q;q2", 2, 30)
-    assert dense_int_coeffs(p, 5) == [1, -1, 0, -1, 1]
+    assert [p.coeff(e) for e in range(5)] == [1, -1, 0, -1, 1]
     # (q^2;q^2)_2 = (1-q^2)(1-q^4)
     p = pochhammer("q2", 2, 30)
-    assert dense_int_coeffs(p, 7) == [1, 0, -1, 0, -1, 0, 1]
+    assert [p.coeff(e) for e in range(7)] == [1, 0, -1, 0, -1, 0, 1]
     assert pochhammer("q", 0, 30) == QSeries.one(30)
 
 
@@ -622,22 +619,12 @@ def test_pochhammer_matches_direct_product():
         assert pochhammer(kind, 3, t) == direct, kind
 
 
-def test_pochhammer_cache_prefix_reuse():
-    a = pochhammer("q", 4, 25)
-    b = pochhammer("q", 6, 25)
-    c = pochhammer("q", 6, 25)
-    assert b == c
-    assert a == pochhammer("q", 4, 25)
-    assert b.coeff(1) == -1
-
-
 @pytest.mark.parametrize("kind", sorted(series._POCH_NAMES))
 @pytest.mark.parametrize("trunc", [1, 17, Fraction(61, 3), 40])
 def test_inverse_pochhammer_matches_series_inverse(kind, trunc):
-    # every named kind suits the dense passes, so _prefix checks no spec
+    # every named kind is a factor (1 - c x^e) the packed ring takes
     coeff, exponent, step = series._POCH_NAMES[kind]
-    assert type(coeff) is int and type(exponent) is int and exponent >= 0 and step >= 1
-    clear_caches()
+    assert coeff in (1, -1) and type(exponent) is int and exponent >= 0 and step >= 1
     for n in (0, 1, 2, 5, 9):
         if n and series._POCH_NAMES[kind][1] == 0:  # a factor 1 - c q^0
             with pytest.raises(QSeriesError):
@@ -657,8 +644,7 @@ def test_inverse_pochhammer_matches_series_inverse(kind, trunc):
 
 def test_inverse_pochhammer_refuses_exponent_zero():
     # 1/(-1;q)_n has the factor 1/(1 + q^0); only factor exponents >= 1
-    # are divided out, so the prefix cache holds ints alone.
-    clear_caches()
+    # are divided out, so every inverse has int coefficients.
     assert inverse_pochhammer("-1", 0, 6) == QSeries.one(6)
     for n in (1, 2, 7):
         with pytest.raises(QSeriesError, match="exponents >= 1"):
@@ -667,23 +653,10 @@ def test_inverse_pochhammer_refuses_exponent_zero():
     # keeps the halves: 1/(2(1+q)) = (1 - q + q^2 - ...)/2
     inv = pochhammer("-1", 2, 6).inverse()
     assert [inv.coeff(e) for e in range(6)] == [Fraction((-1) ** e, 2) for e in range(6)]
-    inverse_pochhammer("q", 5, 30)
-    assert all(
-        type(c) is int for prefixes in series._prefix_cache.values() for p in prefixes for c in p._coeffs.values()
-    )
-
-
-def test_inverse_pochhammer_cache_prefix_reuse():
-    clear_caches()
-    a = inverse_pochhammer("q", 4, 25)
-    b = inverse_pochhammer("q", 6, 25)
-    assert inverse_pochhammer("q", 6, 25) is b
-    assert inverse_pochhammer("q", 4, 25) is a
-    assert inverse_pochhammer("q", 5, 25) == pochhammer("q", 5, 25).inverse()
-    assert b.coeff(1) == 1 and b.coeff(6) == 11  # partitions into parts <= 6
-    clear_caches()
-    assert not series._prefix_cache
-    assert inverse_pochhammer("q", 6, 25) == b
+    for kind in sorted(set(series._POCH_NAMES) - {"-1"}):
+        assert {type(c) for c in inverse_pochhammer(kind, 5, 30)._coeffs.values()} == {int}
+    # partitions into parts <= 6
+    assert inverse_pochhammer("q", 6, 25).coeff(6) == 11
 
 
 def test_inverse_pochhammer_refuses_what_it_cannot_divide():
@@ -696,6 +669,64 @@ def test_inverse_pochhammer_refuses_what_it_cannot_divide():
     with pytest.raises(QSeriesError, match="unknown pochhammer kind"):
         inverse_pochhammer((1, 1, 1), 3, 10)  # kinds go by name only
     assert inverse_pochhammer("-q", 3, 30) == pochhammer("-q", 3, 30).inverse()
+
+
+def _assert_pochhammers_match_the_product_route(kind, ns, trunc):
+    """pochhammer(kind, n, trunc) against the product of its factors
+    (1 - c q^e) as series, and inverse_pochhammer against that product's
+    QSeries.inverse, for each n in ``ns``, values and truncs alike; below
+    a trunc <= 0 both are the empty series."""
+    c, exponent, step = series._POCH_NAMES[kind]
+    t = Fraction(trunc)
+    product = QSeries.one(t)
+    for n in range(max(ns) + 1):
+        if n in ns:
+            got = pochhammer(kind, n, trunc)
+            want = product if t > 0 else QSeries.zero(t)
+            assert got == want and got.trunc == want.trunc == t, (kind, n, trunc)
+            if exponent == 0 < n:
+                with pytest.raises(QSeriesError, match="exponents >= 1"):
+                    inverse_pochhammer(kind, n, trunc)
+            else:
+                inv = inverse_pochhammer(kind, n, trunc)
+                want = product.inverse().truncate(t) if t > 0 else want
+                assert inv == want and inv.trunc == t, (kind, n, trunc)
+                assert {type(x) for x in inv._coeffs.values()} <= {int}
+        product = (product * QSeries.from_terms([(0, 1), (exponent + step * n, -c)], t)).truncate(t)
+
+
+def test_pochhammers_across_the_word_digit_edge(monkeypatch):
+    # Digits of up to 8 bytes are packed by one struct call, wider ones
+    # byte by byte (PackedRing.encode and _cells).  The L1 bound of
+    # inverse_pochhammer("q", 40, T) doubles with each factor below x^T and
+    # grows with T; pochhammer("q", n, 70) doubles it once per factor.
+    # Both sides of each first width past 8 bytes, and the fixed truncs,
+    # match the product route for every kind.
+    widths = []
+    init = TruncatedRing.__init__
+
+    def recording(self, slots, bound):
+        init(self, slots, bound)
+        widths.append((self.bytes, bool(self._words)))
+
+    monkeypatch.setattr(TruncatedRing, "__init__", recording)
+
+    def width(build, n, trunc):
+        widths.clear()
+        build("q", n, trunc)
+        (out,) = widths
+        return out
+
+    edge = next(t for t in range(1, 200) if width(inverse_pochhammer, 40, t)[0] > 8)
+    assert width(inverse_pochhammer, 40, edge - 1) == (8, True)
+    assert width(inverse_pochhammer, 40, edge) == (9, False)
+    n_edge = next(n for n in range(200) if width(pochhammer, n, 70)[0] > 8)
+    assert width(pochhammer, n_edge - 1, 70) == (8, True)
+    assert width(pochhammer, n_edge, 70) == (9, False)
+    for kind in sorted(series._POCH_NAMES):
+        for trunc in (-3, 0, 1, Fraction(7, 2), 61, edge - 1, edge):
+            _assert_pochhammers_match_the_product_route(kind, range(41), trunc)
+        _assert_pochhammers_match_the_product_route(kind, (n_edge - 1, n_edge), 70)
 
 
 @pytest.mark.parametrize("build", [pochhammer, inverse_pochhammer], ids=["poch", "inverse"])
@@ -716,8 +747,8 @@ def test_inverse_pochhammer_refuses_what_it_cannot_divide():
     ],
 )
 def test_pochhammers_refuse_what_the_dense_passes_cannot_take(build, kind, trunc, message):
-    # Both take one path, a pass per factor over a dense integer-exponent
-    # list below a finite trunc, and share the guard in front of it.  Kinds
+    # Both take one path, a packed-ring pass per factor below a finite
+    # trunc, and share the guard in front of it.  Kinds
     # go by name, each with an integer coefficient and an exponent >= 0,
     # so a triple is refused as an unknown kind whatever it holds.
     with pytest.raises(QSeriesError, match=message):
@@ -729,7 +760,6 @@ def test_pochhammer_inverses_never_reach_series_inverse(monkeypatch):
         raise AssertionError("a Pochhammer inverse went through QSeries.inverse")
 
     monkeypatch.setattr(QSeries, "inverse", refused)
-    clear_caches()
     assert sigma_series("pochhammer", 40) == sigma_series("indefinite", 40)
     assert sigma_star_series("odd-pochhammer", 40) == sigma_star_series("alternating", 40)
     for pair in (unit_pair("one"), unit_pair("q"), pair_relative_q(2, 1)):
@@ -740,7 +770,7 @@ def test_pochhammer_inverses_never_reach_series_inverse(monkeypatch):
 
 
 def test_gaussian_binomial_frozen():
-    assert dense_int_coeffs(gaussian_binomial(4, 2), 5) == [1, 1, 2, 1, 1]
+    assert [gaussian_binomial(4, 2).coeff(e) for e in range(5)] == [1, 1, 2, 1, 1]
     assert gaussian_binomial(0, 0) == QSeries.one()
     assert gaussian_binomial(5, 5) == QSeries.one()
     assert gaussian_binomial(5, 0) == QSeries.one()
@@ -748,7 +778,7 @@ def test_gaussian_binomial_frozen():
     assert gaussian_binomial(3, -1).is_zero()
     assert gaussian_binomial(-1, 0).is_zero()
     # [5 2] = 1 + q + 2q^2 + 2q^3 + 2q^4 + q^5 + q^6
-    assert dense_int_coeffs(gaussian_binomial(5, 2), 7) == [1, 1, 2, 2, 2, 1, 1]
+    assert [gaussian_binomial(5, 2).coeff(e) for e in range(7)] == [1, 1, 2, 2, 2, 1, 1]
 
 
 def test_gaussian_binomial_pascal_recurrences():
@@ -820,16 +850,21 @@ def test_stabilized_sum_accepts_sequences():
 
 
 def test_divide_one_minus_power():
-    # _over_factor divides a dense list by (1 - q^s) in place.
+    # PackedRing.divide takes a value of Z[x]/(x^T) over (1 - x^s) or
+    # (1 + x^s); at or past the horizon it is the identity.
     t = 9
-    geom = QSeries._from_clean(_over_factor([1] + [0] * (t - 1), 1, 2), 1, Fraction(t))
-    assert geom == QSeries.from_terms([(0, 1), (2, 1), (4, 1), (6, 1), (8, 1)], t)
+    ring = TruncatedRing(t, 2**20)
+    assert ring.decode(ring.divide(1, 2)) == {0: 1, 2: 1, 4: 1, 6: 1, 8: 1}
+    assert ring.decode(ring.divide(1, 2, -1)) == {0: 1, 2: -1, 4: 1, 6: -1, 8: 1}
     p = QSeries.from_dense([2, 0, -1, 5], trunc=t)
-    prod = p * QSeries.from_terms([(0, 1), (3, -1)], t)
-    quotient = _over_factor(dense_int_coeffs(prod, t), 1, 3)
-    assert QSeries._from_clean(quotient, 1, Fraction(t)).first_mismatch(p, up_to=t) is None
-    with pytest.raises(QSeriesError):
-        _over_factor([1] + [0] * (t - 1), 1, 0)
+    for sign in (1, -1):
+        prod = p * QSeries.from_terms([(0, 1), (3, -sign)], t)
+        assert ring.decode(ring.divide(ring.encode(prod._coeffs), 3, sign)) == p._coeffs
+    for s in (t, t + 1, 40):
+        assert ring.divide(ring.encode(p._coeffs), s, -1) == ring.encode(p._coeffs)
+    assert L1Bound(horizon=t).divide(3, 2, -1) == 3 * 2**3  # (1 - x^2)(1 + x^4)(1 + x^8)
+    with pytest.raises(QSeriesError, match="exponents >= 1"):
+        ring.divide(1, 0)
 
 
 # ------------------------------------------------------------- comparison
@@ -1074,7 +1109,6 @@ def test_series_bookkeeping_builds_few_fractions():
     # constructor, the product truncation and the averaged sums built
     # 12,142 here.
     def work():
-        clear_caches()
         for j in range(1, 5):
             family_series(j, 1, 1, 120)
         report = verify_limiting_identity(pair_relative_q(1, 1), "q", "even", 40)
@@ -1092,7 +1126,7 @@ _FINITE_TRUNC_ENTRY_POINTS = {
     "verify_limiting_identity": lambda t: verify_limiting_identity(
         pair_relative_q(1, 1), "q", "gauss", t
     ),
-    "relation_sums": lambda t: next(relation_sums(unit_pair("one"), t)),
+    "relation_sums": lambda t: relation_sums(unit_pair("one"), 0, t),
     "family_series": lambda t: family_series(1, 1, 1, t),
     "sigma_series": lambda t: sigma_series("pochhammer", t),
     "sigma_star_series": lambda t: sigma_star_series("alternating", t),
