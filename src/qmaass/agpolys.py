@@ -14,15 +14,15 @@ this construction generalizes.
 One walk computes them, over merged chain states and parameterised by its
 ring (:func:`_walk`).  Over the packed truncated ring Z[x]/(x^T) it gives
 the polynomials for n = 0..n_max below a truncation, or whole
-(:func:`ag_polynomials`, :func:`ag_polynomial`); over the packed cyclic
-ring Z[x]/(x^N - 1) their values at a primitive N-th root of unity
-(:func:`ag_polynomials_at_root`).  The partition oracle
-(:func:`ag_generating`) runs its own DP over the same packed truncated ring.
+(:func:`ag_polynomials`, :func:`ag_polynomial`); the root-of-unity values
+of :mod:`qmaass.families` and :mod:`qmaass.maass` run it over the packed
+cyclic ring Z[x]/(x^N - 1) (:func:`~qmaass.cyclotomic.root_sums`).  The
+partition oracle (:func:`ag_generating`) runs its own DP over the same
+packed truncated ring.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import root_sums
 from .reports import CheckReport, Record, report_from_comparison
 from .series import INF, L1Bound, QSeries, QSeriesError, TruncatedRing, finite_trunc, int_slots
 
@@ -31,7 +31,6 @@ __all__ = [
     "ag_generating",
     "ag_polynomial",
     "ag_polynomials",
-    "ag_polynomials_at_root",
     "verify_ag_relation",
 ]
 
@@ -131,13 +130,6 @@ def ag_polynomial(k: int, ell: int, b: int, n: int, trunc=INF) -> QSeries:
     ``k = 1`` every value is 1): entry n of :func:`ag_polynomials`.
     """
     return ag_polynomials(k, ell, b, n, trunc)[n]
-
-
-def ag_polynomials_at_root(k: int, ell: int, b: int, n_max: int, N: int) -> list[dict]:
-    """The chain polynomials for n = 0..n_max at a primitive N-th root of unity, as
-    maps in Z[x]/(x^N - 1) (reduce with :meth:`~qmaass.cyclotomic.CycNumber.from_powers`)."""
-    _validate_chain_params(k, ell, b, n_max)
-    return root_sums(N, lambda ring: _walk(ring, k, ell, b, n_max))
 
 
 class PartitionConstraint(Record):

@@ -241,7 +241,14 @@ CHAIN_PAIRS = {"one": pair_relative_one, "q": pair_relative_q}
 
 
 def unit_pair(relative: str) -> BaileyPair:
-    """The pair with alpha = (1, 0, 0, ...) and beta_n forced by the relation."""
+    """The pair with alpha = (1, 0, 0, ...) and beta_n forced by the relation.
+
+    Each beta_n is built on its own, as two :func:`inverse_pochhammer`
+    calls and one series product, so that the definition check
+    (:func:`verify_pair`) compares :func:`relation_sums` with a second
+    route.  A running pass would take about half the time, but it would
+    repeat the sweep's own divisions of alpha_0 step for step.
+    """
     if relative not in RELATIVES:
         raise QSeriesError(f"relative must be one of {RELATIVES}")
     second = _SECOND_FACTOR[relative]

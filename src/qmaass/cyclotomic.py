@@ -9,7 +9,10 @@ Phi_L = (x^L - 1) / prod of Phi_d over proper divisors d of L.
 Arithmetic combines numbers of one order, or a number and a rational;
 numbers of different orders raise ``ValueError``.  Series with such
 coefficients multiply on the integer product of ``QSeries``
-(:func:`series_product`).
+(:func:`series_product`).  Every long division by a cyclotomic polynomial
+is :func:`_divide`: the exact ones of the recursion above, the reduction of
+a vector longer than phi(L) when a number is built, and that of each
+series product term a number reaches.
 
 Sums at one root of unity are taken in Z[x]/(x^N - 1), packed by x -> 2^W
 into one int mod 2^(W*N) - 1 (:class:`CyclicRing`, on the codec of
@@ -24,7 +27,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 from fractions import Fraction
 from itertools import repeat
 
@@ -255,7 +257,8 @@ def series_product(xa: dict, xb: dict, bound) -> dict:
     of one order L: cleared of their operand's denominator, the
     coefficients pack once into ints of the :class:`CyclicRing` sized by
     the product of the operands' summed L1 norms (a rational r packs to r),
-    and each term a CycNumber reaches is reduced mod Phi_L once."""
+    and each term a CycNumber reaches is reduced mod Phi_L once
+    (:func:`_divide`)."""
     nums, cyc, orders, den, norm = [], [], set(), 1, 1
     for x in (xa, xb):
         vecs, ms, total = {}, [], 0
@@ -285,21 +288,17 @@ def series_product(xa: dict, xb: dict, bound) -> dict:
     reach = None  # the exponents a pair holding a CycNumber reaches, unless every pair does
     if len(cyc[0]) < len(xa) and len(cyc[1]) < len(xb):
         reach = {m + e for m in cyc[0] for e in xb} | {m + e for m in xa for e in cyc[1]}
-    out, packed = {}, {}
-    for m, p in _int_product(*nums, bound).items():
-        if reach is None or m in reach:
-            packed[m] = p
-        else:
-            out[m] = _clean(Fraction(p, den))
-    # _divide's long division, on the columns of all terms at once
-    phi, cols = cyclotomic_polynomial(L), ring.columns(list(packed.values()))
+    phi, out = cyclotomic_polynomial(L), {}
     d = len(phi) - 1
-    for i in range(L - 1, d - 1, -1):
-        for j, c in enumerate(phi[:-1]):
-            if c:
-                k = i - d + j
-                cols[k] = list(map(operator.sub, cols[k], map(operator.mul, cols[i], repeat(c))))
-    for m, v in zip(packed, zip(*cols[:d])):
+    for m, p in _int_product(*nums, bound).items():
+        if reach is not None and m not in reach:
+            out[m] = _clean(Fraction(p, den))
+            continue
+        v = [0] * L
+        for e, c in ring.decode(p).items():
+            v[e] = c
+        _divide(v, phi)  # leaves the remainder mod Phi_L in v[:d], zeros above
+        del v[d:]
         if any(v):
             out[m] = CycNumber(L, v if den == 1 else [Fraction(c, den) for c in v])
     return out

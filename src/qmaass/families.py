@@ -25,18 +25,11 @@ import math
 import operator
 from fractions import Fraction
 
-from .agpolys import _walk, ag_polynomials_at_root
+from .agpolys import _walk
 from .bailey import LIMIT_WEIGHTS, chain_sum, limit_top
 from .cyclotomic import CycNumber, check_root_order, root_sums
 from .reports import CheckReport, Record, report_from_condition
-from .series import (
-    QSeries,
-    QSeriesError,
-    TruncatedRing,
-    finite_trunc,
-    int_slots,
-    inverse_pochhammer,
-)
+from .series import QSeries, QSeriesError, TruncatedRing, finite_trunc, int_slots
 
 __all__ = [
     "FAMILIES",
@@ -166,7 +159,8 @@ def family_series(j: int, k: int, ell: int, trunc) -> QSeries:
 def sigma_series(rep: str, trunc) -> QSeries:
     """One of the four representations of the first classical companion.
 
-    ``pochhammer``   sum over n >= 0 of q^(n(n+1)/2) / (-q;q)_n,
+    ``pochhammer``   sum over n >= 0 of q^(n(n+1)/2) / (-q;q)_n, a
+                     running term times x^n / (1 + x^n) per n,
     ``alternating``  1 + sum over n >= 0 of (-1)^n q^(n+1) (q;q)_n, one
                      Horner pass of
                      :meth:`~qmaass.series.PackedRing.pochhammer_sum`,
@@ -181,26 +175,25 @@ def sigma_series(rep: str, trunc) -> QSeries:
     size = int_slots(t)
     if size <= 0:
         return QSeries.zero(t)
-    if rep == "pochhammer":
-        total = QSeries.zero(t)
-        for n in itertools.count(0):
-            e = n * (n + 1) // 2
-            if e >= t:
-                break
-            total = total + inverse_pochhammer("-q", n, t).shift(e)
-        return total
-    if rep == "alternating":
-        def build(ring) -> list:
-            terms = (ring.rot(1, n + 1) for n in range(size - 1))
-            return [1 + ring.pochhammer_sum([ring.sub(0, a) if n % 2 else a for n, a in enumerate(terms)])]
-
-        (coeffs,) = TruncatedRing.sums(size, build)
-        return QSeries._from_clean(coeffs, 1, t)
     if rep == "averaged":
         return QSeries._from_clean(_truncated_chain_sum((1, 0, None), 1, 1, t), 1, t)
     if rep == "indefinite":
         return QSeries.from_dense(sigma_coefficients(size - 1), t)
-    raise QSeriesError(f"unknown representation {rep!r}; expected one of {SIGMA_REPS}")
+    if rep == "pochhammer":
+        def build(ring) -> list:
+            total = term = 1
+            for n in itertools.takewhile(lambda n: n * (n + 1) // 2 < size, itertools.count(1)):
+                term = ring.rot(ring.divide(term, n, -1), n)
+                total += term
+            return [total]
+    elif rep == "alternating":
+        def build(ring) -> list:
+            terms = (ring.rot(1, n + 1) for n in range(size - 1))
+            return [1 + ring.pochhammer_sum([ring.sub(0, a) if n % 2 else a for n, a in enumerate(terms)])]
+    else:
+        raise QSeriesError(f"unknown representation {rep!r}; expected one of {SIGMA_REPS}")
+    (coeffs,) = TruncatedRing.sums(size, build)
+    return QSeries._from_clean(coeffs, 1, t)
 
 
 def sigma_coefficients(n_max: int) -> list:
@@ -228,6 +221,7 @@ def sigma_star_series(rep: str, trunc) -> QSeries:
     """One of the two representations of the second classical companion.
 
     ``odd-pochhammer``  2 * sum over n >= 1 of (-1)^n q^(n^2) / (q;q^2)_n,
+                        a running term times -x^c / (1 - x^c), c = 2n - 1,
     ``alternating``     -2 * sum over n >= 0 of q^(n+1) (q^2;q^2)_n.
 
     Both agree below ``trunc``; the leading term is -2q.
@@ -237,14 +231,15 @@ def sigma_star_series(rep: str, trunc) -> QSeries:
     if size <= 0:
         return QSeries.zero(t)
     if rep == "odd-pochhammer":
-        total = QSeries.zero(t)
-        for n in itertools.count(1):
-            e = n * n
-            if e >= t:
-                break
-            term = inverse_pochhammer("q;q2", n, t).shift(e)
-            total = total + (-term if n % 2 else term)
-        return total.scale(2)
+        def build(ring) -> list:
+            total, term = 0, 1
+            for n in itertools.takewhile(lambda n: n * n < size, itertools.count(1)):
+                term = ring.sub(0, ring.rot(ring.divide(term, 2 * n - 1), 2 * n - 1))
+                total += term
+            return [2 * total]
+
+        (coeffs,) = TruncatedRing.sums(size, build)
+        return QSeries._from_clean(coeffs, 1, t)
     if rep == "alternating":
         return QSeries.from_dense(sigma_star_coefficients(size - 1), t)
     raise QSeriesError(
@@ -386,7 +381,7 @@ def u_root_value(k: int, ell: int, N: int) -> CycNumber:
     _validate_family(1, k, ell)
     check_root_order(N)
 
-    chains = ag_polynomials_at_root(k, ell, 1, N, N)
+    chains = root_sums(N, lambda ring: _walk(ring, k, ell, 1, N))
 
     def build(ring):  # the term of n is (q)_(n-1)^2 times chains[n] q^(n - k)
         terms = [ring.encode({e + n - k: c for e, c in chains[n].items()}) for n in range(1, N + 1)]

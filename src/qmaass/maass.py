@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .agpolys import ag_polynomials_at_root
+from .agpolys import _walk
 from .bailey import LIMIT_WEIGHTS, chain_sum
 from .bessel import k0_bessel
 from .cyclotomic import CycNumber, check_root_order, root_sums
@@ -208,7 +208,7 @@ def quantum_value(j: int, k: int, ell: int, x) -> QuantumSample:
     # (q^s; q^s)_i vanishes there from the first i with N | num*s*i on.
     # The top term has the factor (q^s; q^s)_(top - first) = 0: any chain value.
     top = first + N // math.gcd(N, num * s)
-    chains = ag_polynomials_at_root(k, ell, first, top - 1, N)
+    chains = root_sums(N, lambda ring: _walk(ring, k, ell, first, top - 1))
     (twice,) = root_sums(
         N, lambda ring: [chain_sum(ring, weights, [*map(ring.encode, chains), 0], top)])
     value = CycNumber.from_powers(N, {e * num: c * fam.sum_scale // 2 for e, c in twice.items()})

@@ -28,7 +28,7 @@ import operator
 import struct
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 
 INF = math.inf
 
@@ -564,25 +564,17 @@ class PackedRing:
             raw = b"".join(map(int.to_bytes, digits, repeat(self.bytes), repeat("little")))
         return int.from_bytes(raw, "little") - self._bias
 
-    def _cells(self, a: int):
-        """The unsigned digits of the least residue of ``a`` plus the bias."""
-        w = self.bytes
-        raw = ((a + self._bias) % self.modulus).to_bytes(w * self.slots, "little")
-        if self._words:
-            return self._words.unpack(raw)
-        return map(int.from_bytes, [raw[i : i + w] for i in range(0, len(raw), w)], repeat("little"))
-
     def decode(self, a: int, low: int = 0) -> dict:
         """The map {exponent: coefficient} of the nonzero coefficients of ``a``
-        times x^low: its digits (:meth:`_cells`), each less 2^(W-1)."""
-        half = self._half
-        return {e: c - half for e, c in enumerate(self._cells(a), low) if c != half}
-
-    def columns(self, values: list) -> list[list]:
-        """The coefficients of x^0, ..., x^(slots-1) in each of ``values``,
-        one list per exponent."""
-        cells, n = [*chain.from_iterable(map(self._cells, values))], self.slots
-        return [[*map(operator.sub, cells[e::n], repeat(self._half))] for e in range(n)]
+        times x^low: the unsigned digits of the least residue of ``a`` plus
+        the bias, each less 2^(W-1)."""
+        w, half = self.bytes, self._half
+        raw = ((a + self._bias) % self.modulus).to_bytes(w * self.slots, "little")
+        if self._words:
+            cells = self._words.unpack(raw)
+        else:
+            cells = map(int.from_bytes, [raw[i : i + w] for i in range(0, len(raw), w)], repeat("little"))
+        return {e: c - half for e, c in enumerate(cells, low) if c != half}
 
 
 class TruncatedRing(PackedRing):

@@ -7,7 +7,8 @@ load nothing, and dunders are reached by the language itself.  Code
 that only the tests call belongs in ``tests/``.  A definition that an
 open ROADMAP item needs may stay unreached; ``NEEDED`` names the item or
 test that keeps it, and goes stale (and fails) once the name is reached
-or gone.
+or gone.  Every string in a module's ``__all__`` names something bound at
+that module's top level, so a deleted definition leaves no stale export.
 """
 
 import ast
@@ -51,6 +52,29 @@ def loaded_names(tree: ast.Module) -> set[str]:
     return out
 
 
+def top_level_names(tree: ast.Module) -> set[str]:
+    """Names bound at the top level of ``tree``: definitions, assignments and imports."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return out
+
+
+def exported_names(tree: ast.Module) -> list[str]:
+    """The strings of the top-level ``__all__`` list of ``tree``, if any."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
 def unreached(defining: list[ast.Module], reading: list[ast.Module]) -> set[str]:
     """Names defined in ``defining`` that no module of ``reading`` loads."""
     defined = set().union(*map(defined_names, defining))
@@ -71,6 +95,25 @@ def test_the_detector_skips_imports_all_strings_and_dunders():
         "Box().called()\n"
     )
     assert unreached([sample], [sample]) == {"exported", "method"}
+
+
+def test_the_export_check_finds_a_stale_name():
+    sample = ast.parse(
+        "import os.path\n"
+        "from elsewhere import imported as renamed\n"
+        "__all__ = ['defined', 'Box', 'CONST', 'renamed', 'os', 'deleted']\n"
+        "CONST: int = 1\n"
+        "def defined(): pass\n"
+        "class Box:\n"
+        "    def method(self): pass\n"
+    )
+    assert set(exported_names(sample)) - top_level_names(sample) == {"deleted"}
+
+
+def test_every_export_names_a_top_level_definition():
+    for path, tree in zip(SRC, _parse(SRC)):
+        stale = set(exported_names(tree)) - top_level_names(tree)
+        assert not stale, f"{path.name} exports names it does not define: {sorted(stale)}"
 
 
 def test_every_unreached_definition_is_needed():

@@ -12,6 +12,7 @@ from oracles import (
 )
 
 import qmaass.families as families
+from qmaass import series
 from qmaass.agpolys import ag_polynomial
 from qmaass.cyclotomic import CycNumber
 from qmaass.families import (
@@ -25,7 +26,16 @@ from qmaass.families import (
     u_root_value,
     verify_kz_duality,
 )
-from qmaass.series import INF, QSeries, QSeriesError, pochhammer
+from qmaass.series import INF, QSeries, QSeriesError, TruncatedRing, int_slots, pochhammer
+
+
+def _counted(log, fn):
+    """``fn``, logging the positional arguments of each call to ``log``."""
+    def call(*args, **kwargs):
+        log.append(args)
+        return fn(*args, **kwargs)
+    return call
+
 
 # ---------------------------------------------------------------------- sigma
 
@@ -38,9 +48,29 @@ def test_sigma_frozen_head():
 
 
 def test_sigma_representations_agree():
-    reference = sigma_series("pochhammer", 60)
-    for rep in ("alternating", "averaged", "indefinite"):
-        assert sigma_series(rep, 60) == reference, rep
+    for trunc in (60, Fraction(121, 2), 1000):
+        reference = sigma_series("pochhammer", trunc)
+        for rep in ("alternating", "averaged", "indefinite"):
+            assert sigma_series(rep, trunc) == reference, (rep, trunc)
+
+
+def test_sigma_pochhammer_sums_take_one_packed_pass(monkeypatch):
+    # sigma "pochhammer" and sigma* "odd-pochhammer" carry one running term
+    # through PackedRing.divide in one TruncatedRing.sums pass: no
+    # Pochhammer or inverse Pochhammer (both run series._factors) and no
+    # series sum.
+    passes, factors, sums = [], [], []
+    monkeypatch.setattr(TruncatedRing, "sums", _counted(passes, TruncatedRing.sums))
+    monkeypatch.setattr(series, "_factors", _counted(factors, series._factors))
+    monkeypatch.setattr(QSeries, "__add__", _counted(sums, QSeries.__add__))
+    for build in (lambda t: sigma_series("pochhammer", t),
+                  lambda t: sigma_star_series("odd-pochhammer", t)):
+        for trunc in (2, Fraction(121, 2), 1000):
+            for log in (passes, factors, sums):
+                log.clear()
+            build(trunc)
+            assert [size for size, _ in passes] == [int_slots(trunc)], trunc
+            assert factors == sums == [], trunc
 
 
 def test_sigma_constant_term():
@@ -82,7 +112,8 @@ def test_sigma_star_frozen_head():
 
 
 def test_sigma_star_representations_agree():
-    assert sigma_star_series("odd-pochhammer", 60) == sigma_star_series("alternating", 60)
+    for trunc in (60, Fraction(121, 2), 1000):
+        assert sigma_star_series("odd-pochhammer", trunc) == sigma_star_series("alternating", trunc)
 
 
 def test_sigma_star_leading_term():
@@ -180,15 +211,8 @@ def test_family_series_takes_one_walk_and_no_chain_products(monkeypatch):
     # and the packed pass, and the weighted sum stays packed: no series
     # product.
     walks, products = [], []
-
-    def counted(log, fn):
-        def call(*args, **kwargs):
-            log.append(args)
-            return fn(*args, **kwargs)
-        return call
-
-    monkeypatch.setattr(families, "_walk", counted(walks, families._walk))
-    monkeypatch.setattr(QSeries, "__mul__", counted(products, QSeries.__mul__))
+    monkeypatch.setattr(families, "_walk", _counted(walks, families._walk))
+    monkeypatch.setattr(QSeries, "__mul__", _counted(products, QSeries.__mul__))
     for j in (1, 2, 3, 4):
         for log in (walks, products):
             log.clear()

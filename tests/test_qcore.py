@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from oracles import limit_identity_by_products, min_order, negate_variable, stabilized_sum
 
-from qmaass import series
+from qmaass import cyclotomic, series
 from qmaass.agpolys import PartitionConstraint, ag_generating, ag_polynomials
 from qmaass.bailey import (
     BaileyPair,
@@ -333,6 +333,39 @@ def test_cyclotomic_product_takes_no_field_products(monkeypatch):
     product = a * b
     assert calls["__mul__"] == calls["__add__"] == 0
     assert 0 < calls["__init__"] <= product.num_terms()
+
+
+def test_cyclotomic_product_reduces_each_reached_term_once(monkeypatch):
+    # series_product reduces each term that a pair holding a CycNumber
+    # reaches by one cyclotomic._divide (its remainder mod Phi_7), and a
+    # term only rational pairs reach (here, below q^30) by none.  Every
+    # coefficient is a positive multiple of 1 or zeta^i, i < phi(7), so no
+    # reached term packs to 0.
+    rng = random.Random(5)
+
+    def operand():
+        coeffs = {}
+        for e in rng.sample(range(40), 25):
+            c = rng.randint(1, 9)
+            if e >= 30:
+                coeffs[e] = CycNumber.from_powers(7, {rng.randrange(6): c})
+            else:
+                coeffs[e] = Fraction(c, rng.randint(1, 4))
+        return QSeries(coeffs, 1, Fraction(50))
+
+    a, b = operand(), operand()
+    reached = {e1 + e2 for e1, c1 in a.terms() for e2, c2 in b.terms()
+               if CycNumber in (type(c1), type(c2)) and e1 + e2 < 50}
+    rational_only = {e1 + e2 for e1, _ in a.terms() for e2, _ in b.terms() if e1 + e2 < 50} - reached
+    assert reached and rational_only
+    want, trunc = oracle_product(a, b)
+    divisions = []
+    divide = cyclotomic._divide
+    monkeypatch.setattr(cyclotomic, "_divide", lambda *args: divisions.append(1) or divide(*args))
+    got = a * b
+    monkeypatch.undo()
+    assert len(divisions) == len(reached)
+    assert got.trunc == trunc and dict(got.terms()) == want
 
 
 @pytest.mark.parametrize("trunc", [INF, Fraction(-3), Fraction(7, 2), Fraction(40)])
@@ -697,7 +730,7 @@ def _assert_pochhammers_match_the_product_route(kind, ns, trunc):
 
 def test_pochhammers_across_the_word_digit_edge(monkeypatch):
     # Digits of up to 8 bytes are packed by one struct call, wider ones
-    # byte by byte (PackedRing.encode and _cells).  The L1 bound of
+    # byte by byte (PackedRing.encode and decode).  The L1 bound of
     # inverse_pochhammer("q", 40, T) doubles with each factor below x^T and
     # grows with T; pochhammer("q", n, 70) doubles it once per factor.
     # Both sides of each first width past 8 bytes, and the fixed truncs,

@@ -29,7 +29,7 @@ from oracles import (
 )
 
 import qmaass.families as families
-from qmaass.agpolys import _walk, ag_polynomial, ag_polynomials, ag_polynomials_at_root
+from qmaass.agpolys import _walk, ag_polynomial, ag_polynomials
 from qmaass.bailey import LIMIT_WEIGHTS
 from qmaass.cyclotomic import (
     MAX_ROOT_ORDER,
@@ -260,7 +260,7 @@ WALK_CASES = st.integers(1, 5).flatmap(lambda k: st.tuples(
 def test_merged_walk_matches_chain_by_chain(case):
     k, ell, b, N, n_max, trunc = case
     expected = root_sums(N, lambda ring: _chain_by_chain(ring, k, ell, b, n_max))
-    assert ag_polynomials_at_root(k, ell, b, n_max, N) == expected
+    assert root_sums(N, lambda ring: _walk(ring, k, ell, b, n_max)) == expected
     # The L1 bounds agree too: merging only regroups the same terms.
     bound = L1Bound(period=N)
     assert _walk(bound, k, ell, b, n_max) == _chain_by_chain(bound, k, ell, b, n_max)
