@@ -203,7 +203,7 @@ OPTIONS = {
     "out": Option("--out", metavar="PATH", help="write output here instead of stdout"),
     "fmt": Option(
         "--format", choices=("json", "csv"),
-        help="row format (tables default to csv, checks and eval to json)",
+        help="row format (tables default to csv, eval to json)",
     ),
 }
 
@@ -255,17 +255,19 @@ class LineWriter:
     """Stream rows to a file or stdout; JSON lines or csv."""
 
     def __init__(self, stream, fmt: str):
-        self.stream = stream
-        self.fmt = fmt
-        self._wrote_header = False
+        self.stream, self.fmt, self._wrote_header = stream, fmt, False
+
+    def header(self, keys) -> None:
+        """Write the csv header once, so a table with no rows still has it."""
+        if self.fmt == "csv" and not self._wrote_header:
+            self.stream.write(",".join(keys) + "\n")
+            self._wrote_header = True
 
     def emit(self, obj: dict) -> None:
         if self.fmt == "json":
             self.stream.write(json.dumps(obj) + "\n")
             return
-        if not self._wrote_header:
-            self.stream.write(",".join(obj.keys()) + "\n")
-            self._wrote_header = True
+        self.header(obj)
         self.stream.write(",".join(_csv_cell(v) for v in obj.values()) + "\n")
 
 
@@ -554,19 +556,21 @@ def _theta_params_from(cfg: RunConfig) -> ThetaParams:
     return ThetaParams(cfg.lattice_m, cfg.shift_a, cfg.twist_b)
 
 
+def _write_terms(writer: LineWriter, series) -> None:
+    writer.header(("exponent", "coefficient"))
+    for exponent, coeff in series.terms():
+        writer.emit({"exponent": _exact_str(exponent), "coefficient": _exact_str(coeff)})
+
+
 def _expand_theta(cfg: RunConfig, writer: LineWriter) -> None:
     params = _theta_params_from(cfg)
     order = cfg.order if cfg.order is not None else Fraction(50)
-    series = indefinite_theta_series(params, order)
-    for exponent, coeff in series.terms():
-        writer.emit({"exponent": _exact_str(exponent), "coefficient": _exact_str(coeff)})
+    _write_terms(writer, indefinite_theta_series(params, order))
 
 
 def _expand_negative_part(cfg: RunConfig, writer: LineWriter) -> None:
     lattice_m, ell = cfg.require("lattice_m"), cfg.require("ell")
-    series, _ = negative_part_series(lattice_m, ell, _int_order(cfg, 50))
-    for exponent, coeff in series.terms():
-        writer.emit({"exponent": _exact_str(exponent), "coefficient": _exact_str(coeff)})
+    _write_terms(writer, negative_part_series(lattice_m, ell, _int_order(cfg, 50))[0])
 
 
 EXPANDERS = {
@@ -673,7 +677,7 @@ class Command(Record):
 COMMANDS = {
     "verify": Command(
         "run a named suite of checks", (*SUITES, "all"), "json",
-        ("order", "kmax", "nmax", "ncut", "lattice_cut", "tau", "tol", "out", "fmt"), "suite",
+        ("order", "kmax", "nmax", "ncut", "lattice_cut", "tau", "tol", "out"), "suite",
     ),
     "expand": Command(
         "write a coefficient table", tuple(EXPANDERS), "csv",

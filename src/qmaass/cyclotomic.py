@@ -7,12 +7,14 @@ cyclotomic polynomials themselves are computed by the classical recursion:
 Phi_L = (x^L - 1) / prod of Phi_d over proper divisors d of L.
 
 Arithmetic combines numbers of one order, or a number and a rational;
-numbers of different orders raise ``ValueError``.  Series with such
-coefficients multiply on the integer product of ``QSeries``
-(:func:`series_product`).  Every long division by a cyclotomic polynomial
-is :func:`_divide`: the exact ones of the recursion above, the reduction of
-a vector longer than phi(L) when a number is built, and that of each
-series product term a number reaches.
+numbers of different orders raise ``ValueError``.  Every long division by
+a cyclotomic polynomial is :func:`_divide`: the exact ones of the
+recursion above, and the reduction of a vector longer than phi(L) in the
+constructor, the one place a vector is reduced mod Phi_L.  Series with
+such coefficients multiply by one Kronecker substitution of their
+coordinates into the integer product of ``QSeries``
+(:func:`series_product`), and each term a number reaches is built, so
+reduced, once.
 
 Sums at one root of unity are taken in Z[x]/(x^N - 1), packed by x -> 2^W
 into one int mod 2^(W*N) - 1 (:class:`CyclicRing`, on the codec of
@@ -27,10 +29,16 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections import defaultdict
 from fractions import Fraction
 from itertools import repeat
 
 from .series import L1Bound, PackedRing, QSeriesError, _clean, _int_product
+
+
+class _Phi(tuple):
+    """Ascending coefficients of Phi_L, with ``low``: its nonzero (j, c)
+    below the leading 1, made once per order for :func:`_divide`."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -42,23 +50,24 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     num = [-1] + [0] * (L - 1) + [1]
     for d in range(1, L):
         if L % d == 0:
-            num = _divide(num, cyclotomic_polynomial(d))
-    return tuple(num)
+            phi = cyclotomic_polynomial(d)
+            _divide(num, phi)
+            num = num[len(phi) - 1 :]  # the quotient
+    phi = _Phi(num)
+    phi.low = [(j, c) for j, c in enumerate(num[:-1]) if c]
+    return phi
 
 
-def _divide(num: list, den: tuple[int, ...]) -> list:
-    """Long division by the monic ``den`` in place: returns the quotient and
-    leaves the remainder in ``num`` below degree len(den) - 1, zeros above."""
-    d = len(den) - 1
-    terms = [(j, c) for j, c in enumerate(den[:-1]) if c]
-    quotient = [0] * max(0, len(num) - d)
+def _divide(num: list, phi: _Phi) -> None:
+    """Long division by ``phi`` = Phi_L in place: leaves the remainder in
+    ``num`` below degree d = len(phi) - 1 and the quotient from d on."""
+    d = len(phi) - 1
     for i in range(len(num) - 1, d - 1, -1):
-        c, num[i] = num[i], 0
+        c = num[i]
         if c:
-            quotient[i - d] = c
-            for j, p in terms:
-                num[i - d + j] -= c * p
-    return quotient
+            base = i - d
+            for j, p in phi.low:
+                num[base + j] -= c * p
 
 
 class CycNumber:
@@ -130,15 +139,12 @@ class CycNumber:
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
-        d = len(a.vec)
-        conv = [0] * (2 * d - 1)
-        av, bv = a.vec, b.vec
-        for i, x in enumerate(av):
-            if x == 0:
-                continue
-            for j, y in enumerate(bv):
-                if y != 0:
-                    conv[i + j] += x * y
+        conv = [0] * (2 * len(a.vec) - 1)
+        for i, x in enumerate(a.vec):
+            if x:
+                for j, y in enumerate(b.vec):
+                    if y:
+                        conv[i + j] += x * y
         return CycNumber(a.order, conv)
 
     __rmul__ = __mul__
@@ -254,51 +260,40 @@ root_sums = CyclicRing.sums
 
 def series_product(xa: dict, xb: dict, bound) -> dict:
     """The product below ``bound`` of two term maps of rationals and numbers
-    of one order L: cleared of their operand's denominator, the
-    coefficients pack once into ints of the :class:`CyclicRing` sized by
-    the product of the operands' summed L1 norms (a rational r packs to r),
-    and each term a CycNumber reaches is reduced mod Phi_L once
-    (:func:`_divide`)."""
-    nums, cyc, orders, den, norm = [], [], set(), 1, 1
-    for x in (xa, xb):
-        vecs, ms, total = {}, [], 0
-        for m, c in x.items():
-            if type(c) is CycNumber:
-                vecs[m] = c.vec
-                ms.append(m)
-                orders.add(c.order)
-            elif type(c) is int or type(c) is Fraction:
-                vecs[m] = (c,)
-            else:
-                raise QSeriesError(f"a series product cannot take {type(c).__name__} coefficients")
-        d = math.lcm(*[c.denominator for v in vecs.values() for c in v])
-        for m, v in vecs.items():
-            vecs[m] = v = [c.numerator * (d // c.denominator) for c in v]
-            total += sum(map(abs, v))
-        nums.append(vecs)
-        cyc.append(ms)
-        den, norm = den * d, norm * total
+    of one order L, by one Kronecker substitution into the integer product
+    :func:`~qmaass.series._int_product`: cleared of its operand's
+    denominator, the coordinate c_i of zeta^i at q^m is the term
+    c_i y^(m S + i), S = 2 phi(L) - 1 (a rational is its coordinate 0), so
+    the coordinates of one product term stay apart.  Each term a CycNumber
+    reaches is built by the CycNumber constructor, the one reduction mod
+    Phi_L; the others stay int or Fraction."""
+    for c in (*xa.values(), *xb.values()):
+        if type(c) not in (int, Fraction, CycNumber):
+            raise QSeriesError(f"a series product cannot take {type(c).__name__} coefficients")
+    cyc = [[m for m, c in x.items() if type(c) is CycNumber] for x in (xa, xb)]
+    orders = {x[m].order for x, ms in zip((xa, xb), cyc) for m in ms}
     if len(orders) > 1:
         raise ValueError("cannot combine orders %d and %d" % tuple(sorted(orders)[:2]))
     L = min(orders, default=1)
-    ring = CyclicRing(L, norm)
-    for vecs in nums:
-        for m, v in vecs.items():
-            vecs[m] = v[0] if len(v) == 1 else ring.encode(dict(enumerate(v)))
+    S, nums, den = 2 * len(cyclotomic_polynomial(L)) - 3, [], 1
+    for x in (xa, xb):
+        vecs = {m: c.vec if type(c) is CycNumber else (c,) for m, c in x.items()}
+        d = math.lcm(*[c.denominator for v in vecs.values() for c in v])
+        nums.append({m * S + i: c.numerator * (d // c.denominator)
+                     for m, v in vecs.items() for i, c in enumerate(v) if c})
+        den *= d
     reach = None  # the exponents a pair holding a CycNumber reaches, unless every pair does
     if len(cyc[0]) < len(xa) and len(cyc[1]) < len(xb):
         reach = {m + e for m in cyc[0] for e in xb} | {m + e for m in xa for e in cyc[1]}
-    phi, out = cyclotomic_polynomial(L), {}
-    d = len(phi) - 1
-    for m, p in _int_product(*nums, bound).items():
-        if reach is not None and m not in reach:
+    out, coords = {}, defaultdict(lambda: [0] * S)
+    for e, p in _int_product(*nums, None if bound is None else bound * S).items():
+        m, i = divmod(e, S)
+        if reach is None or m in reach:
+            coords[m][i] = p
+        else:
             out[m] = _clean(Fraction(p, den))
-            continue
-        v = [0] * L
-        for e, c in ring.decode(p).items():
-            v[e] = c
-        _divide(v, phi)  # leaves the remainder mod Phi_L in v[:d], zeros above
-        del v[d:]
-        if any(v):
-            out[m] = CycNumber(L, v if den == 1 else [Fraction(c, den) for c in v])
+    for m, v in coords.items():
+        c = CycNumber(L, v if den == 1 else [Fraction(p, den) for p in v])
+        if not c.is_zero():
+            out[m] = c
     return out

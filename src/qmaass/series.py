@@ -6,8 +6,8 @@ truncation threshold ``trunc``: the series is known exactly for all exponents
 strictly below ``trunc``, and terms at or above ``trunc`` are discarded.
 Coefficients are ``int``, ``Fraction`` or
 :class:`~qmaass.cyclotomic.CycNumber`.  Every product runs on one integer
-kernel: rationals over their common denominator, numbers of one order
-packed into ints (:func:`~qmaass.cyclotomic.series_product`); two orders
+kernel: rationals over their common denominator, numbers of one order as
+their coordinates (:func:`~qmaass.cyclotomic.series_product`); two orders
 raise ``ValueError``, other coefficients :class:`QSeriesError`.  Rescaling
 ``(m, denom) -> (m*t, denom*t)`` never changes the series; equality
 compares the canonical (gcd-reduced) form.

@@ -111,6 +111,32 @@ def torus_jones_at_root(m: int, p: int, N: int) -> CycNumber:
     return CycNumber(4 * N, vec)
 
 
+def strange_value(k: int, ell: int, N: int, swap: bool = False) -> CycNumber:
+    """Hikami's strange identity (Ramanujan J. 11, 2006) for the KZ sum
+    at q = zeta_N, in Q(zeta_T), T = 2mN: the L-value
+
+        (T/4) * sum over n = 1..T of chi(n) B_2(n/T) zeta_T^(n^2 - a^2 + 2mk),
+
+    with m = 8k + 4, a = 2k - 2ell + 1, b = 2k + 2ell + 1, B_2(x) = x^2 - x
+    + 1/6, and chi(n) = +1 for n = ±a, -1 for n = ±b mod m, 0 otherwise.
+    ``swap`` exchanges a and b throughout.  It shares no code with the
+    chain walk of ``kz_root_value``.
+    """
+    m = 8 * k + 4
+    a, b = 2 * k - 2 * ell + 1, 2 * k + 2 * ell + 1
+    if swap:
+        a, b = b, a
+    T = 2 * m * N
+    chi = {a % m: 1, -a % m: 1, b % m: -1, -b % m: -1}
+    powers: dict[int, Fraction] = {}
+    for n in range(1, T + 1):
+        if n % m in chi:
+            x = Fraction(n, T)
+            e = (n * n - a * a + 2 * m * k) % T
+            powers[e] = powers.get(e, 0) + chi[n % m] * (x * x - x + Fraction(1, 6))
+    return CycNumber.from_powers(T, {e: T * c / 4 for e, c in powers.items()})
+
+
 def sigma_by_rank_parity(n_max: int) -> list:
     """Coefficients 0..n_max of Ramanujan's sigma(q) by Andrews, Dyson and
     Hickerson (Invent. Math. 91, 1988): S(n) is the number of partitions

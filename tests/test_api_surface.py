@@ -9,6 +9,9 @@ open ROADMAP item needs may stay unreached; ``NEEDED`` names the item or
 test that keeps it, and goes stale (and fails) once the name is reached
 or gone.  Every string in a module's ``__all__`` names something bound at
 that module's top level, so a deleted definition leaves no stale export.
+Every ``functools.lru_cache`` and ``functools.cache`` in ``src/qmaass`` is
+listed, with its maxsize and the reason it exists, in ``CACHES``; a new,
+resized or deleted cache fails until the table says why.
 """
 
 import ast
@@ -20,6 +23,23 @@ NEEDED = {
     "zeta": "CycNumber.zeta: the oracles of tests/oracles.py and test_root_values.py",
     "boundary_pairing": "QuadForm.boundary_pairing: ROADMAP item 1 (exact ray signs)",
     "normal_pairing": "QuadForm.normal_pairing: ROADMAP item 1 (exact ray signs)",
+}
+
+
+#: "module.qualified.name" -> (maxsize, None when unbounded; why it exists).
+CACHES = {
+    "bailey.pair_relative_one.alpha": (None, "alpha_n of one chain pair, read at each n by every "
+                                             "check of that pair; dies with the pair"),
+    "bailey.pair_relative_q.alpha": (None, "as pair_relative_one.alpha, for relative q"),
+    "bailey.unit_pair.alpha": (None, "as pair_relative_one.alpha, for the unit pair"),
+    "bailey.synthetic_pair.alpha": (None, "as pair_relative_one.alpha, for a random pair"),
+    "bessel.k0_bessel": (65536, "a waveform sum meets the argument 2 pi Q v at every lattice "
+                                "point of equal Q; bounded, as its float keys are not"),
+    "cyclotomic.cyclotomic_polynomial": (None, "Phi_L and its nonzero lower terms, read by every "
+                                               "CycNumber built; one entry per order L"),
+    "theta._lattice_table": (16, "the lattice expansion of one family, shared by the exact series, "
+                                 "the numeric grids and the Cohen table; a few families at a time"),
+    "theta._ray_rule": (None, "the fixed Gauss-Legendre rule of the completion, built once"),
 }
 
 
@@ -75,6 +95,44 @@ def exported_names(tree: ast.Module) -> list[str]:
     return []
 
 
+_NOT_A_CACHE = object()
+
+
+def _maxsize(decorator: ast.expr):
+    """The maxsize of a functools cache decorator (None when unbounded),
+    else ``_NOT_A_CACHE``."""
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name == "cache":
+        return None
+    if name != "lru_cache":
+        return _NOT_A_CACHE
+    if not isinstance(decorator, ast.Call):
+        return 128  # functools' default
+    given = [*decorator.args, *(k.value for k in decorator.keywords if k.arg == "maxsize")]
+    return given[0].value if given else 128
+
+
+def cached_functions(tree: ast.Module) -> dict[str, int | None]:
+    """Qualified name -> maxsize of every function in ``tree`` under a
+    ``functools.lru_cache`` or ``functools.cache`` decorator, nested ones too."""
+    out = {}
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for decorator in child.decorator_list:
+                    size = _maxsize(decorator)
+                    if size is not _NOT_A_CACHE:
+                        out[prefix + child.name] = size
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
 def unreached(defining: list[ast.Module], reading: list[ast.Module]) -> set[str]:
     """Names defined in ``defining`` that no module of ``reading`` loads."""
     defined = set().union(*map(defined_names, defining))
@@ -127,3 +185,35 @@ def test_the_needed_list_is_not_stale():
     defined = set().union(*map(defined_names, src))
     assert not set(NEEDED) - defined, "listed but no longer defined"
     assert not set(NEEDED) - unreached(src, src + _parse(BENCH)), "listed but now reached"
+
+
+def test_the_cache_scan_finds_every_functools_cache():
+    sample = ast.parse(
+        "import functools\n"
+        "from functools import cache, lru_cache, wraps\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def sized(): pass\n"
+        "@lru_cache\n"
+        "def bare(): pass\n"
+        "@cache\n"
+        "def unbounded(): pass\n"
+        "class Box:\n"
+        "    @functools.lru_cache(None)\n"
+        "    def method(self): pass\n"
+        "def outer():\n"
+        "    @lru_cache(maxsize=None)\n"
+        "    def inner(): pass\n"
+        "    return inner\n"
+        "@wraps(outer)\n"
+        "@property\n"
+        "def plain(): pass\n"
+    )
+    assert cached_functions(sample) == {
+        "sized": 8, "bare": 128, "unbounded": None, "Box.method": None, "outer.inner": None,
+    }
+
+
+def test_every_cache_is_registered():
+    found = {f"{path.stem}.{name}": size for path, tree in zip(SRC, _parse(SRC))
+             for name, size in cached_functions(tree).items()}
+    assert found == {name: size for name, (size, _) in CACHES.items()}

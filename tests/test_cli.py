@@ -139,7 +139,9 @@ class TestParsing:
         cfg = RunConfig.from_args(build_parser().parse_args([command, target]))
         names = list(vars(cfg))
         assert names == ["command", "target", *cli.OPTIONS]
-        taken = set(cli.COMMANDS[command].fields)
+        # fmt is the command's default row format even where --format is
+        # not an option (verify writes only JSON lines).
+        taken = {*cli.COMMANDS[command].fields, "fmt"}
         assert all(getattr(cfg, name) is None for name in cli.OPTIONS if name not in taken)
         assert cfg.fmt == cli.COMMANDS[command].fmt
 
@@ -367,6 +369,15 @@ class TestVerify:
         assert info.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_verify_takes_no_format(self, capsys, fmt):
+        # A check report is JSON lines only: csv would take the first
+        # check's keys as the header of every check.
+        with pytest.raises(SystemExit) as info:
+            run(["verify", "cohen", "--format", fmt])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 # ------------------------------------------------------------ expand
 
@@ -394,6 +405,16 @@ class TestExpand:
         assert lines[0] == "n,coefficients"
         assert len(lines) == 10
         assert all(line.split(",")[1] == "1" for line in lines[1:])
+
+    @pytest.mark.parametrize("argv", [
+        "negative-part --M 2 --l 1 --order 1",
+        "s-theta --M 2 --a 1/3,1/5 --b 0,1/2 --order 1/10",
+    ])
+    def test_empty_table_is_its_header(self, capsys, argv):
+        code, lines, _ = _run(capsys, "expand", *argv.split())
+        assert (code, lines) == (0, ["exponent,coefficient"])
+        code, lines, _ = _run(capsys, "expand", *argv.split(), "--format", "json")
+        assert (code, lines) == (0, [])
 
     def test_hpoly_nmax_zero_is_one_row(self, capsys):
         code, lines, _ = _run(capsys, "expand", "hpoly", "--k", "2", "--nmax", "0")
@@ -851,9 +872,9 @@ LOCKED_USAGE_ERRORS = {
     "":
         "e543759c980031e8d464a9f9a80b3a2e5d2610852660563a6abb6a2b533c1f87",
     "verify":
-        "184fd24d86ef8e62078a97cc768ae33c0add6647a9caa814091755fa966e75c3",
+        "c72345eff1832790fd800b86a606e90861328b4db1adf88db88581bc7f8b17c0",
     "verify nosuchsuite":
-        "94fb417df33560fb3323c70e32789768433e81e9f7e06b89a40173a0bd73a258",
+        "24f607f8e1efe93a6357f3ab70638a5fa4468ce45263ec59fcde4de46208af5f",
     "expand nosuch":
         "3fc3bfd7b53d0104346a957881b139fcda0a7958d1cc51c18e345e97a69c9772",
     "eval nosuch":
@@ -861,7 +882,7 @@ LOCKED_USAGE_ERRORS = {
     "verify all --bogus":
         "17d9cb084f2b539602e6ca3f66e3b1acccc75f9b6b8ab7746e49ec47ab42896f",
     "verify ag --kmax x":
-        "4731a10e8eb75bfeadd534b3d4513a2e17138f512ea0df9ea2d9f81cca5a076c",
+        "bee0bcb55ce1a1b498fc50d68a063c9e060005a57edaf1cdb692b03d5ff1f0c2",
     "expand hpoly --k 2 --boundary 2":
         "04e6a7668b32578da492582e55b950ab31ecdf8d3695ac44f195ffbaf5020567",
     "expand sigma --format xml":

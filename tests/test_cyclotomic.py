@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from oracles import lift, root_of_unity_value
 
 from qmaass.cyclotomic import (
     CycNumber,
+    _divide,
     cyclotomic_polynomial,
     root_sums,
 )
@@ -39,6 +41,68 @@ def test_cyclotomic_polynomial_degrees_and_roots():
         z = cmath.exp(2j * cmath.pi / L)
         val = sum(c * z**k for k, c in enumerate(poly))
         assert abs(val) < 1e-8
+
+
+def _mobius(n: int) -> int:
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def _mobius_product(L: int) -> tuple:
+    """Prod over d | L of (x^d - 1)^mu(L/d): the factors with mu = 1
+    multiplied densely, then each with mu = -1 divided out exactly."""
+    divisors = [d for d in range(1, L + 1) if L % d == 0]
+    poly = [1]
+    for d in divisors:
+        if _mobius(L // d) == 1:
+            poly = [(poly[i - d] if i >= d else 0) - (poly[i] if i < len(poly) else 0)
+                    for i in range(len(poly) + d)]
+    for d in divisors:
+        if _mobius(L // d) == -1:
+            # poly = q (x^d - 1), so q[i] = poly[i + d] + q[i + d] from the top.
+            q = [0] * (len(poly) - d)
+            for i in range(len(q) - 1, -1, -1):
+                q[i] = poly[i + d] + (q[i + d] if i + d < len(q) else 0)
+            assert poly[:d] == [-c for c in (q + [0] * d)[:d]], (L, d)  # exact
+            poly = q
+    return tuple(poly)
+
+
+def test_cyclotomic_polynomials_are_the_mobius_products():
+    for L in range(1, 401):
+        assert cyclotomic_polynomial(L) == _mobius_product(L), L
+
+
+def _long_division(num: list, den: tuple) -> tuple[list, list]:
+    """(remainder, quotient) of ``num`` by the monic ``den``."""
+    d = len(den) - 1
+    rem, quo = list(num), [0] * max(0, len(num) - d)
+    for i in range(len(num) - 1, d - 1, -1):
+        c = quo[i - d] = rem[i]
+        for j, p in enumerate(den):
+            if p:
+                rem[i - d + j] -= c * p
+    return rem[:d], quo
+
+
+@pytest.mark.parametrize("L", [1, 2, 15, 60, 105, 360])
+def test_divide_keeps_remainder_below_the_degree_and_quotient_above(L):
+    rng = random.Random(L)
+    phi = cyclotomic_polynomial(L)
+    d = len(phi) - 1
+    for _ in range(10):
+        num = [rng.choice([0, 0, rng.randint(-99, 99), Fraction(rng.randint(-9, 9), 7)])
+               for _ in range(rng.randint(0, 3 * L))]
+        rem, quo = _long_division(num, phi)
+        assert _divide(num, phi) is None  # in place, no quotient list
+        assert num[:d] == rem[:len(num)] and num[d:] == quo
 
 
 def test_basic_arithmetic():

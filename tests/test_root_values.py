@@ -25,6 +25,7 @@ from oracles import (
     root_of_unity_value,
     sigma_at_root,
     sigma_star_at_root,
+    strange_value,
     torus_jones_at_root,
 )
 
@@ -141,6 +142,30 @@ def test_kz_root_value_is_the_torus_knot_jones_value(k):
         knot = torus_jones_at_root(2, 2 * k + 1, N)
         assert knot == chain, N
         assert knot + 1 != chain and knot != chain + 1, N
+
+
+# The twelve (k, ell, N) at which the a <-> b swap of the strange identity
+# still gives the KZ value; every one has N even.
+STRANGE_SWAP_MATCHES = {(1, 1, 2), (2, 1, 2), (2, 2, 4), (3, 1, 2), (3, 2, 4), (3, 3, 2),
+                        (3, 3, 6), (4, 1, 2), (4, 2, 4), (4, 3, 2), (4, 3, 6), (4, 4, 8)}
+
+
+def test_kz_root_value_is_the_strange_identity_l_value():
+    # Hikami's strange identity at every ell <= k <= 4 and N <= 20, an
+    # oracle at every ell where Morton's formula covers only ell = 1.  A
+    # perturbed value fails everywhere; the swapped character fails at
+    # every odd N and in 188 of the 200 cases.
+    swap_matches = set()
+    for k in range(1, 5):
+        for ell in range(1, k + 1):
+            for N in range(1, 21):
+                chain = lift(kz_root_value(k, ell, N), 2 * (8 * k + 4) * N)
+                value = strange_value(k, ell, N)
+                assert value == chain, (k, ell, N)
+                assert value + 1 != chain, (k, ell, N)
+                if strange_value(k, ell, N, swap=True) == chain:
+                    swap_matches.add((k, ell, N))
+    assert swap_matches == STRANGE_SWAP_MATCHES
 
 
 @settings(max_examples=30, deadline=None)
