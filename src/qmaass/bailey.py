@@ -5,9 +5,9 @@ sequences ``(alpha_n, beta_n)`` of q-series tied together by
 
     beta_n = sum_{m=0}^{n} alpha_m / ((q;q)_{n-m} (a q; q)_{n+m}).
 
-This module provides the relation sweep :func:`relation_sums` (every
-beta_n the relation forces, in one packed ring) and the verifier built
-on it, the two explicit pairs built from the chain polynomials of
+This module provides the relation sweep (every beta_n the relation
+forces, in one packed ring) and the verifier built on it, the two
+explicit pairs built from the chain polynomials of
 :mod:`qmaass.agpolys`, random finite-support pairs for property testing,
 and truncation-level verification of the four limit identities obtained
 by summing a pair against classical weight sequences.  Those weights live
@@ -19,12 +19,12 @@ the left sides on the chain pairs.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 
-from .agpolys import ag_polynomials
+from .agpolys import _walk
 from .reports import CheckReport, Record, _exact_str, report_from_comparison
 from .series import (
     INF,
@@ -54,8 +54,8 @@ def quadratic_shift(k: int, ell: int, nu: int) -> int:
 
 
 def _validate_pair_params(k, ell) -> None:
-    if not (isinstance(k, int) and isinstance(ell, int)):
-        raise QSeriesError("chain-pair parameters must be integers")
+    if {type(k), type(ell)} != {int}:
+        raise QSeriesError("chain-pair parameters must be ints")
     if not 1 <= ell <= k:
         raise QSeriesError("chain-pair parameters need 1 <= ell <= k")
 
@@ -65,11 +65,14 @@ class BaileyPair(Record):
     beta settles.
 
     ``alpha`` maps ``(n, trunc)`` to alpha_n, a :class:`QSeries`; the
-    built-in constructors memoize it.  ``betas`` maps ``(n_max, trunc)`` to
-    beta_0, ..., beta_(n_max) in one pass, which nothing keeps after the
-    check that asked: a chain pair takes one chain walk to n_max, a unit
-    pair yields its products of inverse Pochhammers one by one, and a
-    synthetic pair takes its own :func:`relation_sums` to n_max.
+    built-in constructors memoize it.  ``betas`` maps ``(ring, n_max)`` to
+    beta_0, ..., beta_(n_max) as values of the caller's
+    :class:`~qmaass.series.TruncatedRing` or its L1 twin, below x^T, T =
+    ``ring.horizon``, so that each check sums beta in the one
+    :meth:`~qmaass.series.PackedRing.sums` pass that holds its other side:
+    a chain pair takes one chain walk to n_max, a synthetic pair its own
+    relation sweep, and a unit pair multiplies two encoded inverse
+    Pochhammers for each n.
 
     ``settle`` is a promise about beta: below every x^T, beta_n is one
     series from n = T - 1 + ``settle`` on.  Each constructor proves its
@@ -87,14 +90,13 @@ class BaileyPair(Record):
     to test the limit identities, which sum beta on one side and alpha on
     the other.
 
-    The relation sums read alpha, and the limit identities both sequences,
-    in a packed ring, so every alpha_n and beta_n must have int
+    The checks read alpha in a packed ring, so every alpha_n must have int
     coefficients at integer exponents >= 0 below trunc, as all built-in
     pairs have; any other raises :class:`QSeriesError` there.
     """
 
     def __init__(self, relative: str, alpha: Callable[[int, object], QSeries],
-                 betas: Callable[[int, object], Iterable[QSeries]], label: str = "",
+                 betas: Callable[[object, int], Iterable[int]], label: str = "",
                  settle: int = 0) -> None:
         if relative not in RELATIVES:
             raise QSeriesError(f"relative must be one of {RELATIVES}, got {relative!r}")
@@ -104,68 +106,61 @@ class BaileyPair(Record):
                              settle=settle)
 
 
+def _sweep(ring, alphas: list, d: int) -> list:
+    """The sums sum_{m<=n} alpha_m / ((q;q)_{n-m} (aq;q)_{n+m}) in ``ring``
+    on the int maps ``alphas`` of alpha_0 .. alpha_(n_max).  A nonzero
+    alpha_m enters at n = m, divided by the 2m factors of (aq;q)_{2m}.
+    Each step n -> n+1 divides every term by (1 - x^(n+1-m)) and
+    (1 - x^(n+1+m+d)), d = 0 for relative 1 and 1 for relative q; a
+    division at or past the horizon is the identity."""
+    terms, sums = [], []
+    for n, alpha in enumerate(alphas):
+        terms = [(m, ring.divide(ring.divide(a, n - m), n + m + d)) for m, a in terms]
+        if alpha:
+            a = ring.encode(alpha)
+            for e in range(1 + d, 2 * n + 1 + d):
+                a = ring.divide(a, e)
+            terms.append((n, a))
+        sums.append(sum(a for _, a in terms))
+    return sums
+
+
+def _alpha_maps(pair: BaileyPair, n_max, t) -> list:
+    """The :func:`_int_map` of alpha_0 .. alpha_(n_max), read once, up
+    front; QSeriesError unless n_max is an int >= 0."""
+    if type(n_max) is not int or n_max < 0:
+        raise QSeriesError(f"n_max must be an int >= 0, got {n_max!r}")
+    return [_int_map(pair.alpha(n, t)) for n in range(n_max + 1)]
+
+
 def relation_sums(pair: BaileyPair, n_max: int, trunc) -> list[QSeries]:
-    """The relation sums sum_{m<=n} alpha_m / ((q;q)_{n-m} (aq;q)_{n+m})
-    for n = 0, ..., n_max, each below the finite ``trunc``, from one sweep
-    in Z[x]/(x^T), T = ceil(trunc), sized by one L1 pass
-    (:meth:`~qmaass.series.PackedRing.sums`).
-
-    alpha_0 .. alpha_(n_max) are read once, up front.  A nonzero alpha_m
-    enters at n = m, divided by the 2m factors of (aq;q)_{2m}.  Each step
-    n -> n+1 divides every term by (1 - x^(n+1-m)) and (1 - x^(n+1+m+d)),
-    d = 0 for relative 1 and 1 for relative q; a division at or past the
-    horizon is the identity.  Equal neighbouring sums are one series.
-    """
+    """The relation sums for n = 0, ..., n_max below the finite ``trunc``,
+    from one :func:`_sweep` in Z[x]/(x^T), T = ceil(trunc), sized by one L1
+    pass (:meth:`~qmaass.series.PackedRing.sums`).  Equal neighbouring sums
+    are one series."""
     t = finite_trunc(trunc)
-    d = 1 if pair.relative == "q" else 0
-    alphas = [_int_map(pair.alpha(n, t)) for n in range(n_max + 1)]
-
-    def build(ring) -> list:
-        terms, sums = [], []
-        for n, alpha in enumerate(alphas):
-            terms = [(m, ring.divide(ring.divide(a, n - m), n + m + d)) for m, a in terms]
-            if alpha:
-                a = ring.encode(alpha)
-                for e in range(1 + d, 2 * n + 1 + d):
-                    a = ring.divide(a, e)
-                terms.append((n, a))
-            sums.append(sum(a for _, a in terms))
-        return sums
-
+    alphas, d = _alpha_maps(pair, n_max, t), RELATIVES.index(pair.relative)
     out = []
-    for coeffs in TruncatedRing.sums(int_slots(t), build):
+    for coeffs in TruncatedRing.sums(int_slots(t), lambda ring: _sweep(ring, alphas, d)):
         out.append(out[-1] if out and out[-1]._coeffs == coeffs else QSeries._from_clean(coeffs, 1, t))
     return out
 
 
 def verify_pair(pair: BaileyPair, n_max: int, trunc) -> CheckReport:
-    """Check the defining relation for every n <= n_max below trunc."""
-    if n_max < 0:
-        raise QSeriesError(f"a check needs n_max >= 0, got {n_max}")
+    """Check the defining relation for every n <= n_max below trunc: beta_n
+    and the :func:`_sweep` sum, for every n, in one
+    :meth:`~qmaass.series.PackedRing.sums` pass."""
     t = positive_trunc(trunc)
-    params = {
-        "relative": pair.relative,
-        "label": pair.label,
-        "n_max": n_max,
-        "trunc": _exact_str(t),
-    }
-    for n, (lhs, rhs) in enumerate(zip(pair.betas(n_max, t), relation_sums(pair, n_max, t))):
-        bad = lhs.first_mismatch(rhs)
+    alphas, d = _alpha_maps(pair, n_max, t), RELATIVES.index(pair.relative)
+    params = {"relative": pair.relative, "label": pair.label, "n_max": n_max, "trunc": _exact_str(t)}
+    sums = TruncatedRing.sums(int_slots(t), lambda ring: [*pair.betas(ring, n_max), *_sweep(ring, alphas, d)])
+    for n, (lhs, rhs) in enumerate(zip(sums, sums[n_max + 1:])):
+        bad = min((e for e, _ in lhs.items() ^ rhs.items()), default=None)
         if bad is not None:
-            return CheckReport(
-                check="bailey_pair_definition",
-                params=params,
-                status="fail",
-                details={
-                    "n": n,
-                    "first_mismatch_exponent": _exact_str(bad),
-                    "beta_coeff": _exact_str(lhs.coeff(bad)),
-                    "definition_coeff": _exact_str(rhs.coeff(bad)),
-                },
-            )
-    return CheckReport(
-        check="bailey_pair_definition", params=params, status="pass", details={}
-    )
+            return CheckReport("bailey_pair_definition", params, "fail", {
+                "n": n, "first_mismatch_exponent": _exact_str(bad),
+                "beta_coeff": _exact_str(lhs.get(bad, 0)), "definition_coeff": _exact_str(rhs.get(bad, 0))})
+    return CheckReport("bailey_pair_definition", params, "pass", {})
 
 
 # ------------------------------------------------------------- explicit pairs
@@ -193,8 +188,8 @@ def pair_relative_one(k: int, ell: int) -> BaileyPair:
             terms.append((e + 2 * n, sign))
         return QSeries.from_terms(terms, trunc)
 
-    def betas(n_max: int, trunc) -> list[QSeries]:
-        return [QSeries.zero(trunc), *ag_polynomials(k, ell, 1, n_max, trunc)[1:]]
+    def betas(ring, n_max: int) -> list:
+        return [0, *_walk(ring, k, ell, 1, n_max)[1:]]
 
     return BaileyPair(
         relative="one",
@@ -225,8 +220,8 @@ def pair_relative_q(k: int, ell: int) -> BaileyPair:
             return lattice
         return lattice * QSeries.from_dense([1] * (2 * n + 1), INF)
 
-    def betas(n_max: int, trunc) -> list[QSeries]:
-        return ag_polynomials(k, ell, 0, n_max, trunc)
+    def betas(ring, n_max: int) -> list:
+        return _walk(ring, k, ell, 0, n_max)
 
     return BaileyPair(
         relative="q",
@@ -243,11 +238,12 @@ CHAIN_PAIRS = {"one": pair_relative_one, "q": pair_relative_q}
 def unit_pair(relative: str) -> BaileyPair:
     """The pair with alpha = (1, 0, 0, ...) and beta_n forced by the relation.
 
-    Each beta_n is built on its own, as two :func:`inverse_pochhammer`
-    calls and one series product, so that the definition check
-    (:func:`verify_pair`) compares :func:`relation_sums` with a second
-    route.  A running pass would take about half the time, but it would
-    repeat the sweep's own divisions of alpha_0 step for step.
+    Each beta_n is built on its own, as the product in the caller's ring
+    of two :func:`inverse_pochhammer` calls, so that the definition check
+    (:func:`verify_pair`) compares the relation sweep with a second
+    route.  A running pass would take about half the
+    time, but it would repeat the sweep's own divisions of alpha_0 step
+    for step.
     """
     if relative not in RELATIVES:
         raise QSeriesError(f"relative must be one of {RELATIVES}")
@@ -259,10 +255,10 @@ def unit_pair(relative: str) -> BaileyPair:
             return QSeries.one(trunc)
         return QSeries.zero(trunc)
 
-    def betas(n_max: int, trunc) -> Iterator[QSeries]:
-        for n in range(n_max + 1):
-            out = inverse_pochhammer("q", n, trunc) * inverse_pochhammer(second, n, trunc)
-            yield out.truncate(trunc)
+    def betas(ring, n_max: int) -> list:
+        t = ring.horizon
+        return [ring.mul(*(ring.encode(inverse_pochhammer(kind, n, t)._coeffs) for kind in ("q", second)))
+                for n in range(n_max + 1)]
 
     return BaileyPair(
         relative=relative, alpha=alpha, betas=betas, label=f"unit({relative})"
@@ -292,14 +288,14 @@ def synthetic_pair(relative: str, rng) -> BaileyPair:
     def alpha(n: int, trunc) -> QSeries:
         return QSeries.monomial(support.get(n, 0), 0, trunc)
 
-    def betas(n_max: int, trunc) -> Iterator[QSeries]:
-        return relation_sums(pair, n_max, trunc)
+    def betas(ring, n_max: int) -> list:
+        alphas = [{0: support[n]} if n in support else {} for n in range(n_max + 1)]
+        return _sweep(ring, alphas, RELATIVES.index(relative))
 
     label = "synthetic({},{})".format(
         relative, ",".join(f"{i}:{support[i]}" for i in sorted(support))
     )
-    pair = BaileyPair(relative, alpha, betas, label, settle=max(support))
-    return pair
+    return BaileyPair(relative, alpha, betas, label, settle=max(support))
 
 
 # ------------------------------------------------------------ limit identities
@@ -369,16 +365,6 @@ def limit_top(weights: tuple, size: int, settle: int = 0) -> int:
     return next(n for n in count(first) if power(n) >= size)
 
 
-def _shared(fn, items) -> Iterator:
-    """fn of each item, called once per run of one shared object (equal
-    consecutive chain polynomials and relation sums share one series)."""
-    prev = out = object()
-    for item in items:
-        if item is not prev:
-            prev, out = item, fn(item)
-        yield out
-
-
 def _int_map(series: QSeries) -> dict:
     """The {exponent: coefficient} map of ``series``, for
     :meth:`~qmaass.series.PackedRing.encode`; QSeriesError unless every
@@ -399,18 +385,18 @@ def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) 
 
     Both sides are one :func:`chain_sum` each, in one Z[x]/(x^T), T =
     ceil(trunc), sized by one L1 pass
-    (:meth:`~qmaass.series.PackedRing.sums`): the left side over beta_n,
-    the right side over alpha_n with no Pochhammer weight, as
-    (x^T; x^T)_m is 1 there.  Both stop at the one proven top of
+    (:meth:`~qmaass.series.PackedRing.sums`) that also holds beta: the left
+    side over beta_n, the right side over alpha_n with no Pochhammer
+    weight, as (x^T; x^T)_m is 1 there.  Both stop at the one proven top of
     :func:`limit_top`: the first n with power(n) >= T, past which every
     term vanishes, or for the ``even`` identity for relative q, which has
     no decaying weight, T + ``pair.settle``.  That identity reads beta and
     alpha one index further, and fails, naming that index
     (``unsettled_n`` for beta, ``unsettled_alpha_n`` for alpha) and the
     first exponent that moved, unless beta_(top + 1) = beta_top and
-    alpha_(top + 1) = alpha_top below x^T.  Every beta_n and
-    alpha_n summed must have int coefficients at integer exponents >= 0;
-    any other raises :class:`QSeriesError`.
+    alpha_(top + 1) = alpha_top below x^T; both differences are taken in
+    the same pass.  Every alpha_n read must have int coefficients at
+    integer exponents >= 0; any other raises :class:`QSeriesError`.
     """
     if relative not in RELATIVES:
         raise QSeriesError(f"relative must be one of {RELATIVES}")
@@ -431,30 +417,27 @@ def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) 
     size = int_slots(t)
     weights = s, first, power = LIMIT_WEIGHTS[relative, kind]
     top = limit_top(weights, size, pair.settle)
-    last = top if power is None else top - 1  # with a power, the terms at top vanish below x^T
-    betas = list(pair.betas(top + 1 if power is None else last, t))
-    alphas = [pair.alpha(n, t) for n in range(first, len(betas))]
-    if power is None:  # beta and alpha must repeat at top + 1
-        for key, read in (("unsettled_n", betas), ("unsettled_alpha_n", alphas)):
-            moved = read.pop().first_mismatch(read[-1])
-            if moved is not None:
-                return CheckReport("bailey_limit_identity", params, "fail", {
-                    key: top + 1, "first_mismatch_exponent": _exact_str(moved)})
-    betas = list(_shared(_int_map, betas[first:]))
-    alphas = list(map(_int_map, alphas))
+    # With a power, the terms at top vanish below x^T and are padded as 0;
+    # with none, beta and alpha are read at top + 1, where they must repeat.
+    end = top - 1 if power else top + 1
+    alphas = [_int_map(pair.alpha(n, t)) for n in range(first, end + 1)]
+    pad = [0] * (top - end)
 
     def build(ring) -> list:
-        def chains(values) -> list:  # only the terms read are encoded
-            return [0] * first + list(values) + [0] * (top - last)
-
-        lhs = chain_sum(ring, weights, chains(_shared(ring.encode, betas)), top)
-        terms = (ring.encode(m) if m else 0 for m in alphas)
+        betas = [*pair.betas(ring, end), *pad]
+        terms = [ring.encode(m) if m else 0 for m in alphas]
         if relative == "one":
-            terms = (ring.divide(a, s * n) for n, a in enumerate(terms, first))
-        rhs = chain_sum(ring, (size, first, power), chains(terms), top)  # s = T: no Pochhammer
-        return [lhs, ring.sub(rhs, ring.rot(rhs, 1)) if relative == "q" else rhs]
+            terms = [ring.divide(a, s * n) for n, a in enumerate(terms, first)]
+        lhs = chain_sum(ring, weights, betas, top)
+        rhs = chain_sum(ring, (size, first, power), [0] * first + terms + pad, top)  # s = T: no Pochhammer
+        out = [lhs, ring.sub(rhs, ring.rot(rhs, 1)) if relative == "q" else rhs]
+        return out if power else [*out, ring.sub(betas[-1], betas[-2]), ring.sub(terms[-1], terms[-2])]
 
-    lhs, rhs = TruncatedRing.sums(size, build)
+    lhs, rhs, *moved = TruncatedRing.sums(size, build)
+    for key, diff in zip(("unsettled_n", "unsettled_alpha_n"), moved):
+        if diff:
+            return CheckReport("bailey_limit_identity", params, "fail", {
+                key: top + 1, "first_mismatch_exponent": _exact_str(min(diff))})
     halves = 4 if (relative, kind) == ("q", "even") else 2
     return report_from_comparison(
         "bailey_limit_identity",

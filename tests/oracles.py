@@ -19,7 +19,7 @@ from itertools import count
 from qmaass.bailey import LIMIT_WEIGHTS
 from qmaass.cyclotomic import CycNumber
 from qmaass.reports import _exact_str, report_from_comparison
-from qmaass.series import QSeries, QSeriesError, pochhammer
+from qmaass.series import QSeries, QSeriesError, TruncatedRing, int_slots, pochhammer
 
 
 def root_of_unity_value(series: QSeries, N: int, power: int = 1) -> CycNumber:
@@ -279,6 +279,14 @@ def _limit_sum(relative: str, kind: str, values, term, trunc, settle: int) -> QS
     return sum(kept, QSeries.zero(trunc))
 
 
+def decoded_betas(pair, n_max: int, trunc) -> list[QSeries]:
+    """beta_0 .. beta_(n_max) of ``pair`` as QSeries below ``trunc``,
+    decoded from one TruncatedRing.sums pass over ``pair.betas``."""
+    t = Fraction(trunc)
+    build = lambda ring: list(pair.betas(ring, n_max))  # noqa: E731
+    return [QSeries(coeffs, 1, t) for coeffs in TruncatedRing.sums(int_slots(t), build)]
+
+
 def over_one_minus(series: QSeries, s: int) -> QSeries:
     """series / (1 - q^s), s >= 1, for integer exponents >= 0 below its
     trunc: the dense recurrence c_e += c_(e-s)."""
@@ -295,8 +303,10 @@ def limit_identity_by_products(pair, relative: str, kind: str, trunc):
     for relative 1; its sum is multiplied by (1 - q) for relative q, and
     halved for the even identity for relative q, whose two sides are
     averaged each on its own, at the top max(ceil(trunc) + settle, first)
-    of the pair's own settle.  It has no guard: a beta that still moves
-    at the top gives a wrong sum here, not a named index."""
+    of the pair's own settle.  It reads beta as QSeries through
+    :func:`decoded_betas`, never through ``chain_sum``.  It has no guard:
+    a beta that still moves at the top gives a wrong sum here, not a named
+    index."""
     t = Fraction(trunc)
     params = {"relative": relative, "kind": kind, "label": pair.label, "trunc": _exact_str(t)}
     s, _, power = LIMIT_WEIGHTS[relative, kind]
@@ -310,7 +320,10 @@ def limit_identity_by_products(pair, relative: str, kind: str, trunc):
             term = over_one_minus(term, s * n)
         return -term if n % 2 else term
 
-    lhs = _limit_sum(relative, kind, pair.betas,
+    def betas(n_max: int, trunc):
+        return decoded_betas(pair, n_max, trunc)
+
+    lhs = _limit_sum(relative, kind, betas,
                      lambda n, b: weighted_term(relative, kind, n, b, t), t, pair.settle)
     rhs = _limit_sum(relative, kind, alphas, rhs_at, t, pair.settle)
     if relative == "q":

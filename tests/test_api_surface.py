@@ -23,6 +23,8 @@ NEEDED = {
     "zeta": "CycNumber.zeta: the oracles of tests/oracles.py and test_root_values.py",
     "boundary_pairing": "QuadForm.boundary_pairing: ROADMAP item 1 (exact ray signs)",
     "normal_pairing": "QuadForm.normal_pairing: ROADMAP item 1 (exact ray signs)",
+    "relation_sums": "the public relation sweep: tests/test_bailey.py checks bailey._sweep through "
+                     "it against the double product loop",
 }
 
 

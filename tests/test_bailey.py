@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import limit_identity_by_products, over_one_minus, weighted_term
+from oracles import decoded_betas, limit_identity_by_products, over_one_minus, weighted_term
 
+import qmaass.agpolys as agpolys
 import qmaass.bailey as bailey
 from qmaass.agpolys import ag_polynomial
 from qmaass.bailey import (
@@ -31,6 +32,7 @@ from qmaass.series import (
     PackedRing,
     QSeries,
     QSeriesError,
+    TruncatedRing,
     inverse_pochhammer,
     pochhammer,
 )
@@ -55,7 +57,21 @@ def reference_right_side(pair: BaileyPair, n: int, trunc) -> QSeries:
 
 def beta(pair: BaileyPair, n: int, trunc) -> QSeries:
     """beta_n of the pair: the last of the betas up to n."""
-    return list(pair.betas(n, trunc))[n]
+    return decoded_betas(pair, n, trunc)[n]
+
+
+def _encoded(ring, series: QSeries) -> int:
+    """``series`` as a value of ``ring``, through the int-map gate the
+    checks read alpha through: off the packed grid it raises QSeriesError."""
+    return ring.encode(bailey._int_map(series))
+
+
+def _witness_pairs() -> list:
+    """The chain pairs with k <= 2 and the six synthetic pairs of `qmaass
+    verify bailey`."""
+    rng = random.Random(7)
+    pairs = [CHAIN_PAIRS[rel](k, ell) for rel in RELATIVES for k in (1, 2) for ell in range(1, k + 1)]
+    return pairs + [synthetic_pair(rel, rng) for rel in RELATIVES for _ in range(3)]
 
 # ------------------------------------------------------------ quadratic shift
 
@@ -98,7 +114,7 @@ def test_pair_one_vanishing_at_zero():
     pair = pair_relative_one(2, 1)
     assert pair.alpha(0, 10).is_zero()
     assert beta(pair, 0, 10).is_zero()
-    assert list(pair.betas(3, 10))[0].is_zero()
+    assert decoded_betas(pair, 3, 10)[0].is_zero()
 
 
 def test_pair_q_at_zero():
@@ -121,6 +137,35 @@ def test_pair_parameter_validation():
         pair_relative_one(1, 2)
     with pytest.raises(QSeriesError):
         pair_relative_q(0, 0)
+
+
+@pytest.mark.parametrize("maker", [pair_relative_one, pair_relative_q])
+@pytest.mark.parametrize("k, ell", [(True, 1), (1, True), (True, True), (2.0, 1), (2, 1.0)])
+def test_chain_pairs_refuse_parameters_that_are_not_ints(maker, k, ell):
+    # A bool is an int subclass, but no chain length: it is refused, not
+    # labelled chain(k=True, ...).
+    with pytest.raises(QSeriesError, match="must be ints"):
+        maker(k, ell)
+
+
+_PAIR_KINDS = {
+    "unit": lambda: unit_pair("q"),
+    "chain": lambda: pair_relative_one(2, 1),
+    "synthetic": lambda: synthetic_pair("q", random.Random(7)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PAIR_KINDS))
+@pytest.mark.parametrize("n_max", [2.0, True, False, -1, "3", None, Fraction(2)])
+def test_every_pair_kind_refuses_one_bad_n_max(kind, n_max):
+    # verify_pair and relation_sums take n_max as an int >= 0, with one
+    # QSeriesError whatever the kind of pair.
+    pair = _PAIR_KINDS[kind]()
+    for check in (verify_pair, relation_sums):
+        with pytest.raises(QSeriesError, match=r"^n_max must be an int >= 0, got ") as err:
+            check(pair, n_max, 10)
+        assert err.type is QSeriesError, check
+    assert verify_pair(pair, 2, 10).ok
 
 
 # ----------------------------------------------------------- defining relation
@@ -152,9 +197,9 @@ def test_verify_chain_pairs_small():
 def test_verify_pair_negative_control():
     base = pair_relative_q(1, 1)
 
-    def bad_betas(n_max, trunc):
-        out = list(base.betas(n_max, trunc))
-        out[1] = out[1] + QSeries.monomial(1, 1, trunc)
+    def bad_betas(ring, n_max):
+        out = list(base.betas(ring, n_max))
+        out[1] += ring.encode({1: 1})
         return out
 
     corrupted = BaileyPair(relative="q", alpha=base.alpha, betas=bad_betas)
@@ -174,7 +219,7 @@ def test_chain_betas_match_one_walk_per_n(maker, b, k, trunc, n_max):
     # One walk to n_max gives what a walk per n gives, also past
     # n = ceil(trunc) - 1, where the chain polynomials stop changing.
     for ell in range(1, k + 1):
-        betas = list(maker(k, ell).betas(n_max, trunc))
+        betas = decoded_betas(maker(k, ell), n_max, trunc)
         assert len(betas) == n_max + 1
         assert betas[0] == (QSeries.zero(trunc) if b else ag_polynomial(k, ell, 0, 0, trunc))
         for n in range(1, n_max + 1):
@@ -184,18 +229,47 @@ def test_chain_betas_match_one_walk_per_n(maker, b, k, trunc, n_max):
 
 @pytest.mark.parametrize("maker", [pair_relative_one, pair_relative_q])
 def test_chain_pair_check_takes_one_walk_to_n_max(maker, monkeypatch):
-    # verify_pair reads beta_0 .. beta_n_max from one chain walk that stops
-    # at n_max, not at ceil(trunc) - 1.
+    # verify_pair reads beta_0 .. beta_n_max from one chain walk per ring
+    # of its one pass, the L1 twin and the packed ring, each stopping at
+    # n_max, not at ceil(trunc) - 1.
     walks = []
-    walk = bailey.ag_polynomials
+    walk = bailey._walk
 
-    def counting(*args):
-        walks.append(args)
-        return walk(*args)
+    def counting(ring, *args):
+        walks.append((type(ring), *args))
+        return walk(ring, *args)
 
-    monkeypatch.setattr(bailey, "ag_polynomials", counting)
+    monkeypatch.setattr(bailey, "_walk", counting)
     assert verify_pair(maker(3, 2), 8, 400).ok
-    assert [args[3] for args in walks] == [8]
+    assert [(ring.__name__, args[-1]) for ring, *args in walks] == [("L1Bound", 8), ("TruncatedRing", 8)]
+
+
+@pytest.mark.parametrize("check", ["verify_pair", *IDENTITY_KINDS])
+def test_each_bailey_check_is_one_packed_pass(check, monkeypatch):
+    # On a chain or synthetic pair, each check sums beta and its other
+    # side in one TruncatedRing.sums pass, and reads no chain polynomial
+    # or relation sum as a QSeries.
+    passes = []
+    sums = PackedRing.sums.__func__
+
+    def counting(cls, size, build):
+        passes.append(size)
+        return sums(cls, size, build)
+
+    def refused(*args):
+        raise AssertionError("a Bailey check read beta as QSeries")
+
+    monkeypatch.setattr(TruncatedRing, "sums", classmethod(counting))
+    monkeypatch.setattr(agpolys, "ag_polynomials", refused)
+    monkeypatch.setattr(bailey, "ag_polynomials", refused, raising=False)
+    monkeypatch.setattr(bailey, "relation_sums", refused)
+    for pair in _witness_pairs():
+        passes.clear()
+        if check == "verify_pair":
+            report = verify_pair(pair, 8, Fraction(79, 2))
+        else:
+            report = verify_limiting_identity(pair, pair.relative, check, Fraction(79, 2))
+        assert report.ok and passes == [40], (pair.label, passes)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -203,9 +277,9 @@ def test_corrupted_betas_fail_the_limit_identities(n):
     # The left sides read the pair's betas: one extra term in beta_n shows.
     base = pair_relative_q(2, 1)
 
-    def bad_betas(n_max, trunc):
-        out = list(base.betas(n_max, trunc))
-        out[n] = out[n] + QSeries.monomial(1, 3, trunc)
+    def bad_betas(ring, n_max):
+        out = list(base.betas(ring, n_max))
+        out[n] += ring.encode({3: 1})
         return out
 
     corrupted = BaileyPair(relative="q", alpha=base.alpha, betas=bad_betas)
@@ -225,24 +299,28 @@ def test_averaged_identity_term_budget(trunc):
 
 
 def _changed(base: BaileyPair, side: str, n: int, extra) -> BaileyPair:
-    """``base`` with extra(trunc) added to alpha_n or beta_n."""
+    """``base`` with extra(trunc) added to alpha_n or beta_n; beta gains it
+    as a ring value (:func:`_encoded`), below x^T, T = ``ring.horizon``."""
     alpha, betas = base.alpha, base.betas
     if side == "alpha":
         def alpha(m, trunc):
             return base.alpha(m, trunc) + (extra(trunc) if m == n else QSeries.zero(trunc))
     else:
-        def betas(n_max, trunc):
-            for m, b in enumerate(base.betas(n_max, trunc)):
-                yield b + extra(trunc) if m == n else b
+        def betas(ring, n_max):
+            out = list(base.betas(ring, n_max))
+            if n <= n_max:
+                out[n] += _encoded(ring, extra(ring.horizon))
+            return out
     return BaileyPair(base.relative, alpha, betas, base.label, base.settle)
 
 
 def _designed_pair(beta_at, settle: int = 0) -> BaileyPair:
-    """A relative-q pair with beta_n = beta_at(n, trunc), read lazily,
-    alpha = 0 and the given settle: a test input for the proven top and
-    its guard, a Bailey pair only for beta = 0."""
-    def betas(n_max, trunc):
-        return (beta_at(n, trunc) for n in range(n_max + 1))
+    """A relative-q pair with beta_n = beta_at(n, T), T = ``ring.horizon``,
+    read in order in each ring, alpha = 0 and the given settle: a test
+    input for the proven top and its guard, a Bailey pair only for
+    beta = 0."""
+    def betas(ring, n_max):
+        return [_encoded(ring, beta_at(n, ring.horizon)) for n in range(n_max + 1)]
 
     return BaileyPair("q", lambda n, trunc: QSeries.zero(trunc), betas, "designed", settle)
 
@@ -251,13 +329,16 @@ def _q3(trunc) -> QSeries:
     return QSeries.monomial(1, 3, trunc)
 
 
-@pytest.mark.parametrize("trunc", [1, Fraction(7, 2), 40, Fraction(121, 2)])
+@pytest.mark.parametrize("trunc", [1, Fraction(7, 2), 40, Fraction(121, 2), Fraction(5, 2), 7])
 def test_limit_identities_match_the_reference_route(trunc):
     # The packed sums give the reports of the series-product route in
-    # tests/oracles.py, which averages each side on its own.
+    # tests/oracles.py, which decodes beta from one ring pass and averages
+    # each side on its own: on the chain pairs with k <= 3, the six
+    # synthetic pairs of `qmaass verify bailey` and six more per relative.
     rng = random.Random(2029)
     pairs = [CHAIN_PAIRS[rel](k, ell) for rel in RELATIVES for k in (1, 2, 3) for ell in range(1, k + 1)]
     pairs += [synthetic_pair(rel, rng) for rel in RELATIVES for _ in range(6)]
+    pairs += _witness_pairs()[-6:]
     for pair in pairs:
         for kind in IDENTITY_KINDS:
             args = (pair, pair.relative, kind, trunc)
@@ -293,6 +374,56 @@ def test_corrupted_pairs_fail_every_limit_identity(relative, kind, side, n):
     report = verify_limiting_identity(corrupted, relative, kind, 30)
     assert not report.ok
     assert report.to_json_dict() == limit_identity_by_products(corrupted, relative, kind, 30).to_json_dict()
+
+
+@pytest.mark.parametrize("pair", _witness_pairs(), ids=lambda pair: pair.label)
+def test_one_changed_beta_fails_every_check_of_its_pair(pair):
+    # Below x^12, both identities of the pair's relative fail when one
+    # beta_n they read gains x^e, at the lowest and the highest e that its
+    # weight x^power(n) keeps below x^T, and pass when beta_n gains
+    # nothing; so does the definition check, naming n and e.
+    trunc = 12
+    for kind in IDENTITY_KINDS:
+        weights = _, first, power = bailey.LIMIT_WEIGHTS[pair.relative, kind]
+        top = bailey.limit_top(weights, trunc, pair.settle)
+        for n in range(first, top if power else top + 2):
+            same = _changed(pair, "beta", n, QSeries.zero)
+            assert verify_limiting_identity(same, pair.relative, kind, trunc).ok, (kind, n)
+            for e in {0, trunc - 1 - (power(n) if power else 0)}:
+                moved = _changed(pair, "beta", n, lambda t: QSeries.monomial(1, e, t))
+                assert not verify_limiting_identity(moved, pair.relative, kind, trunc).ok, (kind, n, e)
+    for n in range(7):
+        assert verify_pair(_changed(pair, "beta", n, QSeries.zero), 6, trunc).ok, n
+        for e in (0, trunc - 1):
+            report = verify_pair(_changed(pair, "beta", n, lambda t: QSeries.monomial(1, e, t)), 6, trunc)
+            got = report.to_json_dict()
+            assert (got["status"], got["n"], got["first_mismatch_exponent"]) == ("fail", n, str(e))
+
+
+@pytest.mark.parametrize("edge", [6, 7, 14, 15, 30, 31, 62, 63, 127])
+def test_betas_at_the_rings_l1_bound_decode_exactly(edge, monkeypatch):
+    # alpha = 0, so every relation sum vanishes, and beta_2 = c q^3 is the
+    # one nonzero value: the L1 twin sizes the ring by |c| itself, the
+    # largest coefficient its digits hold.  Both signs, just below, at and
+    # just above each digit-width edge, decode exactly.
+    bounds = []
+    init = TruncatedRing.__init__
+
+    def recording(self, slots, bound):
+        bounds.append(bound)
+        init(self, slots, bound)
+
+    monkeypatch.setattr(TruncatedRing, "__init__", recording)
+    for big in (2**edge - 1, 2**edge, 2**edge + 1):
+        for c in (big, -big):
+            pair = _designed_pair(lambda n, t: QSeries.monomial(c if n == 2 else 0, 3, t))
+            bounds.clear()
+            zero = QSeries.zero(10)
+            assert decoded_betas(pair, 3, 10) == [zero, zero, QSeries.monomial(c, 3, 10), zero]
+            got = verify_pair(pair, 3, 10).to_json_dict()
+            assert bounds == [big, big]
+            details = [got[key] for key in ("n", "first_mismatch_exponent", "beta_coeff", "definition_coeff")]
+            assert details == [2, "3", str(c), "0"], c
 
 
 def _guard(report) -> tuple:
@@ -370,8 +501,10 @@ def test_alpha_moved_past_the_declared_settle_trips_the_guard(settle):
     "exponent, coeff", [(-1, 1), (Fraction(1, 2), 1), (Fraction(-3, 2), 2), (2, Fraction(1, 2))]
 )
 def test_limit_identities_refuse_terms_off_the_packed_grid(relative, side, exponent, coeff):
-    # Both sides are summed in Z[x]/(x^T): a negative or fractional
-    # exponent, or a coefficient that is not an int, is refused.
+    # Both sides are summed in Z[x]/(x^T): an alpha with a negative or
+    # fractional exponent, or a coefficient that is not an int, is refused.
+    # Such a beta cannot be a ring value; the corrupted pair meets the same
+    # refusal when it encodes its term (_encoded), inside the check's pass.
     base = CHAIN_PAIRS[relative](2, 1)
     corrupted = _changed(base, side, 1, lambda trunc: QSeries.from_terms([(exponent, coeff)], trunc))
     for kind in IDENTITY_KINDS:
@@ -440,7 +573,8 @@ def _balanced(n: int, t) -> QSeries:
 
 def _read_and_outcome(check, beta_at, trunc, settle):
     """The report of ``check`` on the designed pair of ``beta_at`` and
-    ``settle``, as a dict, and the indices of the betas it read, in order."""
+    ``settle``, as a dict, and the indices of the betas it read, in order,
+    in each ring of its one pass (the L1 twin, then the packed ring)."""
     read = []
 
     def counted(n, t):
@@ -463,13 +597,13 @@ def _read_and_outcome(check, beta_at, trunc, settle):
     ids=["geometric", "constant", "settling", "late", "balanced"],
 )
 def test_averaged_stop_settles_as_the_reference_route(trunc, beta_at, settle):
-    # The check reads beta_0 .. beta_(top+1), each once, in order.  A beta
+    # The check reads beta_0 .. beta_(top+1), once per ring, in order.  A beta
     # that keeps its settle gives the reference route's report (alpha = 0,
     # so a nonzero left side fails); the balanced beta, whose averages are
     # all equal, still moves at top + 1, and the guard names it.
     top = math.ceil(trunc) + settle
     got, read = _read_and_outcome(verify_limiting_identity, beta_at, trunc, settle)
-    assert read == list(range(top + 2))
+    assert read == list(range(top + 2)) * 2
     if beta_at is _balanced:
         assert _guard(got) == ("fail", top + 1, "0")
     else:
@@ -479,13 +613,13 @@ def test_averaged_stop_settles_as_the_reference_route(trunc, beta_at, settle):
 @pytest.mark.parametrize("trunc, exponent", [(10, 0), (10, 3), (Fraction(61, 3), 7)])
 def test_averaged_stop_diverges_with_the_first_unstable_exponent(trunc, exponent):
     # beta_n = n^2 q^e never settles: whatever settle it declares, the
-    # check reads beta_0 .. beta_(top+1), each once, and the guard names
-    # top + 1 and q^e.
+    # check reads beta_0 .. beta_(top+1), once per ring, and the guard
+    # names top + 1 and q^e.
     for settle in (0, 5):
         got, read = _read_and_outcome(
             verify_limiting_identity, lambda n, t: QSeries.monomial(n * n, exponent, t), trunc, settle)
         top = math.ceil(trunc) + settle
-        assert read == list(range(top + 2))
+        assert read == list(range(top + 2)) * 2
         assert _guard(got) == ("fail", top + 1, str(exponent))
 
 
@@ -515,7 +649,7 @@ def test_averaged_stop_matches_the_reference_on_random_betas(runs, trunc, settle
 
     top = math.ceil(trunc) + settle
     got, read = _read_and_outcome(verify_limiting_identity, beta_at, trunc, settle)
-    assert read == list(range(top + 2))
+    assert read == list(range(top + 2)) * 2
     moved = beta_at(top + 1, trunc).first_mismatch(beta_at(top, trunc))
     if moved is None:
         assert got == _read_and_outcome(limit_identity_by_products, beta_at, trunc, settle)[0]
@@ -579,8 +713,8 @@ def test_synthetic_relative_one_support_excludes_zero():
 @pytest.mark.parametrize("relative", ["one", "q"])
 def test_built_in_alphas_are_memoized(relative, monkeypatch):
     # Every relation sweep reads alpha_m once, and the synthetic betas run
-    # a sweep of their own: each (m, trunc) must build its series once, not
-    # once per sweep.
+    # a sweep of their own on the support: each (m, trunc) must build its
+    # series once, not once per sweep.
     built = []
     monomial = QSeries.monomial.__func__
 
@@ -591,7 +725,7 @@ def test_built_in_alphas_are_memoized(relative, monkeypatch):
     monkeypatch.setattr(QSeries, "monomial", classmethod(counting))
     pair = synthetic_pair(relative, random.Random(3))
     relation_sums(pair, 7, 20)
-    assert len(list(pair.betas(7, 20))) == 8
+    assert len(decoded_betas(pair, 7, 20)) == 8
     assert len(built) == 8
     unit = unit_pair(relative)
     assert all(unit.alpha(m, 20) is unit.alpha(m, 20) for m in (0, 1))
@@ -625,7 +759,7 @@ def _assert_left_side_is_family(j, k, ell, trunc):
     sign = lambda n: -1 if n % 2 else 1  # noqa: E731
     triangle = lambda n: n * (n + 1) // 2  # noqa: E731
     pair = (pair_relative_q if j in (1, 2) else pair_relative_one)(k, ell)
-    betas = list(pair.betas(120, trunc))
+    betas = decoded_betas(pair, 120, trunc)
 
     def term(n: int) -> QSeries:
         if j == 1:  # (q)_n (-1)^n q^(n(n+1)/2) beta_n
@@ -696,7 +830,7 @@ def _polynomial_pair(relative: str, alphas: dict) -> BaileyPair:
     def alpha(m: int, trunc) -> QSeries:
         return QSeries.from_terms(alphas.get(m, ()), trunc)
 
-    return BaileyPair(relative=relative, alpha=alpha, betas=lambda n_max, trunc: ())
+    return BaileyPair(relative=relative, alpha=alpha, betas=lambda ring, n_max: ())
 
 
 _polynomial = st.lists(
@@ -729,7 +863,7 @@ def test_relation_sums_match_the_double_product_loop(relative, alphas, top, offs
 def test_relation_sums_of_chain_pairs(maker, k, ell):
     pair = maker(k, ell)
     for trunc in (40, Fraction(79, 2)):
-        betas = pair.betas(12, trunc)
+        betas = decoded_betas(pair, 12, trunc)
         for n, got in enumerate(relation_sums(pair, 12, trunc)):
             assert got == reference_right_side(pair, n, trunc), (trunc, n)
             assert got == betas[n], (trunc, n)
@@ -766,7 +900,7 @@ def test_relation_sums_read_each_alpha_once(maker):
     counted = BaileyPair(pair.relative, alpha, pair.betas, pair.label)
     sums = relation_sums(counted, 12, 60)
     assert read == list(range(13))
-    assert sums == pair.betas(12, 60)
+    assert sums == decoded_betas(pair, 12, 60)
     assert all(a is b for a, b in zip(sums, sums[1:]) if a == b)
     assert verify_pair(counted, 12, 60).ok
 

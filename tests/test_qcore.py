@@ -1096,18 +1096,19 @@ def test_stabilized_sum_matches_fraction_formulas(seq, trunc):
 @pytest.mark.parametrize("trunc", [10, Fraction(61, 3)])
 def test_stabilized_sum_takes_each_term_once_in_order(trunc):
     # The reference route of the averaged identity reads beta_0 .. beta_top
-    # once each, in order, top = ceil(trunc) + settle, and no further.
+    # in order, once in each ring of its one decoding pass, top =
+    # ceil(trunc) + settle, and no further.
     for settle in (0, 3):
         calls = []
 
-        def betas(n_max, t):
+        def betas(ring, n_max):
             for n in range(n_max + 1):
                 calls.append(n)
-                yield QSeries.monomial(1, n, t)
+                yield ring.encode({n: 1})
 
         pair = BaileyPair("q", lambda n, t: QSeries.zero(t), betas, "counted", settle)
         limit_identity_by_products(pair, "q", "even", trunc)
-        assert calls == list(range(math.ceil(trunc) + settle + 1)), settle
+        assert calls == list(range(math.ceil(trunc) + settle + 1)) * 2, settle
 
 
 # --------------------------------------------- Fraction construction guard
