@@ -48,6 +48,7 @@ from .theta import (
     family_params,
     indefinite_theta_series,
     validate_family_params,
+    validate_params,
     verify_family_lattice,
     verify_theta_embedding,
     waveform_numeric,
@@ -91,6 +92,7 @@ __all__ = [
     "synthetic_pair",
     "unit_pair",
     "validate_family_params",
+    "validate_params",
     "verify_ag_relation",
     "verify_family_lattice",
     "verify_kz_duality",

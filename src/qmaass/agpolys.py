@@ -100,6 +100,11 @@ def ag_polynomials(k: int, ell: int, b: int, n_max: int, trunc=INF) -> list[QSer
     each polynomial at q = 1, which its coefficients must sum to.  Equal
     consecutive polynomials share one :class:`QSeries`.
     """
+    return _chain_polynomials(k, ell, b, n_max, trunc)
+
+
+def _chain_polynomials(k: int, ell: int, b: int, n_max: int, trunc, first: int = 0) -> list:
+    """Entries first..n_max of :func:`ag_polynomials`, the only ones decoded."""
     _validate_chain_params(k, ell, b, n_max)
     whole = trunc == INF
     t = INF if whole else finite_trunc(trunc)
@@ -107,7 +112,7 @@ def ag_polynomials(k: int, ell: int, b: int, n_max: int, trunc=INF) -> list[QSer
     sizes = _walk(L1Bound(INF if whole else slots), k, ell, b, n_max)
     ring = TruncatedRing(slots, max(sizes))
     out, prev = [], None
-    for n, a in enumerate(_walk(ring, k, ell, b, n_max)):
+    for n, a in enumerate(_walk(ring, k, ell, b, n_max)[first:], first):
         if a != prev:
             coeffs = ring.decode(a)
             poly, total, prev = QSeries._from_clean(coeffs, 1, t), sum(coeffs.values()), a
@@ -129,7 +134,7 @@ def ag_polynomial(k: int, ell: int, b: int, n: int, trunc=INF) -> QSeries:
     ``g_j < 0`` contributes nothing because the binomial vanishes (for
     ``k = 1`` every value is 1): entry n of :func:`ag_polynomials`.
     """
-    return ag_polynomials(k, ell, b, n, trunc)[n]
+    return _chain_polynomials(k, ell, b, n, trunc, n)[0]
 
 
 class PartitionConstraint(Record):

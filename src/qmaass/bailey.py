@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import count
 
 from .agpolys import _walk
@@ -33,15 +33,11 @@ from .series import (
     TruncatedRing,
     finite_trunc,
     int_slots,
-    inverse_pochhammer,
     positive_trunc,
 )
 
 RELATIVES = ("one", "q")
 IDENTITY_KINDS = ("gauss", "even")
-
-#: Pochhammer flavour of the second denominator factor (a q; q)_m.
-_SECOND_FACTOR = {"one": "q", "q": "q2;q"}
 
 
 def quadratic_shift(k: int, ell: int, nu: int) -> int:
@@ -71,8 +67,8 @@ class BaileyPair(Record):
     ``ring.horizon``, so that each check sums beta in the one
     :meth:`~qmaass.series.PackedRing.sums` pass that holds its other side:
     a chain pair takes one chain walk to n_max, a synthetic pair its own
-    relation sweep, and a unit pair multiplies two encoded inverse
-    Pochhammers for each n.
+    relation sweep, and a unit pair multiplies two inverse Pochhammers for
+    each n.
 
     ``settle`` is a promise about beta: below every x^T, beta_n is one
     series from n = T - 1 + ``settle`` on.  Each constructor proves its
@@ -238,16 +234,14 @@ CHAIN_PAIRS = {"one": pair_relative_one, "q": pair_relative_q}
 def unit_pair(relative: str) -> BaileyPair:
     """The pair with alpha = (1, 0, 0, ...) and beta_n forced by the relation.
 
-    Each beta_n is built on its own, as the product in the caller's ring
-    of two :func:`inverse_pochhammer` calls, so that the definition check
-    (:func:`verify_pair`) compares the relation sweep with a second
-    route.  A running pass would take about half the
-    time, but it would repeat the sweep's own divisions of alpha_0 step
-    for step.
+    Each beta_n = 1 / ((q;q)_n (aq;q)_n) is built on its own in the
+    caller's ring, as 1 divided by the n factors of each Pochhammer, so
+    that :func:`verify_pair` compares the relation sweep with a second
+    route; a running pass would repeat the sweep's divisions of alpha_0.
     """
     if relative not in RELATIVES:
         raise QSeriesError(f"relative must be one of {RELATIVES}")
-    second = _SECOND_FACTOR[relative]
+    d = RELATIVES.index(relative)
 
     @lru_cache(maxsize=None)
     def alpha(n: int, trunc) -> QSeries:
@@ -256,13 +250,10 @@ def unit_pair(relative: str) -> BaileyPair:
         return QSeries.zero(trunc)
 
     def betas(ring, n_max: int) -> list:
-        t = ring.horizon
-        return [ring.mul(*(ring.encode(inverse_pochhammer(kind, n, t)._coeffs) for kind in ("q", second)))
+        return [ring.mul(*(reduce(ring.divide, range(1 + s, n + 1 + s), 1) for s in (0, d)))
                 for n in range(n_max + 1)]
 
-    return BaileyPair(
-        relative=relative, alpha=alpha, betas=betas, label=f"unit({relative})"
-    )
+    return BaileyPair(relative=relative, alpha=alpha, betas=betas, label=f"unit({relative})")
 
 
 def synthetic_pair(relative: str, rng) -> BaileyPair:

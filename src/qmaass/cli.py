@@ -79,6 +79,7 @@ from .theta import (
     family_params,
     indefinite_theta_series,
     validate_family_params,
+    validate_params,
     verify_family_lattice,
     verify_theta_embedding,
     waveform_numeric,
@@ -388,7 +389,7 @@ def _family_grid(check, kmax: int, order, cfg: RunConfig):
 
 def _check_completion(tau, cut, tol, j=None, k=None, ell=None):
     """The completion defect of family j at (k, ell) vanishes; with no
-    family, the defect of the off-family control does not.  A cut whose
+    family, the control is invalid and its defect does not.  A cut whose
     outer shell still adds terms is a precision failure, not a verdict."""
     if j is None:
         # Deliberately off-family shifts: the boundary corrections must NOT
@@ -409,7 +410,7 @@ def _check_completion(tau, cut, tol, j=None, k=None, ell=None):
     return report_from_condition(
         "completion_defect_control",
         {"M": 4, "tau": str(tau), "lattice_cut": cut},
-        defect > 1e-3,
+        defect > 1e-3 and not validate_params(params).ok,
         {"defect": defect, "floor": 1e-3},
     )
 

@@ -69,30 +69,27 @@ def _affine(coeffs: tuple, *xs: int) -> int:
 class Family(Record):
     """Everything family-specific about one series family, as data.
 
-    Forms are affine in k (``M``, ``a1``, ``b``), in (k, ell) (``shifts``,
-    ``pairing``) or in n (shell points); see :func:`_affine`.
+    Forms are affine in k (``M``, ``a1``, ``b``) or in n (shell points); see
+    :func:`_affine`.
 
     * The family is ``sum_scale`` times the left side of the limit identity
       ``identity`` of :data:`qmaass.bailey.LIMIT_WEIGHTS` on the chain
       polynomials with boundary bit :attr:`first`.
     * Its theta series, at M, a = (a1 / (2(M + 1)), (2k - 2ell + 1) / (4k + 2))
       and b = (1 / b[0], 1 / b[1]), is ``theta_scale * q^Q(a) * F(q^power)``.
-    * Validation checks (M, a, b) against: a1 - a2 in (window, window + 1);
-      g(a) + s1 (1, 1) = a* and g(a*) + s2 (1, 1) = a for the automorph g
-      and ``shifts`` (s1, s2), or g(a) + s1 (1, 1) = a for (s1, None); and
-      B(a, (-1, -1)) = ``pairing``.
+    * Validation derives the shifts (s1, s2) and the pairing from a and b
+      by the conditions of :func:`qmaass.theta.validate_params`, which
+      Cohen's M = 5, a = (1/6, 0), b = (1/12, 1/8) passes too.
     * Shell n >= first of the lattice expansion has, for each (m, mult) in
       ``shell_parts`` and -n <= nu <= n - first, the term
       mult (-1)^(n + nu) / shell_denom at q^((Q(a + (m(n), nu)) - Q(a)) / power).
     """
 
     def __init__(self, identity: tuple[str, str], sum_scale: int, theta_scale: int, M: tuple,
-                 a1: tuple, b: tuple, window: int, shifts: tuple, pairing: tuple,
-                 shell_parts: tuple, shell_denom: int) -> None:
+                 a1: tuple, b: tuple, shell_parts: tuple, shell_denom: int) -> None:
         self.__dict__.update(
             identity=identity, sum_scale=sum_scale, theta_scale=theta_scale, M=M, a1=a1, b=b,
-            window=window, shifts=shifts, pairing=pairing, shell_parts=shell_parts,
-            shell_denom=shell_denom,
+            shell_parts=shell_parts, shell_denom=shell_denom,
         )
 
     @property
@@ -108,21 +105,17 @@ class Family(Record):
 FAMILIES = {
     # sum over n >= 0 of (q)_n (-1)^n q^(n(n+1)/2) H_n
     1: Family(("q", "gauss"), sum_scale=1, theta_scale=1, M=(2, 2), a1=(2, 1),
-              b=((4, 6), (4, 2)), window=0, shifts=((-2, 1, -1), (0, 1, 0)), pairing=(0, -1, 0),
-              shell_parts=(((1, 0), 1), ((-1, -1), -1)), shell_denom=1),
+              b=((4, 6), (4, 2)), shell_parts=(((1, 0), 1), ((-1, -1), -1)), shell_denom=1),
     # sum over n >= 0 of (q^2;q^2)_n (-1)^n H_n
     2: Family(("q", "even"), sum_scale=1, theta_scale=2, M=(4, 3), a1=(4, 0),
-              b=((8, 8), (8, 4)), window=0, shifts=((-4, 2, -1), (0, 2, -1)), pairing=(0, -2, 1),
-              shell_parts=(((1, 0), 1), ((-1, -1), -1)), shell_denom=2),
+              b=((8, 8), (8, 4)), shell_parts=(((1, 0), 1), ((-1, -1), -1)), shell_denom=2),
     # sum over n >= 1 of (q)_(n-1) (-1)^n q^(n(n+1)/2) H_n
     3: Family(("one", "gauss"), sum_scale=1, theta_scale=-1, M=(2, 2), a1=(0, -1),
-              b=((4, 6), (4, 2)), window=-1, shifts=((-1, 1, 0), (-1, 1, -1)), pairing=(1, -1, 1),
-              shell_parts=(((1, 0), -1), ((-1, 0), -1)), shell_denom=1),
+              b=((4, 6), (4, 2)), shell_parts=(((1, 0), -1), ((-1, 0), -1)), shell_denom=1),
     # sum over n >= 1 of (-1;q)_n (q)_(n-1) (-q)^n H_n, twice the sum with
     # (q^2;q^2)_(n-1) in place of (-1;q)_n (q)_(n-1); a1 = 0 merges m = n and -n
     4: Family(("one", "even"), sum_scale=2, theta_scale=-1, M=(4, 3), a1=(0, 0),
-              b=((8, 8), (8, 4)), window=-1, shifts=((-2, 2, -1), None), pairing=(2, -2, 1),
-              shell_parts=(((1, 0), -2),), shell_denom=1),
+              b=((8, 8), (8, 4)), shell_parts=(((1, 0), -2),), shell_denom=1),
 }
 
 

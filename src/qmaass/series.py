@@ -556,6 +556,8 @@ class PackedRing:
             e -= low
             if period:
                 e %= period
+            elif e < 0:
+                raise QSeriesError(f"exponent {e + low} is below {low}")
             if e < slots:
                 digits[e] += c
         if self._words:

@@ -16,8 +16,8 @@ Provided here:
   stay in rational arithmetic;
 * the exact two-region theta series, enumerated row by row over exactly
   the lattice points whose exponent is below the truncation;
-* the per-family parameters of :data:`qmaass.families.FAMILIES` plus full
-  validation of the windows, congruences, and integrality conditions;
+* the per-family parameters of :data:`qmaass.families.FAMILIES` plus exact
+  validation of the windows, congruences and integrality of any (M, a, b);
 * closed lattice expansions of the four series families, their exact
   verification against the defining sums, and a cancellation-free
   numeric evaluator for radial limits;
@@ -76,10 +76,6 @@ class QuadForm:
             raise QSeriesError("the form parameter M must be an integer >= 2")
         self.M = M
 
-    @property
-    def matrix(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.M + 1, 0), (0, 1 - self.M))
-
     def value(self, r) -> Fraction:
         x, y = _frac_pair(r)
         return Fraction(self.M + 1, 2) * x * x - Fraction(self.M - 1, 2) * y * y
@@ -88,13 +84,8 @@ class QuadForm:
         (x, y), (u, w) = r, s
         return (self.M + 1) * x * u - (self.M - 1) * y * w
 
-    @property
-    def automorph(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The determinant-one integer matrix preserving the form."""
-        M = self.M
-        return ((M, M - 1), (M + 1, M))
-
     def apply_automorph(self, v):
+        """g v for the automorph g = ((M, M - 1), (M + 1, M)) of the form."""
         x, y = v
         M = self.M
         return (M * x + (M - 1) * y, (M + 1) * x + M * y)
@@ -161,9 +152,7 @@ class ThetaParams(Record):
         a, b = _frac_pair(a), _frac_pair(b)
         for s in (a[0] + a[1], a[0] - a[1]):
             if s.denominator == 1:
-                raise QSeriesError(
-                    "the shift components must have non-integral sum and difference"
-                )
+                raise QSeriesError("the shift components must have non-integral sum and difference")
         self.__dict__.update(M=M, a=a, b=b)
 
 
@@ -454,63 +443,68 @@ def verify_theta_embedding(j: int, k: int, ell: int, trunc) -> CheckReport:
 # ----------------------------------------------------------- param validation
 
 
-def validate_family_params(j: int, k: int, ell: int) -> CheckReport:
-    """Exact validation of every condition the family parameters satisfy.
-
-    Checks the shift windows, the automorph congruences, the bilinear
-    integrality value, the half-integer phase collapse and which
-    equivalence branch holds, each as an integer identity or divisibility
-    on a = A / D and b = B / E.  The automorph's determinant, its
-    invariance of the form and its map of the first reference vector onto
-    the second hold for every M >= 2; they are reported all the same.
-    """
-    _validate_family(j, k, ell)
-    fam = FAMILIES[j]
-    M, A, D, B, E = _family_numerators(j, k, ell)
+def _param_checks(M: int, A, D: int, B, E: int) -> tuple:
+    """(status, details, shifts, pairing) of :func:`validate_params` on
+    a = A / D and b = B / E, each check an integer identity or divisibility."""
     form = QuadForm(M)
-    gamma = form.apply_automorph
+    gamma, bilinear = form.apply_automorph, form.bilinear
 
-    def moved(u, c):  # u + c (1, 1)
-        return (u[0] + c, u[1] + c)
+    def offset(u, v):  # the int c with u + c D (1, 1) = v, else None
+        c, r = divmod(v[0] - u[0], D)
+        return None if r or v[1] - u[1] != c * D else c
 
-    checks: dict[str, bool] = {}
+    checks = {}
     s, d = A[0] + A[1], A[0] - A[1]
-    checks["shift_window"] = 0 < s < D and fam.window * D < d < (fam.window + 1) * D
+    checks["shift_window"] = 0 < s < D and d % D != 0
     checks["shift_nonzero"] = A != (0, 0)
     A_star, B_star = star(A), star(B)
-    s1, s2 = (None if c is None else _affine(c, k, ell) for c in fam.shifts)
-    if s2 is None:
-        checks["shift_congruence"] = moved(gamma(A), s1 * D) == A
-    else:
-        checks["shift_congruence"] = (
-            moved(gamma(A), s1 * D) == A_star and moved(gamma(A_star), s2 * D) == A
-        )
-    checks["twist_congruence"] = moved(gamma(B), -E) == B_star and gamma(B_star) == B
+    ga, ga_star, gb = gamma(A), gamma(A_star), gamma(B)
+    # g(a) + s (1, 1) = a forces a1 = 0, so a = a* and this covers it
+    shifts = offset(ga, A_star), offset(ga_star, A)
+    checks["shift_congruence"] = None not in shifts
+    checks["twist_congruence"] = (gb[0] - E, gb[1] - E) == B_star and gamma(B_star) == B
+    pairing, rest = divmod(bilinear(A, (-1, -1)), D)
+    checks["bilinear_integrality"] = rest == 0
 
-    # an int equal to B(a, (-1, -1)) makes it integral
-    checks["bilinear_integrality"] = form.bilinear(A, (-1, -1)) == _affine(fam.pairing, k, ell) * D
-
-    g, Q = form.automorph, form.matrix
-    checks["automorph_det"] = g[0][0] * g[1][1] - g[0][1] * g[1][0] == 1
-    # g^T Q g, with Q diagonal
-    conjugated = tuple(
-        tuple(sum(g[i][r] * Q[i][i] * g[i][c] for i in (0, 1)) for c in (0, 1)) for r in (0, 1)
-    )
-    checks["automorph_preserves_form"] = conjugated == Q
+    c1, c2 = gamma((1, 0)), gamma((0, 1))  # the columns of g
+    checks["automorph_det"] = c1[0] * c2[1] - c2[0] * c1[1] == 1
+    # g^T Q g = Q: they pair as the units do
+    pairs = bilinear(c1, c1), bilinear(c2, c2), bilinear(c1, c2)
+    checks["automorph_preserves_form"] = pairs == (M + 1, 1 - M, 0)
     # g c_1 = c_2; both reference vectors carry the factor 1 / sqrt(M^2 - 1)
     checks["automorph_maps_reference_vectors"] = gamma((1 - M, M + 1)) == (M - 1, M + 1)
     checks["phase_collapse"] = 2 * (M + 1) * B[0] == 2 * (M - 1) * B[1] == E
 
-    ga, gb = gamma(A), gamma(B)
     branch_direct = _equivalent(form, ga, A, D, gb, B, E)
     branch_star = _equivalent(form, ga, A_star, D, gb, B_star, E) and _equivalent(
-        form, gamma(A_star), A, D, gamma(B_star), B, E
+        form, ga_star, A, D, gamma(B_star), B, E
     )
     checks["equivalence_branch"] = branch_direct or branch_star
-    branches = {"equivalence_direct": branch_direct, "equivalence_starred": branch_star}
     status = "pass" if all(checks.values()) else "fail"
-    params = {"j": j, "k": k, "ell": ell, "M": M}
-    return CheckReport("family_theta_params", params, status, {**checks, **branches})
+    details = {**checks, "equivalence_direct": branch_direct, "equivalence_starred": branch_star}
+    return status, details, shifts, None if rest else pairing
+
+
+def validate_params(params: ThetaParams) -> CheckReport:
+    """Exact validation of any (M, a, b): 0 < a1 + a2 < 1, a1 - a2 not
+    integral; g(a) + s1 (1, 1) = a* and g(a*) + s2 (1, 1) = a for the
+    automorph g (s1 = s2 when a = a*); B(a, (-1, -1)) integral;
+    g(b) - (1, 1) = b*, g(b*) = b; 2(M + 1) b1 = 2(M - 1) b2 = 1; an
+    equivalence branch.  Reports ``shifts`` [s1, s2] and ``pairing``, None
+    if no integer fits: [-1, 1], -1 for Cohen's M = 5, a = (1/6, 0), b = (1/12, 1/8)."""
+    (D, (A,)), (E, (B,)) = _over_common(params.a), _over_common(params.b)
+    status, details, shifts, pairing = _param_checks(params.M, A, D, B, E)
+    return CheckReport("theta_params", {"M": params.M, "a": params.a, "b": params.b}, status,
+                       {**details, "shifts": list(shifts), "pairing": pairing})
+
+
+def validate_family_params(j: int, k: int, ell: int) -> CheckReport:
+    """:func:`validate_params` on family j at (k, ell), without its shifts
+    and pairing, on the integers of :func:`_family_numerators`."""
+    _validate_family(j, k, ell)
+    M, A, D, B, E = _family_numerators(j, k, ell)
+    status, details, _, _ = _param_checks(M, A, D, B, E)
+    return CheckReport("family_theta_params", {"j": j, "k": k, "ell": ell, "M": M}, status, details)
 
 
 # ------------------------------------------------------------- numeric layer

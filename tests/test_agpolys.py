@@ -150,6 +150,26 @@ def test_truncated_matches_full():
     assert cut == full.truncate(12)
 
 
+def test_ag_polynomial_decodes_only_its_own_entry(monkeypatch):
+    # Entry n of ag_polynomials, with one decode (and one total check)
+    # instead of n + 1.
+    want = {trunc: ag_polynomials(3, 2, 0, 6, trunc)[6] for trunc in (INF, 12)}
+    decoded = []
+    decode = TruncatedRing.decode
+
+    def counting(self, a, low=0):
+        decoded.append(a)
+        return decode(self, a, low)
+
+    monkeypatch.setattr(TruncatedRing, "decode", counting)
+    for trunc, poly in want.items():
+        decoded.clear()
+        assert ag_polynomial(3, 2, 0, 6, trunc) == poly
+        assert len(decoded) == 1
+    decoded.clear()
+    assert len(ag_polynomials(3, 2, 0, 6)) == 7 and len(decoded) > 1
+
+
 def test_nonnegative_coefficients_without_linear_weight():
     for k in (2, 3):
         for ell in range(1, k + 1):

@@ -25,6 +25,8 @@ NEEDED = {
     "normal_pairing": "QuadForm.normal_pairing: ROADMAP item 1 (exact ray signs)",
     "relation_sums": "the public relation sweep: tests/test_bailey.py checks bailey._sweep through "
                      "it against the double product loop",
+    "inverse_pochhammer": "the public inverse Pochhammer: tests/test_bailey.py checks the unit "
+                          "pair's beta against the product of two of them",
 }
 
 

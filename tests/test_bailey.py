@@ -180,6 +180,35 @@ def test_unit_pair_beta_formula():
     assert beta(pair_q, 2, 30) == want_q.truncate(30)
 
 
+@pytest.mark.parametrize("relative", RELATIVES)
+@pytest.mark.parametrize("trunc", [5, 40])
+def test_unit_pair_beta_matches_inverse_pochhammer_products(relative, trunc):
+    # The unit pair's beta as it was built before, the product of two
+    # inverse_pochhammer series, is the oracle of its divisions in the
+    # caller's ring.
+    second = "q" if relative == "one" else "q2;q"
+    want = [
+        (inverse_pochhammer("q", n, trunc) * inverse_pochhammer(second, n, trunc)).truncate(trunc)
+        for n in range(13)
+    ]
+    assert decoded_betas(unit_pair(relative), 12, trunc) == want
+
+
+@pytest.mark.parametrize("relative", RELATIVES)
+@pytest.mark.parametrize("n, e", [(0, 0), (3, 2), (8, 39)])
+def test_unit_pair_with_one_beta_changed_fails_its_check(relative, n, e):
+    unit = unit_pair(relative)
+
+    def betas(ring, n_max):
+        out = list(unit.betas(ring, n_max))
+        out[n] += ring.encode({e: 1})
+        return out
+
+    report = verify_pair(BaileyPair(relative, unit.alpha, betas, "changed"), 8, 40).to_json_dict()
+    assert report["status"] == "fail"
+    assert (report["n"], report["first_mismatch_exponent"]) == (n, str(e))
+
+
 def test_verify_unit_pairs():
     for relative in ("one", "q"):
         report = verify_pair(unit_pair(relative), 8, 40)

@@ -208,6 +208,17 @@ class TestVerify:
         assert objs[-1]["check"] == "completion_defect_control"
         assert objs[-1]["defect"] > 1e-3
 
+    def test_completion_control_must_fail_exact_validation(self, capsys, monkeypatch):
+        # A control that validated as a family lattice would prove nothing,
+        # whatever its defect.
+        passing = cli.validate_params(family_params(1, 1, 1).params)
+        monkeypatch.setattr(cli, "validate_params", lambda params: passing)
+        code, lines, _ = _run(capsys, "verify", "completion")
+        control = _json_lines(lines)[-1]
+        assert control["check"] == "completion_defect_control"
+        assert control["status"] == "fail" and control["defect"] > 1e-3
+        assert code != 0
+
     def test_completion_cut_too_short_is_precision_failure(self, capsys):
         # At cut 1 the outer shell of (1,1,1) still adds terms: its defect
         # there is truncation, not a failed verdict.

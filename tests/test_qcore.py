@@ -465,6 +465,20 @@ def test_packed_rings_decode_what_they_encode(edge, step, slots, data):
         assert ring.decode(ring.sub(0, packed)) == {e: -c for e, c in powers.items()}
 
 
+@pytest.mark.parametrize("powers, low", [({-1: 1}, 0), ({0: 1}, 1), ({3: 2, -2: 1}, -1)])
+def test_truncated_ring_refuses_exponents_below_low(powers, low):
+    # The last digits must not take them: x^-1 would decode as x^4.
+    with pytest.raises(QSeriesError, match="below"):
+        TruncatedRing(5, 10).encode(powers, low)
+
+
+def test_cyclic_ring_reduces_exponents_below_low():
+    ring = CyclicRing(5, 10)
+    assert ring.decode(ring.encode({-1: 1})) == {4: 1}
+    assert ring.decode(ring.encode({0: 1}, low=1)) == {4: 1}
+    assert ring.decode(ring.encode({0: 2, 1: 3}, low=1), low=1) == {1: 3, 5: 2}
+
+
 @pytest.mark.parametrize("edge", WIDTH_EDGES)
 def test_packed_width_keeps_two_spare_bits(edge):
     # W holds bound.bit_length() + 2 bits, in whole machine words up to

@@ -90,13 +90,10 @@ RECORDS = [
     ),
     (
         Family,
-        ["identity", "sum_scale", "theta_scale", "M", "a1", "b", "window", "shifts", "pairing",
-         "shell_parts", "shell_denom"],
-        (("q", "gauss"), 1, 1, (2, 2), (2, 1), ((4, 6), (4, 2)), 0, ((-2, 1, -1), (0, 1, 0)),
-         (0, -1, 0), (((1, 0), 1), ((-1, -1), -1)), 1),
+        ["identity", "sum_scale", "theta_scale", "M", "a1", "b", "shell_parts", "shell_denom"],
+        (("q", "gauss"), 1, 1, (2, 2), (2, 1), ((4, 6), (4, 2)), (((1, 0), 1), ((-1, -1), -1)), 1),
         "Family(identity=('q', 'gauss'), sum_scale=1, theta_scale=1, M=(2, 2), a1=(2, 1),"
-        " b=((4, 6), (4, 2)), window=0, shifts=((-2, 1, -1), (0, 1, 0)), pairing=(0, -1, 0),"
-        " shell_parts=(((1, 0), 1), ((-1, -1), -1)), shell_denom=1)",
+        " b=((4, 6), (4, 2)), shell_parts=(((1, 0), 1), ((-1, -1), -1)), shell_denom=1)",
     ),
     (
         ThetaParams, ["M", "a", "b"], (2, (F(1, 3), F(1, 5)), (0, F(1, 2))),
@@ -140,7 +137,7 @@ _CHANGED = {
     CheckReport: ("status", "fail"),
     PartitionConstraint: ("part_bound", 5),
     BaileyPair: ("label", ""),
-    Family: ("window", 1),
+    Family: ("shell_denom", 2),
     ThetaParams: ("M", 3),
     FamilyThetaData: ("power", 2),
     MaassCoeffTable: ("coeffs", {1: 1}),

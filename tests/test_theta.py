@@ -46,6 +46,7 @@ from qmaass.theta import (
     _lattice_table,
     _lattice_walk,
     _over_common,
+    _param_checks,
     _ray_integral,
     _ray_sign,
     _shell_walk,
@@ -58,6 +59,7 @@ from qmaass.theta import (
     star,
     unit_phase,
     validate_family_params,
+    validate_params,
     verify_family_lattice,
     verify_theta_embedding,
     waveform_numeric,
@@ -68,7 +70,18 @@ F = Fraction
 
 class FractionForm(QuadForm):
     """QuadForm with the Fraction-only helpers the validation used before
-    it moved to integer numerators, and the float reference vectors."""
+    it moved to integer numerators, the form's and the automorph's
+    matrices, and the float reference vectors."""
+
+    @property
+    def matrix(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        return ((self.M + 1, 0), (0, 1 - self.M))
+
+    @property
+    def automorph(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The determinant-one integer matrix preserving the form."""
+        M = self.M
+        return ((M, M - 1), (M + 1, M))
 
     def bilinear(self, r, s) -> Fraction:
         x, y = _frac_pair(r)
@@ -158,6 +171,9 @@ class TestQuadForm:
         assert math.hypot(mapped[0] - c2[0], mapped[1] - c2[1]) < 1e-12
         # Exactly: sqrt(M^2 - 1) c_1 = (1 - M, M + 1) goes to sqrt(M^2 - 1) c_2.
         assert QuadForm(M).apply_automorph((1 - M, M + 1)) == (M - 1, M + 1)
+        # The integer map is the matrix: its columns are the images of the units.
+        columns = QuadForm(M).apply_automorph((1, 0)), QuadForm(M).apply_automorph((0, 1))
+        assert columns == tuple(zip(*g))
 
     @pytest.mark.parametrize("M", [2, 3, 7])
     def test_pairings_match_float_reference_vectors(self, M):
@@ -406,41 +422,40 @@ def equivalence_check(pair1, pair2, M: int) -> bool:
     return _equivalent(QuadForm(M), a, alpha, D, b, beta, E)
 
 
-def reference_validate_family_params(j: int, k: int, ell: int) -> CheckReport:
-    """Exact validation of every condition the family parameters satisfy.
+def reference_offset(u, v):
+    """The integer c with u + c (1, 1) = v, or None."""
+    c = v[0] - u[0]
+    return int(c) if c.denominator == 1 and v[1] - u[1] == c else None
 
-    Checks the shift windows, the automorph congruences, the bilinear
-    integrality value, the automorph matrix properties, the float map of
-    the first reference vector onto the second, the half-integer phase
+
+def reference_validate_params(M: int, a, b) -> tuple[str, dict, tuple, object]:
+    """(status, details, shifts, pairing): every condition of the validation on
+    Fraction pairs a and b, with the Fraction helpers of FractionForm, the
+    shifts (s1, s2) and the pairing derived as the validation derives them.
+
+    Checks the shift window, the automorph congruences, the bilinear
+    integrality, the automorph matrix properties, the float map of the
+    first reference vector onto the second, the half-integer phase
     collapse, and which equivalence branch holds.
     """
-    data = family_params(j, k, ell)
-    fam = FAMILIES[j]
-    M, a, b = data.params.M, data.params.a, data.params.b
+    a, b = _frac_pair(a), _frac_pair(b)
     form = FractionForm(M)
     gamma = form.apply_automorph
-
-    def moved(u, c):  # u + c (1, 1)
-        return (u[0] + c, u[1] + c)
 
     checks: dict[str, bool] = {}
 
     s, d = a[0] + a[1], a[0] - a[1]
-    checks["shift_window"] = 0 < s < 1 and fam.window < d < fam.window + 1
+    checks["shift_window"] = 0 < s < 1 and d.denominator != 1
     checks["shift_nonzero"] = a != (Fraction(0), Fraction(0))
 
     a_star, b_star = reference_star(a), reference_star(b)
-    s1, s2 = (None if c is None else _affine(c, k, ell) for c in fam.shifts)
-    if s2 is None:
-        checks["shift_congruence"] = moved(gamma(a), s1) == a
-    else:
-        checks["shift_congruence"] = (
-            moved(gamma(a), s1) == a_star and moved(gamma(a_star), s2) == a
-        )
-    checks["twist_congruence"] = moved(gamma(b), -1) == b_star and gamma(b_star) == b
+    # g(a) + s1 (1, 1) = a* and g(a*) + s2 (1, 1) = a, or g(a) + s (1, 1) = a
+    shifts = reference_offset(gamma(a), a_star), reference_offset(gamma(a_star), a)
+    checks["shift_congruence"] = None not in shifts or reference_offset(gamma(a), a) is not None
+    checks["twist_congruence"] = reference_offset(gamma(b), b_star) == -1 and gamma(b_star) == b
 
-    # an int equal to B(a, (-1, -1)) makes it integral
-    checks["bilinear_integrality"] = form.bilinear(a, (-1, -1)) == _affine(fam.pairing, k, ell)
+    pairing = form.bilinear(a, (-1, -1))
+    checks["bilinear_integrality"] = pairing.denominator == 1
 
     g = form.automorph
     A = form.matrix
@@ -467,14 +482,34 @@ def reference_validate_family_params(j: int, k: int, ell: int) -> CheckReport:
     ) and reference_equivalence_check((gamma(a_star), gamma(b_star)), (a, b), M)
     checks["equivalence_branch"] = branch_direct or branch_star
 
+    status = "pass" if all(checks.values()) else "fail"
     details: dict[str, object] = dict(checks)
     details["equivalence_direct"] = branch_direct
     details["equivalence_starred"] = branch_star
+    return status, details, shifts, int(pairing) if pairing.denominator == 1 else None
+
+
+def reference_validate_family_params(j: int, k: int, ell: int) -> CheckReport:
+    """The report of validate_family_params, from reference_validate_params
+    on the family's Fraction parameters."""
+    p = family_params(j, k, ell).params
+    status, details, _, _ = reference_validate_params(p.M, p.a, p.b)
     return CheckReport(
         check="family_theta_params",
-        params={"j": j, "k": k, "ell": ell, "M": M},
-        status="pass" if all(checks.values()) else "fail",
+        params={"j": j, "k": k, "ell": ell, "M": p.M},
+        status=status,
         details=details,
+    )
+
+
+def reference_validate_theta_params(M: int, a, b) -> CheckReport:
+    """The report of validate_params, from reference_validate_params."""
+    status, details, shifts, pairing = reference_validate_params(M, a, b)
+    return CheckReport(
+        check="theta_params",
+        params={"M": M, "a": _frac_pair(a), "b": _frac_pair(b)},
+        status=status,
+        details={**details, "shifts": list(shifts), "pairing": pairing},
     )
 
 
@@ -492,78 +527,127 @@ def test_integer_validation_matches_reference_up_to_k30():
                 assert got.ok
 
 
-def _affine_forms(size: int):
-    return st.tuples(*[st.integers(-4, 4)] * size)
+# The shifts (s1, s2) and the pairing each family record used to carry, as
+# affine forms in (k, ell), before validation derived them from a and b.
+# Family 4 has a = a* and carried s2 as None, for g(a) + s1 (1, 1) = a;
+# the starred form g(a*) + s2 (1, 1) = a then holds with s2 = s1.
+_FORMER_RECORD_FORMS = {
+    1: ((-2, 1, -1), (0, 1, 0), (0, -1, 0)),
+    2: ((-4, 2, -1), (0, 2, -1), (0, -2, 1)),
+    3: ((-1, 1, 0), (-1, 1, -1), (1, -1, 1)),
+    4: ((-2, 2, -1), (-2, 2, -1), (2, -2, 1)),
+}
 
 
-def _nudge(form, by=1):
-    """The affine form with its constant moved by ``by``."""
-    return form[:-1] + (form[-1] + by,)
+def test_validate_params_agrees_with_the_family_validation_up_to_k10():
+    for j, forms in _FORMER_RECORD_FORMS.items():
+        for k in range(1, 11):
+            for ell in range(1, k + 1):
+                params = family_params(j, k, ell).params
+                got = validate_params(params)
+                family = validate_family_params(j, k, ell)
+                assert got.ok and family.ok
+                assert list(got.details)[:12] == list(family.details)
+                assert all(got.details[key] is value for key, value in family.details.items())
+                s1, s2, pairing = (_affine(form, k, ell) for form in forms)
+                assert got.details["shifts"] == [s1, s2]
+                assert got.details["pairing"] == pairing
+                assert _same_report(got, reference_validate_theta_params(params.M, params.a, params.b))
+
+
+def test_validate_params_passes_cohen_lattice():
+    # Cohen's example as the lattice M = 5: g(a) - (1, 1) = a*,
+    # g(a*) + (1, 1) = a, g(b) - (1, 1) = b*, g(b*) = b, B(a, (-1, -1)) = -1.
+    params = ThetaParams(5, (F(1, 6), 0), (F(1, 12), F(1, 8)))
+    rep = validate_params(params)
+    assert rep.ok, rep.details
+    assert rep.check == "theta_params"
+    assert (rep.details["shifts"], rep.details["pairing"]) == ([-1, 1], -1)
+    assert rep.details["equivalence_starred"] and not rep.details["equivalence_direct"]
+    assert rep.to_json_dict()["params"] == {"M": 5, "a": ["1/6", "0"], "b": ["1/12", "1/8"]}
+    assert _same_report(rep, reference_validate_theta_params(params.M, params.a, params.b))
+
+
+def test_validate_params_fails_the_off_family_control():
+    # The control of `verify completion`, whose defect must not vanish.
+    params = ThetaParams(4, (F(1, 5), F(1, 7)), (F(1, 3), F(1, 11)))
+    rep = validate_params(params)
+    assert rep.status == "fail"
+    failed = {key for key, value in rep.details.items() if value is False}
+    assert {"shift_congruence", "bilinear_integrality", "phase_collapse"} <= failed
+    assert (rep.details["shifts"], rep.details["pairing"]) == ([None, None], None)
+    assert _same_report(rep, reference_validate_theta_params(params.M, params.a, params.b))
+
+
+def _param_checks_of(M: int, a, b) -> tuple:
+    """theta._param_checks on the integer numerators of Fraction pairs a, b."""
+    (D, (A,)), (E, (B,)) = _over_common(_frac_pair(a)), _over_common(_frac_pair(b))
+    return _param_checks(M, A, D, B, E)
+
+
+def _family_denominator(M: int, k: int) -> int:
+    """D with a = A / D for a family's a = (a1 / (2(M + 1)), (2k - 2ell + 1) / (4k + 2))."""
+    return math.lcm(2 * (M + 1), 4 * k + 2)
 
 
 @st.composite
-def _tampered_records(draw):
-    """(j, k, ell, record): a family record with any of its validated fields
-    (M, a1, b, window, shift constants, pairing) kept, nudged or redrawn."""
+def _perturbed_params(draw):
+    """(M, a, b): a family's parameters at some (k, ell) with each part kept
+    or perturbed: M redrawn, each entry of a moved by a multiple of 1/D
+    (:func:`_family_denominator`) or by an integer, each entry of b scaled by -1, 2, 1/2 or
+    -2 or redrawn."""
     j = draw(st.sampled_from(sorted(FAMILIES)))
     k = draw(st.integers(1, 12))
     ell = draw(st.integers(1, k))
-    fam = FAMILIES[j]
+    p = family_params(j, k, ell).params
+    D = _family_denominator(p.M, k)
 
-    def either(kept, *others):  # shrinks towards the record's own value
+    def either(kept, *others):  # shrinks towards the family's own value
         return draw(st.one_of(st.just(kept), *others))
 
-    def nudged(form):
-        return st.integers(-2, 2).map(lambda c: _nudge(form, c))
-
-    # b's forms stay nonzero at k; the sign may flip
-    twist = st.tuples(st.integers(0, 8), st.integers(1, 9), st.sampled_from((1, -1))).map(
-        lambda t: (t[0] * t[2], t[1] * t[2])
+    M = either(p.M, st.integers(2, 40))
+    a = tuple(
+        either(
+            c,
+            st.integers(-2, 2).map(lambda n, c=c: c + F(n, D)),
+            st.integers(-1, 1).map(lambda n, c=c: c + n),
+        )
+        for c in p.a
     )
-    s1, s2 = fam.shifts
-    record = _with(
-        fam,
-        M=either(fam.M, st.tuples(st.integers(0, 4), st.integers(2, 9))),
-        a1=either(fam.a1, nudged(fam.a1), _affine_forms(2)),
-        b=(either(fam.b[0], twist), either(fam.b[1], twist)),
-        window=either(fam.window, st.integers(-3, 3)),
-        shifts=(
-            either(s1, nudged(s1), _affine_forms(3)),
-            either(s2, *(() if s2 is None else (nudged(s2),)), st.none(), _affine_forms(3)),
-        ),
-        pairing=either(fam.pairing, nudged(fam.pairing), _affine_forms(3)),
+    b = tuple(
+        either(
+            c,
+            st.sampled_from((-1, 2, F(1, 2), -2)).map(lambda r, c=c: c * r),
+            st.builds(F, st.integers(-9, 9), st.integers(1, 30)),
+        )
+        for c in p.b
     )
-    return j, k, ell, record
-
-
-def _validate_tampered(case):
-    j, k, ell, record = case
-    with patch.dict(FAMILIES, {j: record}):
-        return validate_family_params(j, k, ell)
+    return M, a, b
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=_tampered_records())
+@given(case=_perturbed_params())
 def test_integer_validation_matches_reference_on_tampered_records(case):
-    j, k, ell, record = case
-    got = _validate_tampered(case)
-    with patch.dict(FAMILIES, {j: record}):
-        try:
-            expected = reference_validate_family_params(j, k, ell)
-        except QSeriesError:
-            # family_params refuses a1 +- a2 integral, which the integer
-            # checks report as a failed window
-            assert not got.details["shift_window"] and not got.ok
-            return
-    assert _same_report(got, expected)
+    # Perturbed (M, a, b), checked on integers and on Fractions alike.
+    M, a, b = case
+    status, details, shifts, pairing = _param_checks_of(M, a, b)
+    expected = reference_validate_params(M, a, b)
+    assert (status, details, shifts, pairing) == expected and list(details) == list(expected[1])
+    a1, a2 = _frac_pair(a)
+    if (a1 + a2).denominator != 1 and (a1 - a2).denominator != 1:
+        assert _same_report(validate_params(ThetaParams(M, a, b)), reference_validate_theta_params(M, a, b))
+    else:
+        # ThetaParams refuses a1 +- a2 integral, which the checks report
+        # as a failed window
+        assert not details["shift_window"] and status == "fail"
 
 
 # find() settings for the tests that show a strategy reaches a branch: a
 # fixed seed, and no shrinking, since any example shows it.
 _FIND = settings(max_examples=2000, database=None, phases=[Phase.generate], derandomize=True)
 
-# The checks that read the record.  shift_nonzero reads it too, but no
-# record fails it: a2 = (2k - 2ell + 1) / (4k + 2) is never zero.
+# The checks that read a or b.  shift_nonzero reads a too, but no family
+# has a = 0: a2 = (2k - 2ell + 1) / (4k + 2) is never zero.
 _RECORD_KEYS = (
     "shift_window",
     "shift_congruence",
@@ -577,10 +661,10 @@ _RECORD_KEYS = (
 @pytest.mark.parametrize("key", _RECORD_KEYS)
 @pytest.mark.parametrize("value", [True, False])
 def test_tampered_records_reach_both_branches(key, value):
-    # The property above sees every record-dependent check both pass and fail.
+    # The property above sees every check that reads a or b pass and fail.
     find(
-        _tampered_records(),
-        lambda case: _validate_tampered(case).details[key] is value,
+        _perturbed_params(),
+        lambda case: _param_checks_of(*case)[1][key] is value,
         settings=_FIND,
     )
 
@@ -645,32 +729,51 @@ def test_equivalence_check_on_unequal_denominators(partner, M, expected):
     assert reference_equivalence_check((_A, _B), partner, M) is expected
 
 
-# One tampered record per check key: the key must read false and the
-# report fail.  automorph_det, automorph_preserves_form and
+# Named perturbations of (a, b) per check key, each of which must make the
+# key read false and the report fail.  D = lcm(2(M + 1), 4k + 2) is the
+# denominator of a family's a, as Family writes it.
+# automorph_det, automorph_preserves_form and
 # automorph_maps_reference_vectors read the form alone and hold for every
-# M >= 2, so no record can make them fail.
+# M >= 2, so no perturbation can make them fail.
 _WITNESSES = {
-    "shift_window": lambda fam: {"window": fam.window + 1},
-    "shift_congruence": lambda fam: {"shifts": (_nudge(fam.shifts[0]), fam.shifts[1])},
-    # b1 -> -b1
-    "twist_congruence": lambda fam: {"b": (tuple(-c for c in fam.b[0]), fam.b[1])},
-    "bilinear_integrality": lambda fam: {"pairing": _nudge(fam.pairing)},
+    # a1 + a2 moved past 1
+    "shift_window": lambda a, b, D: [((a[0] + 1, a[1]), b)],
+    # a off by 1/D in either coordinate
+    "shift_congruence": lambda a, b, D: [((a[0] + F(1, D), a[1]), b), ((a[0], a[1] + F(1, D)), b)],
+    "bilinear_integrality": lambda a, b, D: [((a[0] + F(1, D), a[1]), b), ((a[0], a[1] + F(1, D)), b)],
+    # b1 -> -b1; and b -> (2 b1, 0), which keeps g(b) - (1, 1) = b* but
+    # not g(b*) = b
+    "twist_congruence": lambda a, b, D: [(a, (-b[0], b[1])), (a, (2 * b[0], 0))],
     # b -> 2b, so (M + 1) b1 = 1 and not 1/2
-    "phase_collapse": lambda fam: {"b": tuple(tuple(c // 2 for c in form) for form in fam.b)},
+    "phase_collapse": lambda a, b, D: [(a, (2 * b[0], 2 * b[1]))],
     # b1 -> b1 / 2
-    "equivalence_branch": lambda fam: {"b": (tuple(2 * c for c in fam.b[0]), fam.b[1])},
+    "equivalence_branch": lambda a, b, D: [(a, (b[0] / 2, b[1]))],
 }
 
 
 @pytest.mark.parametrize("key", sorted(_WITNESSES))
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
-def test_a_tampered_record_fails_each_check(key, j, monkeypatch):
-    fam = FAMILIES[j]
-    monkeypatch.setitem(FAMILIES, j, _with(fam, **_WITNESSES[key](fam)))
+def test_a_tampered_record_fails_each_check(key, j):
+    # Each named perturbation of family j's a or b fails its check.
     for k, ell in ((1, 1), (2, 1), (3, 2)):
-        rep = validate_family_params(j, k, ell)
-        assert rep.details[key] is False and rep.status == "fail", (k, ell, rep.details)
-        assert _same_report(rep, reference_validate_family_params(j, k, ell))
+        p = family_params(j, k, ell).params
+        for a, b in _WITNESSES[key](p.a, p.b, _family_denominator(p.M, k)):
+            rep = validate_params(ThetaParams(p.M, a, b))
+            assert rep.details[key] is False and rep.status == "fail", (k, ell, a, b, rep.details)
+            assert _same_report(rep, reference_validate_theta_params(p.M, a, b))
+
+
+@pytest.mark.parametrize("M, a", [(7, (F(1, 4), F(1, 4))), (4, (F(3, 4), F(-1, 4)))])
+def test_window_fails_an_integral_difference(M, a):
+    # 0 < a1 + a2 < 1, but a1 - a2 is an integer: lattice points would lie
+    # on the cone's boundary.  ThetaParams refuses such an a; the integer
+    # checks report the window failed.
+    b = (F(1, 2 * (M + 1)), F(1, 2 * (M - 1)))
+    got = _param_checks_of(M, a, b)
+    assert got[0] == "fail" and got[1]["shift_window"] is False
+    assert got == reference_validate_params(M, a, b)
+    with pytest.raises(QSeriesError, match="non-integral"):
+        ThetaParams(M, a, b)
 
 
 def _fraction_calls(func, points) -> int:
