@@ -109,8 +109,9 @@ def _chain_polynomials(k: int, ell: int, b: int, n_max: int, trunc, first: int =
     whole = trunc == INF
     t = INF if whole else finite_trunc(trunc)
     slots = _degree_bound(k, b, n_max) + 1 if whole else int_slots(t)
-    sizes = _walk(L1Bound(INF if whole else slots), k, ell, b, n_max)
-    ring = TruncatedRing(slots, max(sizes))
+    twin = L1Bound() if whole else TruncatedRing.twin(slots)
+    sizes = _walk(twin, k, ell, b, n_max)
+    ring = TruncatedRing(slots, twin.bound(sizes))
     out, prev = [], None
     for n, a in enumerate(_walk(ring, k, ell, b, n_max)[first:], first):
         if a != prev:
@@ -168,9 +169,9 @@ def ag_generating(constraint: PartitionConstraint, trunc) -> QSeries:
     is the frequency of the previous size (needed for the adjacent-sum rule),
     and each state holds its partitions' series below the finite ``trunc``
     as one packed value, so f parts of size j are one rotation by f j.  The
-    DP runs first over :class:`~qmaass.series.L1Bound`, whose total
-    over-counts the partitions and so bounds every coefficient
-    (:meth:`~qmaass.series.PackedRing.sums`).
+    DP runs first over :class:`~qmaass.series.L1Bound`: no rotation reaches
+    x^T and every term is >= 0, so its total bounds every coefficient, here
+    more tightly than the ring's majorant twin.
     """
     trunc = finite_trunc(trunc)
     size = int_slots(trunc)
@@ -192,7 +193,8 @@ def ag_generating(constraint: PartitionConstraint, trunc) -> QSeries:
             states = step
         return [sum(states.values())]
 
-    return QSeries._from_clean(TruncatedRing.sums(size, build)[0], 1, trunc)
+    ring = TruncatedRing(size, L1Bound().bound(build(L1Bound())))
+    return QSeries._from_clean(ring.decode(build(ring)[0]), 1, trunc)
 
 
 def verify_ag_relation(k: int, ell: int, b: int, n: int) -> CheckReport:

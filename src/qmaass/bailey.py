@@ -63,7 +63,7 @@ class BaileyPair(Record):
     ``alpha`` maps ``(n, trunc)`` to alpha_n, a :class:`QSeries`; the
     built-in constructors memoize it.  ``betas`` maps ``(ring, n_max)`` to
     beta_0, ..., beta_(n_max) as values of the caller's
-    :class:`~qmaass.series.TruncatedRing` or its L1 twin, below x^T, T =
+    :class:`~qmaass.series.TruncatedRing` or its majorant twin, below x^T, T =
     ``ring.horizon``, so that each check sums beta in the one
     :meth:`~qmaass.series.PackedRing.sums` pass that holds its other side:
     a chain pair takes one chain walk to n_max, a synthetic pair its own
@@ -131,7 +131,7 @@ def _alpha_maps(pair: BaileyPair, n_max, t) -> list:
 
 def relation_sums(pair: BaileyPair, n_max: int, trunc) -> list[QSeries]:
     """The relation sums for n = 0, ..., n_max below the finite ``trunc``,
-    from one :func:`_sweep` in Z[x]/(x^T), T = ceil(trunc), sized by one L1
+    from one :func:`_sweep` in Z[x]/(x^T), T = ceil(trunc), sized by one twin
     pass (:meth:`~qmaass.series.PackedRing.sums`).  Equal neighbouring sums
     are one series."""
     t = finite_trunc(trunc)
@@ -375,7 +375,7 @@ def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) 
     ``relative`` must match the pair's own relative parameter.
 
     Both sides are one :func:`chain_sum` each, in one Z[x]/(x^T), T =
-    ceil(trunc), sized by one L1 pass
+    ceil(trunc), sized by one majorant pass
     (:meth:`~qmaass.series.PackedRing.sums`) that also holds beta: the left
     side over beta_n, the right side over alpha_n with no Pochhammer
     weight, as (x^T; x^T)_m is 1 there.  Both stop at the one proven top of

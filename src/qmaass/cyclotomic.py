@@ -239,9 +239,7 @@ class CyclicRing(PackedRing):
         self.period, self.bits = order, order * self.width
         self.modulus = (1 << self.bits) - 1
 
-    @staticmethod
-    def twin(order: int) -> L1Bound:
-        return L1Bound(period=order)
+    twin = L1Bound  # L1Bound(period=N): a cycle has no horizon
 
     def mul(self, a: int, b: int) -> int:
         return self.rot(a * b, 0)

@@ -28,7 +28,7 @@ import operator
 import struct
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 
 INF = math.inf
 
@@ -452,9 +452,9 @@ class PackedRing:
     (:class:`~qmaass.cyclotomic.CyclicRing`) packed into one int by
     x -> 2^W, a ring map onto Z/``modulus`` (Kronecker substitution; Harvey,
     J. Symb. Comput. 44, 2009).  ``+`` and ``*`` by an int >= 0 are int
-    operations, ``sub`` is ``-`` (signs are dropped in an :class:`L1Bound`);
-    a subclass supplies ``modulus``, ``mul`` and ``rot`` (times x^s), each
-    exact.
+    operations, ``sub`` is ``-`` (signs are dropped in a ``twin``,
+    :class:`L1Bound` or :class:`MajorantBound`); a subclass supplies
+    ``modulus``, ``mul`` and ``rot`` (times x^s), each exact.
 
     A value is the sum of its coefficients c times 2^(W e) over ``slots``
     exponents e.  :meth:`decode` reads each c back while |c| <= ``bound``:
@@ -540,10 +540,11 @@ class PackedRing:
     @classmethod
     def sums(cls, size: int, build) -> list[dict]:
         """The elements of the list ``build(ring)`` as integer maps: ``build``
-        runs over the ring's :class:`L1Bound` twin of ``size``, whose largest
-        value bounds every coefficient, then over the ring of ``size`` and
+        runs over the ring's ``twin`` of ``size``, whose ``bound`` of its
+        values bounds every coefficient, then over the ring of ``size`` and
         that bound."""
-        ring = cls(size, max(build(cls.twin(size)), default=0))
+        twin = cls.twin(size)
+        ring = cls(size, twin.bound(build(twin)))
         return [ring.decode(a) for a in build(ring)]
 
     def encode(self, powers: dict, low: int = 0) -> int:
@@ -579,6 +580,69 @@ class PackedRing:
         return {e: c - half for e, c in enumerate(cells, low) if c != half}
 
 
+class L1Bound(PackedRing):
+    """x -> 1 with signs dropped, binomials by q-Lucas for a ``period``: each
+    value bounds the L1 norm of the matching value of the packed ring with
+    that period (or of the whole polynomial), a norm subadditive,
+    submultiplicative and unchanged by rotation, so the largest is the
+    ring's ``bound``.  A value with all coefficients >= 0 is their sum."""
+
+    width = 0
+    sub = operator.add
+
+    def __init__(self, period: int | None = None):
+        self._columns, self.period = [], period  # _columns: the q-Pascal table
+
+    def bound(self, values: list) -> int:
+        return max(values, default=0)
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b
+
+    def rot(self, a: int, s: int) -> int:
+        return a
+
+    def encode(self, powers: dict) -> int:
+        return sum(map(abs, powers.values()))
+
+
+class MajorantBound(L1Bound):
+    """The twin of the :class:`TruncatedRing` of T = ``horizon`` slots:
+    x -> rho = 1 - 2^-k, k = max(1, round(log2(T) / 2)), signs dropped,
+    each value rounded up to an int (``rot(a, s)`` is ceil(a p_s / 2^(k s)),
+    p_s = (2^k - 1)^s = ``_powers[s]``, and 0 from s = T on).  By induction
+    over the build each value bounds M(rho), M(y) = sum_(e<T) |c_e| y^e the
+    coefficientwise majorant of the matching ring value: M of a sum, or of
+    a product below x^T, is at most the sum or the product of the Ms, M of
+    x^s a is rho^s M(a), and M of a / (1 -+ x^c) at most M(a) / (1 - rho^c).
+    By Cauchy's estimate |c_e| <= M(rho) rho^-e (Flajolet and Sedgewick,
+    Analytic Combinatorics, 2009, VIII.2) the ring's ``bound`` is the
+    largest value times rho^-(T-1), rounded up: both factors are about
+    e^sqrt(T) for a Pochhammer of any length, whose L1 bound is 2^length."""
+
+    def __init__(self, horizon: int):
+        super().__init__()
+        self.horizon, self._k = horizon, max(1, round(math.log2(max(horizon, 1)) / 2))
+        self._powers = [*accumulate(repeat((1 << self._k) - 1, horizon - 1), operator.mul, initial=1)]
+
+    def bound(self, values: list) -> int:
+        n = len(self._powers) - 1
+        return -(-(super().bound(values) << self._k * n) // self._powers[n])
+
+    def rot(self, a: int, s: int) -> int:
+        return -(-a * self._powers[s] >> self._k * s) if s < self.horizon else 0
+
+    def divide(self, a: int, c: int, sign: int = 1) -> int:
+        if not 1 <= c < self.horizon:  # the guard, or the identity
+            return super().divide(a, c, sign)
+        return -((-a << self._k * c) // ((1 << self._k * c) - self._powers[c]))
+
+    def encode(self, powers: dict, low: int = 0) -> int:
+        if min(powers, default=low) < low:
+            raise QSeriesError(f"exponent {min(powers)} is below {low}")
+        return sum(self.rot(abs(c), e - low) for e, c in powers.items())
+
+
 class TruncatedRing(PackedRing):
     """Z[x]/(x^T), T = ``slots``, packed onto Z/2^(W*T) as x^T -> 0: ``mul``
     is a product and a mask, ``rot`` a shift and a mask."""
@@ -588,40 +652,13 @@ class TruncatedRing(PackedRing):
         self.horizon, self.mask = slots, (1 << self.width * slots) - 1
         self.modulus = self.mask + 1
 
-    @staticmethod
-    def twin(slots: int) -> L1Bound:
-        return L1Bound(horizon=slots)
+    twin = MajorantBound  # sizes the ring by Cauchy's estimate, not the L1 norm
 
     def mul(self, a: int, b: int) -> int:
         return a * b & self.mask
 
     def rot(self, a: int, s: int) -> int:
         return a << self.width * s & self.mask if s < self.horizon else 0
-
-
-class L1Bound(PackedRing):
-    """x -> 1 with signs dropped, x^s dropped for s >= ``horizon`` and
-    binomials by q-Lucas for a ``period``: each value bounds the L1 norm of
-    the matching value of the packed ring with that horizon or period, a
-    norm subadditive, submultiplicative and unchanged by rotation, so the
-    largest value is that ring's ``bound``.  With no horizon, a value whose
-    coefficients are all >= 0 is their sum."""
-
-    width = 0
-    sub = operator.add
-
-    def __init__(self, horizon=INF, period: int | None = None):
-        self._columns = []  # the q-Pascal table; nothing is packed
-        self.horizon, self.period = horizon, period
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b
-
-    def rot(self, a: int, s: int) -> int:
-        return a if s < self.horizon else 0
-
-    def encode(self, powers: dict) -> int:
-        return sum(map(abs, powers.values()))
 
 
 # ----------------------------------------------------------------- pochhammer

@@ -29,6 +29,7 @@ from qmaass.bailey import (
 )
 from qmaass.families import family_series, sigma_series
 from qmaass.series import (
+    MajorantBound,
     PackedRing,
     QSeries,
     QSeriesError,
@@ -259,8 +260,8 @@ def test_chain_betas_match_one_walk_per_n(maker, b, k, trunc, n_max):
 @pytest.mark.parametrize("maker", [pair_relative_one, pair_relative_q])
 def test_chain_pair_check_takes_one_walk_to_n_max(maker, monkeypatch):
     # verify_pair reads beta_0 .. beta_n_max from one chain walk per ring
-    # of its one pass, the L1 twin and the packed ring, each stopping at
-    # n_max, not at ceil(trunc) - 1.
+    # of its one pass, the majorant twin and the packed ring, each
+    # stopping at n_max, not at ceil(trunc) - 1.
     walks = []
     walk = bailey._walk
 
@@ -270,7 +271,7 @@ def test_chain_pair_check_takes_one_walk_to_n_max(maker, monkeypatch):
 
     monkeypatch.setattr(bailey, "_walk", counting)
     assert verify_pair(maker(3, 2), 8, 400).ok
-    assert [(ring.__name__, args[-1]) for ring, *args in walks] == [("L1Bound", 8), ("TruncatedRing", 8)]
+    assert [(ring.__name__, args[-1]) for ring, *args in walks] == [("MajorantBound", 8), ("TruncatedRing", 8)]
 
 
 @pytest.mark.parametrize("check", ["verify_pair", *IDENTITY_KINDS])
@@ -432,9 +433,11 @@ def test_one_changed_beta_fails_every_check_of_its_pair(pair):
 @pytest.mark.parametrize("edge", [6, 7, 14, 15, 30, 31, 62, 63, 127])
 def test_betas_at_the_rings_l1_bound_decode_exactly(edge, monkeypatch):
     # alpha = 0, so every relation sum vanishes, and beta_2 = c q^3 is the
-    # one nonzero value: the L1 twin sizes the ring by |c| itself, the
-    # largest coefficient its digits hold.  Both signs, just below, at and
-    # just above each digit-width edge, decode exactly.
+    # one nonzero value: the ring's bound is the twin's bound of that one
+    # encoded value, ceil(ceil(|c| rho^3) rho^-9) at T = 10, rho = 3/4.
+    # For the last |c| whose bound stays below 2^edge and the first that
+    # reaches it, both signs decode exactly, on both sides of each
+    # digit-width edge.
     bounds = []
     init = TruncatedRing.__init__
 
@@ -443,14 +446,24 @@ def test_betas_at_the_rings_l1_bound_decode_exactly(edge, monkeypatch):
         init(self, slots, bound)
 
     monkeypatch.setattr(TruncatedRing, "__init__", recording)
-    for big in (2**edge - 1, 2**edge, 2**edge + 1):
+    twin = MajorantBound(10)
+
+    def bound_of(c):
+        return twin.bound([twin.encode({3: c})])
+
+    below, first = 0, 2**edge  # bisect: bound_of(below) < 2^edge <= bound_of(first)
+    while first - below > 1:
+        mid = (below + first) // 2
+        below, first = (mid, first) if bound_of(mid) < 2**edge else (below, mid)
+    assert 0 < bound_of(below) < 2**edge <= bound_of(first)
+    for big in (below, first):
         for c in (big, -big):
             pair = _designed_pair(lambda n, t: QSeries.monomial(c if n == 2 else 0, 3, t))
             bounds.clear()
             zero = QSeries.zero(10)
             assert decoded_betas(pair, 3, 10) == [zero, zero, QSeries.monomial(c, 3, 10), zero]
             got = verify_pair(pair, 3, 10).to_json_dict()
-            assert bounds == [big, big]
+            assert bounds == [bound_of(big)] * 2
             details = [got[key] for key in ("n", "first_mismatch_exponent", "beta_coeff", "definition_coeff")]
             assert details == [2, "3", str(c), "0"], c
 
@@ -603,7 +616,7 @@ def _balanced(n: int, t) -> QSeries:
 def _read_and_outcome(check, beta_at, trunc, settle):
     """The report of ``check`` on the designed pair of ``beta_at`` and
     ``settle``, as a dict, and the indices of the betas it read, in order,
-    in each ring of its one pass (the L1 twin, then the packed ring)."""
+    in each ring of its one pass (the majorant twin, then the packed ring)."""
     read = []
 
     def counted(n, t):

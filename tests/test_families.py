@@ -207,7 +207,7 @@ def test_family_four_matches_direct_products():
 
 
 def test_family_series_takes_one_walk_and_no_chain_products(monkeypatch):
-    # The chain polynomials come from one walk per ring, the L1 sizing pass
+    # The chain polynomials come from one walk per ring, the sizing pass
     # and the packed pass, and the weighted sum stays packed: no series
     # product.
     walks, products = [], []
@@ -217,7 +217,7 @@ def test_family_series_takes_one_walk_and_no_chain_products(monkeypatch):
         for log in (walks, products):
             log.clear()
         family_series(j, 3, 2, 30)
-        assert [type(ring).__name__ for ring, *_ in walks] == ["L1Bound", "TruncatedRing"], j
+        assert [type(ring).__name__ for ring, *_ in walks] == ["MajorantBound", "TruncatedRing"], j
         assert products == [], j
 
 

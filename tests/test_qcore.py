@@ -8,6 +8,7 @@ by hand (pentagonal-number product, small Gaussian binomials).
 
 import fractions
 import math
+import operator
 import random
 import sys
 import tracemalloc
@@ -25,6 +26,7 @@ from qmaass.bailey import (
     BaileyPair,
     pair_relative_q,
     relation_sums,
+    synthetic_pair,
     unit_pair,
     verify_limiting_identity,
     verify_pair,
@@ -41,6 +43,7 @@ from qmaass.theta import (
 from qmaass.series import (
     INF,
     L1Bound,
+    MajorantBound,
     QSeries,
     QSeriesError,
     TruncatedRing,
@@ -467,9 +470,12 @@ def test_packed_rings_decode_what_they_encode(edge, step, slots, data):
 
 @pytest.mark.parametrize("powers, low", [({-1: 1}, 0), ({0: 1}, 1), ({3: 2, -2: 1}, -1)])
 def test_truncated_ring_refuses_exponents_below_low(powers, low):
-    # The last digits must not take them: x^-1 would decode as x^4.
-    with pytest.raises(QSeriesError, match="below"):
-        TruncatedRing(5, 10).encode(powers, low)
+    # The last digits must not take them: x^-1 would decode as x^4.  The
+    # ring's twin refuses them too, where it would read rho^-1 off the end
+    # of its power table.
+    for ring in (TruncatedRing(5, 10), MajorantBound(5)):
+        with pytest.raises(QSeriesError, match="below"):
+            ring.encode(powers, low)
 
 
 def test_cyclic_ring_reduces_exponents_below_low():
@@ -744,11 +750,11 @@ def _assert_pochhammers_match_the_product_route(kind, ns, trunc):
 
 def test_pochhammers_across_the_word_digit_edge(monkeypatch):
     # Digits of up to 8 bytes are packed by one struct call, wider ones
-    # byte by byte (PackedRing.encode and decode).  The L1 bound of
-    # inverse_pochhammer("q", 40, T) doubles with each factor below x^T and
-    # grows with T; pochhammer("q", n, 70) doubles it once per factor.
-    # Both sides of each first width past 8 bytes, and the fixed truncs,
-    # match the product route for every kind.
+    # byte by byte (PackedRing.encode and decode).  The majorant bound of
+    # inverse_pochhammer("q", 40, T) grows with T (8 bytes at T = 200), and
+    # that of pochhammer("q", n, 500) with n.  Both sides of each first
+    # width past 8 bytes, and the fixed truncs, match the product route for
+    # every kind.
     widths = []
     init = TruncatedRing.__init__
 
@@ -764,16 +770,16 @@ def test_pochhammers_across_the_word_digit_edge(monkeypatch):
         (out,) = widths
         return out
 
-    edge = next(t for t in range(1, 200) if width(inverse_pochhammer, 40, t)[0] > 8)
+    edge = next(t for t in range(1, 1000) if width(inverse_pochhammer, 40, t)[0] > 8)
     assert width(inverse_pochhammer, 40, edge - 1) == (8, True)
     assert width(inverse_pochhammer, 40, edge) == (9, False)
-    n_edge = next(n for n in range(200) if width(pochhammer, n, 70)[0] > 8)
-    assert width(pochhammer, n_edge - 1, 70) == (8, True)
-    assert width(pochhammer, n_edge, 70) == (9, False)
+    n_edge = next(n for n in range(500) if width(pochhammer, n, 500)[0] > 8)
+    assert width(pochhammer, n_edge - 1, 500) == (8, True)
+    assert width(pochhammer, n_edge, 500) == (9, False)
     for kind in sorted(series._POCH_NAMES):
         for trunc in (-3, 0, 1, Fraction(7, 2), 61, edge - 1, edge):
             _assert_pochhammers_match_the_product_route(kind, range(41), trunc)
-        _assert_pochhammers_match_the_product_route(kind, (n_edge - 1, n_edge), 70)
+        _assert_pochhammers_match_the_product_route(kind, (n_edge - 1, n_edge), 500)
 
 
 @pytest.mark.parametrize("build", [pochhammer, inverse_pochhammer], ids=["poch", "inverse"])
@@ -909,9 +915,174 @@ def test_divide_one_minus_power():
         assert ring.decode(ring.divide(ring.encode(prod._coeffs), 3, sign)) == p._coeffs
     for s in (t, t + 1, 40):
         assert ring.divide(ring.encode(p._coeffs), s, -1) == ring.encode(p._coeffs)
-    assert L1Bound(horizon=t).divide(3, 2, -1) == 3 * 2**3  # (1 - x^2)(1 + x^4)(1 + x^8)
-    with pytest.raises(QSeriesError, match="exponents >= 1"):
-        ring.divide(1, 0)
+    # The twin at x = rho = 3/4 (T = 9) bounds 1 / (1 + x^2) by
+    # 1 / (1 - rho^2) = 16/7, rounding up; at or past the horizon it is
+    # the identity too.
+    twin = MajorantBound(t)
+    assert twin.divide(3, 2, -1) == twin.divide(3, 2) == 7
+    assert twin.divide(3, t, -1) == twin.divide(3, 40) == 3
+    for r in (ring, MajorantBound(t)):
+        with pytest.raises(QSeriesError, match="exponents >= 1"):
+            r.divide(1, 0)
+
+
+# ------------------------------------------------------------ majorant twin
+
+_TWIN_STEPS = ["encode", "add", "sub", "mul", "rot", "divide", "poch", "binom"]
+
+
+@st.composite
+def _twin_builds(draw):
+    """T <= 40 and a list of steps over Z[x]/(x^T), each appending values
+    made from earlier ones by the ring operations the packed builds use."""
+    T = draw(st.integers(1, 40))
+    maps = st.dictionaries(st.integers(0, T + 2), st.integers(-999, 999), max_size=5)
+    steps, count = [], 0
+    for _ in range(draw(st.integers(1, 8))):
+        op = draw(st.sampled_from(_TWIN_STEPS) if count else st.just("encode"))
+        pick = st.integers(0, max(count - 1, 0))
+        if op == "encode":
+            args = (draw(maps),)
+        elif op in ("add", "sub", "mul"):
+            args = (draw(pick), draw(pick))
+        elif op == "rot":
+            args = (draw(pick), draw(st.integers(0, T + 1)))
+        elif op == "divide":
+            args = (draw(pick), draw(st.integers(1, T + 1)), draw(st.sampled_from([1, -1])))
+        elif op == "poch":
+            args = (draw(st.lists(pick, min_size=1, max_size=6)), draw(st.integers(1, T + 1)),
+                    draw(st.integers(1, 2)))
+        else:
+            end = draw(st.integers(0, 6))
+            terms = st.lists(st.tuples(st.integers(0, end), pick), min_size=1, max_size=2)
+            args = (draw(st.dictionaries(st.integers(0, 3), terms, min_size=1, max_size=2)), end)
+        steps.append((op, args))
+        count += args[-1] + 1 if op == "binom" else 1
+    return T, steps
+
+
+def _run_build(ring, steps) -> list:
+    """The values of ``steps`` in a packed ring or its twin."""
+    values = []
+    for op, args in steps:
+        if op == "encode":
+            values.append(ring.encode(args[0]))
+        elif op == "binom":
+            by_g, end = args
+            values += ring.binomial_sums({g: [(p, values[i]) for p, i in terms] for g, terms in by_g.items()}, end)
+        elif op == "poch":
+            values.append(ring.pochhammer_sum([values[i] for i in args[0]], *args[1:]))
+        else:
+            a, *rest = args
+            if op in ("add", "sub", "mul"):
+                rest = [values[rest[0]]]
+            act = {"add": operator.add, "sub": ring.sub, "mul": ring.mul, "rot": ring.rot, "divide": ring.divide}
+            values.append(act[op](values[a], *rest))
+    return values
+
+
+def _q_binomial(n: int, g: int, T: int) -> QSeries:
+    """[n choose g] below q^T as prod_(i<=g) (1 - q^(n-g+i)) / (1 - q^i)."""
+    top = bottom = QSeries.one(T)
+    for i in range(1, g + 1):
+        top = (top - top.shift(n - g + i)).truncate(T)
+        bottom = (bottom - bottom.shift(i)).truncate(T)
+    return (top * bottom.inverse()).truncate(T)
+
+
+def _route_build(T: int, steps) -> list:
+    """The values of ``steps`` below q^T by QSeries products and inverses."""
+    one, values = QSeries.one(T), []
+    for op, args in steps:
+        if op == "encode":
+            values.append(QSeries(args[0], 1, T))
+        elif op == "binom":
+            by_g, end = args
+            for n in range(end + 1):
+                total = QSeries.zero(T)
+                for g, terms in by_g.items():
+                    for p, i in terms:
+                        if p <= n:
+                            total = total + (values[i] * _q_binomial(n - p + g, g, T)).truncate(T)
+                values.append(total)
+        elif op == "poch":
+            idx, s, reps = args
+            total, weight = QSeries.zero(T), one
+            for m, i in enumerate(idx, 1):
+                total = total + (weight * values[i]).truncate(T)
+                for _ in range(reps):
+                    weight = (weight - weight.shift(s * m)).truncate(T)
+            values.append(total)
+        else:
+            a, b, *sign = args
+            if op == "divide":
+                b = (one - QSeries.monomial(sign[0], b, T)).inverse()
+            elif op == "rot":
+                b = QSeries.monomial(1, b, T + b)
+            else:
+                b = values[b]
+            act = {"add": operator.add, "sub": operator.sub}.get(op, operator.mul)
+            values.append(act(values[a], b).truncate(T))
+    return values
+
+
+class _WithoutRhoFactor(MajorantBound):
+    bound = L1Bound.bound  # the largest value, without rho^-(T-1)
+
+
+class _RotRoundedDown(MajorantBound):
+    def rot(self, a: int, s: int) -> int:
+        return a * self._powers[s] >> self._k * s if s < self.horizon else 0
+
+
+def test_majorant_twin_bounds_every_build_and_has_teeth():
+    # Every coefficient that the QSeries route gives lies within the twin's
+    # bound, and the ring of that bound decodes every value exactly.  A
+    # twin without the factor rho^-(T-1), or with rot rounded down, lets
+    # some coefficient past its bound.
+    caught = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_twin_builds())
+    def check(build):
+        T, steps = build
+        want = _route_build(T, steps)
+        peak = max((abs(c) for v in want for c in v._coeffs.values()), default=0)
+        twin = MajorantBound(T)
+        bound = twin.bound(_run_build(twin, steps))
+        assert peak <= bound
+        ring = TruncatedRing(T, bound)
+        assert [ring.decode(a) for a in _run_build(ring, steps)] == [v._coeffs for v in want]
+        for mutant in (_WithoutRhoFactor, _RotRoundedDown):
+            if peak > mutant(T).bound(_run_build(mutant(T), steps)):
+                caught.add(mutant)
+
+    check()
+    assert caught == {_WithoutRhoFactor, _RotRoundedDown}
+
+
+@pytest.mark.parametrize(
+    "call, ceiling",
+    [
+        (lambda: verify_limiting_identity(synthetic_pair("q", random.Random(3)), "q", "even", 620).ok, 256),
+        (lambda: family_series(4, 8, 8, 200), 128),
+        (lambda: sigma_series("alternating", 1000), 128),
+    ],
+    ids=["q-even-identity-620", "family4-k8-200", "sigma-alternating-1000"],
+)
+def test_wide_truncated_passes_keep_narrow_digits(call, ceiling, monkeypatch):
+    # Sizes that no benchmark workload reaches: the widest digit of every
+    # TruncatedRing that each call builds stays under its ceiling.
+    widths = []
+    init = TruncatedRing.__init__
+
+    def recording(self, slots, bound):
+        init(self, slots, bound)
+        widths.append(self.width)
+
+    monkeypatch.setattr(TruncatedRing, "__init__", recording)
+    assert call()
+    assert max(widths) <= ceiling
 
 
 # ------------------------------------------------------------- comparison

@@ -41,6 +41,7 @@ from qmaass.families import FAMILIES, kz_root_value, u_root_value, verify_kz_dua
 from qmaass.maass import quantum_value
 from qmaass.series import (
     L1Bound,
+    MajorantBound,
     PackedRing,
     QSeries,
     QSeriesError,
@@ -291,8 +292,8 @@ def test_merged_walk_matches_chain_by_chain(case):
     assert _walk(bound, k, ell, b, n_max) == _chain_by_chain(bound, k, ell, b, n_max)
     # Over the truncated ring the walk adds its layer stop and its cut.
     T = int_slots(trunc)
-    sizes = _chain_by_chain(L1Bound(T), k, ell, b, n_max)
-    ring = TruncatedRing(T, max(sizes))
+    twin = MajorantBound(T)
+    ring = TruncatedRing(T, twin.bound(_chain_by_chain(twin, k, ell, b, n_max)))
     expected = [ring.decode(a) for a in _chain_by_chain(ring, k, ell, b, n_max)]
     got = ag_polynomials(k, ell, b, n_max, trunc)
     assert [{int(e): c for e, c in poly.terms()} for poly in got] == expected
