@@ -21,13 +21,12 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import count
 
 from .agpolys import _walk
 from .reports import CheckReport, Record, _exact_str, report_from_comparison
 from .series import (
-    INF,
     QSeries,
     QSeriesError,
     TruncatedRing,
@@ -60,12 +59,14 @@ class BaileyPair(Record):
     """A Bailey pair: its relative parameter, the two sequences, and where
     beta settles.
 
-    ``alpha`` maps ``(n, trunc)`` to alpha_n, a :class:`QSeries`; the
-    built-in constructors memoize it.  ``betas`` maps ``(ring, n_max)`` to
+    ``alpha`` maps ``(n, size)`` to the nonzero terms of alpha_n below
+    x^size, {exponent: int coefficient}, the map a packed ring encodes;
+    each check reads every alpha_n it needs once, up front, and encodes
+    the same map in both rings of its pass.  ``betas`` maps ``(ring, n_max)`` to
     beta_0, ..., beta_(n_max) as values of the caller's
     :class:`~qmaass.series.TruncatedRing` or its majorant twin, below x^T, T =
     ``ring.horizon``, so that each check sums beta in the one
-    :meth:`~qmaass.series.PackedRing.sums` pass that holds its other side:
+    :meth:`~qmaass.series.PackedRing.packed` pass that holds its other side:
     a chain pair takes one chain walk to n_max, a synthetic pair its own
     relation sweep, and a unit pair multiplies two inverse Pochhammers for
     each n.
@@ -86,12 +87,12 @@ class BaileyPair(Record):
     to test the limit identities, which sum beta on one side and alpha on
     the other.
 
-    The checks read alpha in a packed ring, so every alpha_n must have int
-    coefficients at integer exponents >= 0 below trunc, as all built-in
-    pairs have; any other raises :class:`QSeriesError` there.
+    A map with an exponent that is not an int in [0, size), or a
+    coefficient that is not an int, raises :class:`QSeriesError` in the
+    check that reads it (:func:`_alpha_maps`).
     """
 
-    def __init__(self, relative: str, alpha: Callable[[int, object], QSeries],
+    def __init__(self, relative: str, alpha: Callable[[int, int], dict],
                  betas: Callable[[object, int], Iterable[int]], label: str = "",
                  settle: int = 0) -> None:
         if relative not in RELATIVES:
@@ -121,38 +122,50 @@ def _sweep(ring, alphas: list, d: int) -> list:
     return sums
 
 
-def _alpha_maps(pair: BaileyPair, n_max, t) -> list:
-    """The :func:`_int_map` of alpha_0 .. alpha_(n_max), read once, up
-    front; QSeriesError unless n_max is an int >= 0."""
+def _alpha_maps(alpha, n_max, size: int, first: int = 0) -> list:
+    """alpha(n, size) for n = first, ..., n_max, read once, up front;
+    QSeriesError unless n_max is an int >= 0 and each map has int
+    exponents in [0, size) and int coefficients."""
     if type(n_max) is not int or n_max < 0:
         raise QSeriesError(f"n_max must be an int >= 0, got {n_max!r}")
-    return [_int_map(pair.alpha(n, t)) for n in range(n_max + 1)]
+    maps = [alpha(n, size) for n in range(first, n_max + 1)]
+    for m in maps:
+        if m and ({*map(type, m), *map(type, m.values())} != {int} or min(m) < 0 or max(m) >= size):
+            raise QSeriesError("a Bailey sum reads alpha_n as int coefficients at int exponents in [0, size)")
+    return maps
 
 
 def relation_sums(pair: BaileyPair, n_max: int, trunc) -> list[QSeries]:
     """The relation sums for n = 0, ..., n_max below the finite ``trunc``,
-    from one :func:`_sweep` in Z[x]/(x^T), T = ceil(trunc), sized by one twin
-    pass (:meth:`~qmaass.series.PackedRing.sums`).  Equal neighbouring sums
-    are one series."""
+    from one :func:`_sweep` in Z[x]/(x^T), T = ceil(trunc), on the alpha
+    maps below x^T, sized by one twin pass and decoded
+    (:meth:`~qmaass.series.PackedRing.sums`).  Equal neighbouring sums are
+    one series."""
     t = finite_trunc(trunc)
-    alphas, d = _alpha_maps(pair, n_max, t), RELATIVES.index(pair.relative)
+    size = int_slots(t)
+    alphas, d = _alpha_maps(pair.alpha, n_max, size), RELATIVES.index(pair.relative)
     out = []
-    for coeffs in TruncatedRing.sums(int_slots(t), lambda ring: _sweep(ring, alphas, d)):
+    for coeffs in TruncatedRing.sums(size, lambda ring: _sweep(ring, alphas, d)):
         out.append(out[-1] if out and out[-1]._coeffs == coeffs else QSeries._from_clean(coeffs, 1, t))
     return out
 
 
 def verify_pair(pair: BaileyPair, n_max: int, trunc) -> CheckReport:
     """Check the defining relation for every n <= n_max below trunc: beta_n
-    and the :func:`_sweep` sum, for every n, in one
-    :meth:`~qmaass.series.PackedRing.sums` pass."""
+    and the :func:`_sweep` sum on the alpha maps below x^T, T =
+    ceil(trunc), for every n, in one
+    :meth:`~qmaass.series.PackedRing.packed` pass, equal when their
+    difference is 0 in the ring.  Only a failure is decoded, to name n, the
+    first exponent that differs and both coefficients there."""
     t = positive_trunc(trunc)
-    alphas, d = _alpha_maps(pair, n_max, t), RELATIVES.index(pair.relative)
+    size = int_slots(t)
+    alphas, d = _alpha_maps(pair.alpha, n_max, size), RELATIVES.index(pair.relative)
     params = {"relative": pair.relative, "label": pair.label, "n_max": n_max, "trunc": _exact_str(t)}
-    sums = TruncatedRing.sums(int_slots(t), lambda ring: [*pair.betas(ring, n_max), *_sweep(ring, alphas, d)])
-    for n, (lhs, rhs) in enumerate(zip(sums, sums[n_max + 1:])):
-        bad = min((e for e, _ in lhs.items() ^ rhs.items()), default=None)
-        if bad is not None:
+    ring, values = TruncatedRing.packed(size, lambda ring: [*pair.betas(ring, n_max), *_sweep(ring, alphas, d)])
+    for n, (lhs, rhs) in enumerate(zip(values, values[n_max + 1:])):
+        if (lhs - rhs) % ring.modulus:
+            lhs, rhs = ring.decode(lhs), ring.decode(rhs)
+            bad = min(e for e, _ in lhs.items() ^ rhs.items())
             return CheckReport("bailey_pair_definition", params, "fail", {
                 "n": n, "first_mismatch_exponent": _exact_str(bad),
                 "beta_coeff": _exact_str(lhs.get(bad, 0)), "definition_coeff": _exact_str(rhs.get(bad, 0))})
@@ -162,27 +175,32 @@ def verify_pair(pair: BaileyPair, n_max: int, trunc) -> CheckReport:
 # ------------------------------------------------------------- explicit pairs
 
 
+def _lattice_alpha(size: int, k: int, ell: int, base: int, nus: range, factor: list) -> dict:
+    """The nonzero terms below x^size of the sum over nu in ``nus`` of
+    (-1)^nu x^(base - quadratic_shift(k, ell, nu)) times the polynomial
+    ``factor``, its (exponent, coefficient) terms in rising exponent: one
+    pass over the product terms, stopping each nu at x^size."""
+    out = {}
+    for nu in nus:
+        low, sign = base - quadratic_shift(k, ell, nu), -1 if nu % 2 else 1
+        for i, c in factor:
+            if low + i >= size:
+                break
+            out[low + i] = out.get(low + i, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
 def pair_relative_one(k: int, ell: int) -> BaileyPair:
     """The chain-polynomial Bailey pair relative to 1.
 
     ``beta_n`` is the chain polynomial with offset 1 (zero at n = 0) and
-    ``alpha_n`` is an explicit signed lattice polynomial; the factor
-    (1 - q^{2n}) makes ``alpha_0`` vanish as well.
+    ``alpha_n`` is an explicit signed lattice polynomial times -(1 - q^{2n}),
+    which makes ``alpha_0`` vanish as well.
     """
     _validate_pair_params(k, ell)
 
-    @lru_cache(maxsize=None)
-    def alpha(n: int, trunc) -> QSeries:
-        if n == 0:
-            return QSeries.zero(trunc)
-        base = (k + 1) * n * n - n
-        terms = []
-        for nu in range(-n, n):
-            sign = -1 if nu % 2 else 1
-            e = base - quadratic_shift(k, ell, nu)
-            terms.append((e, -sign))
-            terms.append((e + 2 * n, sign))
-        return QSeries.from_terms(terms, trunc)
+    def alpha(n: int, size: int) -> dict:
+        return _lattice_alpha(size, k, ell, (k + 1) * n * n - n, range(-n, n), [(0, -1), (2 * n, 1)])
 
     def betas(ring, n_max: int) -> list:
         return [0, *_walk(ring, k, ell, 1, n_max)[1:]]
@@ -204,17 +222,9 @@ def pair_relative_q(k: int, ell: int) -> BaileyPair:
     """
     _validate_pair_params(k, ell)
 
-    @lru_cache(maxsize=None)
-    def alpha(n: int, trunc) -> QSeries:
-        base = (k + 1) * n * n + k * n
-        terms = []
-        for nu in range(-n, n + 1):
-            sign = -1 if nu % 2 else 1
-            terms.append((base - quadratic_shift(k, ell, nu), sign))
-        lattice = QSeries.from_terms(terms, trunc)  # the prefactor only raises exponents
-        if lattice.is_zero():
-            return lattice
-        return lattice * QSeries.from_dense([1] * (2 * n + 1), INF)
+    def alpha(n: int, size: int) -> dict:
+        geometric = [(i, 1) for i in range(2 * n + 1)]
+        return _lattice_alpha(size, k, ell, (k + 1) * n * n + k * n, range(-n, n + 1), geometric)
 
     def betas(ring, n_max: int) -> list:
         return _walk(ring, k, ell, 0, n_max)
@@ -243,11 +253,8 @@ def unit_pair(relative: str) -> BaileyPair:
         raise QSeriesError(f"relative must be one of {RELATIVES}")
     d = RELATIVES.index(relative)
 
-    @lru_cache(maxsize=None)
-    def alpha(n: int, trunc) -> QSeries:
-        if n == 0:
-            return QSeries.one(trunc)
-        return QSeries.zero(trunc)
+    def alpha(n: int, size: int) -> dict:
+        return {0: 1} if n == 0 < size else {}
 
     def betas(ring, n_max: int) -> list:
         return [ring.mul(*(reduce(ring.divide, range(1 + s, n + 1 + s), 1) for s in (0, d)))
@@ -275,13 +282,11 @@ def synthetic_pair(relative: str, rng) -> BaileyPair:
             value = rng.randint(-9, 9)
         support[i] = value
 
-    @lru_cache(maxsize=None)
-    def alpha(n: int, trunc) -> QSeries:
-        return QSeries.monomial(support.get(n, 0), 0, trunc)
+    def alpha(n: int, size: int) -> dict:
+        return {0: support[n]} if n in support and size > 0 else {}
 
     def betas(ring, n_max: int) -> list:
-        alphas = [{0: support[n]} if n in support else {} for n in range(n_max + 1)]
-        return _sweep(ring, alphas, RELATIVES.index(relative))
+        return _sweep(ring, [alpha(n, ring.horizon) for n in range(n_max + 1)], RELATIVES.index(relative))
 
     label = "synthetic({},{})".format(
         relative, ",".join(f"{i}:{support[i]}" for i in sorted(support))
@@ -356,16 +361,6 @@ def limit_top(weights: tuple, size: int, settle: int = 0) -> int:
     return next(n for n in count(first) if power(n) >= size)
 
 
-def _int_map(series: QSeries) -> dict:
-    """The {exponent: coefficient} map of ``series``, for
-    :meth:`~qmaass.series.PackedRing.encode`; QSeriesError unless every
-    exponent is an integer >= 0 and every coefficient an int."""
-    s = series.normalized()
-    if s.denom != 1 or min(s._coeffs, default=0) < 0 or {*map(type, s._coeffs.values())} - {int}:
-        raise QSeriesError("a Bailey sum reads int coefficients at integer exponents >= 0")
-    return s._coeffs
-
-
 def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) -> CheckReport:
     """Verify one of the four limit identities on a pair, below trunc.
 
@@ -376,18 +371,21 @@ def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) 
 
     Both sides are one :func:`chain_sum` each, in one Z[x]/(x^T), T =
     ceil(trunc), sized by one majorant pass
-    (:meth:`~qmaass.series.PackedRing.sums`) that also holds beta: the left
-    side over beta_n, the right side over alpha_n with no Pochhammer
-    weight, as (x^T; x^T)_m is 1 there.  Both stop at the one proven top of
-    :func:`limit_top`: the first n with power(n) >= T, past which every
-    term vanishes, or for the ``even`` identity for relative q, which has
-    no decaying weight, T + ``pair.settle``.  That identity reads beta and
+    (:meth:`~qmaass.series.PackedRing.packed`) that also holds beta: the
+    left side over beta_n, the right side over the alpha maps below x^T with
+    no Pochhammer weight, as (x^T; x^T)_m is 1 there.  The identity holds
+    when (halves / 2) lhs - rhs is 0 in the ring, halves 4 for the ``even``
+    identity for relative q and 2 otherwise; only a failure is decoded.
+    Both stop at the one proven top of :func:`limit_top`: the first n with
+    power(n) >= T, past which every term vanishes, or for the ``even``
+    identity for relative q, which has no decaying weight, T +
+    ``pair.settle``.  That identity reads beta and
     alpha one index further, and fails, naming that index
     (``unsettled_n`` for beta, ``unsettled_alpha_n`` for alpha) and the
     first exponent that moved, unless beta_(top + 1) = beta_top and
     alpha_(top + 1) = alpha_top below x^T; both differences are taken in
-    the same pass.  Every alpha_n read must have int coefficients at
-    integer exponents >= 0; any other raises :class:`QSeriesError`.
+    the same pass and tested the same way.  Every alpha map read must pass
+    :func:`_alpha_maps`.
     """
     if relative not in RELATIVES:
         raise QSeriesError(f"relative must be one of {RELATIVES}")
@@ -411,7 +409,7 @@ def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) 
     # With a power, the terms at top vanish below x^T and are padded as 0;
     # with none, beta and alpha are read at top + 1, where they must repeat.
     end = top - 1 if power else top + 1
-    alphas = [_int_map(pair.alpha(n, t)) for n in range(first, end + 1)]
+    alphas = _alpha_maps(pair.alpha, end, size, first)
     pad = [0] * (top - end)
 
     def build(ring) -> list:
@@ -424,15 +422,17 @@ def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) 
         out = [lhs, ring.sub(rhs, ring.rot(rhs, 1)) if relative == "q" else rhs]
         return out if power else [*out, ring.sub(betas[-1], betas[-2]), ring.sub(terms[-1], terms[-2])]
 
-    lhs, rhs, *moved = TruncatedRing.sums(size, build)
+    ring, (lhs, rhs, *moved) = TruncatedRing.packed(size, build)
     for key, diff in zip(("unsettled_n", "unsettled_alpha_n"), moved):
-        if diff:
+        if diff % ring.modulus:
             return CheckReport("bailey_limit_identity", params, "fail", {
-                key: top + 1, "first_mismatch_exponent": _exact_str(min(diff))})
+                key: top + 1, "first_mismatch_exponent": _exact_str(min(ring.decode(diff)))})
     halves = 4 if (relative, kind) == ("q", "even") else 2
+    if (halves // 2 * lhs - rhs) % ring.modulus == 0:
+        return CheckReport("bailey_limit_identity", params, "pass")
     return report_from_comparison(
         "bailey_limit_identity",
         params,
-        QSeries({e: Fraction(c, 2) for e, c in lhs.items()}, 1, t),
-        QSeries({e: Fraction(c, halves) for e, c in rhs.items()}, 1, t),
+        QSeries({e: Fraction(c, 2) for e, c in ring.decode(lhs).items()}, 1, t),
+        QSeries({e: Fraction(c, halves) for e, c in ring.decode(rhs).items()}, 1, t),
     )

@@ -230,6 +230,8 @@ class RunConfig(Record):
         values = {}
         for name, option in OPTIONS.items():
             value = getattr(ns, name, None)  # absent: not an option of this subcommand
+            if value == []:  # argparse reads "--flag=--" as an empty list
+                raise UsageError(f"{option.flag} needs a value, got '--'")
             if value is not None and option.parse:
                 value = option.parse(value)
             if value is not None and option.check:

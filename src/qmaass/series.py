@@ -517,9 +517,12 @@ class PackedRing:
     def divide(self, a: int, c: int, sign: int = 1) -> int:
         """a / (1 - sign x^c), c >= 1, sign 1 or -1, in a ring with a
         horizon: a (1 + sign x^c)(1 + x^(2c))(1 + x^(4c)) ... up to the
-        first factor that the horizon kills."""
+        first factor that the horizon kills.  Without a horizon, 1 - x^c has
+        no such inverse: QSeriesError."""
         if c < 1:
             raise QSeriesError(f"an inverse pochhammer needs factor exponents >= 1, got {c}")
+        if self.horizon == INF:
+            raise QSeriesError("a division by 1 - x^c needs a ring with a horizon")
         if sign < 0:
             a, c = self.sub(a, self.rot(a, c)), 2 * c
         while c < self.horizon:
@@ -538,14 +541,27 @@ class PackedRing:
         return total
 
     @classmethod
-    def sums(cls, size: int, build) -> list[dict]:
-        """The elements of the list ``build(ring)`` as integer maps: ``build``
-        runs over the ring's ``twin`` of ``size``, whose ``bound`` of its
-        values bounds every coefficient, then over the ring of ``size`` and
-        that bound."""
+    def packed(cls, size: int, build) -> tuple:
+        """``(ring, build(ring))``: ``build`` runs over the ring's ``twin`` of
+        ``size``, whose ``bound`` B of its values bounds every coefficient of
+        each element of the list, then over the ring of ``size`` and B.
+
+        So two elements a and b of a :class:`TruncatedRing` list are equal
+        polynomials iff (a - b) % ``ring.modulus`` == 0, and so are 2a and b:
+        |c| <= B < 2^(W-2) for every coefficient c of both, so each
+        coefficient of a - b (or 2a - b) is less than 2^W in absolute value,
+        and the lowest nonzero one, at x^e with e < T, keeps the value
+        nonzero mod 2^(W T).  An equal pair needs no :meth:`decode`."""
         twin = cls.twin(size)
         ring = cls(size, twin.bound(build(twin)))
-        return [ring.decode(a) for a in build(ring)]
+        return ring, build(ring)
+
+    @classmethod
+    def sums(cls, size: int, build) -> list[dict]:
+        """The elements of the list ``build(ring)`` of :meth:`packed` as
+        integer maps."""
+        ring, values = cls.packed(size, build)
+        return [ring.decode(a) for a in values]
 
     def encode(self, powers: dict, low: int = 0) -> int:
         """The value of the map {exponent: coefficient} times x^-low, its

@@ -16,10 +16,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 
-from qmaass.bailey import LIMIT_WEIGHTS
+from qmaass.bailey import LIMIT_WEIGHTS, quadratic_shift
 from qmaass.cyclotomic import CycNumber
 from qmaass.reports import _exact_str, report_from_comparison
-from qmaass.series import QSeries, QSeriesError, TruncatedRing, int_slots, pochhammer
+from qmaass.series import INF, QSeries, QSeriesError, TruncatedRing, int_slots, pochhammer
 
 
 def root_of_unity_value(series: QSeries, N: int, power: int = 1) -> CycNumber:
@@ -279,6 +279,24 @@ def _limit_sum(relative: str, kind: str, values, term, trunc, settle: int) -> QS
     return sum(kept, QSeries.zero(trunc))
 
 
+def chain_alpha_by_series(relative: str, k: int, ell: int, n: int, trunc) -> QSeries:
+    """alpha_n of the chain pair of ``relative`` below ``trunc``, as the
+    series the library built before its alphas became int maps: the signed
+    lattice terms by ``QSeries.from_terms``, for relative 1 each at e and
+    e + 2n, for relative q times the polynomial 1 + q + ... + q^(2n) by a
+    series product."""
+    sign = lambda nu: -1 if nu % 2 else 1  # noqa: E731
+    if relative == "one":
+        base = (k + 1) * n * n - n
+        terms = [(base - quadratic_shift(k, ell, nu) + i, sign(nu) * c)
+                 for nu in range(-n, n) for i, c in ((0, -1), (2 * n, 1))]
+        return QSeries.from_terms(terms, trunc)
+    base = (k + 1) * n * n + k * n
+    lattice = QSeries.from_terms(
+        [(base - quadratic_shift(k, ell, nu), sign(nu)) for nu in range(-n, n + 1)], trunc)
+    return lattice * QSeries.from_dense([1] * (2 * n + 1), INF)
+
+
 def decoded_betas(pair, n_max: int, trunc) -> list[QSeries]:
     """beta_0 .. beta_(n_max) of ``pair`` as QSeries below ``trunc``,
     decoded from one TruncatedRing.sums pass over ``pair.betas``."""
@@ -312,7 +330,7 @@ def limit_identity_by_products(pair, relative: str, kind: str, trunc):
     s, _, power = LIMIT_WEIGHTS[relative, kind]
 
     def alphas(n_max: int, trunc):
-        return (pair.alpha(n, trunc) for n in range(n_max + 1))
+        return (QSeries(pair.alpha(n, int_slots(trunc)), 1, trunc) for n in range(n_max + 1))
 
     def rhs_at(n: int, alpha: QSeries) -> QSeries:
         term = (alpha if power is None else alpha.shift(power(n))).truncate(t)

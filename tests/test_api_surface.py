@@ -27,16 +27,14 @@ NEEDED = {
                      "it against the double product loop",
     "inverse_pochhammer": "the public inverse Pochhammer: tests/test_bailey.py checks the unit "
                           "pair's beta against the product of two of them",
+    "one": "QSeries.one, the public unit series: the tests build expected series from it",
+    "monomial": "QSeries.monomial, the public c q^e: the tests build expected series and changed "
+                "betas from it",
 }
 
 
 #: "module.qualified.name" -> (maxsize, None when unbounded; why it exists).
 CACHES = {
-    "bailey.pair_relative_one.alpha": (None, "alpha_n of one chain pair, read at each n by every "
-                                             "check of that pair; dies with the pair"),
-    "bailey.pair_relative_q.alpha": (None, "as pair_relative_one.alpha, for relative q"),
-    "bailey.unit_pair.alpha": (None, "as pair_relative_one.alpha, for the unit pair"),
-    "bailey.synthetic_pair.alpha": (None, "as pair_relative_one.alpha, for a random pair"),
     "bessel.k0_bessel": (65536, "a waveform sum meets the argument 2 pi Q v at every lattice "
                                 "point of equal Q; bounded, as its float keys are not"),
     "cyclotomic.cyclotomic_polynomial": (None, "Phi_L and its nonzero lower terms, read by every "

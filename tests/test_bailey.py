@@ -3,12 +3,19 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import decoded_betas, limit_identity_by_products, over_one_minus, weighted_term
+from oracles import (
+    chain_alpha_by_series,
+    decoded_betas,
+    limit_identity_by_products,
+    over_one_minus,
+    weighted_term,
+)
 
 import qmaass.agpolys as agpolys
 import qmaass.bailey as bailey
@@ -34,6 +41,7 @@ from qmaass.series import (
     QSeries,
     QSeriesError,
     TruncatedRing,
+    int_slots,
     inverse_pochhammer,
     pochhammer,
 )
@@ -47,7 +55,7 @@ def reference_right_side(pair: BaileyPair, n: int, trunc) -> QSeries:
     second = "q" if pair.relative == "one" else "q2;q"
     total = QSeries.zero(t)
     for m in range(n + 1):
-        term = pair.alpha(m, t)
+        term = QSeries(pair.alpha(m, int_slots(t)), 1, t)
         if term.is_zero():
             continue
         term = term * inverse_pochhammer("q", n - m, t)
@@ -61,10 +69,26 @@ def beta(pair: BaileyPair, n: int, trunc) -> QSeries:
     return decoded_betas(pair, n, trunc)[n]
 
 
-def _encoded(ring, series: QSeries) -> int:
-    """``series`` as a value of ``ring``, through the int-map gate the
-    checks read alpha through: off the packed grid it raises QSeriesError."""
-    return ring.encode(bailey._int_map(series))
+def _encoded(ring, powers: dict) -> int:
+    """The map ``powers`` as a value of ``ring``, below x^T, T =
+    ``ring.horizon``, through the gate the checks read alpha through
+    (bailey._alpha_maps): off the packed grid it raises QSeriesError."""
+    (checked,) = bailey._alpha_maps(lambda n, size: powers, 0, ring.horizon)
+    return ring.encode(checked)
+
+
+def _terms(series: QSeries) -> dict:
+    """The {exponent: coefficient} map of a series with integer exponents."""
+    return {int(e): c for e, c in series.terms()}
+
+
+def _term_map(terms) -> dict:
+    """The {exponent: coefficient} map of (exponent, coefficient) terms,
+    equal exponents added and zero terms dropped."""
+    out = {}
+    for e, c in terms:
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
 def _witness_pairs() -> list:
@@ -100,27 +124,28 @@ def test_pair_one_alpha_frozen():
     # Hand expansion at k = l = 1, n = 1:
     # -q(1 - q^2)(-q^{-1} + 1) = (1-q)(1-q^2) = 1 - q - q^2 + q^3.
     pair = pair_relative_one(1, 1)
-    assert pair.alpha(1, 10) == QSeries.from_dense([1, -1, -1, 1], trunc=10)
+    assert pair.alpha(1, 10) == {0: 1, 1: -1, 2: -1, 3: 1}
+    assert pair.alpha(1, 3) == {0: 1, 1: -1, 2: -1}
 
 
 def test_pair_q_alpha_frozen():
     # Hand expansion at k = l = 1, n = 1:
     # (1+q+q^2)(q^3 - q^2 - q) = -q - 2q^2 - q^3 + q^5.
     pair = pair_relative_q(1, 1)
-    want = QSeries.from_terms([(1, -1), (2, -2), (3, -1), (5, 1)], trunc=10)
-    assert pair.alpha(1, 10) == want
+    assert pair.alpha(1, 10) == {1: -1, 2: -2, 3: -1, 5: 1}
+    assert pair.alpha(1, 5) == {1: -1, 2: -2, 3: -1}
 
 
 def test_pair_one_vanishing_at_zero():
     pair = pair_relative_one(2, 1)
-    assert pair.alpha(0, 10).is_zero()
+    assert pair.alpha(0, 10) == {}
     assert beta(pair, 0, 10).is_zero()
     assert decoded_betas(pair, 3, 10)[0].is_zero()
 
 
 def test_pair_q_at_zero():
     pair = pair_relative_q(2, 1)
-    assert pair.alpha(0, 10) == QSeries.one(10)
+    assert pair.alpha(0, 10) == {0: 1}
     assert beta(pair, 0, 10) == QSeries.one(10)
 
 
@@ -130,7 +155,24 @@ def test_pair_alpha_integer_exponents():
             for ell in range(1, k + 1):
                 pair = maker(k, ell)
                 for n in range(5):
-                    assert pair.alpha(n, 50).denom == 1
+                    terms = pair.alpha(n, 50).items()
+                    assert all(type(e) is type(c) is int and 0 <= e < 50 and c for e, c in terms)
+
+
+@pytest.mark.parametrize("relative", RELATIVES)
+@pytest.mark.parametrize("trunc", [1, 40, Fraction(79, 2)])
+def test_chain_alpha_maps_match_the_series_routes(relative, trunc):
+    # The maps read below x^size, size = ceil(trunc), are the series the
+    # pairs built before: by QSeries.from_terms for relative 1, and the
+    # lattice times QSeries.from_dense([1] * (2n + 1)) for relative q.
+    size = int_slots(trunc)
+    for k in range(1, 5):
+        for ell in range(1, k + 1):
+            pair = CHAIN_PAIRS[relative](k, ell)
+            for n in range(21):
+                got = pair.alpha(n, size)
+                assert QSeries(got, 1, trunc) == chain_alpha_by_series(relative, k, ell, n, trunc), (k, ell, n)
+                assert all(0 <= e < size and c for e, c in got.items())
 
 
 def test_pair_parameter_validation():
@@ -277,19 +319,19 @@ def test_chain_pair_check_takes_one_walk_to_n_max(maker, monkeypatch):
 @pytest.mark.parametrize("check", ["verify_pair", *IDENTITY_KINDS])
 def test_each_bailey_check_is_one_packed_pass(check, monkeypatch):
     # On a chain or synthetic pair, each check sums beta and its other
-    # side in one TruncatedRing.sums pass, and reads no chain polynomial
+    # side in one TruncatedRing.packed pass, and reads no chain polynomial
     # or relation sum as a QSeries.
     passes = []
-    sums = PackedRing.sums.__func__
+    packed = PackedRing.packed.__func__
 
     def counting(cls, size, build):
         passes.append(size)
-        return sums(cls, size, build)
+        return packed(cls, size, build)
 
     def refused(*args):
         raise AssertionError("a Bailey check read beta as QSeries")
 
-    monkeypatch.setattr(TruncatedRing, "sums", classmethod(counting))
+    monkeypatch.setattr(TruncatedRing, "packed", classmethod(counting))
     monkeypatch.setattr(agpolys, "ag_polynomials", refused)
     monkeypatch.setattr(bailey, "ag_polynomials", refused, raising=False)
     monkeypatch.setattr(bailey, "relation_sums", refused)
@@ -329,12 +371,14 @@ def test_averaged_identity_term_budget(trunc):
 
 
 def _changed(base: BaileyPair, side: str, n: int, extra) -> BaileyPair:
-    """``base`` with extra(trunc) added to alpha_n or beta_n; beta gains it
-    as a ring value (:func:`_encoded`), below x^T, T = ``ring.horizon``."""
+    """``base`` with the term map extra(size) added to alpha_n or beta_n;
+    beta gains it as a ring value (:func:`_encoded`), below x^T, T =
+    ``ring.horizon``."""
     alpha, betas = base.alpha, base.betas
     if side == "alpha":
-        def alpha(m, trunc):
-            return base.alpha(m, trunc) + (extra(trunc) if m == n else QSeries.zero(trunc))
+        def alpha(m, size):
+            out = base.alpha(m, size)
+            return _term_map([*out.items(), *extra(size).items()]) if m == n else out
     else:
         def betas(ring, n_max):
             out = list(base.betas(ring, n_max))
@@ -350,13 +394,17 @@ def _designed_pair(beta_at, settle: int = 0) -> BaileyPair:
     input for the proven top and its guard, a Bailey pair only for
     beta = 0."""
     def betas(ring, n_max):
-        return [_encoded(ring, beta_at(n, ring.horizon)) for n in range(n_max + 1)]
+        return [_encoded(ring, _terms(beta_at(n, ring.horizon))) for n in range(n_max + 1)]
 
-    return BaileyPair("q", lambda n, trunc: QSeries.zero(trunc), betas, "designed", settle)
+    return BaileyPair("q", lambda n, size: {}, betas, "designed", settle)
 
 
-def _q3(trunc) -> QSeries:
-    return QSeries.monomial(1, 3, trunc)
+def _q3(size) -> dict:
+    return {3: 1}
+
+
+def _none(size) -> dict:
+    return {}
 
 
 @pytest.mark.parametrize("trunc", [1, Fraction(7, 2), 40, Fraction(121, 2), Fraction(5, 2), 7])
@@ -399,7 +447,7 @@ def test_corrupted_pairs_fail_every_limit_identity(relative, kind, side, n):
     # One extra term q^3 in alpha_n or beta_n shows on its side of each of
     # the four identities, at the reference route's first mismatch.
     base = CHAIN_PAIRS[relative](2, 1)
-    corrupted = _changed(base, side, n, lambda trunc: QSeries.monomial(1, 3, trunc))
+    corrupted = _changed(base, side, n, _q3)
     assert verify_limiting_identity(base, relative, kind, 30).ok
     report = verify_limiting_identity(corrupted, relative, kind, 30)
     assert not report.ok
@@ -417,15 +465,15 @@ def test_one_changed_beta_fails_every_check_of_its_pair(pair):
         weights = _, first, power = bailey.LIMIT_WEIGHTS[pair.relative, kind]
         top = bailey.limit_top(weights, trunc, pair.settle)
         for n in range(first, top if power else top + 2):
-            same = _changed(pair, "beta", n, QSeries.zero)
+            same = _changed(pair, "beta", n, _none)
             assert verify_limiting_identity(same, pair.relative, kind, trunc).ok, (kind, n)
             for e in {0, trunc - 1 - (power(n) if power else 0)}:
-                moved = _changed(pair, "beta", n, lambda t: QSeries.monomial(1, e, t))
+                moved = _changed(pair, "beta", n, lambda size: {e: 1})
                 assert not verify_limiting_identity(moved, pair.relative, kind, trunc).ok, (kind, n, e)
     for n in range(7):
-        assert verify_pair(_changed(pair, "beta", n, QSeries.zero), 6, trunc).ok, n
+        assert verify_pair(_changed(pair, "beta", n, _none), 6, trunc).ok, n
         for e in (0, trunc - 1):
-            report = verify_pair(_changed(pair, "beta", n, lambda t: QSeries.monomial(1, e, t)), 6, trunc)
+            report = verify_pair(_changed(pair, "beta", n, lambda size: {e: 1}), 6, trunc)
             got = report.to_json_dict()
             assert (got["status"], got["n"], got["first_mismatch_exponent"]) == ("fail", n, str(e))
 
@@ -466,6 +514,81 @@ def test_betas_at_the_rings_l1_bound_decode_exactly(edge, monkeypatch):
             assert bounds == [bound_of(big)] * 2
             details = [got[key] for key in ("n", "first_mismatch_exponent", "beta_coeff", "definition_coeff")]
             assert details == [2, "3", str(c), "0"], c
+
+
+@pytest.mark.parametrize("relative", RELATIVES)
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+def test_one_changed_coefficient_fails_every_check(relative, side, monkeypatch):
+    # alpha_2 or beta_2 of a chain pair gains c x^5 below x^12.  The
+    # definition check and both limit identities of the pair's relative
+    # compare in the ring, with no decode, and each fails for c = 1 and for
+    # the largest c whose check still packs the digit width of c = 1, where
+    # a changed coefficient comes nearest to 2^(W-2), the edge the packed
+    # comparison's proof allows; so does -c.  The reports are those of the
+    # decoding routes: the definition check names n = 2 and x^5, and each
+    # identity gives the report of the reference route in tests/oracles.py.
+    widths = []
+    init = TruncatedRing.__init__
+
+    def recording(self, slots, bound):
+        init(self, slots, bound)
+        widths.append(self.width)
+
+    monkeypatch.setattr(TruncatedRing, "__init__", recording)
+    base = CHAIN_PAIRS[relative](2, 1)
+    checks = {"definition": lambda pair: verify_pair(pair, 6, 12)}
+    for kind in IDENTITY_KINDS:
+        checks[kind] = partial(verify_limiting_identity, relative=relative, kind=kind, trunc=12)
+
+    def changed(c) -> BaileyPair:
+        return _changed(base, side, 2, lambda size: {5: c})
+
+    def width_of(check, c) -> int:
+        widths.clear()
+        check(changed(c))
+        return widths[-1]
+
+    for name, check in checks.items():
+        assert check(base).ok, name
+        width = width_of(check, 1)
+        largest, above = 1, 2 ** (width + 1)  # bisect: width_of(largest) == width < width_of(above)
+        assert width_of(check, above) > width
+        while above - largest > 1:
+            mid = (largest + above) // 2
+            largest, above = (mid, above) if width_of(check, mid) == width else (largest, mid)
+        assert largest > 2 ** (width // 2), name
+        for c in (1, largest, -largest):
+            got = check(changed(c)).to_json_dict()
+            assert got["status"] == "fail", (name, c)
+            if name == "definition":
+                assert (got["n"], got["first_mismatch_exponent"]) == (2, "5"), c
+            else:
+                want = limit_identity_by_products(changed(c), relative, name, 12).to_json_dict()
+                assert got == want, (name, c)
+
+
+def test_passing_checks_decode_nothing(monkeypatch):
+    # A check that passes compares its values in the ring and decodes none
+    # of them; a failing one decodes what its report names.
+    decoded = []
+    decode = PackedRing.decode
+
+    def counting(self, a, low=0):
+        decoded.append(a)
+        return decode(self, a, low)
+
+    monkeypatch.setattr(PackedRing, "decode", counting)
+    for pair in [*_witness_pairs(), unit_pair("one"), unit_pair("q")]:
+        assert verify_pair(pair, 8, Fraction(79, 2)).ok, pair.label
+        for kind in IDENTITY_KINDS:
+            if pair.label != "unit(one)":
+                assert verify_limiting_identity(pair, pair.relative, kind, Fraction(79, 2)).ok, pair.label
+    assert decoded == []
+    changed = _changed(pair_relative_q(2, 1), "beta", 1, _q3)
+    assert not verify_pair(changed, 8, 40).ok
+    assert len(decoded) == 2
+    assert not verify_limiting_identity(changed, "q", "gauss", 40).ok
+    assert len(decoded) == 4
 
 
 def _guard(report) -> tuple:
@@ -548,7 +671,7 @@ def test_limit_identities_refuse_terms_off_the_packed_grid(relative, side, expon
     # Such a beta cannot be a ring value; the corrupted pair meets the same
     # refusal when it encodes its term (_encoded), inside the check's pass.
     base = CHAIN_PAIRS[relative](2, 1)
-    corrupted = _changed(base, side, 1, lambda trunc: QSeries.from_terms([(exponent, coeff)], trunc))
+    corrupted = _changed(base, side, 1, lambda size: {exponent: coeff})
     for kind in IDENTITY_KINDS:
         with pytest.raises(QSeriesError) as err:
             verify_limiting_identity(corrupted, relative, kind, 30)
@@ -569,13 +692,10 @@ def test_limit_identities_read_the_rings_horner(relative, monkeypatch):
 @pytest.mark.parametrize("relative", RELATIVES)
 def test_limit_identities_take_no_product_past_the_sweep(relative, monkeypatch):
     # A synthetic pair's betas come from its relation sweep and a chain
-    # pair's from the chain walk, both in packed rings: once the chain
-    # pair's alphas are memoized, neither they nor the sums themselves take
-    # a series product.
+    # pair's from the chain walk, both in packed rings, and the alphas are
+    # int maps: neither they nor the sums themselves take a series product.
     synthetic = synthetic_pair(relative, random.Random(11))
     chain = CHAIN_PAIRS[relative](2, 1)
-    for kind in IDENTITY_KINDS:
-        assert verify_limiting_identity(chain, relative, kind, 40).ok
     products = []
     mul = QSeries.__mul__
 
@@ -748,29 +868,34 @@ def test_synthetic_relative_one_support_excludes_zero():
     rng = random.Random(5)
     for _ in range(20):
         pair = synthetic_pair("one", rng)
-        assert pair.alpha(0, 10).is_zero()
+        assert pair.alpha(0, 10) == {}
         assert beta(pair, 0, 10).is_zero()
 
 
 @pytest.mark.parametrize("relative", ["one", "q"])
-def test_built_in_alphas_are_memoized(relative, monkeypatch):
-    # Every relation sweep reads alpha_m once, and the synthetic betas run
-    # a sweep of their own on the support: each (m, trunc) must build its
-    # series once, not once per sweep.
-    built = []
-    monomial = QSeries.monomial.__func__
+def test_each_check_reads_each_alpha_once(relative):
+    # Each check builds the alpha maps it reads once, up front, and
+    # encodes the same maps in both rings of its pass: alpha_0 ..
+    # alpha_n_max for the relation sweep, alpha_first .. alpha_end for a
+    # limit identity (which the unit pair relative 1 fails: summed from
+    # n = 1, the identities drop its alpha_0 but not the betas it gives).
+    pairs = CHAIN_PAIRS[relative](2, 1), unit_pair(relative), synthetic_pair(relative, random.Random(3))
+    for pair in pairs:
+        read = []
 
-    def counting(cls, *args, **kwargs):
-        built.append(args)
-        return monomial(cls, *args, **kwargs)
+        def alpha(m, size, pair=pair):
+            read.append(m)
+            return pair.alpha(m, size)
 
-    monkeypatch.setattr(QSeries, "monomial", classmethod(counting))
-    pair = synthetic_pair(relative, random.Random(3))
-    relation_sums(pair, 7, 20)
-    assert len(decoded_betas(pair, 7, 20)) == 8
-    assert len(built) == 8
-    unit = unit_pair(relative)
-    assert all(unit.alpha(m, 20) is unit.alpha(m, 20) for m in (0, 1))
+        counted = BaileyPair(**{**vars(pair), "alpha": alpha})
+        assert verify_pair(counted, 7, 20).ok
+        assert read == list(range(8)), pair.label
+        for kind in IDENTITY_KINDS:
+            _, first, power = weights = bailey.LIMIT_WEIGHTS[relative, kind]
+            top = bailey.limit_top(weights, 20, pair.settle)
+            read.clear()
+            verify_limiting_identity(counted, relative, kind, 20)
+            assert read == list(range(first, top if power else top + 2)), (pair.label, kind)
 
 
 @settings(max_examples=80, deadline=None)
@@ -867,10 +992,11 @@ def test_definition_right_side_unit():
 
 def _polynomial_pair(relative: str, alphas: dict) -> BaileyPair:
     """A pair whose alpha_m is the polynomial alphas[m] (a list of (exponent,
-    coefficient) terms); the relation sums read no betas, so it has none."""
+    coefficient) terms), its terms below x^size; the relation sums read no
+    betas, so it has none."""
 
-    def alpha(m: int, trunc) -> QSeries:
-        return QSeries.from_terms(alphas.get(m, ()), trunc)
+    def alpha(m: int, size: int) -> dict:
+        return _term_map((e, c) for e, c in alphas.get(m, ()) if e < size)
 
     return BaileyPair(relative=relative, alpha=alpha, betas=lambda ring, n_max: ())
 

@@ -877,6 +877,21 @@ def test_option_text_exits_2_exactly_when_invalid(case):
         assert err.getvalue().startswith("qmaass: ")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("eval", "cocycle", "--cohen", "--gamma=1,0,0,1", "--xs=--"), "--xs"),
+    (("expand", "s-theta", "--M=0", "--a=0/2,0/2", "--b=--", "--order=10"), "--b"),
+    (("verify", "sigma", "--order=--"), "--order"),
+    (("verify", "sigma", "--out=--", "--order=5"), "--out"),
+])
+def test_a_double_dash_value_exits_2(argv, flag):
+    # argparse reads "--flag=--" as an empty list, which no option parser
+    # takes: the value is refused with exit 2, not raised as a traceback.
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run(list(argv)) == 2
+    assert err.getvalue() == f"qmaass: {flag} needs a value, got '--'\n"
+
+
 # The usage errors, locked: sha256 of the exit code and the whole of stderr,
 # argparse's own messages included (at an 80-column terminal width).
 LOCKED_USAGE_ERRORS = {

@@ -9,7 +9,9 @@ by hand (pentagonal-number product, small Gaussian binomials).
 import fractions
 import math
 import operator
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -476,6 +478,24 @@ def test_truncated_ring_refuses_exponents_below_low(powers, low):
     for ring in (TruncatedRing(5, 10), MajorantBound(5)):
         with pytest.raises(QSeriesError, match="below"):
             ring.encode(powers, low)
+
+
+@pytest.mark.parametrize("ring", ["L1Bound()", "L1Bound(period=5)", "CyclicRing(5, 10)"])
+def test_divide_refuses_a_ring_without_a_horizon(ring):
+    # 1 - x^c has no inverse in Z[x]/(x^N - 1), nor a finite L1 bound: with
+    # no horizon to stop the doubling, divide raises.  The call runs in a
+    # child process with a timeout, so that a regression fails instead of
+    # hanging the suite.
+    script = (
+        "from qmaass.cyclotomic import CyclicRing\n"
+        "from qmaass.series import L1Bound, QSeriesError\n"
+        f"try:\n    {ring}.divide(1, 1)\nexcept QSeriesError as err:\n    print(err)\n"
+    )
+    src = os.path.dirname(os.path.dirname(series.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30)
+    assert (result.returncode, result.stdout) == (0, "a division by 1 - x^c needs a ring with a horizon\n")
 
 
 def test_cyclic_ring_reduces_exponents_below_low():
@@ -1291,7 +1311,7 @@ def test_stabilized_sum_takes_each_term_once_in_order(trunc):
                 calls.append(n)
                 yield ring.encode({n: 1})
 
-        pair = BaileyPair("q", lambda n, t: QSeries.zero(t), betas, "counted", settle)
+        pair = BaileyPair("q", lambda n, size: {}, betas, "counted", settle)
         limit_identity_by_products(pair, "q", "even", trunc)
         assert calls == list(range(math.ceil(trunc) + settle + 1)) * 2, settle
 
