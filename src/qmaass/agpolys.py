@@ -23,6 +23,8 @@ packed truncated ring.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .reports import CheckReport, Record, report_from_comparison
 from .series import INF, L1Bound, QSeries, QSeriesError, TruncatedRing, finite_trunc, int_slots
 
@@ -57,35 +59,31 @@ def _walk(ring, k: int, ell: int, b: int, n_max: int) -> list:
     one walk over the chains.
 
     Each layer keeps one sum per chain state (n_j, acc), as the later
-    factors read only n_j and g_j = acc - b*j; it stops at the first n_j
-    whose weight n_j^2 + (1-b) n_j reaches the ring's horizon, and drops
-    the states whose sum is 0.  The last factor takes no product: the
-    states join a series in z at z^(n_(k-1)), summed by the ring's
-    :meth:`~qmaass.series.PackedRing.binomial_sums`.  Below a finite
-    horizon T that series stops changing at n = T - 1: [s+g choose s] is
-    constant mod x^T from s = T - 1 on, and a chain's weight is at least
-    its n_(k-1), so from n = T - 1 on every chain's term is constant mod
-    x^T.
+    factors read only n_j and g_j = acc - b*j, and takes no product: the
+    states of one acc join a series in z at z^(n_j), whose z^v term after
+    one pass of the ring's :meth:`~qmaass.series.PackedRing.binomial_sums`
+    holds their factors [v - n_j + g_j choose v - n_j].  A layer stops at
+    the first n_j whose weight n_j^2 + (1-b) n_j reaches the ring's horizon
+    and drops the states whose sum is 0; the last is one pass over every
+    acc.  Below a finite horizon T its series stops changing at n = T - 1:
+    [s+g choose s] is constant mod x^T from s = T - 1 on, and a chain's
+    weight is at least its n_(k-1).
     """
-    layer = {(0, 0): 1}
+    # the weights n_j^2 + (1-b) n_j below the horizon, increasing in n_j <= n_max
+    weights = [w for v in range(n_max + 1) if (w := v * (v + 1 - b)) < ring.horizon]
+    layer = {0: [(0, 1)]} if weights else {}  # acc -> [(n_j, sum)]
     for j in range(k - 1):
         step: dict = {}
-        for (prev, acc), partial in layer.items():
-            g = acc - b * j
-            for v in range(prev, n_max + 1) if g >= 0 else ():
-                if v * v + (1 - b) * v >= ring.horizon:
-                    break
-                factor = ring.binomial(v - prev + g, v - prev)
-                if factor:
-                    key = (v, acc + 2 * v + (1 if j + 1 < ell else 0))
-                    step[key] = step.get(key, 0) + ring.mul(partial, factor)
-        layer = {(v, acc): r for (v, acc), a in step.items()
-                 if (r := ring.rot(a, v * v + (1 - b) * v))}
-    by_g: dict = {}
-    for (last, acc), partial in layer.items():
-        by_g.setdefault(acc - b * (k - 1), []).append((last, partial))
+        for acc, terms in layer.items():
+            if acc >= b * j:
+                series = ring.binomial_sums({acc - b * j: terms}, len(weights) - 1)
+                for v, a in enumerate(series):
+                    if a and (r := ring.rot(a, weights[v])):
+                        step.setdefault(acc + 2 * v + (j + 1 < ell), []).append((v, r))
+        layer = step
+    base = b * (k - 1)
     end = min(n_max, max(ring.horizon - 1, 0))
-    series = ring.binomial_sums(by_g, end)
+    series = ring.binomial_sums({acc - base: terms for acc, terms in layer.items() if acc >= base}, end)
     return series + series[-1:] * (n_max - end)
 
 
@@ -168,10 +166,12 @@ def ag_generating(constraint: PartitionConstraint, trunc) -> QSeries:
     Dynamic programming over part sizes ``1, ..., part_bound - 1``: the state
     is the frequency of the previous size (needed for the adjacent-sum rule),
     and each state holds its partitions' series below the finite ``trunc``
-    as one packed value, so f parts of size j are one rotation by f j.  The
-    DP runs first over :class:`~qmaass.series.L1Bound`: no rotation reaches
-    x^T and every term is >= 0, so its total bounds every coefficient, here
-    more tightly than the ring's majorant twin.
+    as one packed value.  The rule reads only the running total of the
+    states up to pair_sum_max - f, so f parts of size j are one rotation of
+    that total by f j.  The DP runs first over
+    :class:`~qmaass.series.L1Bound`: no rotation reaches x^T and every term
+    is >= 0, so its total bounds every coefficient, here more tightly than
+    the ring's majorant twin.
     """
     trunc = finite_trunc(trunc)
     size = int_slots(trunc)
@@ -182,16 +182,14 @@ def ag_generating(constraint: PartitionConstraint, trunc) -> QSeries:
     caps[npos] = min(caps.get(npos, size), constraint.last_freq_bound - 1)
 
     def build(ring) -> list:
-        states = {0: 1}  # frequency of the previous size -> packed series
+        states = [1]  # states[f]: the packed series of previous frequency f
         for j in range(1, npos + 1):
-            cap, step = min(caps.get(j, size), (size - 1) // j), {}
-            for fprev, a in states.items():
-                # the pair rule f_(j-1) + f_j <= pair_sum_max from j = 2 on
-                fmax = cap if j == 1 else min(cap, constraint.pair_sum_max - fprev)
-                for f in range(fmax + 1):
-                    step[f] = step.get(f, 0) + ring.rot(a, f * j)
-            states = step
-        return [sum(states.values())]
+            cap, totals = min(caps.get(j, size), (size - 1) // j), [*accumulate(states)]
+            # the pair rule f_(j-1) + f_j <= pair_sum_max from j = 2 on
+            rule = constraint.pair_sum_max if j > 1 else cap
+            last = len(totals) - 1
+            states = [ring.rot(totals[min(rule - f, last)], f * j) for f in range(min(cap, rule) + 1)]
+        return [sum(states)]
 
     ring = TruncatedRing(size, L1Bound().bound(build(L1Bound())))
     return QSeries._from_clean(ring.decode(build(ring)[0]), 1, trunc)

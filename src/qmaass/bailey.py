@@ -122,13 +122,13 @@ def _sweep(ring, alphas: list, d: int) -> list:
     return sums
 
 
-def _alpha_maps(alpha, n_max, size: int, first: int = 0) -> list:
-    """alpha(n, size) for n = first, ..., n_max, read once, up front;
+def _alpha_maps(alpha, n_max, size: int) -> list:
+    """alpha(n, size) for n = 0, ..., n_max, read once, up front;
     QSeriesError unless n_max is an int >= 0 and each map has int
     exponents in [0, size) and int coefficients."""
     if type(n_max) is not int or n_max < 0:
         raise QSeriesError(f"n_max must be an int >= 0, got {n_max!r}")
-    maps = [alpha(n, size) for n in range(first, n_max + 1)]
+    maps = [alpha(n, size) for n in range(n_max + 1)]
     for m in maps:
         if m and ({*map(type, m), *map(type, m.values())} != {int} or min(m) < 0 or max(m) >= size):
             raise QSeriesError("a Bailey sum reads alpha_n as int coefficients at int exponents in [0, size)")
@@ -385,7 +385,8 @@ def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) 
     first exponent that moved, unless beta_(top + 1) = beta_top and
     alpha_(top + 1) = alpha_top below x^T; both differences are taken in
     the same pass and tested the same way.  Every alpha map read must pass
-    :func:`_alpha_maps`.
+    :func:`_alpha_maps`.  The relative-1 identities sum from n = 1, so they
+    raise :class:`QSeriesError` on alpha_0 or beta_0 not 0 below x^T.
     """
     if relative not in RELATIVES:
         raise QSeriesError(f"relative must be one of {RELATIVES}")
@@ -409,20 +410,24 @@ def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) 
     # With a power, the terms at top vanish below x^T and are padded as 0;
     # with none, beta and alpha are read at top + 1, where they must repeat.
     end = top - 1 if power else top + 1
-    alphas = _alpha_maps(pair.alpha, end, size, first)
-    pad = [0] * (top - end)
+    alphas = _alpha_maps(pair.alpha, end, size)
+    pad, refused = [0] * (top - end), "an identity from n = 1 needs {} = 0"
+    if first and alphas[0]:
+        raise QSeriesError(refused.format("alpha_0"))
 
     def build(ring) -> list:
         betas = [*pair.betas(ring, end), *pad]
-        terms = [ring.encode(m) if m else 0 for m in alphas]
+        terms = [ring.encode(m) if m else 0 for m in alphas[first:]]
         if relative == "one":
             terms = [ring.divide(a, s * n) for n, a in enumerate(terms, first)]
         lhs = chain_sum(ring, weights, betas, top)
         rhs = chain_sum(ring, (size, first, power), [0] * first + terms + pad, top)  # s = T: no Pochhammer
-        out = [lhs, ring.sub(rhs, ring.rot(rhs, 1)) if relative == "q" else rhs]
+        out = [lhs, ring.sub(rhs, ring.rot(rhs, 1)) if relative == "q" else rhs, betas[0] * first]
         return out if power else [*out, ring.sub(betas[-1], betas[-2]), ring.sub(terms[-1], terms[-2])]
 
-    ring, (lhs, rhs, *moved) = TruncatedRing.packed(size, build)
+    ring, (lhs, rhs, beta_0, *moved) = TruncatedRing.packed(size, build)
+    if beta_0 % ring.modulus:
+        raise QSeriesError(refused.format("beta_0"))
     for key, diff in zip(("unsettled_n", "unsettled_alpha_n"), moved):
         if diff % ring.modulus:
             return CheckReport("bailey_limit_identity", params, "fail", {

@@ -217,8 +217,8 @@ class CycNumber:
 
 # ------------------------------------------- the group ring Z[x]/(x^N - 1)
 
-#: Largest root order the root-of-unity values accept.  Chains of length
-#: k >= 3 tabulate up to N^2/2 Gaussian binomials of N terms each.
+#: Largest root order the root-of-unity values accept.  A chain layer
+#: takes up to N/2 Horner passes over N + 1 values per state sum.
 MAX_ROOT_ORDER = 128
 
 
@@ -238,17 +238,19 @@ class CyclicRing(PackedRing):
         super().__init__(order, bound)
         self.period, self.bits = order, order * self.width
         self.modulus = (1 << self.bits) - 1
+        self._low = [self.modulus >> self.width * s for s in range(order)]
 
     twin = L1Bound  # L1Bound(period=N): a cycle has no horizon
 
     def mul(self, a: int, b: int) -> int:
-        return self.rot(a * b, 0)
+        return self.rot(self.rot(a * b, 0), 0)  # two folds bring a product near W*N bits
 
     def rot(self, a: int, s: int) -> int:
-        a <<= self.width * (s % self.period)
-        for _ in range(2):  # twice, so that every value stays near W*N bits
-            a = (a & self.modulus) + (a >> self.bits)
-        return a
+        """a x^s, folded once: the N - s low digits move up, the rest to
+        x^0, so a value below 2^(W*N) stays below 2^(W*N) (1 + 2^-W) and a
+        larger one loses about W bits."""
+        s %= self.period
+        return ((a & self._low[s]) << self.width * s) + (a >> self.bits - self.width * s)
 
 
 #: root_sums(order, build): the list ``build(ring)`` as integer maps in

@@ -462,9 +462,8 @@ class PackedRing:
     word up to 8 bytes, so c + 2^(W-1) lies in [2^(W-2), 3 * 2^(W-2)], one
     unsigned digit that never reaches 2^W - 1.  Exponents at or above
     ``horizon`` vanish, and with a ``period`` N, x^N = 1.  Gaussian
-    binomials come from the q-Pascal rule [m, i] = [m-1, i-1] + x^i [m-1, i],
-    tabulated while the ring lives, or summed along a row by
-    :meth:`binomial_sums`.
+    binomials are summed along rows by :meth:`binomial_sums`, with no
+    table and no product.
     """
 
     horizon = INF
@@ -472,7 +471,6 @@ class PackedRing:
     sub = operator.sub
 
     def __init__(self, slots: int, bound: int):
-        self._columns: list[list] = []  # _columns[i][r] = [i + r choose i]
         nbytes = (bound.bit_length() + 9) // 8
         self.bytes = next((w for w in _WORD_CODES if w >= nbytes), nbytes)
         self.width, self.slots = 8 * self.bytes, slots
@@ -481,38 +479,49 @@ class PackedRing:
         code = _WORD_CODES.get(self.bytes)  # wider digits go byte by byte
         self._words = code and struct.Struct("<%d%s" % (slots, code))
 
-    def binomial(self, top: int, bottom: int):
-        """[top choose bottom], zero off 0 <= bottom <= top.  With a period N,
-        by the q-Lucas theorem (Desarmenien, Europ. J. Combin. 3, 1982):
-        C(top // N, bottom // N) [top % N choose bottom % N]."""
-        if not 0 <= bottom <= top:
-            return 0
-        if self.period and top >= self.period:
-            (t1, t0), (b1, b0) = divmod(top, self.period), divmod(bottom, self.period)
-            return self.binomial(t0, b0) * math.comb(t1, b1)
-        columns, rows = self._columns, top - bottom
-        if bottom < len(columns) and rows < len(columns[bottom]):
-            return columns[bottom][rows]
-        columns.extend([1] for _ in range(len(columns), bottom + 1))
-        for i, column in enumerate(columns[: bottom + 1]):
-            while len(column) <= rows:
-                r = len(column)
-                column.append(columns[i - 1][r] + self.rot(column[r - 1], i) if i else 1)
-        return columns[bottom][rows]
-
     def binomial_sums(self, by_g: dict, end: int) -> list:
         """z^0..z^end of sum_g sum_((p, a) in by_g[g]) a z^p / prod_(i<=g) (1 - z x^i),
         each p <= end: z^(p+s) gathers a [s+g choose s] (Andrews, The Theory
         of Partitions, Thm 3.3).  The terms join from the largest g down, and
-        each g divides the series by 1 - z x^g (Horner's rule)."""
-        series, low = [0] * (end + 1), end  # series[n] = 0 for n < low
-        for g in range(max(by_g, default=-1), -1, -1):
-            for p, a in by_g.get(g, ()):
+        the series is divided by the factors down to the next g (Horner)."""
+        series, low, high, gs = [0] * (end + 1), end, 0, sorted(by_g, reverse=True)
+        for g, below in zip(gs, gs[1:] + [-1]):
+            for p, a in by_g[g]:  # series[n] = 0 off low <= n <= high
                 series[p] += a
-                low = min(low, p)
-            for n in range(low + 1, end + 1):
-                series[n] += self.rot(series[n - 1], g)
+                if p < low:
+                    low = p
+                if p > high:
+                    high = p
+            high = self._over(series, low, high, below + 1, g + 1)
         return series
+
+    def _over(self, series: list, low: int, high: int, lo: int, hi: int) -> int:
+        """series / prod_(lo<=i<hi) (1 - z x^i) in place, series[n] = 0 off
+        low <= n <= high; returns the new high.  Factors past the horizon
+        are 1.  A period N is read only at primitive N-th roots, where N
+        factors in a row are 1 - z^N: a whole period is one division by it,
+        and r more, if cheaper, the other N - r factors multiplied (each
+        widens the series by one) over one more."""
+        N, end, rot, sub = self.period, len(series) - 1, self.rot, self.sub
+        hi, full = min(hi, self.horizon), 0
+        if N:
+            full, rest = divmod(hi - lo, N)
+            k = N - rest
+            if k * (min(high + k, end) - low) < rest * (end - low):
+                full, rest = full + 1, 0
+                for i in range(hi, hi + k):
+                    high = min(high + 1, end)
+                    for n in range(high, low, -1):
+                        series[n] = sub(series[n], rot(series[n - 1], i))
+            hi = lo + rest
+        for i in range(lo, hi):
+            a = series[low]
+            for n in range(low + 1, end + 1):
+                a = series[n] = series[n] + rot(a, i)
+        for _ in range(full):
+            for n in range(low + N, end + 1):
+                series[n] += series[n - N]
+        return end if hi > lo or full else high
 
     def divide(self, a: int, c: int, sign: int = 1) -> int:
         """a / (1 - sign x^c), c >= 1, sign 1 or -1, in a ring with a
@@ -597,17 +606,18 @@ class PackedRing:
 
 
 class L1Bound(PackedRing):
-    """x -> 1 with signs dropped, binomials by q-Lucas for a ``period``: each
-    value bounds the L1 norm of the matching value of the packed ring with
-    that period (or of the whole polynomial), a norm subadditive,
-    submultiplicative and unchanged by rotation, so the largest is the
-    ring's ``bound``.  A value with all coefficients >= 0 is their sum."""
+    """x -> 1 with signs dropped, taking the steps of the ring of its
+    ``period`` (:meth:`~PackedRing.binomial_sums` reads it): each value
+    bounds the L1 norm of the matching value of that ring (or of the whole
+    polynomial), a norm subadditive, submultiplicative and unchanged by
+    rotation, so the largest is the ring's ``bound``.  A value with all
+    coefficients >= 0 is their sum."""
 
     width = 0
     sub = operator.add
 
     def __init__(self, period: int | None = None):
-        self._columns, self.period = [], period  # _columns: the q-Pascal table
+        self.period = period
 
     def bound(self, values: list) -> int:
         return max(values, default=0)

@@ -17,7 +17,17 @@ from qmaass.agpolys import (
     ag_polynomials,
     verify_ag_relation,
 )
-from qmaass.series import INF, L1Bound, PackedRing, QSeries, QSeriesError, TruncatedRing, gaussian_binomial
+from qmaass.cyclotomic import CyclicRing
+from qmaass.series import (
+    INF,
+    L1Bound,
+    MajorantBound,
+    PackedRing,
+    QSeries,
+    QSeriesError,
+    TruncatedRing,
+    gaussian_binomial,
+)
 
 # --------------------------------------------------------------------- oracles
 
@@ -290,6 +300,37 @@ def test_binomial_sums_gather_the_gaussian_binomials(case):
                 size += sum(map(abs, a.values())) * sum(binomial.values())
         assert ring.decode(got[n]) == {int(e): c for e, c in want.terms() if c}
         assert sizes[n] == size
+
+
+@pytest.mark.parametrize("T", [1, 2, 5, 9])
+def test_binomial_sums_join_terms_past_the_horizon(T):
+    # A term at g >= T joins before the Horner starts, as 1 - z x^g is 1
+    # below x^T; the entries still match the dense Pascal oracle.
+    ring, end = TruncatedRing(T, 2**40), 6
+    by_g = {g: [(g % (end + 1), {g % T: 1 + g % 3})] for g in (T - 1, T, T + 2, 3 * T + 1)}
+    by_g[0] = [(1, {0: -2})]
+    got = ring.binomial_sums({g: [(p, ring.encode(a)) for p, a in group] for g, group in by_g.items()}, end)
+    for n in range(end + 1):
+        want: dict = {}
+        for g, group in by_g.items():
+            for p, a in group:
+                for e, c in a.items():
+                    for f, d in (oracle_binomial(n - p + g, n - p) if p <= n else {}).items():
+                        if e + f < T:
+                            want[e + f] = want.get(e + f, 0) + c * d
+        assert ring.decode(got[n]) == {e: c for e, c in want.items() if c}, n
+
+
+def test_walk_takes_no_product_in_any_ring(monkeypatch):
+    # Every layer is one z-series Horner per acc: the walk calls no mul in
+    # the truncated ring, the cyclic ring or either twin.
+    products = []
+    for ring in (TruncatedRing, MajorantBound, CyclicRing, L1Bound):
+        monkeypatch.setattr(ring, "mul", lambda self, a, b: products.append(type(self)) or a * b)
+    for ring in (TruncatedRing(30, 2**60), MajorantBound(30), CyclicRing(7, 2**60), L1Bound(period=7), L1Bound()):
+        agpolys._walk(ring, 4, 2, 1, 9)
+        agpolys._walk(ring, 3, 1, 0, 12)
+    assert products == []
 
 
 def test_gaussian_binomial_matches_the_pascal_oracle():

@@ -64,13 +64,21 @@ def defined_names(tree: ast.Module) -> set[str]:
 
 
 def loaded_names(tree: ast.Module) -> set[str]:
-    """Names read in ``tree``: loaded ``Name`` ids and loaded ``Attribute`` attrs."""
+    """Names read in ``tree``: loaded ``Name`` ids and loaded ``Attribute``
+    attrs, less the loads of a definition's own name inside its body, as a
+    recursive call reaches nothing that was not reached already."""
     out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+
+    def visit(node: ast.AST, inside: frozenset) -> None:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in inside:
             out.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr not in inside:
             out.add(node.attr)
+        body = node.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else ()
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside | {node.name} if child in body else inside)
+
+    visit(tree, frozenset())
     return out
 
 
@@ -155,6 +163,20 @@ def test_the_detector_skips_imports_all_strings_and_dunders():
         "Box().called()\n"
     )
     assert unreached([sample], [sample]) == {"exported", "method"}
+
+
+def test_the_detector_skips_a_definitions_loads_of_itself():
+    sample = ast.parse(
+        "def recursive(n): return recursive(n - 1) if n else 0\n"
+        "class Ring:\n"
+        "    def binomial(self, n): return self.binomial(n - 1)\n"
+        "    def rot(self): return Ring\n"
+        "@recursive\n"
+        "def decorated(): return decorated\n"
+        "def caller(): return Ring().rot()\n"
+        "caller()\n"
+    )
+    assert unreached([sample], [sample]) == {"binomial", "decorated"}
 
 
 def test_the_export_check_finds_a_stale_name():

@@ -440,6 +440,21 @@ def test_reading_past_the_proven_top_changes_no_report(trunc):
         assert verify_limiting_identity(pair, "q", "even", trunc) == want, pair.label
 
 
+@pytest.mark.parametrize("kind", IDENTITY_KINDS)
+def test_relative_one_identities_refuse_a_term_at_index_zero(kind):
+    # Both relative-1 identities sum from n = 1, so a pair with alpha_0 or
+    # beta_0 nonzero tests nothing and is refused, not failed.
+    with pytest.raises(QSeriesError, match="alpha_0 = 0"):
+        verify_limiting_identity(unit_pair("one"), "one", kind, 20)
+    base = CHAIN_PAIRS["one"](2, 1)
+    with pytest.raises(QSeriesError, match="alpha_0 = 0"):
+        verify_limiting_identity(_changed(base, "alpha", 0, _q3), "one", kind, 20)
+    with pytest.raises(QSeriesError, match="beta_0 = 0"):
+        verify_limiting_identity(_changed(base, "beta", 0, _q3), "one", kind, 20)
+    assert verify_limiting_identity(base, "one", kind, 20).ok
+    assert verify_limiting_identity(synthetic_pair("one", random.Random(5)), "one", kind, 20).ok
+
+
 @pytest.mark.parametrize("relative", RELATIVES)
 @pytest.mark.parametrize("kind", IDENTITY_KINDS)
 @pytest.mark.parametrize("side, n", [("alpha", 1), ("alpha", 2), ("beta", 1), ("beta", 2)])
@@ -876,9 +891,9 @@ def test_synthetic_relative_one_support_excludes_zero():
 def test_each_check_reads_each_alpha_once(relative):
     # Each check builds the alpha maps it reads once, up front, and
     # encodes the same maps in both rings of its pass: alpha_0 ..
-    # alpha_n_max for the relation sweep, alpha_first .. alpha_end for a
-    # limit identity (which the unit pair relative 1 fails: summed from
-    # n = 1, the identities drop its alpha_0 but not the betas it gives).
+    # alpha_n_max for the relation sweep, alpha_0 .. alpha_end for a limit
+    # identity (which refuses the unit pair relative 1: summed from n = 1,
+    # the identities need alpha_0 = 0).
     pairs = CHAIN_PAIRS[relative](2, 1), unit_pair(relative), synthetic_pair(relative, random.Random(3))
     for pair in pairs:
         read = []
@@ -891,11 +906,15 @@ def test_each_check_reads_each_alpha_once(relative):
         assert verify_pair(counted, 7, 20).ok
         assert read == list(range(8)), pair.label
         for kind in IDENTITY_KINDS:
-            _, first, power = weights = bailey.LIMIT_WEIGHTS[relative, kind]
+            _, _, power = weights = bailey.LIMIT_WEIGHTS[relative, kind]
             top = bailey.limit_top(weights, 20, pair.settle)
             read.clear()
-            verify_limiting_identity(counted, relative, kind, 20)
-            assert read == list(range(first, top if power else top + 2)), (pair.label, kind)
+            if pair.label == "unit(one)":
+                with pytest.raises(QSeriesError, match="alpha_0"):
+                    verify_limiting_identity(counted, relative, kind, 20)
+            else:
+                verify_limiting_identity(counted, relative, kind, 20)
+            assert read == list(range(top if power else top + 2)), (pair.label, kind)
 
 
 @settings(max_examples=80, deadline=None)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import limit_identity_by_products, min_order, negate_variable, stabilized_sum
+from oracles import limit_identity_by_products, min_order, negate_variable, oracle_binomial, stabilized_sum
 
 from qmaass import cyclotomic, series
 from qmaass.agpolys import PartitionConstraint, ag_generating, ag_polynomials
@@ -531,20 +531,100 @@ def test_cyclotomic_product_decodes_at_its_l1_bound(edge, sign, k):
         assert a * b == QSeries({3: want}, 1, INF)
 
 
+# (N, end, by_g): terms a z^p with g <= 4N and p <= end <= 2N, where a is
+# a small polynomial in Z[x]/(x^N - 1).
+PERIODIC_SUMS = st.integers(1, 8).flatmap(lambda N: st.integers(0, 2 * N).flatmap(
+    lambda end: st.tuples(
+        st.just(N),
+        st.just(end),
+        st.dictionaries(
+            st.integers(0, 4 * N),
+            st.lists(
+                st.tuples(
+                    st.integers(0, end),
+                    st.dictionaries(st.integers(0, N - 1), st.integers(-3, 3), min_size=1, max_size=3),
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+))
+
+
+def _times_binomial(a: dict, top: int, bottom: int) -> dict:
+    """The map a times the Pascal oracle's [top choose bottom]."""
+    out = {}
+    for e, c in a.items():
+        for f, d in oracle_binomial(top, bottom).items():
+            out[e + f] = out.get(e + f, 0) + c * d
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(PERIODIC_SUMS)
+def test_periodic_binomial_sums_agree_at_the_root(case):
+    # With a period N the z^n entry is sum a [n - p + g choose n - p] at
+    # zeta_N, not in Z[x]/(x^N - 1): a whole period of factors is 1 - z^N
+    # there.  q-Lucas (Desarmenien, Europ. J. Combin. 3, 1982) gives the same
+    # value, and the L1 twin bounds every ring value.
+    N, end, by_g = case
+    sizes = L1Bound(period=N).binomial_sums(
+        {g: [(p, sum(map(abs, a.values()))) for p, a in group] for g, group in by_g.items()}, end)
+    ring = CyclicRing(N, max(sizes) + 1)
+    got = ring.binomial_sums({g: [(p, ring.encode(a)) for p, a in group] for g, group in by_g.items()}, end)
+    for n in range(end + 1):
+        want = lucas = CycNumber.from_powers(N, {})
+        for g, group in by_g.items():
+            for p, a in group:
+                if p <= n:
+                    top, bottom = n - p + g, n - p
+                    want += CycNumber.from_powers(N, _times_binomial(a, top, bottom))
+                    lucas += math.comb(top // N, bottom // N) * CycNumber.from_powers(
+                        N, _times_binomial(a, top % N, bottom % N))
+        value = ring.decode(got[n])
+        assert CycNumber.from_powers(N, value) == want == lucas, n
+        assert sum(map(abs, value.values())) <= sizes[n], n
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 6, 7, 12])
-def test_l1_bound_is_the_q_lucas_l1_norm(N):
-    # With a period the L1 ring takes binomials by q-Lucas, as the cyclic
-    # ring does: C(top // N, bottom // N) C(top % N, bottom % N), the L1
-    # norm of the cyclic value, whose coefficients are all >= 0.
-    bound, ring = L1Bound(period=N), CyclicRing(N, 2**40)
-    for top in range(3 * N + 2):
-        for bottom in range(-1, top + 2):
-            value = ring.decode(ring.binomial(top, bottom))
-            assert all(c > 0 for c in value.values())
-            lucas = 0
-            if 0 <= bottom <= top:
-                lucas = math.comb(top // N, bottom // N) * math.comb(top % N, bottom % N)
-            assert bound.binomial(top, bottom) == sum(value.values()) == lucas
+def test_binomial_rows_at_a_root_follow_q_lucas(N):
+    # One term at g: the z^s entry is [s+g choose s] at zeta_N, which q-Lucas
+    # writes C(top // N, bottom // N) [top % N choose bottom % N] with
+    # top = s + g and bottom = s; the L1 twin bounds each ring value.
+    end = 2 * N + 1
+    for g in range(3 * N + 2):
+        sizes = L1Bound(period=N).binomial_sums({g: [(0, 1)]}, end)
+        ring = CyclicRing(N, max(sizes))
+        for s, a in enumerate(ring.binomial_sums({g: [(0, 1)]}, end)):
+            value, top = ring.decode(a), s + g
+            lucas = math.comb(top // N, s // N) * CycNumber.from_powers(N, oracle_binomial(top % N, s % N))
+            assert CycNumber.from_powers(N, value) == lucas, (g, s)
+            assert sum(map(abs, value.values())) <= sizes[s], (g, s)
+
+
+@pytest.mark.parametrize("N, bound", [(1, 2**20), (7, 2**20), (12, 2**70)])
+def test_cyclic_rotation_folds_once(N, bound):
+    # One fold keeps a reduced value below 2^(W N) (1 + 2^-W), and a 10^4-step
+    # Horner total = x^s total + term below 2^(W N + 2), decoding exactly.
+    ring, rng = CyclicRing(N, bound), random.Random(N)
+    for _ in range(200):
+        a, s = rng.getrandbits(ring.bits), rng.randrange(3 * N)
+        assert 0 <= ring.rot(a, s) < (1 << ring.bits) + (1 << ring.bits - ring.width)
+        assert ring.rot(a, s) % ring.modulus == (a << ring.width * s) % ring.modulus
+    total, want = 0, {}
+    for step in range(1, 10_001):
+        s = rng.randrange(2 * N)
+        term = {e: rng.randint(-3, 3) for e in rng.sample(range(N), min(N, 3))}
+        total = ring.rot(total, s) + ring.encode(term)
+        want = {(e + s) % N: c for e, c in want.items()}
+        for e, c in term.items():
+            want[e] = want.get(e, 0) + c
+        assert abs(total) < 1 << ring.bits + 2
+        if step % 2_500 == 0:
+            assert ring.decode(total) == {e: c for e, c in want.items() if c}
 
 
 def test_wide_span_product_is_exact_and_small():

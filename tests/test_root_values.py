@@ -35,6 +35,7 @@ from qmaass.bailey import LIMIT_WEIGHTS
 from qmaass.cyclotomic import (
     MAX_ROOT_ORDER,
     CycNumber,
+    CyclicRing,
     root_sums,
 )
 from qmaass.families import FAMILIES, kz_root_value, u_root_value, verify_kz_duality
@@ -205,13 +206,16 @@ def test_duality_fails_on_a_perturbed_side(monkeypatch):
 
 
 def test_kz_root_value_takes_no_binomial_table(monkeypatch):
-    # Each level is one pass of the z-series Horner: no q-Pascal table.
+    # Each level is one pass of the z-series Horner: no binomial table and
+    # no product.
     want = kz_oracle(3, 2, 12)
 
-    def refuse(self, top, bottom):
-        raise AssertionError("kz_root_value asked for a binomial table")
+    def refuse(self, a, b):
+        raise AssertionError("kz_root_value took a product")
 
-    monkeypatch.setattr(PackedRing, "binomial", refuse)
+    assert not hasattr(PackedRing, "binomial")
+    for ring in (CyclicRing, L1Bound):
+        monkeypatch.setattr(ring, "mul", refuse)
     assert _same(kz_root_value(3, 2, 12), want)
 
 
@@ -248,9 +252,8 @@ def _pascal(ring):
 
 def _chain_by_chain(ring, k: int, ell: int, b: int, n_max: int) -> list:
     """The chain polynomials in the ring, one chain at a time, with no layer
-    stop and no cut: the inner factors by the ring's binomials (q-Lucas in
-    the cyclic ring), the last one exact, as the walk takes them."""
-    inner, last = ring.binomial, _pascal(ring)
+    stop and no cut, every factor an exact q-Pascal binomial."""
+    binomial = _pascal(ring)
     out = [0] * (n_max + 1)
     for chain in itertools.combinations_with_replacement(range(n_max + 1), k - 1):
         partial, prev, acc = 1, 0, 0
@@ -260,9 +263,9 @@ def _chain_by_chain(ring, k: int, ell: int, b: int, n_max: int) -> list:
                 break
             if v is None:  # the last factor, for every top value n
                 for n in range(prev, n_max + 1):
-                    out[n] += ring.mul(partial, last(n - prev + g, n - prev))
+                    out[n] += ring.mul(partial, binomial(n - prev + g, n - prev))
                 break
-            factor = ring.rot(inner(v - prev + g, v - prev), v * v + (1 - b) * v)
+            factor = ring.rot(binomial(v - prev + g, v - prev), v * v + (1 - b) * v)
             partial, prev = ring.mul(partial, factor), v
             acc += 2 * v + (1 if j + 1 < ell else 0)
     return out
@@ -285,11 +288,14 @@ WALK_CASES = st.integers(1, 5).flatmap(lambda k: st.tuples(
 @given(WALK_CASES)
 def test_merged_walk_matches_chain_by_chain(case):
     k, ell, b, N, n_max, trunc = case
+    # At a root the walk's values agree at zeta_N (1 - z^N stands for a
+    # whole period of factors there), and its L1 twin bounds each of them.
     expected = root_sums(N, lambda ring: _chain_by_chain(ring, k, ell, b, n_max))
-    assert root_sums(N, lambda ring: _walk(ring, k, ell, b, n_max)) == expected
-    # The L1 bounds agree too: merging only regroups the same terms.
-    bound = L1Bound(period=N)
-    assert _walk(bound, k, ell, b, n_max) == _chain_by_chain(bound, k, ell, b, n_max)
+    sizes = _walk(L1Bound(period=N), k, ell, b, n_max)
+    ring = CyclicRing(N, max(sizes, default=0) + 1)
+    got = [ring.decode(a) for a in _walk(ring, k, ell, b, n_max)]
+    assert [CycNumber.from_powers(N, m) for m in got] == [CycNumber.from_powers(N, m) for m in expected]
+    assert all(sum(map(abs, m.values())) <= size for m, size in zip(got, sizes))
     # Over the truncated ring the walk adds its layer stop and its cut.
     T = int_slots(trunc)
     twin = MajorantBound(T)
