@@ -9,10 +9,11 @@ coefficient tables, and cyclotomic root-of-unity values.
   over Z[x]/(x^T) for the :class:`Family` records of :data:`FAMILIES`,
   :func:`qmaass.maass.quantum_value` over Z[x]/(x^N - 1).
 * :func:`sigma_series` / :func:`sigma_star_series` give the two classical
-  partial-theta companions in all their representations, plus fast integer
-  coefficient tables for large ranges.
-* :func:`negative_part_series` enumerates the companion sum over its
-  cone, exactly, below a truncation.
+  partial-theta companions in all their representations; their integer
+  tables are read off their lattices (Cohen's M = 5 lattice, family 4's).
+* :func:`_lattice_row` enumerates the points below a truncation, row by
+  row, for every exact lattice sum: :func:`negative_part_series` (the
+  companion sum over its cone) and :mod:`qmaass.theta`'s.
 * :func:`kz_root_value`, :func:`u_root_value`, :func:`verify_kz_duality`
   evaluate the Kontsevich-Zagier-type finite sums at roots of unity and
   check the duality between them.
@@ -79,7 +80,7 @@ class Family(Record):
       and b = (1 / b[0], 1 / b[1]), is ``theta_scale * q^Q(a) * F(q^power)``.
     * Validation derives the shifts (s1, s2) and the pairing from a and b
       by the conditions of :func:`qmaass.theta.validate_params`, which
-      Cohen's M = 5, a = (1/6, 0), b = (1/12, 1/8) passes too.
+      Cohen's lattice :data:`qmaass.theta.COHEN_LATTICE` passes too.
     * Shell n >= first of the lattice expansion has, for each (m, mult) in
       ``shell_parts`` and -n <= nu <= n - first, the term
       mult (-1)^(n + nu) / shell_denom at q^((Q(a + (m(n), nu)) - Q(a)) / power).
@@ -159,11 +160,13 @@ def sigma_series(rep: str, trunc) -> QSeries:
                      :meth:`~qmaass.series.PackedRing.pochhammer_sum`,
     ``averaged``     2 * averaged partial sums of (-1)^n (q;q)_n, the
                      :func:`chain_sum` of weights (1, 0, None) at k = 1,
-    ``indefinite``   sum over n >= 0, |v| <= n of
-                     (-1)^(n+v) q^(n(3n+1)/2 - v^2) (1 - q^(2n+1)).
+    ``indefinite``   :func:`sigma_coefficients`, the theta series of
+                     :data:`~qmaass.theta.COHEN_LATTICE` read at q^2.
 
     All four agree coefficient-for-coefficient below ``trunc``.
     """
+    if rep not in SIGMA_REPS:
+        raise QSeriesError(f"unknown representation {rep!r}; expected one of {SIGMA_REPS}")
     t = finite_trunc(trunc)
     size = int_slots(t)
     if size <= 0:
@@ -179,34 +182,30 @@ def sigma_series(rep: str, trunc) -> QSeries:
                 term = ring.rot(ring.divide(term, n, -1), n)
                 total += term
             return [total]
-    elif rep == "alternating":
+    else:
         def build(ring) -> list:
             terms = (ring.rot(1, n + 1) for n in range(size - 1))
             return [1 + ring.pochhammer_sum([ring.sub(0, a) if n % 2 else a for n, a in enumerate(terms)])]
-    else:
-        raise QSeriesError(f"unknown representation {rep!r}; expected one of {SIGMA_REPS}")
     (coeffs,) = TruncatedRing.sums(size, build)
     return QSeries._from_clean(coeffs, 1, t)
 
 
+def _table_size(n_max) -> int:
+    if type(n_max) is not int or n_max < 0:
+        raise QSeriesError(f"n_max must be an int >= 0, got {n_max!r}")
+    return n_max + 1
+
+
 def sigma_coefficients(n_max: int) -> list:
-    """Integer coefficients 0..n_max via the indefinite double sum (fast)."""
-    if n_max < 0:
-        raise QSeriesError("n_max must be nonnegative")
-    size = n_max + 1
+    """Integer coefficients 0..n_max of sigma, read off the theta series of
+    :data:`~qmaass.theta.COHEN_LATTICE`, which is q^(1/12) sigma(q^2)."""
+    from .theta import COHEN_LATTICE, indefinite_theta_series
+
+    size = _table_size(n_max)
+    theta = indefinite_theta_series(COHEN_LATTICE, Fraction(1, 12) + 2 * size)
     out = [0] * size
-    for n in itertools.count(0):
-        if n * (n + 1) // 2 >= size:
-            break
-        base = n * (3 * n + 1) // 2
-        for nu in range(-n, n + 1):
-            e = base - nu * nu
-            sgn = -1 if (n + nu) % 2 else 1
-            if e < size:
-                out[e] += sgn
-            e2 = e + 2 * n + 1
-            if e2 < size:
-                out[e2] -= sgn
+    for e, c in theta._coeffs.items():  # e / denom = 1/12 + 2m
+        out[e // (2 * theta.denom)] = c
     return out
 
 
@@ -215,10 +214,14 @@ def sigma_star_series(rep: str, trunc) -> QSeries:
 
     ``odd-pochhammer``  2 * sum over n >= 1 of (-1)^n q^(n^2) / (q;q^2)_n,
                         a running term times -x^c / (1 - x^c), c = 2n - 1,
-    ``alternating``     -2 * sum over n >= 0 of q^(n+1) (q^2;q^2)_n.
+    ``alternating``     -2 * sum over n >= 0 of q^(n+1) (q^2;q^2)_n, one
+                        Horner pass of
+                        :meth:`~qmaass.series.PackedRing.pochhammer_sum`.
 
     Both agree below ``trunc``; the leading term is -2q.
     """
+    if rep not in SIGMA_STAR_REPS:
+        raise QSeriesError(f"unknown representation {rep!r}; expected one of {SIGMA_STAR_REPS}")
     t = finite_trunc(trunc)
     size = int_slots(t)
     if size <= 0:
@@ -230,37 +233,55 @@ def sigma_star_series(rep: str, trunc) -> QSeries:
                 term = ring.sub(0, ring.rot(ring.divide(term, 2 * n - 1), 2 * n - 1))
                 total += term
             return [2 * total]
-
-        (coeffs,) = TruncatedRing.sums(size, build)
-        return QSeries._from_clean(coeffs, 1, t)
-    if rep == "alternating":
-        return QSeries.from_dense(sigma_star_coefficients(size - 1), t)
-    raise QSeriesError(
-        f"unknown representation {rep!r}; expected one of {SIGMA_STAR_REPS}"
-    )
+    else:
+        def build(ring) -> list:
+            terms = [ring.rot(1, n + 1) for n in range(size - 1)]
+            return [2 * ring.sub(0, ring.pochhammer_sum(terms, 2))]
+    (coeffs,) = TruncatedRing.sums(size, build)
+    return QSeries._from_clean(coeffs, 1, t)
 
 
 def sigma_star_coefficients(n_max: int) -> list:
-    """Integer coefficients 0..n_max by dense accumulation of the
-    alternating representation (running product updated in place)."""
-    if n_max < 0:
-        raise QSeriesError("n_max must be nonnegative")
-    size = n_max + 1
-    poly = [0] * size
-    if size > 0:
-        poly[0] = 1  # running (q^2;q^2)_n, starting at n = 0
-    out = [0] * size
-    for n in itertools.count(0):
-        shift = n + 1
-        if shift >= size:
-            break
-        for e in range(size - shift):
-            if poly[e]:
-                out[e + shift] -= 2 * poly[e]
-        stride = 2 * (n + 1)
-        for e in range(size - 1, stride - 1, -1):
-            poly[e] -= poly[e - stride]
-    return out
+    """Integer coefficients 0..n_max of sigma*, which is minus family 4 at
+    (1, 1) with q -> -q: -(-1)^m times the m-th entry of its lattice table."""
+    from .theta import _lattice_table
+
+    fourth, _ = _lattice_table(4, 1, 1, _table_size(n_max))  # shell_denom 1: integers
+    return [c if m & 1 else -c for m, c in enumerate(fourth)]
+
+
+# ---------------------------------------------------------------- lattice rows
+
+
+def _kept_nus(square: int, linear: int, excess: int, lo: int, hi: int) -> tuple:
+    """The nu in lo..hi with (square nu^2 + linear nu) / 2 > excess, as
+    ascending ranges.
+
+    With disc = linear^2 + 8 square excess >= 0 the others are the integers
+    between the parabola's real roots r1 <= r2, [ceil(r1), floor(r2)].  Both
+    ends are exact from isqrt(disc), since floor((m + sqrt(disc)) / d) =
+    floor((m + isqrt(disc)) / d) for integers m and d > 0.
+    """
+    disc = linear * linear + 8 * square * excess
+    if disc < 0:
+        return (range(lo, hi + 1),)
+    root = math.isqrt(disc)
+    first_out = -((linear + root) // (2 * square))
+    last_out = (root - linear) // (2 * square)
+    return range(lo, min(hi, first_out - 1) + 1), range(max(lo, last_out + 1), hi + 1)
+
+
+def _lattice_row(square: int, linear: int, start: int, top: int, lo: int, hi: int):
+    """(nus, exponents) per nonempty run of the nu in lo..hi whose exponent
+    start - (square nu^2 + linear nu) / 2, square + linear even, is below
+    ``top``: the end runs of :func:`_kept_nus`, each exponent a running sum.
+    Every exact lattice sum reads its points from here."""
+    for nus in _kept_nus(square, linear, start - top, lo, hi):
+        if nus:
+            nu = nus.start
+            step = -((square * (2 * nu + 1) + linear) // 2)  # exponent at nu + 1 minus at nu
+            steps = range(step, step - square * (len(nus) - 1), -square)
+            yield nus, itertools.accumulate(steps, initial=start - (square * nu * nu + linear * nu) // 2)
 
 
 # ---------------------------------------------------------------- negative part
@@ -278,8 +299,8 @@ def negative_part_series(M: int, ell: int, trunc, region: str = "cone"):
 
     Returns ``(series, diagnostics)`` where diagnostics record the region,
     the ``v`` window searched, the anomalous (non-positive exponent) terms
-    (always none), the count of terms at or above ``trunc`` and the count
-    kept.
+    (always none), the count of cone points at or above ``trunc`` and the
+    count kept.
     """
     if not (isinstance(M, int) and M >= 2):
         raise QSeriesError(f"M must be an integer >= 2, got {M!r}")
@@ -292,42 +313,30 @@ def negative_part_series(M: int, ell: int, trunc, region: str = "cone"):
     c = M - 1 - 2 * ell
 
     # |Y| <= y_bound covers every in-cone term below trunc.
-    budget = max(1, math.ceil(t))
-    y_bound = math.isqrt(4 * (M * M - 1) * budget) + 2 * (M - 1)
-    lo = math.ceil(Fraction(-y_bound - c, 2 * (M - 1)))
-    hi = math.floor(Fraction(y_bound - c, 2 * (M - 1)))
+    y_bound = math.isqrt(4 * (M * M - 1) * max(1, math.ceil(t))) + 2 * (M - 1)
+    lo, hi = -((y_bound + c) // (2 * (M - 1))), (y_bound - c) // (2 * (M - 1))
 
-    coeffs: dict[Fraction, int] = {}
-    dropped_high = 0
-    kept = 0
+    # (M+1) Y^2 - (M-1) X^2 = start - (square n^2 + linear n) / 2 in row v
+    square, linear, top = 8 * (M - 1) * (M + 1) ** 2, 8 * (M - 1) ** 2 * (M + 1), math.ceil(t * denom)
+    coeffs: dict[int, int] = {}
+    admitted = kept = 0
     for nu in range(lo, hi + 1):
-        y = 2 * (M - 1) * nu + c
-        n_lo = math.ceil(Fraction(-abs(y) - (M - 1), 2 * (M + 1)))
-        n_hi = math.floor(Fraction(abs(y) - (M - 1), 2 * (M + 1)))
-        admitted = (
-            n
-            for n in range(n_lo, n_hi + 1)
-            if abs(2 * (M + 1) * n + M - 1) < abs(y)
-        )
-        for n in admitted:
-            x = 2 * (M + 1) * n + M - 1
-            e_num = (M + 1) * y * y - (M - 1) * x * x
-            exponent = Fraction(e_num, denom)
-            sign = -1 if (n + nu) % 2 else 1
-            if exponent < t:
-                kept += 1
-                coeffs[exponent] = coeffs.get(exponent, 0) + sign
-            else:
-                dropped_high += 1
-    series = QSeries.from_terms(coeffs.items(), t)
-    diagnostics = {
+        y = abs(2 * (M - 1) * nu + c)
+        # the cone: -|Y| < 2(M+1)n + M - 1 < |Y|
+        n_lo, n_hi = (-y - (M - 1)) // (2 * (M + 1)) + 1, -((M - 1 - y) // (2 * (M + 1))) - 1
+        admitted += max(0, n_hi - n_lo + 1)
+        for ns, exps in _lattice_row(square, linear, (M + 1) * y * y - (M - 1) ** 3, top, n_lo, n_hi):
+            kept += len(ns)
+            for e, sign in zip(exps, itertools.cycle((-1, 1) if (ns.start + nu) & 1 else (1, -1))):
+                coeffs[e] = coeffs.get(e, 0) + sign
+    g = math.gcd(denom, *coeffs)
+    return QSeries({e // g: s for e, s in coeffs.items()}, denom // g, t), {
         "region": region,
         "nu_window": (lo, hi),
         "anomalous_terms": [],
-        "dropped_above_trunc": dropped_high,
+        "dropped_above_trunc": admitted - kept,
         "terms_in_series": kept,
     }
-    return series, diagnostics
 
 
 # ----------------------------------------------- root-of-unity finite sums

@@ -27,10 +27,10 @@ from .agpolys import _walk
 from .bailey import LIMIT_WEIGHTS, chain_sum
 from .bessel import k0_bessel
 from .cyclotomic import CycNumber, check_root_order, root_sums
-from .families import FAMILIES, _validate_family, sigma_coefficients
+from .families import FAMILIES, _validate_family, sigma_coefficients, sigma_star_coefficients
 from .reports import CheckReport, Record, _exact_str, report_from_condition
 from .series import PrecisionError, QSeriesError
-from .theta import _bounded, _lattice_table, family_lattice_numeric, unit_phase
+from .theta import _bounded, family_lattice_numeric, unit_phase
 
 __all__ = [
     "MaassCoeffTable",
@@ -81,29 +81,19 @@ class MaassCoeffTable(Record):
 def cohen_table(n_max: int) -> MaassCoeffTable:
     """Coefficient table of the scale-24 example, out to |n| <= n_max.
 
-    Positive indices 24m + 1 carry the coefficients of the even-parts
-    generating series; negative indices 1 - 24m carry those of its
-    odd-indexed partner, streamed through the fourth family's closed
-    lattice expansion (the partner equals minus the fourth family at
-    (1,1) with the variable negated, and the lattice route enumerates
-    coefficients in linear time; the dense classical representation is
-    cross-checked against it in the tests).  All values are exact
+    Index 24m + 1 carries sigma_m and index 1 - 24m (m >= 1) sigma*_m,
+    both tables read off their lattices by :mod:`qmaass.families`: exact
     integers supported on the residue class 1 mod 24.
     """
     if not (isinstance(n_max, int) and n_max >= 1):
         raise QSeriesError("the table extent must be a positive integer")
     coeffs: dict[int, int] = {}
-    m_pos = (n_max - 1) // 24
-    for m, value in enumerate(sigma_coefficients(m_pos)):
+    for m, value in enumerate(sigma_coefficients((n_max - 1) // 24)):
         if value:
             coeffs[24 * m + 1] = value
-    m_neg = (n_max + 1) // 24
-    if m_neg >= 1:
-        fourth, _ = _lattice_table(4, 1, 1, m_neg + 1)  # shell_denom 1: integers
-        for m in range(1, m_neg + 1):
-            value = -fourth[m] if m % 2 == 0 else fourth[m]
-            if value:
-                coeffs[1 - 24 * m] = value
+    for m, value in enumerate(sigma_star_coefficients((n_max + 1) // 24)[1:], 1):
+        if value:
+            coeffs[1 - 24 * m] = value
     return MaassCoeffTable(scale=24, coeffs=coeffs)
 
 

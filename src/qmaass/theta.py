@@ -31,12 +31,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections import defaultdict
 from fractions import Fraction
-from itertools import accumulate, cycle, islice
+from itertools import cycle, islice
 
 from .bessel import k0_bessel
 from .cyclotomic import CycNumber
-from .families import FAMILIES, _affine, _validate_family, family_series
+from .families import FAMILIES, _affine, _lattice_row, _validate_family, family_series
 from .reports import CheckReport, Record, _exact_str, report_from_comparison
 from .series import PrecisionError, QSeries, QSeriesError, finite_trunc, positive_trunc
 
@@ -156,6 +157,11 @@ class ThetaParams(Record):
         self.__dict__.update(M=M, a=a, b=b)
 
 
+# Cohen's example as a lattice, whose theta series is q^(1/12) sigma(q^2)
+# (Andrews, Dyson, Hickerson and Cohen, Invent. Math. 91, 1988).
+COHEN_LATTICE = ThetaParams(M=5, a=(Fraction(1, 6), 0), b=(Fraction(1, 12), Fraction(1, 8)))
+
+
 class FamilyThetaData(Record):
     """Theta parameters realizing one series family, plus exact match data.
 
@@ -243,8 +249,9 @@ def indefinite_theta_series(params: ThetaParams, trunc) -> QSeries:
     :func:`_cone_weights`), whose boundary no lattice point meets because
     a1 +- a2 is not integral.  In the cone the exponent numerator
     q = (M+1) x^2 - (M-1) y^2 exceeds 2 x^2, so only the rows with
-    2 x^2 below the limit hold terms; in each row the kept nu are read
-    exactly from :func:`_kept_nus`, the rule of the family shells.
+    2 x^2 below the limit hold terms; each row's kept nu and their
+    exponents come from :func:`~qmaass.families._lattice_row`, as the
+    family shells' do, and its twist residues repeat along each run.
     """
     t = finite_trunc(trunc)
     if t <= 0:
@@ -253,29 +260,24 @@ def indefinite_theta_series(params: ThetaParams, trunc) -> QSeries:
     order, c1, c2 = _twist_residues(params)
     D, ((A1, A2),) = _over_common(params.a)
     den = 2 * D * D
-    # An integer numerator q is below t * den exactly when it is below
-    # the ceiling.
-    limit = math.ceil(t * den)
+    limit = math.ceil(t * den)  # an integer q is below t * den iff it is below limit
     reach = math.isqrt((limit - 1) // 2)  # the largest |x| with 2 x^2 < limit
-    # (M-1) y^2 > (M+1) x^2 - limit at y = A2 + nu D, as _kept_nus reads it
+    # q = (M+1) x^2 - (M-1) A2^2 - (square nu^2 + linear nu) / 2 at y = A2 + nu D
     square, linear = 2 * (M - 1) * D * D, 4 * (M - 1) * A2 * D
-    # exponent numerator -> {twist residue: number of points}
-    acc: dict[int, dict[int, int]] = {}
+    # exponent numerator -> the number of points at each twist residue
+    acc: dict[int, list[int]] = defaultdict(lambda: [0] * order)
     for n in range(-((reach + A1) // D), (reach - A1) // D + 1):
         x = A1 + n * D
-        qx = (M + 1) * x * x
         # the cone: -|x| < A2 + nu D < |x|
         lo, hi = (-abs(x) - A2) // D + 1, -((A2 - abs(x)) // D) - 1
-        for nus in _kept_nus(square, linear, qx - limit - (M - 1) * A2 * A2, lo, hi):
-            for nu in nus:
-                q = qx - (M - 1) * (A2 + nu * D) ** 2
-                counts = acc.setdefault(q, {})
-                r = (c1 * n - c2 * nu) % order
-                counts[r] = counts.get(r, 0) + 1
-    if order <= 2:
-        coeffs = {q: c.get(0, 0) - c.get(1, 0) for q, c in acc.items()}
+        for nus, exps in _lattice_row(square, linear, (M + 1) * x * x - (M - 1) * A2 * A2, limit, lo, hi):
+            r0 = (c1 * n - c2 * nus.start) % order  # falls by c2 from one nu to the next
+            for q, r in zip(exps, cycle([(r0 - c2 * i) % order for i in range(min(order, len(nus)))])):
+                acc[q][r] += 1
+    if order <= 2:  # zeta_2 = -1
+        coeffs = {q: c[0] - sum(c[1:]) for q, c in acc.items()}
     else:
-        coeffs = {q: CycNumber.from_powers(order, c) for q, c in acc.items()}
+        coeffs = {q: CycNumber(order, c) for q, c in acc.items()}
     g = math.gcd(den, *coeffs)
     return QSeries({q // g: c for q, c in coeffs.items()}, den // g, t)
 
@@ -283,57 +285,24 @@ def indefinite_theta_series(params: ThetaParams, trunc) -> QSeries:
 # -------------------------------------------------------- family lattice sums
 
 
-def _kept_nus(square: int, linear: int, excess: int, lo: int, hi: int) -> tuple:
-    """The nu in lo..hi with (square nu^2 + linear nu) / 2 > excess, as
-    ascending ranges.
-
-    With disc = linear^2 + 8 square excess >= 0 the others are the integers
-    between the parabola's real roots r1 <= r2, [ceil(r1), floor(r2)].  Both
-    ends are exact from isqrt(disc), since floor((m + sqrt(disc)) / d) =
-    floor((m + isqrt(disc)) / d) for integers m and d > 0.
+def _family_shell(j: int, k: int, ell: int, n: int, top: int):
+    """Lattice terms of family j at outer index n with exponent below ``top``:
+    (exponents, numerators), two lists of ints, the terms numerators /
+    shell_denom * q^exponents.  Each part (m, mult) of the shell is a row of
+    :func:`~qmaass.families._lattice_row` with alternating signs, exponent
+    start - ((2k+1) nu^2 + (2k - 2 ell + 1) nu) / 2 at nu and start =
+    (Q(a + (m, 0)) - Q(a)) / power = ((M + 1) m^2 + A1 m) / (2 power), a1 = A1 / (2(M + 1)).
     """
-    disc = linear * linear + 8 * square * excess
-    if disc < 0:
-        return (range(lo, hi + 1),)
-    root = math.isqrt(disc)
-    first_out = -((linear + root) // (2 * square))
-    last_out = (root - linear) // (2 * square)
-    return range(lo, min(hi, first_out - 1) + 1), range(max(lo, last_out + 1), hi + 1)
-
-
-def _shell_parts(j: int, k: int, ell: int, n: int) -> list[tuple[int, int]]:
-    """(start, mult) per part of shell n of family j.  At nu the part's
-    exponent is start - ((2k+1) nu^2 + (2k - 2 ell + 1) nu) / 2, and start is
-    (Q(a + (m, 0)) - Q(a)) / power = ((M + 1) m^2 + A1 m) / (2 power) for
-    the record's a1 = A1 / (2(M + 1))."""
     fam = FAMILIES[j]
     M, a1, den = _affine(fam.M, k), _affine(fam.a1, k), 2 * fam.power
-    parts = ((_affine(form, n), mult) for form, mult in fam.shell_parts)
-    return [(((M + 1) * m * m + a1 * m) // den, mult) for m, mult in parts]
-
-
-def _family_shell(j: int, k: int, ell: int, n: int, top: int):
-    """Lattice terms of family j at outer index n with exponent below ``top``.
-
-    Returns (exponents, numerators), two lists of Python ints: the terms
-    numerators / shell_denom * q^exponents.  Each exponent is a downward
-    parabola in nu, so the kept nu form two end ranges; along a range the
-    exponents are running sums of an arithmetic progression and the signs
-    alternate.
-    """
     square, linear = 2 * k + 1, 2 * k - 2 * ell + 1
     exps, nums = [], []
-    for start, mult in _shell_parts(j, k, ell, n):
-        for nus in _kept_nus(square, linear, start - top, -n, n - FAMILIES[j].first):
-            if not nus:
-                continue
-            nu = nus.start
-            step = -((square * (2 * nu + 1) + linear) // 2)  # exponent at nu + 1 minus at nu
-            first = start - (square * nu * nu + linear * nu) // 2
-            steps = range(step, step - square * (len(nus) - 1), -square)
-            exps += accumulate(steps, initial=first)
-            signs = (-mult, mult) if (n + nu) & 1 else (mult, -mult)
-            nums += islice(cycle(signs), len(nus))
+    for form, mult in fam.shell_parts:
+        m = _affine(form, n)
+        start = ((M + 1) * m * m + a1 * m) // den
+        for nus, run in _lattice_row(square, linear, start, top, -n, n - fam.first):
+            exps += run
+            nums += islice(cycle((-mult, mult) if (n + nus.start) & 1 else (mult, -mult)), len(nus))
     return exps, nums
 
 
@@ -352,7 +321,7 @@ def _shell_walk(j: int, k: int, ell: int, top: int):
 def _lattice_table(j: int, k: int, ell: int, top: int) -> tuple[tuple[int, ...], int]:
     """Dense integer numerators of the lattice expansion below q^top, and
     their denominator; cached for the exact series, the numeric grids and
-    the Cohen table alike."""
+    :func:`~qmaass.families.sigma_star_coefficients` alike."""
     coeffs = [0] * top
     for exps, nums in _shell_walk(j, k, ell, top):
         for e, c in zip(exps, nums):
@@ -491,7 +460,7 @@ def validate_params(params: ThetaParams) -> CheckReport:
     automorph g (s1 = s2 when a = a*); B(a, (-1, -1)) integral;
     g(b) - (1, 1) = b*, g(b*) = b; 2(M + 1) b1 = 2(M - 1) b2 = 1; an
     equivalence branch.  Reports ``shifts`` [s1, s2] and ``pairing``, None
-    if no integer fits: [-1, 1], -1 for Cohen's M = 5, a = (1/6, 0), b = (1/12, 1/8)."""
+    if no integer fits: [-1, 1], -1 for :data:`COHEN_LATTICE`."""
     (D, (A,)), (E, (B,)) = _over_common(params.a), _over_common(params.b)
     status, details, shifts, pairing = _param_checks(params.M, A, D, B, E)
     return CheckReport("theta_params", {"M": params.M, "a": params.a, "b": params.b}, status,

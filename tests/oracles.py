@@ -232,6 +232,24 @@ def negative_part_by_box(M: int, ell: int, trunc, box: int = 60) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def negative_part_counts(M: int, ell: int, trunc, nu_window: tuple) -> tuple[int, int]:
+    """(kept, dropped): the cone points of :func:`negative_part_by_box` with
+    nu in ``nu_window``, by brute force over n, whose exponent is below
+    ``trunc`` and at or above it.  |X| < |Y| needs |n| <= |Y|."""
+    denom = 8 * (M + 1) * (M - 1)
+    kept = dropped = 0
+    for nu in range(nu_window[0], nu_window[1] + 1):
+        y = 2 * (M - 1) * nu + M - 1 - 2 * ell
+        for n in range(-abs(y), abs(y) + 1):
+            x = 2 * (M + 1) * n + M - 1
+            if abs(x) < abs(y):
+                if Fraction((M + 1) * y * y - (M - 1) * x * x, denom) < trunc:
+                    kept += 1
+                else:
+                    dropped += 1
+    return kept, dropped
+
+
 def min_order(series: QSeries) -> Fraction | None:
     """The lowest exponent of ``series``, None for the zero series."""
     return next((e for e, _ in series.terms()), None)

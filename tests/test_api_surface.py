@@ -40,7 +40,7 @@ CACHES = {
     "cyclotomic.cyclotomic_polynomial": (None, "Phi_L and its nonzero lower terms, read by every "
                                                "CycNumber built; one entry per order L"),
     "theta._lattice_table": (16, "the lattice expansion of one family, shared by the exact series, "
-                                 "the numeric grids and the Cohen table; a few families at a time"),
+                                 "the numeric grids and the sigma* table; a few families at a time"),
     "theta._ray_rule": (None, "the fixed Gauss-Legendre rule of the completion, built once"),
 }
 
@@ -241,3 +241,47 @@ def test_every_cache_is_registered():
     found = {f"{path.stem}.{name}": size for path, tree in zip(SRC, _parse(SRC))
              for name, size in cached_functions(tree).items()}
     assert found == {name: size for name, (size, _) in CACHES.items()}
+
+
+def callers(tree: ast.Module, name: str) -> set[str]:
+    """The qualified names of the functions in ``tree`` whose own body
+    (nested definitions left out) calls ``name``, as a name or an attribute."""
+    out = set()
+
+    def visit(node: ast.AST, scope: str | None) -> None:
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
+                out.add(scope)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if scope is None else f"{scope}.{child.name}"
+                visit(child, inner)
+            else:
+                visit(child, scope)
+
+    visit(tree, None)
+    return out
+
+
+def test_the_caller_scan_finds_each_calling_function():
+    sample = ast.parse(
+        "def direct(): return _kept_nus(1)\n"
+        "def via_module(): return families._kept_nus(1)\n"
+        "def loads_only(): return _kept_nus\n"
+        "class Box:\n"
+        "    def method(self): return [_kept_nus(n) for n in ()]\n"
+        "def outer():\n"
+        "    def inner(): return _kept_nus(2)\n"
+        "    return inner\n"
+        "_kept_nus(0)\n"
+    )
+    assert callers(sample, "_kept_nus") == {"direct", "via_module", "Box.method", "outer.inner", None}
+
+
+def test_one_function_enumerates_the_kept_lattice_points():
+    # Every exact lattice sum reads its points from one row kernel: a second
+    # caller of the row rule is a second enumerator.
+    found = {f"{path.stem}.{name}" for path, tree in zip(SRC, _parse(SRC))
+             for name in callers(tree, "_kept_nus")}
+    assert found == {"families._lattice_row"}

@@ -7,6 +7,7 @@ from oracles import (
     min_order,
     negate_variable,
     negative_part_by_box,
+    negative_part_counts,
     sigma_by_rank_parity,
     sigma_star_by_odd_partitions,
 )
@@ -56,7 +57,8 @@ def test_sigma_representations_agree():
 
 def test_sigma_pochhammer_sums_take_one_packed_pass(monkeypatch):
     # sigma "pochhammer" and sigma* "odd-pochhammer" carry one running term
-    # through PackedRing.divide in one TruncatedRing.sums pass: no
+    # through PackedRing.divide, and sigma* "alternating" is one
+    # PackedRing.pochhammer_sum, each in one TruncatedRing.sums pass: no
     # Pochhammer or inverse Pochhammer (both run series._factors) and no
     # series sum.
     passes, factors, sums = [], [], []
@@ -64,7 +66,8 @@ def test_sigma_pochhammer_sums_take_one_packed_pass(monkeypatch):
     monkeypatch.setattr(series, "_factors", _counted(factors, series._factors))
     monkeypatch.setattr(QSeries, "__add__", _counted(sums, QSeries.__add__))
     for build in (lambda t: sigma_series("pochhammer", t),
-                  lambda t: sigma_star_series("odd-pochhammer", t)):
+                  lambda t: sigma_star_series("odd-pochhammer", t),
+                  lambda t: sigma_star_series("alternating", t)):
         for trunc in (2, Fraction(121, 2), 1000):
             for log in (passes, factors, sums):
                 log.clear()
@@ -98,7 +101,7 @@ def test_sigma_counts_distinct_partitions_by_rank_parity():
 
 def test_sigma_star_counts_odd_partitions():
     # 2 sum (-1)^n q^(n^2) / (q; q^2)_n by counting partitions, against
-    # the library's alternating representation.
+    # the library's table, read off family 4's lattice.
     table = sigma_star_coefficients(400)
     assert table == sigma_star_by_odd_partitions(400)
     for n in (1, 7, 400):
@@ -140,6 +143,32 @@ def test_sigma_bad_representation():
         sigma_series("fourier", 10)
     with pytest.raises(QSeriesError):
         sigma_star_series("pochhammer", 10)
+
+
+@pytest.mark.parametrize("trunc", [0, -3, Fraction(1, 2)])
+def test_companions_refuse_a_bad_representation_at_any_truncation(trunc):
+    # The representation is checked before an empty truncation returns zero.
+    with pytest.raises(QSeriesError, match="unknown representation 'bogus'"):
+        sigma_series("bogus", trunc)
+    with pytest.raises(QSeriesError, match="unknown representation 'bogus'"):
+        sigma_star_series("bogus", trunc)
+
+
+@pytest.mark.parametrize("table", [sigma_coefficients, sigma_star_coefficients])
+@pytest.mark.parametrize("n_max", [True, False, 2.5, 2.0, -1, "3", None, Fraction(2)])
+def test_companion_tables_refuse_a_bad_n_max(table, n_max):
+    with pytest.raises(QSeriesError, match=r"^n_max must be an int >= 0, got "):
+        table(n_max)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 57, 2000])
+def test_lattice_tables_match_the_pochhammer_routes(n_max):
+    # sigma off Cohen's lattice and sigma* off family 4's, against the
+    # running-term sums, which read no lattice.
+    for table, rep, series_of in ((sigma_coefficients, "pochhammer", sigma_series),
+                                  (sigma_star_coefficients, "odd-pochhammer", sigma_star_series)):
+        series = series_of(rep, n_max + 1)
+        assert table(n_max) == [series.coeff(m) for m in range(n_max + 1)], rep
 
 
 # ------------------------------------------------------------------- families
@@ -282,6 +311,18 @@ def test_negative_part_is_the_cone_sum_over_a_box(M, ell, trunc):
     series, diag = negative_part_series(M, ell, trunc)
     assert dict(series.terms()) == negative_part_by_box(M, ell, trunc)
     assert diag["anomalous_terms"] == []
+
+
+@pytest.mark.parametrize("trunc", [5, 20, Fraction(61, 2), 60])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("M", range(2, 9))
+def test_negative_part_counts_its_cone_points(M, ell, trunc):
+    # terms_in_series counts the cone points kept below trunc, and
+    # dropped_above_trunc the ones of the nu window at or above it.
+    _, diag = negative_part_series(M, ell, trunc)
+    counts = negative_part_counts(M, ell, trunc, diag["nu_window"])
+    assert (diag["terms_in_series"], diag["dropped_above_trunc"]) == counts
+    assert counts[0] > 0
 
 
 def test_negative_part_cone_is_anomaly_free():

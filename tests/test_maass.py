@@ -19,10 +19,7 @@ from oracles import root_of_unity_value
 from qmaass.agpolys import ag_polynomial
 from qmaass.bessel import k0_bessel
 from qmaass.cyclotomic import CycNumber
-from qmaass.families import (
-    sigma_coefficients,
-    sigma_star_coefficients,
-)
+from qmaass.families import sigma_series, sigma_star_series
 from qmaass.maass import (
     MaassCoeffTable,
     cocycle_samples,
@@ -172,18 +169,21 @@ class TestCoeffTable:
         assert all(n % 24 == 1 for n in table.coeffs)
 
     def test_negative_side_matches_dense_representation(self):
-        # The table streams the negative side through the fourth family's
-        # lattice expansion; the dense classical route must agree.
+        # The table reads the negative side off the fourth family's lattice
+        # expansion; the odd Pochhammer route, which reads no lattice,
+        # must agree.
         table = cohen_table(24 * 300 + 2)
-        star = sigma_star_coefficients(300)
+        star = sigma_star_series("odd-pochhammer", 301)
         for m in range(1, 301):
-            assert table.coeffs.get(1 - 24 * m, 0) == star[m]
+            assert table.coeffs.get(1 - 24 * m, 0) == star.coeff(m)
 
     def test_positive_side_matches_stream(self):
+        # The positive side is read off Cohen's lattice; the Pochhammer
+        # route, which reads no lattice, must agree.
         table = cohen_table(24 * 200 + 1)
-        values = sigma_coefficients(200)
+        values = sigma_series("pochhammer", 201)
         for m in range(201):
-            assert table.coeffs.get(24 * m + 1, 0) == values[m]
+            assert table.coeffs.get(24 * m + 1, 0) == values.coeff(m)
 
     def test_extent_and_max(self):
         table = cohen_table(100)

@@ -31,9 +31,10 @@ from qmaass import PrecisionError, QSeries, QSeriesError
 from qmaass.bailey import quadratic_shift
 from qmaass.bessel import k0_bessel
 from qmaass.cyclotomic import CycNumber
-from qmaass.families import FAMILIES, _affine, family_series, sigma_star_series
+from qmaass.families import FAMILIES, _affine, _kept_nus, family_series, sigma_series, sigma_star_series
 from qmaass.reports import CheckReport
 from qmaass.theta import (
+    COHEN_LATTICE,
     QuadForm,
     ThetaParams,
     _bounded,
@@ -42,7 +43,6 @@ from qmaass.theta import (
     _family_shell,
     _frac_pair,
     _gauss_legendre,
-    _kept_nus,
     _lattice_table,
     _lattice_walk,
     _over_common,
@@ -558,7 +558,8 @@ def test_validate_params_agrees_with_the_family_validation_up_to_k10():
 def test_validate_params_passes_cohen_lattice():
     # Cohen's example as the lattice M = 5: g(a) - (1, 1) = a*,
     # g(a*) + (1, 1) = a, g(b) - (1, 1) = b*, g(b*) = b, B(a, (-1, -1)) = -1.
-    params = ThetaParams(5, (F(1, 6), 0), (F(1, 12), F(1, 8)))
+    params = COHEN_LATTICE
+    assert (params.M, params.a, params.b) == (5, (F(1, 6), 0), (F(1, 12), F(1, 8)))
     rep = validate_params(params)
     assert rep.ok, rep.details
     assert rep.check == "theta_params"
@@ -566,6 +567,16 @@ def test_validate_params_passes_cohen_lattice():
     assert rep.details["equivalence_starred"] and not rep.details["equivalence_direct"]
     assert rep.to_json_dict()["params"] == {"M": 5, "a": ["1/6", "0"], "b": ["1/12", "1/8"]}
     assert _same_report(rep, reference_validate_theta_params(params.M, params.a, params.b))
+
+
+@pytest.mark.parametrize("T", [1, 2, 37, 400])
+def test_cohen_lattice_theta_is_sigma_at_q_squared(T):
+    # The theta series of Cohen's lattice is q^(1/12) sigma(q^2), with
+    # sigma from its Pochhammer route, which reads no lattice.
+    theta = indefinite_theta_series(COHEN_LATTICE, F(1, 12) + 2 * T)
+    sigma = sigma_series("pochhammer", T).compose_power(2).shift(F(1, 12))
+    assert theta == sigma
+    assert theta.num_terms() == sigma.num_terms() > 0
 
 
 def test_validate_params_fails_the_off_family_control():
@@ -1006,7 +1017,7 @@ class TestIntegerWalk:
             return ranges
 
         # patch, not monkeypatch: a function-scoped fixture trips the health check
-        with patch("qmaass.theta._kept_nus", counted):
+        with patch("qmaass.families._kept_nus", counted):
             indefinite_theta_series(params, trunc)
         form, (a1, a2) = QuadForm(params.M), params.a
         box = math.isqrt(math.ceil(trunc)) + 1 + max(math.ceil(abs(c)) for c in params.a)
