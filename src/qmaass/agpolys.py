@@ -16,9 +16,10 @@ ring (:func:`_walk`).  Over the packed truncated ring Z[x]/(x^T) it gives
 the polynomials for n = 0..n_max below a truncation, or whole
 (:func:`ag_polynomials`, :func:`ag_polynomial`); the root-of-unity values
 of :mod:`qmaass.families` and :mod:`qmaass.maass` run it over the packed
-cyclic ring Z[x]/(x^N - 1) (:func:`~qmaass.cyclotomic.root_sums`).  The
-partition oracle (:func:`ag_generating`) runs its own DP over the same
-packed truncated ring.
+cyclic ring Z[x]/(x^N - 1), where its states merge by q-Lucas
+(:meth:`~qmaass.series.PackedRing.weighted_sum`).  The partition oracle
+(:func:`ag_generating`) runs its own DP over the same packed truncated
+ring.
 """
 
 from __future__ import annotations
@@ -38,13 +39,13 @@ __all__ = [
 
 
 def _validate_chain_params(k: int, ell: int, b: int, n: int) -> None:
-    if not (isinstance(k, int) and k >= 1):
+    if not (type(k) is int and k >= 1):
         raise QSeriesError(f"chain length parameter must be a positive integer, got {k!r}")
-    if not (isinstance(ell, int) and 1 <= ell <= k):
+    if not (type(ell) is int and 1 <= ell <= k):
         raise QSeriesError(f"offset parameter must satisfy 1 <= ell <= k, got ell={ell!r}")
-    if b not in (0, 1):
+    if type(b) is not int or b not in (0, 1):
         raise QSeriesError(f"weight flag must be 0 or 1, got {b!r}")
-    if not (isinstance(n, int) and n >= 0):
+    if not (type(n) is int and n >= 0):
         raise QSeriesError(f"top chain value must be a nonnegative integer, got {n!r}")
 
 
@@ -68,9 +69,20 @@ def _walk(ring, k: int, ell: int, b: int, n_max: int) -> list:
     acc.  Below a finite horizon T its series stops changing at n = T - 1:
     [s+g choose s] is constant mod x^T from s = T - 1 on, and a chain's
     weight is at least its n_(k-1).
+
+    With a ``period`` N and n_max <= N the states merge by q-Lucas (Sagan,
+    Adv. Math. 95, 1992): at a primitive N-th root, [s+g choose s] with
+    s < N depends on g only mod N.  A state is keyed by acc while acc < k
+    and by k + (acc - k) mod N from then on, so a layer has at most N + k
+    accs.  acc >= k keeps every later g >= 0 (b*j < k) and needs n_j >= 1
+    (at n_j = 0, acc counts only the bumps, fewer than k), so every later
+    step v - n_j is below n_max <= N.  With n_max > N a step from n_j = 1
+    reaches s = N, where [N+g choose N] = 1 + floor(g/N) reads more of g
+    than g mod N: no merge.
     """
     # the weights n_j^2 + (1-b) n_j below the horizon, increasing in n_j <= n_max
     weights = [w for v in range(n_max + 1) if (w := v * (v + 1 - b)) < ring.horizon]
+    N = ring.period if ring.period and n_max <= ring.period else None  # merge mod N
     layer = {0: [(0, 1)]} if weights else {}  # acc -> [(n_j, sum)]
     for j in range(k - 1):
         step: dict = {}
@@ -81,6 +93,10 @@ def _walk(ring, k: int, ell: int, b: int, n_max: int) -> list:
                     if a and (r := ring.rot(a, weights[v])):
                         step.setdefault(acc + 2 * v + (j + 1 < ell), []).append((v, r))
         layer = step
+        if N:
+            layer = {}
+            for acc, terms in step.items():
+                layer.setdefault(acc if acc < k else k + (acc - k) % N, []).extend(terms)
     base = b * (k - 1)
     end = min(n_max, max(ring.horizon - 1, 0))
     series = ring.binomial_sums({acc - base: terms for acc, terms in layer.items() if acc >= base}, end)

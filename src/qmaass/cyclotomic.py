@@ -21,7 +21,11 @@ into one int mod 2^(W*N) - 1 (:class:`CyclicRing`, on the codec of
 :class:`~qmaass.series.PackedRing`), and reduced mod Phi_N once (exact, as
 Phi_N divides x^N - 1).  Only the final value is split into digits: run
 once with x -> 1 and signs dropped (:class:`~qmaass.series.L1Bound`), the
-sum bounds its own L1 norm, which sizes W (:func:`root_sums`).
+sum bounds its own L1 norm, which sizes W (:func:`root_sums`).  A sum
+weighting the chain values of a walk (the quantum values, the dual KZ
+sum) sizes the walk's digits and the sum's by one such pass, and moves
+each chain value digit by digit
+(:meth:`~qmaass.series.PackedRing.weighted_sum`).
 """
 
 from __future__ import annotations
@@ -217,14 +221,15 @@ class CycNumber:
 
 # ------------------------------------------- the group ring Z[x]/(x^N - 1)
 
-#: Largest root order the root-of-unity values accept.  A chain layer
-#: takes up to N/2 Horner passes over N + 1 values per state sum.
+#: Largest root order the root-of-unity values accept.  A chain layer has
+#: at most N + k acc groups (its states merge by q-Lucas), each one
+#: binomial_sums pass of up to about N/2 Horner steps over N + 1 values.
 MAX_ROOT_ORDER = 128
 
 
 def check_root_order(N) -> None:
     """Reject an order that is not a positive integer or exceeds the bound."""
-    if not (isinstance(N, int) and N >= 1):
+    if not (type(N) is int and N >= 1):
         raise QSeriesError(f"N must be a positive integer, got {N!r}")
     if N > MAX_ROOT_ORDER:
         raise QSeriesError(f"root of unity of order {N} exceeds the order bound {MAX_ROOT_ORDER}")
@@ -251,6 +256,27 @@ class CyclicRing(PackedRing):
         larger one loses about W bits."""
         s %= self.period
         return ((a & self._low[s]) << self.width * s) + (a >> self.bits - self.width * s)
+
+    def _horner(self, series: list, low: int, lo: int, hi: int) -> None:
+        end = len(series)
+        for m, up, down in map(self._fold, range(lo, hi)):  # a + rot(a, i)
+            a = series[low]
+            for n in range(low + 1, end):
+                a = series[n] = series[n] + ((a & m) << up) + (a >> down)
+
+    def _times(self, series: list, low: int, high: int, lo: int, hi: int) -> int:
+        end = len(series) - 1
+        for m, up, down in map(self._fold, range(lo, hi)):  # a - rot(a', i)
+            high = min(high + 1, end)
+            for n in range(high, low, -1):
+                a = series[n - 1]
+                series[n] -= ((a & m) << up) + (a >> down)
+        return high
+
+    def _fold(self, i: int) -> tuple:
+        """The mask and the two shifts of :meth:`rot` by x^i."""
+        s = i % self.period
+        return self._low[s], self.width * s, self.bits - self.width * s
 
 
 #: root_sums(order, build): the list ``build(ring)`` as integer maps in

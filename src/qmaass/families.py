@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .agpolys import _walk
 from .bailey import LIMIT_WEIGHTS, chain_sum, limit_top
-from .cyclotomic import CycNumber, check_root_order, root_sums
+from .cyclotomic import CycNumber, CyclicRing, check_root_order, root_sums
 from .reports import CheckReport, Record, report_from_condition
 from .series import QSeries, QSeriesError, TruncatedRing, finite_trunc, int_slots
 
@@ -51,11 +51,11 @@ SIGMA_STAR_REPS = ("odd-pochhammer", "alternating")
 
 
 def _validate_family(j: int, k: int, ell: int) -> None:
-    if j not in FAMILIES:
+    if type(j) is not int or j not in FAMILIES:
         raise QSeriesError(f"family index must be in 1..{len(FAMILIES)}, got {j!r}")
-    if not (isinstance(k, int) and k >= 1):
+    if not (type(k) is int and k >= 1):
         raise QSeriesError(f"k must be a positive integer, got {k!r}")
-    if not (isinstance(ell, int) and 1 <= ell <= k):
+    if not (type(ell) is int and 1 <= ell <= k):
         raise QSeriesError(f"ell must satisfy 1 <= ell <= k, got {ell!r}")
 
 
@@ -304,7 +304,7 @@ def negative_part_series(M: int, ell: int, trunc, region: str = "cone"):
     """
     if not (isinstance(M, int) and M >= 2):
         raise QSeriesError(f"M must be an integer >= 2, got {M!r}")
-    if not (isinstance(ell, int) and ell >= 1):
+    if not (type(ell) is int and ell >= 1):
         raise QSeriesError(f"ell must be a positive integer, got {ell!r}")
     if region != "cone":
         raise QSeriesError(f"region must be 'cone', got {region!r}")
@@ -378,18 +378,17 @@ def u_root_value(k: int, ell: int, N: int) -> CycNumber:
 
     which terminates because (q)_(n-1) vanishes at roots of unity for
     n - 1 >= N.  It is summed in Z[x]/(x^N - 1) at x = q and mapped to
-    q = zeta_N^(-1) at the end.
+    q = zeta_N^(-1) at the end, by the passes of
+    :func:`~qmaass.maass.quantum_value` over H_0..H_N.
     """
     _validate_family(1, k, ell)
     check_root_order(N)
 
-    chains = root_sums(N, lambda ring: _walk(ring, k, ell, 1, N))
+    def weigh(ring, chains):  # the term of n is (q)_(n-1)^2 times chains[n] q^(n - k)
+        return ring.pochhammer_sum([ring.rot(chains[n], n - k) for n in range(1, N + 1)], reps=2)
 
-    def build(ring):  # the term of n is (q)_(n-1)^2 times chains[n] q^(n - k)
-        terms = [ring.encode({e + n - k: c for e, c in chains[n].items()}) for n in range(1, N + 1)]
-        return [ring.pochhammer_sum(terms, reps=2)]
-
-    return CycNumber.from_powers(N, {-e: c for e, c in root_sums(N, build)[0].items()})
+    total = CyclicRing.weighted_sum(N, lambda ring: _walk(ring, k, ell, 1, N), weigh)
+    return CycNumber.from_powers(N, {-e: c for e, c in total.items()})
 
 
 def verify_kz_duality(k: int, ell: int, N: int) -> CheckReport:

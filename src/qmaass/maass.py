@@ -26,7 +26,7 @@ from fractions import Fraction
 from .agpolys import _walk
 from .bailey import LIMIT_WEIGHTS, chain_sum
 from .bessel import k0_bessel
-from .cyclotomic import CycNumber, check_root_order, root_sums
+from .cyclotomic import CycNumber, CyclicRing, check_root_order
 from .families import FAMILIES, _validate_family, sigma_coefficients, sigma_star_coefficients
 from .reports import CheckReport, Record, _exact_str, report_from_condition
 from .series import PrecisionError, QSeriesError
@@ -186,6 +186,10 @@ def quantum_value(j: int, k: int, ell: int, x) -> QuantumSample:
     twice the value; the result is exact in a cyclotomic field.  Families
     with power d = 2 are evaluated at e(x)^d = e(d x), matching the variable
     of their theta embedding.
+
+    One L1 twin pass sizes the chain walk's ring and the sum's
+    (:meth:`~qmaass.series.PackedRing.weighted_sum`); the walk's states
+    merge by q-Lucas, as top - 1 <= N, and only the sum is decoded.
     """
     _validate_family(j, k, ell)
     xq = Fraction(x)
@@ -198,9 +202,8 @@ def quantum_value(j: int, k: int, ell: int, x) -> QuantumSample:
     # (q^s; q^s)_i vanishes there from the first i with N | num*s*i on.
     # The top term has the factor (q^s; q^s)_(top - first) = 0: any chain value.
     top = first + N // math.gcd(N, num * s)
-    chains = root_sums(N, lambda ring: _walk(ring, k, ell, first, top - 1))
-    (twice,) = root_sums(
-        N, lambda ring: [chain_sum(ring, weights, [*map(ring.encode, chains), 0], top)])
+    twice = CyclicRing.weighted_sum(N, lambda ring: _walk(ring, k, ell, first, top - 1),
+                                    lambda ring, chains: chain_sum(ring, weights, [*chains, 0], top))
     value = CycNumber.from_powers(N, {e * num: c * fam.sum_scale // 2 for e, c in twice.items()})
     return QuantumSample(x=xq, value=value)
 

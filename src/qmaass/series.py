@@ -454,7 +454,11 @@ class PackedRing:
     J. Symb. Comput. 44, 2009).  ``+`` and ``*`` by an int >= 0 are int
     operations, ``sub`` is ``-`` (signs are dropped in a ``twin``,
     :class:`L1Bound` or :class:`MajorantBound`); a subclass supplies
-    ``modulus``, ``mul`` and ``rot`` (times x^s), each exact.
+    ``modulus``, ``mul`` and ``rot`` (times x^s), each exact, and its
+    Horner steps with ``rot`` inlined (a shift and a mask, a fold, the
+    majorant's rounding up, a running sum for x -> 1): ``_horner`` divides
+    a z-series by prod_(lo<=i<hi) (1 - z x^i) in one call, and with a
+    period ``_times`` multiplies by such factors.
 
     A value is the sum of its coefficients c times 2^(W e) over ``slots``
     exponents e.  :meth:`decode` reads each c back while |c| <= ``bound``:
@@ -475,7 +479,8 @@ class PackedRing:
         self.bytes = next((w for w in _WORD_CODES if w >= nbytes), nbytes)
         self.width, self.slots = 8 * self.bytes, slots
         self._half = 1 << self.width - 1
-        self._bias = int.from_bytes(self._half.to_bytes(self.bytes, "little") * slots, "little")
+        self._ones = int.from_bytes((1).to_bytes(self.bytes, "little") * slots, "little")
+        self._bias = self._ones << self.width - 1
         code = _WORD_CODES.get(self.bytes)  # wider digits go byte by byte
         self._words = code and struct.Struct("<%d%s" % (slots, code))
 
@@ -501,23 +506,19 @@ class PackedRing:
         are 1.  A period N is read only at primitive N-th roots, where N
         factors in a row are 1 - z^N: a whole period is one division by it,
         and r more, if cheaper, the other N - r factors multiplied (each
-        widens the series by one) over one more."""
-        N, end, rot, sub = self.period, len(series) - 1, self.rot, self.sub
+        widens the series by one, the ring's :meth:`_times`) over one more.
+        The other factors are one call of the ring's :meth:`_horner`."""
+        N, end = self.period, len(series) - 1
         hi, full = min(hi, self.horizon), 0
         if N:
             full, rest = divmod(hi - lo, N)
             k = N - rest
             if k * (min(high + k, end) - low) < rest * (end - low):
                 full, rest = full + 1, 0
-                for i in range(hi, hi + k):
-                    high = min(high + 1, end)
-                    for n in range(high, low, -1):
-                        series[n] = sub(series[n], rot(series[n - 1], i))
+                high = self._times(series, low, high, hi, hi + k)
             hi = lo + rest
-        for i in range(lo, hi):
-            a = series[low]
-            for n in range(low + 1, end + 1):
-                a = series[n] = series[n] + rot(a, i)
+        if hi > lo and low < end:
+            self._horner(series, low, lo, hi)
         for _ in range(full):
             for n in range(low + N, end + 1):
                 series[n] += series[n - N]
@@ -572,11 +573,24 @@ class PackedRing:
         ring, values = cls.packed(size, build)
         return [ring.decode(a) for a in values]
 
+    @classmethod
+    def weighted_sum(cls, size: int, walk, weigh) -> dict:
+        """``weigh(ring, walk(ring))`` as an integer map, over two rings of
+        ``size`` sized by one pass over the ``twin``: ``walk`` runs in digits
+        for its values, each distinct value moves by :meth:`take` to digits
+        for them and the sum, ``weigh`` runs there, and only the sum is decoded."""
+        twin = cls.twin(size)
+        sizes = walk(twin)
+        inner, ring = cls(size, twin.bound(sizes)), cls(size, twin.bound([weigh(twin, sizes), *sizes]))
+        values = walk(inner)
+        moved = {a: ring.take(a, inner) for a in set(values)}
+        return ring.decode(weigh(ring, [moved[a] for a in values]))
+
     def encode(self, powers: dict, low: int = 0) -> int:
         """The value of the map {exponent: coefficient} times x^-low, its
         exponents at least ``low`` (any, with a period): the biased digits
-        packed by one ``struct`` call (byte by byte past 8 bytes), less the
-        bias.  Exponents from ``low + slots`` on vanish."""
+        joined by :meth:`_join`, less the bias.  Exponents from
+        ``low + slots`` on vanish."""
         digits, period, slots = [self._half] * self.slots, self.period, self.slots
         for e, c in powers.items():
             e -= low
@@ -586,23 +600,35 @@ class PackedRing:
                 raise QSeriesError(f"exponent {e + low} is below {low}")
             if e < slots:
                 digits[e] += c
-        if self._words:
-            raw = self._words.pack(*digits)
-        else:
-            raw = b"".join(map(int.to_bytes, digits, repeat(self.bytes), repeat("little")))
-        return int.from_bytes(raw, "little") - self._bias
+        return self._join(digits) - self._bias
 
     def decode(self, a: int, low: int = 0) -> dict:
         """The map {exponent: coefficient} of the nonzero coefficients of ``a``
-        times x^low: the unsigned digits of the least residue of ``a`` plus
-        the bias, each less 2^(W-1)."""
-        w, half = self.bytes, self._half
+        times x^low: the digits of :meth:`_cells`, each less 2^(W-1)."""
+        half = self._half
+        return {e: c - half for e, c in enumerate(self._cells(a), low) if c != half}
+
+    def take(self, a: int, ring: "PackedRing") -> int:
+        """The value ``a`` of ``ring``, of the same slots and period and no
+        wider digits, in this ring, digit by digit: its biased digits joined
+        at this width, less its bias spread over this width's digits; so
+        ``encode(ring.decode(a))`` with no map in between."""
+        return self._join(ring._cells(a)) - ring._half * self._ones
+
+    def _cells(self, a: int):
+        """The unsigned digits of the least residue of ``a`` plus the bias,
+        x^0 first, by one ``struct`` call (byte by byte past 8 bytes)."""
+        w = self.bytes
         raw = ((a + self._bias) % self.modulus).to_bytes(w * self.slots, "little")
         if self._words:
-            cells = self._words.unpack(raw)
-        else:
-            cells = map(int.from_bytes, [raw[i : i + w] for i in range(0, len(raw), w)], repeat("little"))
-        return {e: c - half for e, c in enumerate(cells, low) if c != half}
+            return self._words.unpack(raw)
+        return map(int.from_bytes, [raw[i : i + w] for i in range(0, len(raw), w)], repeat("little"))
+
+    def _join(self, cells) -> int:
+        """The int of the unsigned digits ``cells``, x^0 first: :meth:`_cells` reversed."""
+        if self._words:
+            return int.from_bytes(self._words.pack(*cells), "little")
+        return int.from_bytes(b"".join(map(int.to_bytes, cells, repeat(self.bytes), repeat("little"))), "little")
 
 
 class L1Bound(PackedRing):
@@ -627,6 +653,19 @@ class L1Bound(PackedRing):
 
     def rot(self, a: int, s: int) -> int:
         return a
+
+    def _horner(self, series: list, low: int, lo: int, hi: int) -> None:
+        end = len(series)
+        for _ in range(lo, hi):  # x -> 1: each division is a running sum
+            a = series[low]
+            for n in range(low + 1, end):
+                a = series[n] = series[n] + a
+
+    def _times(self, series: list, low: int, high: int, lo: int, hi: int) -> int:
+        for _ in range(lo, hi):  # x -> 1: each factor adds the series moved up by one
+            high = min(high + 1, len(series) - 1)
+            series[low + 1 : high + 1] = map(operator.add, series[low + 1 : high + 1], series[low:high])
+        return high
 
     def encode(self, powers: dict) -> int:
         return sum(map(abs, powers.values()))
@@ -658,6 +697,14 @@ class MajorantBound(L1Bound):
     def rot(self, a: int, s: int) -> int:
         return -(-a * self._powers[s] >> self._k * s) if s < self.horizon else 0
 
+    def _horner(self, series: list, low: int, lo: int, hi: int) -> None:
+        end, k = len(series), self._k
+        for i in range(lo, hi):  # a + rot(a, i), rounded up
+            p, s = self._powers[i], k * i
+            a = series[low]
+            for n in range(low + 1, end):
+                a = series[n] = series[n] - (-a * p >> s)
+
     def divide(self, a: int, c: int, sign: int = 1) -> int:
         if not 1 <= c < self.horizon:  # the guard, or the identity
             return super().divide(a, c, sign)
@@ -685,6 +732,13 @@ class TruncatedRing(PackedRing):
 
     def rot(self, a: int, s: int) -> int:
         return a << self.width * s & self.mask if s < self.horizon else 0
+
+    def _horner(self, series: list, low: int, lo: int, hi: int) -> None:
+        end, mask, w = len(series), self.mask, self.width
+        for s in range(w * lo, w * hi, w):  # a + rot(a, i), i < T
+            a = series[low]
+            for n in range(low + 1, end):
+                a = series[n] = series[n] + (a << s & mask)
 
 
 # ----------------------------------------------------------------- pochhammer

@@ -470,6 +470,28 @@ def test_packed_rings_decode_what_they_encode(edge, step, slots, data):
         assert ring.decode(ring.sub(0, packed)) == {e: -c for e, c in powers.items()}
 
 
+@pytest.mark.parametrize("kind", [TruncatedRing, CyclicRing])
+@pytest.mark.parametrize("edge", WIDTH_EDGES)
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_take_moves_a_value_digit_by_digit(kind, edge, step):
+    # A value whose coefficients reach its ring's bound B = 2^edge + step,
+    # of either sign, moves to a ring of the same or wider digits (1, 2, 4
+    # and 8 bytes, and 9 and 17 past the words) as decode then encode would move
+    # it: the same int, so the same map.  So do its negation, a rotation and
+    # a sum, whose ints are no least residues.
+    bound, slots = 2**edge + step, 7
+    source = kind(slots, bound)
+    powers = {e: (bound, -bound, 1, -1, bound - 1, 0, -bound)[e] for e in range(slots)}
+    packed = source.encode({e: c for e, c in powers.items() if c})
+    values = [packed, source.sub(0, packed), source.rot(packed, 3), packed + source.encode({0: -1, 6: 1})]
+    for wider in (bound, *(2**e for e in WIDTH_EDGES if e > edge)):
+        target = kind(slots, wider)
+        for a in values:
+            moved = target.take(a, source)
+            assert moved == target.encode(source.decode(a))
+            assert target.decode(moved) == source.decode(a)
+
+
 @pytest.mark.parametrize("powers, low", [({-1: 1}, 0), ({0: 1}, 1), ({3: 2, -2: 1}, -1)])
 def test_truncated_ring_refuses_exponents_below_low(powers, low):
     # The last digits must not take them: x^-1 would decode as x^4.  The
@@ -625,6 +647,44 @@ def test_cyclic_rotation_folds_once(N, bound):
         assert abs(total) < 1 << ring.bits + 2
         if step % 2_500 == 0:
             assert ring.decode(total) == {e: c for e, c in want.items() if c}
+
+
+@pytest.mark.parametrize("ring", [
+    TruncatedRing(12, 2**40), MajorantBound(12), CyclicRing(7, 2**40), L1Bound(period=7), L1Bound(),
+], ids=["truncated", "majorant", "cyclic", "l1-period", "l1"])
+def test_horner_steps_are_the_rings_rotations(ring):
+    # Each ring inlines its rotation in its Horner steps: the division by
+    # prod_(lo<=i<hi) (1 - z x^i) takes a_n + rot(a_(n-1), i), and a
+    # periodic ring's product by the factors takes a_n - rot(a_(n-1), i),
+    # int for int (the majorant's rounding up included).
+    rng = random.Random(type(ring).__name__)
+    for _ in range(300):
+        end, low = rng.randrange(1, 10), rng.randrange(10)
+        low = min(low, end)
+        signed = isinstance(ring, (TruncatedRing, CyclicRing))
+        series = [0] * low + [rng.randint(-2**30 if signed else 0, 2**30) for _ in range(low, end + 1)]
+        lo = rng.randrange(8)
+        hi = lo + rng.randrange(5)
+        if ring.horizon != INF:
+            lo, hi = min(lo, ring.horizon), min(hi, ring.horizon)
+        want = series[:]
+        for i in range(lo, hi):
+            a = want[low]
+            for n in range(low + 1, end + 1):
+                a = want[n] = want[n] + ring.rot(a, i)
+        got = series[:]
+        ring._horner(got, low, lo, hi)
+        assert got == want
+        if ring.period:
+            high, want = min(low + rng.randrange(3), end), series[:]
+            want[high + 1:] = [0] * (end - high)
+            got, top = want[:], high
+            for i in range(lo, hi):
+                top = min(top + 1, end)
+                for n in range(top, low, -1):
+                    want[n] = ring.sub(want[n], ring.rot(want[n - 1], i))
+            assert ring._times(got, low, high, lo, hi) == top
+            assert got == want
 
 
 def test_wide_span_product_is_exact_and_small():

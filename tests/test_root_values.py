@@ -30,15 +30,24 @@ from oracles import (
 )
 
 import qmaass.families as families
+import qmaass.maass as maass
 from qmaass.agpolys import _walk, ag_polynomial, ag_polynomials
 from qmaass.bailey import LIMIT_WEIGHTS
 from qmaass.cyclotomic import (
     MAX_ROOT_ORDER,
     CycNumber,
     CyclicRing,
+    check_root_order,
     root_sums,
 )
-from qmaass.families import FAMILIES, kz_root_value, u_root_value, verify_kz_duality
+from qmaass.families import (
+    FAMILIES,
+    family_series,
+    kz_root_value,
+    negative_part_series,
+    u_root_value,
+    verify_kz_duality,
+)
 from qmaass.maass import quantum_value
 from qmaass.series import (
     L1Bound,
@@ -308,6 +317,90 @@ def test_merged_walk_matches_chain_by_chain(case):
     # coefficient-sum guard of whole polynomials reads it.
     whole = L1Bound()
     assert _walk(whole, k, ell, b, n_max) == _chain_by_chain(whole, k, ell, b, n_max)
+
+
+def _walk_at_root(monkeypatch, k: int, ell: int, b: int, N: int, n_max: int) -> tuple:
+    """The walk's values at n_max over CyclicRing(N) as CycNumbers, and the
+    largest g its binomial_sums passes read."""
+    gs = []
+    sums = PackedRing.binomial_sums
+    monkeypatch.setattr(PackedRing, "binomial_sums", lambda ring, by_g, end: gs.extend(by_g) or sums(ring, by_g, end))
+    ring = CyclicRing(N, max(_walk(L1Bound(period=N), k, ell, b, n_max)) + 1)
+    got = [CycNumber.from_powers(N, ring.decode(a)) for a in _walk(ring, k, ell, b, n_max)]
+    return got, max(gs)
+
+
+@pytest.mark.parametrize("k, ell, b, N", [(3, 3, 0, 2), (4, 2, 0, 1), (3, 2, 1, 4), (3, 3, 1, 5)])
+def test_merged_walk_steps_a_whole_period_from_zero(monkeypatch, k, ell, b, N):
+    # At n_max = N the states merge (every g stays below k + N), and a chain
+    # still steps from n_j = 0 to N, s = N: that state keeps its exact acc,
+    # below k.  Keying every acc mod N fails each case.
+    expected = root_sums(N, lambda ring: _chain_by_chain(ring, k, ell, b, N))
+    got, top_g = _walk_at_root(monkeypatch, k, ell, b, N, N)
+    assert got == [CycNumber.from_powers(N, m) for m in expected]
+    assert top_g < k + N
+
+
+@pytest.mark.parametrize("k, ell, b, N", [(3, 3, 0, 3), (4, 4, 0, 5), (4, 2, 1, 3), (3, 2, 1, 2)])
+def test_walk_past_the_period_does_not_merge(monkeypatch, k, ell, b, N):
+    # At n_max = N + 1 a step from n_j = 1 reaches s = N, where
+    # [N + g choose N] = 1 + floor(g/N) reads more of g than g mod N: the walk
+    # keeps every acc (some g reaches k + N).  Merging here fails each case.
+    expected = root_sums(N, lambda ring: _chain_by_chain(ring, k, ell, b, N + 1))
+    got, top_g = _walk_at_root(monkeypatch, k, ell, b, N, N + 1)
+    assert got == [CycNumber.from_powers(N, m) for m in expected]
+    assert top_g >= k + N
+
+
+@pytest.mark.parametrize("call", [
+    lambda: quantum_value(1, 3, 1, Fraction(1, 16)),
+    lambda: quantum_value(2, 2, 2, Fraction(2, 9)),
+    lambda: quantum_value(4, 3, 2, Fraction(1, 7)),
+    lambda: u_root_value(3, 1, 16),
+    lambda: u_root_value(2, 2, 9),
+], ids=["qv1", "qv2", "qv4", "u3", "u2"])
+def test_root_values_take_one_twin_pass_and_decode_only_the_sum(monkeypatch, call):
+    # One walk over the L1 twin sizes both rings, one walk over the walk's
+    # ring gives the chain values, and each distinct one moves to the sum's
+    # ring digit by digit: no map round trip, one decode, of the sum.
+    want = call()
+    walks, decoded, encoded, taken = [], [], [], []
+    for module in (families, maass):
+        def logged(ring, *args, walk=module._walk):
+            walks.append((ring, walk(ring, *args)))
+            return walks[-1][1]
+        monkeypatch.setattr(module, "_walk", logged)
+    for log, name in ((decoded, "decode"), (encoded, "encode"), (taken, "take")):
+        method = getattr(PackedRing, name)
+        monkeypatch.setattr(PackedRing, name, lambda ring, *a, log=log, method=method: log.append(ring) or method(ring, *a))
+    assert call() == want
+    assert [type(ring).__name__ for ring, _ in walks] == ["L1Bound", "CyclicRing"]
+    walk_ring, chains = walks[1]
+    assert len(decoded) == 1 and type(decoded[0]) is CyclicRing and decoded[0] is not walk_ring
+    assert decoded[0].width >= walk_ring.width
+    assert encoded == [] and taken == [decoded[0]] * len(set(chains))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_root_order(True),
+    lambda: verify_kz_duality(True, True, True),
+    lambda: kz_root_value(1, 1, True),
+    lambda: u_root_value(True, 1, 5),
+    lambda: quantum_value(True, 1, 1, Fraction(1, 5)),
+    lambda: quantum_value(1, True, 1, Fraction(1, 5)),
+    lambda: quantum_value(1, 1, True, Fraction(1, 5)),
+    lambda: family_series(1, 1, True, 10),
+    lambda: ag_polynomial(True, 1, 0, 3),
+    lambda: ag_polynomial(2, True, 0, 3),
+    lambda: ag_polynomial(2, 1, False, 3),
+    lambda: ag_polynomial(2, 1, 0, True),
+    lambda: negative_part_series(4, True, 10),
+])
+def test_root_and_chain_validators_refuse_bools(call):
+    # A bool is an int subclass but no order, family index or chain
+    # parameter: refused, not reported as "N": true.
+    with pytest.raises(QSeriesError):
+        call()
 
 
 @pytest.mark.parametrize("ell", range(1, 7))
