@@ -27,7 +27,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .reports import CheckReport, Record, report_from_comparison
-from .series import INF, L1Bound, QSeries, QSeriesError, TruncatedRing, finite_trunc, int_slots
+from .series import INF, L1Bound, QSeries, QSeriesError, TruncatedRing, finite_trunc, int_arg, int_slots
 
 __all__ = [
     "PartitionConstraint",
@@ -38,15 +38,10 @@ __all__ = [
 ]
 
 
-def _validate_chain_params(k: int, ell: int, b: int, n: int) -> None:
-    if not (type(k) is int and k >= 1):
-        raise QSeriesError(f"chain length parameter must be a positive integer, got {k!r}")
-    if not (type(ell) is int and 1 <= ell <= k):
-        raise QSeriesError(f"offset parameter must satisfy 1 <= ell <= k, got ell={ell!r}")
-    if type(b) is not int or b not in (0, 1):
-        raise QSeriesError(f"weight flag must be 0 or 1, got {b!r}")
-    if not (type(n) is int and n >= 0):
-        raise QSeriesError(f"top chain value must be a nonnegative integer, got {n!r}")
+def check_chain_params(k: int, ell: int) -> None:
+    """QSeriesError unless k >= 1 and 1 <= ell <= k are ints: the rule for
+    the chain parameters of every chain sum, pair and family."""
+    int_arg(ell, "ell", 1, int_arg(k, "k", 1))
 
 
 def _degree_bound(k: int, b: int, n_max: int) -> int:
@@ -114,12 +109,13 @@ def ag_polynomials(k: int, ell: int, b: int, n_max: int, trunc=INF) -> list[QSer
     each polynomial at q = 1, which its coefficients must sum to.  Equal
     consecutive polynomials share one :class:`QSeries`.
     """
-    return _chain_polynomials(k, ell, b, n_max, trunc)
+    return _chain_polynomials(k, ell, b, int_arg(n_max, "n_max", 0), trunc)
 
 
 def _chain_polynomials(k: int, ell: int, b: int, n_max: int, trunc, first: int = 0) -> list:
     """Entries first..n_max of :func:`ag_polynomials`, the only ones decoded."""
-    _validate_chain_params(k, ell, b, n_max)
+    check_chain_params(k, ell)
+    int_arg(b, "b", 0, 1)
     whole = trunc == INF
     t = INF if whole else finite_trunc(trunc)
     slots = _degree_bound(k, b, n_max) + 1 if whole else int_slots(t)
@@ -149,7 +145,7 @@ def ag_polynomial(k: int, ell: int, b: int, n: int, trunc=INF) -> QSeries:
     ``g_j < 0`` contributes nothing because the binomial vanishes (for
     ``k = 1`` every value is 1): entry n of :func:`ag_polynomials`.
     """
-    return _chain_polynomials(k, ell, b, n, trunc, n)[0]
+    return _chain_polynomials(k, ell, b, int_arg(n, "n", 0), trunc, n)[0]
 
 
 class PartitionConstraint(Record):
@@ -171,8 +167,7 @@ class PartitionConstraint(Record):
         fields = dict(pair_sum_max=pair_sum_max, first_freq_bound=first_freq_bound,
                       last_freq_bound=last_freq_bound, part_bound=part_bound)
         for name, value in fields.items():
-            if not (isinstance(value, int) and value >= 1):
-                raise QSeriesError(f"{name} must be a positive integer, got {value!r}")
+            int_arg(value, name, 1)
         self.__dict__.update(fields)
 
 
@@ -222,7 +217,7 @@ def verify_ag_relation(k: int, ell: int, b: int, n: int) -> CheckReport:
     part bound ``2n - b + 1``.  Comparison runs beyond the degree bound, so
     a pass means the polynomials agree everywhere.
     """
-    _validate_chain_params(k, ell, b, n)
+    poly = ag_polynomial(k, ell, b, n)
     if k < 2:
         raise QSeriesError("the partition comparison needs at least two chain levels (k >= 2)")
     if b == 1 and n == 0:
@@ -231,7 +226,6 @@ def verify_ag_relation(k: int, ell: int, b: int, n: int) -> CheckReport:
         )
     degree_bound = _degree_bound(k, b, n)
     compare_to = degree_bound + 2
-    poly = ag_polynomial(k, ell, b, n)
     flipped = QSeries({degree_bound - m: c for m, c in poly._coeffs.items()}, 1, compare_to)
     partitions = ag_generating(
         PartitionConstraint(k - 1, ell, k, 2 * n - b + 1), compare_to

@@ -24,13 +24,15 @@ from fractions import Fraction
 from functools import reduce
 from itertools import count
 
-from .agpolys import _walk
+from .agpolys import _walk, check_chain_params
 from .reports import CheckReport, Record, _exact_str, report_from_comparison
 from .series import (
     QSeries,
     QSeriesError,
     TruncatedRing,
+    choice_arg,
     finite_trunc,
+    int_arg,
     int_slots,
     positive_trunc,
 )
@@ -46,13 +48,6 @@ def quadratic_shift(k: int, ell: int, nu: int) -> int:
     even and the halving is exact for every integer k, ell and nu.
     """
     return ((2 * k + 1) * nu * nu + (2 * k - 2 * ell + 1) * nu) // 2
-
-
-def _validate_pair_params(k, ell) -> None:
-    if {type(k), type(ell)} != {int}:
-        raise QSeriesError("chain-pair parameters must be ints")
-    if not 1 <= ell <= k:
-        raise QSeriesError("chain-pair parameters need 1 <= ell <= k")
 
 
 class BaileyPair(Record):
@@ -95,12 +90,8 @@ class BaileyPair(Record):
     def __init__(self, relative: str, alpha: Callable[[int, int], dict],
                  betas: Callable[[object, int], Iterable[int]], label: str = "",
                  settle: int = 0) -> None:
-        if relative not in RELATIVES:
-            raise QSeriesError(f"relative must be one of {RELATIVES}, got {relative!r}")
-        if type(settle) is not int or settle < 0:
-            raise QSeriesError(f"settle must be an int >= 0, got {settle!r}")
-        self.__dict__.update(relative=relative, alpha=alpha, betas=betas, label=label,
-                             settle=settle)
+        self.__dict__.update(relative=choice_arg(relative, "relative", RELATIVES), alpha=alpha,
+                             betas=betas, label=label, settle=int_arg(settle, "settle", 0))
 
 
 def _sweep(ring, alphas: list, d: int) -> list:
@@ -126,9 +117,7 @@ def _alpha_maps(alpha, n_max, size: int) -> list:
     """alpha(n, size) for n = 0, ..., n_max, read once, up front;
     QSeriesError unless n_max is an int >= 0 and each map has int
     exponents in [0, size) and int coefficients."""
-    if type(n_max) is not int or n_max < 0:
-        raise QSeriesError(f"n_max must be an int >= 0, got {n_max!r}")
-    maps = [alpha(n, size) for n in range(n_max + 1)]
+    maps = [alpha(n, size) for n in range(int_arg(n_max, "n_max", 0) + 1)]
     for m in maps:
         if m and ({*map(type, m), *map(type, m.values())} != {int} or min(m) < 0 or max(m) >= size):
             raise QSeriesError("a Bailey sum reads alpha_n as int coefficients at int exponents in [0, size)")
@@ -197,7 +186,7 @@ def pair_relative_one(k: int, ell: int) -> BaileyPair:
     ``alpha_n`` is an explicit signed lattice polynomial times -(1 - q^{2n}),
     which makes ``alpha_0`` vanish as well.
     """
-    _validate_pair_params(k, ell)
+    check_chain_params(k, ell)
 
     def alpha(n: int, size: int) -> dict:
         return _lattice_alpha(size, k, ell, (k + 1) * n * n - n, range(-n, n), [(0, -1), (2 * n, 1)])
@@ -220,7 +209,7 @@ def pair_relative_q(k: int, ell: int) -> BaileyPair:
     carries the geometric prefactor (1 - q^{2n+1})/(1 - q), expanded as
     the exact polynomial 1 + q + ... + q^{2n}.
     """
-    _validate_pair_params(k, ell)
+    check_chain_params(k, ell)
 
     def alpha(n: int, size: int) -> dict:
         geometric = [(i, 1) for i in range(2 * n + 1)]
@@ -249,9 +238,7 @@ def unit_pair(relative: str) -> BaileyPair:
     that :func:`verify_pair` compares the relation sweep with a second
     route; a running pass would repeat the sweep's divisions of alpha_0.
     """
-    if relative not in RELATIVES:
-        raise QSeriesError(f"relative must be one of {RELATIVES}")
-    d = RELATIVES.index(relative)
+    d = RELATIVES.index(choice_arg(relative, "relative", RELATIVES))
 
     def alpha(n: int, size: int) -> dict:
         return {0: 1} if n == 0 < size else {}
@@ -272,9 +259,7 @@ def synthetic_pair(relative: str, rng) -> BaileyPair:
     the limit identities that sum from n = 1 silently ignore the 0-index
     entries on one side only, so nonzero 0-index entries would break them.
     """
-    if relative not in RELATIVES:
-        raise QSeriesError(f"relative must be one of {RELATIVES}")
-    lowest = 1 if relative == "one" else 0
+    lowest = 1 if choice_arg(relative, "relative", RELATIVES) == "one" else 0
     support = {}
     for i in rng.sample(range(lowest, 8), rng.randint(1, 5)):
         value = 0
@@ -388,10 +373,8 @@ def verify_limiting_identity(pair: BaileyPair, relative: str, kind: str, trunc) 
     :func:`_alpha_maps`.  The relative-1 identities sum from n = 1, so they
     raise :class:`QSeriesError` on alpha_0 or beta_0 not 0 below x^T.
     """
-    if relative not in RELATIVES:
-        raise QSeriesError(f"relative must be one of {RELATIVES}")
-    if kind not in IDENTITY_KINDS:
-        raise QSeriesError(f"kind must be one of {IDENTITY_KINDS}")
+    choice_arg(relative, "relative", RELATIVES)
+    choice_arg(kind, "kind", IDENTITY_KINDS)
     if pair.relative != relative:
         raise QSeriesError(
             f"pair is relative {pair.relative!r} but the requested "

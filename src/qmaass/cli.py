@@ -72,7 +72,7 @@ from .maass import (
     radial_limit_check,
 )
 from .reports import CheckReport, Record, _exact_str, report_from_comparison, report_from_condition
-from .series import PrecisionError, QSeriesError
+from .series import PrecisionError, QSeriesError, int_arg
 from .theta import (
     ThetaParams,
     completion_defect,
@@ -150,9 +150,7 @@ def parse_matrix(text: str) -> tuple[int, int, int, int]:
 
 def _count(value: int, flag: str, command: str) -> None:
     # expand hpoly --nmax 0 is a valid one-row table.
-    least, kind = (0, "nonnegative") if command == "expand" else (1, "positive")
-    if value < least:
-        raise UsageError(f"{flag} must be a {kind} integer, got {value}")
+    int_arg(value, flag, 0 if command == "expand" else 1)
 
 
 def _positive(value: Fraction, flag: str, command: str) -> None:

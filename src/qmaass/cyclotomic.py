@@ -37,7 +37,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import repeat
 
-from .series import L1Bound, PackedRing, QSeriesError, _clean, _int_product
+from .series import L1Bound, PackedRing, QSeriesError, _clean, _int_product, int_arg
 
 
 class _Phi(tuple):
@@ -229,9 +229,7 @@ MAX_ROOT_ORDER = 128
 
 def check_root_order(N) -> None:
     """Reject an order that is not a positive integer or exceeds the bound."""
-    if not (type(N) is int and N >= 1):
-        raise QSeriesError(f"N must be a positive integer, got {N!r}")
-    if N > MAX_ROOT_ORDER:
+    if int_arg(N, "N", 1) > MAX_ROOT_ORDER:
         raise QSeriesError(f"root of unity of order {N} exceeds the order bound {MAX_ROOT_ORDER}")
 
 

@@ -26,11 +26,11 @@ import math
 import operator
 from fractions import Fraction
 
-from .agpolys import _walk
+from .agpolys import _walk, check_chain_params
 from .bailey import LIMIT_WEIGHTS, chain_sum, limit_top
 from .cyclotomic import CycNumber, CyclicRing, check_root_order, root_sums
 from .reports import CheckReport, Record, report_from_condition
-from .series import QSeries, QSeriesError, TruncatedRing, finite_trunc, int_slots
+from .series import QSeries, TruncatedRing, choice_arg, finite_trunc, int_arg, int_slots
 
 __all__ = [
     "FAMILIES",
@@ -51,12 +51,8 @@ SIGMA_STAR_REPS = ("odd-pochhammer", "alternating")
 
 
 def _validate_family(j: int, k: int, ell: int) -> None:
-    if type(j) is not int or j not in FAMILIES:
-        raise QSeriesError(f"family index must be in 1..{len(FAMILIES)}, got {j!r}")
-    if not (type(k) is int and k >= 1):
-        raise QSeriesError(f"k must be a positive integer, got {k!r}")
-    if not (type(ell) is int and 1 <= ell <= k):
-        raise QSeriesError(f"ell must satisfy 1 <= ell <= k, got {ell!r}")
+    int_arg(j, "family index", 1, len(FAMILIES))
+    check_chain_params(k, ell)
 
 
 # ------------------------------------------------------------- the 4 families
@@ -165,8 +161,7 @@ def sigma_series(rep: str, trunc) -> QSeries:
 
     All four agree coefficient-for-coefficient below ``trunc``.
     """
-    if rep not in SIGMA_REPS:
-        raise QSeriesError(f"unknown representation {rep!r}; expected one of {SIGMA_REPS}")
+    choice_arg(rep, "rep", SIGMA_REPS)
     t = finite_trunc(trunc)
     size = int_slots(t)
     if size <= 0:
@@ -190,18 +185,12 @@ def sigma_series(rep: str, trunc) -> QSeries:
     return QSeries._from_clean(coeffs, 1, t)
 
 
-def _table_size(n_max) -> int:
-    if type(n_max) is not int or n_max < 0:
-        raise QSeriesError(f"n_max must be an int >= 0, got {n_max!r}")
-    return n_max + 1
-
-
 def sigma_coefficients(n_max: int) -> list:
     """Integer coefficients 0..n_max of sigma, read off the theta series of
     :data:`~qmaass.theta.COHEN_LATTICE`, which is q^(1/12) sigma(q^2)."""
     from .theta import COHEN_LATTICE, indefinite_theta_series
 
-    size = _table_size(n_max)
+    size = int_arg(n_max, "n_max", 0) + 1
     theta = indefinite_theta_series(COHEN_LATTICE, Fraction(1, 12) + 2 * size)
     out = [0] * size
     for e, c in theta._coeffs.items():  # e / denom = 1/12 + 2m
@@ -220,8 +209,7 @@ def sigma_star_series(rep: str, trunc) -> QSeries:
 
     Both agree below ``trunc``; the leading term is -2q.
     """
-    if rep not in SIGMA_STAR_REPS:
-        raise QSeriesError(f"unknown representation {rep!r}; expected one of {SIGMA_STAR_REPS}")
+    choice_arg(rep, "rep", SIGMA_STAR_REPS)
     t = finite_trunc(trunc)
     size = int_slots(t)
     if size <= 0:
@@ -246,7 +234,7 @@ def sigma_star_coefficients(n_max: int) -> list:
     (1, 1) with q -> -q: -(-1)^m times the m-th entry of its lattice table."""
     from .theta import _lattice_table
 
-    fourth, _ = _lattice_table(4, 1, 1, _table_size(n_max))  # shell_denom 1: integers
+    fourth, _ = _lattice_table(4, 1, 1, int_arg(n_max, "n_max", 0) + 1)  # shell_denom 1: integers
     return [c if m & 1 else -c for m, c in enumerate(fourth)]
 
 
@@ -302,12 +290,9 @@ def negative_part_series(M: int, ell: int, trunc, region: str = "cone"):
     (always none), the count of cone points at or above ``trunc`` and the
     count kept.
     """
-    if not (isinstance(M, int) and M >= 2):
-        raise QSeriesError(f"M must be an integer >= 2, got {M!r}")
-    if not (type(ell) is int and ell >= 1):
-        raise QSeriesError(f"ell must be a positive integer, got {ell!r}")
-    if region != "cone":
-        raise QSeriesError(f"region must be 'cone', got {region!r}")
+    int_arg(M, "M", 2)
+    int_arg(ell, "ell", 1)
+    choice_arg(region, "region", ("cone",))
     t = finite_trunc(trunc)
     denom = 8 * (M + 1) * (M - 1)
     c = M - 1 - 2 * ell
@@ -356,7 +341,7 @@ def kz_root_value(k: int, ell: int, N: int) -> CycNumber:
     pass of :meth:`~qmaass.series.PackedRing.binomial_sums` with g = p = v, as
     [m choose v] = [(m - v) + v choose m - v].
     """
-    _validate_family(1, k, ell)
+    check_chain_params(k, ell)
     check_root_order(N)
 
     def build(ring):
@@ -381,7 +366,7 @@ def u_root_value(k: int, ell: int, N: int) -> CycNumber:
     q = zeta_N^(-1) at the end, by the passes of
     :func:`~qmaass.maass.quantum_value` over H_0..H_N.
     """
-    _validate_family(1, k, ell)
+    check_chain_params(k, ell)
     check_root_order(N)
 
     def weigh(ring, chains):  # the term of n is (q)_(n-1)^2 times chains[n] q^(n - k)

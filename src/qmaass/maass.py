@@ -10,8 +10,9 @@ This module provides:
 
 * the coefficient-table data model;
 * the explicit odd-divisor example at scale 24 (positive indices from
-  the even-parts generating series, negative ones from its odd-indexed
-  partner) with its two transformation residuals;
+  sigma, read off Cohen's lattice :data:`~qmaass.theta.COHEN_LATTICE`,
+  negative ones from sigma*, read off family 4's lattice) with its two
+  transformation residuals;
 * exact root-of-unity evaluation of the families (the hypergeometric
   sums terminate there), radial-limit extrapolation checks against
   those exact values, and cocycle sampling of the positive-part series
@@ -29,8 +30,8 @@ from .bessel import k0_bessel
 from .cyclotomic import CycNumber, CyclicRing, check_root_order
 from .families import FAMILIES, _validate_family, sigma_coefficients, sigma_star_coefficients
 from .reports import CheckReport, Record, _exact_str, report_from_condition
-from .series import PrecisionError, QSeriesError
-from .theta import _bounded, family_lattice_numeric, unit_phase
+from .series import PrecisionError, QSeriesError, int_arg
+from .theta import _bounded, family_lattice_numeric, unit_phase, upper_half_plane
 
 __all__ = [
     "MaassCoeffTable",
@@ -58,8 +59,7 @@ class MaassCoeffTable(Record):
 
     def __init__(self, scale: int, coeffs: dict[int, object] | None = None) -> None:
         coeffs = {} if coeffs is None else coeffs
-        if not (isinstance(scale, int) and scale >= 1):
-            raise QSeriesError("the table scale must be a positive integer")
+        int_arg(scale, "the table scale", 1)
         if 0 in coeffs:
             raise QSeriesError("coefficient tables are indexed by nonzero integers")
         self.__dict__.update(scale=scale, coeffs=coeffs)
@@ -85,8 +85,7 @@ def cohen_table(n_max: int) -> MaassCoeffTable:
     both tables read off their lattices by :mod:`qmaass.families`: exact
     integers supported on the residue class 1 mod 24.
     """
-    if not (isinstance(n_max, int) and n_max >= 1):
-        raise QSeriesError("the table extent must be a positive integer")
+    int_arg(n_max, "the table extent", 1)
     coeffs: dict[int, int] = {}
     for m, value in enumerate(sigma_coefficients((n_max - 1) // 24)):
         if value:
@@ -107,10 +106,8 @@ def eval_waveform(
     polynomial-growth bound).  A tail bound that is not below |value|
     raises :class:`PrecisionError`.
     """
-    u, v = tau.real, tau.imag
-    if not v > 0:
-        raise QSeriesError("tau must lie in the upper half plane")
-    if n_cut > table.extent():
+    u, v = upper_half_plane(tau)
+    if int_arg(n_cut, "n_cut", 0) > table.extent():
         raise PrecisionError(
             "insufficient table extent: "
             f"requested {n_cut}, table holds {table.extent()}"
@@ -133,7 +130,7 @@ def _cohen_residuals(tau: complex, n_cut: int) -> tuple[complex, complex, float]
     """The two residuals of :func:`cohen_transform_residual` and ``tail``,
     the sum of the tail bounds of f(tau) and f(-1/(2 tau)), the two values
     the first residual compares."""
-    table = cohen_table(max(n_cut, 1))
+    table = cohen_table(int_arg(n_cut, "n_cut", 1))
     cut = table.extent()  # the largest index the table actually reaches
     f_tau, tail_tau = eval_waveform(table, tau, cut)
     f_inv, tail_inv = eval_waveform(table, -1.0 / (2.0 * tau), cut)
@@ -342,7 +339,7 @@ def cocycle_samples(
     the Bessel-free series; deep t-grids need correspondingly long
     tables.
     """
-    a, b, c, d = (int(v) for v in gamma)
+    a, b, c, d = (int_arg(v, "a gamma entry") for v in gamma)
     det = a * d - b * c
     if det <= 0:
         raise QSeriesError("the matrix must have positive determinant")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import QSeries
+from .series import QSeries, choice_arg
 
 __all__ = [
     "CheckReport",
@@ -77,8 +77,7 @@ class CheckReport(Record):
     """Outcome of one verification check: ``status`` is "pass" or "fail"."""
 
     def __init__(self, check: str, params: dict, status: str, details: dict | None = None) -> None:
-        if status not in ("pass", "fail"):
-            raise ValueError(f"status must be 'pass' or 'fail', got {status!r}")
+        choice_arg(status, "status", ("pass", "fail"))
         self.__dict__.update(
             check=check, params=params, status=status, details={} if details is None else details
         )

@@ -51,9 +51,33 @@ class PrecisionError(QSeriesError):
     """Raised when a numeric or truncation guard refuses to certify a value."""
 
 
+def int_arg(value, name: str, least: int | None = None, most: int | None = None) -> int:
+    """``value`` if its type is int (not bool) and least <= value <= most,
+    a None end open; QSeriesError naming ``name`` otherwise.  Every integer
+    argument of the package is checked here."""
+    if type(value) is int and (least is None or value >= least) and (most is None or value <= most):
+        return value
+    if most is not None:
+        want = f"in {least}..{most}"
+    elif least in (0, 1):
+        want = ("a nonnegative", "a positive")[least] + " integer"
+    else:
+        want = "an integer" if least is None else f"an integer >= {least}"
+    raise QSeriesError(f"{name} must be {want}, got {value!r}")
+
+
+def choice_arg(value, name: str, choices: tuple):
+    """``value`` if it is one of ``choices``; QSeriesError naming ``name``
+    otherwise.  Every named choice of the package is checked here."""
+    if value not in choices:
+        raise QSeriesError(f"{name} must be one of {choices}, got {value!r}")
+    return value
+
+
 def finite_trunc(trunc) -> Fraction:
-    """``trunc`` as a Fraction; QSeriesError for an infinite or NaN one."""
-    if isinstance(trunc, float) and not math.isfinite(trunc):
+    """``trunc`` as a Fraction; QSeriesError for a bool or an infinite or
+    NaN float.  Every truncated entry point reads its order here."""
+    if type(trunc) is bool or isinstance(trunc, float) and not math.isfinite(trunc):
         raise QSeriesError(f"this operation needs a finite truncation order, got {trunc!r}")
     return Fraction(trunc)
 
@@ -109,11 +133,11 @@ class QSeries:
     def __init__(self, coeffs: dict[int, object], denom: int = 1, trunc=INF):
         if denom <= 0:
             raise QSeriesError("denominator must be positive")
-        if isinstance(trunc, (int, Fraction)):
+        if type(trunc) is int:
+            trunc = Fraction(trunc)
+        if type(trunc) is Fraction:
             # exponent numerators m are kept iff m < bound = ceil(trunc * denom)
             bound = -(-trunc.numerator * denom // trunc.denominator)
-            if isinstance(trunc, int):
-                trunc = Fraction(trunc)
         elif isinstance(trunc, float) and trunc == INF:
             # canonicalize +inf produced by arithmetic back to the singleton
             bound, trunc = None, INF
@@ -757,15 +781,9 @@ def _factors(kind: str, n: int, trunc, apply) -> QSeries:
     """The first n factors (1 - c x^e) of ``kind``, each applied to a value
     of Z[x]/(x^T), 1 at first, by ``apply(ring, value, e, c)``, in one
     :meth:`TruncatedRing.sums` pass, T = ceil(trunc)."""
-    if n < 0:
-        raise QSeriesError("pochhammer length must be nonnegative")
-    try:
-        coeff, exponent, step = _POCH_NAMES[kind]
-    except (KeyError, TypeError):
-        raise QSeriesError(f"unknown pochhammer kind {kind!r}")
-    t = Fraction(trunc) if isinstance(trunc, int) else trunc
-    if type(t) is not Fraction:
-        raise QSeriesError("a pochhammer needs a finite rational trunc")
+    int_arg(n, "n", 0)
+    coeff, exponent, step = _POCH_NAMES[choice_arg(kind, "kind", tuple(_POCH_NAMES))]
+    t = finite_trunc(trunc)
 
     def build(ring) -> list:
         a = 1
@@ -811,7 +829,8 @@ def gaussian_binomial(n: int, k: int, trunc=INF) -> QSeries:
     the ring of its g (n - g) + 1 exponents: its coefficients are >= 0 and
     sum to C(n, g), which bounds each of them.
     """
-    if k < 0 or n < 0 or k > n:
+    n, k = int_arg(n, "n"), int_arg(k, "k")
+    if not 0 <= k <= n:
         return QSeries.zero(trunc)
     g = min(k, n - k)
     ring = TruncatedRing(g * (n - g) + 1, math.comb(n, g))

@@ -39,7 +39,7 @@ from .bessel import k0_bessel
 from .cyclotomic import CycNumber
 from .families import FAMILIES, _affine, _lattice_row, _validate_family, family_series
 from .reports import CheckReport, Record, _exact_str, report_from_comparison
-from .series import PrecisionError, QSeries, QSeriesError, finite_trunc, positive_trunc
+from .series import PrecisionError, QSeries, QSeriesError, finite_trunc, int_arg, positive_trunc
 
 
 def unit_phase(w) -> complex:
@@ -73,9 +73,7 @@ class QuadForm:
     numerators over a common denominator."""
 
     def __init__(self, M: int):
-        if not (isinstance(M, int) and M >= 2):
-            raise QSeriesError("the form parameter M must be an integer >= 2")
-        self.M = M
+        self.M = int_arg(M, "M", 2)
 
     def value(self, r) -> Fraction:
         x, y = _frac_pair(r)
@@ -120,8 +118,7 @@ class QuadForm:
 
     @staticmethod
     def _check_ref_index(which: int) -> None:
-        if which not in (1, 2):
-            raise QSeriesError("reference vector index must be 1 or 2")
+        int_arg(which, "reference vector index", 1, 2)
 
 
 def _equivalent(form: QuadForm, x, alpha, D: int, y, beta, E: int) -> bool:
@@ -148,8 +145,7 @@ class ThetaParams(Record):
     """
 
     def __init__(self, M: int, a, b) -> None:
-        if not (isinstance(M, int) and M >= 2):
-            raise QSeriesError("M must be an integer >= 2")
+        int_arg(M, "M", 2)
         a, b = _frac_pair(a), _frac_pair(b)
         for s in (a[0] + a[1], a[0] - a[1]):
             if s.denominator == 1:
@@ -216,8 +212,7 @@ def _lattice_walk(params: ThetaParams, cut: int):
     pairing B(r, b) is t / (D E).  Int/int division is correctly
     rounded, so q / (2 D^2) is the float of the exact value.
     """
-    if cut < 1:
-        raise QSeriesError("the lattice cutoff must be a positive integer")
+    int_arg(cut, "lattice_cut", 1)
     M = params.M
     D, ((A1, A2),) = _over_common(params.a)
     E, ((B1, B2),) = _over_common(params.b)
@@ -479,6 +474,14 @@ def validate_family_params(j: int, k: int, ell: int) -> CheckReport:
 # ------------------------------------------------------------- numeric layer
 
 
+def upper_half_plane(tau) -> tuple[float, float]:
+    """(Re tau, Im tau); QSeriesError unless tau lies in the upper half plane.
+    Every waveform and completion evaluation reads its point here."""
+    if not tau.imag > 0:
+        raise QSeriesError("tau must lie in the upper half plane")
+    return tau.real, tau.imag
+
+
 def _cone_weights(M: int, x: int, y: int) -> tuple[float, float]:
     """Exact-sign weights of the two cones at the lattice point (x, y) / D.
 
@@ -538,9 +541,7 @@ def waveform_numeric(
     the exact terms; the float rounding of the sum is not bounded.  A
     tail bound that is not below |value| raises :class:`PrecisionError`.
     """
-    u, v = tau.real, tau.imag
-    if not v > 0:
-        raise QSeriesError("tau must lie in the upper half plane")
+    u, v = upper_half_plane(tau)
     M = params.M
     D, E = _denominators(params)
     q_den, t_den = 2 * D * D, D * E
@@ -687,9 +688,7 @@ def completion_defect(params: ThetaParams, tau: complex, lattice_cut: int = 10) 
     the outer shell max(|n|, |nu|) = lattice_cut means a larger cut adds
     terms this one leaves out, and raises :class:`PrecisionError`.
     """
-    u, v = tau.real, tau.imag
-    if not v > 0:
-        raise QSeriesError("tau must lie in the upper half plane")
+    u, v = upper_half_plane(tau)
     form = QuadForm(params.M)
     M = params.M
     D, E = _denominators(params)

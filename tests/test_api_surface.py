@@ -11,11 +11,16 @@ or gone.  Every string in a module's ``__all__`` names something bound at
 that module's top level, so a deleted definition leaves no stale export.
 Every ``functools.lru_cache`` and ``functools.cache`` in ``src/qmaass`` is
 listed, with its maxsize and the reason it exists, in ``CACHES``; a new,
-resized or deleted cache fails until the table says why.
+resized or deleted cache fails until the table says why.  Every parameter
+annotated ``int`` of a function or class that some ``__all__`` names is
+probed with bad values by ``tests/test_root_values.py::INT_ARGUMENTS`` or
+exempted, with its reason, in ``INT_EXEMPT``.
 """
 
 import ast
 from pathlib import Path
+
+from test_root_values import INT_ARGUMENTS
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -42,6 +47,19 @@ CACHES = {
     "theta._lattice_table": (16, "the lattice expansion of one family, shared by the exact series, "
                                  "the numeric grids and the sigma* table; a few families at a time"),
     "theta._ray_rule": (None, "the fixed Gauss-Legendre rule of the completion, built once"),
+}
+
+
+#: "module.name.parameter" -> why a public parameter annotated int has no
+#: row in INT_ARGUMENTS.
+_HOT = "a hot constructor, built by every operation of its kind from values already checked"
+_FILLED = "a record that family_params fills from the family index and chain it has checked"
+_TABLE = "module data: the records of FAMILIES, written once in the module"
+INT_EXEMPT = {
+    "cyclotomic.CycNumber.order": _HOT,
+    "series.QSeries.denom": _HOT,
+    **dict.fromkeys(("theta.FamilyThetaData." + p for p in ("j", "k", "ell", "power")), _FILLED),
+    **dict.fromkeys(("families.Family." + p for p in ("sum_scale", "theta_scale", "shell_denom")), _TABLE),
 }
 
 
@@ -143,6 +161,23 @@ def cached_functions(tree: ast.Module) -> dict[str, int | None]:
     return out
 
 
+def int_parameters(tree: ast.Module, public: set[str]) -> set[str]:
+    """"name.parameter" for each parameter annotated ``int`` of the top-level
+    functions of ``tree`` named in ``public``, and of the ``__init__`` of
+    such classes."""
+    out = set()
+    for node in tree.body:
+        if getattr(node, "name", None) not in public:
+            continue
+        is_class = isinstance(node, ast.ClassDef)
+        for func in [f for f in node.body if getattr(f, "name", None) == "__init__"] if is_class else [node]:
+            args = func.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+                if arg.annotation is not None and ast.unparse(arg.annotation).strip("'\"") == "int":
+                    out.add(f"{node.name}.{arg.arg}")
+    return out
+
+
 def unreached(defining: list[ast.Module], reading: list[ast.Module]) -> set[str]:
     """Names defined in ``defining`` that no module of ``reading`` loads."""
     defined = set().union(*map(defined_names, defining))
@@ -235,6 +270,32 @@ def test_the_cache_scan_finds_every_functools_cache():
     assert cached_functions(sample) == {
         "sized": 8, "bare": 128, "unbounded": None, "Box.method": None, "outer.inner": None,
     }
+
+
+def test_the_int_scan_finds_each_public_int_parameter():
+    sample = ast.parse(
+        "__all__ = ['f', 'Box', 'Bare', 'g']\n"
+        "def f(a: int, b, /, c: 'int', *, d: int = 1, e: int | None = None, n: float = 0): pass\n"
+        "def g(x: float, y: list[int]): pass\n"
+        "def hidden(n: int): pass\n"
+        "class Box:\n"
+        "    def __init__(self, size: int, label: str): pass\n"
+        "    def method(self, i: int): pass\n"
+        "class Bare:\n"
+        "    pass\n"
+    )
+    assert int_parameters(sample, set(exported_names(sample))) == {"f.a", "f.c", "f.d", "Box.size"}
+
+
+def test_every_public_int_parameter_is_probed_or_exempt():
+    # A new entry point cannot skip the one integer rule unseen.
+    trees = _parse(SRC)
+    public = set().union(*map(exported_names, trees))
+    found = {f"{path.stem}.{name}" for path, tree in zip(SRC, trees) for name in int_parameters(tree, public)}
+    probed = {f"{name}.{param}" for name, (_, params) in INT_ARGUMENTS.items() for param in params}
+    assert not found - probed - set(INT_EXEMPT), "neither probed nor exempt"
+    assert not set(INT_EXEMPT) - found, "exempt but no longer a public int parameter"
+    assert not set(INT_EXEMPT) & probed, "both probed and exempt"
 
 
 def test_every_cache_is_registered():

@@ -950,7 +950,7 @@ LOCKED_USAGE_ERRORS = {
     "expand s-theta --order 5":
         "1d70d190bb5b5cf712e5a7c6c2982b57568f22727070caae541a5854be417628",
     "expand s-theta --M 1 --a 1/5,1/7 --b 0,0":
-        "75548260899afaff45bbc930e3dc7cf3b7738f36d51ad6c28deb98c4acae4cda",
+        "627ea058e42230f66f65384135bce39e54acfee655e8ace26f039d267c56fc4f",
     "expand s-theta --M 3 --a 1/2,1/2 --b 0,0":
         "ff428c32388aaf291f2c1f97e0b9ca76a3fc4c345e5669beb7b25bc0ddc68e69",
     "expand negative-part --M 4":
@@ -962,7 +962,7 @@ LOCKED_USAGE_ERRORS = {
     "eval quantum --j 5 --k 1 --l 1 --x 1/3":
         "95f2b80d4b89b5acba10974284a4775b7c3a9076ac39f477b58886335f4d0f19",
     "eval quantum --j 1 --k 1 --l 2 --x 1/3":
-        "c533d3c38c7a21bb6533013f3740f7dd8b48a4d5b47804d9f8860934c2e49e8b",
+        "8411333d7d1d801ce9516bbd361e7f06da49624698716bf01a455f95a6ebd196",
     "eval quantum --j 1 --k 1 --l 1 --x 1/129":
         "121ec433d88d01e2998183796f209f304feadb739ca3e8355fe1c4dee84803bc",
     "eval cocycle --gamma 0,-1,2,0 --xs 1/5":

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qmaass import cli
+from qmaass import cli, cocycle_samples, cohen_table, cohen_transform_residual, eval_waveform, family_params
+from qmaass import family_series, gaussian_binomial, pochhammer, waveform_numeric
 from qmaass.agpolys import PartitionConstraint
 from qmaass.bailey import RELATIVES, BaileyPair
 from qmaass.cyclotomic import CycNumber
@@ -190,18 +191,19 @@ def test_record_defaults():
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: CheckReport("x", {}, "maybe"), ValueError,
-         "status must be 'pass' or 'fail', got 'maybe'"),
+        (lambda: CheckReport("x", {}, "maybe"), QSeriesError,
+         "status must be one of ('pass', 'fail'), got 'maybe'"),
         (lambda: ThetaParams(1, (F(1, 3), F(1, 5)), (0, 0)), QSeriesError,
-         "M must be an integer >= 2"),
+         "M must be an integer >= 2, got 1"),
         (lambda: ThetaParams(2.0, (F(1, 3), F(1, 5)), (0, 0)), QSeriesError,
-         "M must be an integer >= 2"),
+         "M must be an integer >= 2, got 2.0"),
         (lambda: ThetaParams(2, (F(1, 2), F(1, 2)), (0, 0)), QSeriesError,
          "the shift components must have non-integral sum and difference"),
         (lambda: BaileyPair("z", abs, len), QSeriesError,
          f"relative must be one of {RELATIVES}, got 'z'"),
-        (lambda: BaileyPair("q", abs, len, "", -1), QSeriesError, "settle must be an int >= 0, got -1"),
-        (lambda: MaassCoeffTable(0), QSeriesError, "the table scale must be a positive integer"),
+        (lambda: BaileyPair("q", abs, len, "", -1), QSeriesError,
+         "settle must be a nonnegative integer, got -1"),
+        (lambda: MaassCoeffTable(0), QSeriesError, "the table scale must be a positive integer, got 0"),
         (lambda: MaassCoeffTable(1, {0: 1}), QSeriesError,
          "coefficient tables are indexed by nonzero integers"),
         (lambda: PartitionConstraint(1, 0, 0, 1), QSeriesError,
@@ -210,6 +212,47 @@ def test_record_defaults():
          "part_bound must be a positive integer, got '2'"),
         (lambda: cli.RunConfig("verify", "all"), TypeError,
          "RunConfig takes a command, a target and the 21 OPTIONS"),
+        # One rule per argument kind: an int argument is an int, not a bool,
+        # a float or a string, in its range; a named choice is one of its
+        # names; a truncation order is finite and no bool.
+        (lambda: MaassCoeffTable(True), QSeriesError, "the table scale must be a positive integer, got True"),
+        (lambda: MaassCoeffTable(2.5), QSeriesError, "the table scale must be a positive integer, got 2.5"),
+        (lambda: cohen_table(True), QSeriesError, "the table extent must be a positive integer, got True"),
+        (lambda: PartitionConstraint(True, True, True, 2), QSeriesError,
+         "pair_sum_max must be a positive integer, got True"),
+        (lambda: ThetaParams(True, (F(1, 3), F(1, 5)), (0, 0)), QSeriesError,
+         "M must be an integer >= 2, got True"),
+        (lambda: ThetaParams("3", (F(1, 3), F(1, 5)), (0, 0)), QSeriesError,
+         "M must be an integer >= 2, got '3'"),
+        (lambda: BaileyPair("q", abs, len, "", True), QSeriesError,
+         "settle must be a nonnegative integer, got True"),
+        (lambda: BaileyPair("q", abs, len, "", 2.5), QSeriesError,
+         "settle must be a nonnegative integer, got 2.5"),
+        (lambda: CheckReport("x", {}, True), QSeriesError, "status must be one of ('pass', 'fail'), got True"),
+        (lambda: gaussian_binomial(True, True), QSeriesError, "n must be an integer, got True"),
+        (lambda: gaussian_binomial(5.0, 2), QSeriesError, "n must be an integer, got 5.0"),
+        (lambda: pochhammer("q", True, 10), QSeriesError, "n must be a nonnegative integer, got True"),
+        (lambda: pochhammer("q", 2.5, 10), QSeriesError, "n must be a nonnegative integer, got 2.5"),
+        (lambda: pochhammer("q", 3, True), QSeriesError,
+         "this operation needs a finite truncation order, got True"),
+        (lambda: pochhammer("q;q", 3, 10), QSeriesError,
+         "kind must be one of ('q', 'q2', '-q', '-1', 'q;q2', 'q2;q'), got 'q;q'"),
+        (lambda: waveform_numeric(family_params(1, 1, 1).params, 1j, True), QSeriesError,
+         "lattice_cut must be a positive integer, got True"),
+        (lambda: waveform_numeric(family_params(1, 1, 1).params, 1j, 2.5), QSeriesError,
+         "lattice_cut must be a positive integer, got 2.5"),
+        (lambda: eval_waveform(cohen_table(100), 1j, 10.5), QSeriesError,
+         "n_cut must be a nonnegative integer, got 10.5"),
+        (lambda: eval_waveform(cohen_table(100), -1j, 10), QSeriesError,
+         "tau must lie in the upper half plane"),
+        (lambda: cohen_transform_residual(1j, 0), QSeriesError,
+         "n_cut must be a positive integer, got 0"),
+        (lambda: family_series(1, 1, 1, True), QSeriesError,
+         "this operation needs a finite truncation order, got True"),
+        (lambda: family_series(5, 1, 1, 10), QSeriesError, "family index must be in 1..4, got 5"),
+        (lambda: cocycle_samples(cohen_table(100), (0, -1, 2.0, 0), [F(1, 5)]), QSeriesError,
+         "a gamma entry must be an integer, got 2.0"),
+        (lambda: family_series(1, 2, 3, 10), QSeriesError, "ell must be in 1..2, got 3"),
     ],
 )
 def test_record_validation_messages(build, error, message):

@@ -8,6 +8,8 @@ the factors as cyclotomic numbers.
 """
 
 import functools
+import importlib
+import inspect
 import itertools
 import math
 import operator
@@ -32,7 +34,7 @@ from oracles import (
 import qmaass.families as families
 import qmaass.maass as maass
 from qmaass.agpolys import _walk, ag_polynomial, ag_polynomials
-from qmaass.bailey import LIMIT_WEIGHTS
+from qmaass.bailey import LIMIT_WEIGHTS, unit_pair
 from qmaass.cyclotomic import (
     MAX_ROOT_ORDER,
     CycNumber,
@@ -48,7 +50,7 @@ from qmaass.families import (
     u_root_value,
     verify_kz_duality,
 )
-from qmaass.maass import quantum_value
+from qmaass.maass import MaassCoeffTable, quantum_value
 from qmaass.series import (
     L1Bound,
     MajorantBound,
@@ -59,6 +61,7 @@ from qmaass.series import (
     int_slots,
     pochhammer,
 )
+from qmaass.theta import family_params
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PRIME_POWERS = (4, 8, 9, 16, 25, 27, 32)
@@ -381,6 +384,68 @@ def test_root_values_take_one_twin_pass_and_decode_only_the_sum(monkeypatch, cal
     assert encoded == [] and taken == [decoded[0]] * len(set(chains))
 
 
+# Every integer argument of the API, by "module.function": valid arguments,
+# and for each integer parameter one int outside its range (None where
+# every int is valid).  Each must refuse True, 2.5, "3" and that int with
+# QSeriesError; tests/test_api_surface.py checks that every public
+# parameter annotated int is listed here.
+_J_K_ELL = {"j": 5, "k": 0, "ell": 2}
+INT_ARGUMENTS = {
+    "agpolys.PartitionConstraint": ((1, 1, 1, 2), dict.fromkeys(
+        ("pair_sum_max", "first_freq_bound", "last_freq_bound", "part_bound"), 0)),
+    "agpolys.ag_polynomial": ((2, 1, 0, 3), {"k": 0, "ell": 3, "b": 2, "n": -1}),
+    "agpolys.ag_polynomials": ((2, 1, 0, 3), {"k": 0, "ell": 3, "b": 2, "n_max": -1}),
+    "agpolys.verify_ag_relation": ((2, 1, 0, 3), {"k": 0, "ell": 3, "b": 2, "n": -1}),
+    "bailey.BaileyPair": (("q", abs, len, "", 0), {"settle": -1}),
+    "bailey.pair_relative_one": ((2, 1), {"k": 0, "ell": 3}),
+    "bailey.pair_relative_q": ((2, 1), {"k": 0, "ell": 3}),
+    "bailey.relation_sums": ((unit_pair("q"), 2, 10), {"n_max": -1}),
+    "bailey.verify_pair": ((unit_pair("q"), 2, 10), {"n_max": -1}),
+    "cyclotomic.check_root_order": ((5,), {"N": 0}),
+    "families.family_series": ((1, 1, 1, 10), _J_K_ELL),
+    "families.kz_root_value": ((1, 1, 5), {"k": 0, "ell": 2, "N": MAX_ROOT_ORDER + 1}),
+    "families.negative_part_series": ((4, 1, 10), {"M": 1, "ell": 0}),
+    "families.sigma_coefficients": ((5,), {"n_max": -1}),
+    "families.sigma_star_coefficients": ((5,), {"n_max": -1}),
+    "families.u_root_value": ((1, 1, 5), {"k": 0, "ell": 2, "N": 0}),
+    "families.verify_kz_duality": ((1, 1, 5), {"k": 0, "ell": 2, "N": -5}),
+    "maass.MaassCoeffTable": ((24,), {"scale": 0}),
+    "maass.cohen_table": ((30,), {"n_max": 0}),
+    "maass.cohen_transform_residual": ((1j, 100), {"n_cut": 0}),
+    "maass.eval_waveform": ((MaassCoeffTable(24, {1: 1, 25: -1}), 1j, 25), {"n_cut": -1}),
+    "maass.quantum_value": ((1, 1, 1, Fraction(1, 5)), _J_K_ELL),
+    "maass.radial_limit_check": ((1, 1, 1, Fraction(1, 5)), _J_K_ELL),
+    "series.gaussian_binomial": ((5, 2), {"n": None, "k": None}),
+    "series.inverse_pochhammer": (("q", 3, 10), {"n": -1}),
+    "series.pochhammer": (("q", 3, 10), {"n": -1}),
+    "theta.QuadForm": ((2,), {"M": 1}),
+    "theta.ThetaParams": ((5, (Fraction(1, 6), 0), (0, 0)), {"M": 1}),
+    "theta.completion_defect": ((family_params(1, 1, 1).params, 1j, 10), {"lattice_cut": 0}),
+    "theta.family_params": ((1, 1, 1), _J_K_ELL),
+    "theta.validate_family_params": ((1, 1, 1), _J_K_ELL),
+    "theta.verify_family_lattice": ((1, 1, 1, 10), _J_K_ELL),
+    "theta.verify_theta_embedding": ((1, 1, 1, 10), _J_K_ELL),
+    "theta.waveform_numeric": ((family_params(1, 1, 1).params, 1j, 12), {"lattice_cut": 0}),
+}
+
+
+def _int_call(name: str, param: str = "", value=None):
+    """The call of ``name`` on its INT_ARGUMENTS arguments, with ``param``
+    replaced by ``value`` when given."""
+    module, qualname = name.split(".")
+    func = getattr(importlib.import_module(f"qmaass.{module}"), qualname)
+    bound = inspect.signature(func).bind(*INT_ARGUMENTS[name][0])
+    if param:
+        bound.arguments[param] = value
+    return lambda: func(*bound.args, **bound.kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(INT_ARGUMENTS))
+def test_the_integer_argument_table_calls_are_valid(name):
+    # So each refusal below is the replaced argument's.
+    _int_call(name)()
+
+
 @pytest.mark.parametrize("call", [
     lambda: check_root_order(True),
     lambda: verify_kz_duality(True, True, True),
@@ -395,10 +460,16 @@ def test_root_values_take_one_twin_pass_and_decode_only_the_sum(monkeypatch, cal
     lambda: ag_polynomial(2, 1, False, 3),
     lambda: ag_polynomial(2, 1, 0, True),
     lambda: negative_part_series(4, True, 10),
+    *(pytest.param(_int_call(name, param, value), id=f"{name}.{param}={value!r}")
+      for name, (_, params) in INT_ARGUMENTS.items()
+      for param, out_of_range in params.items()
+      for value in (True, 2.5, "3", out_of_range) if value is not None),
 ])
 def test_root_and_chain_validators_refuse_bools(call):
     # A bool is an int subclass but no order, family index or chain
-    # parameter: refused, not reported as "N": true.
+    # parameter: refused, not reported as "N": true.  Every integer
+    # argument refuses a bool, a float, a string and an int out of range
+    # the same way, with QSeriesError.
     with pytest.raises(QSeriesError):
         call()
 
