@@ -78,6 +78,7 @@ from .theta import (
     completion_defect,
     family_params,
     indefinite_theta_series,
+    upper_half_plane,
     validate_family_params,
     validate_params,
     verify_family_lattice,
@@ -132,8 +133,10 @@ def parse_tau(text: str) -> complex:
         raise UsageError(f"expected tau as 're,im', got {text!r}") from exc
     if not cmath.isfinite(value):
         raise UsageError(f"tau must be finite, got {text!r}")
-    if value.imag <= 0:
-        raise UsageError("tau must lie in the upper half plane")
+    try:
+        upper_half_plane(value)
+    except QSeriesError as exc:
+        raise UsageError(str(exc)) from exc
     return value
 
 

@@ -95,23 +95,23 @@ class CycNumber:
     # ------------------------------------------------------------------ build
     @classmethod
     def from_rational(cls, order: int, value) -> "CycNumber":
-        return cls(order, [value])
+        return cls(int_arg(order, "order", 1), [value])
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "CycNumber":
-        return cls.from_powers(order, {power: 1})
+        return cls.from_powers(order, {int_arg(power, "power"): 1})
 
     @classmethod
     def from_powers(cls, order: int, powers: dict[int, object]) -> "CycNumber":
         """Build sum of c * zeta_order^k from a power->coefficient map."""
-        vec = [0] * order
+        vec = [0] * int_arg(order, "order", 1)
         for k, c in powers.items():
             vec[k % order] += c
         return cls(order, vec)
 
     def _pair(self, other) -> tuple["CycNumber", "CycNumber"]:
         if isinstance(other, (int, Fraction)):
-            other = CycNumber.from_rational(self.order, other)
+            other = CycNumber(self.order, [other])
         elif not isinstance(other, CycNumber):
             return NotImplemented, NotImplemented
         elif other.order != self.order:

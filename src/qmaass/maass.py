@@ -22,6 +22,7 @@ This module provides:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .agpolys import _walk
@@ -30,7 +31,7 @@ from .bessel import k0_bessel
 from .cyclotomic import CycNumber, CyclicRing, check_root_order
 from .families import FAMILIES, _validate_family, sigma_coefficients, sigma_star_coefficients
 from .reports import CheckReport, Record, _exact_str, report_from_condition
-from .series import PrecisionError, QSeriesError, int_arg
+from .series import PrecisionError, QSeriesError, int_arg, rational_arg
 from .theta import _bounded, family_lattice_numeric, unit_phase, upper_half_plane
 
 __all__ = [
@@ -173,7 +174,7 @@ class QuantumSample(Record):
         }
 
 
-def quantum_value(j: int, k: int, ell: int, x) -> QuantumSample:
+def quantum_value(j: int, k: int, ell: int, x: Fraction) -> QuantumSample:
     """Exact family value at the root of unity e(d x), d the family power.
 
     The family's limit-identity sum (its :data:`~qmaass.families.FAMILIES`
@@ -189,7 +190,7 @@ def quantum_value(j: int, k: int, ell: int, x) -> QuantumSample:
     merge by q-Lucas, as top - 1 <= N, and only the sum is decoded.
     """
     _validate_family(j, k, ell)
-    xq = Fraction(x)
+    xq = Fraction(rational_arg(x, "x"))
     fam = FAMILIES[j]
     s, first, _ = weights = LIMIT_WEIGHTS[fam.identity]
     w = (s * xq) % 1
@@ -240,7 +241,7 @@ def radial_limit_check(
     j: int,
     k: int,
     ell: int,
-    x,
+    x: Fraction,
     t_grid=None,
     tol: float = 1e-4,
 ) -> CheckReport:
@@ -253,7 +254,7 @@ def radial_limit_check(
     extrapolation step is reported as an instability estimate.
     """
     _validate_family(j, k, ell)
-    xq = Fraction(x)
+    xq = Fraction(rational_arg(x, "x"))
     t_grid = _radial_grid(t_grid, 0.125)
     power = FAMILIES[j].power
     w = (power * xq) % 1
@@ -315,7 +316,7 @@ def _positive_part_radial(
 def cocycle_samples(
     table: MaassCoeffTable,
     gamma,
-    xs,
+    xs: Iterable[Fraction],
     multiplier: complex | None = None,
     conjugate_image: bool = False,
     t_grid=None,
@@ -348,7 +349,7 @@ def cocycle_samples(
     t_grid = _radial_grid(t_grid, 0.5)
     out: list[complex] = []
     for x in xs:
-        xq = Fraction(x)
+        xq = Fraction(rational_arg(x, "x"))
         denom = c * xq + d
         if denom == 0:
             raise QSeriesError(

@@ -66,6 +66,14 @@ def int_arg(value, name: str, least: int | None = None, most: int | None = None)
     raise QSeriesError(f"{name} must be {want}, got {value!r}")
 
 
+def rational_arg(value, name: str) -> _EXPONENT:
+    """``value`` if its type is int (not bool) or Fraction; QSeriesError naming
+    ``name`` otherwise.  Every point x, exponent and lattice shift is read here."""
+    if type(value) is int or type(value) is Fraction:
+        return value
+    raise QSeriesError(f"{name} must be a rational (an int or a Fraction), got {value!r}")
+
+
 def choice_arg(value, name: str, choices: tuple):
     """``value`` if it is one of ``choices``; QSeriesError naming ``name``
     otherwise.  Every named choice of the package is checked here."""
@@ -100,13 +108,6 @@ def _clean(c):
     if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
-
-
-def _rational(e) -> int | Fraction:
-    """An exponent as an int or a Fraction, converting anything else."""
-    if type(e) is int or type(e) is Fraction:
-        return e
-    return Fraction(e)
 
 
 def _int_bound(t, denom: int) -> int | None:
@@ -168,7 +169,7 @@ class QSeries:
     # ------------------------------------------------------------------ build
     @classmethod
     def zero(cls, trunc=INF, denom: int = 1) -> "QSeries":
-        return cls({}, denom, trunc)
+        return cls({}, int_arg(denom, "denom", 1), trunc)
 
     @classmethod
     def one(cls, trunc=INF) -> "QSeries":
@@ -176,13 +177,13 @@ class QSeries:
 
     @classmethod
     def monomial(cls, coeff, exponent: _EXPONENT, trunc=INF) -> "QSeries":
-        e = _rational(exponent)
+        e = rational_arg(exponent, "exponent")
         return cls({e.numerator: coeff}, e.denominator, trunc)
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[_EXPONENT, object]], trunc=INF) -> "QSeries":
         """Build from (exponent, coefficient) pairs; repeated exponents add."""
-        exps = [(_rational(e), c) for e, c in terms]
+        exps = [(rational_arg(e, "exponent"), c) for e, c in terms]
         denom = math.lcm(*(e.denominator for e, _ in exps)) if exps else 1
         coeffs: dict[int, object] = {}
         for e, c in exps:
@@ -202,7 +203,7 @@ class QSeries:
             yield Fraction(m, self.denom), self._coeffs[m]
 
     def coeff(self, exponent: _EXPONENT):
-        e = _rational(exponent)
+        e = rational_arg(exponent, "exponent")
         if self.denom % e.denominator != 0:
             return 0
         return self._coeffs.get(e.numerator * (self.denom // e.denominator), 0)
@@ -324,7 +325,7 @@ class QSeries:
 
     def shift(self, exponent: _EXPONENT) -> "QSeries":
         """Multiply by the exact monomial q^exponent (truncation shifts too)."""
-        e = _rational(exponent)
+        e = rational_arg(exponent, "exponent")
         denom = math.lcm(self.denom, e.denominator)
         off = e.numerator * (denom // e.denominator)
         coeffs = {m + off: c for m, c in self._rescaled(denom).items()}
@@ -379,7 +380,7 @@ class QSeries:
 
     def compose_power(self, c: _EXPONENT) -> "QSeries":
         """Substitute q -> q^c for a positive rational c (exponents scale by c)."""
-        c = _rational(c)
+        c = rational_arg(c, "c")
         if c <= 0:
             raise QSeriesError("compose_power requires a positive rational power")
         denom = self.denom * c.denominator

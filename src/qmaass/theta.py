@@ -39,7 +39,7 @@ from .bessel import k0_bessel
 from .cyclotomic import CycNumber
 from .families import FAMILIES, _affine, _lattice_row, _validate_family, family_series
 from .reports import CheckReport, Record, _exact_str, report_from_comparison
-from .series import PrecisionError, QSeries, QSeriesError, finite_trunc, int_arg, positive_trunc
+from .series import PrecisionError, QSeries, QSeriesError, finite_trunc, int_arg, positive_trunc, rational_arg
 
 
 def unit_phase(w) -> complex:
@@ -48,9 +48,11 @@ def unit_phase(w) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-def _frac_pair(v) -> tuple[Fraction, Fraction]:
-    """``v`` as a pair of Fractions; Fraction entries pass through as they are."""
+def _rational_pair(v, name: str) -> tuple[Fraction, Fraction]:
+    """The pair ``v`` as Fractions, its coordinates read as name1 and name2;
+    Fraction entries pass through as they are."""
     x, y = v
+    x, y = rational_arg(x, name + "1"), rational_arg(y, name + "2")
     return (x if type(x) is Fraction else Fraction(x), y if type(y) is Fraction else Fraction(y))
 
 
@@ -75,8 +77,8 @@ class QuadForm:
     def __init__(self, M: int):
         self.M = int_arg(M, "M", 2)
 
-    def value(self, r) -> Fraction:
-        x, y = _frac_pair(r)
+    def value(self, r: tuple[Fraction, Fraction]) -> Fraction:
+        x, y = _rational_pair(r, "r")
         return Fraction(self.M + 1, 2) * x * x - Fraction(self.M - 1, 2) * y * y
 
     def bilinear(self, r, s):
@@ -97,22 +99,22 @@ class QuadForm:
         t = math.asinh(math.sqrt((self.M - 1) / 2.0))
         return -t if which == 1 else t
 
-    def boundary_pairing(self, r, which: int) -> Fraction:
+    def boundary_pairing(self, r: tuple[Fraction, Fraction], which: int) -> Fraction:
         """B(r, c_which) divided by sqrt(M^2 - 1); the sign is exact.
 
         Reference vector 1 gives -(r1 + r2); vector 2 gives r1 - r2.
         """
         self._check_ref_index(which)
-        x, y = _frac_pair(r)
+        x, y = _rational_pair(r, "r")
         return (x - y) if which == 2 else -(x + y)
 
-    def normal_pairing(self, r, which: int) -> Fraction:
+    def normal_pairing(self, r: tuple[Fraction, Fraction], which: int) -> Fraction:
         """B(r, c_which^perp), exactly rational.
 
         The companions are c_1^perp = (1, -1) and c_2^perp = (1, 1).
         """
         self._check_ref_index(which)
-        x, y = _frac_pair(r)
+        x, y = _rational_pair(r, "r")
         M = self.M
         return (M + 1) * x + (M - 1) * y if which == 1 else (M + 1) * x - (M - 1) * y
 
@@ -144,9 +146,9 @@ class ThetaParams(Record):
     regions and the exponent strictly positive there.
     """
 
-    def __init__(self, M: int, a, b) -> None:
+    def __init__(self, M: int, a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> None:
         int_arg(M, "M", 2)
-        a, b = _frac_pair(a), _frac_pair(b)
+        a, b = _rational_pair(a, "a"), _rational_pair(b, "b")
         for s in (a[0] + a[1], a[0] - a[1]):
             if s.denominator == 1:
                 raise QSeriesError("the shift components must have non-integral sum and difference")
@@ -339,7 +341,7 @@ _LATTICE_TERM_FLOOR = 1e-15
 _LATTICE_TABLE_CAP = 1 << 20
 
 
-def family_lattice_numeric(j: int, k: int, ell: int, x, ts: list) -> list:
+def family_lattice_numeric(j: int, k: int, ell: int, x: Fraction, ts: list) -> list:
     """Numeric family values at q = e(x) exp(-t) via the lattice expansion,
     one for each t in ``ts``.
 
@@ -358,7 +360,7 @@ def family_lattice_numeric(j: int, k: int, ell: int, x, ts: list) -> list:
     ts = [float(s) for s in ts]
     if not ts or not all(0 < s < math.inf for s in ts):
         raise QSeriesError("the radial distance must be positive and finite")
-    xq = Fraction(x)
+    xq = rational_arg(x, "x")
     p, q = xq.numerator, xq.denominator
     cutoff = -math.log(_LATTICE_TERM_FLOOR)
     if cutoff / min(ts) >= _LATTICE_TABLE_CAP:  # floor(cutoff / t) + 1 > the cap

@@ -12,15 +12,18 @@ that module's top level, so a deleted definition leaves no stale export.
 Every ``functools.lru_cache`` and ``functools.cache`` in ``src/qmaass`` is
 listed, with its maxsize and the reason it exists, in ``CACHES``; a new,
 resized or deleted cache fails until the table says why.  Every parameter
-annotated ``int`` of a function or class that some ``__all__`` names is
+of a function, class or public method that some ``__all__`` names is
 probed with bad values by ``tests/test_root_values.py::INT_ARGUMENTS`` or
-exempted, with its reason, in ``INT_EXEMPT``.
+exempted, with its reason, in ``INT_EXEMPT`` when it is annotated ``int``,
+and likewise by ``RATIONAL_ARGUMENTS`` or ``RATIONAL_EXEMPT`` when it is
+annotated as a rational (``Fraction`` or ``_EXPONENT``, also inside a
+container).
 """
 
 import ast
 from pathlib import Path
 
-from test_root_values import INT_ARGUMENTS
+from test_root_values import INT_ARGUMENTS, RATIONAL_ARGUMENTS
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -60,6 +63,13 @@ INT_EXEMPT = {
     "series.QSeries.denom": _HOT,
     **dict.fromkeys(("theta.FamilyThetaData." + p for p in ("j", "k", "ell", "power")), _FILLED),
     **dict.fromkeys(("families.Family." + p for p in ("sum_scale", "theta_scale", "shell_denom")), _TABLE),
+}
+
+#: "module.name.parameter" (or "module.Class.method.parameter") -> why a
+#: public parameter annotated as a rational has no row in RATIONAL_ARGUMENTS.
+RATIONAL_EXEMPT = {
+    "maass.QuantumSample.x": "a record that quantum_value fills from the x it has checked",
+    **dict.fromkeys(("theta.FamilyThetaData.alpha", "theta.FamilyThetaData.scale"), _FILLED),
 }
 
 
@@ -161,20 +171,41 @@ def cached_functions(tree: ast.Module) -> dict[str, int | None]:
     return out
 
 
-def int_parameters(tree: ast.Module, public: set[str]) -> set[str]:
-    """"name.parameter" for each parameter annotated ``int`` of the top-level
-    functions of ``tree`` named in ``public``, and of the ``__init__`` of
-    such classes."""
+def _is_int(annotation: ast.expr) -> bool:
+    return ast.unparse(annotation).strip("'\"") == "int"
+
+
+#: The annotation names that mark a parameter as an exact rational.
+RATIONAL_NAMES = {"Fraction", "_EXPONENT"}
+
+
+def _is_rational(annotation: ast.expr) -> bool:
+    """Whether the annotation loads a name of RATIONAL_NAMES, also inside a
+    container; a string annotation is parsed first."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval")
+    return any(isinstance(node, ast.Name) and node.id in RATIONAL_NAMES for node in ast.walk(annotation))
+
+
+def annotated_parameters(tree: ast.Module, public: set[str], marks) -> set[str]:
+    """"name.parameter" for each parameter whose annotation ``marks``
+    accepts, of the top-level functions of ``tree`` named in ``public`` and
+    of the ``__init__`` of such classes, and "Class.method.parameter" for
+    their public methods."""
     out = set()
     for node in tree.body:
         if getattr(node, "name", None) not in public:
             continue
-        is_class = isinstance(node, ast.ClassDef)
-        for func in [f for f in node.body if getattr(f, "name", None) == "__init__"] if is_class else [node]:
+        if isinstance(node, ast.ClassDef):
+            funcs = [(node.name if f.name == "__init__" else f"{node.name}.{f.name}", f) for f in node.body
+                     if isinstance(f, ast.FunctionDef) and (f.name == "__init__" or not f.name.startswith("_"))]
+        else:
+            funcs = [(node.name, node)]
+        for prefix, func in funcs:
             args = func.args
             for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-                if arg.annotation is not None and ast.unparse(arg.annotation).strip("'\"") == "int":
-                    out.add(f"{node.name}.{arg.arg}")
+                if arg.annotation is not None and marks(arg.annotation):
+                    out.add(f"{prefix}.{arg.arg}")
     return out
 
 
@@ -281,21 +312,58 @@ def test_the_int_scan_finds_each_public_int_parameter():
         "class Box:\n"
         "    def __init__(self, size: int, label: str): pass\n"
         "    def method(self, i: int): pass\n"
+        "    def _private(self, i: int): pass\n"
         "class Bare:\n"
         "    pass\n"
     )
-    assert int_parameters(sample, set(exported_names(sample))) == {"f.a", "f.c", "f.d", "Box.size"}
+    assert annotated_parameters(sample, set(exported_names(sample)), _is_int) == {
+        "f.a", "f.c", "f.d", "Box.size", "Box.method.i",
+    }
+
+
+def test_the_rational_scan_finds_each_public_rational_parameter():
+    sample = ast.parse(
+        "__all__ = ['f', 'Box', 'g']\n"
+        "def f(a: Fraction, b, /, c: 'Fraction | None', *, d: _EXPONENT = 0, e: list[Fraction] = (),\n"
+        "      n: int = 0, t: float = 0.0) -> Fraction: pass\n"
+        "def g(x: Iterable[tuple[_EXPONENT, object]], y: 'tuple[Fraction, Fraction]', z: str): pass\n"
+        "def hidden(x: Fraction): pass\n"
+        "class Box:\n"
+        "    def __init__(self, r: tuple[Fraction, Fraction], M: int): pass\n"
+        "    @classmethod\n"
+        "    def build(cls, e: _EXPONENT): pass\n"
+        "    def method(self, x: Fraction, y: float): pass\n"
+        "    def _private(self, x: Fraction): pass\n"
+        "    def __eq__(self, other: Fraction): pass\n"
+        "class Hidden:\n"
+        "    def __init__(self, x: Fraction): pass\n"
+    )
+    assert annotated_parameters(sample, set(exported_names(sample)), _is_rational) == {
+        "f.a", "f.c", "f.d", "f.e", "g.x", "g.y", "Box.r", "Box.build.e", "Box.method.x",
+    }
+
+
+def _check_probed_or_exempt(marks, table: dict, exempt: dict) -> None:
+    """Every public parameter that ``marks`` accepts has a place in ``table``
+    (see tests/test_root_values.py) or a reason in ``exempt``, not both."""
+    trees = _parse(SRC)
+    public = set().union(*map(exported_names, trees))
+    found = {f"{path.stem}.{name}" for path, tree in zip(SRC, trees)
+             for name in annotated_parameters(tree, public, marks)}
+    probed = {f"{name}.{place.split('[')[0]}" for name, (_, places) in table.items() for place in places}
+    assert not found - probed - set(exempt), "neither probed nor exempt"
+    assert not set(exempt) - found, "exempt but no longer a public parameter of its kind"
+    assert not set(exempt) & probed, "both probed and exempt"
 
 
 def test_every_public_int_parameter_is_probed_or_exempt():
     # A new entry point cannot skip the one integer rule unseen.
-    trees = _parse(SRC)
-    public = set().union(*map(exported_names, trees))
-    found = {f"{path.stem}.{name}" for path, tree in zip(SRC, trees) for name in int_parameters(tree, public)}
-    probed = {f"{name}.{param}" for name, (_, params) in INT_ARGUMENTS.items() for param in params}
-    assert not found - probed - set(INT_EXEMPT), "neither probed nor exempt"
-    assert not set(INT_EXEMPT) - found, "exempt but no longer a public int parameter"
-    assert not set(INT_EXEMPT) & probed, "both probed and exempt"
+    _check_probed_or_exempt(_is_int, INT_ARGUMENTS, INT_EXEMPT)
+
+
+def test_every_public_rational_parameter_is_probed_or_exempt():
+    # A new entry point cannot read an exact rational past the one rule unseen.
+    _check_probed_or_exempt(_is_rational, RATIONAL_ARGUMENTS, RATIONAL_EXEMPT)
 
 
 def test_every_cache_is_registered():

@@ -1010,6 +1010,43 @@ def test_usage_errors_are_locked(monkeypatch, argv):
     assert _sha256([str(code), err]) == LOCKED_USAGE_ERRORS[argv]
 
 
+# ------------------------------------------------------- behaviour lock
+
+# The stdout md5 of `qmaass verify all` and of the default `expand` tables
+# (f and s-theta for every family at (k, l) = (1, 1) and (2, 2), sigma,
+# sigma-star, hpoly --k 3).  A changed md5 is a changed verdict or table:
+# update it only with the reason in CHANGES.md.
+LOCKED_STDOUT = {
+    "verify all": "af394a93de74a2ab5ea899785e1eb99d",
+    "expand f --j 1 --k 1 --l 1": "517b428a99eca831ac4f321fc9e06d73",
+    "expand f --j 1 --k 2 --l 2": "833943e5a11b3af6babfb71a875e1274",
+    "expand f --j 2 --k 1 --l 1": "ab343715af7f443d8af6b8f9d71dd337",
+    "expand f --j 2 --k 2 --l 2": "1632842962be3c48eec151d036bb59b6",
+    "expand f --j 3 --k 1 --l 1": "feb49d70d140ef62944420dc2fdce356",
+    "expand f --j 3 --k 2 --l 2": "538172a4c4220da2687a124f79e340f2",
+    "expand f --j 4 --k 1 --l 1": "13045c18b73d380f695188c950d2a7c8",
+    "expand f --j 4 --k 2 --l 2": "a4bace1bfecce07b8ea18923314afa80",
+    "expand hpoly --k 3": "9b8a27b7f55c998c1d2c53e058903cd5",
+    "expand s-theta --j 1 --k 1 --l 1": "5e47fd08e95cc8f5f0fb27831fedba7f",
+    "expand s-theta --j 1 --k 2 --l 2": "9c8f2777b076de46dbe00e17ca2a2397",
+    "expand s-theta --j 2 --k 1 --l 1": "0bb15e363aa3a0448e1e1f65b770a29d",
+    "expand s-theta --j 2 --k 2 --l 2": "7ce038e019ff74082db004550e7a7144",
+    "expand s-theta --j 3 --k 1 --l 1": "fab4535a16c693b940d03c295f0dc70b",
+    "expand s-theta --j 3 --k 2 --l 2": "d9d7e6f409b6198abf7817ccb6017a59",
+    "expand s-theta --j 4 --k 1 --l 1": "3b4f539ca788e2c502b26ae94f0fe7a3",
+    "expand s-theta --j 4 --k 2 --l 2": "3f6eb42d5b700696d0b81ab586da2b53",
+    "expand sigma": "c3ebee515b8ee08948ef7a084117357c",
+    "expand sigma-star": "9d286f986bfca7119aa9f589537da9a7",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LOCKED_STDOUT))
+def test_behaviour_lock_stdout(capsys, argv):
+    assert run(argv.split(" ")) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode("utf-8")).hexdigest() == LOCKED_STDOUT[argv]
+
+
 # ------------------------------------------------------------ entry point
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from qmaass import cli, cocycle_samples, cohen_table, cohen_transform_residual, eval_waveform, family_params
 from qmaass import family_series, gaussian_binomial, pochhammer, waveform_numeric
+from qmaass import quantum_value, radial_limit_check
 from qmaass.agpolys import PartitionConstraint
 from qmaass.bailey import RELATIVES, BaileyPair
 from qmaass.cyclotomic import CycNumber
@@ -253,6 +254,20 @@ def test_record_defaults():
         (lambda: cocycle_samples(cohen_table(100), (0, -1, 2.0, 0), [F(1, 5)]), QSeriesError,
          "a gamma entry must be an integer, got 2.0"),
         (lambda: family_series(1, 2, 3, 10), QSeriesError, "ell must be in 1..2, got 3"),
+        # A rational argument is an int or a Fraction, never a bool, a
+        # float, a string or None; a cyclotomic order is a positive int.
+        (lambda: quantum_value(1, 1, 1, True), QSeriesError,
+         "x must be a rational (an int or a Fraction), got True"),
+        (lambda: quantum_value(1, 1, 1, None), QSeriesError,
+         "x must be a rational (an int or a Fraction), got None"),
+        (lambda: radial_limit_check(1, 1, 1, None), QSeriesError,
+         "x must be a rational (an int or a Fraction), got None"),
+        (lambda: QSeries.monomial(1, True, 5), QSeriesError,
+         "exponent must be a rational (an int or a Fraction), got True"),
+        (lambda: ThetaParams(4, (True, F(1, 7)), (F(1, 3), F(1, 11))), QSeriesError,
+         "a1 must be a rational (an int or a Fraction), got True"),
+        (lambda: CycNumber.from_rational(True, 1), QSeriesError, "order must be a positive integer, got True"),
+        (lambda: CycNumber.from_powers(0, {1: 1}), QSeriesError, "order must be a positive integer, got 0"),
     ],
 )
 def test_record_validation_messages(build, error, message):

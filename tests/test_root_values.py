@@ -13,6 +13,7 @@ import inspect
 import itertools
 import math
 import operator
+import re
 import time
 from fractions import Fraction
 
@@ -61,7 +62,7 @@ from qmaass.series import (
     int_slots,
     pochhammer,
 )
-from qmaass.theta import family_params
+from qmaass.theta import QuadForm, family_params
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PRIME_POWERS = (4, 8, 9, 16, 25, 27, 32)
@@ -237,10 +238,12 @@ def test_order_bound():
         lambda: kz_root_value(1, 1, big),
         lambda: u_root_value(1, 1, big),
         lambda: quantum_value(1, 1, 1, Fraction(1, big)),
-        lambda: quantum_value(1, 1, 1, 0.1),  # a float is its exact binary fraction
     ):
         with pytest.raises(QSeriesError, match=f"order bound {MAX_ROOT_ORDER}"):
             call()
+    # a float is no exact point, not even its binary fraction of order 2^55
+    with pytest.raises(QSeriesError, match="^x must be a rational"):
+        quantum_value(1, 1, 1, 0.1)
     # families 2 and 4 are evaluated at e(2x): x = 1/(2 big) has order big
     with pytest.raises(QSeriesError):
         quantum_value(2, 1, 1, Fraction(1, 2 * big))
@@ -401,6 +404,9 @@ INT_ARGUMENTS = {
     "bailey.pair_relative_q": ((2, 1), {"k": 0, "ell": 3}),
     "bailey.relation_sums": ((unit_pair("q"), 2, 10), {"n_max": -1}),
     "bailey.verify_pair": ((unit_pair("q"), 2, 10), {"n_max": -1}),
+    "cyclotomic.CycNumber.from_powers": ((5, {1: 1}), {"order": 0}),
+    "cyclotomic.CycNumber.from_rational": ((5, 1), {"order": 0}),
+    "cyclotomic.CycNumber.zeta": ((5, 2), {"order": 0, "power": None}),
     "cyclotomic.check_root_order": ((5,), {"N": 0}),
     "families.family_series": ((1, 1, 1, 10), _J_K_ELL),
     "families.kz_root_value": ((1, 1, 5), {"k": 0, "ell": 2, "N": MAX_ROOT_ORDER + 1}),
@@ -418,6 +424,7 @@ INT_ARGUMENTS = {
     "series.gaussian_binomial": ((5, 2), {"n": None, "k": None}),
     "series.inverse_pochhammer": (("q", 3, 10), {"n": -1}),
     "series.pochhammer": (("q", 3, 10), {"n": -1}),
+    "series.QSeries.zero": ((10, 2), {"denom": 0}),
     "theta.QuadForm": ((2,), {"M": 1}),
     "theta.ThetaParams": ((5, (Fraction(1, 6), 0), (0, 0)), {"M": 1}),
     "theta.completion_defect": ((family_params(1, 1, 1).params, 1j, 10), {"lattice_cut": 0}),
@@ -429,15 +436,63 @@ INT_ARGUMENTS = {
 }
 
 
+# Every exact rational argument of the API, by "module.qualified.name":
+# valid arguments, and for each rational they hold, its place ("param",
+# or "param[i]" for an entry of a sequence argument, "param[i][j]" one
+# level deeper) and the name its refusal gives.  Each place must refuse
+# True, 0.5, "1/3" and None with QSeriesError naming it;
+# tests/test_api_surface.py checks that every public parameter annotated
+# as a rational (Fraction or _EXPONENT) is listed here.
+_X = {"x": "x"}
+_R = {"r[0]": "r1", "r[1]": "r2"}
+_HALF = (QSeries.one(10), Fraction(1, 2))
+RATIONAL_ARGUMENTS = {
+    "maass.cocycle_samples": ((MaassCoeffTable(24, {1: 1}), (1, 0, 0, 1), [Fraction(1, 3)], None, False,
+                               (8, 4), 1.0), {"xs[0]": "x"}),
+    "maass.quantum_value": ((1, 1, 1, Fraction(1, 5)), _X),
+    "maass.radial_limit_check": ((1, 1, 1, Fraction(1, 5)), _X),
+    "series.QSeries.coeff": (_HALF, {"exponent": "exponent"}),
+    "series.QSeries.compose_power": (_HALF, {"c": "c"}),
+    "series.QSeries.from_terms": (([(Fraction(1, 2), 1), (1, 2)], 5), {"terms[0][0]": "exponent",
+                                                                       "terms[1][0]": "exponent"}),
+    "series.QSeries.monomial": ((1, Fraction(1, 2), 5), {"exponent": "exponent"}),
+    "series.QSeries.shift": (_HALF, {"exponent": "exponent"}),
+    "theta.QuadForm.boundary_pairing": ((QuadForm(4), (Fraction(1, 2), 1), 1), _R),
+    "theta.QuadForm.normal_pairing": ((QuadForm(4), (Fraction(1, 2), 1), 2), _R),
+    "theta.QuadForm.value": ((QuadForm(4), (Fraction(1, 2), 1)), _R),
+    "theta.ThetaParams": ((4, (Fraction(1, 5), Fraction(1, 7)), (Fraction(1, 3), Fraction(1, 11))),
+                          {"a[0]": "a1", "a[1]": "a2", "b[0]": "b1", "b[1]": "b2"}),
+    "theta.family_lattice_numeric": ((1, 1, 1, Fraction(1, 5), [0.5]), _X),
+}
+
+
+def _placed(arg, path: list, value):
+    """``arg`` with its entry at ``path`` (indices, outermost first) replaced by ``value``."""
+    if not path:
+        return value
+    items = list(arg)
+    items[path[0]] = _placed(items[path[0]], path[1:], value)
+    return type(arg)(items)
+
+
+def _call(name: str, args: tuple, place: str = "", value=None):
+    """The call of ``name`` on ``args``, with the argument at ``place``
+    (a parameter, then the indices of an entry) replaced by ``value``
+    when given."""
+    module, *path = name.split(".")
+    func = functools.reduce(getattr, path, importlib.import_module(f"qmaass.{module}"))
+    bound = inspect.signature(func).bind(*args)
+    if place:
+        param = place.split("[")[0]
+        indices = [int(i) for i in re.findall(r"\[(\d+)\]", place)]
+        bound.arguments[param] = _placed(bound.arguments[param], indices, value)
+    return lambda: func(*bound.args, **bound.kwargs)
+
+
 def _int_call(name: str, param: str = "", value=None):
     """The call of ``name`` on its INT_ARGUMENTS arguments, with ``param``
     replaced by ``value`` when given."""
-    module, qualname = name.split(".")
-    func = getattr(importlib.import_module(f"qmaass.{module}"), qualname)
-    bound = inspect.signature(func).bind(*INT_ARGUMENTS[name][0])
-    if param:
-        bound.arguments[param] = value
-    return lambda: func(*bound.args, **bound.kwargs)
+    return _call(name, INT_ARGUMENTS[name][0], param, value)
 
 
 @pytest.mark.parametrize("name", sorted(INT_ARGUMENTS))
@@ -472,6 +527,29 @@ def test_root_and_chain_validators_refuse_bools(call):
     # the same way, with QSeriesError.
     with pytest.raises(QSeriesError):
         call()
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_ARGUMENTS))
+def test_the_rational_argument_table_calls_are_valid(name):
+    # So each refusal below is the replaced rational's.
+    _call(name, RATIONAL_ARGUMENTS[name][0])()
+
+
+@pytest.mark.parametrize("name, place, shown, value", [
+    pytest.param(name, place, shown, value, id=f"{name}.{place}={value!r}")
+    for name, (_, places) in RATIONAL_ARGUMENTS.items()
+    for place, shown in places.items()
+    for value in (True, 0.5, "1/3", None)
+])
+def test_rational_arguments_refuse_bools_floats_strings_and_none(name, place, shown, value):
+    # A bool is an int subclass but no exact point, exponent or shift, a
+    # float no exact rational: refused, not read as 1 or as its binary
+    # fraction.  The message names the refused rational.
+    call = _call(name, RATIONAL_ARGUMENTS[name][0], place, value)
+    message = f"{shown} must be a rational (an int or a Fraction), got {value!r}"
+    with pytest.raises(QSeriesError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("ell", range(1, 7))

@@ -41,7 +41,7 @@ from qmaass.theta import (
     _denominators,
     _equivalent,
     _family_shell,
-    _frac_pair,
+    _rational_pair,
     _gauss_legendre,
     _lattice_table,
     _lattice_walk,
@@ -68,6 +68,12 @@ from qmaass.theta import (
 F = Fraction
 
 
+def _fractions(v) -> tuple[Fraction, Fraction]:
+    """The pair ``v`` as Fractions, for references that take any rationals."""
+    x, y = v
+    return Fraction(x), Fraction(y)
+
+
 class FractionForm(QuadForm):
     """QuadForm with the Fraction-only helpers the validation used before
     it moved to integer numerators, the form's and the automorph's
@@ -84,12 +90,12 @@ class FractionForm(QuadForm):
         return ((M, M - 1), (M + 1, M))
 
     def bilinear(self, r, s) -> Fraction:
-        x, y = _frac_pair(r)
-        u, w = _frac_pair(s)
+        x, y = _fractions(r)
+        u, w = _fractions(s)
         return (self.M + 1) * x * u - (self.M - 1) * y * w
 
     def apply_automorph(self, v) -> tuple[Fraction, Fraction]:
-        x, y = _frac_pair(v)
+        x, y = _fractions(v)
         M = self.M
         return (M * x + (M - 1) * y, (M + 1) * x + M * y)
 
@@ -373,12 +379,17 @@ def test_tampered_family_record_fails_both_checks(j, monkeypatch):
     assert not verify_theta_embedding(j, k, ell, 40).ok
 
 
-def test_frac_pair_passes_fractions_through():
+def test_rational_pair_reads_each_coordinate():
     pair = (F(1, 3), F(-2, 5))
-    got = _frac_pair(pair)
+    got = _rational_pair(pair, "a")
     assert got[0] is pair[0] and got[1] is pair[1]
-    converted = _frac_pair([3, F(1, 2)])
+    converted = _rational_pair([3, F(1, 2)], "a")
     assert converted == (F(3), F(1, 2)) and all(type(c) is F for c in converted)
+    for bad in (True, 0.5, "1/3", None):
+        with pytest.raises(QSeriesError, match=r"^r1 must be a rational \(an int or a Fraction\), got "):
+            _rational_pair((bad, 1), "r")
+        with pytest.raises(QSeriesError, match="^r2 must be a rational"):
+            _rational_pair((1, bad), "r")
 
 
 # ------------------------------------ Fraction reference for the validation
@@ -389,7 +400,7 @@ def test_frac_pair_passes_fractions_through():
 
 def reference_star(v) -> tuple[Fraction, Fraction]:
     """The reflection (x1, x2) -> (-x1, x2)."""
-    x, y = _frac_pair(v)
+    x, y = _fractions(v)
     return (-x, y)
 
 
@@ -400,8 +411,8 @@ def reference_equivalence_check(pair1, pair2, M: int) -> bool:
     same sign choice in both, and B(a, mu) an integer.
     """
     form = FractionForm(M)
-    a, b = _frac_pair(pair1[0]), _frac_pair(pair1[1])
-    al, be = _frac_pair(pair2[0]), _frac_pair(pair2[1])
+    a, b = _fractions(pair1[0]), _fractions(pair1[1])
+    al, be = _fractions(pair2[0]), _fractions(pair2[1])
     for sign in (1, -1):
         da = (a[0] + sign * al[0], a[1] + sign * al[1])
         mu = (b[0] + sign * be[0], b[1] + sign * be[1])
@@ -438,7 +449,7 @@ def reference_validate_params(M: int, a, b) -> tuple[str, dict, tuple, object]:
     first reference vector onto the second, the half-integer phase
     collapse, and which equivalence branch holds.
     """
-    a, b = _frac_pair(a), _frac_pair(b)
+    a, b = _fractions(a), _fractions(b)
     form = FractionForm(M)
     gamma = form.apply_automorph
 
@@ -507,7 +518,7 @@ def reference_validate_theta_params(M: int, a, b) -> CheckReport:
     status, details, shifts, pairing = reference_validate_params(M, a, b)
     return CheckReport(
         check="theta_params",
-        params={"M": M, "a": _frac_pair(a), "b": _frac_pair(b)},
+        params={"M": M, "a": _fractions(a), "b": _fractions(b)},
         status=status,
         details={**details, "shifts": list(shifts), "pairing": pairing},
     )
@@ -592,7 +603,7 @@ def test_validate_params_fails_the_off_family_control():
 
 def _param_checks_of(M: int, a, b) -> tuple:
     """theta._param_checks on the integer numerators of Fraction pairs a, b."""
-    (D, (A,)), (E, (B,)) = _over_common(_frac_pair(a)), _over_common(_frac_pair(b))
+    (D, (A,)), (E, (B,)) = _over_common(_fractions(a)), _over_common(_fractions(b))
     return _param_checks(M, A, D, B, E)
 
 
@@ -644,7 +655,7 @@ def test_integer_validation_matches_reference_on_tampered_records(case):
     status, details, shifts, pairing = _param_checks_of(M, a, b)
     expected = reference_validate_params(M, a, b)
     assert (status, details, shifts, pairing) == expected and list(details) == list(expected[1])
-    a1, a2 = _frac_pair(a)
+    a1, a2 = _fractions(a)
     if (a1 + a2).denominator != 1 and (a1 - a2).denominator != 1:
         assert _same_report(validate_params(ThetaParams(M, a, b)), reference_validate_theta_params(M, a, b))
     else:
@@ -1366,7 +1377,7 @@ def modular_spotcheck_m2(
     """
     M = 2
     form = QuadForm(M)
-    params = ThetaParams(M=M, a=_frac_pair(a), b=_frac_pair(b))
+    params = ThetaParams(M=M, a=_fractions(a), b=_fractions(b))
     a_v, b_v = params.a, params.b
 
     # Shift law.  The matrix diagonal is (M+1, 1-M); applying the inverse
