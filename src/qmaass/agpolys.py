@@ -186,8 +186,6 @@ def ag_generating(constraint: PartitionConstraint, trunc) -> QSeries:
     """
     trunc = finite_trunc(trunc)
     size = int_slots(trunc)
-    if size <= 0:
-        return QSeries.zero(trunc)
     npos = constraint.part_bound - 1
     caps = {1: constraint.first_freq_bound - 1}
     caps[npos] = min(caps.get(npos, size), constraint.last_freq_bound - 1)

@@ -30,6 +30,7 @@ from .series import (
     QSeries,
     QSeriesError,
     TruncatedRing,
+    _lattice_row,
     choice_arg,
     finite_trunc,
     int_arg,
@@ -39,15 +40,6 @@ from .series import (
 
 RELATIVES = ("one", "q")
 IDENTITY_KINDS = ("gauss", "even")
-
-
-def quadratic_shift(k: int, ell: int, nu: int) -> int:
-    """Integer value of ((2k+1) nu^2 + (2k - 2 ell + 1) nu) / 2.
-
-    The numerator is congruent to nu^2 + nu = nu (nu + 1) mod 2, so it is
-    even and the halving is exact for every integer k, ell and nu.
-    """
-    return ((2 * k + 1) * nu * nu + (2 * k - 2 * ell + 1) * nu) // 2
 
 
 class BaileyPair(Record):
@@ -128,15 +120,10 @@ def relation_sums(pair: BaileyPair, n_max: int, trunc) -> list[QSeries]:
     """The relation sums for n = 0, ..., n_max below the finite ``trunc``,
     from one :func:`_sweep` in Z[x]/(x^T), T = ceil(trunc), on the alpha
     maps below x^T, sized by one twin pass and decoded
-    (:meth:`~qmaass.series.PackedRing.sums`).  Equal neighbouring sums are
-    one series."""
-    t = finite_trunc(trunc)
-    size = int_slots(t)
-    alphas, d = _alpha_maps(pair.alpha, n_max, size), RELATIVES.index(pair.relative)
-    out = []
-    for coeffs in TruncatedRing.sums(size, lambda ring: _sweep(ring, alphas, d)):
-        out.append(out[-1] if out and out[-1]._coeffs == coeffs else QSeries._from_clean(coeffs, 1, t))
-    return out
+    (:meth:`~qmaass.series.TruncatedRing.series`).  Equal neighbouring sums
+    are one series."""
+    alphas, d = _alpha_maps(pair.alpha, n_max, int_slots(finite_trunc(trunc))), RELATIVES.index(pair.relative)
+    return TruncatedRing.series(trunc, lambda ring: _sweep(ring, alphas, d))
 
 
 def verify_pair(pair: BaileyPair, n_max: int, trunc) -> CheckReport:
@@ -164,18 +151,20 @@ def verify_pair(pair: BaileyPair, n_max: int, trunc) -> CheckReport:
 # ------------------------------------------------------------- explicit pairs
 
 
-def _lattice_alpha(size: int, k: int, ell: int, base: int, nus: range, factor: list) -> dict:
-    """The nonzero terms below x^size of the sum over nu in ``nus`` of
-    (-1)^nu x^(base - quadratic_shift(k, ell, nu)) times the polynomial
-    ``factor``, its (exponent, coefficient) terms in rising exponent: one
-    pass over the product terms, stopping each nu at x^size."""
+def _lattice_alpha(size: int, k: int, ell: int, base: int, lo: int, hi: int, factor: list) -> dict:
+    """The nonzero terms below x^size of the sum over lo <= nu <= hi of
+    (-1)^nu x^(base - ((2k+1) nu^2 + (2k - 2ell + 1) nu) / 2) times the
+    polynomial ``factor``, its (exponent, coefficient) terms in rising
+    exponent: a row of :func:`~qmaass.series._lattice_row`, each nu's
+    product terms cut at x^size."""
     out = {}
-    for nu in nus:
-        low, sign = base - quadratic_shift(k, ell, nu), -1 if nu % 2 else 1
-        for i, c in factor:
-            if low + i >= size:
-                break
-            out[low + i] = out.get(low + i, 0) + sign * c
+    for nus, lows in _lattice_row(2 * k + 1, 2 * k - 2 * ell + 1, base, size, lo, hi):
+        for nu, low in zip(nus, lows):
+            sign = -1 if nu % 2 else 1
+            for i, c in factor:
+                if low + i >= size:
+                    break
+                out[low + i] = out.get(low + i, 0) + sign * c
     return {e: c for e, c in out.items() if c}
 
 
@@ -189,7 +178,7 @@ def pair_relative_one(k: int, ell: int) -> BaileyPair:
     check_chain_params(k, ell)
 
     def alpha(n: int, size: int) -> dict:
-        return _lattice_alpha(size, k, ell, (k + 1) * n * n - n, range(-n, n), [(0, -1), (2 * n, 1)])
+        return _lattice_alpha(size, k, ell, (k + 1) * n * n - n, -n, n - 1, [(0, -1), (2 * n, 1)])
 
     def betas(ring, n_max: int) -> list:
         return [0, *_walk(ring, k, ell, 1, n_max)[1:]]
@@ -213,7 +202,7 @@ def pair_relative_q(k: int, ell: int) -> BaileyPair:
 
     def alpha(n: int, size: int) -> dict:
         geometric = [(i, 1) for i in range(2 * n + 1)]
-        return _lattice_alpha(size, k, ell, (k + 1) * n * n + k * n, range(-n, n + 1), geometric)
+        return _lattice_alpha(size, k, ell, (k + 1) * n * n + k * n, -n, n, geometric)
 
     def betas(ring, n_max: int) -> list:
         return _walk(ring, k, ell, 0, n_max)

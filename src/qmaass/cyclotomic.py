@@ -37,7 +37,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import repeat
 
-from .series import L1Bound, PackedRing, QSeriesError, _clean, _int_product, int_arg
+from .series import L1Bound, PackedRing, QSeriesError, _clean, _int_product, int_arg, rational_arg
 
 
 class _Phi(tuple):
@@ -95,7 +95,7 @@ class CycNumber:
     # ------------------------------------------------------------------ build
     @classmethod
     def from_rational(cls, order: int, value) -> "CycNumber":
-        return cls(int_arg(order, "order", 1), [value])
+        return cls(int_arg(order, "order", 1), [rational_arg(value, "coefficient")])
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "CycNumber":
@@ -106,7 +106,7 @@ class CycNumber:
         """Build sum of c * zeta_order^k from a power->coefficient map."""
         vec = [0] * int_arg(order, "order", 1)
         for k, c in powers.items():
-            vec[k % order] += c
+            vec[k % order] += rational_arg(c, "coefficient")
         return cls(order, vec)
 
     def _pair(self, other) -> tuple["CycNumber", "CycNumber"]:

@@ -11,9 +11,8 @@ coefficient tables, and cyclotomic root-of-unity values.
 * :func:`sigma_series` / :func:`sigma_star_series` give the two classical
   partial-theta companions in all their representations; their integer
   tables are read off their lattices (Cohen's M = 5 lattice, family 4's).
-* :func:`_lattice_row` enumerates the points below a truncation, row by
-  row, for every exact lattice sum: :func:`negative_part_series` (the
-  companion sum over its cone) and :mod:`qmaass.theta`'s.
+* :func:`negative_part_series` sums the companion over its cone, row by
+  row from :func:`~qmaass.series._lattice_row`, as :mod:`qmaass.theta` does.
 * :func:`kz_root_value`, :func:`u_root_value`, :func:`verify_kz_duality`
   evaluate the Kontsevich-Zagier-type finite sums at roots of unity and
   check the duality between them.
@@ -30,7 +29,7 @@ from .agpolys import _walk, check_chain_params
 from .bailey import LIMIT_WEIGHTS, chain_sum, limit_top
 from .cyclotomic import CycNumber, CyclicRing, check_root_order, root_sums
 from .reports import CheckReport, Record, report_from_condition
-from .series import QSeries, TruncatedRing, choice_arg, finite_trunc, int_arg, int_slots
+from .series import QSeries, TruncatedRing, _lattice_row, choice_arg, finite_trunc, int_arg, int_slots
 
 __all__ = [
     "FAMILIES",
@@ -116,17 +115,15 @@ FAMILIES = {
 }
 
 
-def _truncated_chain_sum(weights: tuple, k: int, ell: int, t: Fraction) -> dict:
-    """:func:`chain_sum` below ``t`` over Z[x]/(x^T), T = ceil(t), on the
-    chain polynomials with boundary bit ``first``, to the proven top of
-    :func:`~qmaass.bailey.limit_top` at settle 0: the chain polynomials
+def _chain_build(weights: tuple, k: int, ell: int):
+    """The build of :func:`chain_sum` over Z[x]/(x^T), T = ``ring.horizon``,
+    on the chain polynomials with boundary bit ``first``, to the proven top
+    of :func:`~qmaass.bailey.limit_top` at settle 0: the chain polynomials
     are constant mod x^T from T - 1 on (:func:`~qmaass.agpolys._walk`)."""
-    first = weights[1]
-    size = int_slots(t)
-    top = limit_top(weights, size)
-    (coeffs,) = TruncatedRing.sums(
-        size, lambda ring: [chain_sum(ring, weights, _walk(ring, k, ell, first, top), top)])
-    return coeffs
+    def build(ring) -> list:
+        top = limit_top(weights, ring.horizon)
+        return [chain_sum(ring, weights, _walk(ring, k, ell, weights[1], top), top)]
+    return build
 
 
 def family_series(j: int, k: int, ell: int, trunc) -> QSeries:
@@ -138,9 +135,8 @@ def family_series(j: int, k: int, ell: int, trunc) -> QSeries:
     """
     _validate_family(j, k, ell)
     fam = FAMILIES[j]
-    t = finite_trunc(trunc)
-    coeffs = _truncated_chain_sum(LIMIT_WEIGHTS[fam.identity], k, ell, t)
-    return QSeries({e: Fraction(c * fam.sum_scale, 2) for e, c in coeffs.items()}, 1, t)
+    (chains,) = TruncatedRing.series(trunc, _chain_build(LIMIT_WEIGHTS[fam.identity], k, ell))
+    return chains.scale(Fraction(fam.sum_scale, 2))
 
 
 # ------------------------------------------------------- classical companions
@@ -161,28 +157,24 @@ def sigma_series(rep: str, trunc) -> QSeries:
 
     All four agree coefficient-for-coefficient below ``trunc``.
     """
-    choice_arg(rep, "rep", SIGMA_REPS)
-    t = finite_trunc(trunc)
-    size = int_slots(t)
-    if size <= 0:
-        return QSeries.zero(t)
+    if choice_arg(rep, "rep", SIGMA_REPS) == "indefinite":
+        t = finite_trunc(trunc)
+        size = int_slots(t)
+        return QSeries.from_dense(sigma_coefficients(size - 1), t) if size else QSeries.zero(t)
     if rep == "averaged":
-        return QSeries._from_clean(_truncated_chain_sum((1, 0, None), 1, 1, t), 1, t)
-    if rep == "indefinite":
-        return QSeries.from_dense(sigma_coefficients(size - 1), t)
-    if rep == "pochhammer":
+        build = _chain_build((1, 0, None), 1, 1)
+    elif rep == "pochhammer":
         def build(ring) -> list:
             total = term = 1
-            for n in itertools.takewhile(lambda n: n * (n + 1) // 2 < size, itertools.count(1)):
+            for n in itertools.takewhile(lambda n: n * (n + 1) // 2 < ring.horizon, itertools.count(1)):
                 term = ring.rot(ring.divide(term, n, -1), n)
                 total += term
             return [total]
     else:
         def build(ring) -> list:
-            terms = (ring.rot(1, n + 1) for n in range(size - 1))
+            terms = (ring.rot(1, n + 1) for n in range(ring.horizon - 1))
             return [1 + ring.pochhammer_sum([ring.sub(0, a) if n % 2 else a for n, a in enumerate(terms)])]
-    (coeffs,) = TruncatedRing.sums(size, build)
-    return QSeries._from_clean(coeffs, 1, t)
+    return TruncatedRing.series(trunc, build)[0]
 
 
 def sigma_coefficients(n_max: int) -> list:
@@ -209,24 +201,18 @@ def sigma_star_series(rep: str, trunc) -> QSeries:
 
     Both agree below ``trunc``; the leading term is -2q.
     """
-    choice_arg(rep, "rep", SIGMA_STAR_REPS)
-    t = finite_trunc(trunc)
-    size = int_slots(t)
-    if size <= 0:
-        return QSeries.zero(t)
-    if rep == "odd-pochhammer":
+    if choice_arg(rep, "rep", SIGMA_STAR_REPS) == "odd-pochhammer":
         def build(ring) -> list:
             total, term = 0, 1
-            for n in itertools.takewhile(lambda n: n * n < size, itertools.count(1)):
+            for n in itertools.takewhile(lambda n: n * n < ring.horizon, itertools.count(1)):
                 term = ring.sub(0, ring.rot(ring.divide(term, 2 * n - 1), 2 * n - 1))
                 total += term
             return [2 * total]
     else:
         def build(ring) -> list:
-            terms = [ring.rot(1, n + 1) for n in range(size - 1)]
+            terms = [ring.rot(1, n + 1) for n in range(ring.horizon - 1)]
             return [2 * ring.sub(0, ring.pochhammer_sum(terms, 2))]
-    (coeffs,) = TruncatedRing.sums(size, build)
-    return QSeries._from_clean(coeffs, 1, t)
+    return TruncatedRing.series(trunc, build)[0]
 
 
 def sigma_star_coefficients(n_max: int) -> list:
@@ -236,40 +222,6 @@ def sigma_star_coefficients(n_max: int) -> list:
 
     fourth, _ = _lattice_table(4, 1, 1, int_arg(n_max, "n_max", 0) + 1)  # shell_denom 1: integers
     return [c if m & 1 else -c for m, c in enumerate(fourth)]
-
-
-# ---------------------------------------------------------------- lattice rows
-
-
-def _kept_nus(square: int, linear: int, excess: int, lo: int, hi: int) -> tuple:
-    """The nu in lo..hi with (square nu^2 + linear nu) / 2 > excess, as
-    ascending ranges.
-
-    With disc = linear^2 + 8 square excess >= 0 the others are the integers
-    between the parabola's real roots r1 <= r2, [ceil(r1), floor(r2)].  Both
-    ends are exact from isqrt(disc), since floor((m + sqrt(disc)) / d) =
-    floor((m + isqrt(disc)) / d) for integers m and d > 0.
-    """
-    disc = linear * linear + 8 * square * excess
-    if disc < 0:
-        return (range(lo, hi + 1),)
-    root = math.isqrt(disc)
-    first_out = -((linear + root) // (2 * square))
-    last_out = (root - linear) // (2 * square)
-    return range(lo, min(hi, first_out - 1) + 1), range(max(lo, last_out + 1), hi + 1)
-
-
-def _lattice_row(square: int, linear: int, start: int, top: int, lo: int, hi: int):
-    """(nus, exponents) per nonempty run of the nu in lo..hi whose exponent
-    start - (square nu^2 + linear nu) / 2, square + linear even, is below
-    ``top``: the end runs of :func:`_kept_nus`, each exponent a running sum.
-    Every exact lattice sum reads its points from here."""
-    for nus in _kept_nus(square, linear, start - top, lo, hi):
-        if nus:
-            nu = nus.start
-            step = -((square * (2 * nu + 1) + linear) // 2)  # exponent at nu + 1 minus at nu
-            steps = range(step, step - square * (len(nus) - 1), -square)
-            yield nus, itertools.accumulate(steps, initial=start - (square * nu * nu + linear * nu) // 2)
 
 
 # ---------------------------------------------------------------- negative part

@@ -752,6 +752,18 @@ class TruncatedRing(PackedRing):
 
     twin = MajorantBound  # sizes the ring by Cauchy's estimate, not the L1 norm
 
+    @classmethod
+    def series(cls, trunc, build) -> list[QSeries]:
+        """The elements of the list ``build(ring)`` of :meth:`packed` as
+        QSeries below the finite ``trunc``, over T = ceil(trunc) slots, which
+        ``build`` reads as ``ring.horizon``; equal neighbours are one series.
+        Every truncated packed sum reaches QSeries here."""
+        t = finite_trunc(trunc)
+        out = []
+        for coeffs in cls.sums(int_slots(t), build):
+            out.append(out[-1] if out and out[-1]._coeffs == coeffs else QSeries._from_clean(coeffs, 1, t))
+        return out
+
     def mul(self, a: int, b: int) -> int:
         return a * b & self.mask
 
@@ -781,10 +793,9 @@ _POCH_NAMES = {
 def _factors(kind: str, n: int, trunc, apply) -> QSeries:
     """The first n factors (1 - c x^e) of ``kind``, each applied to a value
     of Z[x]/(x^T), 1 at first, by ``apply(ring, value, e, c)``, in one
-    :meth:`TruncatedRing.sums` pass, T = ceil(trunc)."""
+    :meth:`TruncatedRing.series` pass, T = ceil(trunc)."""
     int_arg(n, "n", 0)
     coeff, exponent, step = _POCH_NAMES[choice_arg(kind, "kind", tuple(_POCH_NAMES))]
-    t = finite_trunc(trunc)
 
     def build(ring) -> list:
         a = 1
@@ -792,8 +803,7 @@ def _factors(kind: str, n: int, trunc, apply) -> QSeries:
             a = apply(ring, a, e, coeff)
         return [a]
 
-    (coeffs,) = TruncatedRing.sums(int_slots(t), build)
-    return QSeries._from_clean(coeffs, 1, t)
+    return TruncatedRing.series(trunc, build)[0]
 
 
 def _times(ring, a: int, e: int, c: int) -> int:
@@ -836,3 +846,37 @@ def gaussian_binomial(n: int, k: int, trunc=INF) -> QSeries:
     g = min(k, n - k)
     ring = TruncatedRing(g * (n - g) + 1, math.comb(n, g))
     return QSeries(ring.decode(ring.binomial_sums({g: [(0, 1)]}, n - g)[-1]), 1, trunc)
+
+
+# ---------------------------------------------------------------- lattice rows
+
+
+def _kept_nus(square: int, linear: int, excess: int, lo: int, hi: int) -> tuple:
+    """The nu in lo..hi with (square nu^2 + linear nu) / 2 > excess, as
+    ascending ranges.
+
+    With disc = linear^2 + 8 square excess >= 0 the others are the integers
+    between the parabola's real roots r1 <= r2, [ceil(r1), floor(r2)].  Both
+    ends are exact from isqrt(disc), since floor((m + sqrt(disc)) / d) =
+    floor((m + isqrt(disc)) / d) for integers m and d > 0.
+    """
+    disc = linear * linear + 8 * square * excess
+    if disc < 0:
+        return (range(lo, hi + 1),)
+    root = math.isqrt(disc)
+    first_out = -((linear + root) // (2 * square))
+    last_out = (root - linear) // (2 * square)
+    return range(lo, min(hi, first_out - 1) + 1), range(max(lo, last_out + 1), hi + 1)
+
+
+def _lattice_row(square: int, linear: int, start: int, top: int, lo: int, hi: int):
+    """(nus, exponents) per nonempty run of the nu in lo..hi whose exponent
+    start - (square nu^2 + linear nu) / 2, square + linear even, is below
+    ``top``: the end runs of :func:`_kept_nus`, each exponent a running sum.
+    Every exact lattice sum reads its points from here."""
+    for nus in _kept_nus(square, linear, start - top, lo, hi):
+        if nus:
+            nu = nus.start
+            step = -((square * (2 * nu + 1) + linear) // 2)  # exponent at nu + 1 minus at nu
+            steps = range(step, step - square * (len(nus) - 1), -square)
+            yield nus, accumulate(steps, initial=start - (square * nu * nu + linear * nu) // 2)

@@ -37,9 +37,10 @@ from itertools import cycle, islice
 
 from .bessel import k0_bessel
 from .cyclotomic import CycNumber
-from .families import FAMILIES, _affine, _lattice_row, _validate_family, family_series
+from .families import FAMILIES, _affine, _validate_family, family_series
 from .reports import CheckReport, Record, _exact_str, report_from_comparison
-from .series import PrecisionError, QSeries, QSeriesError, finite_trunc, int_arg, positive_trunc, rational_arg
+from .series import (PrecisionError, QSeries, QSeriesError, _lattice_row, finite_trunc, int_arg, positive_trunc,
+                     rational_arg)
 
 
 def unit_phase(w) -> complex:
@@ -51,6 +52,8 @@ def unit_phase(w) -> complex:
 def _rational_pair(v, name: str) -> tuple[Fraction, Fraction]:
     """The pair ``v`` as Fractions, its coordinates read as name1 and name2;
     Fraction entries pass through as they are."""
+    if not isinstance(v, (tuple, list)) or len(v) != 2:
+        raise QSeriesError(f"{name} must be a pair of rationals, got {v!r}")
     x, y = v
     x, y = rational_arg(x, name + "1"), rational_arg(y, name + "2")
     return (x if type(x) is Fraction else Fraction(x), y if type(y) is Fraction else Fraction(y))
@@ -247,7 +250,7 @@ def indefinite_theta_series(params: ThetaParams, trunc) -> QSeries:
     a1 +- a2 is not integral.  In the cone the exponent numerator
     q = (M+1) x^2 - (M-1) y^2 exceeds 2 x^2, so only the rows with
     2 x^2 below the limit hold terms; each row's kept nu and their
-    exponents come from :func:`~qmaass.families._lattice_row`, as the
+    exponents come from :func:`~qmaass.series._lattice_row`, as the
     family shells' do, and its twist residues repeat along each run.
     """
     t = finite_trunc(trunc)
@@ -286,7 +289,7 @@ def _family_shell(j: int, k: int, ell: int, n: int, top: int):
     """Lattice terms of family j at outer index n with exponent below ``top``:
     (exponents, numerators), two lists of ints, the terms numerators /
     shell_denom * q^exponents.  Each part (m, mult) of the shell is a row of
-    :func:`~qmaass.families._lattice_row` with alternating signs, exponent
+    :func:`~qmaass.series._lattice_row` with alternating signs, exponent
     start - ((2k+1) nu^2 + (2k - 2 ell + 1) nu) / 2 at nu and start =
     (Q(a + (m, 0)) - Q(a)) / power = ((M + 1) m^2 + A1 m) / (2 power), a1 = A1 / (2(M + 1)).
     """

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 
-from qmaass.bailey import LIMIT_WEIGHTS, quadratic_shift
+from qmaass.bailey import LIMIT_WEIGHTS
 from qmaass.cyclotomic import CycNumber
 from qmaass.reports import _exact_str, report_from_comparison
 from qmaass.series import INF, QSeries, QSeriesError, TruncatedRing, int_slots, pochhammer
@@ -295,6 +295,16 @@ def _limit_sum(relative: str, kind: str, values, term, trunc, settle: int) -> QS
     if not (probe.is_zero() and next_probe.is_zero()):
         raise QSeriesError("limit-identity term re-entered below trunc past the cutoff")
     return sum(kept, QSeries.zero(trunc))
+
+
+def quadratic_shift(k: int, ell: int, nu: int) -> int:
+    """Integer value of ((2k+1) nu^2 + (2k - 2 ell + 1) nu) / 2, one nu at a
+    time, apart from the row kernel the library reads its alphas from.
+
+    The numerator is congruent to nu^2 + nu = nu (nu + 1) mod 2, so it is
+    even and the halving is exact for every integer k, ell and nu.
+    """
+    return ((2 * k + 1) * nu * nu + (2 * k - 2 * ell + 1) * nu) // 2
 
 
 def chain_alpha_by_series(relative: str, k: int, ell: int, n: int, trunc) -> QSeries:

@@ -372,16 +372,16 @@ def test_every_cache_is_registered():
     assert found == {name: size for name, (size, _) in CACHES.items()}
 
 
-def callers(tree: ast.Module, name: str) -> set[str]:
+def callers(tree: ast.Module, name: str, loads: bool = False) -> set[str]:
     """The qualified names of the functions in ``tree`` whose own body
-    (nested definitions left out) calls ``name``, as a name or an attribute."""
+    (nested definitions left out) calls ``name``, as a name or an attribute,
+    or with ``loads`` reads it in any way."""
     out = set()
 
     def visit(node: ast.AST, scope: str | None) -> None:
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
-                out.add(scope)
+        ref = node if loads else node.func if isinstance(node, ast.Call) else None
+        if isinstance(getattr(ref, "ctx", None), ast.Load) and getattr(ref, "attr", getattr(ref, "id", None)) == name:
+            out.add(scope)
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = child.name if scope is None else f"{scope}.{child.name}"
@@ -393,11 +393,17 @@ def callers(tree: ast.Module, name: str) -> set[str]:
     return out
 
 
+def src_callers(name: str, loads: bool = False) -> set[str]:
+    """:func:`callers` over every ``src`` module, each name as "module.function"."""
+    return {f"{path.stem}.{scope}" for path, tree in zip(SRC, _parse(SRC)) for scope in callers(tree, name, loads)}
+
+
 def test_the_caller_scan_finds_each_calling_function():
     sample = ast.parse(
         "def direct(): return _kept_nus(1)\n"
         "def via_module(): return families._kept_nus(1)\n"
         "def loads_only(): return _kept_nus\n"
+        "def stores(box): box._kept_nus = None\n"
         "class Box:\n"
         "    def method(self): return [_kept_nus(n) for n in ()]\n"
         "def outer():\n"
@@ -405,12 +411,39 @@ def test_the_caller_scan_finds_each_calling_function():
         "    return inner\n"
         "_kept_nus(0)\n"
     )
-    assert callers(sample, "_kept_nus") == {"direct", "via_module", "Box.method", "outer.inner", None}
+    calls = {"direct", "via_module", "Box.method", "outer.inner", None}
+    assert callers(sample, "_kept_nus") == calls
+    assert callers(sample, "_kept_nus", loads=True) == calls | {"loads_only"}
 
 
 def test_one_function_enumerates_the_kept_lattice_points():
     # Every exact lattice sum reads its points from one row kernel: a second
     # caller of the row rule is a second enumerator.
-    found = {f"{path.stem}.{name}" for path, tree in zip(SRC, _parse(SRC))
-             for name in callers(tree, "_kept_nus")}
-    assert found == {"families._lattice_row"}
+    assert src_callers("_kept_nus") == {"series._lattice_row"}
+
+
+def test_every_exact_lattice_sum_reads_the_row_kernel():
+    # The Bailey alphas, the companion's cone, the theta series and the
+    # family shells are all rows of quadratic lattices: one kernel, no loop
+    # over nu beside it.
+    assert src_callers("_lattice_row") == {
+        "bailey._lattice_alpha", "families.negative_part_series",
+        "theta.indefinite_theta_series", "theta._family_shell",
+    }
+
+
+#: "module.function" outside ``series`` -> why it wraps its own coefficient
+#: maps as QSeries rather than through TruncatedRing.series.
+OWN_TRUNCATION = {
+    "agpolys._chain_polynomials": "L1Bound sizing: the walk with x -> 1 bounds the digits more "
+                                  "tightly than the majorant twin, and proves whole polynomials",
+    "agpolys.ag_generating": "L1Bound sizing: its DP with x -> 1 bounds the digits more tightly "
+                             "than the majorant twin",
+}
+
+
+def test_truncated_packed_sums_reach_qseries_through_one_entry():
+    # A truncation order becomes a QSeries in TruncatedRing.series: a second
+    # copy of finite_trunc -> int_slots -> sums -> _from_clean reads here.
+    found = {name for name in src_callers("_from_clean", loads=True) if not name.startswith("series.")}
+    assert found == set(OWN_TRUNCATION)

@@ -14,6 +14,7 @@ from oracles import (
     decoded_betas,
     limit_identity_by_products,
     over_one_minus,
+    quadratic_shift,
     weighted_term,
 )
 
@@ -27,7 +28,6 @@ from qmaass.bailey import (
     BaileyPair,
     pair_relative_one,
     pair_relative_q,
-    quadratic_shift,
     relation_sums,
     synthetic_pair,
     unit_pair,
@@ -160,11 +160,13 @@ def test_pair_alpha_integer_exponents():
 
 
 @pytest.mark.parametrize("relative", RELATIVES)
-@pytest.mark.parametrize("trunc", [1, 40, Fraction(79, 2)])
+@pytest.mark.parametrize("trunc", [0, 1, 40, Fraction(79, 2), 620])
 def test_chain_alpha_maps_match_the_series_routes(relative, trunc):
     # The maps read below x^size, size = ceil(trunc), are the series the
     # pairs built before: by QSeries.from_terms for relative 1, and the
     # lattice times QSeries.from_dense([1] * (2n + 1)) for relative q.
+    # Size 0 is the empty window; at 620 the rows of small n are whole and
+    # the rows of large n are cut at the window's edge.
     size = int_slots(trunc)
     for k in range(1, 5):
         for ell in range(1, k + 1):

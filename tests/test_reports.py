@@ -15,7 +15,7 @@ from qmaass.families import Family
 from qmaass.maass import MaassCoeffTable, QuantumSample
 from qmaass.reports import CheckReport, report_from_comparison, report_from_condition
 from qmaass.series import QSeries, QSeriesError
-from qmaass.theta import FamilyThetaData, ThetaParams
+from qmaass.theta import FamilyThetaData, QuadForm, ThetaParams
 
 
 def test_pass_report_shape():
@@ -268,6 +268,15 @@ def test_record_defaults():
          "a1 must be a rational (an int or a Fraction), got True"),
         (lambda: CycNumber.from_rational(True, 1), QSeriesError, "order must be a positive integer, got True"),
         (lambda: CycNumber.from_powers(0, {1: 1}), QSeriesError, "order must be a positive integer, got 0"),
+        # A pair is two rationals; an exact field element has rational coefficients.
+        (lambda: ThetaParams(4, (F(1, 5), F(1, 7), 1), (0, 0)), QSeriesError,
+         "a must be a pair of rationals, got (Fraction(1, 5), Fraction(1, 7), 1)"),
+        (lambda: ThetaParams(4, F(1, 5), (0, 0)), QSeriesError, "a must be a pair of rationals, got Fraction(1, 5)"),
+        (lambda: ThetaParams(4, (F(1, 5), F(1, 7)), 0), QSeriesError, "b must be a pair of rationals, got 0"),
+        (lambda: QuadForm(4).value((1, 2, 3)), QSeriesError, "r must be a pair of rationals, got (1, 2, 3)"),
+        *((build, QSeriesError, f"coefficient must be a rational (an int or a Fraction), got {c!r}")
+          for c in (0.5, True, "1")
+          for build in (lambda c=c: CycNumber.from_rational(5, c), lambda c=c: CycNumber.from_powers(5, {1: c}))),
     ],
 )
 def test_record_validation_messages(build, error, message):

@@ -25,14 +25,14 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from oracles import negate_variable
+from oracles import negate_variable, quadratic_shift
 
 from qmaass import PrecisionError, QSeries, QSeriesError
-from qmaass.bailey import quadratic_shift
 from qmaass.bessel import k0_bessel
 from qmaass.cyclotomic import CycNumber
-from qmaass.families import FAMILIES, _affine, _kept_nus, family_series, sigma_series, sigma_star_series
+from qmaass.families import FAMILIES, _affine, family_series, sigma_series, sigma_star_series
 from qmaass.reports import CheckReport
+from qmaass.series import _kept_nus
 from qmaass.theta import (
     COHEN_LATTICE,
     QuadForm,
@@ -1028,7 +1028,7 @@ class TestIntegerWalk:
             return ranges
 
         # patch, not monkeypatch: a function-scoped fixture trips the health check
-        with patch("qmaass.families._kept_nus", counted):
+        with patch("qmaass.series._kept_nus", counted):
             indefinite_theta_series(params, trunc)
         form, (a1, a2) = QuadForm(params.M), params.a
         box = math.isqrt(math.ceil(trunc)) + 1 + max(math.ceil(abs(c)) for c in params.a)
