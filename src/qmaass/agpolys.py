@@ -113,21 +113,22 @@ def ag_polynomials(k: int, ell: int, b: int, n_max: int, trunc=INF) -> list[QSer
 
 
 def _chain_polynomials(k: int, ell: int, b: int, n_max: int, trunc, first: int = 0) -> list:
-    """Entries first..n_max of :func:`ag_polynomials`, the only ones decoded."""
+    """Entries first..n_max of :func:`ag_polynomials`, the only ones decoded.
+    Whole polynomials are sized by L1Bound over their degree bound, and
+    their q = 1 totals prove that no term lies above it."""
     check_chain_params(k, ell)
     int_arg(b, "b", 0, 1)
-    whole = trunc == INF
-    t = INF if whole else finite_trunc(trunc)
-    slots = _degree_bound(k, b, n_max) + 1 if whole else int_slots(t)
-    twin = L1Bound() if whole else TruncatedRing.twin(slots)
-    sizes = _walk(twin, k, ell, b, n_max)
-    ring = TruncatedRing(slots, twin.bound(sizes))
+    if trunc != INF:
+        return TruncatedRing.series(trunc, lambda ring: _walk(ring, k, ell, b, n_max)[first:])
+    slots = _degree_bound(k, b, n_max) + 1
+    sizes = _walk(L1Bound(), k, ell, b, n_max)
+    ring = TruncatedRing(slots, L1Bound().bound(sizes))
     out, prev = [], None
     for n, a in enumerate(_walk(ring, k, ell, b, n_max)[first:], first):
         if a != prev:
             coeffs = ring.decode(a)
-            poly, total, prev = QSeries._from_clean(coeffs, 1, t), sum(coeffs.values()), a
-        if whole and total != sizes[n]:
+            poly, total, prev = QSeries._from_clean(coeffs, 1, INF), sum(coeffs.values()), a
+        if total != sizes[n]:
             raise QSeriesError(f"chain polynomial {n} has terms above its degree bound {slots - 1}")
         out.append(poly)
     return out

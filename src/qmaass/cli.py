@@ -289,8 +289,7 @@ def _csv_cell(value) -> str:
 #
 # Each builder returns a suite's checks in output order.  A check is a
 # partial of a module-level report function over plain arguments and
-# returns one report or an iterable of reports.  Bailey pairs are built
-# when their check runs, so a finished check keeps nothing alive.
+# returns one report or an iterable of reports.
 
 
 def _checks_chain_relation(cfg: RunConfig):
@@ -329,18 +328,6 @@ def _checks_classical_reps(cfg: RunConfig):
     ]
 
 
-def _check_unit_pair(relative, nmax, order):
-    return verify_pair(unit_pair(relative), nmax, order)
-
-
-def _check_chain_pair(relative, k, ell, nmax, order):
-    return verify_pair(CHAIN_PAIRS[relative](k, ell), nmax, order)
-
-
-def _check_limit(relative, kind, order):
-    return verify_limiting_identity(CHAIN_PAIRS[relative](1, 1), relative, kind, order)
-
-
 def _check_synthetic_pairs(order):
     """Six seeded random pairs: each one's relation, then its limit identities."""
     import random  # only this suite draws random pairs; the other commands never load it
@@ -360,9 +347,9 @@ def _checks_pair_relation(cfg: RunConfig):
     order = cfg.order if cfg.order is not None else Fraction(40)
     checks = []
     for relative in RELATIVES:
-        checks.append(partial(_check_unit_pair, relative, nmax, order))
+        checks.append(partial(verify_pair, unit_pair(relative), nmax, order))
         checks.extend(
-            partial(_check_chain_pair, relative, k, ell, nmax, order)
+            partial(verify_pair, CHAIN_PAIRS[relative](k, ell), nmax, order)
             for k in range(1, kmax + 1)
             for ell in range(1, k + 1)
         )
@@ -370,7 +357,7 @@ def _checks_pair_relation(cfg: RunConfig):
     # are checked only on pairs whose 0-index entries vanish: the chain
     # pairs and the synthetic pairs, never the unit pairs.
     checks.extend(
-        partial(_check_limit, relative, kind, order)
+        partial(verify_limiting_identity, CHAIN_PAIRS[relative](1, 1), relative, kind, order)
         for relative in RELATIVES
         for kind in IDENTITY_KINDS
     )

@@ -102,10 +102,9 @@ def report_from_comparison(
     params: dict,
     lhs: QSeries,
     rhs: QSeries,
-    up_to=None,
 ) -> CheckReport:
-    """Coefficient-exact comparison below ``up_to`` (and both truncations)."""
-    bad = lhs.first_mismatch(rhs, up_to)
+    """Coefficient-exact comparison below both truncations."""
+    bad = lhs.first_mismatch(rhs)
     if bad is None:
         return CheckReport(check, dict(params), "pass")
     return CheckReport(

@@ -74,6 +74,18 @@ def rational_arg(value, name: str) -> _EXPONENT:
     raise QSeriesError(f"{name} must be a rational (an int or a Fraction), got {value!r}")
 
 
+def coefficient_arg(value):
+    """``value`` if its type is int (not bool), Fraction or CycNumber;
+    QSeriesError otherwise.  Every coefficient a public builder takes is read here."""
+    if type(value) is int or type(value) is Fraction:
+        return value
+    from .cyclotomic import CycNumber  # cyclotomic builds on this module
+
+    if type(value) is CycNumber:
+        return value
+    raise QSeriesError(f"a coefficient must be an int, a Fraction or a CycNumber, got {value!r}")
+
+
 def choice_arg(value, name: str, choices: tuple):
     """``value`` if it is one of ``choices``; QSeriesError naming ``name``
     otherwise.  Every named choice of the package is checked here."""
@@ -178,12 +190,12 @@ class QSeries:
     @classmethod
     def monomial(cls, coeff, exponent: _EXPONENT, trunc=INF) -> "QSeries":
         e = rational_arg(exponent, "exponent")
-        return cls({e.numerator: coeff}, e.denominator, trunc)
+        return cls({e.numerator: coefficient_arg(coeff)}, e.denominator, trunc)
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[_EXPONENT, object]], trunc=INF) -> "QSeries":
         """Build from (exponent, coefficient) pairs; repeated exponents add."""
-        exps = [(rational_arg(e, "exponent"), c) for e, c in terms]
+        exps = [(rational_arg(e, "exponent"), coefficient_arg(c)) for e, c in terms]
         denom = math.lcm(*(e.denominator for e, _ in exps)) if exps else 1
         coeffs: dict[int, object] = {}
         for e, c in exps:
@@ -194,7 +206,7 @@ class QSeries:
     @classmethod
     def from_dense(cls, coeffs: Sequence, trunc=INF) -> "QSeries":
         """Build from a dense list indexed by integer exponent."""
-        return cls({i: c for i, c in enumerate(coeffs)}, 1, trunc)
+        return cls({i: coefficient_arg(c) for i, c in enumerate(coeffs)}, 1, trunc)
 
     # ------------------------------------------------------------------ views
     def terms(self) -> Iterator[tuple[Fraction, object]]:
@@ -283,7 +295,7 @@ class QSeries:
 
     def scale(self, c) -> "QSeries":
         """Multiply every coefficient by a scalar ring element."""
-        if c == 0:
+        if coefficient_arg(c) == 0:
             return QSeries({}, 1, self.trunc)
         return QSeries({m: c * v for m, v in self._coeffs.items()}, self.denom, self.trunc)
 

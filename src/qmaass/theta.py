@@ -246,7 +246,7 @@ def indefinite_theta_series(params: ThetaParams, trunc) -> QSeries:
     """The exact two-region theta series of (M, a, b), below ``trunc``.
 
     The two regions make up the cone r1^2 > r2^2 (the main cone of
-    :func:`_cone_weights`), whose boundary no lattice point meets because
+    :func:`_cone_weight`), whose boundary no lattice point meets because
     a1 +- a2 is not integral.  In the cone the exponent numerator
     q = (M+1) x^2 - (M-1) y^2 exceeds 2 x^2, so only the rows with
     2 x^2 below the limit hold terms; each row's kept nu and their
@@ -404,9 +404,7 @@ def verify_theta_embedding(j: int, k: int, ell: int, trunc) -> CheckReport:
     fam = family_series(j, k, ell, inner_trunc)
     shifted = fam.compose_power(data.power).shift(data.alpha).scale(data.scale)
     params = {"j": j, "k": k, "ell": ell, "alpha": _exact_str(data.alpha)}
-    return report_from_comparison(
-        "theta_embedding", params, theta, shifted.truncate(t), up_to=t
-    )
+    return report_from_comparison("theta_embedding", params, theta, shifted.truncate(t))
 
 
 # ----------------------------------------------------------- param validation
@@ -487,18 +485,18 @@ def upper_half_plane(tau) -> tuple[float, float]:
     return tau.real, tau.imag
 
 
-def _cone_weights(M: int, x: int, y: int) -> tuple[float, float]:
-    """Exact-sign weights of the two cones at the lattice point (x, y) / D.
+def _cone_weight(M: int, x: int, y: int) -> float:
+    """Exact-sign weight of the lattice point (x, y) / D.
 
-    The first weight is 1 inside the cone r1^2 > r2^2, whose boundary no
-    lattice point meets (x = +-y would make a1 -+ a2 integral); the second
-    is 1 inside (M+1)^2 r1^2 < (M-1)^2 r2^2 (1/2 on its boundary).  The gap
-    between the cones carries weight zero.
+    It is 1 inside the cone r1^2 > r2^2, whose boundary no lattice point
+    meets (x = +-y would make a1 -+ a2 integral), and 1 inside
+    (M+1)^2 r1^2 < (M-1)^2 r2^2 (1/2 on its boundary).  The cones are
+    disjoint, and the gap between them carries weight zero.
     """
-    rho = 1.0 if x * x > y * y else 0.0
+    if x * x > y * y:
+        return 1.0
     normal = ((M + 1) * x) ** 2 - ((M - 1) * y) ** 2
-    rho_perp = 1.0 if normal < 0 else (0.5 if normal == 0 else 0.0)
-    return rho, rho_perp
+    return 1.0 if normal < 0 else (0.5 if normal == 0 else 0.0)
 
 
 def _bounded(value: complex, tail: float) -> tuple[complex, float]:
@@ -552,19 +550,13 @@ def waveform_numeric(
     q_den, t_den = 2 * D * D, D * E
     total = 0.0 + 0.0j
     for _, _, x, y, q, t in _lattice_walk(params, lattice_cut):
-        rho, rho_perp = _cone_weights(M, x, y)
-        qv = q / q_den
-        weight = 0.0
-        # q > 2 x^2 >= 0 in the main cone; q <= -2 (M-1) y^2 / (M+1) < 0 in
-        # the closed perpendicular one, where y = 0 would force x = 0 and
-        # make a1 + a2 integral.
-        if rho:
-            weight += rho * k0_bessel(2.0 * math.pi * qv * v)
-        if rho_perp:
-            weight += rho_perp * k0_bessel(-2.0 * math.pi * qv * v)
-        if weight == 0.0:
-            continue
-        total += weight * unit_phase(qv * u + t / t_den)
+        weight = _cone_weight(M, x, y)
+        if weight:
+            # q > 2 x^2 >= 0 in the main cone; q <= -2 (M-1) y^2 / (M+1) < 0 in
+            # the closed perpendicular one, where y = 0 would force x = 0 and
+            # make a1 + a2 integral.
+            qv = q / q_den
+            total += weight * k0_bessel(2.0 * math.pi * abs(qv) * v) * unit_phase(qv * u + t / t_den)
     root_v = math.sqrt(v)
     return _bounded(root_v * total, root_v * _waveform_tail(params, v, lattice_cut))
 
@@ -662,25 +654,6 @@ def _ray_integral(u_plus: float, u_minus: float, t: float, sign: int) -> float:
     return sign * (math.exp(-(root_c**2)) if s * d < 0 else 1.0) * tail
 
 
-def _completion_points(params: ThetaParams, v: float, cut: int):
-    """The points of :func:`_lattice_walk` whose completion term at
-    Im tau = v can reach exp(-100); the others are skipped.
-
-    Each ray integral is bounded by a Gaussian whose exponent is
-    pi v B(r, c_i)^2 with B(r, c_i)^2 = (M^2-1)(r1 -+ r2)^2; with the q^Q
-    modulus the per-point exponent is at least
-    pi v ((M^2-1) min (r1 +- r2)^2 + 2 Q(r)), a positive definite
-    expression.
-    """
-    M = params.M
-    D, _ = _denominators(params)
-    r_den = D * D
-    for n, nu, x, y, q, t in _lattice_walk(params, cut):
-        combined = (M * M - 1) * min((x + y) ** 2, (x - y) ** 2) + q
-        if math.pi * v * (combined / r_den) <= 100.0:
-            yield n, nu, x, y, q, t
-
-
 def completion_defect(params: ThetaParams, tau: complex, lattice_cut: int = 10) -> complex:
     """Difference of the two boundary correction sums at tau.
 
@@ -697,13 +670,20 @@ def completion_defect(params: ThetaParams, tau: complex, lattice_cut: int = 10) 
     form = QuadForm(params.M)
     M = params.M
     D, E = _denominators(params)
-    q_den, t_den = 2 * D * D, D * E
+    q_den, t_den, r_den = 2 * D * D, D * E, D * D
     root_v = math.sqrt(v)
     root_plus, root_minus = math.sqrt(2.0 * (M + 1)), math.sqrt(2.0 * (M - 1))
-    t1 = form.reference_parameter(1)
-    t2 = form.reference_parameter(2)
+    t1, t2 = form.reference_parameter(1), form.reference_parameter(2)
     total = 0j
-    for n, nu, x, y, q, t in _completion_points(params, v, lattice_cut):
+    for n, nu, x, y, q, t in _lattice_walk(params, lattice_cut):
+        # Each ray integral is bounded by a Gaussian whose exponent is
+        # pi v B(r, c_i)^2 with B(r, c_i)^2 = (M^2-1)(r1 -+ r2)^2; with the q^Q
+        # modulus the per-point exponent is at least
+        # pi v ((M^2-1) min (r1 +- r2)^2 + 2 Q(r)), a positive definite
+        # expression.
+        combined = (M * M - 1) * min((x + y) ** 2, (x - y) ** 2) + q
+        if math.pi * v * (combined / r_den) > 100.0:
+            continue
         if max(abs(n), abs(nu)) == lattice_cut:
             raise PrecisionError(
                 f"lattice cut {lattice_cut} is too short for the completion defect at tau = {tau}"
@@ -712,8 +692,6 @@ def completion_defect(params: ThetaParams, tau: complex, lattice_cut: int = 10) 
         u_minus = root_minus * (y / D) * root_v
         sign1 = _ray_sign(u_plus, u_minus, t1)
         sign2 = _ray_sign(u_plus, u_minus, t2)
-        if sign1 == 0 and sign2 == 0:
-            continue
         qv = q / q_den
         alpha = _ray_integral(u_plus, u_minus, t1, sign1) - _ray_integral(
             u_plus, u_minus, t2, sign2

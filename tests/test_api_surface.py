@@ -432,11 +432,19 @@ def test_every_exact_lattice_sum_reads_the_row_kernel():
     }
 
 
+def test_every_float_lattice_sum_reads_the_walk():
+    # The waveform and the completion defect each walk the lattice once and
+    # weigh each point in their own loop: no helper yields a filtered walk
+    # or splits a point's one cone weight in two.
+    assert src_callers("_lattice_walk") == {"theta.waveform_numeric", "theta.completion_defect"}
+    assert not set().union(*map(defined_names, _parse(SRC))) & {"_cone_weights", "_completion_points"}
+
+
 #: "module.function" outside ``series`` -> why it wraps its own coefficient
 #: maps as QSeries rather than through TruncatedRing.series.
 OWN_TRUNCATION = {
-    "agpolys._chain_polynomials": "L1Bound sizing: the walk with x -> 1 bounds the digits more "
-                                  "tightly than the majorant twin, and proves whole polynomials",
+    "agpolys._chain_polynomials": "proven whole polynomials: L1Bound sizes them over the degree "
+                                  "bound, and their q = 1 totals prove no term lies above it",
     "agpolys.ag_generating": "L1Bound sizing: its DP with x -> 1 bounds the digits more tightly "
                              "than the majorant twin",
 }

@@ -48,13 +48,6 @@ def test_fractional_values_render_as_rational_strings():
     assert data["rhs_coeff"] == "0"
 
 
-def test_comparison_respects_window():
-    lhs = QSeries.from_terms([(0, 1), (8, 1)], trunc=20)
-    rhs = QSeries.from_terms([(0, 1)], trunc=20)
-    assert report_from_comparison("demo", {}, lhs, rhs, up_to=8).ok
-    assert not report_from_comparison("demo", {}, lhs, rhs, up_to=9).ok
-
-
 def test_condition_report():
     good = report_from_condition("cond", {"m": 1}, True, {"note": "fine"})
     bad = report_from_condition("cond", {"m": 2}, False)

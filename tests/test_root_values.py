@@ -552,6 +552,47 @@ def test_rational_arguments_refuse_bools_floats_strings_and_none(name, place, sh
     assert str(caught.value) == message
 
 
+# Every coefficient a public QSeries builder takes, as in RATIONAL_ARGUMENTS:
+# name -> (valid arguments, the places of its coefficients).
+COEFFICIENT_ARGUMENTS = {
+    "series.QSeries.from_dense": (([1, Fraction(1, 2)], 5), ("coeffs[0]", "coeffs[1]")),
+    "series.QSeries.from_terms": (([(Fraction(1, 2), 1), (1, 2)], 5), ("terms[0][1]", "terms[1][1]")),
+    "series.QSeries.monomial": ((CycNumber.from_powers(3, {1: 1}), Fraction(1, 2), 5), ("coeff",)),
+    "series.QSeries.scale": (_HALF, ("c",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COEFFICIENT_ARGUMENTS))
+def test_the_coefficient_table_calls_are_valid(name):
+    # So each refusal below is the replaced coefficient's.
+    _call(name, COEFFICIENT_ARGUMENTS[name][0])()
+
+
+@pytest.mark.parametrize("name, place, value", [
+    pytest.param(name, place, value, id=f"{name}.{place}={value!r}")
+    for name, (_, places) in COEFFICIENT_ARGUMENTS.items()
+    for place in places
+    for value in (0.5, True, "1", None)
+])
+def test_coefficients_refuse_floats_bools_strings_and_none(name, place, value):
+    # An exact series holds ints, Fractions and CycNumbers only: a float
+    # or a bool would be kept as it is and leak into every exact result.
+    call = _call(name, COEFFICIENT_ARGUMENTS[name][0], place, value)
+    with pytest.raises(QSeriesError) as caught:
+        call()
+    assert str(caught.value) == f"a coefficient must be an int, a Fraction or a CycNumber, got {value!r}"
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: QSeries.monomial(0.25, 1, 5), 0.25),
+    (lambda: QSeries.from_dense([1, 2], 5).scale(0.5), 0.5),
+    (lambda: QSeries.from_terms([(0, True)], 3), True),
+])
+def test_builders_keep_no_float_or_bool_coefficient(call, value):
+    with pytest.raises(QSeriesError, match=f"a coefficient must be .*, got {value!r}$"):
+        call()
+
+
 @pytest.mark.parametrize("ell", range(1, 7))
 def test_duality_at_k6_order_24(ell):
     assert verify_kz_duality(6, ell, 24).ok
